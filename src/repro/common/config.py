@@ -209,6 +209,18 @@ class SystemConfig:
             if overlap:
                 raise ConfigurationError(f"nodes {sorted(overlap)} appear in two clusters")
             seen.update(cluster.node_ids)
+        # Lookup indexes (not fields: excluded from eq/hash/repr).  Built
+        # in reverse so the first cluster with an id wins, as in a scan.
+        object.__setattr__(
+            self,
+            "_cluster_by_id",
+            {cluster.cluster_id: cluster for cluster in reversed(self.clusters)},
+        )
+        object.__setattr__(
+            self,
+            "_cluster_by_node",
+            {node: cluster for cluster in self.clusters for node in cluster.node_ids},
+        )
 
     @property
     def num_clusters(self) -> int:
@@ -227,17 +239,17 @@ class SystemConfig:
 
     def cluster(self, cluster_id: ClusterId) -> ClusterConfig:
         """Return the configuration of cluster ``cluster_id``."""
-        for cluster in self.clusters:
-            if cluster.cluster_id == cluster_id:
-                return cluster
-        raise ConfigurationError(f"unknown cluster {cluster_id}")
+        try:
+            return self._cluster_by_id[cluster_id]
+        except KeyError:
+            raise ConfigurationError(f"unknown cluster {cluster_id}") from None
 
     def cluster_of_node(self, node_id: NodeId) -> ClusterConfig:
         """Return the cluster that ``node_id`` belongs to."""
-        for cluster in self.clusters:
-            if node_id in cluster.node_ids:
-                return cluster
-        raise ConfigurationError(f"node {node_id} does not belong to any cluster")
+        try:
+            return self._cluster_by_node[node_id]
+        except KeyError:
+            raise ConfigurationError(f"node {node_id} does not belong to any cluster") from None
 
     @staticmethod
     def build(

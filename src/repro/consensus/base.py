@@ -11,7 +11,6 @@ SharPer is pluggable", Section 3.1).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Callable, ClassVar, Hashable, Mapping, Protocol, runtime_checkable
 
 from ..common.config import ClusterConfig
@@ -63,26 +62,26 @@ class QuorumTracker:
     Keys are protocol-specific tuples such as ``(view, slot, digest)``.
     A key fires at most once; duplicate votes from the same voter are
     ignored, matching the "matching messages from distinct nodes"
-    requirement of every quorum in the paper.
+    requirement of every quorum in the paper.  Votes arriving after a
+    key fired are not recorded, so a key has fired exactly when it holds
+    ``threshold`` voters — one dict probe per vote, no second index.
     """
 
     def __init__(self, threshold: int) -> None:
         if threshold <= 0:
             raise ValueError("quorum threshold must be positive")
         self.threshold = threshold
-        self._votes: dict[Hashable, set[int]] = defaultdict(set)
-        self._fired: set[Hashable] = set()
+        self._votes: dict[Hashable, set[int]] = {}
 
     def vote(self, key: Hashable, voter: int) -> bool:
         """Record a vote; returns ``True`` the first time the key reaches quorum."""
-        if key in self._fired:
+        votes = self._votes.get(key)
+        if votes is None:
+            votes = self._votes[key] = set()
+        elif len(votes) >= self.threshold:
             return False
-        votes = self._votes[key]
         votes.add(voter)
-        if len(votes) >= self.threshold:
-            self._fired.add(key)
-            return True
-        return False
+        return len(votes) >= self.threshold
 
     def count(self, key: Hashable) -> int:
         """Number of distinct votes recorded for ``key``."""
@@ -90,7 +89,7 @@ class QuorumTracker:
 
     def reached(self, key: Hashable) -> bool:
         """Whether ``key`` has already reached its quorum."""
-        return key in self._fired
+        return self.count(key) >= self.threshold
 
     def voters(self, key: Hashable) -> frozenset[int]:
         """The distinct voters recorded for ``key``."""
@@ -99,18 +98,15 @@ class QuorumTracker:
     def clear(self) -> None:
         """Forget all votes (used on view installation)."""
         self._votes.clear()
-        self._fired.clear()
 
     def drop(self, predicate: Callable[[Hashable], bool]) -> None:
-        """Forget votes and fired marks for keys matching ``predicate``.
+        """Forget the votes of every key matching ``predicate``.
 
         Used by checkpoint compaction to garbage-collect per-slot vote
         bookkeeping once the slot is covered by a stable checkpoint.
         """
         for key in [key for key in self._votes if predicate(key)]:
             del self._votes[key]
-        for key in [key for key in self._fired if predicate(key)]:
-            self._fired.discard(key)
 
 
 class HandlerTable:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..common.errors import ConsensusError
-from ..common.types import ClusterId, NodeId
+from ..common.types import ClusterId
 from ..consensus.base import HandlerTable
 from ..consensus.batching import member_requests, members_all_committed, screen_members
 from ..consensus.log import Noop, item_digest
@@ -62,18 +62,30 @@ __all__ = ["CrashCrossShardEngine", "ByzantineCrossShardEngine"]
 # ----------------------------------------------------------------------
 # crash-only clusters — Algorithm 1
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class _CrashState:
-    """Initiator-side bookkeeping for one cross-shard transaction."""
+    """Initiator-side bookkeeping for one cross-shard transaction.
+
+    Tally invariant: ``waiting`` holds exactly the involved clusters that
+    still lack an accept quorum or a reserved position, so the instance
+    commits the moment it empties — no re-scan of the clusters per vote.
+    """
 
     request: ClientRequest
     digest: str
     involved: tuple[ClusterId, ...]
     attempt: int = 0
-    votes: dict[ClusterId, set[NodeId]] = field(default_factory=dict)
+    #: accept voters per involved cluster.
+    votes: dict[ClusterId, set[int]] = field(init=False)
+    #: position each cluster reserved.
     slots: dict[ClusterId, int] = field(default_factory=dict)
+    waiting: set[ClusterId] = field(init=False)
     decided: bool = False
     timer: Timer | None = None
+
+    def __post_init__(self) -> None:
+        self.votes = {cluster: set() for cluster in self.involved}
+        self.waiting = set(self.involved)
 
 
 def _compact_cross_state(states: dict, assigned_slots: dict[str, int], slot: int) -> None:
@@ -118,6 +130,8 @@ class CrashCrossShardEngine(HandlerTable):
         self._build_handlers()
         self._states: dict[str, _CrashState] = {}
         self._assigned_slots: dict[str, int] = {}
+        #: per-cluster accept quorum (f + 1), resolved once.
+        self._quorum = {c.cluster_id: c.cross_quorum for c in host.config.clusters}
         self.initiated = 0
         self.committed = 0
         self.retries = 0
@@ -140,9 +154,8 @@ class CrashCrossShardEngine(HandlerTable):
         state = self._states.get(digest)
         if state is None:
             slot = self._reserve_local_slot(digest, request)
-            state = _CrashState(request=request, digest=digest, involved=involved)
-            state.slots[self.host.cluster_id] = slot
-            state.votes[self.host.cluster_id] = {self.host.node_id}
+            state = _CrashState(request, digest, involved)
+            self._tally(state, self.host.cluster_id, self.host.node_id, slot)
             self._states[digest] = state
             self.initiated += 1
             recorder = self.host.recorder
@@ -176,7 +189,7 @@ class CrashCrossShardEngine(HandlerTable):
             initiator_slot=state.slots[self.host.cluster_id],
             attempt=state.attempt,
         )
-        self.host.multicast_nodes(self.host.nodes_of_clusters(state.involved), message)
+        self.host.multicast(self.host.nodes_of_clusters(state.involved), message)
 
     def _arm_retry_timer(self, state: _CrashState) -> None:
         if state.timer is not None:
@@ -282,11 +295,9 @@ class CrashCrossShardEngine(HandlerTable):
         state = self._states.get(message.digest)
         if state is None or state.decided:
             return
-        votes = state.votes.setdefault(message.cluster, set())
-        votes.add(NodeId(src))
-        if message.slot is not None:
-            state.slots.setdefault(message.cluster, message.slot)
-        self._maybe_commit(state)
+        self._tally(state, message.cluster, src, message.slot)
+        if not state.waiting:
+            self._commit(state)
         recorder = self.host.recorder
         if recorder is not None and recorder.causal_armed:
             recorder.quorum_vote(
@@ -294,15 +305,18 @@ class CrashCrossShardEngine(HandlerTable):
                 message.digest, int(src), state.decided,
             )
 
-    def _maybe_commit(self, state: _CrashState) -> None:
-        if state.decided:
+    def _tally(self, state: _CrashState, cluster: ClusterId, voter: int, slot: int | None) -> None:
+        """Count one accept; votes of clusters that are not involved are ignored."""
+        voters = state.votes.get(cluster)
+        if voters is None:
             return
-        for cluster in state.involved:
-            quorum = self.host.config.cluster(cluster).cross_quorum
-            if len(state.votes.get(cluster, ())) < quorum:
-                return
-            if cluster not in state.slots:
-                return
+        voters.add(voter)
+        if slot is not None:
+            state.slots.setdefault(cluster, slot)
+        if len(voters) >= self._quorum[cluster] and cluster in state.slots:
+            state.waiting.discard(cluster)
+
+    def _commit(self, state: _CrashState) -> None:
         state.decided = True
         if state.timer is not None:
             state.timer.cancel()
@@ -321,7 +335,7 @@ class CrashCrossShardEngine(HandlerTable):
             proposer=self.host.cluster_id,
             attempt=state.attempt,
         )
-        self.host.multicast_nodes(self.host.nodes_of_clusters(state.involved), commit)
+        self.host.multicast(self.host.nodes_of_clusters(state.involved), commit)
         try:
             self.host.log.decide(
                 positions[self.host.cluster_id],
@@ -384,23 +398,33 @@ class CrashCrossShardEngine(HandlerTable):
 # ----------------------------------------------------------------------
 # Byzantine clusters — Algorithm 2
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class _ByzState:
-    """Per-node bookkeeping for one cross-shard transaction (Algorithm 2)."""
+    """Per-node bookkeeping for one cross-shard transaction (Algorithm 2).
+
+    Tally invariant: once ``involved`` is known, ``unconfirmed`` holds
+    exactly the involved clusters without a confirmed slot and
+    ``uncommitted`` those without a commit quorum, so "may I commit /
+    decide?" is an emptiness check.  Votes may arrive before the propose
+    does; until then both are ``None`` and the votes just accumulate.
+    """
 
     digest: str
     request: ClientRequest | None = None
     involved: tuple[ClusterId, ...] = ()
     initiator_cluster: ClusterId | None = None
     attempt: int = 0
-    #: accept votes: cluster → slot → voters.
-    accept_votes: dict[ClusterId, dict[int, set[NodeId]]] = field(default_factory=dict)
+    #: accept voters per (cluster, slot).
+    accept_votes: dict[tuple[ClusterId, int], set[int]] = field(default_factory=dict)
     #: slot confirmed (2f+1 accepts) per cluster.
     confirmed_slots: dict[ClusterId, int] = field(default_factory=dict)
-    #: slot announced by each cluster's primary (trusted provisionally).
-    announced_slots: dict[ClusterId, int] = field(default_factory=dict)
-    #: commit votes: cluster → voters.
-    commit_votes: dict[ClusterId, set[NodeId]] = field(default_factory=dict)
+    #: slot of this node's own cluster, as announced by its primary
+    #: (trusted provisionally).
+    my_slot: int | None = None
+    #: commit voters per cluster.
+    commit_votes: dict[ClusterId, set[int]] = field(default_factory=dict)
+    unconfirmed: set[ClusterId] | None = None
+    uncommitted: set[ClusterId] | None = None
     accept_sent: bool = False
     commit_sent: bool = False
     decided: bool = False
@@ -421,6 +445,8 @@ class ByzantineCrossShardEngine(HandlerTable):
         self._build_handlers()
         self._states: dict[str, _ByzState] = {}
         self._assigned_slots: dict[str, int] = {}
+        #: per-cluster accept/commit quorum (2f + 1), resolved once.
+        self._quorum = {c.cluster_id: c.cross_quorum for c in host.config.clusters}
         self.initiated = 0
         self.committed = 0
         self.retries = 0
@@ -449,9 +475,9 @@ class ByzantineCrossShardEngine(HandlerTable):
                 slot = self.host.log.allocate()
                 self._assigned_slots[digest] = slot
             state.request = request
-            state.involved = involved
+            self._set_involved(state, involved)
             state.initiator_cluster = self.host.cluster_id
-            state.announced_slots[self.host.cluster_id] = slot
+            state.my_slot = slot
             self._try_record_pending(slot, digest, request)
             self.initiated += 1
             recorder = self.host.recorder
@@ -465,19 +491,27 @@ class ByzantineCrossShardEngine(HandlerTable):
             request=request,
             involved=involved,
             initiator_cluster=self.host.cluster_id,
-            initiator_slot=state.announced_slots[self.host.cluster_id],
+            initiator_slot=state.my_slot,
             attempt=state.attempt,
         )
-        self.host.multicast_nodes(self.host.nodes_of_clusters(involved), propose)
+        self.host.multicast(self.host.nodes_of_clusters(involved), propose)
         self._send_accept(state)
         self._arm_retry_timer(state)
 
     def _state(self, digest: str) -> _ByzState:
         state = self._states.get(digest)
         if state is None:
-            state = _ByzState(digest=digest)
-            self._states[digest] = state
+            state = self._states[digest] = _ByzState(digest)
         return state
+
+    def _set_involved(self, state: _ByzState, involved: tuple[ClusterId, ...]) -> None:
+        """Fix the involved set and derive both tallies from the votes already held."""
+        state.involved = involved
+        state.unconfirmed = {c for c in involved if c not in state.confirmed_slots}
+        votes, quorum = state.commit_votes, self._quorum
+        # A cluster this deployment does not know never gathers a quorum
+        # (its votes are not recorded), so any positive default keeps it in.
+        state.uncommitted = {c for c in involved if len(votes.get(c, ())) < quorum.get(c, 1)}
 
     def _try_record_pending(self, slot: int, digest: str, request: object) -> None:
         try:
@@ -525,26 +559,27 @@ class ByzantineCrossShardEngine(HandlerTable):
             return
         state = self._state(message.digest)
         state.request = message.request
-        state.involved = message.involved
+        if message.involved != state.involved:
+            self._set_involved(state, message.involved)
         state.initiator_cluster = message.initiator_cluster
         state.attempt = max(state.attempt, message.attempt)
-        state.announced_slots[message.initiator_cluster] = message.initiator_slot
+        my_cluster = self.host.cluster_id
+        if my_cluster == message.initiator_cluster:
+            state.my_slot = message.initiator_slot
         if self.host.log.decided_slot_of(message.digest) is not None:
             return
         chain = getattr(self.host, "chain", None)
         if chain is not None and members_all_committed(chain, message.request):
             # Committed below the checkpoint low-water mark already.
             return
-        my_cluster = self.host.cluster_id
         if my_cluster == message.initiator_cluster:
-            state.announced_slots[my_cluster] = message.initiator_slot
             self._try_record_pending(message.initiator_slot, message.digest, message.request)
-        elif self.host.is_cluster_primary and my_cluster not in state.announced_slots:
+        elif self.host.is_cluster_primary and state.my_slot is None:
             slot = self._assigned_slots.get(message.digest)
             if slot is None:
                 slot = self.host.log.allocate()
                 self._assigned_slots[message.digest] = slot
-            state.announced_slots[my_cluster] = slot
+            state.my_slot = slot
             self._try_record_pending(slot, message.digest, message.request)
         self._send_accept(state)
 
@@ -552,47 +587,61 @@ class ByzantineCrossShardEngine(HandlerTable):
         """Multicast this node's accept once it knows its cluster's slot."""
         if state.accept_sent or state.request is None:
             return
-        my_cluster = self.host.cluster_id
-        slot = state.announced_slots.get(my_cluster)
+        slot = state.my_slot
         if slot is None:
             # Backups wait until their cluster primary announces the slot
             # (via its own accept message).
             return
         state.accept_sent = True
         self._try_record_pending(slot, state.digest, state.request)
+        host = self.host
         accept = CrossAcceptB(
             digest=state.digest,
-            cluster=my_cluster,
-            node=self.host.node_id,
+            cluster=host.cluster_id,
+            node=host.node_id,
             slot=slot,
             attempt=state.attempt,
         )
-        self.host.multicast_nodes(self.host.nodes_of_clusters(state.involved), accept)
-        self._register_accept(state, my_cluster, slot, self.host.node_id)
+        host.multicast(host.nodes_of_clusters(state.involved), accept)
+        self._register_accept(state, host.cluster_id, slot, host.node_id)
 
     def _on_accept(self, message: CrossAcceptB, src: int) -> None:
-        state = self._state(message.digest)
-        if message.slot is None:
+        state = self._states.get(message.digest) or self._state(message.digest)
+        slot = message.slot
+        if slot is None:
             return
-        # Backups learn their cluster's slot from their primary's accept.
+        cluster = message.cluster
+        # Backups learn their cluster's slot from their primary's accept
+        # (nothing left to learn once this node's own accept is out).
         if (
-            message.cluster == self.host.cluster_id
-            and src == self.host.primary_pid_of(message.cluster)
+            not state.accept_sent
+            and cluster == self.host.cluster_id
+            and src == self.host.primary_pid_of(cluster)
         ):
-            state.announced_slots.setdefault(message.cluster, message.slot)
+            if state.my_slot is None:
+                state.my_slot = slot
             self._send_accept(state)
-        self._register_accept(state, message.cluster, message.slot, NodeId(src))
+        self._register_accept(state, cluster, slot, src)
 
     def _register_accept(
-        self, state: _ByzState, cluster: ClusterId, slot: int, voter: NodeId
+        self, state: _ByzState, cluster: ClusterId, slot: int, voter: int
     ) -> None:
-        per_cluster = state.accept_votes.setdefault(cluster, {})
-        voters = per_cluster.setdefault(slot, set())
-        voters.add(voter)
-        quorum = self.host.config.cluster(cluster).cross_quorum
-        if len(voters) >= quorum:
-            state.confirmed_slots.setdefault(cluster, slot)
-        self._maybe_send_commit(state)
+        # Once this node committed (or decided on others' commits) every
+        # involved slot is confirmed: a late accept can change nothing.
+        if not (state.commit_sent or state.decided):
+            quorum = self._quorum.get(cluster)
+            if quorum is not None:
+                key = (cluster, slot)
+                voters = state.accept_votes.get(key)
+                if voters is None:
+                    voters = state.accept_votes[key] = set()
+                voters.add(voter)
+                if len(voters) >= quorum and cluster not in state.confirmed_slots:
+                    state.confirmed_slots[cluster] = slot
+                    if state.unconfirmed:
+                        state.unconfirmed.discard(cluster)
+            if state.involved and not state.unconfirmed and state.request is not None:
+                self._send_commit(state)
         recorder = self.host.recorder
         if recorder is not None and recorder.causal_armed:
             recorder.quorum_vote(
@@ -600,41 +649,54 @@ class ByzantineCrossShardEngine(HandlerTable):
                 state.digest, int(voter), state.commit_sent,
             )
 
-    def _maybe_send_commit(self, state: _ByzState) -> None:
-        if state.commit_sent or state.decided or state.request is None or not state.involved:
-            return
-        if any(cluster not in state.confirmed_slots for cluster in state.involved):
-            return
+    def _send_commit(self, state: _ByzState) -> None:
         state.commit_sent = True
-        recorder = self.host.recorder
+        host = self.host
+        recorder = host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
+            now = host.now
+            pid = int(host.node_id)
             for member in member_requests(state.request):
                 recorder.phase(now, member.transaction.tx_id, "cross_prepared", pid)
-        positions = {cluster: state.confirmed_slots[cluster] for cluster in state.involved}
         commit = CrossCommitB(
             digest=state.digest,
-            cluster=self.host.cluster_id,
-            node=self.host.node_id,
-            positions=tuple(sorted(positions.items())),
+            cluster=host.cluster_id,
+            node=host.node_id,
+            positions=tuple(sorted({c: state.confirmed_slots[c] for c in state.involved}.items())),
             attempt=state.attempt,
         )
-        self.host.multicast_nodes(self.host.nodes_of_clusters(state.involved), commit)
-        self._register_commit(state, self.host.cluster_id, self.host.node_id)
+        host.multicast(host.nodes_of_clusters(state.involved), commit)
+        self._register_commit(state, host.cluster_id, host.node_id)
 
     def _on_commit(self, message: CrossCommitB, src: int) -> None:
-        state = self._state(message.digest)
-        for cluster, slot in message.positions:
-            state.confirmed_slots.setdefault(cluster, slot)
-        if not state.involved:
-            state.involved = tuple(cluster for cluster, _ in message.positions)
-        self._register_commit(state, message.cluster, NodeId(src))
+        state = self._states.get(message.digest) or self._state(message.digest)
+        if not state.decided:
+            confirmed = state.confirmed_slots
+            for cluster, slot in message.positions:
+                confirmed.setdefault(cluster, slot)
+            if not state.involved:
+                self._set_involved(state, tuple(cluster for cluster, _ in message.positions))
+            elif state.unconfirmed:
+                state.unconfirmed.difference_update(confirmed)
+        self._register_commit(state, message.cluster, src)
 
-    def _register_commit(self, state: _ByzState, cluster: ClusterId, voter: NodeId) -> None:
-        voters = state.commit_votes.setdefault(cluster, set())
-        voters.add(voter)
-        self._maybe_decide(state)
+    def _register_commit(self, state: _ByzState, cluster: ClusterId, voter: int) -> None:
+        if not state.decided:
+            quorum = self._quorum.get(cluster)
+            if quorum is not None:
+                voters = state.commit_votes.get(cluster)
+                if voters is None:
+                    voters = state.commit_votes[cluster] = set()
+                voters.add(voter)
+                if len(voters) >= quorum and state.uncommitted:
+                    state.uncommitted.discard(cluster)
+            if (
+                state.involved
+                and not state.uncommitted
+                and not state.unconfirmed
+                and state.request is not None
+            ):
+                self._decide(state)
         recorder = self.host.recorder
         if recorder is not None and recorder.causal_armed:
             recorder.quorum_vote(
@@ -642,15 +704,7 @@ class ByzantineCrossShardEngine(HandlerTable):
                 state.digest, int(voter), state.decided,
             )
 
-    def _maybe_decide(self, state: _ByzState) -> None:
-        if state.decided or state.request is None or not state.involved:
-            return
-        for cluster in state.involved:
-            quorum = self.host.config.cluster(cluster).cross_quorum
-            if len(state.commit_votes.get(cluster, ())) < quorum:
-                return
-            if cluster not in state.confirmed_slots:
-                return
+    def _decide(self, state: _ByzState) -> None:
         state.decided = True
         if state.timer is not None:
             state.timer.cancel()

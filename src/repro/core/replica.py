@@ -122,6 +122,13 @@ class SharPerReplica(Process):
             remote.cluster_id: int(remote.primary) for remote in config.clusters
         }
         self._remote_views: dict[ClusterId, int] = {}
+        # Stable destination tuples: the network memoises a route per
+        # (sender, destination tuple), so hand it the same tuple objects
+        # for the whole run instead of rebuilding a list per multicast.
+        self._cluster_peers = tuple(
+            int(node) for node in cluster.node_ids if node != node_id
+        )
+        self._nodes_of: dict[tuple[ClusterId, ...], tuple[int, ...]] = {}
         # Table-driven dispatch: merge the engines' handler tables into the
         # process-level table once, so delivery is a single dict lookup
         # (the message sets of the engines and managers are disjoint).
@@ -164,13 +171,18 @@ class SharPerReplica(Process):
             return int(self.cluster.primary_for_view(self.intra.view))
         return self._remote_primaries[cluster_id]
 
-    def nodes_of_clusters(self, clusters: Iterable[ClusterId]) -> list[int]:
-        """Process ids of every node of the given clusters."""
-        return [
-            int(node)
-            for cluster_id in clusters
-            for node in self.config.cluster(cluster_id).node_ids
-        ]
+    def nodes_of_clusters(self, clusters: Iterable[ClusterId]) -> tuple[int, ...]:
+        """Process ids of every node of the given clusters (memoised per set)."""
+        if clusters.__class__ is not tuple:
+            clusters = tuple(clusters)
+        nodes = self._nodes_of.get(clusters)
+        if nodes is None:
+            nodes = self._nodes_of[clusters] = tuple(
+                int(node)
+                for cluster_id in clusters
+                for node in self.config.cluster(cluster_id).node_ids
+            )
+        return nodes
 
     def involved_clusters_of(self, transaction: Transaction) -> tuple[ClusterId, ...]:
         """Clusters whose shards ``transaction`` accesses."""
@@ -195,11 +207,7 @@ class SharPerReplica(Process):
     # ------------------------------------------------------------------
     def multicast_cluster(self, message: object) -> None:
         """Send ``message`` to every other node of this cluster."""
-        self.multicast([int(node) for node in self.cluster.node_ids], message)
-
-    def multicast_nodes(self, nodes: list[int], message: object) -> None:
-        """Send ``message`` to an explicit set of nodes (self excluded)."""
-        self.multicast(nodes, message)
+        self.multicast(self._cluster_peers, message)
 
     def send_to(self, node_id: int, message: object) -> None:
         """Send ``message`` to one node."""

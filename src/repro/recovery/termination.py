@@ -100,7 +100,7 @@ class CrossShardTerminator(HandlerTable):
         )
         self._states[digest] = state
         self.started += 1
-        host.multicast_nodes(
+        host.multicast(
             host.nodes_of_clusters(involved),
             TerminationRequest(
                 digest=digest, tx_id=item.transaction.tx_id, slot=slot, view=view,

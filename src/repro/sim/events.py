@@ -18,15 +18,16 @@ comparison code (the previous design paid ~¾ million Python ``__lt__``
 calls per benchmark point).  Cancellation clears the callback slot
 in-place (``entry[2] = None``); cancelled entries are skipped lazily when
 popped.  :class:`Event` is a ``__slots__`` handle wrapped around the heap
-entry — allocated for callers that need cancellation (timers), while bulk
-paths (:meth:`EventQueue.push_many`) skip the wrapper entirely.
+entry — allocated for callers that need cancellation (timers), while the
+message paths (:meth:`EventQueue.push_fast`, the transport's direct
+pushes) skip the wrapper entirely.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = ["Event", "EventQueue"]
 
@@ -121,21 +122,6 @@ class EventQueue:
         cancelled; skipping the handle keeps them allocation-free.
         """
         heapq.heappush(self._heap, [time, next(self._counter), callback, args])
-
-    def push_many(
-        self, items: Iterable[tuple[float, Callable[..., None], tuple]]
-    ) -> None:
-        """Bulk-schedule ``(time, callback, args)`` triples.
-
-        No :class:`Event` handles are allocated — bulk-scheduled events
-        cannot be cancelled individually.  Used by the network layer to
-        schedule one multicast's deliveries in a single call.
-        """
-        heap = self._heap
-        counter = self._counter
-        push = heapq.heappush
-        for time, callback, args in items:
-            push(heap, [time, next(counter), callback, args])
 
     def pop(self) -> Event | None:
         """Remove and return the earliest non-cancelled event, or ``None``."""

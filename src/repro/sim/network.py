@@ -22,19 +22,25 @@ or reorder messages.  This module models exactly that:
 
 Performance model & parallel execution
 --------------------------------------
-Consensus traffic is dominated by one-to-many sends (pre-prepares,
-accepts, commits), so :meth:`Network.multicast` is a first-class
-primitive: it shares a single immutable payload object across all
-destinations, hoists the partition/drop checks out of the loop when no
-fault is active, and bulk-schedules the deliveries.  It consumes the
-seeded RNG in exactly the per-destination ``send`` order, so multicast
-runs stay bit-identical with the loop it replaced.
+Consensus traffic is one-to-many and the same few destination sets recur
+for the whole run, so the transport memoises *routes*, lazily.  A link
+resolves once into a row ``(destination.deliver, base_delay, link_key)``
+and a ``(src, destination-tuple)`` pair into the tuple of its links' rows
+(self excluded).  :meth:`Network.send` and :meth:`Network.multicast` walk
+rows: draw the jitter, apply the FIFO clamp, push a heap entry whose
+callback is the destination's ``deliver`` itself — one payload and one
+``(message, src)`` tuple per multicast.  Jitter is drawn per destination
+in destination order, exactly as a loop of ``send`` calls would, so runs
+are bit-identical however traffic is grouped.  Faults never invalidate a
+route: while a partition, severed link or ``drop_rate`` is active every
+message is checked on its own (the general path) along the same rows.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
+from heapq import heappush
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol
 
 from ..common.config import PerformanceModel
 from ..common.errors import NetworkError
@@ -45,12 +51,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["LatencyModel", "UniformLatencyModel", "ClusteredLatencyModel", "Network"]
 
+#: link keys are ``src << 21 | dst`` (process ids fit in 21 bits: replicas
+#: are small ints, clients start at 1e6); the mask recovers ``dst``.
+_PID_BITS = 21
+_PID_MASK = (1 << _PID_BITS) - 1
+
 
 class LatencyModel(Protocol):
-    """Strategy object producing one-way link delays in seconds."""
+    """Strategy object producing one-way link delays in seconds.
 
-    def delay(self, src: int, dst: int) -> float:
-        """One-way delay for a message from ``src`` to ``dst``."""
+    Every delay is ``link_base(src, dst) * (1 + U[0, jitter])`` with the
+    uniform draw taken from ``rng``.  :class:`Network` memoises
+    ``link_base`` per link and draws the jitter itself, so a model's
+    topology and ``jitter`` must not change once traffic flows.
+    """
+
+    #: multiplicative jitter fraction (0 = deterministic delays).
+    jitter: float
+    #: generator the jitter is drawn from.
+    rng: random.Random
+
+    def link_base(self, src: int, dst: int) -> float:
+        """Jitter-free one-way delay of the ``src`` → ``dst`` link."""
         ...
 
 
@@ -74,6 +96,9 @@ class UniformLatencyModel:
         self.jitter = jitter
         self.rng = rng or random.Random(0)
 
+    def link_base(self, src: int, dst: int) -> float:
+        return self.base_delay
+
     def delay(self, src: int, dst: int) -> float:
         # rng.random() * jitter == rng.uniform(0, jitter), one draw either
         # way, so the seeded stream is unchanged by the inlining.
@@ -88,7 +113,8 @@ class ClusteredLatencyModel:
     nodes are assigned to clusters by geographical distance), so
     intra-cluster links are fast; links between clusters use the slower
     cross-cluster delay; any endpoint not in the topology map (clients)
-    uses the client delay.
+    uses the client delay.  System builders finish updating
+    ``cluster_of`` before the first message.
     """
 
     def __init__(
@@ -99,14 +125,10 @@ class ClusteredLatencyModel:
     ) -> None:
         self.performance = performance
         self.cluster_of = dict(cluster_of)
+        self.jitter = performance.latency_jitter
         self.rng = rng or random.Random(0)
-        # Base delays are memoised per (src, dst) pair: cluster membership
-        # is static once traffic starts (system builders finish updating
-        # ``cluster_of`` before the first message), so the two topology
-        # lookups collapse into one dict probe on the hot path.
-        self._pair_base: dict[tuple[int, int], float] = {}
 
-    def _base_delay(self, src: int, dst: int) -> float:
+    def link_base(self, src: int, dst: int) -> float:
         perf = self.performance
         src_cluster = self.cluster_of.get(src)
         dst_cluster = self.cluster_of.get(dst)
@@ -119,15 +141,10 @@ class ClusteredLatencyModel:
     def delay(self, src: int, dst: int) -> float:
         # Same multiplicative-fraction jitter convention as
         # UniformLatencyModel: base * (1 + U[0, jitter]).
-        pair = (src, dst)
-        base = self._pair_base.get(pair)
-        if base is None:
-            base = self._base_delay(src, dst)
-            self._pair_base[pair] = base
-        jitter = self.performance.latency_jitter
-        if jitter:
+        base = self.link_base(src, dst)
+        if self.jitter:
             # Same single rng draw as rng.uniform(0, jitter).
-            base *= 1.0 + self.rng.random() * jitter
+            base *= 1.0 + self.rng.random() * self.jitter
         return base
 
 
@@ -153,12 +170,13 @@ class Network:
         self._processes: dict[int, "Process"] = {}
         self._severed_links: set[frozenset[int]] = set()
         self._partition_of: dict[int, int] | None = None
-        #: per-link FIFO watermark, keyed ``src << 21 | dst`` (process ids
-        #: fit in 21 bits: replicas are small ints, clients start at 1e6).
+        #: memoised route rows by link key, and routes by ``(src, destinations)``.
+        self._links: dict[int, tuple] = {}
+        self._routes: dict[tuple[int, tuple[int, ...]], tuple[tuple, ...]] = {}
+        #: per-link FIFO watermark, by link key.
         self._last_arrival: dict[int, float] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.messages_delivered = 0
         #: flight recorder (repro.obs); None on the (default) untraced
         #: path.  When armed, send/multicast bump its per-message-type
         #: counters — one ``is None`` check, no RNG draws, so traced
@@ -186,6 +204,11 @@ class Network:
         """All registered process ids."""
         return tuple(self._processes)
 
+    @property
+    def messages_delivered(self) -> int:
+        """Arrivals at a destination NIC: received, or missed by a crashed process."""
+        return sum(p.messages_received + p.messages_missed for p in self._processes.values())
+
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
@@ -210,16 +233,54 @@ class Network:
         self._partition_of = None
         self._severed_links.clear()
 
-    def _reachable(self, src: int, dst: int) -> bool:
-        if frozenset((src, dst)) in self._severed_links:
-            return False
-        if self._partition_of is not None:
+    def _lost(self, src: int, dst: int) -> bool:
+        """General path: is this one message cut off or randomly dropped?"""
+        lost = frozenset((src, dst)) in self._severed_links
+        if not lost and self._partition_of is not None:
             # Unlisted processes are reachable from everyone (e.g. clients).
             src_group = self._partition_of.get(src)
             dst_group = self._partition_of.get(dst)
-            if src_group is not None and dst_group is not None and src_group != dst_group:
-                return False
-        return True
+            lost = src_group is not None and dst_group is not None and src_group != dst_group
+        if lost or (self.drop_rate and self.sim.rng.random() < self.drop_rate):
+            self.messages_dropped += 1
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    # routes
+    # ------------------------------------------------------------------
+    def _link(self, src: int, dst: int) -> tuple:
+        """Resolve (and memoise) the route row of one directed link."""
+        destination = self._processes.get(dst)
+        if destination is None:
+            raise NetworkError(f"cannot send to unknown process {dst}")
+        link = (src << _PID_BITS) | dst
+        row = (destination.deliver, self.latency_model.link_base(src, dst), link)
+        self._links[link] = row
+        return row
+
+    def _route(self, src: int, destinations: tuple[int, ...]) -> tuple[tuple, ...]:
+        """Resolve (and memoise) a multicast route: one row per destination but ``src``."""
+        links = self._links
+        route = tuple(
+            links.get((src << _PID_BITS) | dst) or self._link(src, dst)
+            for dst in destinations
+            if dst != src
+        )
+        self._routes[(src, destinations)] = route
+        return route
+
+    def _surviving(self, src: int, route: tuple, reached: list) -> Iterator[tuple]:
+        """General path: the rows of ``route`` whose message is not lost.
+
+        Lazy on purpose: each drop decision is drawn when the send loop
+        asks for the next row, i.e. after the previous destination's
+        jitter draw — the order a loop of :meth:`send` calls draws in.
+        """
+        for row in route:
+            if not self._lost(src, row[2] & _PID_MASK):
+                reached.append(row)
+                yield row
 
     # ------------------------------------------------------------------
     # transport
@@ -236,25 +297,28 @@ class Network:
         recorder = self.recorder
         if recorder is not None:
             recorder.count_send(message.__class__.__name__, 1)
-        destination = self._processes.get(dst)
-        if destination is None:
-            raise NetworkError(f"cannot send to unknown process {dst}")
-        # Fast path mirroring multicast: with no partition, severed link,
-        # or drop rate there is nothing that can stop the message.
-        if self._partition_of is not None or self._severed_links:
-            if not self._reachable(src, dst):
-                self.messages_dropped += 1
-                return False
-        if self.drop_rate and self.sim.rng.random() < self.drop_rate:
-            self.messages_dropped += 1
+        link = (src << _PID_BITS) | dst
+        row = self._links.get(link) or self._link(src, dst)
+        if (
+            self.drop_rate or self._partition_of is not None or self._severed_links
+        ) and self._lost(src, dst):
             return False
-        departure = max(depart_time if depart_time is not None else self.sim.now, self.sim.now)
-        arrival = departure + self.latency_model.delay(src, dst)
+        sim = self.sim
+        now = sim._now
+        departure = now if depart_time is None or depart_time < now else depart_time
+        arrival = row[1]
+        model = self.latency_model
+        if model.jitter:
+            arrival *= 1.0 + model.rng.random() * model.jitter
+        arrival += departure
         if self.fifo:
-            link = (src << 21) | dst
-            arrival = max(arrival, self._last_arrival.get(link, 0.0))
+            previous = self._last_arrival.get(link, 0.0)
+            if arrival < previous:
+                arrival = previous
             self._last_arrival[link] = arrival
-        self.sim.schedule_at_fast(arrival, self._deliver, (destination, message, src))
+        # arrival >= departure >= now, so push without the in-the-past check.
+        queue = sim._queue
+        heappush(queue._heap, [arrival, next(queue._counter), row[0], (message, src)])
         if recorder is not None and recorder.causal_armed:
             recorder.wire_send(departure, src, dst, message)
         return True
@@ -265,74 +329,56 @@ class Network:
         destinations: Iterable[int],
         message: object,
         depart_time: float | None = None,
-        include_self: bool = False,
     ) -> int:
-        """Send one immutable ``message`` to every destination.
+        """Send one immutable ``message`` to every destination except ``src``.
 
         Semantically identical to calling :meth:`send` per destination
         (same per-destination latency draws, drop decisions, and FIFO
         ordering — the RNG is consumed in the same order, so runs are
-        bit-identical), but the shared work is done once: a single payload
-        object goes on the wire, the partition/severed-link/drop checks
-        are hoisted out of the loop when no fault is active (the fast
-        path), and all deliveries are bulk-scheduled via
-        :meth:`Simulator.schedule_many`.  Returns the count put on the wire.
+        bit-identical), but the shared work is done once: the route is
+        memoised per ``(src, destinations)``, and one payload object and
+        one argument tuple go on the wire.  Returns the count put on the
+        wire.
         """
+        if destinations.__class__ is not tuple:
+            destinations = tuple(destinations)
+        route = self._routes.get((src, destinations))
+        if route is None:
+            route = self._route(src, destinations)
         sim = self.sim
-        now = sim.now
+        now = sim._now
         departure = now if depart_time is None or depart_time < now else depart_time
-        # Fast path: no partition, no severed links, no random drops —
-        # every destination is reachable, so skip the per-destination
-        # fault checks entirely.
-        faultless = (
-            not self.drop_rate and self._partition_of is None and not self._severed_links
-        )
-        delay = self.latency_model.delay
-        processes = self._processes
+        attempted = len(route)
+        reached = route
+        if self.drop_rate or self._partition_of is not None or self._severed_links:
+            reached = []
+            route = self._surviving(src, route, reached)
+        args = (message, src)
+        model = self.latency_model
+        jitter = model.jitter
+        draw = model.rng.random
         fifo = self.fifo
         last_arrival = self._last_arrival
-        deliver = self._deliver
-        deliveries: list[tuple[float, object, tuple]] = []
-        attempted = 0
-        for dst in destinations:
-            if dst == src and not include_self:
-                continue
-            attempted += 1
-            destination = processes.get(dst)
-            if destination is None:
-                raise NetworkError(f"cannot send to unknown process {dst}")
-            if not faultless:
-                if not self._reachable(src, dst):
-                    self.messages_dropped += 1
-                    continue
-                if self.drop_rate and sim.rng.random() < self.drop_rate:
-                    self.messages_dropped += 1
-                    continue
-            arrival = departure + delay(src, dst)
+        queue = sim._queue
+        heap = queue._heap
+        counter = queue._counter
+        for deliver, arrival, link in route:
+            if jitter:
+                arrival *= 1.0 + draw() * jitter
+            arrival += departure
             if fifo:
-                link = (src << 21) | dst
                 previous = last_arrival.get(link, 0.0)
                 if arrival < previous:
                     arrival = previous
                 last_arrival[link] = arrival
-            deliveries.append((arrival, deliver, (destination, message, src)))
+            heappush(heap, [arrival, next(counter), deliver, args])
         self.messages_sent += attempted
         recorder = self.recorder
         if recorder is not None:
             if attempted:
                 recorder.count_send(message.__class__.__name__, attempted)
-            if deliveries and recorder.causal_armed:
+            if reached and recorder.causal_armed:
                 recorder.wire_multicast(
-                    departure,
-                    src,
-                    [delivery[2][0].pid for delivery in deliveries],
-                    message,
+                    departure, src, [row[2] & _PID_MASK for row in reached], message
                 )
-        # Arrivals are >= departure >= now by construction, so push the
-        # batch straight onto the queue, skipping schedule_many's check.
-        sim._queue.push_many(deliveries)
-        return len(deliveries)
-
-    def _deliver(self, destination: "Process", message: object, src: int) -> None:
-        self.messages_delivered += 1
-        destination.deliver(message, src)
+        return len(reached)

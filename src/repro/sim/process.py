@@ -18,7 +18,8 @@ on ``type(message)`` — no ``isinstance`` chains on the hot path.
 Messages of unregistered types are silently dropped, mirroring a real
 node discarding traffic it does not understand.  Multicasts go through
 :meth:`Network.multicast`, which shares one immutable payload across all
-destinations.
+destinations and memoises the route per destination tuple — callers on
+the hot path pass the same precomputed tuple every time.
 
 Fault injection hooks:
 
@@ -77,6 +78,8 @@ class Process:
         self.recorder: "FlightRecorder | None" = None
         self._cpu_free_at = 0.0
         self.messages_received = 0
+        #: arrivals dropped at the NIC because the process was crashed.
+        self.messages_missed = 0
         self.messages_sent = 0
         self.cpu_busy_time = 0.0
         #: message-type → handler table driving :meth:`on_message`.
@@ -119,8 +122,14 @@ class Process:
     # receive path
     # ------------------------------------------------------------------
     def deliver(self, message: Any, src: int) -> None:
-        """Called by the network when a message arrives at the NIC."""
+        """Called by the network when a message arrives at the NIC.
+
+        Delivery events invoke this method directly (it is the callback
+        of the heap entry the transport pushed), so crash-at-arrival is
+        decided here, when the message lands.
+        """
         if self.crashed:
+            self.messages_missed += 1
             return
         self.messages_received += 1
         # Inlined charge + handle-free scheduling: this runs once per
@@ -235,10 +244,7 @@ class Process:
         if self.interceptor is not None:
             self._send_intercepted([dst for dst in destinations if dst != pid], message)
             return
-        count = 0
-        for dst in destinations:
-            if dst != pid:
-                count += 1
+        count = len(destinations) - destinations.count(pid)
         cost = self.cost_model.send_cost(message, destinations=count)
         start = self.sim._now  # inlined charge()
         free_at = self._cpu_free_at

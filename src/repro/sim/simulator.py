@@ -5,8 +5,7 @@ the testbed with a deterministic simulator (see DESIGN.md, substitutions
 table).  The simulator provides:
 
 * a virtual clock (:attr:`Simulator.now`, in seconds);
-* event scheduling with cancellation (:meth:`Simulator.schedule`) and
-  bulk scheduling without handle allocation (:meth:`Simulator.schedule_many`);
+* event scheduling with cancellation (:meth:`Simulator.schedule`);
 * cancellable timers (used by the protocols' view-change and conflict
   timers);
 * a seeded random number generator shared by the network jitter model and
@@ -30,7 +29,7 @@ from __future__ import annotations
 import random
 from heapq import heappop
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..common.errors import SimulationError
 from .events import Event, EventQueue
@@ -151,38 +150,6 @@ class Simulator:
                 f"cannot schedule at t={time:.6f}, current time is {self._now:.6f}"
             )
         return self._queue.push(time, callback, *args)
-
-    def schedule_at_fast(self, time: float, callback: Callable[..., None], args: tuple) -> None:
-        """Handle-free :meth:`schedule_at` for never-cancelled events.
-
-        Used by the transport and CPU-dispatch hot paths; the event cannot
-        be cancelled individually (crash semantics are enforced inside the
-        callbacks instead).
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f}, current time is {self._now:.6f}"
-            )
-        self._queue.push_fast(time, callback, args)
-
-    def schedule_many(
-        self, items: Iterable[tuple[float, Callable[..., None], tuple]]
-    ) -> None:
-        """Bulk-schedule ``(absolute_time, callback, args)`` triples.
-
-        The fast path behind :meth:`repro.sim.network.Network.multicast`:
-        no :class:`Event` handles are allocated, so the scheduled events
-        cannot be cancelled individually.  Times must not lie in the past.
-        """
-        if not isinstance(items, list):
-            items = list(items)
-        now = self._now
-        for time, _, _ in items:
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at t={time:.6f}, current time is {now:.6f}"
-                )
-        self._queue.push_many(items)
 
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Arm a cancellable timer (protocol timeout helper)."""

@@ -63,6 +63,19 @@ class ShardMapper:
         self.accounts_per_shard = accounts_per_shard
         self.strategy = strategy
         self._total_accounts = num_shards * accounts_per_shard
+        self._key = (num_shards, accounts_per_shard, strategy)
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: mappers with equal parameters map identically.
+
+        Every workload generator builds its own mapper while routers and
+        replicas share the system's, so per-mapper memos on a transaction
+        must recognise an equal mapper, not only the same object.
+        """
+        return isinstance(other, ShardMapper) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def total_accounts(self) -> int:

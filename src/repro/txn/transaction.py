@@ -120,13 +120,14 @@ class Transaction:
     def involved_shards(self, mapper: ShardMapper) -> frozenset[ShardId]:
         """Shards whose records this transaction accesses.
 
-        Memoised per mapper instance: a request is classified by its
+        Memoised per mapper *value*: a request is classified by its
         client, by the routing layer, and by every replica that orders it
-        — all against the same shard mapper — so the set is computed once
-        and the cached value is shared wherever the payload travels.
+        — against equal but not always identical shard mappers — so the
+        set is computed once and the cached value is shared wherever the
+        payload travels.
         """
         cached = self.__dict__.get("_involved_shards")
-        if cached is not None and cached[0] is mapper:
+        if cached is not None and (cached[0] is mapper or cached[0] == mapper):
             return cached[1]
         shards = mapper.shards_of(self.accounts)
         object.__setattr__(self, "_involved_shards", (mapper, shards))

@@ -87,21 +87,28 @@ class TestMulticast:
             assert message is payload  # one immutable object, not a copy
 
     def test_multicast_consumes_rng_like_sequential_sends(self):
-        """Jitter draws happen per destination in destination order."""
+        """Jitter draws happen per destination in destination order.
 
-        def delays(use_multicast):
+        Three rounds: the first resolves the route, the later ones walk
+        the memoised rows (with the FIFO clamp live) — every arrival and
+        the RNG state afterwards must match a loop of ``send`` calls.
+        """
+
+        def arrivals(use_multicast):
             sim = Simulator(seed=9)
             network = Network(sim, UniformLatencyModel(1e-3, jitter=1.0, rng=sim.rng))
             nodes = [Recorder(pid, sim, network) for pid in range(4)]
-            if use_multicast:
-                network.multicast(0, [1, 2, 3], "m")
-            else:
-                for dst in (1, 2, 3):
-                    network.send(0, dst, "m")
+            for round_ in range(3):
+                if use_multicast:
+                    assert network.multicast(0, (0, 1, 2, 3), round_, depart_time=round_ * 1e-4) == 3
+                else:
+                    for dst in (1, 2, 3):
+                        network.send(0, dst, round_, depart_time=round_ * 1e-4)
+            assert ((0, (0, 1, 2, 3)) in network._routes) is use_multicast
             sim.run()
-            return [node.received[0][0] for node in nodes[1:]]
+            return [node.received for node in nodes[1:]], sim.rng.getstate()
 
-        assert delays(True) == delays(False)
+        assert arrivals(True) == arrivals(False)
 
     def test_partition_drops_cross_group_multicast_only(self):
         sim, network, nodes = make_net()
@@ -152,6 +159,91 @@ class TestMulticast:
         sim.run()
         assert [m for _, _, m in nodes[1].received] == list(range(20))
         assert [m for _, _, m in nodes[2].received] == list(range(20))
+
+
+class TestRoutes:
+    """Memoised routes: faults are honoured on the next send, counters stay exact."""
+
+    def test_partition_armed_after_memoisation_is_honoured_and_heal_restores(self):
+        sim, network, nodes = make_net()
+        assert network.multicast(0, (1, 2), "warm") == 2  # route memoised
+        network.partition([[0, 1], [2]])
+        assert network.multicast(0, (1, 2), "split") == 1
+        assert network.send(0, 2, "split") is False
+        network.heal()
+        assert network.multicast(0, (1, 2), "healed") == 2
+        sim.run()
+        assert [m for _, _, m in nodes[1].received] == ["warm", "split", "healed"]
+        assert [m for _, _, m in nodes[2].received] == ["warm", "healed"]
+        assert network.messages_dropped == 2
+
+    def test_severed_link_armed_after_memoisation_is_honoured(self):
+        sim, network, nodes = make_net()
+        network.multicast(0, (1, 2), "warm")
+        network.send(0, 2, "warm")
+        network.disconnect(0, 2)
+        assert network.multicast(0, (1, 2), "cut") == 1
+        assert network.send(0, 2, "cut") is False
+        network.reconnect(0, 2)
+        assert network.multicast(0, (1, 2), "back") == 2
+        sim.run()
+        assert [m for _, _, m in nodes[2].received] == ["warm", "warm", "back"]
+
+    def test_drop_rate_armed_after_memoisation_is_honoured(self):
+        sim, network, nodes = make_net()
+        network.multicast(0, (1, 2), "warm")
+        network.drop_rate = 0.5
+        for _ in range(50):
+            network.multicast(0, (1, 2), "lossy")
+        dropped = network.messages_dropped
+        assert 0 < dropped < 100
+        network.drop_rate = 0.0
+        assert network.multicast(0, (1, 2), "clean") == 2
+        sim.run()
+        assert network.messages_dropped == dropped
+        assert network.messages_sent == 104
+        assert network.messages_sent == network.messages_dropped + network.messages_delivered
+
+    def test_general_path_draws_like_sequential_sends(self):
+        """Drop and jitter draws interleave per destination, as in a send loop."""
+
+        def arrivals(use_multicast):
+            sim = Simulator(seed=4)
+            network = Network(sim, UniformLatencyModel(1e-3, jitter=1.0, rng=sim.rng), 0.3)
+            nodes = [Recorder(pid, sim, network) for pid in range(4)]
+            for round_ in range(10):
+                if use_multicast:
+                    network.multicast(0, (1, 2, 3), round_)
+                else:
+                    for dst in (1, 2, 3):
+                        network.send(0, dst, round_)
+            sim.run()
+            return [node.received for node in nodes[1:]], network.messages_dropped
+
+        assert arrivals(True) == arrivals(False)
+
+    def test_crash_between_send_and_arrival_drops_at_deliver(self):
+        sim, network, nodes = make_net()
+        network.multicast(0, (1, 2), "m")
+        network.send(0, 1, "s")
+        nodes[1].crash()
+        sim.run()
+        assert nodes[1].received == [] and nodes[1].messages_missed == 2
+        assert [m for _, _, m in nodes[2].received] == ["m"]
+        # the wire did its job: all three arrived, two at a dead NIC
+        assert network.messages_sent == network.messages_delivered == 3
+        nodes[1].recover()
+        network.send(0, 1, "after")
+        sim.run()
+        assert [m for _, _, m in nodes[1].received] == ["after"]
+
+    def test_routes_are_built_lazily_per_destination_tuple(self):
+        sim, network, nodes = make_net()
+        assert not network._routes and not network._links
+        network.multicast(0, [0, 1, 2], "m")  # lists are accepted, keyed as tuples
+        network.multicast(0, (0, 1, 2), "m")
+        assert list(network._routes) == [(0, (0, 1, 2))]
+        assert len(network._links) == 2  # self excluded
 
 
 class TestFaults:

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.api import DeploymentSpec, Scenario
 from repro.common.config import NodeGroup
 from repro.common.errors import ConfigurationError
 from repro.common.types import FaultModel
 from repro.core import sharding
 from repro.txn.accounts import ShardMapper
 from repro.txn.transaction import Transaction
+from repro.txn.workload import WorkloadConfig
 
 
 @pytest.fixture
@@ -27,6 +29,43 @@ class TestInvolvedClusters:
     def test_identity_mapping(self):
         assert sharding.shard_to_cluster(2) == 2
         assert sharding.cluster_to_shard(3) == 3
+
+
+class TestClassificationMemo:
+    """A transaction is classified once, however many mappers and layers ask."""
+
+    def test_equal_mappers_share_the_memo(self, mapper):
+        twin = ShardMapper(num_shards=4, accounts_per_shard=10)
+        assert twin == mapper and hash(twin) == hash(mapper)
+        assert mapper != ShardMapper(num_shards=4, accounts_per_shard=10, strategy="modulo")
+        tx = Transaction.transfer(client=1, source=35, destination=2, amount=1)
+        assert tx.involved_shards(mapper) is tx.involved_shards(twin)
+        assert sharding.involved_clusters(tx, mapper) is sharding.involved_clusters(tx, twin)
+        # a mapper that maps differently must not be served the stale answer
+        other = ShardMapper(num_shards=2, accounts_per_shard=20)
+        assert tx.involved_shards(other) == frozenset({0, 1})
+        assert sharding.involved_clusters(tx, other) == (0, 1)
+
+    def test_one_shards_of_call_per_transaction_end_to_end(self, monkeypatch):
+        """Client (its generator's mapper), router and replicas (the system's) agree."""
+        calls = []
+        shards_of = ShardMapper.shards_of
+
+        def counting(self, account_ids):
+            calls.append(self)
+            return shards_of(self, account_ids)
+
+        monkeypatch.setattr(ShardMapper, "shards_of", counting)
+        result = Scenario(
+            deployment=DeploymentSpec(system="sharper", num_clusters=3),
+            workload=WorkloadConfig(cross_shard_fraction=0.3, accounts_per_shard=64),
+            clients=6,
+            duration=0.05,
+            warmup=0.01,
+        ).run()
+        generated = sum(client.workload.generated for client in result.system.clients)
+        assert result.stats.committed > 0 and generated > 0
+        assert len(calls) == generated
 
 
 class TestSuperPrimary:

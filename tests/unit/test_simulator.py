@@ -127,31 +127,6 @@ class TestSimulator:
 
 
 class TestBulkScheduling:
-    def test_schedule_many_fires_in_time_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_many(
-            [(2.0, fired.append, ("late",)), (1.0, fired.append, ("early",))]
-        )
-        sim.run()
-        assert fired == ["early", "late"]
-        assert sim.processed_events == 2
-
-    def test_schedule_many_rejects_past_times(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_many([(0.5, lambda: None, ())])
-
-    def test_schedule_many_interleaves_with_regular_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.5, fired.append, "handle")
-        sim.schedule_many([(1.0, fired.append, ("bulk-a",)), (2.0, fired.append, ("bulk-b",))])
-        sim.run()
-        assert fired == ["bulk-a", "handle", "bulk-b"]
-
     def test_push_fast_events_cannot_be_distinguished_when_popped(self):
         queue = EventQueue()
         fired = []
