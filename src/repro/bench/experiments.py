@@ -76,8 +76,8 @@ class FigureSpec:
     fault_model: FaultModel
     cross_shard_fraction: float
     series: tuple[SeriesSpec, ...]
-    #: free-text description of the shape the paper reports, recorded in
-    #: EXPERIMENTS.md next to the measured outcome.
+    #: free-text description of the shape the paper reports, printed
+    #: above the measured outcome by :mod:`repro.bench.reporting`.
     expected_shape: str = ""
 
     def spec_for(self, series: SeriesSpec, duration: float, warmup: float) -> ExperimentSpec:

@@ -12,7 +12,8 @@ layered on top of intra-shard consensus.  Two variants exist:
   accepts and commits are multicast all-to-all among the involved nodes
   and quorums are ``2f + 1`` per cluster.
 
-Implementation interpretation (documented in DESIGN.md): consensus
+Implementation interpretation (documented in docs/architecture.md,
+"Substitutions and interpretations"): consensus
 instances are pipelined over per-cluster sequence numbers instead of
 being chained on the literal hash of the previous block.  The position a
 cluster reserves for a cross-shard transaction is assigned by that
@@ -445,6 +446,8 @@ class ByzantineCrossShardEngine(HandlerTable):
         self._build_handlers()
         self._states: dict[str, _ByzState] = {}
         self._assigned_slots: dict[str, int] = {}
+        #: digests whose state was request-less at the last compaction.
+        self._orphans: set[str] = set()
         #: per-cluster accept/commit quorum (2f + 1), resolved once.
         self._quorum = {c.cluster_id: c.cross_quorum for c in host.config.clusters}
         self.initiated = 0
@@ -606,11 +609,15 @@ class ByzantineCrossShardEngine(HandlerTable):
         self._register_accept(state, host.cluster_id, slot, host.node_id)
 
     def _on_accept(self, message: CrossAcceptB, src: int) -> None:
-        state = self._states.get(message.digest) or self._state(message.digest)
         slot = message.slot
         if slot is None:
             return
         cluster = message.cluster
+        state = self._states.get(message.digest)
+        if state is None:
+            if cluster == self.host.cluster_id and slot <= self.host.log.low_water_mark:
+                return  # late vote for a compacted instance: nothing to resurrect
+            state = self._state(message.digest)
         # Backups learn their cluster's slot from their primary's accept
         # (nothing left to learn once this node's own accept is out).
         if (
@@ -669,7 +676,12 @@ class ByzantineCrossShardEngine(HandlerTable):
         self._register_commit(state, host.cluster_id, host.node_id)
 
     def _on_commit(self, message: CrossCommitB, src: int) -> None:
-        state = self._states.get(message.digest) or self._state(message.digest)
+        state = self._states.get(message.digest)
+        if state is None:
+            own = dict(message.positions).get(self.host.cluster_id)
+            if own is not None and own <= self.host.log.low_water_mark:
+                return  # late vote for a compacted instance: nothing to resurrect
+            state = self._state(message.digest)
         if not state.decided:
             confirmed = state.confirmed_slots
             for cluster, slot in message.positions:
@@ -747,5 +759,26 @@ class ByzantineCrossShardEngine(HandlerTable):
     # checkpoint compaction (repro.recovery)
     # ------------------------------------------------------------------
     def compact_below(self, slot: int) -> None:
-        """Drop bookkeeping for instances decided at or below ``slot``."""
-        _compact_cross_state(self._states, self._assigned_slots, slot)
+        """Drop bookkeeping for instances decided at or below ``slot``.
+
+        ``_assigned_slots`` only knows the instances this node assigned
+        a slot as primary, so every other replica compacts by the
+        position the instance took in its own cluster.  Request-less
+        states — votes for a digest nobody proposed here, typically a
+        remote cluster's late accept for an instance already compacted —
+        are swept once a checkpoint has outlived them: seen request-less
+        by two consecutive compactions.
+        """
+        states = self._states
+        _compact_cross_state(states, self._assigned_slots, slot)
+        mine = self.host.cluster_id
+        outlived, self._orphans = self._orphans, set()
+        for digest, state in list(states.items()):
+            if state.decided:
+                if state.confirmed_slots.get(mine, 0) <= slot:
+                    del states[digest]
+            elif state.request is None:
+                if digest in outlived:
+                    del states[digest]
+                else:
+                    self._orphans.add(digest)

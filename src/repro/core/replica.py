@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from typing import Callable, Iterable
+from weakref import ref
 
 from ..common.config import ClusterConfig, SystemConfig
 from ..common.types import AccountId, ClientId, ClusterId, FaultModel, NodeId
@@ -48,6 +49,27 @@ from .cross_shard import ByzantineCrossShardEngine, CrashCrossShardEngine
 from .guard import ADMIT, REFUSE, RequestGuard
 
 __all__ = ["SharPerReplica"]
+
+
+def _shared_block(payload, key, build, *args) -> Block:
+    """The block built by ``build(*args)``, shared through a weak memo on ``payload``.
+
+    The memo holds the block *weakly*: a payload must never point back at
+    its holder, or ``Transaction → Block → Transaction`` would be a cycle
+    that outlives :meth:`ClusterView.prune` until a cyclic collection
+    runs — and the run phase runs none (see
+    :meth:`repro.sim.simulator.Simulator.run`).  The memo is only ever an
+    optimisation: once every chain has released the block, a replica that
+    applies the slot late builds an equal one.
+    """
+    memo = payload.__dict__.get("_block_memo")
+    if memo is not None and memo[0] == key:
+        block = memo[1]()
+        if block is not None:
+            return block
+    block = build(*args)
+    object.__setattr__(payload, "_block_memo", (key, ref(block)))
+    return block
 
 
 class SharPerReplica(Process):
@@ -543,12 +565,9 @@ class SharPerReplica(Process):
             proposer,
             tuple(parents.items()),
         )
-        memo = transaction.__dict__.get("_block_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        block = Block.create(transaction, positions, proposer=proposer, parents=parents)
-        object.__setattr__(transaction, "_block_memo", (key, block))
-        return block
+        return _shared_block(
+            transaction, key, Block.create, transaction, positions, proposer, parents
+        )
 
     def _apply_batch(self, batch: RequestBatch, positions, proposer, parents) -> None:
         """Apply one batched slot: per-member semantics, one block.
@@ -631,12 +650,9 @@ class SharPerReplica(Process):
             tuple(parents.items()),
             tuple(tx.tx_id for tx in transactions),
         )
-        memo = batch.__dict__.get("_block_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        block = Block.create_batch(transactions, positions, proposer=proposer, parents=parents)
-        object.__setattr__(batch, "_block_memo", (key, block))
-        return block
+        return _shared_block(
+            batch, key, Block.create_batch, transactions, positions, proposer, parents
+        )
 
     def on_marker_applied(self, entry, positions, parents, proposer) -> None:
         """Hook for subclasses that order protocol markers (e.g. AHL's 2PC).

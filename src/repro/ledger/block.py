@@ -15,7 +15,8 @@ involved cluster:
 Intra-shard blocks involve exactly one cluster; cross-shard blocks involve
 two or more.
 
-Implementation note (see DESIGN.md): consensus agrees on the *position
+Implementation note (see docs/architecture.md, "Substitutions and
+interpretations"): consensus agrees on the *position
 vector*, so the block identity (:attr:`Block.block_hash`) covers the
 transactions, positions and proposer.  Parent hashes are attached by each
 appending cluster for its own chain (a cluster cannot know another

@@ -182,7 +182,7 @@ class BlockDAG:
         clusters, but (unlike the paper's strict accept-and-block rule)
         does not rule out a cycle spanning three or more clusters.  The
         audit reports this as a statistic rather than a failure; see
-        DESIGN.md.
+        docs/architecture.md ("Substitutions and interpretations").
         """
         try:
             self.topological_order()

@@ -37,8 +37,8 @@ class AuditReport:
     problems: list[str] = field(default_factory=list)
     #: True when the union graph contains a commit-order cycle spanning
     #: three or more clusters.  This is a known relaxation of the paper's
-    #: accept-and-block rule (see DESIGN.md), reported separately from the
-    #: hard safety problems.
+    #: accept-and-block rule (see docs/architecture.md, "Substitutions and
+    #: interpretations"), reported separately from the hard safety problems.
     ordering_cycle: bool = False
 
     @property

@@ -1,8 +1,8 @@
 """The discrete-event simulator driving every experiment in this repo.
 
 The paper evaluates SharPer on an EC2 testbed; this reproduction replaces
-the testbed with a deterministic simulator (see DESIGN.md, substitutions
-table).  The simulator provides:
+the testbed with a deterministic simulator (see docs/architecture.md,
+"Substitutions and interpretations").  The simulator provides:
 
 * a virtual clock (:attr:`Simulator.now`, in seconds);
 * event scheduling with cancellation (:meth:`Simulator.schedule`);
@@ -26,6 +26,7 @@ what lets the bench harness farm scenario runs out to a
 
 from __future__ import annotations
 
+import gc
 import random
 from heapq import heappop
 from time import perf_counter
@@ -172,39 +173,52 @@ class Simulator:
         Stops when the event queue is empty, when the next event is past
         ``until``, or after ``max_events`` events — whichever comes first.
         Returns the simulated time at which the run stopped.
+
+        Automatic cyclic garbage collection is suspended while the loop
+        runs and the caller's setting is restored on the way out, also
+        when a callback raises (docs/architecture.md, "The memory model
+        of a run"): a run only grows the live set and its hot path
+        creates no reference cycles, so every automatic collection would
+        re-walk that set to reclaim nothing.
         """
         # Hot loop: operate on the queue's raw heap entries (layout
         # [time, sequence, callback, args]) — no per-event allocations.
         heap = self._queue._heap
         self._running = True
         fired = 0
+        collecting = gc.isenabled()
+        gc.disable()
         wall_start = perf_counter()
-        while self._running:
-            while heap and heap[0][2] is None:  # drop cancelled entries
+        try:
+            while self._running:
+                while heap and heap[0][2] is None:  # drop cancelled entries
+                    heappop(heap)
+                if not heap:
+                    break
+                entry = heap[0]
+                next_time = entry[0]
+                if until is not None and next_time > until:
+                    self._now = until
+                    break
+                if max_events is not None and fired >= max_events:
+                    break
                 heappop(heap)
-            if not heap:
-                break
-            entry = heap[0]
-            next_time = entry[0]
-            if until is not None and next_time > until:
-                self._now = until
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            heappop(heap)
-            self._now = next_time
-            callback = entry[2]
-            args = entry[3]
-            # Consume the entry before invoking so a Timer/Event handle
-            # sees the event as no longer pending even if the callback
-            # body is skipped (e.g. crash guards) or raises.
-            entry[2] = None
-            entry[3] = ()
-            callback(*args)
-            fired += 1
-        self._processed_events += fired
-        self._run_wall_time += perf_counter() - wall_start
-        self._running = False
+                self._now = next_time
+                callback = entry[2]
+                args = entry[3]
+                # Consume the entry before invoking so a Timer/Event handle
+                # sees the event as no longer pending even if the callback
+                # body is skipped (e.g. crash guards) or raises.
+                entry[2] = None
+                entry[3] = ()
+                fired += 1
+                callback(*args)
+        finally:
+            self._processed_events += fired
+            self._run_wall_time += perf_counter() - wall_start
+            self._running = False
+            if collecting:
+                gc.enable()
         if until is not None and self._queue.peek_time() is None:
             # The system went idle before the horizon; advance the clock so
             # throughput denominators stay meaningful.

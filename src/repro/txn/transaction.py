@@ -176,23 +176,20 @@ class Transaction:
         """Build a multi-transfer transaction, optionally signed."""
         transfers = tuple(transfers)
         tx_id = tx_id or new_tx_id(client)
-        unsigned = cls(
+        transaction = cls(
             tx_id=tx_id,
             client=client,
             transfers=transfers,
             timestamp=timestamp,
-            signature=None,
         )
-        if keypair is None:
-            return unsigned
-        signature = keypair.sign(unsigned.payload_digest())
-        return cls(
-            tx_id=tx_id,
-            client=client,
-            transfers=transfers,
-            timestamp=timestamp,
-            signature=signature,
-        )
+        if keypair is not None:
+            # Signed in place, before the instance escapes: building a
+            # second, signed copy would drop the digest memo and make the
+            # first ``payload_digest()`` on the wire hash the body again.
+            object.__setattr__(
+                transaction, "signature", keypair.sign(transaction.payload_digest())
+            )
+        return transaction
 
     def verify_signature(self) -> bool:
         """Check the client signature, if present."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.common.config import ClusterConfig, SystemConfig
@@ -99,3 +101,35 @@ def simple_transfer(source: int = 0, destination: int = 1, amount: int = 5) -> T
     return Transaction.transfer(
         client=source % 8, source=source, destination=destination, amount=amount
     )
+
+
+def assert_run_leaves_no_garbage(scenario):
+    """Run ``scenario`` with the collector off; fail if only a cyclic pass could free something.
+
+    The cycle guard behind ``Simulator.run``'s collector-quiet run phase:
+    the whole scenario (build, run, drain, audits, trace report) executes
+    with automatic collection disabled, then one collection under
+    ``gc.DEBUG_SAVEALL`` — with the system still alive, so structural
+    cycles between live replicas and engines do not count — must find
+    nothing unreachable.  Returns the scenario's result.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()  # garbage of earlier tests is not this run's
+    gc.disable()
+    try:
+        result = scenario.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            unreachable = gc.collect()
+            kinds = Counter(type(item).__name__ for item in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert unreachable == 0, (
+        f"{scenario.label}: the run left {unreachable} objects that only the cyclic "
+        f"collector can free, by type: {kinds.most_common(8)}"
+    )
+    return result

@@ -12,6 +12,8 @@ Integration acceptance for the recovery subsystem:
   and the safety auditor passes across truncation.
 """
 
+import hashlib
+
 import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
@@ -58,6 +60,59 @@ class TestBoundedMemory:
         result.raise_if_failed()
         assert result.recovery.checkpoints_stable > 0
         assert result.recovery.peak_log_entries <= 2 * interval
+
+
+class TestByzantineCrossShardStateBounded:
+    """Decided cross-shard instances are compacted on backups, not only on primaries."""
+
+    #: (events, messages, sha256 over per-replica height / head hash / state
+    #: digest / engine counters), recorded at the commit where only the
+    #: primaries compacted — the fix must not move any of them.
+    PINNED = (170076, 84998, "ca3ccd22db109ce5363666a8771292e00805eadf3b2f8292c9dab8f3b713f0da")
+
+    def test_every_replica_holds_only_in_flight_instances(self):
+        interval, clients = 16, 24
+        result = Scenario(
+            deployment=DeploymentSpec(
+                system="sharper",
+                fault_model=FaultModel.BYZANTINE,
+                num_clusters=2,
+                checkpoint_interval=interval,
+            ),
+            workload=WorkloadConfig(cross_shard_fraction=0.8, accounts_per_shard=256),
+            clients=clients,
+            duration=0.6,
+            warmup=0.05,
+            seed=1,
+        ).run()
+        result.raise_if_failed()
+        system = result.system
+        replicas = [system.replicas[pid] for pid in sorted(system.replicas)]
+        fingerprint = hashlib.sha256()
+        for replica in replicas:
+            cross = replica.cross
+            assert cross.committed >= 20 * interval, "run too short to prove anything"
+            # Drained, so nothing is in flight: what remains is the decided
+            # tail above the last stable checkpoint (the parent kept all 622).
+            assert len(cross._states) <= interval + clients
+            assert all(state.request is not None for state in cross._states.values())
+            fingerprint.update(
+                repr(
+                    (
+                        replica.pid,
+                        replica.chain.height,
+                        replica.chain.head_hash,
+                        replica.store.state_digest(),
+                        cross.initiated,
+                        cross.committed,
+                        cross.retries,
+                        cross.aborted,
+                        cross.late_commits,
+                    )
+                ).encode()
+            )
+        wire = (system.sim.processed_events, system.network.messages_sent)
+        assert wire + (fingerprint.hexdigest(),) == self.PINNED
 
 
 class TestChurnRecovery:

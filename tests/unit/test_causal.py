@@ -425,6 +425,8 @@ class TestBenchGate:
         assert "ratio" in proc.stdout and "1.000" in proc.stdout
         entry = json.loads(trajectory.read_text().strip())
         assert entry["ok"] is True
+        # The row also says what the cyclic collector did during the sweep.
+        assert entry["sweep_gc_collections"] >= 0 and entry["sweep_gc_collected"] >= 0
 
     def test_gate_fails_on_synthetic_regression(self, tmp_path):
         baseline = self._tiny_baseline(tmp_path, inflate=1.25)

@@ -1,7 +1,7 @@
 """Docstring audit: every public module documents itself and its invariants.
 
 The repo's documentation layer (``docs/``) maps the architecture; the
-modules themselves must carry the contract.  This test enforces two
+modules themselves must carry the contract.  This test enforces three
 levels:
 
 * every public module under ``repro`` has a substantive module
@@ -9,11 +9,14 @@ levels:
 * the subsystem packages whose correctness arguments live in prose —
   ``repro.adversary``, ``repro.recovery``, ``repro.api`` — state the
   invariants their code maintains, pinned by key phrases so a refactor
-  that silently drops the contract fails here.
+  that silently drops the contract fails here;
+* every markdown file the source text cites (``README.md``,
+  ``docs/recovery.md``) exists in the tree.
 """
 
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,19 @@ def test_recovery_checkpoint_states_the_digest_invariant():
         "repro.recovery.checkpoint must document that the state digest "
         "covers exactly the applied prefix (slots 1..seq)"
     )
+
+
+#: a markdown file cited in source text: ``README.md``, ``docs/recovery.md``.
+MARKDOWN_REFERENCE = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
+
+
+def test_source_text_cites_only_markdown_files_that_exist():
+    """Docstrings and doc comments must not point at pages that are not in the tree."""
+    repo_root = SRC_ROOT.parent.parent
+    dangling = sorted(
+        f"{path.relative_to(repo_root)}: {reference}"
+        for path in SRC_ROOT.rglob("*.py")
+        for reference in MARKDOWN_REFERENCE.findall(path.read_text(encoding="utf-8"))
+        if not (repo_root / reference).is_file()
+    )
+    assert not dangling, f"references to markdown files that do not exist: {dangling}"

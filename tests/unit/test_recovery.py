@@ -9,13 +9,17 @@ the stale-message guards at the low-water mark.
 
 import pytest
 
+from repro.api import DeploymentSpec
 from repro.common.errors import ConsensusError
-from repro.common.types import AccountId, ClientId, ClusterId
+from repro.common.types import AccountId, ClientId, ClusterId, FaultModel
 from repro.consensus.log import EntryStatus, OrderingLog, item_digest
+from repro.consensus.messages import CrossAcceptB, CrossCommitB
+from repro.core.system import SharPerSystem
 from repro.ledger.block import Block
 from repro.ledger.view import ClusterView
 from repro.recovery import checkpoint_digest
 from repro.txn.accounts import AccountStore, ShardMapper
+from repro.txn.workload import WorkloadConfig
 
 from helpers import simple_transfer
 
@@ -194,3 +198,57 @@ class TestDecideConflictsStillRaise:
         log.decide(5, item_digest(item), item)
         with pytest.raises(ConsensusError):
             log.decide(5, item_digest(other), other)
+
+
+class TestByzantineCrossShardCompaction:
+    """Late votes never pin state: nothing is resurrected, orphans are swept."""
+
+    @staticmethod
+    def _backup_engine():
+        config = DeploymentSpec(
+            system="sharper", fault_model=FaultModel.BYZANTINE, num_clusters=2
+        ).resolve(seed=3)
+        system = SharPerSystem(config, WorkloadConfig(accounts_per_shard=64), seed=3)
+        backup = system.replicas[1]  # cluster 0: nodes 0-3 (0 leads), cluster 1: 4-7
+        return backup, backup.cross
+
+    def test_votes_for_a_compacted_own_cluster_position_resurrect_nothing(self):
+        backup, engine = self._backup_engine()
+        backup.log.install_checkpoint(10)
+        assert backup.log.low_water_mark == 10
+        mine, remote = ClusterId(0), ClusterId(1)
+        engine._on_accept(CrossAcceptB("old", mine, 0, 10), 0)
+        engine._on_commit(CrossCommitB("old", remote, 5, ((mine, 9), (remote, 4))), 5)
+        assert engine._states == {}
+        # Above the mark — or with the own-cluster position still unknown —
+        # the vote may be running ahead of its propose and is kept.
+        engine._on_accept(CrossAcceptB("new", mine, 0, 11), 0)
+        engine._on_commit(CrossCommitB("newer", remote, 5, ((mine, 12), (remote, 5))), 5)
+        engine._on_accept(CrossAcceptB("unknown", remote, 5, 3), 5)
+        assert sorted(engine._states) == ["new", "newer", "unknown"]
+
+    def test_request_less_state_is_swept_once_a_checkpoint_has_outlived_it(self):
+        _, engine = self._backup_engine()
+        remote = ClusterId(1)
+        engine._on_accept(CrossAcceptB("orphan", remote, 5, 3), 5)
+        engine._on_accept(CrossAcceptB("proposed-later", remote, 5, 4), 5)
+        engine.compact_below(16)
+        assert sorted(engine._states) == ["orphan", "proposed-later"]  # seen once: kept
+        engine._states["proposed-later"].request = object()  # its propose arrived
+        engine._on_accept(CrossAcceptB("fresh", remote, 6, 5), 6)
+        engine.compact_below(32)
+        assert sorted(engine._states) == ["fresh", "proposed-later"]
+        engine.compact_below(48)
+        assert sorted(engine._states) == ["proposed-later"]
+
+    def test_decided_state_is_compacted_by_own_cluster_slot_on_a_backup(self):
+        _, engine = self._backup_engine()
+        mine, remote = ClusterId(0), ClusterId(1)
+        for digest, own, decided in (("low", 8, True), ("high", 20, True), ("open", 7, False)):
+            state = engine._state(digest)
+            state.request = object()
+            state.confirmed_slots = {mine: own, remote: 1}
+            state.decided = decided
+        assert engine._assigned_slots == {}  # a backup never fills the primary's index
+        engine.compact_below(16)
+        assert sorted(engine._states) == ["high", "open"]

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -147,3 +149,103 @@ class TestEventsPerSecond:
         assert sim.processed_events == 100
         assert sim.run_wall_time > 0.0
         assert sim.events_per_second > 0.0
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector(request):
+    """Enter the test with the collector in the given state; restore it afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _stops_itself(sim):
+    sim.schedule(0.1, sim.stop)
+    return {}
+
+
+def _raises(sim):
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(0.1, boom)
+    return {}
+
+
+class TestCollectorQuietRun:
+    """``run`` suspends the cyclic collector for its loop and restores the caller's state."""
+
+    @pytest.mark.parametrize(
+        "arrange",
+        [
+            lambda sim: {},
+            _stops_itself,
+            lambda sim: {"max_events": 1},
+            lambda sim: {"until": 0.05},
+            _raises,
+        ],
+        ids=["normal-return", "stop", "max-events", "until", "callback-raises"],
+    )
+    def test_run_leaves_the_collector_as_it_found_it(self, collector, arrange):
+        sim = Simulator()
+        inside = []
+        sim.schedule(0.01, lambda: inside.append(gc.isenabled()))
+        sim.schedule(0.3, lambda: None)
+        kwargs = arrange(sim)
+        if arrange is _raises:
+            with pytest.raises(RuntimeError):
+                sim.run(**kwargs)
+        else:
+            sim.run(**kwargs)
+        assert inside == [False]  # off inside the loop, whatever the caller had
+        assert gc.isenabled() is collector
+
+    def test_no_automatic_collection_starts_inside_the_loop(self):
+        sim = Simulator()
+        kept = []
+        starts = []
+
+        def allocate(remaining):
+            kept.extend([index] for index in range(1000))  # 1000 tracked lists, all live
+            if remaining:
+                sim.schedule(0.001, allocate, remaining - 1)
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        sim.schedule(0.0, allocate, 119)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(on_gc)
+        try:
+            sim.run()
+        finally:
+            gc.callbacks.remove(on_gc)
+            if not was_enabled:
+                gc.disable()
+        assert len(kept) == 120_000
+        assert starts == []
+
+    def test_a_raising_callback_leaves_the_kernel_reusable(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.1, fired.append, "first")
+        _raises(sim)  # also at t=0.1, scheduled second
+        sim.schedule(0.2, fired.append, "after")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        # The epilogue ran: both events at t=0.1 are counted (the raising
+        # one fired too), wall time is accounted, the loop is not "running".
+        assert sim.processed_events == 2
+        assert sim.run_wall_time > 0.0
+        sim.schedule(0.0, sim.stop)  # stop() works again: the next event stays queued
+        assert sim.run() == pytest.approx(0.1)
+        assert fired == ["first"]
+        sim.run()
+        assert fired == ["first", "after"]
+        assert sim.processed_events == 4
+        assert sim.pending_events == 0

@@ -29,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -70,6 +71,15 @@ def compare(
             }
         )
     return rows, ok
+
+
+def collector_work() -> tuple[int, int]:
+    """(collections run, objects collected) by this process's cyclic collector so far."""
+    stats = gc.get_stats()
+    return (
+        sum(generation["collections"] for generation in stats),
+        sum(generation["collected"] for generation in stats),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,12 +138,16 @@ def main(argv: list[str] | None = None) -> int:
         f"tolerance {args.tolerance:.0%})"
     )
     kernel = kernel_benchmark(events=50_000)
+    collector_before = collector_work()
     current = fig8_benchmark(
         clusters=clusters,
         clients=fig8["clients"],
         duration=fig8["duration"],
         warmup=fig8["warmup"],
         jobs=args.jobs,
+    )
+    sweep_gc_collections, sweep_gc_collected = (
+        after - before for after, before in zip(collector_work(), collector_before)
     )
     rows, ok = compare(fig8["points"], current["points"], args.tolerance)
 
@@ -149,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"kernel: {kernel['events_per_second']:,.0f} events/s "
         f"(informational, host-dependent); "
-        f"sweep wall {current['total_wall_s']}s"
+        f"sweep wall {current['total_wall_s']}s, "
+        f"{sweep_gc_collections} cyclic collections freeing {sweep_gc_collected} objects"
     )
 
     if not args.no_trajectory:
@@ -164,6 +179,10 @@ def main(argv: list[str] | None = None) -> int:
             },
             "kernel_events_per_second": kernel["events_per_second"],
             "sweep_wall_s": current["total_wall_s"],
+            # The cyclic collector's work during the sweep, in this
+            # process (a --jobs pool does its collecting elsewhere).
+            "sweep_gc_collections": sweep_gc_collections,
+            "sweep_gc_collected": sweep_gc_collected,
             "ok": ok,
         }
         with open(args.trajectory, "a") as handle:
