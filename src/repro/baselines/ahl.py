@@ -30,11 +30,11 @@ from typing import ClassVar
 from ..api.registry import register_system
 from ..common.config import ClusterConfig, SystemConfig
 from ..common.types import ClientId, ClusterId, FaultModel, NodeId
-from ..consensus.log import OrderingLog, item_digest
-from ..consensus.messages import ClientReply, ClientRequest
+from ..consensus.log import item_digest
+from ..consensus.messages import ClientRequest
 from ..consensus.paxos import PaxosEngine
 from ..consensus.pbft import PBFTEngine
-from ..core.replica import SharPerReplica
+from ..core.replica import ReplicaHost, SharPerReplica
 from ..core.system import BaseSystem
 from ..core import sharding
 from ..ledger.block import Block
@@ -188,7 +188,7 @@ class _RC2PCState:
     commit_sent: bool = False
 
 
-class ReferenceCommitteeReplica(Process):
+class ReferenceCommitteeReplica(ReplicaHost):
     """A member of AHL's reference committee.
 
     The committee orders every 2PC step (prepare decision, commit
@@ -206,14 +206,10 @@ class ReferenceCommitteeReplica(Process):
         network,
         cost_model,
     ) -> None:
-        super().__init__(int(node_id), sim, network, cost_model, name=f"rc-{node_id}")
-        self.node_id = node_id
-        self.cluster = committee
-        self.config = config
-        self.mapper = mapper
-        self.tuning = config.tuning
-        self.log = OrderingLog(committee.cluster_id)
-        self.chain = ClusterView(committee.cluster_id)
+        super().__init__(
+            node_id, committee, config, mapper, sim, network, cost_model,
+            name=f"rc-{node_id}",
+        )
         if committee.fault_model is FaultModel.CRASH:
             self.intra = PaxosEngine(self)
         else:
@@ -223,23 +219,6 @@ class ReferenceCommitteeReplica(Process):
         self.register_handler(ClientRequest, self._on_client_request)
         self.register_handler(AHLVote, self._on_vote)
         self.register_handlers(self.intra.handlers())
-
-    # ------------------------------------------------------------------
-    # ConsensusHost interface
-    # ------------------------------------------------------------------
-    @property
-    def cluster_id(self) -> ClusterId:
-        return self.cluster.cluster_id
-
-    @property
-    def view_change_timeout(self) -> float:
-        return self.tuning.view_change_timeout
-
-    def multicast_cluster(self, message: object) -> None:
-        self.multicast([int(node) for node in self.cluster.node_ids], message)
-
-    def send_to(self, node_id: int, message: object) -> None:
-        self.send(int(node_id), message)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see Process.on_message)
@@ -273,10 +252,6 @@ class ReferenceCommitteeReplica(Process):
     # ------------------------------------------------------------------
     # applying RC decisions
     # ------------------------------------------------------------------
-    def after_decide(self) -> None:
-        for entry in self.log.pop_applicable():
-            self._apply(entry)
-
     def _apply(self, entry) -> None:
         positions = {self.cluster_id: entry.slot}
         parents = {self.cluster_id: self.chain.head_hash}

@@ -32,9 +32,8 @@ from ..api.registry import register_system
 from ..common.config import ClusterConfig, SystemConfig
 from ..common.errors import ConfigurationError
 from ..common.types import ClusterId, FaultModel, NodeId
-from ..consensus.log import Noop, OrderingLog
+from ..consensus.log import Noop
 from ..consensus.messages import (
-    ClientReply,
     ClientRequest,
     PassiveUpdate,
     PaxosAccept,
@@ -43,6 +42,7 @@ from ..consensus.messages import (
 )
 from ..consensus.paxos import PaxosEngine
 from ..consensus.pbft import PBFTEngine
+from ..core.replica import ReplicaHost
 from ..core.system import BaseSystem
 from ..ledger.block import Block
 from ..ledger.view import ClusterView
@@ -83,10 +83,7 @@ class FastPaxosEngine(PaxosEngine):
         # mismatch in a deployment with failures).
         entry = self.host.log.entry(slot)
         if entry is not None:
-            self.host.log.decide(
-                slot, entry.digest, entry.item, proposer=self.cluster_id, view=self.view
-            )
-            self.view_change.slot_decided(slot)
+            self._decide(slot, entry.digest, entry.item, self.view)
             self.host.after_decide()
 
     def _on_accept(self, message: PaxosAccept, src: int) -> None:
@@ -96,11 +93,7 @@ class FastPaxosEngine(PaxosEngine):
         # uses; a real deployment would fall back to classic rounds).
         entry = self.host.log.entry(message.slot)
         if entry is not None and entry.digest == message.digest:
-            self.host.log.decide(
-                message.slot, message.digest, message.item,
-                proposer=self.cluster_id, view=message.view,
-            )
-            self.view_change.slot_decided(message.slot)
+            self._decide(message.slot, message.digest, message.item, message.view)
             self.host.after_decide()
 
     def _on_accepted(self, message: PaxosAccepted, src: int) -> None:
@@ -112,11 +105,7 @@ class FastPaxosEngine(PaxosEngine):
         entry = self.host.log.entry(message.slot)
         if entry is None:
             return
-        self.host.log.decide(
-            message.slot, message.digest, entry.item,
-            proposer=self.cluster_id, view=message.view,
-        )
-        self.view_change.slot_decided(message.slot)
+        self._decide(message.slot, message.digest, entry.item, message.view)
         # No commit phase: the leader replies straight after the fast quorum.
         self.host.after_decide()
 
@@ -144,12 +133,11 @@ class FaBEngine(PBFTEngine):
             if entry is None or entry.digest != digest:
                 return
             item = entry.item
-        self.host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
-        self.view_change.slot_decided(slot)
+        self._decide(slot, digest, item, view)
         self.host.after_decide()
 
 
-class SingleGroupReplica(Process):
+class SingleGroupReplica(ReplicaHost):
     """An active replica of a non-sharded system.
 
     It orders every transaction with the configured engine over the single
@@ -172,16 +160,9 @@ class SingleGroupReplica(Process):
         passive_nodes: tuple[int, ...] = (),
     ) -> None:
         super().__init__(
-            pid=int(node_id), sim=sim, network=network, cost_model=cost_model,
+            node_id, cluster, config, mapper, sim, network, cost_model,
             name=f"active-{node_id}",
         )
-        self.node_id = node_id
-        self.cluster = cluster
-        self.config = config
-        self.mapper = mapper
-        self.tuning = config.tuning
-        self.log = OrderingLog(cluster.cluster_id)
-        self.chain = ClusterView(cluster.cluster_id)
         self.store = store
         self.executor = TransactionExecutor(store, mapper, shard=0)
         self.passive_nodes = passive_nodes
@@ -190,23 +171,6 @@ class SingleGroupReplica(Process):
         self.failed_executions = 0
         self.register_handler(ClientRequest, self._on_client_request)
         self.register_handlers(self.intra.handlers())
-
-    # ------------------------------------------------------------------
-    # ConsensusHost interface
-    # ------------------------------------------------------------------
-    @property
-    def cluster_id(self) -> ClusterId:
-        return self.cluster.cluster_id
-
-    @property
-    def view_change_timeout(self) -> float:
-        return self.tuning.view_change_timeout
-
-    def multicast_cluster(self, message: object) -> None:
-        self.multicast([int(node) for node in self.cluster.node_ids], message)
-
-    def send_to(self, node_id: int, message: object) -> None:
-        self.send(int(node_id), message)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see Process.on_message)
@@ -225,10 +189,6 @@ class SingleGroupReplica(Process):
     # ------------------------------------------------------------------
     # applying decided slots
     # ------------------------------------------------------------------
-    def after_decide(self) -> None:
-        for entry in self.log.pop_applicable():
-            self._apply(entry)
-
     def _apply(self, entry) -> None:
         positions = {self.cluster_id: entry.slot}
         parents = {self.cluster_id: self.chain.head_hash}
@@ -255,19 +215,6 @@ class SingleGroupReplica(Process):
         if self.cluster.fault_model is FaultModel.BYZANTINE:
             return True
         return self.intra.is_primary
-
-    def _send_reply(self, request: ClientRequest, success: bool) -> None:
-        if request.reply_to < 0:
-            return
-        reply = ClientReply(
-            tx_id=request.transaction.tx_id,
-            node=self.node_id,
-            cluster=self.cluster_id,
-            view=self.intra.view,
-            success=success,
-            cross_shard=False,
-        )
-        self.send(request.reply_to, reply)
 
 
 class PassiveReplica(Process):

@@ -171,6 +171,35 @@ class ConsensusEngine(HandlerTable):
         return self.host.cluster.cluster_id
 
     # ------------------------------------------------------------------
+    # the decide step every intra-shard engine shares; the engines keep
+    # who votes to whom and which quorum
+    # ------------------------------------------------------------------
+    def _decide(self, slot: int, digest: str, item: object, view: int) -> None:
+        """``slot`` is decided here: log it, stamp it, stop watching it.
+
+        The one place an intra-shard engine calls ``log.decide`` (a fork
+        — a second, different decision for the slot — raises from there).
+        Applying is left to the caller (``host.after_decide()``), because
+        what goes on the wire between deciding and applying is protocol:
+        Paxos multicasts its commit in that gap, and link-jitter draws
+        are consumed per send, so the order is part of every seed.
+        """
+        host = self.host
+        host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
+        recorder = host.recorder
+        if recorder is not None:
+            recorder.milestone(host.now, int(host.node_id), item, "decided")
+        self.view_change.slot_decided(slot)
+
+    def _report_vote(self, kind: str, key: tuple, voter: int, decided: bool) -> None:
+        """Tell the armed recorder about one quorum vote (causal layer only)."""
+        recorder = self.host.recorder
+        if recorder.causal_armed:
+            recorder.quorum_vote(
+                self.host.now, int(self.host.node_id), kind, key, int(voter), decided
+            )
+
+    # ------------------------------------------------------------------
     # shared view-change handlers (both intra-shard engines own a
     # ViewChangeManager under ``self.view_change``)
     # ------------------------------------------------------------------

@@ -200,13 +200,11 @@ class BatchPipeline:
         self.batched_requests += len(chunk)
         if len(chunk) > self.max_batch:
             self.max_batch = len(chunk)
+        batch = RequestBatch(requests=tuple(chunk))
         recorder = self.host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in chunk:
-                recorder.phase(now, request.transaction.tx_id, "seal", pid)
-        return RequestBatch(requests=tuple(chunk))
+            recorder.milestone(self.host.now, int(self.host.node_id), batch, "seal")
+        return batch
 
     def _pump_intra(self) -> None:
         host = self.host

@@ -212,6 +212,29 @@ class OrderingLog:
         self._pending_digests.setdefault(digest, slot)
         return entry
 
+    def try_record_pending(
+        self,
+        slot: int,
+        digest: str,
+        item: object,
+        view: int = 0,
+        proposer: ClusterId | None = None,
+    ) -> bool:
+        """:meth:`record_pending`, reporting a digest conflict as ``False``.
+
+        What every engine does with a proposal: a slot that already
+        holds a different digest means "do not vote for this one" (the
+        commit resolves the final assignment), not an error.  Only
+        :class:`ConsensusError` — the one signal :meth:`record_pending`
+        raises for a conflict — is translated; anything else is a bug
+        and propagates.
+        """
+        try:
+            self.record_pending(slot, digest, item, view=view, proposer=proposer)
+        except ConsensusError:
+            return False
+        return True
+
     def decide(
         self,
         slot: int,

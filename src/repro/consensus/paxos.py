@@ -16,8 +16,7 @@ hash-chained formulation produces.
 from __future__ import annotations
 
 from .base import ConsensusEngine, ConsensusHost, QuorumTracker
-from .batching import member_requests
-from .log import EntryStatus, item_digest
+from .log import item_digest
 from .messages import NewView, PaxosAccept, PaxosAccepted, PaxosCommit, ViewChange
 from .view_change import ViewChangeManager
 
@@ -66,12 +65,8 @@ class PaxosEngine(ConsensusEngine):
             now = self.host.now
             pid = int(self.host.node_id)
             recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "propose", pid)
-            if recorder.causal_armed:
-                recorder.quorum_vote(
-                    now, pid, "accept", (self.view, slot, digest), pid, fired
-                )
+            recorder.milestone(now, pid, item, "propose")
+            self._report_vote("accept", (self.view, slot, digest), pid, fired)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see HandlerTable.handle)
@@ -84,12 +79,10 @@ class PaxosEngine(ConsensusEngine):
         if message.view > self.view:
             # The cluster moved on without us; adopt the newer view.
             self.view = message.view
-        try:
-            self.host.log.record_pending(
-                message.slot, message.digest, message.item, view=message.view,
-                proposer=self.cluster_id,
-            )
-        except Exception:
+        if not self.host.log.try_record_pending(
+            message.slot, message.digest, message.item, view=message.view,
+            proposer=self.cluster_id,
+        ):
             # The slot already holds a different digest; do not vote.
             return
         self.view_change.monitor_slot(message.slot)
@@ -109,28 +102,15 @@ class PaxosEngine(ConsensusEngine):
             return
         key = (message.view, message.slot, message.digest)
         fired = self._accepted.vote(key, src)
-        recorder = self.host.recorder
-        if recorder is not None and recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), "accept", key, int(src), fired
-            )
+        if self.host.recorder is not None:
+            self._report_vote("accept", key, src, fired)
         if not fired:
             return
         entry = self.host.log.entry(message.slot)
         item = entry.item if entry is not None else None
         if item is None:
             return
-        self.host.log.decide(
-            message.slot, message.digest, item,
-            proposer=self.cluster_id, view=message.view,
-        )
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "decided", pid)
-        self.view_change.slot_decided(message.slot)
+        self._decide(message.slot, message.digest, item, message.view)
         commit = PaxosCommit(
             view=message.view, slot=message.slot, digest=message.digest, item=item
         )
@@ -140,17 +120,7 @@ class PaxosEngine(ConsensusEngine):
     def _on_commit(self, message: PaxosCommit, src: int) -> None:
         if src != self.host.cluster.primary_for_view(message.view):
             return
-        self.host.log.decide(
-            message.slot, message.digest, message.item,
-            proposer=self.cluster_id, view=message.view,
-        )
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in member_requests(message.item):
-                recorder.phase(now, request.transaction.tx_id, "decided", pid)
-        self.view_change.slot_decided(message.slot)
+        self._decide(message.slot, message.digest, message.item, message.view)
         self.host.after_decide()
 
     # ------------------------------------------------------------------
@@ -159,15 +129,3 @@ class PaxosEngine(ConsensusEngine):
     def compact_below(self, slot: int) -> None:
         """Drop accepted-vote bookkeeping covered by a stable checkpoint."""
         self._accepted.drop(lambda key: key[1] <= slot)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def undecided_count(self) -> int:
-        """Number of slots accepted but not yet decided at this replica."""
-        return sum(
-            1
-            for entry in self.host.log.entries()
-            if entry.status is EntryStatus.PENDING
-        )

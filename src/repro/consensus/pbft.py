@@ -18,8 +18,7 @@ with the Paxos engine (:class:`~repro.consensus.view_change.ViewChangeManager`).
 from __future__ import annotations
 
 from .base import ConsensusEngine, ConsensusHost, QuorumTracker
-from .batching import member_requests
-from .log import EntryStatus, item_digest
+from .log import item_digest
 from .messages import NewView, PBFTCommit, PrePrepare, Prepare, ViewChange
 from .view_change import ViewChangeManager
 
@@ -79,8 +78,7 @@ class PBFTEngine(ConsensusEngine):
             now = self.host.now
             pid = int(self.host.node_id)
             recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "propose", pid)
+            recorder.milestone(now, pid, item, "propose")
         # The primary's pre-prepare counts as its prepare vote.
         self._record_prepare_vote(key, self.host.node_id)
 
@@ -101,12 +99,10 @@ class PBFTEngine(ConsensusEngine):
             # message and replay it if that view is legitimately installed.
             self._stash_pre_prepare(message, src)
             return
-        try:
-            self.host.log.record_pending(
-                message.slot, message.digest, message.item, view=message.view,
-                proposer=self.cluster_id,
-            )
-        except Exception:
+        if not self.host.log.try_record_pending(
+            message.slot, message.digest, message.item, view=message.view,
+            proposer=self.cluster_id,
+        ):
             # A different digest already occupies the slot: do not prepare.
             return
         key = (message.view, message.slot, message.digest)
@@ -135,23 +131,18 @@ class PBFTEngine(ConsensusEngine):
 
     def _record_prepare_vote(self, key: tuple[int, int, str], voter: int) -> None:
         fired = self._prepares.vote(key, voter)
-        causal = self.host.recorder
-        if causal is not None and causal.causal_armed:
-            causal.quorum_vote(
-                self.host.now, int(self.host.node_id), "prepare", key, int(voter), fired
-            )
+        recorder = self.host.recorder
+        if recorder is not None:
+            self._report_vote("prepare", key, voter, fired)
         if not fired:
             return
         # Prepared: multicast commit and count our own commit vote.
         view, slot, digest = key
-        recorder = self.host.recorder
         if recorder is not None:
-            item = self._items.get(key)
-            if item is not None:
-                now = self.host.now
-                pid = int(self.host.node_id)
-                for request in member_requests(item):
-                    recorder.phase(now, request.transaction.tx_id, "prepared", pid)
+            # A key nobody proposed here has no item (and no members to stamp).
+            recorder.milestone(
+                self.host.now, int(self.host.node_id), self._items.get(key), "prepared"
+            )
         commit = PBFTCommit(view=view, slot=slot, digest=digest, node=self.host.node_id)
         self.host.multicast_cluster(commit)
         self._record_commit_vote(key, self.host.node_id)
@@ -162,11 +153,8 @@ class PBFTEngine(ConsensusEngine):
 
     def _record_commit_vote(self, key: tuple[int, int, str], voter: int) -> None:
         fired = self._commits.vote(key, voter)
-        causal = self.host.recorder
-        if causal is not None and causal.causal_armed:
-            causal.quorum_vote(
-                self.host.now, int(self.host.node_id), "commit", key, int(voter), fired
-            )
+        if self.host.recorder is not None:
+            self._report_vote("commit", key, voter, fired)
         if not fired:
             return
         view, slot, digest = key
@@ -176,14 +164,7 @@ class PBFTEngine(ConsensusEngine):
             if entry is None or entry.digest != digest:
                 return
             item = entry.item
-        self.host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for request in member_requests(item):
-                recorder.phase(now, request.transaction.tx_id, "decided", pid)
-        self.view_change.slot_decided(slot)
+        self._decide(slot, digest, item, view)
         self.host.after_decide()
 
     def _stash_pre_prepare(self, message: PrePrepare, src: int) -> None:
@@ -241,15 +222,3 @@ class PBFTEngine(ConsensusEngine):
         self._commits.drop(lambda key: key[1] <= slot)
         for key in [key for key in self._items if key[1] <= slot]:
             del self._items[key]
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def undecided_count(self) -> int:
-        """Number of slots pre-prepared but not yet decided at this replica."""
-        return sum(
-            1
-            for entry in self.host.log.entries()
-            if entry.status is EntryStatus.PENDING
-        )

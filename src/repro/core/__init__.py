@@ -1,6 +1,6 @@
 """SharPer core: replicas, cross-shard consensus, clients, system builder."""
 
-from .client import CLIENT_PID_BASE, ClosedLoopClient, OpenLoopClient
+from .client import CLIENT_PID_BASE, ClosedLoopClient
 from .cross_shard import ByzantineCrossShardEngine, CrashCrossShardEngine
 from .replica import SharPerReplica
 from .sharding import (
@@ -19,7 +19,6 @@ __all__ = [
     "CLIENT_PID_BASE",
     "ClosedLoopClient",
     "CrashCrossShardEngine",
-    "OpenLoopClient",
     "SharPerReplica",
     "SharPerSystem",
     "build_grouped_system",

@@ -7,9 +7,6 @@ client keeps one request outstanding, waits for the required number of
 matching replies (1 in the crash model, ``f + 1`` in the Byzantine
 model), records the end-to-end latency, and immediately issues the next
 request.  Offered load is therefore controlled by the number of clients.
-
-:class:`OpenLoopClient` issues requests at a fixed rate regardless of
-replies; it is used by a few tests and the ablation benchmarks.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from ..sim.simulator import Simulator
 from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadGenerator
 
-__all__ = ["ClosedLoopClient", "OpenLoopClient"]
+__all__ = ["ClosedLoopClient"]
 
 #: Process ids at or above this value are client processes.
 CLIENT_PID_BASE = 1_000_000
@@ -48,8 +45,8 @@ class _Outstanding:
     attempts: int = 0
 
 
-class _BaseClient(Process):
-    """Shared machinery for the closed- and open-loop clients."""
+class ClosedLoopClient(Process):
+    """A client that always keeps exactly one request in flight."""
 
     def __init__(
         self,
@@ -82,10 +79,24 @@ class _BaseClient(Process):
         # entries whose request completed or was already resent.
         self._retry_deadlines: deque[tuple[float, str]] = deque()
         self._retry_timer = None
+        self._stopped = False
 
     # ------------------------------------------------------------------
     # issuing requests
     # ------------------------------------------------------------------
+    def start(self, initial_delay: float = 0.0) -> None:
+        """Schedule the first request."""
+        self.sim.schedule(initial_delay, self._issue_next)
+
+    def stop(self) -> None:
+        """Stop issuing new requests (the in-flight request still completes)."""
+        self._stopped = True
+
+    def _issue_next(self) -> None:
+        if self.crashed or self._stopped:
+            return
+        self._submit(self.workload.next_transaction(timestamp=self.sim.now))
+
     def _submit(self, transaction: Transaction) -> None:
         request = ClientRequest(
             transaction=transaction,
@@ -193,61 +204,10 @@ class _BaseClient(Process):
         recorder = self.recorder
         if recorder is not None:
             recorder.phase(self.sim.now, message.tx_id, "reply", self.pid)
-        self.on_request_complete()
-
-    def on_request_complete(self) -> None:
-        """Hook invoked when a request finishes (closed loop issues the next)."""
+        self._issue_next()
 
     @property
     def outstanding(self) -> int:
         """Number of requests currently awaiting replies."""
         return len(self._outstanding)
 
-
-class ClosedLoopClient(_BaseClient):
-    """A client that always keeps exactly one request in flight."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._stopped = False
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        """Schedule the first request."""
-        self.sim.schedule(initial_delay, self._issue_next)
-
-    def stop(self) -> None:
-        """Stop issuing new requests (the in-flight request still completes)."""
-        self._stopped = True
-
-    def _issue_next(self) -> None:
-        if self.crashed or self._stopped:
-            return
-        self._submit(self.workload.next_transaction(timestamp=self.sim.now))
-
-    def on_request_complete(self) -> None:
-        self._issue_next()
-
-
-class OpenLoopClient(_BaseClient):
-    """A client that issues requests at a fixed rate (requests/second)."""
-
-    def __init__(self, *args, rate: float = 100.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self._stopped = False
-
-    def start(self, initial_delay: float = 0.0) -> None:
-        """Start issuing requests at the configured rate."""
-        self.sim.schedule(initial_delay, self._tick)
-
-    def stop(self) -> None:
-        """Stop issuing new requests (in-flight requests still complete)."""
-        self._stopped = True
-
-    def _tick(self) -> None:
-        if self._stopped or self.crashed:
-            return
-        self._submit(self.workload.next_transaction(timestamp=self.sim.now))
-        self.sim.schedule(1.0 / self.rate, self._tick)

@@ -30,6 +30,13 @@ and one signature then order many client transactions at once.  The
 engines stay item-agnostic — only the duplicate checks and the
 Byzantine-client screen iterate batch members (see
 :mod:`repro.consensus.batching`).
+
+Both engines extend one module-private skeleton, ``_CrossShardEngine``:
+reserving the local position, the already-committed gate, the
+retry/abort timer, the Byzantine-client screen, the local decide (with
+its one tolerated conflict) and compaction live there, once.  The
+engine classes keep what the paper says differs — who votes to whom,
+and which quorum.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from typing import TYPE_CHECKING
 from ..common.errors import ConsensusError
 from ..common.types import ClusterId
 from ..consensus.base import HandlerTable
-from ..consensus.batching import member_requests, members_all_committed, screen_members
-from ..consensus.log import Noop, item_digest
+from ..consensus.batching import members_all_committed, screen_members
+from ..consensus.log import item_digest
 from ..consensus.messages import (
     ClientRequest,
     CrossAccept,
@@ -58,6 +65,165 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .replica import SharPerReplica
 
 __all__ = ["CrashCrossShardEngine", "ByzantineCrossShardEngine"]
+
+
+# ----------------------------------------------------------------------
+# the skeleton both algorithms share
+# ----------------------------------------------------------------------
+class _CrossShardEngine(HandlerTable):
+    """One cross-shard instance's life around its votes: reserve → decide → report.
+
+    Subclasses provide ``start`` (initiator side), the propose / accept /
+    commit handlers, and a per-instance state object with ``request``,
+    ``digest``, ``attempt``, ``decided`` and ``timer`` fields.
+    """
+
+    def __init__(self, host: "SharPerReplica") -> None:
+        self.host = host
+        self._build_handlers()
+        self._states: dict = {}
+        #: local position this node reserved (as its cluster's slot
+        #: assigner) per instance digest.
+        self._assigned_slots: dict[str, int] = {}
+        #: per-cluster vote quorum (f + 1 crash, 2f + 1 Byzantine), resolved once.
+        self._quorum = {c.cluster_id: c.cross_quorum for c in host.config.clusters}
+        self.initiated = 0
+        self.committed = 0
+        self.retries = 0
+        self.aborted = 0
+        #: commits dropped because the local slot was resolved otherwise.
+        self.late_commits = 0
+
+    # ------------------------------------------------------------------
+    # admission and reservation
+    # ------------------------------------------------------------------
+    def _rejects(self, request: object) -> bool:
+        """Byzantine-client screen, applied at every involved cluster.
+
+        A forged, replayed or ownership-violating request (or a batch
+        carrying one) must not gather accept votes anywhere — not even
+        at clusters that never saw the original client submission — so
+        its quorum can never form.
+        """
+        guard = self.host.request_guard
+        return guard is not None and screen_members(guard, request) != ADMIT
+
+    def _settled_slot(self, digest: str, item: object) -> int | None:
+        """Local position of an already-committed item, if any.
+
+        The log's digest index is truncated below the low-water mark, so
+        a (very) stale duplicate of a checkpointed transaction must be
+        caught through the ledger's retained transaction index instead —
+        re-running the instance would double-commit it.  A batch counts
+        as committed only when *every* member did (a partially settled
+        batch must stay orderable; apply-time skips handle the rest),
+        and answers with the representative member's position.
+        """
+        slot = self.host.log.decided_slot_of(digest)
+        if slot is None:
+            chain = self.host.chain
+            if members_all_committed(chain, item):
+                slot = chain.position_of_tx(item.transaction.tx_id)
+        return slot
+
+    def _reserve_slot(self, digest: str, item: object) -> int:
+        """The local position this node assigns the instance (once per digest)."""
+        slot = self._assigned_slots.get(digest)
+        if slot is None:
+            slot = self._assigned_slots[digest] = self.host.log.allocate()
+        # A slot already taken by a different digest is not an error
+        # here: the commit resolves the final assignment.
+        self.host.log.try_record_pending(slot, digest, item, proposer=self.host.cluster_id)
+        return slot
+
+    # ------------------------------------------------------------------
+    # retry / abort (initiator side)
+    # ------------------------------------------------------------------
+    def _arm_retry_timer(self, state) -> None:
+        if state.timer is not None:
+            state.timer.cancel()
+        state.timer = self.host.set_timer(
+            self.host.tuning.conflict_retry_delay * (state.attempt + 1),
+            self._on_retry_timeout,
+            state.digest,
+        )
+
+    def _may_retry(self, state) -> bool:
+        """Whether this node still drives the instance when its timer fires."""
+        return True
+
+    def _on_retry_timeout(self, digest: str) -> None:
+        state = self._states.get(digest)
+        if state is None or state.decided or not self._may_retry(state):
+            return
+        if state.attempt >= self.host.tuning.max_conflict_retries:
+            self.aborted += 1
+            self.host.on_cross_shard_abort(state.request)
+            return
+        state.attempt += 1
+        self.retries += 1
+        self.start(state.request)
+
+    # ------------------------------------------------------------------
+    # decide and report
+    # ------------------------------------------------------------------
+    def _finish(self, state) -> None:
+        """The instance gathered its quorums: stop retrying it."""
+        state.decided = True
+        if state.timer is not None:
+            state.timer.cancel()
+        self.committed += 1
+
+    def _decide_local(self, slot: int, digest: str, item: object, positions, proposer) -> None:
+        """This cluster's slot of the instance is decided here: log, stamp, apply.
+
+        The one place a cross-shard engine calls ``log.decide``.  One
+        conflict is tolerated: the local slot was no-op filled by a view
+        change that outran this commit.  The late commit is dropped and
+        counted instead of crashing; the client's retry re-runs the
+        instance at a fresh position.  A conflicting *real* decision is
+        a genuine fork (two decisions for one slot) and keeps raising.
+        """
+        host = self.host
+        try:
+            host.log.decide(slot, digest, item, positions=positions, proposer=proposer)
+        except ConsensusError:
+            entry = host.log.entry(slot)
+            if entry is None or not entry.is_noop:
+                raise
+            self.late_commits += 1
+            return
+        recorder = host.recorder
+        if recorder is not None:
+            recorder.milestone(host.now, int(host.node_id), item, "decided")
+        host.after_decide()
+
+    def _report_vote(self, kind: str, digest: str, voter: int, decided: bool) -> None:
+        """Tell the armed recorder about one quorum vote (causal layer only)."""
+        recorder = self.host.recorder
+        if recorder.causal_armed:
+            recorder.quorum_vote(
+                self.host.now, int(self.host.node_id), kind, digest, int(voter), decided
+            )
+
+    # ------------------------------------------------------------------
+    # checkpoint compaction (repro.recovery)
+    # ------------------------------------------------------------------
+    def compact_below(self, slot: int) -> None:
+        """Drop bookkeeping for instances decided at or below ``slot``.
+
+        Decided instances whose local slot fell at or below the
+        checkpoint can never be consulted again (stale proposals are
+        answered through the ledger's transaction index), so their vote
+        sets and slot assignments are dropped.  Undecided instances
+        stay — their retry timers are still live.
+        """
+        states, assigned = self._states, self._assigned_slots
+        for digest in [d for d, s in assigned.items() if s <= slot]:
+            del assigned[digest]
+            state = states.get(digest)
+            if state is not None and state.decided:
+                del states[digest]
 
 
 # ----------------------------------------------------------------------
@@ -89,35 +255,7 @@ class _CrashState:
         self.waiting = set(self.involved)
 
 
-def _compact_cross_state(states: dict, assigned_slots: dict[str, int], slot: int) -> None:
-    """Garbage-collect decided per-instance state below a stable checkpoint.
-
-    Shared by both cross-shard engines: decided instances whose local
-    slot fell at or below the checkpoint can never be consulted again
-    (stale proposals are answered through the ledger's transaction
-    index), so their vote sets and slot assignments are dropped.
-    Undecided instances stay — their retry timers are still live.
-    """
-    for digest in [d for d, s in assigned_slots.items() if s <= slot]:
-        del assigned_slots[digest]
-        state = states.get(digest)
-        if state is not None and state.decided:
-            del states[digest]
-
-
-def _is_noop_filled(host, slot: int) -> bool:
-    """Whether ``slot`` was resolved to a gap-filling no-op locally.
-
-    Distinguishes the one tolerated decide conflict — a view change
-    no-op-filled the slot before a late cross-shard commit arrived —
-    from a genuine fork (two real decisions for one slot), which must
-    keep raising loudly.
-    """
-    entry = host.log.entry(slot)
-    return entry is not None and isinstance(entry.item, Noop)
-
-
-class CrashCrossShardEngine(HandlerTable):
+class CrashCrossShardEngine(_CrossShardEngine):
     """Algorithm 1: flattened cross-shard consensus for crash-only nodes."""
 
     HANDLERS = {
@@ -126,171 +264,73 @@ class CrashCrossShardEngine(HandlerTable):
         CrossCommit: "_on_commit",
     }
 
-    def __init__(self, host: "SharPerReplica") -> None:
-        self.host = host
-        self._build_handlers()
-        self._states: dict[str, _CrashState] = {}
-        self._assigned_slots: dict[str, int] = {}
-        #: per-cluster accept quorum (f + 1), resolved once.
-        self._quorum = {c.cluster_id: c.cross_quorum for c in host.config.clusters}
-        self.initiated = 0
-        self.committed = 0
-        self.retries = 0
-        self.aborted = 0
-        #: commits dropped because the local slot was resolved otherwise.
-        self.late_commits = 0
-
     # ------------------------------------------------------------------
     # initiator side
     # ------------------------------------------------------------------
     def start(self, request: ClientRequest) -> None:
-        """Initiate consensus on a cross-shard transaction (primary only)."""
+        """Initiate (or, from the retry timer, re-propose) a cross-shard transaction."""
         digest = item_digest(request)
-        if self.host.log.decided_slot_of(digest) is not None:
+        if self._settled_slot(digest, request) is not None:
             # Duplicate submission of an already-committed transaction.
             return
-        if self._committed_before_checkpoint(request):
-            return
-        involved = self.host.involved_clusters_of(request.transaction)
+        host = self.host
         state = self._states.get(digest)
         if state is None:
-            slot = self._reserve_local_slot(digest, request)
-            state = _CrashState(request, digest, involved)
-            self._tally(state, self.host.cluster_id, self.host.node_id, slot)
+            slot = self._reserve_slot(digest, request)
+            state = _CrashState(request, digest, host.involved_clusters_of(request.transaction))
+            self._tally(state, host.cluster_id, host.node_id, slot)
             self._states[digest] = state
             self.initiated += 1
-            recorder = self.host.recorder
+            recorder = host.recorder
             if recorder is not None:
-                now = self.host.now
-                pid = int(self.host.node_id)
-                for member in member_requests(request):
-                    recorder.phase(now, member.transaction.tx_id, "cross_start", pid)
-                if recorder.causal_armed:
-                    # The initiator's own vote (counted above) never fires
-                    # the quorum by itself: every involved cluster needs a
-                    # full cross_quorum, so decided is always False here.
-                    recorder.quorum_vote(now, pid, "cross_accept", digest, pid, False)
-        self._broadcast_propose(state)
-        self._arm_retry_timer(state)
-
-    def _reserve_local_slot(self, digest: str, request: ClientRequest) -> int:
-        slot = self._assigned_slots.get(digest)
-        if slot is None:
-            slot = self.host.log.allocate()
-            self._assigned_slots[digest] = slot
-        self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
-        return slot
-
-    def _broadcast_propose(self, state: _CrashState) -> None:
+                recorder.milestone(host.now, int(host.node_id), request, "cross_start")
+                # The initiator's own vote (counted above) never fires
+                # the quorum by itself: every involved cluster needs a
+                # full cross_quorum, so decided is always False here.
+                self._report_vote("cross_accept", digest, host.node_id, False)
         message = CrossPropose(
-            digest=state.digest,
+            digest=digest,
             request=state.request,
             involved=state.involved,
-            initiator_cluster=self.host.cluster_id,
-            initiator_slot=state.slots[self.host.cluster_id],
+            initiator_cluster=host.cluster_id,
+            initiator_slot=state.slots[host.cluster_id],
             attempt=state.attempt,
         )
-        self.host.multicast(self.host.nodes_of_clusters(state.involved), message)
-
-    def _arm_retry_timer(self, state: _CrashState) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.host.set_timer(
-            self.host.tuning.conflict_retry_delay * (state.attempt + 1),
-            self._on_retry_timeout,
-            state.digest,
-        )
-
-    def _on_retry_timeout(self, digest: str) -> None:
-        state = self._states.get(digest)
-        if state is None or state.decided:
-            return
-        if state.attempt >= self.host.tuning.max_conflict_retries:
-            self.aborted += 1
-            self.host.on_cross_shard_abort(state.request)
-            return
-        state.attempt += 1
-        self.retries += 1
-        self._broadcast_propose(state)
+        host.multicast(host.nodes_of_clusters(state.involved), message)
         self._arm_retry_timer(state)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see HandlerTable.handle)
     # ------------------------------------------------------------------
-    def _committed_before_checkpoint(self, request) -> int | None:
-        """Chain position of an already-committed item, if any.
-
-        The log's digest index is truncated below the low-water mark, so
-        a (very) stale duplicate of a checkpointed transaction must be
-        caught through the ledger's retained transaction index instead —
-        re-running the instance would double-commit it.  A batch counts
-        as committed only when *every* member did (a partially settled
-        batch must stay orderable; apply-time skips handle the rest),
-        and answers with the representative member's position.
-        """
-        chain = getattr(self.host, "chain", None)
-        if chain is None:
-            return None
-        if not members_all_committed(chain, request):
-            return None
-        return chain.position_of_tx(request.transaction.tx_id)
-
     def _on_propose(self, message: CrossPropose, src: int) -> None:
-        guard = self.host.request_guard
-        if guard is not None and screen_members(guard, message.request) != ADMIT:
-            # Byzantine-client defence at every involved cluster: a
-            # forged/replayed/ownership-violating request must not
-            # gather accept votes anywhere — not even at clusters that
-            # never saw the original client submission.
+        if self._rejects(message.request):
             return
+        host = self.host
         digest = message.digest
-        decided_slot = self.host.log.decided_slot_of(digest)
-        if decided_slot is None:
-            decided_slot = self._committed_before_checkpoint(message.request)
-        if decided_slot is not None:
-            # Already committed here: answer idempotently so a retrying
-            # initiator can complete.
-            reply = CrossAccept(
-                digest=digest,
-                cluster=self.host.cluster_id,
-                node=self.host.node_id,
-                slot=decided_slot,
-                attempt=message.attempt,
-            )
-            self.host.send_to(src, reply)
-            return
-        slot: int | None
-        if message.initiator_cluster == self.host.cluster_id:
-            # Backup of the initiator cluster: the initiator already fixed
-            # the local position.
-            slot = message.initiator_slot
-            self._try_record_pending(slot, digest, message.request)
-        elif self.host.is_cluster_primary:
-            slot = self._assigned_slots.get(digest)
-            if slot is None:
-                slot = self.host.log.allocate()
-                self._assigned_slots[digest] = slot
-            self._try_record_pending(slot, digest, message.request)
-        else:
-            # Backup of a remote involved cluster: it agrees with whatever
-            # position its own primary reserves (learned at commit time).
-            slot = None
+        # Already committed here: answer idempotently with the decided
+        # position so a retrying initiator can complete.
+        slot = self._settled_slot(digest, message.request)
+        if slot is None:
+            if message.initiator_cluster == host.cluster_id:
+                # Backup of the initiator cluster: the initiator already
+                # fixed the local position.
+                slot = message.initiator_slot
+                host.log.try_record_pending(
+                    slot, digest, message.request, proposer=host.cluster_id
+                )
+            elif host.is_cluster_primary:
+                slot = self._reserve_slot(digest, message.request)
+            # else: backup of a remote involved cluster — it agrees with
+            # whatever position its own primary reserves (learned at
+            # commit time) and votes without one.
         reply = CrossAccept(
             digest=digest,
-            cluster=self.host.cluster_id,
-            node=self.host.node_id,
+            cluster=host.cluster_id,
+            node=host.node_id,
             slot=slot,
             attempt=message.attempt,
         )
-        self.host.send_to(src, reply)
-
-    def _try_record_pending(self, slot: int, digest: str, request: object) -> None:
-        try:
-            self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
-        except ConsensusError:
-            # The slot is already taken by a different digest; the commit
-            # message will resolve the final assignment.
-            pass
+        host.send_to(src, reply)
 
     def _on_accept(self, message: CrossAccept, src: int) -> None:
         state = self._states.get(message.digest)
@@ -299,12 +339,8 @@ class CrashCrossShardEngine(HandlerTable):
         self._tally(state, message.cluster, src, message.slot)
         if not state.waiting:
             self._commit(state)
-        recorder = self.host.recorder
-        if recorder is not None and recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), "cross_accept",
-                message.digest, int(src), state.decided,
-            )
+        if self.host.recorder is not None:
+            self._report_vote("cross_accept", message.digest, src, state.decided)
 
     def _tally(self, state: _CrashState, cluster: ClusterId, voter: int, slot: int | None) -> None:
         """Count one accept; votes of clusters that are not involved are ignored."""
@@ -318,82 +354,31 @@ class CrashCrossShardEngine(HandlerTable):
             state.waiting.discard(cluster)
 
     def _commit(self, state: _CrashState) -> None:
-        state.decided = True
-        if state.timer is not None:
-            state.timer.cancel()
-        self.committed += 1
-        recorder = self.host.recorder
+        self._finish(state)
+        host = self.host
+        recorder = host.recorder
         if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "cross_prepared", pid)
+            recorder.milestone(host.now, int(host.node_id), state.request, "cross_prepared")
         positions = dict(state.slots)
         commit = CrossCommit(
             digest=state.digest,
             request=state.request,
             positions=tuple(sorted(positions.items())),
-            proposer=self.host.cluster_id,
+            proposer=host.cluster_id,
             attempt=state.attempt,
         )
-        self.host.multicast(self.host.nodes_of_clusters(state.involved), commit)
-        try:
-            self.host.log.decide(
-                positions[self.host.cluster_id],
-                state.digest,
-                state.request,
-                positions=positions,
-                proposer=self.host.cluster_id,
-            )
-        except ConsensusError:
-            if not _is_noop_filled(self.host, positions[self.host.cluster_id]):
-                raise
-            self.late_commits += 1
-            return
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "decided", pid)
-        self.host.after_decide()
+        host.multicast(host.nodes_of_clusters(state.involved), commit)
+        self._decide_local(
+            positions[host.cluster_id], state.digest, state.request, positions, host.cluster_id
+        )
 
     def _on_commit(self, message: CrossCommit, src: int) -> None:
         positions = dict(message.positions)
         my_slot = positions.get(self.host.cluster_id)
-        if my_slot is None:
-            return
-        try:
-            self.host.log.decide(
-                my_slot,
-                message.digest,
-                message.request,
-                positions=positions,
-                proposer=message.proposer,
+        if my_slot is not None:
+            self._decide_local(
+                my_slot, message.digest, message.request, positions, message.proposer
             )
-        except ConsensusError:
-            # The local slot was no-op filled by a view change that
-            # outran this commit.  Drop the late commit instead of
-            # crashing; the client's retry re-runs the instance at a
-            # fresh position.  Anything else is a genuine fork and
-            # keeps raising.
-            if not _is_noop_filled(self.host, my_slot):
-                raise
-            self.late_commits += 1
-            return
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(message.request):
-                recorder.phase(now, member.transaction.tx_id, "decided", pid)
-        self.host.after_decide()
-
-    # ------------------------------------------------------------------
-    # checkpoint compaction (repro.recovery)
-    # ------------------------------------------------------------------
-    def compact_below(self, slot: int) -> None:
-        """Drop bookkeeping for instances decided at or below ``slot``."""
-        _compact_cross_state(self._states, self._assigned_slots, slot)
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +417,7 @@ class _ByzState:
     timer: Timer | None = None
 
 
-class ByzantineCrossShardEngine(HandlerTable):
+class ByzantineCrossShardEngine(_CrossShardEngine):
     """Algorithm 2: flattened cross-shard consensus for Byzantine nodes."""
 
     HANDLERS = {
@@ -442,62 +427,39 @@ class ByzantineCrossShardEngine(HandlerTable):
     }
 
     def __init__(self, host: "SharPerReplica") -> None:
-        self.host = host
-        self._build_handlers()
-        self._states: dict[str, _ByzState] = {}
-        self._assigned_slots: dict[str, int] = {}
+        super().__init__(host)
         #: digests whose state was request-less at the last compaction.
         self._orphans: set[str] = set()
-        #: per-cluster accept/commit quorum (2f + 1), resolved once.
-        self._quorum = {c.cluster_id: c.cross_quorum for c in host.config.clusters}
-        self.initiated = 0
-        self.committed = 0
-        self.retries = 0
-        self.aborted = 0
-        #: commits dropped because the local slot was resolved otherwise.
-        self.late_commits = 0
 
     # ------------------------------------------------------------------
     # initiator side
     # ------------------------------------------------------------------
     def start(self, request: ClientRequest) -> None:
-        """Initiate consensus on a cross-shard transaction (primary only)."""
+        """Initiate (or, from the retry timer, re-propose) a cross-shard transaction."""
         digest = item_digest(request)
-        if self.host.log.decided_slot_of(digest) is not None:
+        if self._settled_slot(digest, request) is not None:
             return
-        chain = getattr(self.host, "chain", None)
-        if chain is not None and members_all_committed(chain, request):
-            # Committed below the checkpoint low-water mark; the digest
-            # index no longer knows it, but the ledger index does.
-            return
-        involved = self.host.involved_clusters_of(request.transaction)
+        host = self.host
+        involved = host.involved_clusters_of(request.transaction)
         state = self._state(digest)
         if state.request is None:
-            slot = self._assigned_slots.get(digest)
-            if slot is None:
-                slot = self.host.log.allocate()
-                self._assigned_slots[digest] = slot
             state.request = request
             self._set_involved(state, involved)
-            state.initiator_cluster = self.host.cluster_id
-            state.my_slot = slot
-            self._try_record_pending(slot, digest, request)
+            state.initiator_cluster = host.cluster_id
+            state.my_slot = self._reserve_slot(digest, request)
             self.initiated += 1
-            recorder = self.host.recorder
+            recorder = host.recorder
             if recorder is not None:
-                now = self.host.now
-                pid = int(self.host.node_id)
-                for member in member_requests(request):
-                    recorder.phase(now, member.transaction.tx_id, "cross_start", pid)
+                recorder.milestone(host.now, int(host.node_id), request, "cross_start")
         propose = CrossProposeB(
             digest=digest,
             request=request,
             involved=involved,
-            initiator_cluster=self.host.cluster_id,
+            initiator_cluster=host.cluster_id,
             initiator_slot=state.my_slot,
             attempt=state.attempt,
         )
-        self.host.multicast(self.host.nodes_of_clusters(involved), propose)
+        host.multicast(host.nodes_of_clusters(involved), propose)
         self._send_accept(state)
         self._arm_retry_timer(state)
 
@@ -516,34 +478,14 @@ class ByzantineCrossShardEngine(HandlerTable):
         # (its votes are not recorded), so any positive default keeps it in.
         state.uncommitted = {c for c in involved if len(votes.get(c, ())) < quorum.get(c, 1)}
 
-    def _try_record_pending(self, slot: int, digest: str, request: object) -> None:
-        try:
-            self.host.log.record_pending(slot, digest, request, proposer=self.host.cluster_id)
-        except ConsensusError:
-            pass
-
-    def _arm_retry_timer(self, state: _ByzState) -> None:
-        if state.timer is not None:
-            state.timer.cancel()
-        state.timer = self.host.set_timer(
-            self.host.tuning.conflict_retry_delay * (state.attempt + 1),
-            self._on_retry_timeout,
-            state.digest,
+    def _may_retry(self, state: _ByzState) -> bool:
+        # Every node holds state here, and a primary may have lost its
+        # seat: only the initiator cluster's current primary re-proposes.
+        return (
+            state.request is not None
+            and state.initiator_cluster == self.host.cluster_id
+            and self.host.is_cluster_primary
         )
-
-    def _on_retry_timeout(self, digest: str) -> None:
-        state = self._states.get(digest)
-        if state is None or state.decided or state.request is None:
-            return
-        if state.initiator_cluster != self.host.cluster_id or not self.host.is_cluster_primary:
-            return
-        if state.attempt >= self.host.tuning.max_conflict_retries:
-            self.aborted += 1
-            self.host.on_cross_shard_abort(state.request)
-            return
-        state.attempt += 1
-        self.retries += 1
-        self.start(state.request)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see HandlerTable.handle)
@@ -553,12 +495,7 @@ class ByzantineCrossShardEngine(HandlerTable):
         if src != expected:
             # Only the initiator cluster's primary may propose.
             return
-        guard = self.host.request_guard
-        if guard is not None and screen_members(guard, message.request) != ADMIT:
-            # Same Byzantine-client screen the crash engine applies: no
-            # correct node of any involved cluster accepts a forged,
-            # replayed, or ownership-violating request (nor a batch
-            # carrying one), so the quorum can never form.
+        if self._rejects(message.request):
             return
         state = self._state(message.digest)
         state.request = message.request
@@ -569,21 +506,14 @@ class ByzantineCrossShardEngine(HandlerTable):
         my_cluster = self.host.cluster_id
         if my_cluster == message.initiator_cluster:
             state.my_slot = message.initiator_slot
-        if self.host.log.decided_slot_of(message.digest) is not None:
-            return
-        chain = getattr(self.host, "chain", None)
-        if chain is not None and members_all_committed(chain, message.request):
-            # Committed below the checkpoint low-water mark already.
+        if self._settled_slot(message.digest, message.request) is not None:
             return
         if my_cluster == message.initiator_cluster:
-            self._try_record_pending(message.initiator_slot, message.digest, message.request)
+            self.host.log.try_record_pending(
+                message.initiator_slot, message.digest, message.request, proposer=my_cluster
+            )
         elif self.host.is_cluster_primary and state.my_slot is None:
-            slot = self._assigned_slots.get(message.digest)
-            if slot is None:
-                slot = self.host.log.allocate()
-                self._assigned_slots[message.digest] = slot
-            state.my_slot = slot
-            self._try_record_pending(slot, message.digest, message.request)
+            state.my_slot = self._reserve_slot(message.digest, message.request)
         self._send_accept(state)
 
     def _send_accept(self, state: _ByzState) -> None:
@@ -596,8 +526,8 @@ class ByzantineCrossShardEngine(HandlerTable):
             # (via its own accept message).
             return
         state.accept_sent = True
-        self._try_record_pending(slot, state.digest, state.request)
         host = self.host
+        host.log.try_record_pending(slot, state.digest, state.request, proposer=host.cluster_id)
         accept = CrossAcceptB(
             digest=state.digest,
             cluster=host.cluster_id,
@@ -649,22 +579,15 @@ class ByzantineCrossShardEngine(HandlerTable):
                         state.unconfirmed.discard(cluster)
             if state.involved and not state.unconfirmed and state.request is not None:
                 self._send_commit(state)
-        recorder = self.host.recorder
-        if recorder is not None and recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), "cross_accept",
-                state.digest, int(voter), state.commit_sent,
-            )
+        if self.host.recorder is not None:
+            self._report_vote("cross_accept", state.digest, voter, state.commit_sent)
 
     def _send_commit(self, state: _ByzState) -> None:
         state.commit_sent = True
         host = self.host
         recorder = host.recorder
         if recorder is not None:
-            now = host.now
-            pid = int(host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "cross_prepared", pid)
+            recorder.milestone(host.now, int(host.node_id), state.request, "cross_prepared")
         commit = CrossCommitB(
             digest=state.digest,
             cluster=host.cluster_id,
@@ -709,18 +632,11 @@ class ByzantineCrossShardEngine(HandlerTable):
                 and state.request is not None
             ):
                 self._decide(state)
-        recorder = self.host.recorder
-        if recorder is not None and recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), "cross_commit",
-                state.digest, int(voter), state.decided,
-            )
+        if self.host.recorder is not None:
+            self._report_vote("cross_commit", state.digest, voter, state.decided)
 
     def _decide(self, state: _ByzState) -> None:
-        state.decided = True
-        if state.timer is not None:
-            state.timer.cancel()
-        self.committed += 1
+        self._finish(state)
         positions = {cluster: state.confirmed_slots[cluster] for cluster in state.involved}
         my_slot = positions.get(self.host.cluster_id)
         if my_slot is None:
@@ -730,36 +646,13 @@ class ByzantineCrossShardEngine(HandlerTable):
             if state.initiator_cluster is not None
             else self.host.cluster_id
         )
-        try:
-            self.host.log.decide(
-                my_slot,
-                state.digest,
-                state.request,
-                positions=positions,
-                proposer=proposer,
-            )
-        except ConsensusError:
-            # Local slot no-op filled by a view change that outran the
-            # commit quorum; drop the late decision — the client's
-            # retry re-runs the instance.  A conflicting *real*
-            # decision is a genuine fork and keeps raising.
-            if not _is_noop_filled(self.host, my_slot):
-                raise
-            self.late_commits += 1
-            return
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            for member in member_requests(state.request):
-                recorder.phase(now, member.transaction.tx_id, "decided", pid)
-        self.host.after_decide()
+        self._decide_local(my_slot, state.digest, state.request, positions, proposer)
 
     # ------------------------------------------------------------------
     # checkpoint compaction (repro.recovery)
     # ------------------------------------------------------------------
     def compact_below(self, slot: int) -> None:
-        """Drop bookkeeping for instances decided at or below ``slot``.
+        """The shared sweep, then the state only this engine keeps at every node.
 
         ``_assigned_slots`` only knows the instances this node assigned
         a slot as primary, so every other replica compacts by the
@@ -769,8 +662,8 @@ class ByzantineCrossShardEngine(HandlerTable):
         are swept once a checkpoint has outlived them: seen request-less
         by two consecutive compactions.
         """
+        super().compact_below(slot)
         states = self._states
-        _compact_cross_state(states, self._assigned_slots, slot)
         mine = self.host.cluster_id
         outlived, self._orphans = self._orphans, set()
         for digest, state in list(states.items()):

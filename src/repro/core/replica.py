@@ -22,6 +22,7 @@ from typing import Callable, Iterable
 from weakref import ref
 
 from ..common.config import ClusterConfig, SystemConfig
+from ..common.errors import ConfigurationError
 from ..common.types import AccountId, ClientId, ClusterId, FaultModel, NodeId
 from ..consensus.batching import BatchPipeline, member_requests
 from ..consensus.log import Noop, OrderingLog, item_digest
@@ -72,7 +73,79 @@ def _shared_block(payload, key, build, *args) -> Block:
     return block
 
 
-class SharPerReplica(Process):
+class ReplicaHost(Process):
+    """The :class:`~repro.consensus.base.ConsensusHost` every replica kind is.
+
+    One ordering log and one ledger view per node, the cluster-local
+    send helpers the engines call, the in-order apply loop, and the
+    client reply.  SharPer's replica, the non-sharded baselines' active
+    replica and AHL's reference-committee member extend it with the
+    engine(s) they run (``self.intra``) and their ``_apply``.
+    """
+
+    def __init__(
+        self,
+        node_id: NodeId,
+        cluster: ClusterConfig,
+        config: SystemConfig,
+        mapper: ShardMapper,
+        sim: Simulator,
+        network: Network,
+        cost_model: CostModel,
+        name: str,
+    ) -> None:
+        super().__init__(int(node_id), sim, network, cost_model, name=name)
+        self.node_id = node_id
+        self.cluster = cluster
+        #: identifier of the cluster (and shard) this replica belongs to.
+        self.cluster_id = cluster.cluster_id
+        self.config = config
+        self.mapper = mapper
+        self.tuning = config.tuning
+        self.log = OrderingLog(cluster.cluster_id)
+        self.chain = ClusterView(cluster.cluster_id)
+        # Stable destination tuple: the network memoises a route per
+        # (sender, destination tuple), so hand it the same tuple object
+        # for the whole run instead of rebuilding a list per multicast.
+        self._cluster_peers = tuple(
+            int(node) for node in cluster.node_ids if node != node_id
+        )
+
+    @property
+    def view_change_timeout(self) -> float:
+        """Timeout used by the view-change manager (ConsensusHost interface)."""
+        return self.tuning.view_change_timeout
+
+    def multicast_cluster(self, message: object) -> None:
+        """Send ``message`` to every other node of this cluster."""
+        self.multicast(self._cluster_peers, message)
+
+    def send_to(self, node_id: int, message: object) -> None:
+        """Send ``message`` to one node."""
+        self.send(int(node_id), message)
+
+    def after_decide(self) -> None:
+        """Apply every decided slot that is next in line (in slot order)."""
+        for entry in self.log.pop_applicable():
+            self._apply(entry)
+
+    def _send_reply(
+        self, request: ClientRequest, success: bool, cross_shard: bool = False
+    ) -> None:
+        if request.reply_to < 0:
+            return
+        reply = ClientReply(
+            tx_id=request.transaction.tx_id,
+            node=self.node_id,
+            cluster=self.cluster_id,
+            view=self.intra.view,
+            success=success,
+            cross_shard=cross_shard,
+        )
+        self.send(request.reply_to, reply)
+
+
+class SharPerReplica(ReplicaHost):
     """One SharPer node: intra-shard + cross-shard consensus + ledger view."""
 
     def __init__(
@@ -87,19 +160,9 @@ class SharPerReplica(Process):
         cost_model: CostModel,
     ) -> None:
         super().__init__(
-            pid=int(node_id),
-            sim=sim,
-            network=network,
-            cost_model=cost_model,
+            node_id, cluster, config, mapper, sim, network, cost_model,
             name=f"replica-{node_id}@p{cluster.cluster_id}",
         )
-        self.node_id = node_id
-        self.cluster = cluster
-        self.config = config
-        self.mapper = mapper
-        self.tuning = config.tuning
-        self.log = OrderingLog(cluster.cluster_id)
-        self.chain = ClusterView(cluster.cluster_id)
         self.store = store
         self.executor = TransactionExecutor(
             store, mapper, sharding.cluster_to_shard(cluster.cluster_id)
@@ -144,12 +207,8 @@ class SharPerReplica(Process):
             remote.cluster_id: int(remote.primary) for remote in config.clusters
         }
         self._remote_views: dict[ClusterId, int] = {}
-        # Stable destination tuples: the network memoises a route per
-        # (sender, destination tuple), so hand it the same tuple objects
-        # for the whole run instead of rebuilding a list per multicast.
-        self._cluster_peers = tuple(
-            int(node) for node in cluster.node_ids if node != node_id
-        )
+        #: memoised destination tuples per involved-cluster set (stable
+        #: objects, for the same reason as ``_cluster_peers``).
         self._nodes_of: dict[tuple[ClusterId, ...], tuple[int, ...]] = {}
         # Table-driven dispatch: merge the engines' handler tables into the
         # process-level table once, so delivery is a single dict lookup
@@ -166,19 +225,9 @@ class SharPerReplica(Process):
     # identity helpers
     # ------------------------------------------------------------------
     @property
-    def cluster_id(self) -> ClusterId:
-        """Identifier of the cluster (and shard) this replica belongs to."""
-        return self.cluster.cluster_id
-
-    @property
     def is_cluster_primary(self) -> bool:
         """Whether this replica is the primary of its cluster's current view."""
         return self.intra.is_primary
-
-    @property
-    def view_change_timeout(self) -> float:
-        """Timeout used by the view-change manager (ConsensusHost interface)."""
-        return self.tuning.view_change_timeout
 
     def primary_pid_of(self, cluster_id: ClusterId) -> int:
         """Process id of the primary of ``cluster_id``.
@@ -225,17 +274,6 @@ class SharPerReplica(Process):
         return False
 
     # ------------------------------------------------------------------
-    # ConsensusHost / cross-shard host interface
-    # ------------------------------------------------------------------
-    def multicast_cluster(self, message: object) -> None:
-        """Send ``message`` to every other node of this cluster."""
-        self.multicast(self._cluster_peers, message)
-
-    def send_to(self, node_id: int, message: object) -> None:
-        """Send ``message`` to one node."""
-        self.send(int(node_id), message)
-
-    # ------------------------------------------------------------------
     # authenticated cross-cluster view changes
     # ------------------------------------------------------------------
     def announce_new_view(self, view: int, certificate: tuple) -> None:
@@ -276,7 +314,7 @@ class SharPerReplica(Process):
             return
         try:
             remote = self.config.cluster(cluster_id)
-        except Exception:
+        except ConfigurationError:
             return
         if src != int(remote.primary_for_view(message.view)):
             return
@@ -707,19 +745,6 @@ class SharPerReplica(Process):
         # Crash model: only the primary of the initiating cluster replies.
         return self.is_cluster_primary and proposer == self.cluster_id
 
-    def _send_reply(self, request: ClientRequest, success: bool, cross_shard: bool) -> None:
-        if request.reply_to < 0:
-            return
-        reply = ClientReply(
-            tx_id=request.transaction.tx_id,
-            node=self.node_id,
-            cluster=self.cluster_id,
-            view=self.intra.view,
-            success=success,
-            cross_shard=cross_shard,
-        )
-        self.send(request.reply_to, reply)
-
     def on_cross_shard_abort(self, item: object) -> None:
         """Notify the client(s) that a cross-shard item was given up on.
 
@@ -729,17 +754,7 @@ class SharPerReplica(Process):
         index so client retries can re-enter the pipeline).
         """
         for request in member_requests(item):
-            if request.reply_to < 0:
-                continue
-            reply = ClientReply(
-                tx_id=request.transaction.tx_id,
-                node=self.node_id,
-                cluster=self.cluster_id,
-                view=self.intra.view,
-                success=False,
-                cross_shard=True,
-            )
-            self.send(request.reply_to, reply)
+            self._send_reply(request, success=False, cross_shard=True)
         if self.batcher is not None:
             self.batcher.item_applied(item_digest(item))
 

@@ -37,7 +37,7 @@ from ..txn.accounts import AccountStore, ShardMapper
 from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadConfig, WorkloadGenerator
 from . import sharding
-from .client import CLIENT_PID_BASE, ClosedLoopClient, OpenLoopClient
+from .client import CLIENT_PID_BASE, ClosedLoopClient
 from .replica import SharPerReplica
 
 __all__ = ["BaseSystem", "SharPerSystem"]
@@ -92,7 +92,7 @@ class BaseSystem:
                     "num_clients": workload_config.num_clients,
                 }
             )
-        self.clients: list[ClosedLoopClient | OpenLoopClient] = []
+        self.clients: list[ClosedLoopClient] = []
         #: process ids currently running an adversary behaviour; the
         #: safety auditor excludes these from its cross-replica checks.
         self.byzantine_nodes: set[int] = set()
@@ -213,9 +213,7 @@ class BaseSystem:
         every involved cluster.
         """
         for client in self.clients:
-            stop = getattr(client, "stop", None)
-            if stop is not None:
-                stop()
+            client.stop()
         return self.sim.run(until=self.sim.now + grace)
 
     # ------------------------------------------------------------------

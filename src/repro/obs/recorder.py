@@ -33,6 +33,7 @@ from statistics import median
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..consensus.batching import member_requests
 from .causal import (
     CriticalSummary,
     critical_paths as compute_critical_paths,
@@ -143,6 +144,17 @@ class FlightRecorder:
         if self.causal_armed:
             self._eid += 1
             self.event_meta.append((self._eid, self._ctx))
+
+    def milestone(self, time: float, pid: int, item: object, phase: str) -> None:
+        """Record ``phase`` for every client request an ordered item carries.
+
+        The one loop over an item's members (one request, or a batch):
+        engines report protocol milestones per *item*, the trace keeps
+        them per *transaction*.  Items that carry no client request
+        (no-ops, protocol markers) record nothing.
+        """
+        for request in member_requests(item):
+            self.phase(time, request.transaction.tx_id, phase, pid)
 
     def submit(self, time: float, tx_id: str, pid: int, cross: bool) -> None:
         """Record a client submit (and classify the tx's lane).

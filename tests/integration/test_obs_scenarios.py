@@ -20,7 +20,10 @@ The recorder's contract has three halves:
 Pattern follows ``test_batching_scenarios.py``'s differential style.
 """
 
+import hashlib
 import sys
+
+import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
 from repro.common.types import ClusterId, FaultModel
@@ -40,6 +43,7 @@ def traced_scenario(
     duration: float = 0.6,
     seed: int = 5,
     faults: FaultSchedule | None = None,
+    checkpoint_interval: int | None = None,
     **overrides,
 ) -> Scenario:
     return Scenario(
@@ -49,6 +53,7 @@ def traced_scenario(
             num_clusters=num_clusters,
             batch_size=batch_size,
             pipeline_depth=pipeline_depth,
+            checkpoint_interval=checkpoint_interval,
             trace=trace,
         ),
         workload=WorkloadConfig(
@@ -258,3 +263,48 @@ class TestMuteCoalitionStallsElection:
                 replica.log.entry_count > 0
                 for replica in result.system.replicas_of(ClusterId(cluster))
             )
+
+
+def trace_fingerprint(report) -> str:
+    """sha256 over what the hooks wrote, in the order they wrote it."""
+    blob = repr((report.events, report.event_meta, report.slot_spans, report.causal))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+#: trace content recorded at commit 890a182, before the engines' hook
+#: sites were folded into ``FlightRecorder.milestone``: scenario kwargs →
+#: (phase events, fingerprint).  Event order inside one dispatch is part
+#: of the pin, so a hook that moves relative to a send or a vote shows.
+TRACE_PINNED = {
+    "crash_batched": (
+        dict(trace=SPANS_ONLY, batch_size=8, pipeline_depth=4, duration=0.2),
+        (19610, "5073710b4e8f4964"),
+    ),
+    "byzantine_cross": (
+        dict(
+            trace=SPANS_ONLY, fault_model=FaultModel.BYZANTINE,
+            cross_shard_fraction=0.5, clients=12, duration=0.15,
+        ),
+        (7180, "4dce75e3e9a68b5a"),
+    ),
+    "crash_primary_ckpt": (
+        dict(
+            trace=SPANS_ONLY, checkpoint_interval=16, duration=0.6, retry_timeout=0.1,
+            faults=FaultSchedule().crash_primary(at=0.1, cluster=0).recover_node(at=0.4, node_id=0),
+        ),
+        (10547, "14b57ce652e3e011"),
+    ),
+}
+
+
+class TestTraceContentIsPinned:
+    """The refactored hook sites write the same trace, event for event."""
+
+    @pytest.mark.parametrize("name", sorted(TRACE_PINNED))
+    def test_trace_reproduces_the_parent_commit(self, name):
+        kwargs, pinned = TRACE_PINNED[name]
+        result = traced_scenario(**kwargs).run()
+        result.raise_if_failed()
+        report = result.trace
+        assert len(report.slot_spans) > 0 and len(report.causal) > 0
+        assert (len(report.events), trace_fingerprint(report)) == pinned

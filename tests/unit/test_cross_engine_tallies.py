@@ -19,13 +19,16 @@ import pytest
 
 from repro.api import DeploymentSpec
 from repro.common.config import ProtocolTuning
+from repro.common.errors import ConsensusError
 from repro.common.types import ClusterId, FaultModel
-from repro.consensus.log import item_digest
+from repro.consensus.log import Noop, item_digest
 from repro.consensus.messages import (
     ClientRequest,
     CrossAccept,
     CrossAcceptB,
+    CrossCommit,
     CrossCommitB,
+    CrossProposeB,
 )
 from repro.core.system import SharPerSystem
 from repro.txn.transaction import Transaction, Transfer
@@ -157,3 +160,62 @@ def test_tally_engines_reproduce_the_parent_commit(fault_model, clusters):
     assert (counters, digest) == PINNED[(fault_model, clusters)]
     report = system.safety_audit()
     assert report.ok, report.problems
+
+
+# ----------------------------------------------------------------------
+# the shared skeleton (reserve → decide → report), same cases per model
+# ----------------------------------------------------------------------
+MODELS = [FaultModel.CRASH, BYZANTINE]
+
+
+def commit_at(system, replica, req, positions):
+    """Hand ``replica`` everything its model needs to decide ``req`` at ``positions``."""
+    digest = item_digest(req)
+    involved = tuple(cluster for cluster, _ in positions)
+    initiator = int(system.config.cluster(involved[0]).primary)
+    if replica.cluster.fault_model is not BYZANTINE:
+        replica.cross.handle(CrossCommit(digest, req, positions, involved[0]), src=initiator)
+        return
+    slot = dict(positions)[involved[0]]
+    replica.cross.handle(CrossProposeB(digest, req, involved, involved[0], slot), src=initiator)
+    for cluster in involved:
+        for node in system.config.cluster(cluster).node_ids:
+            replica.cross.handle(CrossCommitB(digest, cluster, node, positions), src=int(node))
+
+
+@pytest.mark.parametrize("fault_model", MODELS)
+class TestSharedSkeleton:
+    def test_late_commit_onto_a_noop_filled_slot_is_counted_not_raised(self, fault_model):
+        system = build(fault_model, 2)
+        replica = system.replicas[1]  # a backup of cluster 0
+        noop = Noop(reason="view-change fill")
+        replica.log.decide(1, item_digest(noop), noop)
+        req = request(system, 0, (0, 1))
+        commit_at(system, replica, req, ((ClusterId(0), 1), (ClusterId(1), 1)))
+        assert replica.cross.late_commits == 1
+        assert replica.log.entry(1).is_noop
+        assert replica.log.decided_slot_of(item_digest(req)) is None
+
+    def test_conflicting_real_decision_still_raises(self, fault_model):
+        system = build(fault_model, 2)
+        replica = system.replicas[1]
+        first, second = request(system, 0, (0, 1)), request(system, 1, (0, 1))
+        positions = ((ClusterId(0), 1), (ClusterId(1), 1))
+        commit_at(system, replica, first, positions)
+        assert replica.log.decided_slot_of(item_digest(first)) == 1
+        with pytest.raises(ConsensusError, match="fork"):
+            commit_at(system, replica, second, positions)
+        assert replica.cross.late_commits == 0
+
+    def test_wedged_instance_aborts_after_max_conflict_retries(self, fault_model):
+        system = build(fault_model, 2)
+        primaries = [int(system.config.cluster(ClusterId(c)).primary) for c in (0, 1)]
+        cluster1 = [int(n) for n in system.config.cluster(ClusterId(1)).node_ids]
+        system.network.partition([cluster1, [p for p in system.replicas if p not in cluster1]])
+        engine = system.replicas[primaries[0]].cross
+        req = request(system, 0, (0, 1))
+        engine.start(req)
+        system.sim.run(until=1.0)
+        assert (engine.initiated, engine.retries, engine.aborted) == (1, 3, 1)
+        assert (engine.committed, engine.late_commits) == (0, 0)
+        assert system.replicas[primaries[0]].log.decided_slot_of(item_digest(req)) is None

@@ -67,14 +67,6 @@ class TestPaxosNormalCase:
         engines[1].handle(accept, src=2)  # node 2 is not the primary of view 0
         assert hosts[1].log.entry(1) is None
 
-    def test_conflicting_slot_not_voted(self):
-        cluster, hosts, engines = make_paxos_cluster()
-        tx1, tx2 = simple_transfer(1, 2), simple_transfer(3, 4)
-        engines[1].handle(PaxosAccept(view=0, slot=1, digest=item_digest(tx1), item=tx1), src=0)
-        hosts[1].sent.clear()
-        engines[1].handle(PaxosAccept(view=0, slot=1, digest=item_digest(tx2), item=tx2), src=0)
-        assert hosts[1].messages_of_type(PaxosAccepted) == []
-
     def test_pipelining_multiple_slots(self):
         cluster, hosts, engines = make_paxos_cluster()
         txs = [simple_transfer(i, i + 1) for i in range(1, 6)]
@@ -127,3 +119,41 @@ class TestPBFTNormalCase:
         # Only one prepare delivered to node 1: not enough for the commit phase.
         engines[1].handle(Prepare(view=0, slot=1, digest=item_digest(tx), node=2), src=2)
         assert hosts[1].log.decided_slot_of(item_digest(tx)) is None
+
+
+def proposal(model, tx, slot=1):
+    message = PaxosAccept if model == "crash" else PrePrepare
+    return message(view=0, slot=slot, digest=item_digest(tx), item=tx)
+
+
+def make_cluster(model):
+    return make_paxos_cluster() if model == "crash" else make_pbft_cluster()
+
+
+@pytest.mark.parametrize("model", ["crash", "byzantine"])
+class TestPendingConflictMeansNoVote:
+    """Both models route a backup's proposal through ``log.try_record_pending``."""
+
+    votes = {"crash": PaxosAccepted, "byzantine": Prepare}
+
+    def test_conflicting_digest_at_an_occupied_slot_casts_no_vote(self, model):
+        cluster, hosts, engines = make_cluster(model)
+        first, second = simple_transfer(1, 2), simple_transfer(3, 4)
+        engines[1].handle(proposal(model, first), src=0)
+        assert len(hosts[1].messages_of_type(self.votes[model])) == 1
+        hosts[1].sent.clear()
+        engines[1].handle(proposal(model, second), src=0)
+        assert hosts[1].sent == []
+        assert hosts[1].log.entry(1).digest == item_digest(first)
+
+    def test_any_other_failure_inside_the_log_propagates(self, model):
+        """Only ``ConsensusError`` means "conflict"; a bug in the log is not a vote withheld."""
+        cluster, hosts, engines = make_cluster(model)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("log bug")
+
+        hosts[1].log.record_pending = broken
+        with pytest.raises(RuntimeError, match="log bug"):
+            engines[1].handle(proposal(model, simple_transfer()), src=0)
+        assert hosts[1].sent == []

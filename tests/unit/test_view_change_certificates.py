@@ -27,7 +27,7 @@ from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.common.config import ClusterConfig
 from repro.common.crypto import Signature
 from repro.common.types import ClusterId, FaultModel as FM, NodeId
-from repro.consensus.messages import ViewChange
+from repro.consensus.messages import NewViewAnnouncement, ViewChange
 from repro.consensus.view_change import (
     sign_view_change,
     verify_new_view_certificate,
@@ -324,3 +324,12 @@ class TestHonestViewChangesStillComplete:
         assert any(
             r._remote_primaries[ClusterId(0)] == expected for r in updated
         )
+
+    def test_announcement_for_an_unknown_cluster_changes_nothing(self):
+        """``config.cluster`` says "unknown" with ``ConfigurationError`` — the one
+        failure the handler swallows (anything else is a bug and propagates)."""
+        replica = byzantine_scenario("silent-primary").build_system().replicas[0]
+        before = dict(replica._remote_primaries)
+        claim = NewViewAnnouncement(cluster=ClusterId(99), view=1, node=NodeId(4), certificate=())
+        replica._on_new_view_announcement(claim, src=4)
+        assert replica._remote_primaries == before and not replica._remote_views
