@@ -47,6 +47,15 @@ def _touch(store, account_ids) -> None:
         store.deposit(account_id, 1)
 
 
+def _time_min(cell: dict[str, float], key: str, call):
+    """Run ``call``; keep its wall milliseconds in ``cell[key]`` if the lowest so far."""
+    start = time.perf_counter()
+    value = call()
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    cell[key] = min(elapsed_ms, cell.get(key, elapsed_ms))
+    return value
+
+
 def digest_curve(
     account_counts=(10_000, 100_000, 1_000_000),
     writes_per_round: int = 1_000,
@@ -60,47 +69,52 @@ def digest_curve(
     * ``dict_incremental`` / ``columnar_incremental`` — the production
       path: pre-images folded out of / current values folded into the
       additive digest accumulator;
+    * ``clone_first_digest_ms`` — the *first* digest of a columnar clone
+      of an undigested prototype after the same writes (a replica's
+      first checkpoint): the prototype's table scan is shared, so this
+      tracks the incremental series, not the population;
     * ``columnar_naive_sorted`` — full sorted-table recomputation, the
       pre-incremental behaviour, measured as the scaling reference.
     """
+    rounds = max(rounds, 1)
     stores: dict[tuple[str, int], object] = {}
+    clones: dict[int, list] = {}
     for count in account_counts:
         mapper = ShardMapper(num_shards=1, accounts_per_shard=count)
         for backend in ("dict", "columnar"):
             store = make_store(backend, shard=0, mapper=mapper, initial_balance=1000)
             store.state_digest()  # prime the accumulator; start incremental
             stores[(backend, count)] = store
+        # Like a deployment: clones of a prototype nobody digests or writes;
+        # the first one to checkpoint triggers the shard's one table scan.
+        prototype = make_store("columnar", shard=0, mapper=mapper, initial_balance=1000)
+        clones[count] = [prototype.clone() for _ in range(rounds + 1)]
+        clones[count].pop().state_digest()
     results: dict[str, dict[str, float]] = {
         "dict_incremental": {},
         "columnar_incremental": {},
+        "clone_first_digest_ms": {},
         "columnar_naive_sorted": {},
     }
-    for _ in range(max(rounds, 1)):
+    for _ in range(rounds):
         for count in account_counts:
+            key = str(count)
             touched = range(0, count, max(1, count // writes_per_round))
             for backend in ("dict", "columnar"):
                 store = stores[(backend, count)]
                 _touch(store, touched)
-                start = time.perf_counter()
-                store.state_digest()
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                cell = results[f"{backend}_incremental"]
-                key = str(count)
-                if key not in cell or elapsed_ms < cell[key]:
-                    cell[key] = elapsed_ms
+                _time_min(results[f"{backend}_incremental"], key, store.state_digest)
+            clone = clones[count].pop()
+            _touch(clone, touched)
+            _time_min(results["clone_first_digest_ms"], key, clone.state_digest)
+            assert clone.state_digest() == clone.naive_state_digest(), "clone digest diverged"
             store = stores[("columnar", count)]
-            start = time.perf_counter()
-            naive = store.naive_state_digest()
-            elapsed_ms = (time.perf_counter() - start) * 1e3
+            naive = _time_min(results["columnar_naive_sorted"], key, store.naive_state_digest)
             assert naive == store.state_digest(), "incremental digest diverged"
-            cell = results["columnar_naive_sorted"]
-            key = str(count)
-            if key not in cell or elapsed_ms < cell[key]:
-                cell[key] = elapsed_ms
     return {
         "account_counts": list(account_counts),
         "writes_per_round": writes_per_round,
-        "rounds": max(rounds, 1),
+        "rounds": rounds,
         "series_ms": {
             name: {key: round(value, 3) for key, value in cells.items()}
             for name, cells in results.items()
@@ -124,15 +138,9 @@ def longrun(
     into the millions.  ``archive_path`` defaults to a temporary file
     (deleted afterwards).
     """
-    cleanup = archive_path is None
-    if archive_path is None:
-        handle = tempfile.NamedTemporaryFile(
-            prefix="sharper-archive-", suffix=".db", delete=False
-        )
-        handle.close()
-        archive_path = handle.name
-        os.unlink(archive_path)  # SqliteArchive creates it fresh
-    try:
+    with tempfile.TemporaryDirectory(prefix="sharper-archive-") as scratch:
+        if archive_path is None:
+            archive_path = os.path.join(scratch, "archive.db")
         scenario = Scenario(
             deployment=DeploymentSpec(
                 system="sharper",
@@ -154,7 +162,6 @@ def longrun(
         result = scenario.run()
         run_wall = time.perf_counter() - wall_start
         result.raise_if_failed()
-        storage = result.storage
         audit_start = time.perf_counter()
         report = audit_archive(result.system.archive)
         audit_wall = time.perf_counter() - audit_start
@@ -167,14 +174,7 @@ def longrun(
             "committed": result.stats.committed,
             "committed_cross": result.stats.committed_cross,
             "throughput_tps": round(result.throughput, 1),
-            "store_backend": storage.backend,
-            "resident_accounts": storage.resident_accounts,
-            "peak_ledger_blocks": storage.peak_ledger_blocks,
-            "resident_blocks": storage.resident_blocks,
-            "archive_blocks": storage.archive_blocks,
-            "archive_tx_rows": storage.archive_tx_rows,
-            "archive_checkpoints": storage.archive_checkpoints,
-            "archive_bytes": storage.archive_bytes,
+            **result.storage.as_dict(),
             "audit_ok": report.ok,
             "audit_problems": report.problems,
             "audit_checkpoints_verified": report.checkpoints_verified,
@@ -182,13 +182,6 @@ def longrun(
             "run_wall_s": round(run_wall, 2),
             "audit_wall_s": round(audit_wall, 2),
         }
-    finally:
-        if cleanup:
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    os.unlink(archive_path + suffix)
-                except OSError:
-                    pass
 
 
 def run(quick: bool = False, archive_path: str | None = None) -> dict:

@@ -165,22 +165,15 @@ class CheckpointManager(HandlerTable):
         host = self.host
         self.stable = record
         seq = record.seq
-        archive = getattr(host.chain, "archive", None)
+        archive = host.chain.archive
         if archive is not None and record.store_digest:
             archive.record_checkpoint(
-                host.cluster.cluster_id,
-                seq,
-                record.store_digest,
-                getattr(record.anchor, "block_hash", ""),
+                host.cluster.cluster_id, seq, record.store_digest, record.anchor.block_hash
             )
         self.entries_truncated += host.log.truncate(seq)
         self.blocks_pruned += host.chain.prune(seq)
-        compact = getattr(host.intra, "compact_below", None)
-        if compact is not None:
-            compact(seq)
-        cross = getattr(host, "cross", None)
-        if cross is not None and hasattr(cross, "compact_below"):
-            cross.compact_below(seq)
+        host.intra.compact_below(seq)
+        host.cross.compact_below(seq)
         for stale in [recorded for recorded in self._records if recorded <= seq]:
             del self._records[stale]
         self._votes = {

@@ -77,7 +77,6 @@ class StateTransferManager(HandlerTable):
         #: the vote so the honest majority's view goes unadopted.
         self._view_claims: dict[int, int] = {}
         self.requested = 0
-        self.served = 0
         self.completed = 0
         self.installed = 0
         #: responses whose digest failed recomputation (dropped).
@@ -112,7 +111,6 @@ class StateTransferManager(HandlerTable):
     # ------------------------------------------------------------------
     def _on_request(self, message: StateRequest, src: int) -> None:
         host = self.host
-        self.served += 1
         stable = host.checkpoints.stable
         if stable is not None and stable.seq > message.have_seq:
             base = stable.seq

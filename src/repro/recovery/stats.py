@@ -26,17 +26,15 @@ class RecoveryStats:
     #: largest ordering-log entry count any replica ever held — the
     #: number the bounded-memory experiments assert on.
     peak_log_entries: int = 0
-    #: state-transfer rounds requested / requests served / rounds that
-    #: made progress / full snapshots installed.
+    #: state-transfer rounds requested / rounds that made progress /
+    #: full snapshots installed.
     state_transfers_requested: int = 0
-    state_transfers_served: int = 0
     state_transfers_completed: int = 0
     snapshots_installed: int = 0
     #: cross-shard termination rounds and their outcomes.
     terminations_started: int = 0
     terminations_adopted: int = 0
     terminations_noop: int = 0
-    terminations_in_flight: int = 0
     #: safety red flags (should stay 0 with at most f faults per cluster).
     divergent_checkpoints: int = 0
 
@@ -91,12 +89,10 @@ def collect_recovery_stats(system: "BaseSystem") -> RecoveryStats | None:
         stats.peak_log_entries = max(stats.peak_log_entries, process.log.peak_entry_count)
         transfer = process.state_transfer
         stats.state_transfers_requested += transfer.requested
-        stats.state_transfers_served += transfer.served
         stats.state_transfers_completed += transfer.completed
         stats.snapshots_installed += transfer.installed
         terminator = process.terminator
         stats.terminations_started += terminator.started
         stats.terminations_adopted += terminator.adopted
         stats.terminations_noop += terminator.noop_filled
-        stats.terminations_in_flight += terminator.resolved_in_flight
     return stats if found else None

@@ -9,10 +9,11 @@ before discarding them, so the full history stays queryable offline
 while resident memory remains bounded.
 
 :class:`SqliteArchive` is the stdlib-only implementation.  Rows are
-keyed by ``(cluster, position)`` and written with ``INSERT OR IGNORE``:
-every replica of a cluster spills the *same* rows as its own checkpoint
-stabilises (a replica only garbage-collects state its own digest agreed
-with a quorum on), so concurrent spills are idempotent.  Schema:
+keyed by ``(cluster, position)``.  Every replica of a cluster spills the
+*same* rows as its own checkpoint stabilises (a replica only
+garbage-collects state its own digest agreed with a quorum on), so a
+per-cluster high-water mark lets the first replica write a range and its
+peers return before building a row.  Schema:
 
 ``blocks``
     one row per pruned block per involved cluster — stored hash, this
@@ -149,23 +150,38 @@ class SqliteArchive(ArchivalBackend):
         self._conn.execute("PRAGMA synchronous=OFF")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
-        #: rows actually inserted by this connection (OR IGNORE dedup'd).
+        #: block rows actually inserted by this connection (OR IGNORE dedup'd).
         self.blocks_written = 0
-        self.tx_rows_written = 0
-        self.transfer_rows_written = 0
-        self.checkpoint_rows_written = 0
+        #: per cluster: the gap-free archived height and the last checkpoint
+        #: row (seeded from the tables on first use) — what lets the second
+        #: and third replica of a cluster return before building a row.
+        self._spilled: dict[int, int] = {}
+        self._last_checkpoint: dict[int, tuple[int, str, str] | None] = {}
+        #: repeated checkpoints whose digests differed from the recorded row.
+        self.conflicting_checkpoints = int(self._meta("conflicting_checkpoints") or 0)
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
     def archive_blocks(self, cluster_id: int, blocks: "Iterable[Block]") -> int:
         cluster = int(cluster_id)
+        conn = self._conn
+        mark = self._spilled.get(cluster)
+        if mark is None:
+            # A reopened archive resumes from its gap-free prefix only: a
+            # position missing below MAX(position) must stay writable.
+            top, rows = conn.execute(
+                "SELECT MAX(position), COUNT(*) FROM blocks WHERE cluster = ?", (cluster,)
+            ).fetchone()
+            mark = self._spilled[cluster] = top if top == rows else 0
         block_rows = []
         tx_rows = []
         transfer_rows = []
         xlink_rows = []
         for block in blocks:
             position = block.position_for(cluster_id)
+            if position <= mark:
+                continue  # a peer replica of this cluster spilled it
             block_rows.append(
                 (
                     cluster,
@@ -207,43 +223,62 @@ class SqliteArchive(ArchivalBackend):
                             xlink_rows.append(
                                 (int(src), int(dst), pre, post, block.block_hash)
                             )
-        conn = self._conn
+        if not block_rows:
+            return 0
         before = conn.total_changes
         conn.executemany(
             "INSERT OR IGNORE INTO blocks VALUES (?, ?, ?, ?, ?, ?, ?)", block_rows
         )
         added_blocks = conn.total_changes - before
         self.blocks_written += added_blocks
-        before = conn.total_changes
         conn.executemany("INSERT OR IGNORE INTO txs VALUES (?, ?, ?, ?, ?, ?)", tx_rows)
-        self.tx_rows_written += conn.total_changes - before
-        before = conn.total_changes
         conn.executemany(
             "INSERT OR IGNORE INTO transfers VALUES (?, ?, ?, ?, ?, ?, ?)", transfer_rows
         )
-        self.transfer_rows_written += conn.total_changes - before
         conn.executemany(
             "INSERT OR IGNORE INTO xlinks VALUES (?, ?, ?, ?, ?)", xlink_rows
         )
         conn.commit()
+        if [row[1] for row in block_rows] == list(range(mark + 1, mark + 1 + len(block_rows))):
+            self._spilled[cluster] = mark + len(block_rows)  # the archived prefix grew
         return added_blocks
 
     def record_checkpoint(
         self, cluster_id: int, seq: int, store_digest: str, head_hash: str
     ) -> None:
-        before = self._conn.total_changes
+        cluster = int(cluster_id)
+        row = (int(seq), store_digest, head_hash)
+        if cluster not in self._last_checkpoint:
+            self._last_checkpoint[cluster] = self._conn.execute(
+                "SELECT seq, store_digest, head_hash FROM checkpoints"
+                " WHERE cluster = ? ORDER BY seq DESC LIMIT 1",
+                (cluster,),
+            ).fetchone()
+        last = self._last_checkpoint[cluster]
+        if last is not None and last[0] == row[0]:
+            # A peer replica recorded it.  The quorum agreed on one digest:
+            # anything else is divergence INSERT OR IGNORE used to swallow.
+            if last != row:
+                self.conflicting_checkpoints += 1
+                self._set_meta("conflicting_checkpoints", str(self.conflicting_checkpoints))
+            return
         self._conn.execute(
-            "INSERT OR IGNORE INTO checkpoints VALUES (?, ?, ?, ?)",
-            (int(cluster_id), int(seq), store_digest, head_hash),
+            "INSERT OR IGNORE INTO checkpoints VALUES (?, ?, ?, ?)", (cluster, *row)
         )
-        self.checkpoint_rows_written += self._conn.total_changes - before
         self._conn.commit()
+        if last is None or row[0] > last[0]:
+            self._last_checkpoint[cluster] = row
 
     def record_bootstrap(self, meta: dict) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO meta VALUES ('bootstrap', ?)", (json.dumps(meta),)
-        )
+        self._set_meta("bootstrap", json.dumps(meta))
+
+    def _set_meta(self, key: str, value: str) -> None:
+        self._conn.execute("INSERT OR REPLACE INTO meta VALUES (?, ?)", (key, value))
         self._conn.commit()
+
+    def _meta(self, key: str) -> str | None:
+        row = self._conn.execute("SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
+        return row[0] if row else None
 
     # ------------------------------------------------------------------
     # reads
@@ -255,10 +290,8 @@ class SqliteArchive(ArchivalBackend):
 
     def bootstrap_meta(self) -> dict | None:
         """The recorded bootstrap description, or None if absent."""
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'bootstrap'"
-        ).fetchone()
-        return json.loads(row[0]) if row else None
+        value = self._meta("bootstrap")
+        return json.loads(value) if value is not None else None
 
     def clusters(self) -> list[int]:
         """Clusters with at least one archived block, ascending."""
@@ -292,9 +325,11 @@ class SqliteArchive(ArchivalBackend):
         return self._count("checkpoints")
 
     def size_bytes(self) -> int:
-        """On-disk size of the archive (0 for in-memory archives)."""
+        """Size of the archive: its files on disk, or its pages in memory."""
         if self.path == ":memory:":
-            return 0
+            return self._conn.execute(
+                "SELECT page_count * page_size FROM pragma_page_count(), pragma_page_size()"
+            ).fetchone()[0]
         self.flush()
         try:
             size = os.path.getsize(self.path)

@@ -47,15 +47,8 @@ def _recomputed_block_hash(
     tx_digests: list[str], positions: list, proposer: int, is_noop: int
 ) -> str:
     """Recompute a block hash from archived fields (Block's exact encoding)."""
-    if len(tx_digests) == 1:
-        tx_part = tx_digests[0]
-    else:
-        tx_part = ",".join(tx_digests)
-    if len(positions) == 1:
-        cluster, index = positions[0]
-        pos_part = f"{int(cluster)}:{index}"
-    else:
-        pos_part = ",".join(f"{int(cluster)}:{index}" for cluster, index in positions)
+    tx_part = ",".join(tx_digests)
+    pos_part = ",".join(f"{int(cluster)}:{index}" for cluster, index in positions)
     return hashlib.sha256(
         f"B|{tx_part}|{pos_part}|{int(proposer)}|{int(is_noop)}".encode()
     ).hexdigest()
@@ -78,11 +71,9 @@ class ArchiveAuditReport:
     clusters_audited: int = 0
     blocks_verified: int = 0
     txs_replayed: int = 0
-    transfers_replayed: int = 0
     checkpoints_verified: int = 0
     failed_replays: int = 0
     minted_total: int = 0
-    replayed_total: int = 0
 
     @property
     def ok(self) -> bool:
@@ -221,19 +212,15 @@ def _replay_cluster(
         for idx, transfer in enumerate(tx.transfers):
             source_shard = mapper.shard_of(transfer.source)
             destination_shard = mapper.shard_of(transfer.destination)
-            if source_shard == destination_shard:
-                if result.success and source_shard == cluster:
-                    report.transfers_replayed += 1
+            if source_shard == destination_shard or not result.success:
                 continue
             key = (tx.tx_id, idx)
-            if source_shard == cluster and result.success:
-                report.transfers_replayed += 1
+            if source_shard == cluster:
                 if key in in_applied:
                     del in_applied[key]
                 else:
                     out_applied[key] = transfer.amount
-            if destination_shard == cluster and result.success:
-                report.transfers_replayed += 1
+            if destination_shard == cluster:
                 if key in out_applied:
                     del out_applied[key]
                 else:
@@ -284,6 +271,11 @@ def audit_archive(source: "str | os.PathLike | SqliteArchive") -> ArchiveAuditRe
     for cluster in clusters:
         _audit_chain(archive, cluster, report)
     _audit_cross_consistency(archive, report)
+    if archive.conflicting_checkpoints:
+        report.problems.append(
+            f"{archive.conflicting_checkpoints} checkpoint(s) were recorded again with a "
+            "different store digest or head hash (replicas of a cluster diverged)"
+        )
     meta = archive.bootstrap_meta()
     if meta is None:
         if clusters:
@@ -301,12 +293,10 @@ def audit_archive(source: "str | os.PathLike | SqliteArchive") -> ArchiveAuditRe
     )
     out_applied: dict = {}
     in_applied: dict = {}
-    total = 0
-    for shard in range(meta["num_shards"]):
-        total += _replay_cluster(
-            archive, shard, mapper, meta, report, out_applied, in_applied
-        )
-    report.replayed_total = total
+    total = sum(
+        _replay_cluster(archive, shard, mapper, meta, report, out_applied, in_applied)
+        for shard in range(meta["num_shards"])
+    )
     # Cross-shard transfers whose counterpart side is beyond the other
     # cluster's archived height are legitimately one-sided; everything
     # else must reconcile exactly with the minted total.

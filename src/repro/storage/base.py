@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from ..common.errors import ValidationError
@@ -49,6 +50,12 @@ def leaf_hash(account_id: int, owner: int, balance: int) -> int:
         hashlib.sha256(f"{int(account_id)}:{int(owner)}:{balance}".encode()).digest(),
         "big",
     )
+
+
+#: :func:`leaf_hash` behind a bounded memo, for the *incremental* digest
+#: only: the replicas of a cluster fold the same written accounts in, one
+#: after another.  Table scans call :func:`leaf_hash`: they would flush it.
+_memo_leaf_hash = lru_cache(maxsize=4096)(leaf_hash)
 
 
 def resolve_owner(
@@ -101,6 +108,9 @@ class StateStore:
         #: pre-images of accounts written since the last digest:
         #: ``account_id -> (owner, balance) | None`` (None = did not exist).
         self._pending: dict[AccountId, tuple[ClientId, int] | None] = {}
+        #: ``(prototype, its version)`` of a clone taken from a store that
+        #: had no digest yet (:meth:`_finish_clone`); gone after one digest.
+        self._cloned_from: tuple[StateStore, int] | None = None
 
     # ------------------------------------------------------------------
     # primitive interface implemented by backends
@@ -125,7 +135,9 @@ class StateStore:
 
     def snapshot(self) -> "Mapping[AccountId, tuple[ClientId, int]]":
         """Eager copy of the full state (``id -> (owner, balance)``)."""
-        raise NotImplementedError
+        return {
+            account_id: (owner, balance) for account_id, owner, balance in self._entries()
+        }
 
     def restore(self, snapshot: "Mapping[AccountId, tuple[ClientId, int]]") -> None:
         """Replace the store contents with ``snapshot``."""
@@ -185,14 +197,28 @@ class StateStore:
         """Forget the memoised digest (wholesale state replacement)."""
         self._digest_acc = None
         self._pending.clear()
+        self._cloned_from = None
 
-    def _retire_pending(self, pending: dict) -> None:
-        """Hook: a digest flush retired these pre-images (default no-op)."""
+    def _finish_clone(self, copy: "StateStore") -> "StateStore":
+        """Last step of a backend's :meth:`clone`: the digest bookkeeping.
+
+        A digested store hands over its accumulator and pre-images; an
+        undigested one (a bootstrap prototype) is remembered, version-
+        stamped, so its table is scanned once, not once per clone.
+        """
+        copy.version = self.version
+        if self._digest_acc is None:
+            copy._cloned_from = (self, self.version)
+        else:
+            copy._digest_acc = self._digest_acc
+            copy._pending = dict(self._pending)
+        return copy
 
     def state_digest(self) -> str:
         """Deterministic digest of the full balance table.
 
-        Incremental: the first call scans the table once; every later
+        Incremental: the first call scans the table once — or, on a
+        :meth:`clone`, takes the scan its prototype did — and every later
         call folds in only the accounts written since the previous call,
         so a checkpoint costs ``O(changed)`` regardless of table size.
         Order-independent by construction, so every replica that applied
@@ -202,21 +228,26 @@ class StateStore:
         (:func:`repro.recovery.checkpoint_digest`).
         """
         acc = self._digest_acc
+        link, self._cloned_from = self._cloned_from, None
+        if link is not None and link[0].version == link[1]:
+            # Unwritten since the copy: the prototype digests itself once,
+            # for whichever clone asks first; this one folds in its writes.
+            link[0].state_digest()
+            acc = link[0]._digest_acc
         if acc is None:
             acc = 0
             for account_id, owner, balance in self._entries():
-                acc = (acc + leaf_hash(account_id, owner, balance)) & DIGEST_MASK
+                acc += leaf_hash(account_id, owner, balance)
         else:
+            leaf = _memo_leaf_hash
             for account_id, before in self._pending.items():
                 if before is not None:
-                    acc -= leaf_hash(account_id, before[0], before[1])
+                    acc -= leaf(account_id, before[0], before[1])
                 owner, balance = self._entry(account_id)
-                acc += leaf_hash(account_id, owner, balance)
-            acc &= DIGEST_MASK
+                acc += leaf(account_id, owner, balance)
+        acc &= DIGEST_MASK
         self._digest_acc = acc
-        if self._pending:
-            self._retire_pending(self._pending)
-            self._pending = {}
+        self._pending.clear()
         return format(acc, "064x")
 
     def naive_state_digest(self) -> str:

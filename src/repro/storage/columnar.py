@@ -135,9 +135,6 @@ class ArrayAccountStore(StateStore):
             return None
         return index
 
-    def _id_at(self, slot: int) -> AccountId:
-        return AccountId(self._first + slot * self._stride)
-
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
@@ -213,10 +210,7 @@ class ArrayAccountStore(StateStore):
         }
         copy._count = self._count
         copy._total = self._total
-        copy._digest_acc = self._digest_acc
-        copy._pending = dict(self._pending)
-        copy.version = self.version
-        return copy
+        return self._finish_clone(copy)
 
     # ------------------------------------------------------------------
     # reads
@@ -231,17 +225,8 @@ class ArrayAccountStore(StateStore):
         return self._count
 
     def __iter__(self) -> Iterator[Account]:
-        present = self._present
-        balances = self._balances
-        owners = self._owners
-        for slot in range(self._capacity):
-            if present[slot]:
-                yield Account(
-                    account_id=self._id_at(slot),
-                    owner=ClientId(owners[slot]),
-                    balance=balances[slot],
-                )
-        yield from self._extra.values()
+        for account_id, owner, balance in self._entries():
+            yield Account(account_id=account_id, owner=owner, balance=balance)
 
     def account(self, account_id: AccountId) -> Account:
         """Materialise the account record (a fresh object per call).
@@ -286,9 +271,10 @@ class ArrayAccountStore(StateStore):
         present = self._present
         balances = self._balances
         owners = self._owners
+        first, stride = self._first, self._stride
         for slot in range(self._capacity):
             if present[slot]:
-                yield (self._id_at(slot), ClientId(owners[slot]), balances[slot])
+                yield (AccountId(first + slot * stride), ClientId(owners[slot]), balances[slot])
         for account_id, account in self._extra.items():
             yield (account_id, account.owner, account.balance)
 
@@ -355,13 +341,6 @@ class ArrayAccountStore(StateStore):
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict[AccountId, tuple[ClientId, int]]:
-        """Eager copy of the full state (``id -> (owner, balance)``)."""
-        return {
-            account_id: (owner, balance)
-            for account_id, owner, balance in self._entries()
-        }
-
     def checkpoint_snapshot(self, seq: int) -> ColumnarSnapshot:
         """Open a new undo epoch and return a lazy snapshot at ``seq``.
 
@@ -377,10 +356,7 @@ class ArrayAccountStore(StateStore):
             snap.seq for snap in self._snapshots if not snap.materialized
         ]
         floor = min(live) if live else seq
-        if self._frames:
-            self._frames = [
-                frame for frame in self._frames if frame[0] >= floor
-            ]
+        self._frames = [frame for frame in self._frames if frame[0] >= floor]
         self._epoch_undo = {}
         self._epoch_seq = seq
         snapshot = ColumnarSnapshot(self, seq)

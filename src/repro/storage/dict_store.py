@@ -48,6 +48,7 @@ class AccountStore(StateStore):
         account = Account(account_id=account_id, owner=owner, balance=balance)
         self._note_write(account_id, None)
         self._accounts[account_id] = account
+        self.version += 1
         return account
 
     @classmethod
@@ -76,10 +77,7 @@ class AccountStore(StateStore):
             )
             for account_id, account in self._accounts.items()
         }
-        copy._digest_acc = self._digest_acc
-        copy._pending = dict(self._pending)
-        copy.version = self.version
-        return copy
+        return self._finish_clone(copy)
 
     # ------------------------------------------------------------------
     # reads

@@ -109,16 +109,12 @@ class HistoryQuery:
 
     def block_at(self, cluster: int, position: int) -> ArchivedBlock:
         """The archived block at ``position`` of ``cluster``'s chain."""
-        row = self._conn.execute(
-            "SELECT cluster, position, block_hash, parent_hash, proposer, is_noop, positions"
-            " FROM blocks WHERE cluster = ? AND position = ?",
-            (int(cluster), int(position)),
-        ).fetchone()
-        if row is None:
+        blocks = self.blocks_in_range(cluster, position, position)
+        if not blocks:
             raise UnknownBlockError(
                 f"archive holds no block at position {position} of cluster {cluster}"
             )
-        return self._block_from_row(row, self._tx_ids_at(int(cluster), int(position)))
+        return blocks[0]
 
     def blocks_in_range(self, cluster: int, lo: int, hi: int) -> list[ArchivedBlock]:
         """Archived blocks of ``cluster`` with ``lo <= position <= hi``."""
@@ -233,10 +229,8 @@ class HistoryQuery:
         common 2-cluster case), then a recursive CTE for multi-hop paths
         through intermediate clusters.
         """
-        (c, p), (d, q) = (int(ancestor[0]), int(ancestor[1])), (
-            int(descendant[0]),
-            int(descendant[1]),
-        )
+        c, p = map(int, ancestor)
+        d, q = map(int, descendant)
         if c == d:
             return p < q
         # A cross-shard block occupies a position in several chains; the

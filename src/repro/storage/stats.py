@@ -38,7 +38,7 @@ class StorageStats:
     archive_tx_rows: int = 0
     #: checkpoint digests recorded for offline audit.
     archive_checkpoints: int = 0
-    #: on-disk archive size (0 for in-memory archives).
+    #: archive size: files on disk, or resident pages of a ``:memory:`` archive.
     archive_bytes: int = 0
 
     def as_dict(self) -> dict[str, Any]:

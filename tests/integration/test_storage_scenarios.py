@@ -13,6 +13,8 @@ Integration acceptance for the storage subsystem:
   can no longer answer after pruning.
 """
 
+import hashlib
+
 import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
@@ -202,3 +204,101 @@ class TestHistoryOverArchivedRun:
         if pre > 1:
             assert history.is_ancestor((src, 1), (dst, post))
         assert not history.is_ancestor((src, pre), (dst, post))  # same block
+
+
+def failover_scenario() -> Scenario:
+    """``perf/workloads.py``'s ``failover_ckpt`` shape, scaled down (~1 s of wall)."""
+    return Scenario(
+        deployment=DeploymentSpec(
+            system="sharper",
+            fault_model=FaultModel.CRASH,
+            num_clusters=4,
+            f=1,
+            checkpoint_interval=64,
+            store_backend="columnar",
+            archive=":memory:",
+        ),
+        workload=WorkloadConfig(cross_shard_fraction=0.1, accounts_per_shard=2048),
+        clients=32,
+        duration=1.2,
+        warmup=0.06,
+        seed=1,
+        retry_timeout=0.5,
+        faults=FaultSchedule().crash_primary(at=0.2, cluster=0).recover_node(at=0.9, node_id=0),
+    )
+
+
+def _sha(rows) -> str:
+    return hashlib.sha256(repr(list(rows)).encode()).hexdigest()[:16]
+
+
+def failover_pins(result) -> dict:
+    system = result.system
+    conn = system.archive.connection
+    tables = ("blocks", "txs", "transfers", "xlinks", "checkpoints")
+    stable = [
+        (pid, replica.checkpoints.stable.seq, replica.checkpoints.stable.digest,
+         replica.checkpoints.stable.store_digest)
+        for pid, replica in sorted(system.replicas.items())
+    ]
+    return {
+        "stable_seqs": [seq for _, seq, _, _ in stable],
+        "stable_digests": _sha(stable),
+        "store_digests": _sha(
+            replica.store.state_digest() for _, replica in sorted(system.replicas.items())
+        ),
+        "row_counts": {
+            table: conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] for table in tables
+        },
+        "row_hashes": {
+            table: _sha(conn.execute(f"SELECT * FROM {table} ORDER BY 1, 2, 3")) for table in tables
+        },
+        "events": system.sim.processed_events,
+        "messages": system.network.messages_sent,
+        "committed": result.stats.committed,
+        "checkpoints_stable": result.recovery.checkpoints_stable,
+        "entries_truncated": result.recovery.entries_truncated,
+    }
+
+
+#: ``failover_pins(failover_scenario().run())`` recorded at 829c2e3, when
+#: every replica scanned its own genesis table, hashed its own leaves and
+#: spilled its own copy of each pruned block.
+FAILOVER_PINNED = {
+    "stable_seqs": [960, 960, 960, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024],
+    "stable_digests": "28e63d6151652b54",
+    "store_digests": "0a1ead1c4a974316",
+    "row_counts": {"blocks": 4028, "txs": 4022, "transfers": 4022, "xlinks": 700, "checkpoints": 63},
+    "row_hashes": {
+        "blocks": "88e66747f650c423",
+        "txs": "8880eb512abf8a7c",
+        "transfers": "1871973b1b78bf57",
+        "xlinks": "d3dabe12cdd71bc5",
+        "checkpoints": "c52b9ba39ec343be",
+    },
+    "events": 71981,
+    "messages": 35411,
+    "committed": 3035,
+    "checkpoints_stable": 189,
+    "entries_truncated": 12096,
+}
+
+
+class TestCheckpointOncePerCluster:
+    def test_digests_archive_rows_and_event_counts_are_those_of_the_per_replica_path(self):
+        result = failover_scenario().run()
+        result.raise_if_failed()
+        assert failover_pins(result) == FAILOVER_PINNED
+        assert result.recovery.state_transfers_completed == 1
+        archive = result.system.archive
+        # Each row was written once, by whichever replica pruned first.
+        assert archive.blocks_written == FAILOVER_PINNED["row_counts"]["blocks"]
+        assert archive.conflicting_checkpoints == 0
+        report = audit_archive(archive)
+        assert report.ok, report.problems
+        assert report.blocks_verified == FAILOVER_PINNED["row_counts"]["blocks"]
+        # An in-memory archive has a size too.
+        assert result.storage.archive_bytes > 0
+        assert result.storage.as_dict()["archive_bytes"] == result.storage.archive_bytes
+        assert " 0 bytes" not in result.storage.summary()
+        archive.close()

@@ -6,6 +6,8 @@ derives them — so the offline auditor's recomputation genuinely checks
 the same encodings the system uses.
 """
 
+import os
+
 import pytest
 
 from repro.common.crypto import GENESIS_HASH, chain_hash
@@ -91,7 +93,19 @@ class TestSqliteArchive:
         assert archive.archived_height(1) == 2
         assert archive.archived_height(7) == 0
         assert archive.checkpoints_archived() == 1
-        assert archive.size_bytes() == 0  # in-memory
+
+    def test_in_memory_archive_reports_its_page_footprint(self):
+        archive, _ = _archived()
+        conn = archive.connection
+        pages = conn.execute("PRAGMA page_count").fetchone()[0]
+        page_size = conn.execute("PRAGMA page_size").fetchone()[0]
+        assert archive.size_bytes() == pages * page_size > 0
+
+    def test_on_disk_archive_reports_its_files(self, tmp_path):
+        disk = SqliteArchive(str(tmp_path / "archive.db"))
+        disk.archive_blocks(0, [_build_history()["b1"]])
+        assert disk.size_bytes() >= os.path.getsize(tmp_path / "archive.db") > 0
+        disk.close()
 
     def test_respill_is_idempotent(self):
         archive, blocks = _archived(record_checkpoint=False)
@@ -101,6 +115,77 @@ class TestSqliteArchive:
         assert archive.blocks_written == written
         assert archive.blocks_archived() == 5
         assert archive.tx_rows_archived() == 5
+
+    def test_three_replicas_spilling_one_range_write_each_row_once(self):
+        archive = SqliteArchive(":memory:")
+        blocks = _build_history()
+        spill = [blocks["b1"], blocks["cross"], blocks["b3"]]
+        assert archive.archive_blocks(0, spill) == 3
+        changes = archive.connection.total_changes
+        for _replica in range(2):
+            assert archive.archive_blocks(0, iter(spill)) == 0
+            archive.record_checkpoint(0, 3, "digest", blocks["b3"].block_hash)
+        # One checkpoint row from the first of the two calls; no block,
+        # tx, transfer or xlink statement ran for the repeated range.
+        assert archive.connection.total_changes == changes + 1
+        assert archive.checkpoints_archived() == 1
+        assert archive.blocks_written == 3
+        assert archive.conflicting_checkpoints == 0
+        # The mark is per cluster: cluster 1's copy of the cross block is new.
+        assert archive.archive_blocks(1, [blocks["cross"], blocks["b4"]]) == 2
+
+    def test_lagging_replica_and_overlapping_ranges(self):
+        archive = SqliteArchive(":memory:")
+        blocks = _build_history()
+        assert archive.archive_blocks(0, [blocks["b1"], blocks["cross"]]) == 2
+        assert archive.archive_blocks(0, [blocks["b1"]]) == 0  # a replica far behind
+        # Overlap: only the part above the mark is built and written.
+        assert archive.archive_blocks(0, [blocks["cross"], blocks["b3"]]) == 1
+        assert archive.archive_blocks(0, [blocks["b3"]]) == 0
+        assert archive.blocks_archived() == archive.blocks_written == 3
+        assert archive.archived_height(0) == 3
+
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_out_of_order_spill_does_not_hide_the_gap_below_it(self, tmp_path, reopen):
+        path = str(tmp_path / "archive.db")
+        archive = SqliteArchive(path)
+        blocks = _build_history()
+        assert archive.archive_blocks(0, [blocks["b3"]]) == 1  # not a prefix: mark stays 0
+        if reopen:  # the mark is seeded from the gap-free prefix, not MAX(position)
+            archive.close()
+            archive = SqliteArchive(path)
+        assert archive.archive_blocks(0, [blocks["b1"], blocks["cross"]]) == 2
+        assert archive.archive_blocks(0, [blocks["b1"], blocks["cross"], blocks["b3"]]) == 0
+        assert audit_archive(archive).blocks_verified == 3
+
+    def test_reopened_archive_resumes_at_its_height(self, tmp_path):
+        path = str(tmp_path / "archive.db")
+        blocks = _build_history()
+        first = SqliteArchive(path)
+        first.archive_blocks(0, [blocks["b1"], blocks["cross"]])
+        first.record_checkpoint(0, 2, "digest-2", blocks["cross"].block_hash)
+        first.close()
+        reopened = SqliteArchive(path)
+        changes = reopened.connection.total_changes
+        assert reopened.archive_blocks(0, [blocks["b1"], blocks["cross"]]) == 0
+        reopened.record_checkpoint(0, 2, "digest-2", blocks["cross"].block_hash)
+        assert reopened.connection.total_changes == changes
+        assert reopened.archive_blocks(0, [blocks["cross"], blocks["b3"]]) == 1
+        assert reopened.blocks_archived() == 3
+        reopened.record_checkpoint(0, 2, "forged", blocks["cross"].block_hash)
+        assert reopened.conflicting_checkpoints == 1
+        reopened.close()
+        # The count is part of the archive, so an offline audit sees it.
+        assert SqliteArchive(path).conflicting_checkpoints == 1
+        assert not audit_archive(path).ok
+
+    def test_older_checkpoint_of_a_lagging_replica_is_still_recorded(self):
+        archive = SqliteArchive(":memory:")
+        archive.record_checkpoint(0, 128, "d128", "h128")
+        archive.record_checkpoint(0, 64, "d64", "h64")  # nobody recorded 64 before
+        archive.record_checkpoint(0, 128, "d128", "h128")
+        assert archive.checkpoints_archived() == 2
+        assert archive.conflicting_checkpoints == 0
 
     def test_bootstrap_meta_roundtrip(self):
         archive, _ = _archived()
@@ -232,6 +317,22 @@ class TestAuditArchive:
         assert report.failed_replays == 0
         report.raise_if_failed()
         assert "2 clusters" in report.summary()
+
+    def test_forged_second_spill_of_a_checkpoint_is_a_problem(self):
+        """A skipped spill must not hide what INSERT OR IGNORE used to swallow."""
+        archive, blocks = _archived()
+        recorded = archive.connection.execute(
+            "SELECT store_digest, head_hash FROM checkpoints WHERE cluster = 0 AND seq = 3"
+        ).fetchone()
+        archive.record_checkpoint(0, 3, *recorded)  # an honest peer: same row
+        assert archive.conflicting_checkpoints == 0 and audit_archive(archive).ok
+        archive.record_checkpoint(0, 3, "0" * 64, recorded[1])  # diverged store
+        archive.record_checkpoint(0, 3, recorded[0], blocks["b1"].block_hash)  # diverged chain
+        assert archive.conflicting_checkpoints == 2
+        assert archive.checkpoints_archived() == 1  # the quorum's row is kept
+        report = audit_archive(archive)
+        assert not report.ok
+        assert any("2 checkpoint(s)" in problem for problem in report.problems)
 
     def test_empty_archive_passes(self):
         assert audit_archive(SqliteArchive(":memory:")).ok
