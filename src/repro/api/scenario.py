@@ -73,9 +73,9 @@ class DeploymentSpec:
     checkpoint_interval: int | None = None
     #: convenience overrides for the batching knobs: when set, they
     #: replace ``tuning.batch_size`` (requests ordered per consensus
-    #: slot; 1 disables batching — bit-identical to the unbatched
-    #: seeds) and ``tuning.pipeline_depth`` (in-flight batched slots
-    #: per primary; binds only when batching is armed).
+    #: slot; 1 is the paper's one-transaction blocks, through the same
+    #: submission path) and ``tuning.pipeline_depth`` (in-flight slots
+    #: per primary; binds only when ``batch_size > 1``).
     batch_size: int | None = None
     pipeline_depth: int | None = None
     #: replica state-store backend: "dict" (default) or "columnar"

@@ -154,17 +154,12 @@ class AHLReplica(SharPerReplica):
                 self.send(self.rc_primary_pid, vote)
             return
         if isinstance(item, CommitMarker):
-            transaction = item.request.transaction
+            request = item.request
             self.charge(self.cost_model.execution_cost)
-            result = self.executor.execute(transaction)
-            if not result.success:
-                self.failed_executions += 1
-            block = Block.create(transaction, positions, proposer=proposer, parents=parents)
-            self.chain.append(block)
-            self.committed_count += 1
+            ((_, success),) = self._commit(request, (request,), positions, proposer, parents)
             self.committed_cross_count += 1
             if self._should_reply_cross():
-                self._send_reply(item.request, success=result.success, cross_shard=True)
+                self._send_reply(request, success=success, cross_shard=True)
             return
         super().on_marker_applied(entry, positions, parents, proposer)
 
@@ -396,7 +391,3 @@ class AHLSystem(BaseSystem):
             best = max(replicas, key=lambda replica: replica.chain.height)
             stores.append(best.store)
         return stores
-
-    def reference_committee_primary(self) -> ReferenceCommitteeReplica:
-        """The RC coordinator replica."""
-        return self.committee_replicas[int(self.committee.primary)]

@@ -195,16 +195,10 @@ class SingleGroupReplica(ReplicaHost):
         self.charge(self.cost_model.append_cost)
         item = entry.item
         if isinstance(item, ClientRequest):
-            transaction = item.transaction
             self.charge(self.cost_model.execution_cost)
-            result = self.executor.execute(transaction)
-            if not result.success:
-                self.failed_executions += 1
-            block = Block.create(transaction, positions, proposer=self.cluster_id, parents=parents)
-            self.chain.append(block)
-            self.committed_count += 1
+            ((_, success),) = self._commit(item, (item,), positions, self.cluster_id, parents)
             if self._should_reply():
-                self._send_reply(item, success=result.success)
+                self._send_reply(item, success=success)
             if self.intra.is_primary and self.passive_nodes:
                 update = PassiveUpdate(slot=entry.slot, digest=entry.digest, item=item)
                 self.multicast(list(self.passive_nodes), update)

@@ -130,13 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
     batching.add_argument(
         "--batch-size", type=int, default=1, metavar="B",
         help="scenario: client requests ordered per consensus slot "
-        "(default 1 — batching disabled, bit-identical to the unbatched "
-        "protocol; B > 1 arms the primary-side batching pipeline)",
+        "(default 1 — the paper's one-transaction blocks; B > 1 lets the "
+        "primary's pipeline seal up to B queued requests into one slot)",
     )
     batching.add_argument(
         "--pipeline-depth", type=int, default=32, metavar="D",
-        help="scenario: batched slots a primary keeps in flight before "
-        "queuing (default 32; enforced only when --batch-size > 1)",
+        help="scenario: slots a primary keeps in flight before queuing "
+        "(default 32; binds only when --batch-size > 1 — at 1 the window "
+        "is unbounded and every request is proposed on arrival)",
     )
 
     recovery = parser.add_argument_group("recovery (repro.recovery)")

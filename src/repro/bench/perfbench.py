@@ -180,8 +180,8 @@ def batching_benchmark(
     reference machine) hits all configurations alike, and the minimum
     per configuration is reported.
 
-    ``batch_size=1`` disables the pipeline entirely (the bit-identical
-    legacy path), so pipeline depth is meaningless there and only the
+    At ``batch_size=1`` the pipeline's window is unbounded (chunks of
+    one never queue), so pipeline depth is inert there and only the
     first depth is run — it serves as the in-run baseline that
     ``speedup_vs_unbatched`` is computed against per cluster count.
     """

@@ -90,16 +90,17 @@ class ProtocolTuning:
     conflict_retry_delay: float = 50e-3
     #: maximum number of retries before a cross-shard tx is aborted.
     max_conflict_retries: int = 20
-    #: maximum batched consensus instances a primary keeps in flight
-    #: before further requests queue at the batcher.  Enforced only when
-    #: batching is armed (``batch_size > 1``); with batching off,
-    #: proposals are never queued — the pre-batching behaviour, where a
-    #: primary proposes every request the moment it arrives.
+    #: maximum consensus instances a primary keeps in flight before
+    #: further requests queue at its pipeline.  Binds only when
+    #: ``batch_size > 1``: a chunk of one can never fill, so at
+    #: ``batch_size == 1`` the window is unbounded and a primary
+    #: proposes every request the moment it arrives (the rule lives in
+    #: :attr:`repro.consensus.batching.BatchPipeline.window`).
     pipeline_depth: int = 32
     #: client requests ordered per consensus slot (one signature, one
     #: quorum entry, one block per batch).  ``1`` — the default, and
-    #: what the paper argues for — disables the batching pipeline
-    #: entirely and is bit-identical to the unbatched seeds.
+    #: what the paper argues for — is the same submission path with
+    #: chunks of one: the paper's one-transaction blocks, bit for bit.
     batch_size: int = 1
     #: whether the super-primary optimisation (Section 3.2) is enabled.
     use_super_primary: bool = True

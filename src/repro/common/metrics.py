@@ -200,10 +200,6 @@ class MetricsCollector:
             )
         )
 
-    def record_abort(self) -> None:
-        """Record a transaction that was aborted (conflict retry budget)."""
-        self.aborted += 1
-
     def _steady_state(self) -> list[LatencySample]:
         return [
             sample

@@ -79,15 +79,6 @@ class TxType(enum.Enum):
     CROSS_SHARD = "cross"
 
 
-class TxStatus(enum.Enum):
-    """Lifecycle of a transaction as observed by the client/system."""
-
-    PENDING = "pending"
-    ORDERED = "ordered"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
-
-
 @dataclass(frozen=True, order=True)
 class SequenceNumber:
     """Position of a block within a single cluster's view of the ledger.

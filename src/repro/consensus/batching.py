@@ -12,20 +12,27 @@ overhead, not by execution.  :class:`BatchPipeline` amortises it:
   single :class:`~repro.consensus.messages.RequestBatch`, which flows
   through the unmodified intra-/cross-shard engines as one ordered item.
   A chunk of one proposes the bare request unwrapped, so lightly loaded
-  clusters produce exactly the slots, digests, and blocks they produce
-  today.
+  clusters produce exactly the slots, digests, and blocks of the
+  unbatched protocol.
 * **Pipelining** — up to ``ProtocolTuning.pipeline_depth`` batched slots
   may be in flight (proposed, not yet applied) concurrently; slot *k+1*
   gathers votes while *k* is still open, and the
   :class:`~repro.consensus.log.OrderingLog` applies strictly in slot
   order behind the window.
 
-The pipeline is **armed only when** ``batch_size > 1``.  At the default
-``batch_size = 1`` the replica never constructs one and every request
-takes the pre-batching code path bit for bit — which is also why the
-window is not enforced there: the legacy behaviour *is* an unbounded
-pipeline of single-request slots, and retrofitting a binding window
-would change every seed.
+Every replica owns a pipeline and every client request enters through
+it, whatever the batch size: there is one submission path.  At the
+default ``batch_size = 1`` it degenerates to the paper's protocol — each
+request is proposed bare the moment it reaches the primary — because a
+chunk of one can never fill and the window is therefore unbounded there
+(:attr:`BatchPipeline.window`, the one place that rule is stated;
+``pipeline_depth`` binds only when ``batch_size > 1``).
+
+Client retries are absorbed by one rule (:meth:`BatchPipeline._admit`):
+a retry of a member that is queued, or rides an in-flight intra-shard
+slot, proposes nothing — the queue or the ordering log already carries
+it; a retry of a member riding an in-flight *cross-shard* item re-drives
+that item through the cross-shard engine, for every batch size.
 
 Window semantics at a view change (see also ``docs/consensus.md``): the
 batcher's window and member index are replica-local bookkeeping, not
@@ -36,8 +43,9 @@ them through the ordinary view-change path.  On view installation the
 host resets its batcher (:meth:`BatchPipeline.on_view_installed`): the
 window reopens, queued-but-unproposed requests are forwarded to the new
 primary (or re-pumped, if this replica is the new primary), and the
-member index is cleared — a member that ends up ordered twice across the
-hand-off is skipped at apply time by the ledger's transaction index.
+members of both leave the dedup index — a member that ends up ordered
+twice across the hand-off is skipped at apply time by the ledger's
+transaction index.
 
 Causal tracing (``repro.obs.causal``): the ``seal`` phase a batch member
 records is a leaf of the commit DAG — it annotates the member, it does
@@ -53,6 +61,7 @@ that decides the batch slot is the quorum recorded for every member.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING
 
 from ..common.types import ClusterId
@@ -113,11 +122,11 @@ def screen_members(guard, item: object) -> int:
 class BatchPipeline:
     """Accumulates client requests into batched, pipelined proposals.
 
-    One instance per replica (constructed only when batching is armed);
-    only the cluster primary ever holds queued state.  Intra-shard
-    requests share one queue; cross-shard requests are queued per
-    involved-cluster set so every batch spans exactly one set and flows
-    through the cross-shard engines with a single position vector.
+    One instance per replica; only the cluster primary ever holds queued
+    state.  Intra-shard requests share one queue; cross-shard requests
+    are queued per involved-cluster set so every batch spans exactly one
+    set and flows through the cross-shard engines with a single position
+    vector.
     """
 
     def __init__(self, host: "SharPerReplica") -> None:
@@ -125,15 +134,24 @@ class BatchPipeline:
         tuning = host.tuning
         self.batch_size: int = max(1, tuning.batch_size)
         self.pipeline_depth: int = max(1, tuning.pipeline_depth)
+        #: slots that may be in flight at once, per kind (intra / cross).
+        #: A chunk of ``batch_size == 1`` can never fill, so queueing
+        #: behind a window would only delay it: there the window is
+        #: unbounded and every request is proposed as it arrives.
+        self.window: float = self.pipeline_depth if self.batch_size > 1 else inf
         self._intra_queue: list[ClientRequest] = []
         self._cross_queues: dict[tuple[ClusterId, ...], list[ClientRequest]] = {}
-        #: digests of member requests currently queued or in flight —
-        #: the dedup index that keeps client retries from re-entering
-        #: the pipeline while their original is still being ordered.
-        self._members: set[str] = set()
-        #: proposed-item digest → (involved set or None for intra,
-        #: member digests) for window accounting and member release.
-        self._in_flight: dict[str, tuple[tuple[ClusterId, ...] | None, tuple[str, ...]]] = {}
+        #: requests waiting in the queues above.
+        self.queued = 0
+        #: digest of every member request queued or in flight — the dedup
+        #: index that keeps client retries from being ordered twice —
+        #: mapped to the in-flight cross-shard item the member rides
+        #: (``None`` while it is queued or rides an intra-shard slot).
+        self._members: dict[str, object | None] = {}
+        #: proposed-item digest → (involved set or None for intra, members).
+        self._in_flight: dict[
+            str, tuple[tuple[ClusterId, ...] | None, tuple[ClientRequest, ...]]
+        ] = {}
         self._intra_in_flight = 0
         self._cross_in_flight = 0
         # observability
@@ -144,6 +162,11 @@ class BatchPipeline:
         self.peak_queue = 0
         self.view_resets = 0
 
+    @property
+    def in_flight(self) -> int:
+        """Slots proposed here and not yet applied (the used window)."""
+        return self._intra_in_flight + self._cross_in_flight
+
     # ------------------------------------------------------------------
     # intake (primary only; callers route/forward before reaching here)
     # ------------------------------------------------------------------
@@ -153,86 +176,90 @@ class BatchPipeline:
 
     def submit_intra(self, request: ClientRequest) -> None:
         """Queue an intra-shard request and propose as the window allows."""
-        if not self._admit(request):
-            return
-        self._intra_queue.append(request)
-        self._note_queue_depth()
-        self._pump_intra()
+        if self._admit(request):
+            self._intra_queue.append(request)
+            self._pump_intra()
 
     def submit_cross(
         self, request: ClientRequest, involved: tuple[ClusterId, ...]
     ) -> None:
         """Queue a cross-shard request on its involved-set lane."""
-        if not self._admit(request):
-            return
-        self._cross_queues.setdefault(involved, []).append(request)
-        self._note_queue_depth()
-        self._pump_cross(involved)
+        if self._admit(request):
+            self._cross_queues.setdefault(involved, []).append(request)
+            self._pump_cross(involved)
 
     def _admit(self, request: ClientRequest) -> bool:
-        digest = item_digest(request)
-        if digest in self._members:
-            # Retry of a request already queued or riding an in-flight
-            # batch: proposing it again would order (and commit) the
-            # transaction twice.
-            return False
-        self._members.add(digest)
-        return True
+        """Index a new request; absorb a retry of one already queued or in flight.
 
-    def _note_queue_depth(self) -> None:
-        depth = len(self._intra_queue) + sum(
-            len(queue) for queue in self._cross_queues.values()
-        )
-        if depth > self.peak_queue:
-            self.peak_queue = depth
+        Proposing a retry again would order (and commit) the transaction
+        twice.  A queued member needs nothing more, nor does a member of
+        an intra-shard slot — the ordering log carries the slot through
+        any view change.  A cross-shard instance lives on its initiator's
+        retry timer instead, so the client's retry re-drives the item the
+        member rides (re-propose, re-arm), as the engine's own timer
+        would.
+        """
+        digest = item_digest(request)
+        members = self._members
+        if digest in members:
+            riding = members[digest]
+            if riding is not None:
+                self.host.cross.start(riding)
+            return False
+        members[digest] = None
+        self.queued += 1
+        if self.queued > self.peak_queue:
+            self.peak_queue = self.queued
+        return True
 
     # ------------------------------------------------------------------
     # proposing
     # ------------------------------------------------------------------
-    def _wrap(self, chunk: list[ClientRequest]) -> object:
+    def _seal(
+        self, queue: list[ClientRequest], involved: tuple[ClusterId, ...] | None
+    ) -> object:
+        """Take the next chunk off ``queue`` and register it in flight."""
+        chunk = tuple(queue[: self.batch_size])
+        del queue[: self.batch_size]
+        self.queued -= len(chunk)
         if len(chunk) == 1:
-            # A queue of one proposes the bare request unwrapped: same
-            # digest, same dedup behaviour, same block as the unbatched
-            # path — batching only changes the wire format under load.
+            # A chunk of one proposes the bare request unwrapped: batching
+            # only changes the wire format under load.
             self.singletons_proposed += 1
-            return chunk[0]
-        self.batches_proposed += 1
-        self.batched_requests += len(chunk)
-        if len(chunk) > self.max_batch:
-            self.max_batch = len(chunk)
-        batch = RequestBatch(requests=tuple(chunk))
-        recorder = self.host.recorder
-        if recorder is not None:
-            recorder.milestone(self.host.now, int(self.host.node_id), batch, "seal")
-        return batch
+            item = chunk[0]
+        else:
+            self.batches_proposed += 1
+            self.batched_requests += len(chunk)
+            if len(chunk) > self.max_batch:
+                self.max_batch = len(chunk)
+            item = RequestBatch(requests=chunk)
+            recorder = self.host.recorder
+            if recorder is not None:
+                recorder.milestone(self.host.now, int(self.host.node_id), item, "seal")
+        self._in_flight[item_digest(item)] = (involved, chunk)
+        if involved is not None:
+            members = self._members
+            for request in chunk:
+                members[item_digest(request)] = item
+        return item
 
     def _pump_intra(self) -> None:
-        host = self.host
-        if not host.is_cluster_primary:
-            return
         queue = self._intra_queue
-        while queue and self._intra_in_flight < self.pipeline_depth:
-            chunk = queue[: self.batch_size]
-            del queue[: self.batch_size]
-            item = self._wrap(chunk)
-            digest = item_digest(item)
-            self._in_flight[digest] = (None, tuple(item_digest(r) for r in chunk))
+        if not queue or not self.host.is_cluster_primary:
+            return
+        while queue and self._intra_in_flight < self.window:
+            item = self._seal(queue, None)
             self._intra_in_flight += 1
-            host.intra.submit(item)
+            self.host.intra.submit(item)
 
     def _pump_cross(self, involved: tuple[ClusterId, ...]) -> None:
-        host = self.host
-        if not host.is_cluster_primary:
-            return
         queue = self._cross_queues.get(involved)
-        while queue and self._cross_in_flight < self.pipeline_depth:
-            chunk = queue[: self.batch_size]
-            del queue[: self.batch_size]
-            item = self._wrap(chunk)
-            digest = item_digest(item)
-            self._in_flight[digest] = (involved, tuple(item_digest(r) for r in chunk))
+        if not queue or not self.host.is_cluster_primary:
+            return
+        while queue and self._cross_in_flight < self.window:
+            item = self._seal(queue, involved)
             self._cross_in_flight += 1
-            host.cross.start(item)
+            self.host.cross.start(item)
         if not queue:
             self._cross_queues.pop(involved, None)
 
@@ -243,6 +270,11 @@ class BatchPipeline:
     # ------------------------------------------------------------------
     # window release
     # ------------------------------------------------------------------
+    def _release(self, requests) -> None:
+        members = self._members
+        for request in requests:
+            members.pop(item_digest(request), None)
+
     def item_applied(self, digest: str) -> None:
         """A proposed slot applied (or aborted): free its window entry.
 
@@ -253,8 +285,8 @@ class BatchPipeline:
         info = self._in_flight.pop(digest, None)
         if info is None:
             return
-        involved, members = info
-        self._members.difference_update(members)
+        involved, chunk = info
+        self._release(chunk)
         if involved is None:
             self._intra_in_flight -= 1
             self._pump_intra()
@@ -274,13 +306,17 @@ class BatchPipeline:
 
         In-flight batches are protocol state — the view change carried
         them and the new primary re-proposes or no-op-fills their slots —
-        so only the replica-local accounting resets here.  Queued
-        requests were never proposed anywhere: if this replica is no
-        longer primary they are forwarded to the new one (monitored, so
-        a silent successor is suspected); if it *is* the new primary the
-        queues re-pump into the fresh window.
+        so only the replica-local accounting resets here, and their
+        members leave the dedup index with them (no ``item_applied``
+        will ever match the cleared entries).  Queued requests were
+        never proposed anywhere: if this replica is no longer primary
+        they are forwarded to the new one (monitored, so a silent
+        successor is suspected); if it *is* the new primary the queues
+        re-pump into the fresh window.
         """
         self.view_resets += 1
+        for _involved, chunk in self._in_flight.values():
+            self._release(chunk)
         self._in_flight.clear()
         self._intra_in_flight = 0
         self._cross_in_flight = 0
@@ -294,9 +330,10 @@ class BatchPipeline:
         for lane in self._cross_queues.values():
             queued.extend(lane)
         self._cross_queues.clear()
+        self.queued = 0
         primary = host.primary_pid_of(host.cluster_id)
+        self._release(queued)
         for request in queued:
-            self._members.discard(item_digest(request))
             host._monitor_forwarded_request(request)
             host._forward(request, primary)
 

@@ -316,11 +316,6 @@ class OrderingLog:
             return slot
         return self._pending_digests.get(digest)
 
-    def is_applied(self, slot: int) -> bool:
-        """Whether ``slot`` has been executed and appended."""
-        entry = self._entries.get(slot)
-        return entry is not None and entry.status is EntryStatus.APPLIED
-
     # ------------------------------------------------------------------
     # in-order application
     # ------------------------------------------------------------------
@@ -405,36 +400,4 @@ class OrderingLog:
         self._low_water = max(self._low_water, seq)
         self._blocked_decisions = sum(
             1 for entry in entries.values() if entry.status is EntryStatus.DECIDED
-        )
-
-    # ------------------------------------------------------------------
-    # introspection (view change support, tests)
-    # ------------------------------------------------------------------
-    def undecided_slots(self) -> list[int]:
-        """Slots below the allocation cursor that are not decided/applied.
-
-        Compacted slots (at or below the low-water mark) are excluded —
-        their stable checkpoint proves they were decided and applied.
-        """
-        return [
-            slot
-            for slot in range(self._low_water + 1, self._next_slot)
-            if slot not in self._entries
-            or self._entries[slot].status is EntryStatus.PENDING
-        ]
-
-    def decided_summary(self) -> tuple[tuple[int, str], ...]:
-        """Compact ``(slot, digest)`` summary of decided/applied slots."""
-        return tuple(
-            (entry.slot, entry.digest)
-            for entry in self.entries()
-            if entry.status is not EntryStatus.PENDING
-        )
-
-    def pending_summary(self) -> tuple[tuple[int, str, object], ...]:
-        """Compact summary of accepted-but-undecided slots."""
-        return tuple(
-            (entry.slot, entry.digest, entry.item)
-            for entry in self.entries()
-            if entry.status is EntryStatus.PENDING
         )

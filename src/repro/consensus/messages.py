@@ -105,8 +105,9 @@ class RequestBatch:
     """An ordered batch of client requests proposed as one consensus item.
 
     Built only by the primary-side batching pipeline
-    (:class:`~repro.consensus.batching.BatchPipeline`, armed when
-    ``ProtocolTuning.batch_size > 1``).  One batch costs one signature,
+    (:class:`~repro.consensus.batching.BatchPipeline`, when
+    ``ProtocolTuning.batch_size > 1`` and more than one request is
+    queued).  One batch costs one signature,
     one quorum-tracking entry, and one apply-loop dispatch regardless of
     how many member requests it carries; the member requests keep their
     individual per-transaction semantics (guard screening, replies, and

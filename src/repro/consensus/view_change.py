@@ -404,11 +404,3 @@ class ViewChangeManager:
                     item = Noop(reason=f"view-change-{view}-cross-slot-{slot}")
             host.log.observe(slot)
             self.engine.propose_at(slot, item)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending_slot_count(self) -> int:
-        """Number of slots currently monitored by the commit timer."""
-        return len(self._monitored)

@@ -23,9 +23,9 @@ therefore proceed fully in parallel, and transactions that share clusters
 are serialised per cluster by the (single) slot assigner — the role the
 super-primary plays in the paper.
 
-With batching armed (``ProtocolTuning.batch_size > 1``) the ordered item
-may be a :class:`~repro.consensus.messages.RequestBatch` instead of a
-bare request: one propose/accept/commit exchange, one position vector,
+With ``ProtocolTuning.batch_size > 1`` the ordered item may be a
+:class:`~repro.consensus.messages.RequestBatch` instead of a bare
+request: one propose/accept/commit exchange, one position vector,
 and one signature then order many client transactions at once.  The
 engines stay item-agnostic — only the duplicate checks and the
 Byzantine-client screen iterate batch members (see

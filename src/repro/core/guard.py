@@ -169,16 +169,6 @@ class RequestGuard:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def rejected_total(self) -> int:
-        """All requests turned away at the door."""
-        return (
-            self.rejected_forged
-            + self.rejected_ownership
-            + self.rejected_replays
-            + self.rejected_duplicates
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<RequestGuard forged={self.rejected_forged} "

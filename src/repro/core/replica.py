@@ -26,12 +26,7 @@ from ..common.errors import ConfigurationError
 from ..common.types import AccountId, ClientId, ClusterId, FaultModel, NodeId
 from ..consensus.batching import BatchPipeline, member_requests
 from ..consensus.log import Noop, OrderingLog, item_digest
-from ..consensus.messages import (
-    ClientReply,
-    ClientRequest,
-    NewViewAnnouncement,
-    RequestBatch,
-)
+from ..consensus.messages import ClientReply, ClientRequest, NewViewAnnouncement
 from ..consensus.paxos import PaxosEngine
 from ..consensus.pbft import PBFTEngine
 from ..consensus.view_change import verify_new_view_certificate
@@ -52,8 +47,17 @@ from .guard import ADMIT, REFUSE, RequestGuard
 __all__ = ["SharPerReplica"]
 
 
-def _shared_block(payload, key, build, *args) -> Block:
-    """The block built by ``build(*args)``, shared through a weak memo on ``payload``.
+def _shared_block(item, transactions, positions, proposer, parents) -> Block:
+    """The block ``item``'s slot appends, shared by the replicas that build it.
+
+    Every replica of a cluster decides the same ``(item, positions,
+    proposer)`` for a slot and executes the same members of it — and
+    block identity excludes parent hashes — so the first replica to
+    apply the slot builds (and hashes) the block and the rest reuse the
+    object through a memo on the shared ``item`` payload.  Parents and
+    the executed ``transactions`` are part of the memo key: each cluster
+    of a cross-shard item materialises a block carrying its own parent
+    reference, and may have skipped different members.
 
     The memo holds the block *weakly*: a payload must never point back at
     its holder, or ``Transaction → Block → Transaction`` would be a cycle
@@ -63,13 +67,17 @@ def _shared_block(payload, key, build, *args) -> Block:
     optimisation: once every chain has released the block, a replica that
     applies the slot late builds an equal one.
     """
-    memo = payload.__dict__.get("_block_memo")
+    slots = tuple(positions.items())
+    if len(slots) > 1:
+        slots = tuple(sorted(slots))
+    key = (slots, proposer, tuple(parents.items()), transactions)
+    memo = item.__dict__.get("_block_memo")
     if memo is not None and memo[0] == key:
         block = memo[1]()
         if block is not None:
             return block
-    block = build(*args)
-    object.__setattr__(payload, "_block_memo", (key, ref(block)))
+    block = Block.create(transactions, positions, proposer, parents)
+    object.__setattr__(item, "_block_memo", (key, ref(block)))
     return block
 
 
@@ -77,7 +85,8 @@ class ReplicaHost(Process):
     """The :class:`~repro.consensus.base.ConsensusHost` every replica kind is.
 
     One ordering log and one ledger view per node, the cluster-local
-    send helpers the engines call, the in-order apply loop, and the
+    send helpers the engines call, the in-order apply loop, the
+    execute-and-append step of replicas that own an ``executor``, and the
     client reply.  SharPer's replica, the non-sharded baselines' active
     replica and AHL's reference-committee member extend it with the
     engine(s) they run (``self.intra``) and their ``_apply``.
@@ -128,6 +137,30 @@ class ReplicaHost(Process):
         """Apply every decided slot that is next in line (in slot order)."""
         for entry in self.log.pop_applicable():
             self._apply(entry)
+
+    def _commit(
+        self, item: object, requests, positions, proposer, parents
+    ) -> list[tuple[ClientRequest, bool]]:
+        """Execute ``requests`` (members of ``item``) and append their one block.
+
+        The execute → build block → append → count sequence every
+        executing replica kind shares; returns the ``(request, success)``
+        pairs.  CPU charges, replies and anything else that differs per
+        system stay with the caller.
+        """
+        execute = self.executor.execute
+        executed, transactions = [], []
+        for request in requests:
+            transaction = request.transaction
+            success = execute(transaction).success
+            if not success:
+                self.failed_executions += 1
+            executed.append((request, success))
+            transactions.append(transaction)
+        block = _shared_block(item, tuple(transactions), positions, proposer, parents)
+        self.chain.append(block)
+        self.committed_count += len(executed)
+        return executed
 
     def _send_reply(
         self, request: ClientRequest, success: bool, cross_shard: bool = False
@@ -192,13 +225,9 @@ class SharPerReplica(ReplicaHost):
         #: Byzantine-client defence, armed lazily (None on the faultless
         #: fast path — one ``is None`` check per client request).
         self.request_guard: RequestGuard | None = None
-        # Batching pipeline, armed only when batch_size > 1: at the
-        # default of 1 every request takes the pre-batching code path
-        # bit for bit (and the in-flight window is not enforced — the
-        # legacy behaviour is an unbounded pipeline of singleton slots).
-        self.batcher: BatchPipeline | None = (
-            BatchPipeline(self) if self.tuning.batch_size > 1 else None
-        )
+        #: the one submission path: every client request this replica
+        #: orders enters through the pipeline, whatever the batch size.
+        self.batcher = BatchPipeline(self)
         # Remote-primary table: who currently speaks for each other
         # cluster.  Pre-resolved to plain pids (replacing a linear config
         # scan per lookup) and updated only through certificate-verified
@@ -266,12 +295,10 @@ class SharPerReplica(ReplicaHost):
         out of intra-shard re-proposals (see
         :meth:`~repro.consensus.view_change.ViewChangeManager._install_as_primary`).
         """
-        if isinstance(item, (ClientRequest, RequestBatch)):
-            # Batch members share one involved-cluster set by
-            # construction, so the representative transaction answers
-            # for the whole batch.
-            return len(self.involved_clusters_of(item.transaction)) > 1
-        return False
+        # Batch members share one involved-cluster set by construction,
+        # so the first member answers for the whole batch.
+        requests = member_requests(item)
+        return bool(requests) and len(self.involved_clusters_of(requests[0].transaction)) > 1
 
     # ------------------------------------------------------------------
     # authenticated cross-cluster view changes
@@ -371,13 +398,7 @@ class SharPerReplica(ReplicaHost):
             recorder.phase(
                 self.sim.now, request.transaction.tx_id, "enqueue", self.pid
             )
-        if self.batcher is not None:
-            # Batching armed: the pipeline dedups retries riding queued
-            # or in-flight batches, accumulates, and proposes within the
-            # in-flight window.
-            self.batcher.submit_intra(request)
-            return
-        self.intra.submit(request)
+        self.batcher.submit_intra(request)
 
     def _handle_cross_request(
         self, request: ClientRequest, involved: tuple[ClusterId, ...]
@@ -400,10 +421,7 @@ class SharPerReplica(ReplicaHost):
             recorder.phase(
                 self.sim.now, request.transaction.tx_id, "enqueue", self.pid
             )
-        if self.batcher is not None:
-            self.batcher.submit_cross(request, involved)
-            return
-        self.cross.start(request)
+        self.batcher.submit_cross(request, involved)
 
     def _forward(self, request: ClientRequest, destination: int) -> None:
         if destination == self.pid:
@@ -517,6 +535,27 @@ class SharPerReplica(ReplicaHost):
         self._monitor_gap()
 
     def _apply(self, entry) -> None:
+        """Apply one decided slot: per-member semantics, one block.
+
+        A slot carries one client request or a batch of them; either way
+        it costs one dispatch, one fused CPU charge and one ledger append,
+        while every member keeps its individual transaction semantics
+        (at-most-once execution, guard bookkeeping, its own client
+        reply).  Two backstops skip a member instead of executing it:
+
+        * it is already committed here — a retry that beat this slot
+          through a view-change hand-off, or a duplicate a Byzantine
+          primary proposed past the door.  Executing it would
+          double-spend; every correct replica applies slots in the same
+          order, so the whole cluster skips identically;
+        * it is a cross-shard transaction decided without its position
+          vector (every known path is closed, but a half-execution would
+          silently mint or destroy money).  No reply is sent — the
+          client's retry commits it atomically elsewhere.
+
+        A slot whose members were all skipped degenerates to a no-op
+        block, so the chain stays contiguous and fork-free.
+        """
         positions = entry.positions or {self.cluster_id: entry.slot}
         parents = {self.cluster_id: self.chain.head_hash}
         proposer = entry.proposer if entry.proposer is not None else self.cluster_id
@@ -524,173 +563,51 @@ class SharPerReplica(ReplicaHost):
         recorder = self.recorder
         if recorder is not None:
             recorder.slot_close(self.sim.now, self.pid, entry.slot)
-        if self.batcher is not None:
-            # Free the batcher's in-flight window entry for this slot
-            # (a no-op on every replica but the proposing primary).
-            self.batcher.item_applied(entry.digest)
-        if isinstance(item, RequestBatch):
-            self._apply_batch(item, positions, proposer, parents)
-            return
-        if isinstance(item, ClientRequest):
-            transaction = item.transaction
-            guard = self.request_guard
-            if guard is not None and guard.is_duplicate_apply(transaction.tx_id):
-                # At-most-once backstop: a duplicate of an already-
-                # committed transaction was ordered past the door (e.g.
-                # proposed directly by a Byzantine primary).  Executing
-                # it would double-spend and the ledger append would
-                # refuse it; fill the slot with a no-op instead — every
-                # correct replica applies slots in the same order, so
-                # the whole cluster fills identically and no fork arises.
-                self.charge(self.cost_model.append_cost)
-                self.chain.append(Block.noop(positions, proposer=proposer, parents=parents))
-                return
-            # involved_shards is memoised on the shared payload, so this
-            # guard costs one cache probe per applied transaction.
-            if len(positions) == 1 and len(transaction.involved_shards(self.mapper)) > 1:
-                # Backstop for cross-shard atomicity: a cross-shard
-                # transaction decided without its full position vector
-                # (every known path is closed, but a half-execution
-                # would silently mint or destroy money).  Fill the slot
-                # with a no-op and send no reply — the client's retry
-                # commits the transaction atomically elsewhere.
-                if guard is not None:
-                    guard.abandoned(transaction.tx_id)
-                self.charge(self.cost_model.append_cost)
-                self.chain.append(Block.noop(positions, proposer=proposer, parents=parents))
-                return
-            # One fused CPU charge for append + execution (charging is
-            # associative, so this is exactly two consecutive charges).
-            self.charge(self.cost_model.append_cost + self.cost_model.execution_cost)
-            result = self.executor.execute(transaction)
-            if not result.success:
-                self.failed_executions += 1
-            block = self._block_for(transaction, positions, proposer, parents)
-            self.chain.append(block)
-            self.committed_count += 1
-            if recorder is not None:
-                recorder.phase(self.sim.now, transaction.tx_id, "applied", self.pid)
-            if guard is not None:
-                guard.committed(item)
-            cross = len(positions) > 1
-            if cross:
-                self.committed_cross_count += 1
-            if self._should_reply(proposer):
-                self._send_reply(item, success=result.success, cross_shard=cross)
-        elif isinstance(item, Noop):
-            self.charge(self.cost_model.append_cost)
-            block = Block.noop(positions, proposer=proposer, parents=parents)
-            self.chain.append(block)
-        else:
+        # Free the pipeline's window entry for this slot (a no-op on
+        # every replica but the proposing primary).
+        self.batcher.item_applied(entry.digest)
+        requests = member_requests(item)
+        if not requests and not isinstance(item, Noop):
             self.charge(self.cost_model.append_cost)
             self.on_marker_applied(entry, positions, parents, proposer)
-
-    def _block_for(self, transaction, positions, proposer, parents) -> Block:
-        """One :class:`Block` object shared by replicas building the same block.
-
-        Every replica of a cluster decides the same ``(transaction,
-        positions, proposer, parents)`` tuple for a slot — and block
-        identity excludes parent hashes — so the first replica to apply
-        it builds (and hashes) the block and the rest reuse the object
-        via a memo on the shared transaction payload.  Parents are part
-        of the memo key, so each cluster of a cross-shard transaction
-        still materialises a block carrying its own parent reference.
-        """
-        key = (
-            tuple(positions.items())
-            if len(positions) == 1
-            else tuple(sorted(positions.items())),
-            proposer,
-            tuple(parents.items()),
-        )
-        return _shared_block(
-            transaction, key, Block.create, transaction, positions, proposer, parents
-        )
-
-    def _apply_batch(self, batch: RequestBatch, positions, proposer, parents) -> None:
-        """Apply one batched slot: per-member semantics, one block.
-
-        This is where batching amortises the apply loop: one dispatch,
-        one fused CPU charge, one ledger append for the whole batch —
-        while every member keeps its individual transaction semantics
-        (at-most-once execution, guard bookkeeping, its own client
-        reply).  Members already committed elsewhere — a retry that beat
-        this batch through a view-change hand-off — are skipped, exactly
-        like the singleton duplicate-apply backstop; a batch whose
-        members were *all* settled elsewhere degenerates to a no-op
-        block, so the chain stays contiguous and fork-free.
-        """
+            return
         guard = self.request_guard
-        chain = self.chain
         cross = len(positions) > 1
-        executed: list[tuple[ClientRequest, bool]] = []
-        for request in batch.requests:
+        admitted = []
+        committed = self.chain.contains_tx if guard is None else guard.is_duplicate_apply
+        for request in requests:
             transaction = request.transaction
-            if guard is not None:
-                if guard.is_duplicate_apply(transaction.tx_id):
-                    continue
-            elif chain.contains_tx(transaction.tx_id):
+            if committed(transaction.tx_id):
                 continue
-            if len(positions) == 1 and len(transaction.involved_shards(self.mapper)) > 1:
-                # Cross-shard atomicity backstop, per member (see
-                # _apply): never half-execute a cross-shard transaction
-                # that lost its position vector.
+            # involved_shards is memoised on the shared payload, so this
+            # guard costs one cache probe per applied transaction.
+            if not cross and len(transaction.involved_shards(self.mapper)) > 1:
                 if guard is not None:
                     guard.abandoned(transaction.tx_id)
                 continue
-            result = self.executor.execute(transaction)
-            if not result.success:
-                self.failed_executions += 1
-            executed.append((request, result.success))
-            if guard is not None:
-                guard.committed(request)
-        # One fused charge: a single append plus one execution per
-        # member actually executed (skipped members cost nothing).
+            admitted.append(request)
+        # One fused charge: a single append plus one execution per member
+        # actually executed (skipped members cost nothing).
         self.charge(
             self.cost_model.append_cost
-            + self.cost_model.execution_cost * len(executed)
+            + self.cost_model.execution_cost * len(admitted)
         )
-        if not executed:
-            chain.append(Block.noop(positions, proposer=proposer, parents=parents))
+        if not admitted:
+            self.chain.append(Block.noop(positions, proposer=proposer, parents=parents))
             return
-        block = self._block_for_batch(
-            batch, tuple(request.transaction for request, _ in executed),
-            positions, proposer, parents,
-        )
-        chain.append(block)
-        self.committed_count += len(executed)
-        recorder = self.recorder
+        executed = self._commit(item, admitted, positions, proposer, parents)
+        if cross:
+            self.committed_cross_count += len(executed)
         if recorder is not None:
             now = self.sim.now
             for request, _success in executed:
                 recorder.phase(now, request.transaction.tx_id, "applied", self.pid)
-        if cross:
-            self.committed_cross_count += len(executed)
+        if guard is not None:
+            for request, _success in executed:
+                guard.committed(request)
         if self._should_reply(proposer):
             for request, success in executed:
                 self._send_reply(request, success=success, cross_shard=cross)
-
-    def _block_for_batch(
-        self, batch: RequestBatch, transactions, positions, proposer, parents
-    ) -> Block:
-        """Batch variant of :meth:`_block_for`, memoised on the batch payload.
-
-        The executed-member tuple joins the memo key: replicas of one
-        cluster always skip the same members (the ledger index is
-        cluster-consistent), but the clusters of a cross-shard batch may
-        legitimately differ, and they already differ in ``parents``.
-        """
-        key = (
-            tuple(positions.items())
-            if len(positions) == 1
-            else tuple(sorted(positions.items())),
-            proposer,
-            tuple(parents.items()),
-            tuple(tx.tx_id for tx in transactions),
-        )
-        return _shared_block(
-            batch, key, Block.create_batch, transactions, positions, proposer, parents
-        )
 
     def on_marker_applied(self, entry, positions, parents, proposer) -> None:
         """Hook for subclasses that order protocol markers (e.g. AHL's 2PC).
@@ -755,17 +672,14 @@ class SharPerReplica(ReplicaHost):
         """
         for request in member_requests(item):
             self._send_reply(request, success=False, cross_shard=True)
-        if self.batcher is not None:
-            self.batcher.item_applied(item_digest(item))
+        self.batcher.item_applied(item_digest(item))
 
     def on_intra_view_installed(self, view: int) -> None:
         """Hook called by the view-change manager on every view install.
 
-        Resets the batching pipeline's window: in-flight batches were
-        carried by the view change itself (they are ordinary log items),
-        so only the replica-local accounting needs resetting — queued
-        requests are re-pumped (new primary) or forwarded (everyone
-        else).  See :meth:`repro.consensus.batching.BatchPipeline.on_view_installed`.
+        Resets the pipeline's window: in-flight items were carried by the
+        view change itself (they are ordinary log items), so only the
+        replica-local accounting needs resetting.  See
+        :meth:`repro.consensus.batching.BatchPipeline.on_view_installed`.
         """
-        if self.batcher is not None:
-            self.batcher.on_view_installed()
+        self.batcher.on_view_installed()

@@ -506,21 +506,8 @@ class SharPerSystem(BaseSystem):
             for cluster in self.config.clusters
         }
 
-    def all_views(self) -> dict[ClusterId, list[ClusterView]]:
-        """Every replica's view, grouped by cluster (for agreement checks)."""
-        return {
-            cluster.cluster_id: [
-                replica.chain for replica in self.replicas_of(cluster.cluster_id)
-            ]
-            for cluster in self.config.clusters
-        }
-
     def stores(self) -> list[AccountStore]:
         return [
             self.representative_of(cluster.cluster_id).store
             for cluster in self.config.clusters
         ]
-
-    def committed_per_cluster(self) -> dict[ClusterId, int]:
-        """Committed block count per cluster (from the representative views)."""
-        return {cluster_id: view.height for cluster_id, view in self.views().items()}

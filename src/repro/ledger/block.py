@@ -34,7 +34,7 @@ from typing import Mapping
 
 from ..common.crypto import GENESIS_HASH, chain_hash
 from ..common.errors import LedgerError
-from ..common.types import ClusterId, SequenceNumber
+from ..common.types import ClusterId
 from ..txn.transaction import Transaction
 
 __all__ = ["Block", "GENESIS_BLOCK_ID"]
@@ -124,14 +124,18 @@ class Block:
     @classmethod
     def create(
         cls,
-        transaction: Transaction,
+        transaction: Transaction | tuple[Transaction, ...],
         positions: Mapping[ClusterId, int],
         proposer: ClusterId,
         parents: Mapping[ClusterId, str] | None = None,
     ) -> "Block":
-        """Build a single-transaction block from mapping-style arguments."""
+        """Build a block from mapping-style arguments.
+
+        ``transaction`` is the block's one transaction, or the tuple of
+        transactions a batched slot executed.
+        """
         return cls(
-            transactions=(transaction,),
+            transactions=transaction if isinstance(transaction, tuple) else (transaction,),
             positions=cls._sorted_items(positions),
             parents=cls._sorted_items(parents),
             proposer=proposer,
@@ -151,22 +155,6 @@ class Block:
             parents=cls._sorted_items(parents),
             proposer=proposer,
             is_noop=True,
-        )
-
-    @classmethod
-    def create_batch(
-        cls,
-        transactions: tuple[Transaction, ...],
-        positions: Mapping[ClusterId, int],
-        proposer: ClusterId,
-        parents: Mapping[ClusterId, str] | None = None,
-    ) -> "Block":
-        """Build a batched block (used only by the block-size ablation)."""
-        return cls(
-            transactions=tuple(transactions),
-            positions=tuple(sorted(positions.items())),
-            parents=tuple(sorted((parents or {}).items())),
-            proposer=proposer,
         )
 
     # ------------------------------------------------------------------
@@ -261,10 +249,6 @@ class Block:
             if candidate == cluster:
                 return parent_hash
         raise LedgerError(f"block {self.block_hash[:8]} does not involve cluster {cluster}")
-
-    def sequence_numbers(self) -> tuple[SequenceNumber, ...]:
-        """The block's slots as :class:`SequenceNumber` objects."""
-        return tuple(SequenceNumber(cluster, index) for cluster, index in self.positions)
 
     def involves(self, cluster: ClusterId) -> bool:
         """Whether ``cluster`` stores this block in its view."""

@@ -86,11 +86,6 @@ class ClusterView:
         return self._base
 
     @property
-    def retained_from(self) -> int:
-        """Lowest position :meth:`blocks` still returns a block for."""
-        return self._base + 1
-
-    @property
     def head(self) -> Block:
         """Most recently appended block (the genesis block if empty)."""
         return self._blocks[-1]
@@ -123,15 +118,6 @@ class ClusterView:
         if not 0 <= offset < len(self._blocks):
             raise UnknownBlockError(f"view of cluster {self.cluster_id} has no block at {index}")
         return self._blocks[offset]
-
-    def block_by_hash(self, block_hash: str) -> Block:
-        """Block identified by ``block_hash``."""
-        try:
-            return self._by_hash[block_hash]
-        except KeyError:
-            raise UnknownBlockError(
-                f"block {block_hash[:8]} not in view of cluster {self.cluster_id}"
-            ) from None
 
     def contains_tx(self, tx_id: str) -> bool:
         """Whether a transaction has been committed in this view."""

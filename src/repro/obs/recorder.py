@@ -303,10 +303,7 @@ class FlightRecorder:
                 continue
             batcher = getattr(process, "batcher", None)
             if batcher is not None:
-                window = batcher._intra_in_flight + batcher._cross_in_flight
-                queue = len(batcher._intra_queue) + sum(
-                    len(lane) for lane in batcher._cross_queues.values()
-                )
+                window, queue = batcher.in_flight, batcher.queued
             else:
                 window = queue = 0
             cross = getattr(process, "cross", None)

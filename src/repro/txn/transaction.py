@@ -84,16 +84,6 @@ class Transaction:
             object.__setattr__(self, "_accounts", cached)
         return cached
 
-    @property
-    def read_set(self) -> frozenset[AccountId]:
-        """Accounts whose balance is read (sources, for the owner check)."""
-        return frozenset(transfer.source for transfer in self.transfers)
-
-    @property
-    def write_set(self) -> frozenset[AccountId]:
-        """Accounts whose balance is written (sources and destinations)."""
-        return self.accounts
-
     def payload_digest(self) -> str:
         """Digest ``D(m)`` over the transaction body (excludes signature).
 

@@ -227,12 +227,6 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def observed_cross_fraction(self) -> float:
-        """Fraction of generated transactions that were cross-shard."""
-        if not self.generated:
-            return 0.0
-        return self.generated_cross / self.generated
-
     def classify(self, transaction: Transaction) -> TxType:
         """Classify a transaction under this workload's shard mapping."""
         return transaction.tx_type(self.mapper)

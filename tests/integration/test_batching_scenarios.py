@@ -15,6 +15,8 @@ The batching pipeline's contract has two halves:
 Pattern follows ``test_storage_scenarios.py``'s differential style.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
@@ -94,11 +96,13 @@ class TestBatchOneBitIdentical:
         default = batching_scenario().run()
         explicit = batching_scenario(batch_size=1, pipeline_depth=1).run()
         assert_identical(default, explicit)
-        # Batching disabled means the pipeline is never even constructed.
-        assert all(
-            replica.batcher is None
-            for replica in explicit.system.replicas.values()
-        )
+        # One submission path: the pipeline is always there, and at
+        # batch=1 every slot it proposed carries exactly one bare request.
+        totals = batcher_totals(explicit)
+        assert totals["batches_proposed"] == 0
+        # No client retried, so each submitted transaction was proposed once.
+        assert sum(client.resubmissions for client in explicit.system.clients) == 0
+        assert totals["singletons_proposed"] == explicit.stats.submitted
 
     def test_pipeline_depth_is_inert_at_batch_one(self):
         """The window is unenforced when batching is off: the legacy
@@ -236,6 +240,36 @@ class TestBatchedPerTxEquivalent:
         assert result.recovery.state_transfers_completed > 0
         assert result.recovery.checkpoints_stable > 0
         assert batcher_totals(result)["batches_proposed"] > 0
+
+
+class TestRetriesUnderFailover:
+    """Client retries racing a primary crash and recovery, at every batch size.
+
+    The schedule ``failover_ckpt`` runs at batch=1, with an impatient
+    client (``retry_timeout=0.1``): retries of in-flight cross-shard
+    requests reach the initiator while cluster 0 fails over.  A pipeline
+    that swallows them instead of re-driving the riding item leaves
+    clusters ordering shared blocks differently (or forking) on seeds 5
+    (batch 2), 2 and 4 (batch 4), 6 and 8 (batch 8).
+    """
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    @pytest.mark.parametrize("batch_size,pipeline_depth", [(2, 32), (4, 4), (8, 4)])
+    def test_batched_retries_survive_crash_and_recovery(
+        self, batch_size, pipeline_depth, seed
+    ):
+        scenario = batching_scenario(
+            batch_size=batch_size,
+            pipeline_depth=pipeline_depth,
+            seed=seed,
+            retry_timeout=0.1,
+            faults=FaultSchedule()
+            .crash_primary(at=0.1, cluster=0)
+            .recover_node(at=0.4, node_id=0),
+        )
+        deployment = dataclasses.replace(scenario.deployment, checkpoint_interval=16)
+        result = dataclasses.replace(scenario, deployment=deployment).run()
+        assert result.ok, result.summary()
 
 
 class TestDeterminism:

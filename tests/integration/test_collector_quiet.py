@@ -18,6 +18,8 @@ from repro import FaultModel, WorkloadConfig
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.bench.experiments import attack_scenario, churn_scenario, coalition_scenario
 from repro.common.metrics import MetricsCollector
+from repro.consensus.messages import ClientRequest
+from repro.core.replica import _shared_block
 from repro.ledger.block import Block
 
 WARMUP = 0.03
@@ -131,14 +133,16 @@ def test_prune_frees_the_block_by_refcount(collector_off):
 
 def test_block_memo_is_an_optimisation_not_a_source_of_truth(collector_off):
     system = _running_system(0)
-    first, second = list(system.replicas_of(0))[:2]
+    cluster = system.replicas_of(0)[0].cluster_id
     transaction = system.clients[0].workload.next_intra_shard(shard=0)
-    args = (transaction, {first.cluster_id: 1}, first.cluster_id, {first.cluster_id: "parent"})
-    shared = first._block_for(*args)
-    assert second._block_for(*args) is shared  # alive: the peer reuses the object
+    item = ClientRequest(transaction=transaction, client=transaction.client, timestamp=0.0)
+    # What every replica of the cluster passes for one decided slot.
+    args = (item, (transaction,), {cluster: 1}, cluster, {cluster: "parent"})
+    shared = _shared_block(*args)
+    assert _shared_block(*args) is shared  # alive: the peer reuses the object
     block_hash = shared.block_hash
-    expected = Block.create(*args[:2], proposer=args[2], parents=args[3])
+    expected = Block.create(transaction, {cluster: 1}, proposer=cluster, parents={cluster: "parent"})
     del shared  # every holder released it (what prune does): the memo is dead
-    rebuilt = second._block_for(*args)
+    rebuilt = _shared_block(*args)
     assert rebuilt == expected and rebuilt.block_hash == block_hash
-    assert first._block_for(*args) is rebuilt  # and the rebuilt block is shared again
+    assert _shared_block(*args) is rebuilt  # and the rebuilt block is shared again

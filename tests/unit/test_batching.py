@@ -193,10 +193,76 @@ class TestPipelineMechanics:
         assert host.intra.submitted == []
 
     def test_batch_size_floor_is_one(self):
-        host = FakeHost(batch_size=0, pipeline_depth=0)
+        """Both fields floor at 1; the window binds only when chunks can fill."""
+        floored = BatchPipeline(FakeHost(batch_size=0, pipeline_depth=0))
+        assert floored.batch_size == 1
+        assert floored.pipeline_depth == 1
+        # batch_size == 1: a chunk of one never fills, so nothing queues
+        # behind a window — whatever pipeline_depth says.
+        assert floored.window == float("inf")
+        assert BatchPipeline(FakeHost(batch_size=1, pipeline_depth=4)).window == float("inf")
+        assert BatchPipeline(FakeHost(batch_size=2, pipeline_depth=0)).window == 1
+        assert BatchPipeline(FakeHost(batch_size=2, pipeline_depth=4)).window == 4
+
+    def test_batch_one_proposes_every_request_on_arrival(self):
+        host = FakeHost(batch_size=1, pipeline_depth=1)
         pipeline = BatchPipeline(host)
-        assert pipeline.batch_size == 1
-        assert pipeline.pipeline_depth == 1
+        requests = [make_request(i) for i in range(5)]
+        for request in requests[:3]:
+            pipeline.submit_intra(request)
+        for request in requests[3:]:
+            pipeline.submit_cross(request, (ClusterId(0), ClusterId(1)))
+        assert host.intra.submitted == requests[:3]
+        assert host.cross.started == requests[3:]
+        assert pipeline.in_flight == 5 and pipeline.queued == 0
+        assert pipeline.peak_queue == 1
+        assert pipeline.stats()["singletons_proposed"] == 5
+
+
+class TestRetryAbsorption:
+    """One rule for every batch size (see ``BatchPipeline._admit``)."""
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_retry_of_in_flight_cross_member_redrives_its_item(self, batch_size):
+        host = FakeHost(batch_size=batch_size, pipeline_depth=1)
+        pipeline = BatchPipeline(host)
+        lane = (ClusterId(0), ClusterId(1))
+        first, a, b = make_request(0), make_request(1), make_request(2)
+        pipeline.submit_cross(first, lane)
+        pipeline.submit_cross(first, lane)  # client retry while in flight
+        assert host.cross.started == [first, first]
+        if batch_size == 1:
+            return
+        # Behind the window the next two seal into one batch; a retry of
+        # either member re-drives the *batch* it rides, not the member.
+        pipeline.submit_cross(a, lane)
+        pipeline.submit_cross(b, lane)
+        pipeline.item_applied(item_digest(first))
+        batch = host.cross.started[-1]
+        assert isinstance(batch, RequestBatch) and batch.requests == (a, b)
+        pipeline.submit_cross(b, lane)
+        assert host.cross.started == [first, first, batch, batch]
+        assert host.cross.started[-1] is batch
+        # Once the item applied, the member is unknown again.
+        pipeline.item_applied(item_digest(batch))
+        assert not pipeline.knows(item_digest(b))
+
+    def test_retry_of_queued_or_intra_member_proposes_nothing(self):
+        host = FakeHost(batch_size=4, pipeline_depth=1)
+        pipeline = BatchPipeline(host)
+        lane = (ClusterId(0), ClusterId(1))
+        intra, cross, queued_intra, queued_cross = (make_request(i) for i in range(4))
+        pipeline.submit_intra(intra)
+        pipeline.submit_cross(cross, lane)
+        pipeline.submit_intra(queued_intra)  # both windows are full now
+        pipeline.submit_cross(queued_cross, lane)
+        proposed = (list(host.intra.submitted), list(host.cross.started))
+        assert proposed == ([intra], [cross])
+        pipeline.submit_intra(intra)  # rides an in-flight intra slot
+        pipeline.submit_intra(queued_intra)
+        pipeline.submit_cross(queued_cross, lane)
+        assert (host.intra.submitted, host.cross.started) == proposed
+        assert pipeline.queued == 2  # ... and nothing was queued twice
 
 
 class TestViewChangeReset:
@@ -231,3 +297,22 @@ class TestViewChangeReset:
         # them now, and a later retry through this replica must forward
         # again rather than vanish.
         assert not pipeline.knows(item_digest(requests[1]))
+
+    def test_members_of_in_flight_items_are_released(self):
+        """The view change owns in-flight slots now; no ``item_applied`` will
+        ever match them here, so their members must leave the dedup index —
+        a re-elected primary has to accept their retries again."""
+        host = FakeHost(batch_size=2, pipeline_depth=1)
+        pipeline = BatchPipeline(host)
+        lane = (ClusterId(0), ClusterId(1))
+        intra, cross = make_request(0), make_request(1)
+        pipeline.submit_intra(intra)
+        pipeline.submit_cross(cross, lane)
+        pipeline.on_view_installed()
+        assert not pipeline.knows(item_digest(intra))
+        assert not pipeline.knows(item_digest(cross))
+        assert pipeline.in_flight == 0
+        pipeline.submit_intra(intra)
+        pipeline.submit_cross(cross, lane)
+        assert host.intra.submitted == [intra, intra]
+        assert host.cross.started == [cross, cross]

@@ -49,7 +49,10 @@ class TestRequestGuardUnit:
     def test_admits_and_registers_honest_requests(self):
         guard = RequestGuard(FakeChain())
         assert guard.screen(request()) == ADMIT
-        assert guard.rejected_total == 0
+        assert (
+            guard.rejected_forged + guard.rejected_ownership
+            + guard.rejected_replays + guard.rejected_duplicates
+        ) == 0
 
     def test_valid_signature_is_accepted(self):
         guard = RequestGuard(FakeChain())

@@ -69,7 +69,6 @@ class TestOrderingLog:
         [entry] = log.pop_applicable()
         assert entry.slot == 1 and entry.status is EntryStatus.APPLIED
         assert log.decided_slot_of(digest) == 1
-        assert log.is_applied(1)
 
     def test_apply_strictly_in_order(self):
         log = OrderingLog(0)
@@ -116,12 +115,3 @@ class TestOrderingLog:
         tx = simple_transfer()
         entry = log.decide(1, item_digest(tx), tx, positions={0: 1, 2: 9}, proposer=0)
         assert entry.positions == {0: 1, 2: 9}
-
-    def test_summaries(self):
-        log = OrderingLog(0)
-        tx1, tx2 = simple_transfer(1, 2), simple_transfer(3, 4)
-        log.record_pending(1, item_digest(tx1), tx1)
-        log.decide(2, item_digest(tx2), tx2)
-        assert log.undecided_slots() == [1]
-        assert [slot for slot, _ in log.decided_summary()] == [2]
-        assert [slot for slot, _, _ in log.pending_summary()] == [1]

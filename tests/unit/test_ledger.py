@@ -129,8 +129,6 @@ class TestClusterView:
         with pytest.raises(UnknownBlockError):
             view.block_at(5)
         with pytest.raises(UnknownBlockError):
-            view.block_by_hash("a" * 64)
-        with pytest.raises(UnknownBlockError):
             view.position_of_tx("missing")
 
     def test_cross_shard_blocks_listing(self):

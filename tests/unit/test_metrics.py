@@ -56,7 +56,7 @@ class TestMetricsCollector:
         collector = MetricsCollector()
         collector.record_submission()
         collector.record_submission()
-        collector.record_abort()
+        collector.aborted += 1
         stats = collector.finalize(end_time=1.0)
         assert collector.submitted == 2
         assert stats.aborted == 1
@@ -74,7 +74,7 @@ class TestMetricsCollector:
         for _ in range(4):
             collector.record_submission()
         collector.record_commit("a", 0.0, 0.1)
-        collector.record_abort()
+        collector.aborted += 1
         stats = collector.finalize(end_time=1.0)
         assert stats.submitted == 4
         row = stats.as_dict()

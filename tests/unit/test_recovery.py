@@ -78,7 +78,6 @@ class TestOrderingLogTruncation:
         assert log.decide(2, item_digest(stale), stale) is None
         assert log.entry(2) is None
         assert log.blocked_decisions == 0
-        assert 2 not in log.undecided_slots()
 
     def test_peak_entry_count_tracks_high_water_mark(self):
         log = OrderingLog(ClusterId(0))
@@ -123,7 +122,6 @@ class TestClusterViewPruning:
         assert dropped == 7
         assert view.height == 10
         assert view.pruned_height == 7
-        assert view.retained_from == 8
         assert len(view.blocks()) == 3
         # The anchor (position 7) is retained for hash chaining.
         assert view.block_at(7).position_for(cluster) == 7

@@ -36,8 +36,6 @@ class TestTransaction:
             transfers=[Transfer(1, 2, 5), Transfer(1, 30, 7)],
         )
         assert tx.accounts == frozenset({1, 2, 30})
-        assert tx.read_set == frozenset({1})
-        assert tx.write_set == frozenset({1, 2, 30})
 
     def test_tx_ids_are_unique(self):
         a = Transaction.transfer(client=1, source=1, destination=2, amount=1)

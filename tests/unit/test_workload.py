@@ -26,14 +26,14 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(WorkloadConfig(cross_shard_fraction=0.0), num_shards=4, seed=1)
         for tx in generator.stream(200):
             assert generator.classify(tx) is TxType.INTRA_SHARD
-        assert generator.observed_cross_fraction() == 0.0
+        assert generator.generated_cross == 0
 
     def test_pure_cross_shard_workload(self):
         generator = WorkloadGenerator(WorkloadConfig(cross_shard_fraction=1.0), num_shards=4, seed=1)
         for tx in generator.stream(200):
             assert generator.classify(tx) is TxType.CROSS_SHARD
             assert len(tx.involved_shards(generator.mapper)) == 2
-        assert generator.observed_cross_fraction() == 1.0
+        assert generator.generated_cross == generator.generated == 200
 
     def test_mixed_fraction_is_close_to_target(self):
         generator = WorkloadGenerator(
