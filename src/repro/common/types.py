@@ -15,7 +15,6 @@ terminology:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NewType
 
 NodeId = NewType("NodeId", int)
@@ -77,27 +76,6 @@ class TxType(enum.Enum):
 
     INTRA_SHARD = "intra"
     CROSS_SHARD = "cross"
-
-
-@dataclass(frozen=True, order=True)
-class SequenceNumber:
-    """Position of a block within a single cluster's view of the ledger.
-
-    Cross-shard blocks carry one sequence number per involved cluster; the
-    pair ``(cluster, index)`` uniquely identifies the slot the block
-    occupies in that cluster's chain (the ``o_i`` superscripts used in the
-    paper's Figure 2, e.g. ``t_{1_2, 2_2}``).
-    """
-
-    cluster: ClusterId
-    index: int
-
-    def next(self) -> "SequenceNumber":
-        """Return the sequence number of the following slot."""
-        return SequenceNumber(self.cluster, self.index + 1)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.cluster}:{self.index}"
 
 
 def node_label(node_id: NodeId, cluster_id: ClusterId | None = None) -> str:

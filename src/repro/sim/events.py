@@ -18,9 +18,12 @@ comparison code (the previous design paid ~¾ million Python ``__lt__``
 calls per benchmark point).  Cancellation clears the callback slot
 in-place (``entry[2] = None``); cancelled entries are skipped lazily when
 popped.  :class:`Event` is a ``__slots__`` handle wrapped around the heap
-entry — allocated for callers that need cancellation (timers), while the
-message paths (:meth:`EventQueue.push_fast`, the transport's direct
-pushes) skip the wrapper entirely.
+entry — allocated for callers that need cancellation (timers).  The
+message paths never cancel, so ``Network.send``/``multicast`` (arrival
+events) and ``Process.deliver`` (CPU-completion events) ``heappush`` their
+entries onto ``_heap`` themselves, drawing ``sequence`` from ``_counter``,
+and ``Process.crash`` re-points callback slots in place: the entry layout
+is a contract between the three ``repro.sim`` modules.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = ["Event", "EventQueue"]
 
 # Heap-entry layout indices (entries are [time, sequence, callback, args]).
 _TIME = 0
-_SEQ = 1
 _CALLBACK = 2
 _ARGS = 3
 
@@ -56,11 +58,6 @@ class Event:
     def time(self) -> float:
         """Simulated time at which the event fires."""
         return self._entry[_TIME]
-
-    @property
-    def sequence(self) -> int:
-        """Scheduling-order tie breaker."""
-        return self._entry[_SEQ]
 
     @property
     def cancelled(self) -> bool:
@@ -115,26 +112,13 @@ class EventQueue:
         heapq.heappush(self._heap, entry)
         return Event(entry)
 
-    def push_fast(self, time: float, callback: Callable[..., None], args: tuple) -> None:
-        """Like :meth:`push` but without allocating an :class:`Event` handle.
-
-        The bulk of all events are message deliveries that are never
-        cancelled; skipping the handle keeps them allocation-free.
-        """
-        heapq.heappush(self._heap, [time, next(self._counter), callback, args])
-
     def pop(self) -> Event | None:
         """Remove and return the earliest non-cancelled event, or ``None``."""
-        entry = self.pop_entry()
-        return None if entry is None else Event(entry)
-
-    def pop_entry(self) -> list | None:
-        """Raw-entry variant of :meth:`pop` (the simulator's hot loop)."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
             if entry[_CALLBACK] is not None:
-                return entry
+                return Event(entry)
         return None
 
     def peek_time(self) -> float | None:
@@ -145,7 +129,3 @@ class EventQueue:
         if not heap:
             return None
         return heap[0][_TIME]
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()

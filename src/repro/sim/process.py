@@ -12,11 +12,23 @@ in the paper's figures.
 Performance model & parallel execution
 --------------------------------------
 Message dispatch is table-driven: subclasses register one handler per
-concrete message type (:meth:`Process.register_handler`), and the default
-:meth:`Process.on_message` resolves the handler with a single dict lookup
-on ``type(message)`` — no ``isinstance`` chains on the hot path.
-Messages of unregistered types are silently dropped, mirroring a real
-node discarding traffic it does not understand.  Multicasts go through
+concrete message type (:meth:`Process.register_handler`) and the handler
+is resolved with a single dict lookup on ``type(message)`` — no
+``isinstance`` chains on the hot path.  Messages of unregistered types
+are silently dropped, mirroring a real node discarding traffic it does
+not understand.
+
+A delivered message is two events, one frame each.  The arrival event is
+:meth:`Process.deliver` (the transport pushed it as the callback):
+crash-at-arrival, the CPU charge and the handler lookup happen there, and
+it pushes ``[completion, seq, handler, (message, src)]`` straight onto the
+heap, so the completion event is the protocol handler itself — no
+``Process`` frame between the run loop and the engine.
+:meth:`Process._dispatch_message` is the *checked lane*, taken only when
+the process can see that it must be: a causal recorder is armed, the type
+has no table entry, the subclass overrides ``on_message``, or the message
+was pending when the process crashed.  Why the two events cannot be one is
+in docs/architecture.md, "The per-message fast lane".  Multicasts go through
 :meth:`Network.multicast`, which shares one immutable payload across all
 destinations and memoises the route per destination tuple — callers on
 the hot path pass the same precomputed tuple every time.
@@ -36,6 +48,7 @@ Fault injection hooks:
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from .costs import CostModel
@@ -84,9 +97,10 @@ class Process:
         self.cpu_busy_time = 0.0
         #: message-type → handler table driving :meth:`on_message`.
         self._dispatch: dict[type, MessageHandler] = {}
-        #: subclasses that override on_message get it called per message;
-        #: table-driven subclasses skip the extra hop entirely.
-        self._uses_default_on_message = type(self).on_message is Process.on_message
+        #: what :meth:`deliver` resolves a handler from: the table itself,
+        #: or — for a subclass that overrides on_message, whose every
+        #: message must reach the override — a table that stays empty.
+        self._fast_lane = self._dispatch if type(self).on_message is Process.on_message else {}
         network.register(self)
 
     @property
@@ -126,7 +140,8 @@ class Process:
 
         Delivery events invoke this method directly (it is the callback
         of the heap entry the transport pushed), so crash-at-arrival is
-        decided here, when the message lands.
+        decided here, when the message lands.  The CPU-completion event it
+        pushes calls the handler resolved here, or the checked lane.
         """
         if self.crashed:
             self.messages_missed += 1
@@ -136,48 +151,45 @@ class Process:
         # delivered message, making it the single hottest method in the
         # repo.  completion >= now always holds, so the scheduling-in-the-
         # past check is unnecessary.
-        start = self.sim._now
+        sim = self.sim
+        start = sim._now
         free_at = self._cpu_free_at
         if free_at > start:
             start = free_at
         cost_model = self.cost_model
-        cost = cost_model._receive_cost.get(message.__class__)
+        kind = message.__class__
+        cost = cost_model._receive_cost.get(kind)
         if cost is None:
             cost = cost_model.receive_cost(message)
         completion = start + cost
         self._cpu_free_at = completion
         self.cpu_busy_time += cost
-        self.sim._queue.push_fast(completion, self._dispatch_message, (message, src))
+        handler = self._fast_lane.get(kind)
+        recorder = self.recorder
+        if handler is None or (recorder is not None and recorder.causal_armed):
+            handler = self._dispatch_message
+        queue = sim._queue
+        heappush(queue._heap, [completion, next(queue._counter), handler, (message, src)])
 
     def _dispatch_message(self, message: Any, src: int) -> None:
+        """The checked lane: completions that :meth:`deliver` or
+        :meth:`crash` did not leave pointing at a handler.
+
+        ``crashed`` is tested when the event fires; a type without a table
+        entry falls to :meth:`on_message`; under a causal recorder the
+        handler runs in a recv context, so every event it records (phases,
+        sends, quorum votes) parents to this arrival.
+        """
         if self.crashed:
             return
+        handler = self._fast_lane.get(message.__class__, self.on_message)
         recorder = self.recorder
         if recorder is None or not recorder.causal_armed:
-            if self._uses_default_on_message:
-                handler = self._dispatch.get(message.__class__)
-                if handler is not None:
-                    handler(message, src)
-                elif not self._dispatch:
-                    self.on_message(message, src)  # raises NotImplementedError
-            else:
-                self.on_message(message, src)
+            handler(message, src)
             return
-        # Causal tracing: bracket the handler in a recv context so every
-        # event it records (phases, sends, quorum votes) parents to this
-        # arrival.  The dispatch body is duplicated rather than factored
-        # into a helper to keep the untraced branch above allocation- and
-        # call-free — this is the hottest method in the repo.
         recorder.begin_dispatch(self.sim._now, message, src, self.pid)
         try:
-            if self._uses_default_on_message:
-                handler = self._dispatch.get(message.__class__)
-                if handler is not None:
-                    handler(message, src)
-                elif not self._dispatch:
-                    self.on_message(message, src)  # raises NotImplementedError
-            else:
-                self.on_message(message, src)
+            handler(message, src)
         finally:
             recorder.clear_context()
 
@@ -189,6 +201,13 @@ class Process:
         Registering a type again replaces the previous handler, which is
         how subclasses (e.g. AHL's replicas) intercept message types their
         base class also handles.
+
+        A handler object belongs to one process — :meth:`crash` finds its
+        pending completions by callback identity, so one callable (a plain
+        function, say) registered with two processes would let the crash
+        of one divert the other's messages; bound methods and per-process
+        closures satisfy this by construction.  Register before messages
+        flow: a queued completion keeps the handler it was resolved to.
         """
         self._dispatch[message_type] = handler
 
@@ -307,8 +326,21 @@ class Process:
         return self.sim.set_timer(delay, _guarded)
 
     def crash(self) -> None:
-        """Crash-stop the process: it stops receiving and sending."""
+        """Crash-stop the process: it stops receiving and sending.
+
+        Messages still waiting for the CPU must not be handled while the
+        process is down, and must be if it recovers first.  Their
+        completion events point straight at a handler, so re-point them
+        (in place: they keep their heap position and still fire) at the
+        checked lane, which tests ``crashed`` when the event fires — a
+        crash pays for that test, not every message.
+        """
         self.crashed = True
+        own = {id(handler) for handler in self._fast_lane.values()}
+        checked = self._dispatch_message
+        for entry in self.sim._queue._heap:
+            if id(entry[2]) in own:
+                entry[2] = checked
 
     def recover(self) -> None:
         """Restart a crashed process (state retained, as in Section 2.1)."""

@@ -16,7 +16,11 @@ Performance model & parallel execution
 :meth:`Simulator.run` is the single hottest loop of the repo, so it works
 directly on the queue's raw ``[time, sequence, callback, args]`` heap
 entries (see :mod:`repro.sim.events`) instead of allocating per-event
-handle objects.  The kernel also keeps an events/sec counter
+handle objects, and it does one heap operation per event: pop, skip if
+cancelled, fire.  Only the entry that ends a run — the first one past
+``until`` or over ``max_events`` — is pushed back, as the same list, so a
+resumed run fires in the identical ``(time, sequence)`` order.  The
+kernel also keeps an events/sec counter
 (:attr:`Simulator.events_per_second`) measured over wall-clock time spent
 inside ``run`` — the number ``bench/perfbench.py`` tracks in
 ``BENCH_kernel.json``.  Whole runs are deterministic for a seed, which is
@@ -28,7 +32,8 @@ from __future__ import annotations
 
 import gc
 import random
-from heapq import heappop
+from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
 from typing import Any, Callable
 
@@ -182,8 +187,14 @@ class Simulator:
         re-walk that set to reclaim nothing.
         """
         # Hot loop: operate on the queue's raw heap entries (layout
-        # [time, sequence, callback, args]) — no per-event allocations.
+        # [time, sequence, callback, args]) — no per-event allocations and
+        # one heap operation per event: pop first, push back only the entry
+        # that ends the run.  "No horizon"/"no budget" are values of the
+        # compared type (inf; -1, which ``fired`` never equals) so the loop
+        # tests neither options nor an int against a float.
         heap = self._queue._heap
+        horizon = inf if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
         self._running = True
         fired = 0
         collecting = gc.isenabled()
@@ -191,20 +202,20 @@ class Simulator:
         wall_start = perf_counter()
         try:
             while self._running:
-                while heap and heap[0][2] is None:  # drop cancelled entries
-                    heappop(heap)
-                if not heap:
+                try:
+                    entry = heappop(heap)
+                except IndexError:  # drained
                     break
-                entry = heap[0]
-                next_time = entry[0]
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                heappop(heap)
-                self._now = next_time
                 callback = entry[2]
+                if callback is None:  # cancelled: neither fires nor counts
+                    continue
+                next_time = entry[0]
+                if next_time > horizon or fired == budget:
+                    heappush(heap, entry)  # the same list: its place is unchanged
+                    if next_time > horizon > self._now:  # never backwards
+                        self._now = horizon
+                    break
+                self._now = next_time
                 args = entry[3]
                 # Consume the entry before invoking so a Timer/Event handle
                 # sees the event as no longer pending even if the callback
@@ -228,7 +239,3 @@ class Simulator:
     def stop(self) -> None:
         """Stop :meth:`run` after the current event finishes."""
         self._running = False
-
-    def clear(self) -> None:
-        """Drop all pending events (used between benchmark iterations)."""
-        self._queue.clear()

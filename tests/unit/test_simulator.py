@@ -110,6 +110,14 @@ class TestSimulator:
         assert sim.processed_events == 4
         assert sim.pending_events == 6
 
+    def test_horizon_in_the_past_does_not_move_the_clock_backwards(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(3.0, lambda: None)
+        assert sim.run(until=2.0) == 2.0
+        assert sim.run(until=0.5) == 2.0  # was 0.5: the clock ran backwards
+        assert sim.pending_events == 1
+
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
         fired = []
@@ -128,15 +136,102 @@ class TestSimulator:
         assert Simulator(seed=1).rng.random() != Simulator(seed=2).rng.random()
 
 
-class TestBulkScheduling:
-    def test_push_fast_events_cannot_be_distinguished_when_popped(self):
-        queue = EventQueue()
-        fired = []
-        queue.push_fast(1.0, fired.append, ("fast",))
-        event = queue.pop()
-        event.fire()
-        assert fired == ["fast"]
-        assert event.cancelled  # firing consumes the event
+def _arrange_ties(sim, fired):
+    """Events sharing instants, one of which schedules more at its own instant."""
+
+    def note(label):
+        fired.append((sim.now, label))
+
+    def spawn():
+        note("spawn")
+        sim.schedule(0.0, note, "child")  # same instant, highest sequence so far
+
+    sim.schedule(1.0, note, "early")
+    for label in ("a", "b"):
+        sim.schedule(2.0, note, label)
+    sim.schedule(2.0, spawn)
+    sim.schedule(2.0, note, "c")
+    sim.schedule(3.0, note, "late")
+    return note
+
+
+class TestInterruptedRuns:
+    """``run`` pops before it looks; the entry that ends a run goes back unchanged."""
+
+    def test_run_until_then_run_fires_in_the_order_of_one_run(self):
+        whole, whole_fired = Simulator(), []
+        note = _arrange_ties(whole, whole_fired)
+        for label in ("d", "e"):
+            whole.schedule_at(2.0, note, label)
+        whole.run()
+
+        split, split_fired = Simulator(), []
+        note = _arrange_ties(split, split_fired)
+        # Stops on "a" (t=2.0, the lowest sequence of its instant), which is
+        # pushed back; "d" and "e" join the same instant after that.
+        assert split.run(until=1.5) == 1.5
+        assert split_fired == [(1.0, "early")]
+        for label in ("d", "e"):
+            split.schedule_at(2.0, note, label)
+        split.run(until=2.0)  # a horizon equal to the instant fires all of it
+        assert [label for _, label in split_fired[1:]] == ["a", "b", "spawn", "c", "d", "e", "child"]
+        split.run()
+        assert split_fired == whole_fired
+        assert split.processed_events == whole.processed_events == 9
+
+    @pytest.mark.parametrize("budget", [1, 2, 4])
+    def test_repeated_max_events_runs_equal_one_run(self, budget):
+        whole, whole_fired = Simulator(), []
+        _arrange_ties(whole, whole_fired)
+        whole.run()
+
+        split, split_fired = Simulator(), []
+        _arrange_ties(split, split_fired)
+        counts = []
+        while split.pending_events:
+            before = split.processed_events
+            split.run(max_events=budget)
+            counts.append(split.processed_events - before)
+        assert split_fired == whole_fired
+        assert counts[:-1] == [budget] * (len(counts) - 1)
+        assert sum(counts) == split.processed_events == whole.processed_events == 7
+        assert split.now == whole.now == 3.0
+
+    def test_max_events_zero_fires_nothing_and_keeps_the_queue(self):
+        sim, fired = Simulator(), []
+        _arrange_ties(sim, fired)
+        assert sim.run(max_events=0) == 0.0
+        assert fired == [] and sim.processed_events == 0 and sim.pending_events == 6
+
+    def test_cancelled_head_entries_neither_fire_nor_count(self):
+        sim, fired = Simulator(), []
+        first = sim.schedule(1.0, fired.append, "cancelled-1")
+        second = sim.schedule(1.0, fired.append, "cancelled-2")
+        sim.schedule(2.0, fired.append, "kept")
+        third = sim.schedule(4.0, fired.append, "cancelled-3")
+        first.cancel()
+        second.cancel()
+        third.cancel()
+        assert sim.run(until=3.0) == 3.0  # the cancelled tail is not "a later event"
+        assert fired == ["kept"]
+        assert sim.processed_events == 1
+        assert sim.pending_events == 0
+
+    def test_stop_inside_a_callback_leaves_the_next_entry_queued(self):
+        sim, fired = Simulator(), []
+
+        def halt():
+            fired.append("halt")
+            sim.stop()
+
+        sim.schedule(1.0, halt)
+        sim.schedule(1.0, fired.append, "same-instant")
+        sim.schedule(2.0, fired.append, "later")
+        assert sim.run() == 1.0
+        assert fired == ["halt"]
+        assert sim.processed_events == 1 and sim.pending_events == 2
+        sim.run()
+        assert fired == ["halt", "same-instant", "later"]
 
 
 class TestEventsPerSecond:

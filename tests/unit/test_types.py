@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.types import FaultModel, SequenceNumber, node_label
+from repro.common.types import FaultModel, node_label
 
 
 class TestFaultModel:
@@ -31,21 +31,6 @@ class TestFaultModel:
     def test_cluster_size_property_uses_f_equal_one(self):
         assert FaultModel.CRASH.cluster_size == 3
         assert FaultModel.BYZANTINE.cluster_size == 4
-
-
-class TestSequenceNumber:
-    def test_ordering_is_by_cluster_then_index(self):
-        assert SequenceNumber(0, 5) < SequenceNumber(1, 0)
-        assert SequenceNumber(1, 2) < SequenceNumber(1, 3)
-
-    def test_next_increments_index_only(self):
-        seq = SequenceNumber(2, 7)
-        assert seq.next() == SequenceNumber(2, 8)
-        assert seq.next().cluster == 2
-
-    def test_equality_and_hashability(self):
-        assert SequenceNumber(1, 1) == SequenceNumber(1, 1)
-        assert len({SequenceNumber(1, 1), SequenceNumber(1, 1), SequenceNumber(1, 2)}) == 2
 
 
 def test_node_label_formats():
