@@ -29,6 +29,7 @@ from typing import ClassVar
 
 from ..api.registry import register_system
 from ..common.config import ClusterConfig, SystemConfig
+from ..common.errors import UnknownAccountError
 from ..common.types import ClientId, ClusterId, FaultModel, NodeId
 from ..consensus.log import item_digest
 from ..consensus.messages import ClientRequest
@@ -222,12 +223,16 @@ class ReferenceCommitteeReplica(ReplicaHost):
         if request.reply_to < 0:
             request = replace(request, reply_to=src)
         if not self.intra.is_primary:
-            self.send(int(self.cluster.primary_for_view(self.intra.view)), request)
+            self.send(int(self.intra.primary), request)
             return
         digest = item_digest(request)
         if digest in self._states:
             return
-        involved = sharding.involved_clusters(request.transaction, self.mapper)
+        try:
+            involved = sharding.involved_clusters(request.transaction, self.mapper)
+        except UnknownAccountError:
+            self._reject_unclassifiable(request)
+            return
         self._states[digest] = _RC2PCState(request=request, involved=involved)
         # Step 1: the RC orders the prepare decision among its members.
         self.intra.submit(RCOrderMarker(request=request, phase="prepare"))

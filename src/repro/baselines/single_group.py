@@ -30,7 +30,7 @@ from dataclasses import replace
 
 from ..api.registry import register_system
 from ..common.config import ClusterConfig, SystemConfig
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, UnknownAccountError
 from ..common.types import ClusterId, FaultModel, NodeId
 from ..consensus.log import Noop
 from ..consensus.messages import (
@@ -181,8 +181,13 @@ class SingleGroupReplica(ReplicaHost):
         if self.chain.contains_tx(request.transaction.tx_id):
             self._send_reply(request, success=True)
             return
+        try:
+            request.transaction.involved_shards(self.mapper)
+        except UnknownAccountError:
+            self._reject_unclassifiable(request)
+            return
         if not self.intra.is_primary:
-            self.send(int(self.cluster.primary_for_view(self.intra.view)), request)
+            self.send(int(self.intra.primary), request)
             return
         self.intra.submit(request)
 

@@ -71,13 +71,6 @@ class NodeRole(enum.Enum):
     PASSIVE = "passive"
 
 
-class TxType(enum.Enum):
-    """Transaction classification (Section 2.2)."""
-
-    INTRA_SHARD = "intra"
-    CROSS_SHARD = "cross"
-
-
 def node_label(node_id: NodeId, cluster_id: ClusterId | None = None) -> str:
     """Human-readable label used in logs and error messages."""
     if cluster_id is None:

@@ -145,10 +145,17 @@ class HandlerTable:
 
 
 class ConsensusEngine(HandlerTable):
-    """Common plumbing shared by the intra-shard engines."""
+    """Common plumbing shared by the intra-shard engines.
+
+    Role is state: assigning :attr:`view` resolves ``primary`` (the node
+    the view elects) and ``is_primary`` (whether the host is that node);
+    every per-message and per-request test reads them as attributes.
+    """
 
     def __init__(self, host: ConsensusHost) -> None:
         self.host = host
+        #: identifier of the hosting cluster.
+        self.cluster_id: ClusterId = host.cluster.cluster_id
         self.view = 0
         self._build_handlers()
 
@@ -156,19 +163,15 @@ class ConsensusEngine(HandlerTable):
     # primary/backup roles
     # ------------------------------------------------------------------
     @property
-    def primary(self) -> NodeId:
-        """The primary of the current view."""
-        return self.host.cluster.primary_for_view(self.view)
+    def view(self) -> int:
+        """The view this engine is in."""
+        return self._view
 
-    @property
-    def is_primary(self) -> bool:
-        """Whether the hosting replica is the primary of the current view."""
-        return self.host.node_id == self.primary
-
-    @property
-    def cluster_id(self) -> ClusterId:
-        """Identifier of the hosting cluster."""
-        return self.host.cluster.cluster_id
+    @view.setter
+    def view(self, view: int) -> None:
+        self._view = view
+        self.primary = self.host.cluster.primary_for_view(view)
+        self.is_primary = self.host.node_id == self.primary
 
     # ------------------------------------------------------------------
     # the decide step every intra-shard engine shares; the engines keep

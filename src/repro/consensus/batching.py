@@ -170,10 +170,6 @@ class BatchPipeline:
     # ------------------------------------------------------------------
     # intake (primary only; callers route/forward before reaching here)
     # ------------------------------------------------------------------
-    def knows(self, digest: str) -> bool:
-        """Whether a request with this digest is queued or in flight."""
-        return digest in self._members
-
     def submit_intra(self, request: ClientRequest) -> None:
         """Queue an intra-shard request and propose as the window allows."""
         if self._admit(request):

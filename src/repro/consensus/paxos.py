@@ -72,15 +72,16 @@ class PaxosEngine(ConsensusEngine):
     # message handling (table-driven; see HandlerTable.handle)
     # ------------------------------------------------------------------
     def _on_accept(self, message: PaxosAccept, src: int) -> None:
-        if src != self.host.cluster.primary_for_view(message.view):
-            return
-        if message.view < self.view:
-            return
-        if message.view > self.view:
+        view = message.view
+        if view != self.view:
+            if view < self.view or src != self.host.cluster.primary_for_view(view):
+                return
             # The cluster moved on without us; adopt the newer view.
-            self.view = message.view
+            self.view = view
+        elif src != self.primary:
+            return
         if not self.host.log.try_record_pending(
-            message.slot, message.digest, message.item, view=message.view,
+            message.slot, message.digest, message.item, view=view,
             proposer=self.cluster_id,
         ):
             # The slot already holds a different digest; do not vote.
@@ -93,9 +94,9 @@ class PaxosEngine(ConsensusEngine):
                 int(self.host.cluster.cluster_id), message.slot,
             )
         reply = PaxosAccepted(
-            view=message.view, slot=message.slot, digest=message.digest, node=self.host.node_id
+            view=view, slot=message.slot, digest=message.digest, node=self.host.node_id
         )
-        self.host.send_to(self.host.cluster.primary_for_view(message.view), reply)
+        self.host.send_to(self.primary, reply)
 
     def _on_accepted(self, message: PaxosAccepted, src: int) -> None:
         if not self.is_primary or message.view != self.view:
@@ -118,7 +119,9 @@ class PaxosEngine(ConsensusEngine):
         self.host.after_decide()
 
     def _on_commit(self, message: PaxosCommit, src: int) -> None:
-        if src != self.host.cluster.primary_for_view(message.view):
+        view = message.view  # may trail or lead this replica's
+        primary = self.primary if view == self.view else self.host.cluster.primary_for_view(view)
+        if src != primary:
             return
         self._decide(message.slot, message.digest, message.item, message.view)
         self.host.after_decide()

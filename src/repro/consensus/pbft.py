@@ -86,18 +86,18 @@ class PBFTEngine(ConsensusEngine):
     # message handling (table-driven; see HandlerTable.handle)
     # ------------------------------------------------------------------
     def _on_pre_prepare(self, message: PrePrepare, src: int) -> None:
-        if src != self.host.cluster.primary_for_view(message.view):
+        view = message.view
+        if view != self.view:
+            if view > self.view and src == self.host.cluster.primary_for_view(view):
+                # A pre-prepare alone must never advance the view: that is
+                # exactly how a `forged-view` adversary self-elects (inflate
+                # `message.view` to a view whose round-robin primary it is).
+                # Higher views are only adopted through a certificate-carrying
+                # NewView (or a quorum-attested state transfer); park the
+                # message and replay it if that view is legitimately installed.
+                self._stash_pre_prepare(message, src)
             return
-        if message.view < self.view:
-            return
-        if message.view > self.view:
-            # A pre-prepare alone must never advance the view: that is
-            # exactly how a `forged-view` adversary self-elects (inflate
-            # `message.view` to a view whose round-robin primary it is).
-            # Higher views are only adopted through a certificate-carrying
-            # NewView (or a quorum-attested state transfer); park the
-            # message and replay it if that view is legitimately installed.
-            self._stash_pre_prepare(message, src)
+        if src != self.primary:
             return
         if not self.host.log.try_record_pending(
             message.slot, message.digest, message.item, view=message.view,

@@ -261,8 +261,9 @@ class ViewChangeManager:
         cross-cluster verification in
         :meth:`repro.core.replica.SharPerReplica._on_new_view_announcement`.
         """
-        expected_primary = self.engine.host.cluster.primary_for_view(message.view)
-        if src != expected_primary or message.view <= self.engine.view:
+        if message.view <= self.engine.view:
+            return
+        if src != self.engine.host.cluster.primary_for_view(message.view):
             return
         if not verify_new_view_certificate(
             message.certificate, message.view, self.engine.host.cluster

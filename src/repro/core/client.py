@@ -23,6 +23,7 @@ from ..sim.process import Process
 from ..sim.simulator import Simulator
 from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadGenerator
+from .sharding import involved_clusters
 
 __all__ = ["ClosedLoopClient"]
 
@@ -105,7 +106,7 @@ class ClosedLoopClient(Process):
             reply_to=self.pid,
         )
         target = self.router(transaction)
-        cross = len(transaction.involved_shards(self.workload.mapper)) > 1
+        cross = len(involved_clusters(transaction, self.workload.mapper)) > 1
         state = _Outstanding(
             transaction=transaction,
             submitted_at=self.sim.now,

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 from weakref import ref
 
 from ..common.config import ClusterConfig, SystemConfig
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, UnknownAccountError
 from ..common.types import AccountId, ClientId, ClusterId, FaultModel, NodeId
 from ..consensus.batching import BatchPipeline, member_requests
 from ..consensus.log import Noop, OrderingLog, item_digest
@@ -113,6 +113,8 @@ class ReplicaHost(Process):
         self.tuning = config.tuning
         self.log = OrderingLog(cluster.cluster_id)
         self.chain = ClusterView(cluster.cluster_id)
+        #: client requests refused at intake: an account outside the keyspace.
+        self.rejected_requests = 0
         # Stable destination tuple: the network memoises a route per
         # (sender, destination tuple), so hand it the same tuple object
         # for the whole run instead of rebuilding a list per multicast.
@@ -161,6 +163,12 @@ class ReplicaHost(Process):
         self.chain.append(block)
         self.committed_count += len(executed)
         return executed
+
+    def _reject_unclassifiable(self, request: ClientRequest) -> None:
+        """Refuse a request naming an account no shard owns: nothing can
+        order it, so answer with a failure (the submitter stops retrying)."""
+        self.rejected_requests += 1
+        self._send_reply(request, success=False)
 
     def _send_reply(
         self, request: ClientRequest, success: bool, cross_shard: bool = False
@@ -268,7 +276,7 @@ class SharPerReplica(ReplicaHost):
         (see :meth:`_on_new_view_announcement`).
         """
         if cluster_id == self.cluster_id:
-            return int(self.cluster.primary_for_view(self.intra.view))
+            return int(self.intra.primary)
         return self._remote_primaries[cluster_id]
 
     def nodes_of_clusters(self, clusters: Iterable[ClusterId]) -> tuple[int, ...]:
@@ -373,7 +381,13 @@ class SharPerReplica(ReplicaHost):
             # Duplicate of an already-committed transaction: reply directly.
             self._send_reply(request, success=True, cross_shard=False)
             return
-        involved = self.involved_clusters_of(transaction)
+        try:
+            involved = sharding.involved_clusters(transaction, self.mapper)
+        except UnknownAccountError:
+            if guard is not None:
+                guard.abandoned(transaction.tx_id)
+            self._reject_unclassifiable(request)
+            return
         if len(involved) == 1:
             self._handle_intra_request(request, involved[0])
         else:
@@ -383,7 +397,7 @@ class SharPerReplica(ReplicaHost):
         if target != self.cluster_id:
             self._forward(request, self.primary_pid_of(target))
             return
-        if not self.is_cluster_primary:
+        if not self.intra.is_primary:
             self._monitor_forwarded_request(request)
             self._forward(request, self.primary_pid_of(self.cluster_id))
             return
@@ -412,7 +426,7 @@ class SharPerReplica(ReplicaHost):
         if initiator != self.cluster_id:
             self._forward(request, self.primary_pid_of(initiator))
             return
-        if not self.is_cluster_primary:
+        if not self.intra.is_primary:
             self._monitor_forwarded_request(request)
             self._forward(request, self.primary_pid_of(self.cluster_id))
             return
@@ -579,9 +593,9 @@ class SharPerReplica(ReplicaHost):
             transaction = request.transaction
             if committed(transaction.tx_id):
                 continue
-            # involved_shards is memoised on the shared payload, so this
-            # guard costs one cache probe per applied transaction.
-            if not cross and len(transaction.involved_shards(self.mapper)) > 1:
+            # The classification is memoised on the shared payload, so
+            # this guard costs one cache probe per applied transaction.
+            if not cross and len(sharding.involved_clusters(transaction, self.mapper)) > 1:
                 if guard is not None:
                     guard.abandoned(transaction.tx_id)
                 continue
@@ -660,7 +674,7 @@ class SharPerReplica(ReplicaHost):
         if self.cluster.fault_model is FaultModel.BYZANTINE:
             return True
         # Crash model: only the primary of the initiating cluster replies.
-        return self.is_cluster_primary and proposer == self.cluster_id
+        return self.intra.is_primary and proposer == self.cluster_id
 
     def on_cross_shard_abort(self, item: object) -> None:
         """Notify the client(s) that a cross-shard item was given up on.

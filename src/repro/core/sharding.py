@@ -55,13 +55,14 @@ def cluster_to_shard(cluster: ClusterId) -> ShardId:
 def involved_clusters(transaction: Transaction, mapper: ShardMapper) -> tuple[ClusterId, ...]:
     """Sorted tuple of clusters whose shards ``transaction`` accesses.
 
-    Memoised on the transaction per mapper value, like
-    :meth:`Transaction.involved_shards`: router, client and every replica
-    share one tuple object, which also keeps the per-involved-set memos
-    downstream (destination tuples, network routes) on their fast probe.
+    The one classification memo: kept on the transaction for the mapper
+    that asked last, known by identity — a run has one mapper — so
+    client, router and every replica share one tuple object, which also
+    keeps the per-involved-set memos downstream (destination tuples,
+    network routes) on their fast probe.
     """
     cached = transaction.__dict__.get("_involved_clusters")
-    if cached is not None and (cached[0] is mapper or cached[0] == mapper):
+    if cached is not None and cached[0] is mapper:
         return cached[1]
     clusters = tuple(
         sorted(shard_to_cluster(shard) for shard in transaction.involved_shards(mapper))

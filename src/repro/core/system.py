@@ -69,7 +69,8 @@ class BaseSystem:
         )
         self.network = Network(self.sim, self.latency_model)
         self.cost_model = CostModel(config.performance)
-        #: mapper used by the workload (one shard per cluster).
+        #: the run's one shard mapper (one shard per cluster), shared by
+        #: generators, router and replicas: a transaction is classified once.
         self.workload_mapper = ShardMapper(
             num_shards=config.num_clusters,
             accounts_per_shard=workload_config.accounts_per_shard,
@@ -171,6 +172,7 @@ class BaseSystem:
             self.workload_config,
             num_shards=self.config.num_clusters,
             seed=self.seed + 7919 * (seed_offset + 1),
+            mapper=self.workload_mapper,
         )
 
     def spawn_clients(
@@ -436,28 +438,29 @@ class SharPerSystem(BaseSystem):
                 if self.archive is not None:
                     replica.chain.archive = self.archive
                 self.replicas[int(node)] = replica
+        #: process ids of each cluster's nodes (initial primary first).
+        self._node_pids = {
+            cluster.cluster_id: tuple(int(node) for node in cluster.node_ids)
+            for cluster in config.clusters
+        }
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def route(self, transaction: Transaction) -> int:
-        """Send the request to the primary of the initiating cluster."""
-        initiator = sharding.initiator_cluster(
-            transaction,
-            self.workload_mapper,
-            use_super_primary=self.config.tuning.use_super_primary,
-        )
-        return int(self.config.cluster(initiator).primary)
+        """Send the request to the primary of the initiating cluster.
+
+        That is the smallest involved cluster under the super-primary rule
+        and without it (a client has no cluster of its own to prefer).
+        """
+        involved = sharding.involved_clusters(transaction, self.workload_mapper)
+        return self._node_pids[involved[0]][0]
 
     def fallback_route(self, transaction: Transaction, attempt: int) -> int:
         """On retry, try the next node of the initiating cluster (view change)."""
-        initiator = sharding.initiator_cluster(
-            transaction,
-            self.workload_mapper,
-            use_super_primary=self.config.tuning.use_super_primary,
-        )
-        nodes = self.config.cluster(initiator).node_ids
-        return int(nodes[attempt % len(nodes)])
+        involved = sharding.involved_clusters(transaction, self.workload_mapper)
+        nodes = self._node_pids[involved[0]]
+        return nodes[attempt % len(nodes)]
 
     @property
     def required_replies(self) -> int:

@@ -42,7 +42,11 @@ class ShardMapper:
     the other classic hash-free scheme; it spreads hot contiguous id
     ranges across every shard.  Either way each shard's population is an
     arithmetic progression, which the columnar store maps to flat array
-    slots without a hash table.
+    slots without a hash table; the ``range`` objects are built once.
+
+    A run has **one** mapper (the system's ``workload_mapper``, shared by
+    generators, router and replicas), so a transaction's classification
+    memo knows its mapper by identity; mappers have no value equality.
     """
 
     STRATEGIES = ("range", "modulo")
@@ -62,29 +66,18 @@ class ShardMapper:
         self.num_shards = num_shards
         self.accounts_per_shard = accounts_per_shard
         self.strategy = strategy
-        self._total_accounts = num_shards * accounts_per_shard
-        self._key = (num_shards, accounts_per_shard, strategy)
-
-    def __eq__(self, other: object) -> bool:
-        """Value equality: mappers with equal parameters map identically.
-
-        Every workload generator builds its own mapper while routers and
-        replicas share the system's, so per-mapper memos on a transaction
-        must recognise an equal mapper, not only the same object.
-        """
-        return isinstance(other, ShardMapper) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    @property
-    def total_accounts(self) -> int:
-        """Total number of accounts across all shards."""
-        return self._total_accounts
+        #: total number of accounts across all shards.
+        self.total_accounts = total = num_shards * accounts_per_shard
+        self._shard_accounts = tuple(
+            range(shard, total, num_shards)
+            if strategy == "modulo"
+            else range(shard * accounts_per_shard, (shard + 1) * accounts_per_shard)
+            for shard in range(num_shards)
+        )
 
     def shard_of(self, account_id: AccountId) -> ShardId:
         """Shard that stores ``account_id``."""
-        if not 0 <= account_id < self._total_accounts:
+        if not 0 <= account_id < self.total_accounts:
             raise UnknownAccountError(f"account {account_id} is outside the keyspace")
         if self.strategy == "modulo":
             return ShardId(account_id % self.num_shards)
@@ -94,10 +87,7 @@ class ShardMapper:
         """The account ids stored in ``shard`` (an arithmetic progression)."""
         if not 0 <= shard < self.num_shards:
             raise ConfigurationError(f"unknown shard {shard}")
-        if self.strategy == "modulo":
-            return range(shard, self._total_accounts, self.num_shards)
-        start = shard * self.accounts_per_shard
-        return range(start, start + self.accounts_per_shard)
+        return self._shard_accounts[shard]
 
     def shards_of(self, account_ids: Iterable[AccountId]) -> frozenset[ShardId]:
         """Set of shards touched by a group of accounts."""

@@ -11,7 +11,7 @@ this safe — Section 3.2/3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..common.errors import ValidationError
 from ..common.types import ShardId
@@ -21,9 +21,12 @@ from .transaction import Transaction, Transfer
 __all__ = ["ExecutionResult", "TransactionExecutor"]
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    """Outcome of executing one transaction on one shard."""
+class ExecutionResult(NamedTuple):
+    """Outcome of executing one transaction on one shard.
+
+    A named tuple, not a frozen dataclass: one is built per executed
+    transaction and the commit path reads ``success`` and drops it.
+    """
 
     tx_id: str
     success: bool
@@ -79,25 +82,31 @@ class TransactionExecutor:
 
         Checks ownership of source accounts stored locally and that each
         locally-stored source holds sufficient balance for the sum of its
-        outgoing transfers in this transaction.
+        outgoing transfers in this transaction.  Each local source is
+        read once; ``remaining`` is what its transfers so far leave of it.
         """
         if classified is None:
             classified = self._classify_local(transaction)
-        outgoing: dict[int, int] = {}
+        remaining: dict[int, int] = {}
         for transfer, source_local, _ in classified:
             if not source_local:
                 continue
-            account = self.store.account(transfer.source)
-            if self.enforce_ownership and account.owner != transaction.client:
+            source = transfer.source
+            left = remaining.get(source)
+            if left is None:
+                account = self.store.account(source)
+                if self.enforce_ownership and account.owner != transaction.client:
+                    raise ValidationError(
+                        f"client {transaction.client} does not own account {source}"
+                    )
+                left = account.balance
+            remaining[source] = left - transfer.amount
+        for account_id, left in remaining.items():
+            if left < 0:
+                balance = self.store.balance(account_id)
                 raise ValidationError(
-                    f"client {transaction.client} does not own account {transfer.source}"
-                )
-            outgoing[transfer.source] = outgoing.get(transfer.source, 0) + transfer.amount
-        for account_id, total in outgoing.items():
-            balance = self.store.balance(account_id)
-            if balance < total:
-                raise ValidationError(
-                    f"account {account_id} holds {balance} < {total} required by {transaction.tx_id}"
+                    f"account {account_id} holds {balance} < {balance - left} "
+                    f"required by {transaction.tx_id}"
                 )
 
     # ------------------------------------------------------------------
@@ -114,12 +123,7 @@ class TransactionExecutor:
             self.validate(transaction, classified)
         except ValidationError as exc:
             self.failed += 1
-            return ExecutionResult(
-                tx_id=transaction.tx_id,
-                success=False,
-                applied_transfers=0,
-                error=str(exc),
-            )
+            return ExecutionResult(transaction.tx_id, False, 0, str(exc))
         applied = 0
         requester = transaction.client if self.enforce_ownership else None
         for transfer, source_local, destination_local in classified:
@@ -130,8 +134,4 @@ class TransactionExecutor:
                 self.store.deposit(transfer.destination, transfer.amount)
                 applied += 1
         self.executed += 1
-        return ExecutionResult(
-            tx_id=transaction.tx_id,
-            success=True,
-            applied_transfers=applied,
-        )
+        return ExecutionResult(transaction.tx_id, True, applied)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ..common.crypto import KeyPair, Signature, digest
 from ..common.errors import ValidationError
-from ..common.types import AccountId, ClientId, ShardId, TxType
+from ..common.types import AccountId, ClientId, ShardId
 from .accounts import ShardMapper
 
 __all__ = ["Transfer", "Transaction", "new_tx_id"]
@@ -46,11 +46,6 @@ class Transfer:
         if self.source == self.destination:
             raise ValidationError("transfer source and destination must differ")
 
-    @property
-    def accounts(self) -> tuple[AccountId, AccountId]:
-        """Accounts read/written by this transfer."""
-        return (self.source, self.destination)
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -73,17 +68,6 @@ class Transaction:
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
-    @property
-    def accounts(self) -> frozenset[AccountId]:
-        """All accounts read or written by the transaction (memoised)."""
-        cached = self.__dict__.get("_accounts")
-        if cached is None:
-            cached = frozenset(
-                account for transfer in self.transfers for account in transfer.accounts
-            )
-            object.__setattr__(self, "_accounts", cached)
-        return cached
-
     def payload_digest(self) -> str:
         """Digest ``D(m)`` over the transaction body (excludes signature).
 
@@ -110,26 +94,14 @@ class Transaction:
     def involved_shards(self, mapper: ShardMapper) -> frozenset[ShardId]:
         """Shards whose records this transaction accesses.
 
-        Memoised per mapper *value*: a request is classified by its
-        client, by the routing layer, and by every replica that orders it
-        — against equal but not always identical shard mappers — so the
-        set is computed once and the cached value is shared wherever the
-        payload travels.
+        One pass over the transfers, one ``shards_of`` call, no memo: the
+        layers of a run ask :func:`repro.core.sharding.involved_clusters`,
+        which classifies once and shares the answer with the payload.
         """
-        cached = self.__dict__.get("_involved_shards")
-        if cached is not None and (cached[0] is mapper or cached[0] == mapper):
-            return cached[1]
-        shards = mapper.shards_of(self.accounts)
-        object.__setattr__(self, "_involved_shards", (mapper, shards))
-        return shards
-
-    def tx_type(self, mapper: ShardMapper) -> TxType:
-        """Whether the transaction is intra- or cross-shard under ``mapper``."""
-        return TxType.INTRA_SHARD if len(self.involved_shards(mapper)) == 1 else TxType.CROSS_SHARD
-
-    def is_cross_shard(self, mapper: ShardMapper) -> bool:
-        """Convenience predicate for :meth:`tx_type`."""
-        return self.tx_type(mapper) is TxType.CROSS_SHARD
+        accounts: list[AccountId] = []
+        for transfer in self.transfers:
+            accounts += (transfer.source, transfer.destination)
+        return mapper.shards_of(accounts)
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..common.errors import ConfigurationError
-from ..common.types import AccountId, ClientId, ShardId, TxType
+from ..common.types import AccountId, ClientId, ShardId
 from .accounts import ShardMapper
 from .transaction import Transaction, Transfer
 
@@ -88,9 +88,19 @@ class WorkloadConfig:
 
 
 class WorkloadGenerator:
-    """Deterministic stream of transactions matching a :class:`WorkloadConfig`."""
+    """Deterministic stream of transactions matching a :class:`WorkloadConfig`.
 
-    def __init__(self, config: WorkloadConfig, num_shards: int, seed: int = 0) -> None:
+    ``mapper`` is the run's one shard mapper (a system passes its own);
+    a bare generator builds the one its config describes.
+    """
+
+    def __init__(
+        self,
+        config: WorkloadConfig,
+        num_shards: int,
+        seed: int = 0,
+        mapper: ShardMapper | None = None,
+    ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
         if config.cross_shard_fraction > 0 and num_shards < config.shards_per_cross_tx:
@@ -98,15 +108,23 @@ class WorkloadGenerator:
                 f"cannot generate {config.shards_per_cross_tx}-shard transactions "
                 f"with only {num_shards} shards"
             )
+        if mapper is None:
+            mapper = ShardMapper(
+                num_shards, config.accounts_per_shard, strategy=config.partition_strategy
+            )
+        elif (mapper.num_shards, mapper.accounts_per_shard, mapper.strategy) != (
+            num_shards, config.accounts_per_shard, config.partition_strategy
+        ):
+            raise ConfigurationError("mapper does not match the workload's shard layout")
         self.config = config
         self.num_shards = num_shards
-        self.mapper = ShardMapper(
-            num_shards, config.accounts_per_shard, strategy=config.partition_strategy
-        )
+        self.mapper = mapper
+        hot = config.hot_account_fraction
+        #: size of every shard's hot set (0 = none; shards are equally large).
+        self._hot_count = max(1, int(config.accounts_per_shard * hot)) if hot else 0
         self.rng = random.Random(seed)
         self.seed = seed
         self.generated = 0
-        self.generated_cross = 0
 
     def _next_tx_id(self, client: ClientId) -> str:
         """Deterministic per-generator transaction id.
@@ -129,11 +147,12 @@ class WorkloadGenerator:
         With probability ``hot_access_fraction`` the account is drawn
         uniformly from the shard's hot set (its first
         ``hot_account_fraction`` of accounts); otherwise uniformly from
-        the whole shard.
+        the whole shard.  The shard's account range is the mapper's and
+        the hot-set size was resolved at construction; a pick only draws.
         """
         accounts = self.mapper.accounts_in_shard(shard)
         config = self.config
-        hot_count = max(1, int(len(accounts) * config.hot_account_fraction)) if config.hot_account_fraction else 0
+        hot_count = self._hot_count
         # The range strategy keeps the historical draw over raw ids so
         # seeded workloads stay bit-identical; striped (modulo) shards
         # draw an index into the progression instead.
@@ -210,7 +229,6 @@ class WorkloadGenerator:
             tx_id=self._next_tx_id(client),
         )
         self.generated += 1
-        self.generated_cross += 1
         return transaction
 
     def next_transaction(self, timestamp: float = 0.0) -> Transaction:
@@ -223,10 +241,3 @@ class WorkloadGenerator:
         """Yield ``count`` transactions."""
         for _ in range(count):
             yield self.next_transaction(timestamp)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def classify(self, transaction: Transaction) -> TxType:
-        """Classify a transaction under this workload's shard mapping."""
-        return transaction.tx_type(self.mapper)

@@ -103,6 +103,19 @@ def simple_transfer(source: int = 0, destination: int = 1, amount: int = 5) -> T
     )
 
 
+def assert_roles_follow_views(replicas) -> None:
+    """Role is state: each engine's ``primary`` / ``is_primary`` are those its view elects."""
+    for replica in replicas:
+        engine = replica.intra
+        elected = replica.cluster.primary_for_view(engine.view)
+        assert engine.primary == elected, (
+            f"node {replica.node_id}: view {engine.view} elects {elected}, "
+            f"engine says {engine.primary}"
+        )
+        assert engine.is_primary == (replica.node_id == elected)
+        assert replica.is_cluster_primary == engine.is_primary
+
+
 def assert_run_leaves_no_garbage(scenario):
     """Run ``scenario`` with the collector off; fail if only a cyclic pass could free something.
 

@@ -22,6 +22,8 @@ from repro.common.types import FaultModel
 from repro.storage import HistoryQuery, audit_archive
 from repro.txn.workload import WorkloadConfig
 
+from helpers import assert_roles_follow_views
+
 
 def storage_scenario(
     store_backend: str,
@@ -290,6 +292,10 @@ class TestCheckpointOncePerCluster:
         result.raise_if_failed()
         assert failover_pins(result) == FAILOVER_PINNED
         assert result.recovery.state_transfers_completed == 1
+        # Role is state: after the view change and the recovered primary's
+        # state-transfer adoption, every engine's role is its view's.
+        assert_roles_follow_views(result.system.replicas.values())
+        assert [r.intra.view for r in result.system.replicas_of(0)] == [1, 1, 1]
         archive = result.system.archive
         # Each row was written once, by whichever replica pruned first.
         assert archive.blocks_written == FAILOVER_PINNED["row_counts"]["blocks"]

@@ -150,10 +150,16 @@ class TestPipelineMechanics:
         pipeline = BatchPipeline(host)
         a, b = make_request(0), make_request(1)
         pipeline.submit_intra(a)
-        assert pipeline.knows(item_digest(a))
+        pipeline.submit_intra(a)  # in flight: the retried digest proposes nothing
+        assert host.intra.submitted == [a]
         pipeline.item_applied(item_digest(a))
-        assert not pipeline.knows(item_digest(a))
-        assert not pipeline.knows(item_digest(b))
+        # Released with its slot: the same digest is a new request again,
+        # as is one the pipeline never saw.
+        pipeline.submit_intra(a)
+        assert host.intra.submitted == [a, a]
+        pipeline.item_applied(item_digest(a))
+        pipeline.submit_intra(b)
+        assert host.intra.submitted == [a, a, b]
 
     def test_retry_of_queued_request_is_dropped(self):
         host = FakeHost(batch_size=4, pipeline_depth=1)
@@ -243,9 +249,11 @@ class TestRetryAbsorption:
         pipeline.submit_cross(b, lane)
         assert host.cross.started == [first, first, batch, batch]
         assert host.cross.started[-1] is batch
-        # Once the item applied, the member is unknown again.
+        # Once the item applied, the member is unknown again: its retry
+        # is a fresh request, proposed bare, not a re-drive of the batch.
         pipeline.item_applied(item_digest(batch))
-        assert not pipeline.knows(item_digest(b))
+        pipeline.submit_cross(b, lane)
+        assert host.cross.started == [first, first, batch, batch, b]
 
     def test_retry_of_queued_or_intra_member_proposes_nothing(self):
         host = FakeHost(batch_size=4, pipeline_depth=1)
@@ -295,8 +303,10 @@ class TestViewChangeReset:
         assert all(destination == 1 for _, destination in host.forwarded)
         # Forwarded members leave the dedup index: the new primary owns
         # them now, and a later retry through this replica must forward
-        # again rather than vanish.
-        assert not pipeline.knows(item_digest(requests[1]))
+        # again rather than vanish (absorbed as a retry it would not queue).
+        assert pipeline.queued == 0
+        pipeline.submit_intra(requests[1])
+        assert pipeline.queued == 1
 
     def test_members_of_in_flight_items_are_released(self):
         """The view change owns in-flight slots now; no ``item_applied`` will
@@ -309,8 +319,6 @@ class TestViewChangeReset:
         pipeline.submit_intra(intra)
         pipeline.submit_cross(cross, lane)
         pipeline.on_view_installed()
-        assert not pipeline.knows(item_digest(intra))
-        assert not pipeline.knows(item_digest(cross))
         assert pipeline.in_flight == 0
         pipeline.submit_intra(intra)
         pipeline.submit_cross(cross, lane)

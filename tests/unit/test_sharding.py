@@ -5,6 +5,7 @@ import pytest
 from repro.api import DeploymentSpec, Scenario
 from repro.common.config import NodeGroup
 from repro.common.errors import ConfigurationError
+from repro.common.metrics import MetricsCollector
 from repro.common.types import FaultModel
 from repro.core import sharding
 from repro.txn.accounts import ShardMapper
@@ -32,19 +33,37 @@ class TestInvolvedClusters:
 
 
 class TestClassificationMemo:
-    """A transaction is classified once, however many mappers and layers ask."""
+    """A transaction is classified once per run: the run has one mapper."""
 
     def test_equal_mappers_share_the_memo(self, mapper):
+        """The memo knows its mapper by identity; mappers have no value equality."""
         twin = ShardMapper(num_shards=4, accounts_per_shard=10)
-        assert twin == mapper and hash(twin) == hash(mapper)
-        assert mapper != ShardMapper(num_shards=4, accounts_per_shard=10, strategy="modulo")
+        assert twin != mapper
         tx = Transaction.transfer(client=1, source=35, destination=2, amount=1)
-        assert tx.involved_shards(mapper) is tx.involved_shards(twin)
-        assert sharding.involved_clusters(tx, mapper) is sharding.involved_clusters(tx, twin)
+        # the same mapper is served the same object ...
+        assert sharding.involved_clusters(tx, mapper) is sharding.involved_clusters(tx, mapper)
+        # ... an equal-but-distinct mapper classifies again, to an equal answer
+        assert tx.involved_shards(twin) == tx.involved_shards(mapper) == frozenset({0, 3})
+        assert sharding.involved_clusters(tx, twin) == sharding.involved_clusters(tx, mapper) == (0, 3)
         # a mapper that maps differently must not be served the stale answer
         other = ShardMapper(num_shards=2, accounts_per_shard=20)
         assert tx.involved_shards(other) == frozenset({0, 1})
         assert sharding.involved_clusters(tx, other) == (0, 1)
+        assert sharding.involved_clusters(tx, mapper) == (0, 3)
+
+    @pytest.mark.parametrize("system", ["sharper", "ahl", "apr", "fast"])
+    def test_a_run_has_one_mapper(self, system):
+        """Generators are handed the system's mapper; sharded replicas hold it too."""
+        built = Scenario(
+            deployment=DeploymentSpec(system=system, num_clusters=3),
+            workload=WorkloadConfig(cross_shard_fraction=0.3, accounts_per_shard=64),
+        ).build_system()
+        clients = built.spawn_clients(3, MetricsCollector())
+        assert all(client.workload.mapper is built.workload_mapper for client in clients)
+        if system in ("sharper", "ahl"):
+            assert all(process.mapper is built.workload_mapper for process in built.processes())
+        else:  # not sharded: the replicas map the whole keyspace to one shard
+            assert all(process.mapper is built.full_mapper for process in built.processes())
 
     def test_one_shards_of_call_per_transaction_end_to_end(self, monkeypatch):
         """Client (its generator's mapper), router and replicas (the system's) agree."""

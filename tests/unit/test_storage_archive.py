@@ -350,6 +350,15 @@ class TestAuditArchive:
         with pytest.raises(Exception):
             report.raise_if_failed()
 
+    def test_replay_reads_the_outcome_of_each_execution(self):
+        """A re-attributed transaction fails ownership on replay: the audit
+        counts it from ``ExecutionResult.success`` and the digests diverge."""
+        archive, _ = _archived()
+        archive.connection.execute("UPDATE txs SET client = 99 WHERE tx_id = 'tx-a'")
+        report = audit_archive(archive)
+        assert (report.txs_replayed, report.failed_replays) == (5, 1)
+        assert not report.ok
+
     def test_tampered_block_hash_detected(self):
         archive, _ = _archived()
         archive.connection.execute(
