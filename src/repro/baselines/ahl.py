@@ -211,6 +211,9 @@ class ReferenceCommitteeReplica(ReplicaHost):
         else:
             self.intra = PBFTEngine(self)
         self._states: dict[str, _RC2PCState] = {}
+        self._voters = {c.cluster_id: c.voter_bits for c in config.clusters}
+        #: votes refused: the sender is not a member of the cluster it speaks for.
+        self.foreign_votes = 0
         self.coordinated = 0
         self.register_handler(ClientRequest, self._on_client_request)
         self.register_handler(AHLVote, self._on_vote)
@@ -240,6 +243,9 @@ class ReferenceCommitteeReplica(ReplicaHost):
     def _on_vote(self, message: AHLVote, src: int) -> None:
         state = self._states.get(message.digest)
         if state is None or not self.intra.is_primary:
+            return
+        if src not in self._voters.get(message.cluster, ()):
+            self.foreign_votes += 1
             return
         if message.vote:
             state.votes.add(message.cluster)
@@ -366,12 +372,6 @@ class AHLSystem(BaseSystem):
         else:
             nodes = self.committee.node_ids
         return int(nodes[attempt % len(nodes)])
-
-    @property
-    def required_replies(self) -> int:
-        if self.config.fault_model is FaultModel.CRASH:
-            return 1
-        return self.config.clusters[0].f + 1
 
     # ------------------------------------------------------------------
     # introspection

@@ -161,6 +161,11 @@ class ClusterConfig:
         return len(self.node_ids)
 
     @property
+    def voter_bits(self) -> dict[int, int]:
+        """Member pid → its bit in every vote tally: its index here, so masks stay small ints."""
+        return {int(node): 1 << index for index, node in enumerate(self.node_ids)}
+
+    @property
     def primary(self) -> NodeId:
         """The pre-elected primary (lowest node id, view 0)."""
         return self.node_ids[0]

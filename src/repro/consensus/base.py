@@ -65,27 +65,34 @@ class QuorumTracker:
     requirement of every quorum in the paper.  Votes arriving after a
     key fired are not recorded, so a key has fired exactly when it holds
     ``threshold`` voters — one dict probe per vote, no second index.
+    A key's voters are one int, the OR of their bits in ``members`` (the cluster's
+    ``voter_bits``); a voter outside ``members`` is refused and counted in ``foreign_votes``.
     """
 
-    def __init__(self, threshold: int) -> None:
+    def __init__(self, threshold: int, members: Mapping[int, int]) -> None:
         if threshold <= 0:
             raise ValueError("quorum threshold must be positive")
         self.threshold = threshold
-        self._votes: dict[Hashable, set[int]] = {}
+        self.members = members
+        self.foreign_votes = 0
+        self._votes: dict[Hashable, int] = {}
 
     def vote(self, key: Hashable, voter: int) -> bool:
         """Record a vote; returns ``True`` the first time the key reaches quorum."""
-        votes = self._votes.get(key)
-        if votes is None:
-            votes = self._votes[key] = set()
-        elif len(votes) >= self.threshold:
+        bit = self.members.get(voter)
+        if bit is None:
+            self.foreign_votes += 1
             return False
-        votes.add(voter)
-        return len(votes) >= self.threshold
+        votes = self._votes.get(key, 0)
+        count = votes.bit_count()
+        if votes & bit or count >= self.threshold:
+            return False
+        self._votes[key] = votes | bit
+        return count + 1 >= self.threshold
 
     def count(self, key: Hashable) -> int:
         """Number of distinct votes recorded for ``key``."""
-        return len(self._votes.get(key, ()))
+        return self._votes.get(key, 0).bit_count()
 
     def reached(self, key: Hashable) -> bool:
         """Whether ``key`` has already reached its quorum."""
@@ -93,7 +100,8 @@ class QuorumTracker:
 
     def voters(self, key: Hashable) -> frozenset[int]:
         """The distinct voters recorded for ``key``."""
-        return frozenset(self._votes.get(key, ()))
+        votes = self._votes.get(key, 0)
+        return frozenset(pid for pid, bit in self.members.items() if votes & bit)
 
     def clear(self) -> None:
         """Forget all votes (used on view installation)."""
@@ -142,6 +150,14 @@ class HandlerTable:
             return False
         handler(message, src)
         return True
+
+    def _report_vote(self, kind: str, key: object, voter: int, decided: bool) -> None:
+        """Tell the armed recorder about one quorum vote (causal layer only)."""
+        recorder = self.host.recorder
+        if recorder.causal_armed:
+            recorder.quorum_vote(
+                self.host.now, int(self.host.node_id), kind, key, int(voter), decided
+            )
 
 
 class ConsensusEngine(HandlerTable):
@@ -194,13 +210,15 @@ class ConsensusEngine(HandlerTable):
             recorder.milestone(host.now, int(host.node_id), item, "decided")
         self.view_change.slot_decided(slot)
 
-    def _report_vote(self, kind: str, key: tuple, voter: int, decided: bool) -> None:
-        """Tell the armed recorder about one quorum vote (causal layer only)."""
+    def _open_slot(self, slot: int, proposed: object = None) -> None:
+        """Watch ``slot`` for a stalled primary; stamp it open (and proposed, at the primary)."""
+        self.view_change.monitor_slot(slot)
         recorder = self.host.recorder
-        if recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), kind, key, int(voter), decided
-            )
+        if recorder is not None:
+            now, pid = self.host.now, int(self.host.node_id)
+            recorder.slot_open(now, pid, int(self.cluster_id), slot)
+            if proposed is not None:
+                recorder.milestone(now, pid, proposed, "propose")
 
     # ------------------------------------------------------------------
     # shared view-change handlers (both intra-shard engines own a
@@ -221,8 +239,12 @@ class ConsensusEngine(HandlerTable):
         """
 
     # ------------------------------------------------------------------
-    # interface implemented by concrete engines
+    # primary side (concrete engines implement ``propose_at``)
     # ------------------------------------------------------------------
     def submit(self, item: object) -> int | None:
-        """Primary-side entry point: start consensus on ``item``."""
-        raise NotImplementedError
+        """Order ``item`` at the next slot; only the current view's primary may."""
+        if not self.is_primary:
+            return None
+        slot = self.host.log.allocate()
+        self.propose_at(slot, item)
+        return slot

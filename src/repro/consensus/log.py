@@ -24,7 +24,7 @@ to compacted slots are ignored rather than resurrected.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from ..common.errors import ConsensusError
@@ -83,8 +83,8 @@ class LogEntry:
     digest: str
     item: object
     status: EntryStatus = EntryStatus.PENDING
-    #: full position vector for cross-shard entries (own cluster included).
-    positions: dict[ClusterId, int] = field(default_factory=dict)
+    #: position vector of a cross-shard decision; ``None`` otherwise (read :meth:`vector`).
+    positions: dict[ClusterId, int] | None = None
     #: cluster that initiated consensus for this entry.
     proposer: ClusterId | None = None
     #: view in which the entry was accepted (intra-shard protocols).
@@ -94,6 +94,10 @@ class LogEntry:
     def is_noop(self) -> bool:
         """Whether the entry is a gap-filling no-op."""
         return isinstance(self.item, Noop)
+
+    def vector(self, cluster_id: ClusterId) -> Mapping[ClusterId, int]:
+        """The position vector; an intra-shard entry's is ``{cluster_id: slot}``."""
+        return self.positions or {cluster_id: self.slot}
 
 
 class OrderingLog:
@@ -266,6 +270,7 @@ class OrderingLog:
                 )
             return existing
         self._blocked_decisions += 1
+        positions = dict(positions) if positions else None
         if existing is not None and existing.digest == digest:
             # Promote the pending entry in place (the common path: the
             # accept/pre-prepare already recorded it) instead of
@@ -273,18 +278,13 @@ class OrderingLog:
             entry = existing
             entry.item = item
             entry.status = EntryStatus.DECIDED
-            entry.positions = dict(positions or {self.cluster_id: slot})
+            entry.positions = positions
             entry.proposer = proposer
             entry.view = view
         else:
             entry = LogEntry(
-                slot=slot,
-                digest=digest,
-                item=item,
-                status=EntryStatus.DECIDED,
-                positions=dict(positions or {self.cluster_id: slot}),
-                proposer=proposer,
-                view=view,
+                slot=slot, digest=digest, item=item, status=EntryStatus.DECIDED,
+                positions=positions, proposer=proposer, view=view,
             )
             self._entries[slot] = entry
             if len(self._entries) > self.peak_entry_count:

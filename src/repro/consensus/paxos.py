@@ -37,20 +37,12 @@ class PaxosEngine(ConsensusEngine):
     def __init__(self, host: ConsensusHost) -> None:
         super().__init__(host)
         # f + 1 votes (counting the primary itself) decide a slot.
-        self._accepted = QuorumTracker(host.cluster.f + 1)
+        self._accepted = QuorumTracker(host.cluster.f + 1, host.cluster.voter_bits)
         self.view_change = ViewChangeManager(self, quorum=host.cluster.f + 1)
 
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def submit(self, item: object) -> int | None:
-        """Order ``item``; only the primary of the current view may call this."""
-        if not self.is_primary:
-            return None
-        slot = self.host.log.allocate()
-        self.propose_at(slot, item)
-        return slot
-
     def propose_at(self, slot: int, item: object) -> None:
         """Propose ``item`` at an explicit slot (used by view changes too)."""
         digest = item_digest(item)
@@ -59,14 +51,9 @@ class PaxosEngine(ConsensusEngine):
         self.host.multicast_cluster(message)
         # The primary's own vote counts toward the f + 1 majority.
         fired = self._accepted.vote((self.view, slot, digest), self.host.node_id)
-        self.view_change.monitor_slot(slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            recorder.milestone(now, pid, item, "propose")
-            self._report_vote("accept", (self.view, slot, digest), pid, fired)
+        self._open_slot(slot, item)
+        if self.host.recorder is not None:
+            self._report_vote("accept", (self.view, slot, digest), self.host.node_id, fired)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see HandlerTable.handle)
@@ -86,13 +73,7 @@ class PaxosEngine(ConsensusEngine):
         ):
             # The slot already holds a different digest; do not vote.
             return
-        self.view_change.monitor_slot(message.slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            recorder.slot_open(
-                self.host.now, int(self.host.node_id),
-                int(self.host.cluster.cluster_id), message.slot,
-            )
+        self._open_slot(message.slot)
         reply = PaxosAccepted(
             view=view, slot=message.slot, digest=message.digest, node=self.host.node_id
         )

@@ -42,9 +42,9 @@ class PBFTEngine(ConsensusEngine):
 
     def __init__(self, host: ConsensusHost) -> None:
         super().__init__(host)
-        quorum = 2 * host.cluster.f + 1
-        self._prepares = QuorumTracker(quorum)
-        self._commits = QuorumTracker(quorum)
+        quorum, members = 2 * host.cluster.f + 1, host.cluster.voter_bits
+        self._prepares = QuorumTracker(quorum, members)
+        self._commits = QuorumTracker(quorum, members)
         self._items: dict[tuple[int, int, str], object] = {}
         #: pre-prepares for views this replica has not installed yet,
         #: keyed by view; released by :meth:`on_view_installed`.
@@ -55,14 +55,6 @@ class PBFTEngine(ConsensusEngine):
     # ------------------------------------------------------------------
     # primary side
     # ------------------------------------------------------------------
-    def submit(self, item: object) -> int | None:
-        """Order ``item``; only the primary of the current view may call this."""
-        if not self.is_primary:
-            return None
-        slot = self.host.log.allocate()
-        self.propose_at(slot, item)
-        return slot
-
     def propose_at(self, slot: int, item: object) -> None:
         """Send the pre-prepare for ``item`` at an explicit slot."""
         digest = item_digest(item)
@@ -72,13 +64,7 @@ class PBFTEngine(ConsensusEngine):
         self.host.multicast_cluster(
             PrePrepare(view=self.view, slot=slot, digest=digest, item=item)
         )
-        self.view_change.monitor_slot(slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            now = self.host.now
-            pid = int(self.host.node_id)
-            recorder.slot_open(now, pid, int(self.host.cluster.cluster_id), slot)
-            recorder.milestone(now, pid, item, "propose")
+        self._open_slot(slot, item)
         # The primary's pre-prepare counts as its prepare vote.
         self._record_prepare_vote(key, self.host.node_id)
 
@@ -107,13 +93,7 @@ class PBFTEngine(ConsensusEngine):
             return
         key = (message.view, message.slot, message.digest)
         self._items[key] = message.item
-        self.view_change.monitor_slot(message.slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            recorder.slot_open(
-                self.host.now, int(self.host.node_id),
-                int(self.host.cluster.cluster_id), message.slot,
-            )
+        self._open_slot(message.slot)
         prepare = Prepare(
             view=message.view, slot=message.slot, digest=message.digest, node=self.host.node_id
         )

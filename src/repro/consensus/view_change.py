@@ -119,8 +119,7 @@ class ViewChangeManager:
 
     def __init__(self, engine: "ConsensusEngine", quorum: int) -> None:
         self.engine = engine
-        self.quorum = quorum
-        self._tracker = QuorumTracker(quorum)
+        self._tracker = QuorumTracker(quorum, engine.host.cluster.voter_bits)
         self._reports: dict[int, dict[int, ViewChange]] = defaultdict(dict)
         #: slots currently monitored (accepted but not yet decided).
         self._monitored: set[int] = set()
@@ -233,15 +232,16 @@ class ViewChangeManager:
         """Record a view-change vote; install the view once quorum is reached.
 
         Votes are validated before they count (and before they can enter
-        a certificate): the claimed ``node`` must match the channel-
-        authenticated sender, and the signature must verify.  Without
-        this, one Byzantine replica could smuggle a vote "from" a correct
-        node into the stored reports, and a certificate built from them
-        would fall below quorum at honest verifiers.
+        a certificate): the claimed ``node`` must be the channel-authenticated
+        sender and a member of this cluster, and the signature must verify.
+        Otherwise one Byzantine replica could smuggle a vote "from" a correct
+        (or another cluster's) node into the stored reports, and a
+        certificate built from them would fall below quorum at honest verifiers.
         """
         if message.new_view <= self.engine.view:
             return
-        if int(message.node) != src or not verify_view_change_signature(message):
+        member = src in self._tracker.members
+        if int(message.node) != src or not member or not verify_view_change_signature(message):
             self.rejected_votes += 1
             return
         self._reports[message.new_view][src] = message

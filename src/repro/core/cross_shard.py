@@ -42,6 +42,7 @@ and which quorum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from ..common.errors import ConsensusError
@@ -66,6 +67,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CrashCrossShardEngine", "ByzantineCrossShardEngine"]
 
+#: a released tally: empty and immutable, so a write after release raises.
+_RELEASED_VOTES = MappingProxyType({})
+_RELEASED_CLUSTERS = frozenset()
+#: (quorum, voter bits) of a cluster this deployment does not know: nobody votes for it.
+_NOBODY = (1, _RELEASED_VOTES)
+
 
 # ----------------------------------------------------------------------
 # the skeleton both algorithms share
@@ -85,8 +92,10 @@ class _CrossShardEngine(HandlerTable):
         #: local position this node reserved (as its cluster's slot
         #: assigner) per instance digest.
         self._assigned_slots: dict[str, int] = {}
-        #: per-cluster vote quorum (f + 1 crash, 2f + 1 Byzantine), resolved once.
-        self._quorum = {c.cluster_id: c.cross_quorum for c in host.config.clusters}
+        #: per cluster, resolved once: (vote quorum: f + 1 crash, 2f + 1 Byzantine; voter bits).
+        self._voting = {c.cluster_id: (c.cross_quorum, c.voter_bits) for c in host.config.clusters}
+        #: votes refused: the sender is not a member of the cluster it speaks for.
+        self.foreign_votes = 0
         self.initiated = 0
         self.committed = 0
         self.retries = 0
@@ -198,14 +207,6 @@ class _CrossShardEngine(HandlerTable):
             recorder.milestone(host.now, int(host.node_id), item, "decided")
         host.after_decide()
 
-    def _report_vote(self, kind: str, digest: str, voter: int, decided: bool) -> None:
-        """Tell the armed recorder about one quorum vote (causal layer only)."""
-        recorder = self.host.recorder
-        if recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), kind, digest, int(voter), decided
-            )
-
     # ------------------------------------------------------------------
     # checkpoint compaction (repro.recovery)
     # ------------------------------------------------------------------
@@ -236,14 +237,15 @@ class _CrashState:
     Tally invariant: ``waiting`` holds exactly the involved clusters that
     still lack an accept quorum or a reserved position, so the instance
     commits the moment it empties — no re-scan of the clusters per vote.
+    Both tallies are released at commit; later accepts stop at ``decided``.
     """
 
     request: ClientRequest
     digest: str
     involved: tuple[ClusterId, ...]
     attempt: int = 0
-    #: accept voters per involved cluster.
-    votes: dict[ClusterId, set[int]] = field(init=False)
+    #: accept voter mask per involved cluster.
+    votes: dict[ClusterId, int] = field(init=False)
     #: position each cluster reserved.
     slots: dict[ClusterId, int] = field(default_factory=dict)
     waiting: set[ClusterId] = field(init=False)
@@ -251,7 +253,7 @@ class _CrashState:
     timer: Timer | None = None
 
     def __post_init__(self) -> None:
-        self.votes = {cluster: set() for cluster in self.involved}
+        self.votes = dict.fromkeys(self.involved, 0)
         self.waiting = set(self.involved)
 
 
@@ -347,14 +349,20 @@ class CrashCrossShardEngine(_CrossShardEngine):
         voters = state.votes.get(cluster)
         if voters is None:
             return
-        voters.add(voter)
+        quorum, bits = self._voting[cluster]
+        bit = bits.get(voter)
+        if bit is None:
+            self.foreign_votes += 1
+            return
+        voters = state.votes[cluster] = voters | bit
         if slot is not None:
             state.slots.setdefault(cluster, slot)
-        if len(voters) >= self._quorum[cluster] and cluster in state.slots:
+        if voters.bit_count() >= quorum and cluster in state.slots:
             state.waiting.discard(cluster)
 
     def _commit(self, state: _CrashState) -> None:
         self._finish(state)
+        state.votes, state.waiting = _RELEASED_VOTES, _RELEASED_CLUSTERS
         host = self.host
         recorder = host.recorder
         if recorder is not None:
@@ -393,6 +401,8 @@ class _ByzState:
     ``uncommitted`` those without a commit quorum, so "may I commit /
     decide?" is an emptiness check.  Votes may arrive before the propose
     does; until then both are ``None`` and the votes just accumulate.
+    Each tally is released at its last read (accepts once this node's commit
+    is sent, the rest at decision); the state stays behind as a tombstone.
     """
 
     digest: str
@@ -400,15 +410,15 @@ class _ByzState:
     involved: tuple[ClusterId, ...] = ()
     initiator_cluster: ClusterId | None = None
     attempt: int = 0
-    #: accept voters per (cluster, slot).
-    accept_votes: dict[tuple[ClusterId, int], set[int]] = field(default_factory=dict)
+    #: accept voter mask per (cluster, slot).
+    accept_votes: dict[tuple[ClusterId, int], int] = field(default_factory=dict)
     #: slot confirmed (2f+1 accepts) per cluster.
     confirmed_slots: dict[ClusterId, int] = field(default_factory=dict)
     #: slot of this node's own cluster, as announced by its primary
     #: (trusted provisionally).
     my_slot: int | None = None
-    #: commit voters per cluster.
-    commit_votes: dict[ClusterId, set[int]] = field(default_factory=dict)
+    #: commit voter mask per cluster.
+    commit_votes: dict[ClusterId, int] = field(default_factory=dict)
     unconfirmed: set[ClusterId] | None = None
     uncommitted: set[ClusterId] | None = None
     accept_sent: bool = False
@@ -472,11 +482,13 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
     def _set_involved(self, state: _ByzState, involved: tuple[ClusterId, ...]) -> None:
         """Fix the involved set and derive both tallies from the votes already held."""
         state.involved = involved
+        if state.decided:
+            return  # its tallies are released: nothing reads them again
         state.unconfirmed = {c for c in involved if c not in state.confirmed_slots}
-        votes, quorum = state.commit_votes, self._quorum
-        # A cluster this deployment does not know never gathers a quorum
-        # (its votes are not recorded), so any positive default keeps it in.
-        state.uncommitted = {c for c in involved if len(votes.get(c, ())) < quorum.get(c, 1)}
+        votes, voting = state.commit_votes, self._voting
+        state.uncommitted = {
+            c for c in involved if votes.get(c, 0).bit_count() < voting.get(c, _NOBODY)[0]
+        }
 
     def _may_retry(self, state: _ByzState) -> bool:
         # Every node holds state here, and a primary may have lost its
@@ -566,17 +578,17 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
         # Once this node committed (or decided on others' commits) every
         # involved slot is confirmed: a late accept can change nothing.
         if not (state.commit_sent or state.decided):
-            quorum = self._quorum.get(cluster)
-            if quorum is not None:
-                key = (cluster, slot)
-                voters = state.accept_votes.get(key)
-                if voters is None:
-                    voters = state.accept_votes[key] = set()
-                voters.add(voter)
-                if len(voters) >= quorum and cluster not in state.confirmed_slots:
-                    state.confirmed_slots[cluster] = slot
-                    if state.unconfirmed:
-                        state.unconfirmed.discard(cluster)
+            quorum, bits = self._voting.get(cluster, _NOBODY)
+            bit = bits.get(voter)
+            if bit is None:
+                self.foreign_votes += 1
+                return
+            key = (cluster, slot)
+            voters = state.accept_votes[key] = state.accept_votes.get(key, 0) | bit
+            if voters.bit_count() >= quorum and cluster not in state.confirmed_slots:
+                state.confirmed_slots[cluster] = slot
+                if state.unconfirmed:
+                    state.unconfirmed.discard(cluster)
             if state.involved and not state.unconfirmed and state.request is not None:
                 self._send_commit(state)
         if self.host.recorder is not None:
@@ -584,6 +596,7 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
 
     def _send_commit(self, state: _ByzState) -> None:
         state.commit_sent = True
+        state.accept_votes = _RELEASED_VOTES
         host = self.host
         recorder = host.recorder
         if recorder is not None:
@@ -606,6 +619,9 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
                 return  # late vote for a compacted instance: nothing to resurrect
             state = self._state(message.digest)
         if not state.decided:
+            if src not in self._voting.get(message.cluster, _NOBODY)[1]:
+                self.foreign_votes += 1
+                return
             confirmed = state.confirmed_slots
             for cluster, slot in message.positions:
                 confirmed.setdefault(cluster, slot)
@@ -617,14 +633,10 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
 
     def _register_commit(self, state: _ByzState, cluster: ClusterId, voter: int) -> None:
         if not state.decided:
-            quorum = self._quorum.get(cluster)
-            if quorum is not None:
-                voters = state.commit_votes.get(cluster)
-                if voters is None:
-                    voters = state.commit_votes[cluster] = set()
-                voters.add(voter)
-                if len(voters) >= quorum and state.uncommitted:
-                    state.uncommitted.discard(cluster)
+            quorum, bits = self._voting[cluster]
+            voters = state.commit_votes[cluster] = state.commit_votes.get(cluster, 0) | bits[voter]
+            if voters.bit_count() >= quorum and state.uncommitted:
+                state.uncommitted.discard(cluster)
             if (
                 state.involved
                 and not state.uncommitted
@@ -637,6 +649,8 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
 
     def _decide(self, state: _ByzState) -> None:
         self._finish(state)
+        state.accept_votes = state.commit_votes = _RELEASED_VOTES
+        state.unconfirmed = state.uncommitted = _RELEASED_CLUSTERS
         positions = {cluster: state.confirmed_slots[cluster] for cluster in state.involved}
         my_slot = positions.get(self.host.cluster_id)
         if my_slot is None:

@@ -570,7 +570,7 @@ class SharPerReplica(ReplicaHost):
         A slot whose members were all skipped degenerates to a no-op
         block, so the chain stays contiguous and fork-free.
         """
-        positions = entry.positions or {self.cluster_id: entry.slot}
+        positions = entry.vector(self.cluster_id)
         parents = {self.cluster_id: self.chain.head_hash}
         proposer = entry.proposer if entry.proposer is not None else self.cluster_id
         item = entry.item

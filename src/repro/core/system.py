@@ -148,8 +148,10 @@ class BaseSystem:
 
     @property
     def required_replies(self) -> int:
-        """Matching replies a client must collect before accepting a result."""
-        raise NotImplementedError
+        """Matching replies a client must collect: 1 crash, ``f + 1`` Byzantine."""
+        if self.config.fault_model is FaultModel.CRASH:
+            return 1
+        return self.config.clusters[0].f + 1
 
     def views(self) -> dict[ClusterId, ClusterView]:
         """One representative ledger view per cluster (for audits)."""
@@ -461,13 +463,6 @@ class SharPerSystem(BaseSystem):
         involved = sharding.involved_clusters(transaction, self.workload_mapper)
         nodes = self._node_pids[involved[0]]
         return nodes[attempt % len(nodes)]
-
-    @property
-    def required_replies(self) -> int:
-        """1 reply in the crash model, ``f + 1`` matching replies for Byzantine."""
-        if self.config.fault_model is FaultModel.CRASH:
-            return 1
-        return self.config.clusters[0].f + 1
 
     # ------------------------------------------------------------------
     # introspection

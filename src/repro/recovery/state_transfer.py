@@ -131,7 +131,7 @@ class StateTransferManager(HandlerTable):
                 entry.slot,
                 entry.digest,
                 entry.item,
-                tuple(sorted(entry.positions.items())),
+                tuple(sorted(entry.vector(host.cluster_id).items())),
                 entry.proposer,
                 entry.view,
             )

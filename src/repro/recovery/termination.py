@@ -142,10 +142,9 @@ class CrossShardTerminator(HandlerTable):
         slot = host.log.decided_slot_of(message.digest)
         entry = host.log.entry(slot) if slot is not None else None
         if entry is not None:
-            positions = entry.positions or {host.cluster_id: entry.slot}
             reply = TerminationReply(
                 digest=message.digest, decided=True, slot=message.slot,
-                positions=tuple(sorted(positions.items())),
+                positions=tuple(sorted(entry.vector(host.cluster_id).items())),
                 proposer=entry.proposer, item=entry.item, node=host.node_id,
             )
         else:

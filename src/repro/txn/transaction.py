@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..common.crypto import KeyPair, Signature, digest

@@ -31,7 +31,7 @@ def test_cluster_sizes_tolerate_f_failures(f):
     st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), max_size=60),
 )
 def test_quorum_tracker_fires_exactly_once_per_key(threshold, votes):
-    tracker = QuorumTracker(threshold)
+    tracker = QuorumTracker(threshold, {pid: 1 << pid for pid in range(6)})
     fired = {}
     for key, voter in votes:
         if tracker.vote(key, voter):

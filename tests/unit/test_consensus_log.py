@@ -8,10 +8,13 @@ from repro.consensus.log import EntryStatus, Noop, OrderingLog, item_digest
 
 from helpers import simple_transfer
 
+#: voter pid -> tally bit for the bare trackers below.
+MEMBERS = {pid: 1 << pid for pid in range(4)}
+
 
 class TestQuorumTracker:
     def test_fires_once_at_threshold(self):
-        tracker = QuorumTracker(2)
+        tracker = QuorumTracker(2, MEMBERS)
         assert not tracker.vote("k", 1)
         assert tracker.vote("k", 2)
         assert not tracker.vote("k", 3)
@@ -19,23 +22,23 @@ class TestQuorumTracker:
         assert tracker.count("k") == 2
 
     def test_duplicate_votes_ignored(self):
-        tracker = QuorumTracker(2)
+        tracker = QuorumTracker(2, MEMBERS)
         assert not tracker.vote("k", 1)
         assert not tracker.vote("k", 1)
         assert tracker.count("k") == 1
 
     def test_keys_are_independent(self):
-        tracker = QuorumTracker(1)
+        tracker = QuorumTracker(1, MEMBERS)
         assert tracker.vote("a", 1)
         assert tracker.vote("b", 1)
         assert tracker.voters("a") == frozenset({1})
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            QuorumTracker(0)
+            QuorumTracker(0, MEMBERS)
 
     def test_clear(self):
-        tracker = QuorumTracker(1)
+        tracker = QuorumTracker(1, MEMBERS)
         tracker.vote("a", 1)
         tracker.clear()
         assert not tracker.reached("a")
@@ -105,13 +108,18 @@ class TestOrderingLog:
         log.decide(1, item_digest(tx1), tx1)
 
     def test_positions_default_to_own_cluster(self):
+        # An intra-shard entry carries no vector; every reader derives the
+        # own-cluster one, {cluster: slot}, from the log and the slot.
         log = OrderingLog(3)
         tx = simple_transfer()
+        pending = log.record_pending(4, "pending", tx)
         entry = log.decide(5, item_digest(tx), tx)
-        assert entry.positions == {3: 5}
+        assert entry.positions is None and pending.positions is None
+        assert entry.vector(log.cluster_id) == {3: 5}
+        assert log.decide(6, "empty", tx, positions={}).positions is None
 
     def test_cross_positions_preserved(self):
         log = OrderingLog(0)
         tx = simple_transfer()
         entry = log.decide(1, item_digest(tx), tx, positions={0: 1, 2: 9}, proposer=0)
-        assert entry.positions == {0: 1, 2: 9}
+        assert entry.positions == {0: 1, 2: 9} and entry.vector(0) == {0: 1, 2: 9}
