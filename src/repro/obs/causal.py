@@ -42,8 +42,8 @@ kind).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "CritEdge",
@@ -51,6 +51,7 @@ __all__ = [
     "EdgeStats",
     "CriticalSummary",
     "StragglerStats",
+    "iter_critical_paths",
     "critical_paths",
     "summarize_paths",
     "summarize_edge_records",
@@ -149,125 +150,127 @@ class StragglerStats:
     max_lag_ms: float
 
 
-def critical_paths(
+def iter_critical_paths(
     events: Sequence[tuple[float, str, str, int]],
     event_meta: Sequence[tuple[int, int]],
-    causal: Iterable[tuple[int, int, float, str, int, str]],
+    causal: Sequence[tuple[int, int, float, str, int, str]],
     cross_txs: frozenset[str] | set[str],
-) -> tuple[TxCriticalPath, ...]:
-    """Reconstruct every committed transaction's critical path.
+) -> Iterator[TxCriticalPath]:
+    """Walk every committed transaction's critical path, one at a time.
 
     ``events``/``event_meta`` are the recorder's aligned phase events and
     ``(eid, parent)`` pairs; ``causal`` holds the message ``send``/``recv``
     nodes.  Transactions without both a submit and a reply (in flight at
     the horizon, or cut by a crash) are excluded — their chains simply
     terminate at the last recorded event and are never walked.
+
+    Paths come in ``(submitted, tx)`` order.  Nothing is copied: an eid
+    resolves through one table whose slot is the recorded causal row
+    itself, or the index of the phase event, so only the path being
+    yielded is alive at any time.
     """
     if not event_meta:
-        return ()
-    # eid -> (parent, time, kind, pid, label)
-    nodes: dict[int, tuple[int, float, str, int, str]] = {}
-    for eid, parent, time, kind, pid, label in causal:
-        nodes[eid] = (parent, time, kind, pid, label)
-    submits: dict[str, tuple[int, float]] = {}
-    replies: dict[str, tuple[int, int, float]] = {}
-    for (time, tx, phase, pid), (eid, parent) in zip(events, event_meta):
-        nodes[eid] = (parent, time, "phase", pid, phase)
+        return
+    top = max(max(eid for eid, _ in event_meta), max((row[0] for row in causal), default=0))
+    rows: list[Any] = [None] * (top + 1)
+    for row in causal:
+        rows[row[0]] = row
+    submits: dict[str, int] = {}
+    replies: dict[str, int] = {}
+    for index, ((_, tx, phase, _), (eid, _)) in enumerate(zip(events, event_meta)):
+        rows[eid] = index
         if phase == "submit":
-            if tx not in submits:
-                submits[tx] = (eid, time)
-        elif phase == "reply" and tx not in replies:
-            replies[tx] = (eid, parent, time)
+            submits.setdefault(tx, index)
+        elif phase == "reply":
+            replies.setdefault(tx, index)
+    order = sorted(
+        (events[submit][0], tx, submit, reply)
+        for tx, reply in replies.items()
+        if (submit := submits.get(tx)) is not None
+        and events[reply][0] >= events[submit][0]
+        and event_meta[reply][0] > event_meta[submit][0]
+    )
+    del submits, replies
 
-    paths: list[TxCriticalPath] = []
-    for tx, (reply_eid, reply_parent, replied) in replies.items():
-        start = submits.get(tx)
-        if start is None:
-            continue
-        submit_eid, submitted = start
-        if replied < submitted or reply_eid <= submit_eid:
-            continue
+    def node(eid: int) -> tuple[int, int, float, str, int, str]:
+        """The causal row of ``eid``; a phase event's is built on the fly."""
+        row = rows[eid]
+        if type(row) is not int:
+            return row
+        time, _, phase, pid = events[row]
+        return eid, event_meta[row][1], time, "phase", pid, phase
+
+    for submitted, tx, submit, reply in order:
+        submit_node = node(event_meta[submit][0])
+        submit_eid = submit_node[0]
+        chain = [node(event_meta[reply][0])]
+        cursor = event_meta[reply][1]
         # Backward walk: parent ids are strictly smaller than child ids,
         # so the chain strictly decreases and must terminate.  It either
         # reaches this transaction's submit (complete) or escapes the
         # transaction's window / hits a contextless event (clip).
-        chain = [reply_eid]
-        cursor = reply_parent
         complete = False
         while cursor:
             if cursor == submit_eid:
                 complete = True
                 break
-            if cursor < submit_eid or cursor >= chain[-1]:
+            if cursor < submit_eid or cursor >= chain[-1][0] or rows[cursor] is None:
                 break
-            node = nodes.get(cursor)
-            if node is None:
-                break
-            chain.append(cursor)
-            cursor = node[0]
-        chain.append(submit_eid)
+            chain.append(node(cursor))
+            cursor = chain[-1][1]
+        chain.append(submit_node)
         chain.reverse()
-
-        edges = []
-        for index in range(len(chain) - 1):
-            src_eid, dst_eid = chain[index], chain[index + 1]
-            _, src_t, _, src_pid, _ = nodes[src_eid]
-            _, dst_t, dst_kind, dst_pid, dst_label = nodes[dst_eid]
-            if index == 0 and not complete:
-                dst_kind = dst_label = "wait"
-            edges.append(
-                CritEdge(
-                    src_eid=src_eid,
-                    dst_eid=dst_eid,
-                    src_pid=src_pid,
-                    pid=dst_pid,
-                    kind=dst_kind,
-                    label=dst_label,
-                    t0=src_t,
-                    t1=dst_t,
-                )
-            )
-        paths.append(
-            TxCriticalPath(
-                tx=tx,
-                cross=tx in cross_txs,
-                submitted=submitted,
-                replied=replied,
-                complete=complete,
-                edges=tuple(edges),
-            )
+        edges = [
+            CritEdge(src[0], eid, src[4], pid, kind, label, src[2], time)
+            for src, (eid, _, time, kind, pid, label) in zip(chain, chain[1:])
+        ]
+        if not complete:
+            edges[0] = replace(edges[0], kind="wait", label="wait")
+        yield TxCriticalPath(
+            tx, tx in cross_txs, submitted, events[reply][0], complete, tuple(edges)
         )
-    paths.sort(key=lambda path: (path.submitted, path.tx))
-    return tuple(paths)
 
 
-def summarize_paths(paths: Sequence[TxCriticalPath]) -> CriticalSummary:
-    """Aggregate reconstructed paths into a :class:`CriticalSummary`."""
-    records = [
+def critical_paths(
+    events: Sequence[tuple[float, str, str, int]],
+    event_meta: Sequence[tuple[int, int]],
+    causal: Sequence[tuple[int, int, float, str, int, str]],
+    cross_txs: frozenset[str] | set[str],
+) -> tuple[TxCriticalPath, ...]:
+    """:func:`iter_critical_paths`, collected into one tuple."""
+    return tuple(iter_critical_paths(events, event_meta, causal, cross_txs))
+
+
+def summarize_paths(paths: Iterable[TxCriticalPath]) -> CriticalSummary:
+    """Aggregate reconstructed paths into a :class:`CriticalSummary`.
+
+    Consumes ``paths`` edge by edge, so a lazy walk is reduced without
+    ever holding more than one path.
+    """
+    return summarize_edge_records(
         (path.tx, path.cross, edge.kind, f"{edge.kind}:{edge.label}", edge.duration)
         for path in paths
         for edge in path.edges
-    ]
-    complete = sum(1 for path in paths if path.complete)
-    return summarize_edge_records(records, txs=len(paths), complete=complete)
+    )
 
 
 def summarize_edge_records(
     records: Iterable[tuple[str, bool, str, str, float]],
-    txs: int,
-    complete: int,
 ) -> CriticalSummary:
     """Aggregate ``(tx, cross, kind, label, duration)`` edge records.
 
     Shared by :func:`summarize_paths` and the offline report, which
-    rebuilds the records from a Chrome trace's flow events.  Per-scope
-    averages divide summed edge durations by distinct transactions —
-    since every path's edges telescope over its span, that sum matches
-    the summed end-to-end latency (to float rounding).
+    rebuilds the records from a Chrome trace's flow events.  A
+    transaction is counted once per distinct ``tx`` and is complete iff
+    none of its edges is a ``wait`` clip.  Per-scope averages divide
+    summed edge durations by distinct transactions — since every path's
+    edges telescope over its span, that sum matches the summed
+    end-to-end latency (to float rounding).
     """
     per_scope: dict[bool, dict[tuple[str, str], list[float]]] = {False: {}, True: {}}
     scope_total = {False: 0.0, True: 0.0}
     scope_txs: dict[bool, set[str]] = {False: set(), True: set()}
+    clipped: set[str] = set()
     wire = wait = total_all = 0.0
     hops = 0
     for tx, cross, kind, label, duration in records:
@@ -282,6 +285,7 @@ def summarize_edge_records(
             wire += duration
         elif kind == "wait":
             wait += duration
+            clipped.add(tx)
 
     def stats(cross: bool) -> tuple[EdgeStats, ...]:
         denom = scope_total[cross]
@@ -299,10 +303,11 @@ def summarize_edge_records(
         )
 
     intra_txs, cross_txs_count = len(scope_txs[False]), len(scope_txs[True])
+    seen = scope_txs[False] | scope_txs[True]
     return CriticalSummary(
-        txs=txs,
-        complete=complete,
-        hops_avg=(hops / txs) if txs else 0.0,
+        txs=len(seen),
+        complete=len(seen - clipped),
+        hops_avg=(hops / len(seen)) if seen else 0.0,
         wire_share=(wire / total_all) if total_all > 0 else 0.0,
         wait_share=(wait / total_all) if total_all > 0 else 0.0,
         intra_avg_ms=(scope_total[False] / intra_txs * 1e3) if intra_txs else 0.0,

@@ -12,6 +12,9 @@ everywhere in one sweep; ``Scenario.run`` arms it when
 Recording is append-only on the hot path (tuples into flat lists, no
 allocation beyond the tuple); all reduction — phase attribution, span
 pairing, report assembly — happens once in :meth:`FlightRecorder.finalize`.
+Reduction streams: the critical-path walk reads the recorded rows in
+place and hands one path at a time to the summary, so finalizing costs
+a table of row references, not a second copy of the trace.
 Gauge sampling is the only part of the recorder that schedules
 simulator events (a repeating timer); it only *reads* replica and
 network state, so a gauge-sampled run produces identical protocol
@@ -21,10 +24,10 @@ count is bit-identical.
 
 The causal layer (``TraceSpec.causal``, on by default when tracing)
 additionally tags every message with a parent event id at send, matches
-it back at dispatch, and records quorum deciding votes — all pure
-appends with no simulator events or RNG draws, reduced by
-:mod:`repro.obs.causal` into per-transaction critical paths whose span
-equals measured end-to-end latency exactly.
+it back at dispatch, and reduces each quorum's votes to its deciding
+row when that vote arrives — no simulator events, no RNG draws —
+reduced by :mod:`repro.obs.causal` into per-transaction critical paths
+whose span equals measured end-to-end latency exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .causal import (
     CriticalSummary,
     critical_paths as compute_critical_paths,
     critpath_columns,
+    iter_critical_paths,
     render_critical_table,
     render_straggler_table,
     straggler_summary,
@@ -128,10 +132,12 @@ class FlightRecorder:
         self._submit_seq = 0
         #: tx ids whose chain is recorded (None: sampling off, keep all).
         self._sampled: set[str] | None = set() if self._sample > 1 else None
-        #: quorum votes per (observer pid, kind, key): (t, voter) rows.
+        #: votes per undecided (observer pid, kind, key): (t, voter) rows.
         self._quorum_votes: dict[tuple, list[tuple[float, int]]] = {}
         #: quorum keys whose deciding vote already arrived.
         self._quorum_done: set[tuple] = set()
+        #: ``(pid, kind, key, voter, t, lag)`` per decided quorum.
+        self._deciding: list[tuple[int, str, Any, int, float, float]] = []
 
     # -- hot-path hooks (every caller guards ``recorder is not None``) --
 
@@ -267,7 +273,8 @@ class FlightRecorder:
         The vote that flips ``decided`` is the *deciding vote* and
         closes the key — later votes are dropped, so engines may pass
         their current (post-flip) decided state; duplicate voters are
-        dropped too, keeping the median over distinct voters.
+        dropped too, keeping the median over distinct voters.  The key's
+        votes reduce to its deciding row right there and are released.
         """
         track = (pid, kind, key)
         if track in self._quorum_done:
@@ -282,6 +289,9 @@ class FlightRecorder:
         votes.append((time, voter))
         if decided:
             self._quorum_done.add(track)
+            del self._quorum_votes[track]
+            lag = time - median(t for t, _ in votes)
+            self._deciding.append((pid, kind, key, voter, time, lag))
 
     # -- gauges ---------------------------------------------------------
 
@@ -346,19 +356,11 @@ class FlightRecorder:
             if cluster is not None:
                 pid_clusters[int(process.pid)] = int(cluster.cluster_id)
         breakdown = attribute_phases(self.events, self.cross_txs)
-        deciding: list[tuple[int, str, Any, int, float, float]] = []
-        for track, votes in self._quorum_votes.items():
-            if track not in self._quorum_done:
-                continue
-            pid, kind, key = track
-            t_decided, voter = votes[-1]
-            lag = t_decided - median(t for t, _ in votes)
-            deciding.append((pid, kind, key, voter, t_decided, lag))
-        deciding.sort(key=lambda row: (row[4], row[0], row[1], str(row[2])))
+        deciding = sorted(self._deciding, key=lambda row: (row[4], row[0], row[1], str(row[2])))
         critical = None
         if self.causal_armed:
             critical = summarize_paths(
-                compute_critical_paths(
+                iter_critical_paths(
                     self.events, self.event_meta, self.causal, self.cross_txs
                 )
             )

@@ -7,7 +7,7 @@ prints the per-phase latency table plus span and gauge counts.  When
 the trace carries causal data, the critical-path breakdown and the
 deciding-vote straggler table follow: JSONL traces hold the full
 event/causal graph, so critical paths are rebuilt from scratch with
-:func:`repro.obs.causal.critical_paths`; Chrome traces hold the
+:func:`repro.obs.causal.iter_critical_paths`; Chrome traces hold the
 already-walked paths as flow events, which are re-aggregated directly.
 Pure reading: nothing here runs a simulation.
 
@@ -25,7 +25,7 @@ import sys
 from typing import Any
 
 from .causal import (
-    critical_paths,
+    iter_critical_paths,
     render_critical_table,
     render_straggler_table,
     straggler_summary,
@@ -124,18 +124,13 @@ def _critical_summary(rows: list[dict[str, Any]]):
             for row in causal_rows
         ]
         cross_txs = {row["tx"] for row in phase_rows if row.get("cross")}
-        return summarize_paths(critical_paths(events, meta, causal, cross_txs))
-    flow_rows = [row for row in rows if row.get("type") == "flow"]
-    if not flow_rows:
-        return None
-    records = [
-        (row["tx"], row["cross"], row["kind"],
-         f"{row['kind']}:{row['label']}", row["dur"])
-        for row in flow_rows
-    ]
-    txs = {row["tx"] for row in flow_rows}
-    clipped = {row["tx"] for row in flow_rows if row["kind"] == "wait"}
-    return summarize_edge_records(records, txs=len(txs), complete=len(txs - clipped))
+        return summarize_paths(iter_critical_paths(events, meta, causal, cross_txs))
+    summary = summarize_edge_records(
+        (row["tx"], row["cross"], row["kind"], f"{row['kind']}:{row['label']}", row["dur"])
+        for row in rows
+        if row.get("type") == "flow"
+    )
+    return summary if summary.txs else None
 
 
 def _deciding_rows(rows: list[dict[str, Any]]):

@@ -74,19 +74,16 @@ class TransactionExecutor:
         return local
 
     def validate(
-        self,
-        transaction: Transaction,
-        classified: list[tuple[Transfer, bool, bool]] | None = None,
+        self, transaction: Transaction, classified: list[tuple[Transfer, bool, bool]]
     ) -> None:
         """Raise :class:`ValidationError` if the local part is invalid.
 
+        ``classified`` is :meth:`_classify_local` of ``transaction``.
         Checks ownership of source accounts stored locally and that each
         locally-stored source holds sufficient balance for the sum of its
         outgoing transfers in this transaction.  Each local source is
         read once; ``remaining`` is what its transfers so far leave of it.
         """
-        if classified is None:
-            classified = self._classify_local(transaction)
         remaining: dict[int, int] = {}
         for transfer, source_local, _ in classified:
             if not source_local:

@@ -297,8 +297,26 @@ TRACE_PINNED = {
 }
 
 
+def report_fingerprint(report) -> str:
+    """sha256 over what finalize reduced the trace to."""
+    blob = repr((report.deciding, report.critical))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+#: ``report_fingerprint`` of the ``TRACE_PINNED`` scenarios, recorded at
+#: commit e184ffe, when finalize still copied the trace into a node dict
+#: and kept every quorum's vote list until the end: a streamed reduction
+#: must sum the same floats in the same order.
+REPORT_PINNED = {
+    "crash_batched": "30c7e178ebb396b9",
+    "byzantine_cross": "6e3eb1e9c8508319",
+    "crash_primary_ckpt": "168cc48be6105901",
+}
+
+
 class TestTraceContentIsPinned:
-    """The refactored hook sites write the same trace, event for event."""
+    """The refactored hook sites write the same trace, event for event,
+    and finalize reduces it to the same report, byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(TRACE_PINNED))
     def test_trace_reproduces_the_parent_commit(self, name):
@@ -308,3 +326,5 @@ class TestTraceContentIsPinned:
         report = result.trace
         assert len(report.slot_spans) > 0 and len(report.causal) > 0
         assert (len(report.events), trace_fingerprint(report)) == pinned
+        assert report.deciding and report.critical.txs > 0
+        assert report_fingerprint(report) == REPORT_PINNED[name]

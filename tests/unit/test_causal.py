@@ -98,6 +98,66 @@ class TestCriticalPaths:
     def test_no_causal_meta_returns_empty(self):
         assert critical_paths([(0.0, "t", "submit", 1)], [], [], set()) == ()
 
+    def test_same_time_submits_are_ordered_by_tx_id(self):
+        recorder = FlightRecorder(TraceSpec(gauges=False))
+        for tx, client in (("t2", 101), ("t1", 100)):  # t2 submits (and replies) first
+            request = object()
+            recorder.submit(0.0, tx, client, cross=False)
+            recorder.wire_send(0.001, client, 0, request)
+            recorder.clear_context()
+            recorder.begin_dispatch(0.002, request, client, 0)
+            recorder.phase(0.002, tx, "reply", 0)
+            recorder.clear_context()
+        paths = critical_paths(recorder.events, recorder.event_meta, recorder.causal, set())
+        assert [path.tx for path in paths] == ["t1", "t2"]
+        assert all(path.complete for path in paths)
+
+    def test_clipped_chain_inside_a_stream(self):
+        """One clipped path between two complete ones: each path is
+        walked on its own, and the summary counts exactly one clip."""
+        recorder = FlightRecorder(TraceSpec(gauges=False))
+
+        def complete(tx, t):
+            request = object()
+            recorder.submit(t, tx, 100, cross=False)
+            recorder.wire_send(t + 0.001, 100, 0, request)
+            recorder.clear_context()
+            recorder.begin_dispatch(t + 0.002, request, 100, 0)
+            recorder.phase(t + 0.002, tx, "reply", 0)
+            recorder.clear_context()
+
+        complete("a", 0.0)
+        recorder.submit(0.01, "b", 100, cross=True)
+        recorder.clear_context()
+        resend = object()
+        recorder.wire_send(0.013, 100, 0, resend)  # timer-driven: no context
+        recorder.begin_dispatch(0.015, resend, 100, 0)
+        recorder.phase(0.015, "b", "reply", 0)
+        recorder.clear_context()
+        complete("c", 0.02)
+
+        paths = critical_paths(
+            recorder.events, recorder.event_meta, recorder.causal, {"b"}
+        )
+        assert [(path.tx, path.complete) for path in paths] == [
+            ("a", True), ("b", False), ("c", True)
+        ]
+        clipped = paths[1]
+        assert clipped.edges[0].kind == "wait"
+        assert (clipped.edges[0].t0, clipped.edges[-1].t1) == (0.01, 0.015)
+        summary = recorder.finalize(_FakeSystem(), end_time=0.03).critical
+        assert (summary.txs, summary.complete) == (3, 2)
+        assert summary == summarize_paths(paths)
+
+    def test_on_demand_paths_survive_finalize(self):
+        recorder = recorded_chain()
+        before = critical_paths(
+            recorder.events, recorder.event_meta, recorder.causal, set()
+        )
+        report = recorder.finalize(_FakeSystem(), end_time=0.01)
+        assert report.critical_paths() == before
+        assert report.critical_paths() == before  # the walk is repeatable
+
 
 class TestSummaries:
     def test_summarize_paths_shares_sum_to_one(self):
@@ -121,7 +181,8 @@ class TestSummaries:
             ("a", False, "wait", "wait:wait", 0.001),
             ("b", True, "recv", "recv:Y", 0.004),
         ]
-        summary = summarize_edge_records(records, txs=2, complete=1)
+        summary = summarize_edge_records(records)
+        assert (summary.txs, summary.complete, summary.hops_avg) == (2, 1, 1.5)
         assert summary.wait_share == pytest.approx(0.001 / 0.007)
         assert summary.intra_avg_ms == pytest.approx(3.0)
         assert summary.cross_avg_ms == pytest.approx(4.0)

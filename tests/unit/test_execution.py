@@ -136,7 +136,8 @@ class TestExecutionResultParity:
         reads = []
         account = store.account
         store.account = lambda account_id: reads.append(account_id) or account(account_id)
-        executor.validate(Transaction.multi_transfer(
+        tx = Transaction.multi_transfer(
             client=1, transfers=[Transfer(1, 2, 6), Transfer(1, 3, 6), Transfer(5, 15, 1)]
-        ))
+        )
+        executor.validate(tx, executor._classify_local(tx))
         assert reads == [1, 5]
