@@ -15,6 +15,12 @@ from repro.bench.harness import ExperimentSpec, run_point
 from repro.common.config import PerformanceModel
 from repro.common.types import FaultModel
 
+#: mean simulated cross-shard latency (seconds), recorded at 18b17bf (exact).
+LATENCY_PINNED = {
+    "lan": {"sharper": 0.003620926442506525, "ahl": 0.007170978384375892},
+    "metro": {"sharper": 0.01204422710404133, "ahl": 0.01972797628691753},
+}
+
 
 def _latency_of(system: str, cross_cluster_latency: float, clients: int = 24) -> float:
     performance = replace(PerformanceModel(), cross_cluster_latency=cross_cluster_latency)
@@ -54,3 +60,4 @@ def test_cross_cluster_latency_ablation(benchmark):
         assert values["sharper"] < values["ahl"]
     # Slower links increase SharPer's absolute cross-shard latency.
     assert results["metro"]["sharper"] > results["lan"]["sharper"]
+    assert results == LATENCY_PINNED

@@ -17,6 +17,9 @@ from repro.common.config import ProtocolTuning
 from repro.common.metrics import MetricsCollector
 from repro.common.types import FaultModel
 
+#: simulated tps with the rule on and off, recorded at 18b17bf (exact).
+SUPER_PRIMARY_PINNED = {"on": 8825.0, "off": 8825.0}
+
 
 def _run(use_super_primary: bool, clients: int = 48):
     spec = ExperimentSpec(
@@ -48,3 +51,4 @@ def test_super_primary_ablation(benchmark):
     # The optimisation must never hurt committed throughput materially.
     assert with_rule.throughput >= 0.8 * without_rule.throughput
     assert with_rule.committed > 0 and without_rule.committed > 0
+    assert {"on": with_rule.throughput, "off": without_rule.throughput} == SUPER_PRIMARY_PINNED

@@ -128,13 +128,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     batching = parser.add_argument_group("batching (repro.consensus.batching)")
     batching.add_argument(
-        "--batch-size", type=int, default=1, metavar="B",
+        "--batch-size", type=int, default=None, metavar="B",
         help="scenario: client requests ordered per consensus slot "
         "(default 1 — the paper's one-transaction blocks; B > 1 lets the "
         "primary's pipeline seal up to B queued requests into one slot)",
     )
     batching.add_argument(
-        "--pipeline-depth", type=int, default=32, metavar="D",
+        "--pipeline-depth", type=int, default=None, metavar="D",
         help="scenario: slots a primary keeps in flight before queuing "
         "(default 32; binds only when --batch-size > 1 — at 1 the window "
         "is unbounded and every request is proposed on arrival)",
@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     recovery = parser.add_argument_group("recovery (repro.recovery)")
     recovery.add_argument(
-        "--checkpoint-interval", type=int, default=0, metavar="N",
+        "--checkpoint-interval", type=int, default=None, metavar="N",
         help="scenario: checkpoint every N decided slots (enables log "
         "compaction and snapshot-based state transfer; 0 disables)",
     )
@@ -221,6 +221,30 @@ def _schedule_attack(args: argparse.Namespace, faults: FaultSchedule) -> None:
         )
 
 
+def _deployment(args: argparse.Namespace) -> DeploymentSpec:
+    """The deployment the scenario-mode flags describe; unset knobs keep their defaults."""
+    trace_spec = None
+    if args.trace or args.trace_out is not None:
+        from ..obs import TraceSpec
+
+        trace_spec = TraceSpec(
+            gauges=args.gauge_interval > 0,
+            gauge_interval=args.gauge_interval,
+            sample=args.trace_sample,
+        )
+    return DeploymentSpec(
+        system=args.scenario,
+        fault_model=FaultModel.BYZANTINE if args.byzantine else FaultModel.CRASH,
+        num_clusters=args.clusters,
+        checkpoint_interval=args.checkpoint_interval,
+        batch_size=args.batch_size,
+        pipeline_depth=args.pipeline_depth,
+        store_backend=args.store_backend,
+        archive=args.archive,
+        trace=trace_spec,
+    )
+
+
 def _run_scenario(args: argparse.Namespace) -> int:
     faults = FaultSchedule()
     if args.crash_primary_at is not None:
@@ -229,7 +253,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
         faults.crash_node(at=args.crash_node_at, node_id=args.crash_node)
     if args.recover_node_at is not None:
         faults.recover_node(at=args.recover_node_at, node_id=args.crash_node)
-    fault_model = FaultModel.BYZANTINE if args.byzantine else FaultModel.CRASH
     try:
         _schedule_attack(args, faults)
     except (SharPerError, ValueError) as error:
@@ -241,29 +264,9 @@ def _run_scenario(args: argparse.Namespace) -> int:
     if args.audit_archive and not args.archive:
         print("sharper-bench: error: --audit-archive requires --archive", file=sys.stderr)
         return 2
-    traced = args.trace or args.trace_out is not None
-    trace_spec = None
-    if traced:
-        from ..obs import TraceSpec
-
-        trace_spec = TraceSpec(
-            gauges=args.gauge_interval > 0,
-            gauge_interval=args.gauge_interval,
-            sample=args.trace_sample,
-        )
     try:
         scenario = Scenario(
-            deployment=DeploymentSpec(
-                system=args.scenario,
-                fault_model=fault_model,
-                num_clusters=args.clusters,
-                checkpoint_interval=args.checkpoint_interval or None,
-                batch_size=args.batch_size if args.batch_size != 1 else None,
-                pipeline_depth=args.pipeline_depth if args.pipeline_depth != 32 else None,
-                store_backend=args.store_backend,
-                archive=args.archive,
-                trace=trace_spec,
-            ),
+            deployment=_deployment(args),
             workload=WorkloadConfig(cross_shard_fraction=args.cross_shard),
             clients=args.clients,
             duration=args.duration,

@@ -20,8 +20,8 @@ accepts ``jobs`` (run the ``point × seed`` grid in a
 ``multiprocessing`` pool — per-seed results are bit-identical to serial
 execution) and ``seeds`` (repeat each point over several seeds and pool
 the statistics with :meth:`RunStats.aggregate`).  The CLI exposes both
-as ``--jobs N`` and ``--seeds K``; ``repro.bench.perfbench`` tracks the
-wall-clock cost of the fig8 sweep in ``BENCH_kernel.json``.
+as ``--jobs N`` and ``--seeds K``.  The benchmark suite
+(``benchmarks/``) pins every figure's simulated peaks exactly.
 """
 
 from __future__ import annotations

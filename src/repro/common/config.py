@@ -205,6 +205,11 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not self.clusters:
             raise ConfigurationError("a system needs at least one cluster")
+        if self.storage.archive_path is not None and self.tuning.checkpoint_interval == 0:
+            raise ConfigurationError(
+                "storage.archive_path is set but tuning.checkpoint_interval is 0: "
+                "only checkpoint GC fills the archive, so it would stay empty"
+            )
         seen: set[NodeId] = set()
         for cluster in self.clusters:
             if cluster.fault_model is not self.fault_model:

@@ -22,8 +22,8 @@ cancelled, fire.  Only the entry that ends a run — the first one past
 resumed run fires in the identical ``(time, sequence)`` order.  The
 kernel also keeps an events/sec counter
 (:attr:`Simulator.events_per_second`) measured over wall-clock time spent
-inside ``run`` — the number ``bench/perfbench.py`` tracks in
-``BENCH_kernel.json``.  Whole runs are deterministic for a seed, which is
+inside ``run`` — the number ``perf/run.py`` reads as its host-drift probe
+(``repro.bench.perfbench``).  Whole runs are deterministic for a seed, which is
 what lets the bench harness farm scenario runs out to a
 ``multiprocessing`` pool (``--jobs``) with bit-identical per-seed results.
 """

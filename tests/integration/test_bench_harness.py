@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.cli import main as cli_main
+from repro.api import DeploymentSpec
+from repro.bench.cli import _build_parser, _deployment, main as cli_main
 from repro.bench.experiments import FIGURES, list_figures, run_figure
 from repro.bench.harness import ExperimentSpec, run_curve, run_point, peak_throughput
 from repro.bench.reporting import figure_to_csv, format_figure, format_table
@@ -89,3 +90,21 @@ class TestReporting:
         assert cli_main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "fig6a" in out and "fig8b" in out
+
+
+class TestScenarioFlags:
+    """An unset knob keeps the default ``ProtocolTuning`` owns; the CLI restates none."""
+
+    @staticmethod
+    def resolved(*flags):
+        args = _build_parser().parse_args(["--scenario", "sharper", *flags])
+        return _deployment(args).resolve()
+
+    def test_no_flags_resolve_the_default_deployment(self):
+        assert self.resolved() == DeploymentSpec().resolve()
+
+    def test_spelled_out_defaults_resolve_the_same_config(self):
+        spelled = self.resolved(
+            "--batch-size", "1", "--pipeline-depth", "32", "--checkpoint-interval", "0"
+        )
+        assert spelled == self.resolved()

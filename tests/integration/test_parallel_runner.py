@@ -2,16 +2,12 @@
 
 The tentpole guarantee: scenarios are deterministic and self-contained,
 so farming them out to a ``multiprocessing`` pool must not change a
-single reported number.  These tests pin that down, plus the perfbench
-report format.
+single reported number.  These tests pin that down.
 """
 
 from __future__ import annotations
 
-import json
-
 from repro.api import DeploymentSpec, Scenario, run_scenarios, run_sweep
-from repro.bench import perfbench
 from repro.bench.harness import ExperimentSpec, run_curve
 from repro.common.metrics import RunStats
 from repro.common.types import FaultModel
@@ -95,17 +91,3 @@ class TestMultiSeedCurve:
         ]
         assert pooled == RunStats.aggregate(singles)
         assert pooled.committed == singles[0].committed + singles[1].committed
-
-
-class TestPerfbench:
-    def test_quick_report_schema_and_file(self, tmp_path):
-        output = tmp_path / "BENCH_kernel.json"
-        perfbench.main(["--quick", "--output", str(output)])
-        report = json.loads(output.read_text())
-        assert report["schema"] == "sharper-perfbench/1"
-        assert report["kernel"]["events_per_second"] > 0
-        assert report["fig8"]["total_wall_s"] > 0
-        assert report["baseline"]["fig8"]["total_wall_s"] > 0
-        # quick mode is never compared against the recorded baseline sweep
-        assert report["speedup"]["comparable_to_baseline"] is False
-        assert report["speedup"]["fig8_wall"] is None

@@ -1,8 +1,6 @@
-"""Unit tests for the causal analyzer, validator edge checks, report CSV,
-and the bench gate's comparison logic."""
+"""Unit tests for the causal analyzer, validator edge checks and report CSV."""
 
 import json
-import subprocess
 import sys
 
 import pytest
@@ -412,100 +410,3 @@ class TestReportCsv:
         out = self.run_report(tmp_path, None, capsys)
         assert "critical edge" in out
         assert "deciding" in out
-
-
-# ----------------------------------------------------------------------
-# bench gate
-# ----------------------------------------------------------------------
-def load_bench_gate():
-    sys.path.insert(0, "tools")
-    try:
-        import bench_gate
-    finally:
-        sys.path.pop(0)
-    return bench_gate
-
-
-class TestBenchGate:
-    def test_compare_passes_within_tolerance(self):
-        gate = load_bench_gate()
-        rows, ok = gate.compare(
-            {"2": {"peak_tps": 100.0}, "3": {"peak_tps": 200.0}},
-            {"2": {"peak_tps": 95.0}, "3": {"peak_tps": 210.0}},
-            tolerance=0.10,
-        )
-        assert ok
-        assert [row["clusters"] for row in rows] == [2, 3]
-        assert rows[0]["ratio"] == pytest.approx(0.95)
-
-    def test_compare_fails_beyond_tolerance(self):
-        gate = load_bench_gate()
-        rows, ok = gate.compare(
-            {"2": {"peak_tps": 100.0}}, {"2": {"peak_tps": 79.9}}, tolerance=0.20
-        )
-        assert not ok
-        assert rows[0]["ok"] is False
-
-    def test_compare_ignores_clusters_missing_from_either_side(self):
-        gate = load_bench_gate()
-        rows, ok = gate.compare(
-            {"2": {"peak_tps": 100.0}, "4": {"peak_tps": 1.0}},
-            {"2": {"peak_tps": 100.0}, "5": {"peak_tps": 1.0}},
-            tolerance=0.1,
-        )
-        assert ok and len(rows) == 1
-
-    def _gate_cmd(self, baseline, trajectory):
-        return [
-            sys.executable, "tools/bench_gate.py",
-            "--baseline", str(baseline),
-            "--trajectory", str(trajectory),
-        ]
-
-    def _tiny_baseline(self, tmp_path, inflate=1.0):
-        """Measure a tiny fig8 point once, then bake it into a baseline."""
-        from repro.bench.perfbench import fig8_benchmark
-
-        fig8 = fig8_benchmark(
-            clusters=(2,), clients=(4,), duration=0.05, warmup=0.01
-        )
-        for point in fig8["points"].values():
-            point["peak_tps"] = round(point["peak_tps"] * inflate, 1)
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": "sharper-perfbench/1", "fig8": fig8}))
-        return path
-
-    def test_gate_passes_on_unmodified_tree(self, tmp_path):
-        baseline = self._tiny_baseline(tmp_path)
-        trajectory = tmp_path / "traj.jsonl"
-        proc = subprocess.run(
-            self._gate_cmd(baseline, trajectory),
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "ratio" in proc.stdout and "1.000" in proc.stdout
-        entry = json.loads(trajectory.read_text().strip())
-        assert entry["ok"] is True
-        # The row also says what the cyclic collector did during the sweep.
-        assert entry["sweep_gc_collections"] >= 0 and entry["sweep_gc_collected"] >= 0
-
-    def test_gate_fails_on_synthetic_regression(self, tmp_path):
-        baseline = self._tiny_baseline(tmp_path, inflate=1.25)
-        trajectory = tmp_path / "traj.jsonl"
-        proc = subprocess.run(
-            self._gate_cmd(baseline, trajectory),
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "REGRESSION" in proc.stdout
-        entry = json.loads(trajectory.read_text().strip())
-        assert entry["ok"] is False
-
-    def test_gate_rejects_bad_baseline(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        proc = subprocess.run(
-            self._gate_cmd(bad, tmp_path / "traj.jsonl"),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import DeploymentSpec
+from repro.bench.cli import main as cli_main
 from repro.common.config import (
     ClusterConfig,
     NodeGroup,
@@ -69,6 +71,23 @@ class TestSystemConfig:
     def test_invalid_cluster_count(self):
         with pytest.raises(ConfigurationError):
             SystemConfig.build(0, FaultModel.CRASH)
+
+
+class TestArchiveNeedsCheckpointing:
+    """Only checkpoint GC fills an archive: one without it would audit nothing and pass."""
+
+    def test_spec_without_checkpointing_is_refused(self):
+        with pytest.raises(ConfigurationError, match="archive_path.*checkpoint_interval"):
+            DeploymentSpec(archive=":memory:").resolve()
+        DeploymentSpec(archive=":memory:", checkpoint_interval=16).resolve()
+
+    def test_cli_refuses_it_with_exit_2(self, tmp_path, capsys):
+        argv = [
+            "--scenario", "sharper", "--clusters", "2", "--archive",
+            str(tmp_path / "a.db"), "--audit-archive", "--duration", "0.2",
+        ]
+        assert cli_main(argv) == 2
+        assert "checkpoint_interval" in capsys.readouterr().err
 
 
 class TestClusterPlanning:

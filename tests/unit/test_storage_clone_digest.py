@@ -135,6 +135,26 @@ class TestCloneDigest:
         assert leaf_calls[0] - scanned <= 4 + 2 * ACCOUNTS  # incremental + the naive pass
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("accounts", [1_000, 10_000, 50_000])
+def test_incremental_digest_hashes_two_leaves_per_write(backend, accounts, leaf_calls):
+    """O(writes), not O(accounts): the same 2W leaf hashes at every population.
+
+    Each written account folds its pre-image out and its post-image in.  A
+    clone's first digest is held to the same bound by
+    ``TestCloneDigest.test_prototype_is_scanned_once_for_all_its_clones``.
+    """
+    writes = 100
+    mapper = ShardMapper(1, accounts)
+    store = backend.bootstrap(0, mapper, 1000)
+    store.state_digest()  # the genesis scan
+    leaf_calls[0] = 0
+    for account_id in mapper.accounts_in_shard(0)[:: accounts // writes]:
+        store.deposit(account_id, 1)
+    store.state_digest()
+    assert leaf_calls[0] == 2 * writes
+
+
 class TestLeafMemo:
     def test_leaf_hash_values_are_those_of_the_parent_commit(self):
         """Recorded at 829c2e3, before the memo existed."""
