@@ -154,6 +154,26 @@ class Scenario:
     #: force either way.  Requires ``verify``.
     audit_safety: bool | None = None
 
+    def __post_init__(self) -> None:
+        # Each of these either hangs the run (a retry timer that never
+        # advances the clock, a drain that never ends) or measures nothing.
+        if not self.duration > 0:
+            raise ConfigurationError(f"duration must be positive, got {self.duration}")
+        if not 0 <= self.warmup < self.duration:
+            raise ConfigurationError(
+                f"warmup must be within [0, duration={self.duration}), got {self.warmup}"
+            )
+        if self.clients < 0:
+            raise ConfigurationError(f"clients must be non-negative, got {self.clients}")
+        if not self.retry_timeout > 0:
+            raise ConfigurationError(
+                f"retry_timeout must be positive, got {self.retry_timeout}"
+            )
+        if not self.drain_grace >= 0:
+            raise ConfigurationError(
+                f"drain_grace must be non-negative, got {self.drain_grace}"
+            )
+
     @property
     def label(self) -> str:
         """Report label: the explicit name, or the system's short name."""

@@ -227,11 +227,7 @@ def _deployment(args: argparse.Namespace) -> DeploymentSpec:
     if args.trace or args.trace_out is not None:
         from ..obs import TraceSpec
 
-        trace_spec = TraceSpec(
-            gauges=args.gauge_interval > 0,
-            gauge_interval=args.gauge_interval,
-            sample=args.trace_sample,
-        )
+        trace_spec = TraceSpec(gauge_interval=args.gauge_interval, sample=args.trace_sample)
     return DeploymentSpec(
         system=args.scenario,
         fault_model=FaultModel.BYZANTINE if args.byzantine else FaultModel.CRASH,
@@ -282,7 +278,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
     if result.trace is not None:
         print()
         print(result.trace.phase_table())
-        if result.trace.critical is not None and result.trace.critical.txs:
+        if result.trace.critical.txs:
             print()
             print(result.trace.critical_table())
             print()

@@ -152,12 +152,10 @@ class HandlerTable:
         return True
 
     def _report_vote(self, kind: str, key: object, voter: int, decided: bool) -> None:
-        """Tell the armed recorder about one quorum vote (causal layer only)."""
-        recorder = self.host.recorder
-        if recorder.causal_armed:
-            recorder.quorum_vote(
-                self.host.now, int(self.host.node_id), kind, key, int(voter), decided
-            )
+        """Tell the armed recorder about one quorum vote."""
+        self.host.recorder.quorum_vote(
+            self.host.now, int(self.host.node_id), kind, key, int(voter), decided
+        )
 
 
 class ConsensusEngine(HandlerTable):

@@ -74,7 +74,6 @@ class BaseSystem:
         self.workload_mapper = ShardMapper(
             num_shards=config.num_clusters,
             accounts_per_shard=workload_config.accounts_per_shard,
-            strategy=workload_config.partition_strategy,
         )
         #: state-store backend every replica uses ("dict" or "columnar").
         self.store_backend = config.storage.store_backend
@@ -88,7 +87,6 @@ class BaseSystem:
                 {
                     "num_shards": config.num_clusters,
                     "accounts_per_shard": workload_config.accounts_per_shard,
-                    "partition_strategy": workload_config.partition_strategy,
                     "initial_balance": workload_config.initial_balance,
                     "num_clients": workload_config.num_clients,
                 }

@@ -19,10 +19,10 @@ objects at positions at or below the checkpoint are removed (bounding
 memory for arbitrarily long runs), keeping the checkpointed block as the
 chain *anchor* — the hash-chain base for subsequent appends — and the
 full transaction index, which keeps answering the at-most-once duplicate
-checks for compacted history.  With an archival backend attached
+checks for compacted history.  With an archive attached
 (:attr:`ClusterView.archive`, see :mod:`repro.storage.archive`), the
 pruned block objects are *spilled* into the archive before being
-discarded, so the full history stays queryable offline; without one they
+discarded, so the full history stays auditable offline; without one they
 are simply dropped.  :attr:`ClusterView.height` keeps counting from
 genesis, so heights and positions are stable across pruning.
 """
@@ -52,7 +52,7 @@ class ClusterView:
         #: position of ``_blocks[0]`` (0 = genesis; > 0 after pruning,
         #: where ``_blocks[0]`` is the checkpointed anchor block).
         self._base = 0
-        #: optional :class:`repro.storage.archive.ArchivalBackend` that
+        #: optional :class:`repro.storage.archive.SqliteArchive` that
         #: :meth:`prune` spills dropped blocks into.
         self.archive = None
         #: largest number of block objects this view ever retained.

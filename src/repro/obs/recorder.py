@@ -22,12 +22,12 @@ behaviour and its event count exceeds the untraced run by exactly
 ``gauge_ticks``.  With ``gauge_interval=0`` (spans-only) even the event
 count is bit-identical.
 
-The causal layer (``TraceSpec.causal``, on by default when tracing)
-additionally tags every message with a parent event id at send, matches
-it back at dispatch, and reduces each quorum's votes to its deciding
-row when that vote arrives — no simulator events, no RNG draws —
-reduced by :mod:`repro.obs.causal` into per-transaction critical paths
-whose span equals measured end-to-end latency exactly.
+The causal layer (always on when tracing) additionally tags every
+message with a parent event id at send, matches it back at dispatch,
+and reduces each quorum's votes to its deciding row when that vote
+arrives — no simulator events, no RNG draws — reduced by
+:mod:`repro.obs.causal` into per-transaction critical paths whose span
+equals measured end-to-end latency exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from statistics import median
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..common.errors import ConfigurationError
 from ..consensus.batching import member_requests
 from .causal import (
     CriticalSummary,
@@ -56,26 +57,28 @@ __all__ = ["TraceSpec", "FlightRecorder", "TraceReport", "normalize_trace"]
 class TraceSpec:
     """What to record when a scenario is traced.
 
-    ``gauge_interval`` is in simulated seconds; ``0`` (or
-    ``gauges=False``) disables the sampling timer entirely, leaving a
-    spans-only trace whose simulator event count matches the untraced
-    run bit for bit.  ``causal`` adds message-level parent tagging and
-    quorum deciding-vote records (:mod:`repro.obs.causal`) — pure
-    recording, no simulator events, no RNG draws, so it never changes
-    protocol outcome either.  ``sample=N`` keeps phase/causal chain
-    events for every Nth submitted transaction only, bounding trace
-    size on long high-load runs; message nodes, spans, and gauges are
-    shared infrastructure and are always kept.
+    ``gauge_interval`` is in simulated seconds; ``0`` disables the
+    sampling timer entirely, leaving a spans-only trace whose simulator
+    event count matches the untraced run bit for bit.  Every trace is
+    causal: message-level parent tagging and quorum deciding-vote
+    records (:mod:`repro.obs.causal`) are pure recording, no simulator
+    events, no RNG draws, so they never change protocol outcome either.
+    ``sample=N`` keeps phase/causal chain events for every Nth submitted
+    transaction only, bounding trace size on long high-load runs;
+    message nodes, spans, and gauges are shared infrastructure and are
+    always kept.
     """
 
-    #: Sample live gauges on a rolling simulator timer.
-    gauges: bool = True
     #: Gauge sampling period in simulated seconds (0 disables).
     gauge_interval: float = 0.01
-    #: Record causal parents per message and quorum deciding votes.
-    causal: bool = True
     #: Record phase events for every Nth transaction (1 = all).
     sample: int = 1
+
+    def __post_init__(self) -> None:
+        if self.gauge_interval < 0:
+            raise ConfigurationError(
+                f"gauge_interval must be non-negative, got {self.gauge_interval}"
+            )
 
 
 def normalize_trace(trace: "TraceSpec | bool | None") -> TraceSpec | None:
@@ -109,8 +112,6 @@ class FlightRecorder:
         self.gauge_ticks = 0
         self._system: Any = None
         self._gauge_timer: Any = None
-        #: causal layer armed (checked by Process/Network hot paths).
-        self.causal_armed = bool(self.spec.causal)
         #: last assigned event id (strictly increasing; 0 = "no event").
         self._eid = 0
         #: current dispatch context: the recv/submit eid new events
@@ -147,9 +148,8 @@ class FlightRecorder:
         if sampled is not None and tx_id not in sampled:
             return
         self.events.append((time, tx_id, phase, pid))
-        if self.causal_armed:
-            self._eid += 1
-            self.event_meta.append((self._eid, self._ctx))
+        self._eid += 1
+        self.event_meta.append((self._eid, self._ctx))
 
     def milestone(self, time: float, pid: int, item: object, phase: str) -> None:
         """Record ``phase`` for every client request an ordered item carries.
@@ -179,10 +179,9 @@ class FlightRecorder:
         if cross:
             self.cross_txs.add(tx_id)
         self.events.append((time, tx_id, "submit", pid))
-        if self.causal_armed:
-            self._eid += 1
-            self.event_meta.append((self._eid, self._ctx))
-            self._ctx = self._eid
+        self._eid += 1
+        self.event_meta.append((self._eid, self._ctx))
+        self._ctx = self._eid
 
     def slot_open(self, time: float, pid: int, cluster: int, slot: int) -> None:
         """Open a consensus-slot span (first open per replica wins)."""
@@ -212,7 +211,7 @@ class FlightRecorder:
         counters = self.sent_by_type
         counters[type_name] = counters.get(type_name, 0) + count
 
-    # -- causal hooks (callers additionally guard ``causal_armed``) -----
+    # -- causal hooks ---------------------------------------------------
 
     def wire_send(self, time: float, src: int, dst: int, message: Any) -> None:
         """Record a unicast send node at its NIC departure time."""
@@ -298,7 +297,7 @@ class FlightRecorder:
     def start_gauges(self, system: Any) -> None:
         """Arm the rolling sampling timer on the system's simulator."""
         self._system = system
-        if self.spec.gauges and self.spec.gauge_interval > 0:
+        if self.spec.gauge_interval > 0:
             self._gauge_timer = system.sim.every(
                 self.spec.gauge_interval, self._sample_gauges
             )
@@ -357,13 +356,9 @@ class FlightRecorder:
                 pid_clusters[int(process.pid)] = int(cluster.cluster_id)
         breakdown = attribute_phases(self.events, self.cross_txs)
         deciding = sorted(self._deciding, key=lambda row: (row[4], row[0], row[1], str(row[2])))
-        critical = None
-        if self.causal_armed:
-            critical = summarize_paths(
-                iter_critical_paths(
-                    self.events, self.event_meta, self.causal, self.cross_txs
-                )
-            )
+        critical = summarize_paths(
+            iter_critical_paths(self.events, self.event_meta, self.causal, self.cross_txs)
+        )
         return TraceReport(
             events=tuple(self.events),
             cross_txs=frozenset(self.cross_txs),
@@ -380,14 +375,14 @@ class FlightRecorder:
             gauges=tuple(self.gauge_samples),
             sent_by_type=dict(self.sent_by_type),
             gauge_ticks=self.gauge_ticks,
-            gauge_interval=self.spec.gauge_interval if self.spec.gauges else 0.0,
+            gauge_interval=self.spec.gauge_interval,
             breakdown=breakdown,
+            critical=critical,
             pid_clusters=pid_clusters,
             end_time=end_time,
             event_meta=tuple(self.event_meta),
             causal=tuple(self.causal),
             deciding=tuple(deciding),
-            critical=critical,
         )
 
 
@@ -412,6 +407,8 @@ class TraceReport:
     gauge_ticks: int
     gauge_interval: float
     breakdown: PhaseBreakdown
+    #: aggregated critical-path stats.
+    critical: CriticalSummary
     pid_clusters: dict[int, int] = field(default_factory=dict)
     end_time: float = 0.0
     #: ``(eid, parent)`` per phase event, aligned with :attr:`events`.
@@ -420,8 +417,6 @@ class TraceReport:
     causal: tuple[tuple[int, int, float, str, int, str], ...] = ()
     #: deciding-vote rows ``(pid, kind, key, voter, t, lag)``.
     deciding: tuple[tuple[int, str, Any, int, float, float], ...] = ()
-    #: aggregated critical-path stats (None when causal was off).
-    critical: CriticalSummary | None = None
 
     def summary(self) -> str:
         """One status line for ``ScenarioResult.summary()``."""
@@ -432,7 +427,7 @@ class TraceReport:
             f"({len(self.open_vcs)} open), {self.gauge_ticks} gauge ticks, "
             f"{self.breakdown.attributed_fraction:.1%} latency attributed"
         )
-        if self.critical is not None and self.critical.txs:
+        if self.critical.txs:
             line += (
                 f"; {self.critical.txs} critical paths "
                 f"({self.critical.complete} complete, "
@@ -460,18 +455,15 @@ class TraceReport:
     def phase_columns(self) -> dict[str, float]:
         """Additive per-phase CSV columns (see bench reporting).
 
-        ``critpath_*`` columns ride along when causal data is present,
-        so traced bench sweeps surface critical-path stats without the
-        harness knowing about them.
+        ``critpath_*`` columns ride along, so traced bench sweeps surface
+        critical-path stats without the harness knowing about them.
         """
         columns = phase_columns(self.breakdown)
         columns.update(self.critpath_columns())
         return columns
 
     def critpath_columns(self) -> dict[str, float]:
-        """Additive ``critpath_*`` CSV columns (empty when causal off)."""
-        if self.critical is None:
-            return {}
+        """Additive ``critpath_*`` CSV columns."""
         return critpath_columns(self.critical)
 
     def critical_paths(self):
@@ -482,8 +474,6 @@ class TraceReport:
 
     def critical_table(self) -> str:
         """The critical-path breakdown as an aligned text table."""
-        if self.critical is None:
-            return "(no causal data recorded)"
         return render_critical_table(self.critical)
 
     def straggler_table(self) -> str:

@@ -319,7 +319,7 @@ class Network:
         # arrival >= departure >= now, so push without the in-the-past check.
         queue = sim._queue
         heappush(queue._heap, [arrival, next(queue._counter), row[0], (message, src)])
-        if recorder is not None and recorder.causal_armed:
+        if recorder is not None:
             recorder.wire_send(departure, src, dst, message)
         return True
 
@@ -377,7 +377,7 @@ class Network:
         if recorder is not None:
             if attempted:
                 recorder.count_send(message.__class__.__name__, attempted)
-            if reached and recorder.causal_armed:
+            if reached:
                 recorder.wire_multicast(
                     departure, src, [row[2] & _PID_MASK for row in reached], message
                 )

@@ -25,7 +25,7 @@ it pushes ``[completion, seq, handler, (message, src)]`` straight onto the
 heap, so the completion event is the protocol handler itself — no
 ``Process`` frame between the run loop and the engine.
 :meth:`Process._dispatch_message` is the *checked lane*, taken only when
-the process can see that it must be: a causal recorder is armed, the type
+the process can see that it must be: a recorder is armed, the type
 has no table entry, the subclass overrides ``on_message``, or the message
 was pending when the process crashed.  Why the two events cannot be one is
 in docs/architecture.md, "The per-message fast lane".  Multicasts go through
@@ -166,7 +166,7 @@ class Process:
         self.cpu_busy_time += cost
         handler = self._fast_lane.get(kind)
         recorder = self.recorder
-        if handler is None or (recorder is not None and recorder.causal_armed):
+        if handler is None or recorder is not None:
             handler = self._dispatch_message
         queue = sim._queue
         heappush(queue._heap, [completion, next(queue._counter), handler, (message, src)])
@@ -176,7 +176,7 @@ class Process:
         :meth:`crash` did not leave pointing at a handler.
 
         ``crashed`` is tested when the event fires; a type without a table
-        entry falls to :meth:`on_message`; under a causal recorder the
+        entry falls to :meth:`on_message`; under an armed recorder the
         handler runs in a recv context, so every event it records (phases,
         sends, quorum votes) parents to this arrival.
         """
@@ -184,7 +184,7 @@ class Process:
             return
         handler = self._fast_lane.get(message.__class__, self.on_message)
         recorder = self.recorder
-        if recorder is None or not recorder.causal_armed:
+        if recorder is None:
             handler(message, src)
             return
         recorder.begin_dispatch(self.sim._now, message, src, self.pid)

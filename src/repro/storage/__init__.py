@@ -1,6 +1,6 @@
 """Pluggable state stores and the archival tier for pruned history.
 
-The package splits replica state management into three replaceable
+The package splits replica state management into three
 layers:
 
 - :mod:`repro.storage.base` / :mod:`repro.storage.dict_store` /
@@ -10,15 +10,11 @@ layers:
   Both maintain an order-independent incremental state digest, so a
   checkpoint costs time proportional to the accounts *touched* since
   the previous checkpoint, not to the store size.
-- :mod:`repro.storage.archive` — the :class:`ArchivalBackend` that
-  checkpoint GC spills pruned blocks into (sqlite implementation,
-  stdlib only), including the pre/post interval index over the block
-  DAG used for cross-shard ancestor queries.
-- :mod:`repro.storage.history` / :mod:`repro.storage.audit` — the
-  offline read side: :class:`HistoryQuery` for block / transaction /
-  account-activity / ancestry lookups, and :func:`audit_archive` for
-  re-verifying hash-chain continuity and balance conservation without
-  a live system.
+- :mod:`repro.storage.archive` — the :class:`SqliteArchive` that
+  checkpoint GC spills pruned blocks into (stdlib only).
+- :mod:`repro.storage.audit` — the archive's one reader:
+  :func:`audit_archive` re-verifies hash-chain continuity and balance
+  conservation without a live system.
 
 Select a backend per deployment with ``DeploymentSpec(store_backend=
 "columnar", archive="run.db")`` or directly via :func:`make_store`.
@@ -27,30 +23,19 @@ Select a backend per deployment with ``DeploymentSpec(store_backend=
 from __future__ import annotations
 
 from ..common.errors import ConfigurationError
-from .archive import ArchivalBackend, SqliteArchive, open_archive
+from .archive import SqliteArchive, open_archive
 from .audit import ArchiveAuditReport, audit_archive
 from .base import Account, StateStore, leaf_hash
 from .columnar import ArrayAccountStore, ColumnarSnapshot
 from .dict_store import AccountStore
-from .history import (
-    ActivityRecord,
-    ArchivedBlock,
-    ArchivedTransaction,
-    HistoryQuery,
-)
 from .stats import StorageStats, collect_storage_stats
 
 __all__ = [
     "Account",
     "AccountStore",
-    "ActivityRecord",
-    "ArchivalBackend",
     "ArchiveAuditReport",
-    "ArchivedBlock",
-    "ArchivedTransaction",
     "ArrayAccountStore",
     "ColumnarSnapshot",
-    "HistoryQuery",
     "SqliteArchive",
     "StateStore",
     "StorageStats",

@@ -1,15 +1,16 @@
-"""Archival backends: checkpoint GC spills pruned history instead of dropping it.
+"""The archive: checkpoint GC spills pruned history instead of dropping it.
 
 Stable checkpoints authorise garbage collection
 (:mod:`repro.recovery.checkpoint`): the ledger view prunes block objects
 at or below the checkpoint.  With an archive attached
 (``ClusterView.archive``), :meth:`repro.ledger.view.ClusterView.prune`
-hands the dropped blocks to :meth:`ArchivalBackend.archive_blocks`
-before discarding them, so the full history stays queryable offline
+hands the dropped blocks to :meth:`SqliteArchive.archive_blocks` before
+discarding them, so the full history stays auditable offline
+(:func:`repro.storage.audit.audit_archive` is the archive's one reader)
 while resident memory remains bounded.
 
-:class:`SqliteArchive` is the stdlib-only implementation.  Rows are
-keyed by ``(cluster, position)``.  Every replica of a cluster spills the
+:class:`SqliteArchive` is stdlib-only.  Rows are keyed by
+``(cluster, position)``.  Every replica of a cluster spills the
 *same* rows as its own checkpoint stabilises (a replica only
 garbage-collects state its own digest agreed with a quorum on), so a
 per-cluster high-water mark lets the first replica write a range and its
@@ -22,16 +23,9 @@ peers return before building a row.  Schema:
 ``txs`` / ``transfers``
     the block's transactions (payload digest, issuing client, order
     within the block) and their individual transfers — the replayable
-    record :func:`repro.storage.audit.audit_archive` verifies.
-``xlinks``
-    the pre/post interval index over the block DAG: a cross-shard block
-    at position ``pre`` of cluster ``c`` and ``post`` of cluster ``d``
-    yields the ordered rows ``(c, d, pre, post)`` and ``(d, c, post,
-    pre)``.  Block ``(c, p)`` is then an ancestor of ``(d, q)`` exactly
-    when some chain of such intervals is sandwiched between them
-    (``pre >= p`` and ``post <= q`` for the single-hop case) — the
-    interval-encoding + SQL idiom of the DMR-XPath lineage, adapted
-    from document trees to the position-vector DAG.
+    record :func:`repro.storage.audit.audit_archive` verifies.  The
+    one secondary index, ``txs_by_position``, serves the audit's
+    hash-chain walk.
 ``checkpoints``
     the quorum-stabilised ``(seq, store digest)`` pairs the offline
     auditor replays the transfer history against.
@@ -52,7 +46,7 @@ from ..common.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..ledger.block import Block
 
-__all__ = ["ArchivalBackend", "SqliteArchive", "open_archive"]
+__all__ = ["SqliteArchive", "open_archive"]
 
 
 _SCHEMA = """
@@ -90,16 +84,6 @@ CREATE TABLE IF NOT EXISTS transfers (
     amount INTEGER NOT NULL,
     PRIMARY KEY (tx_id, cluster, idx)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS transfers_by_source ON transfers (cluster, source, position);
-CREATE INDEX IF NOT EXISTS transfers_by_destination ON transfers (cluster, destination, position);
-CREATE TABLE IF NOT EXISTS xlinks (
-    src_cluster INTEGER NOT NULL,
-    dst_cluster INTEGER NOT NULL,
-    pre_position INTEGER NOT NULL,
-    post_position INTEGER NOT NULL,
-    block_hash TEXT NOT NULL,
-    PRIMARY KEY (src_cluster, dst_cluster, pre_position)
-) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS checkpoints (
     cluster INTEGER NOT NULL,
     seq INTEGER NOT NULL,
@@ -110,31 +94,7 @@ CREATE TABLE IF NOT EXISTS checkpoints (
 """
 
 
-class ArchivalBackend:
-    """Interface checkpoint GC spills pruned history into."""
-
-    def archive_blocks(self, cluster_id: int, blocks: "Iterable[Block]") -> int:
-        """Persist pruned ``blocks`` of ``cluster_id``; returns rows added."""
-        raise NotImplementedError
-
-    def record_checkpoint(
-        self, cluster_id: int, seq: int, store_digest: str, head_hash: str
-    ) -> None:
-        """Persist a stabilised checkpoint's store digest for offline audit."""
-        raise NotImplementedError
-
-    def record_bootstrap(self, meta: dict) -> None:
-        """Persist the deployment's bootstrap description (replay input)."""
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Make all buffered writes visible to other connections."""
-
-    def close(self) -> None:
-        """Release the backend's resources."""
-
-
-class SqliteArchive(ArchivalBackend):
+class SqliteArchive:
     """Sqlite-backed archive (stdlib only; ``:memory:`` supported in tests).
 
     Durability is deliberately relaxed (``synchronous=OFF``): the archive
@@ -164,6 +124,7 @@ class SqliteArchive(ArchivalBackend):
     # writes
     # ------------------------------------------------------------------
     def archive_blocks(self, cluster_id: int, blocks: "Iterable[Block]") -> int:
+        """Persist pruned ``blocks`` of ``cluster_id``; returns rows added."""
         cluster = int(cluster_id)
         conn = self._conn
         mark = self._spilled.get(cluster)
@@ -177,7 +138,6 @@ class SqliteArchive(ArchivalBackend):
         block_rows = []
         tx_rows = []
         transfer_rows = []
-        xlink_rows = []
         for block in blocks:
             position = block.position_for(cluster_id)
             if position <= mark:
@@ -216,13 +176,6 @@ class SqliteArchive(ArchivalBackend):
                             transfer.amount,
                         )
                     )
-            if len(block.positions) > 1:
-                for src, pre in block.positions:
-                    for dst, post in block.positions:
-                        if src != dst:
-                            xlink_rows.append(
-                                (int(src), int(dst), pre, post, block.block_hash)
-                            )
         if not block_rows:
             return 0
         before = conn.total_changes
@@ -235,9 +188,6 @@ class SqliteArchive(ArchivalBackend):
         conn.executemany(
             "INSERT OR IGNORE INTO transfers VALUES (?, ?, ?, ?, ?, ?, ?)", transfer_rows
         )
-        conn.executemany(
-            "INSERT OR IGNORE INTO xlinks VALUES (?, ?, ?, ?, ?)", xlink_rows
-        )
         conn.commit()
         if [row[1] for row in block_rows] == list(range(mark + 1, mark + 1 + len(block_rows))):
             self._spilled[cluster] = mark + len(block_rows)  # the archived prefix grew
@@ -246,6 +196,7 @@ class SqliteArchive(ArchivalBackend):
     def record_checkpoint(
         self, cluster_id: int, seq: int, store_digest: str, head_hash: str
     ) -> None:
+        """Persist a stabilised checkpoint's store digest for offline audit."""
         cluster = int(cluster_id)
         row = (int(seq), store_digest, head_hash)
         if cluster not in self._last_checkpoint:
@@ -270,6 +221,7 @@ class SqliteArchive(ArchivalBackend):
             self._last_checkpoint[cluster] = row
 
     def record_bootstrap(self, meta: dict) -> None:
+        """Persist the deployment's bootstrap description (replay input)."""
         self._set_meta("bootstrap", json.dumps(meta))
 
     def _set_meta(self, key: str, value: str) -> None:
@@ -285,7 +237,7 @@ class SqliteArchive(ArchivalBackend):
     # ------------------------------------------------------------------
     @property
     def connection(self) -> sqlite3.Connection:
-        """The underlying connection (query surface for history/audit)."""
+        """The underlying connection (the audit's query surface)."""
         return self._conn
 
     def bootstrap_meta(self) -> dict | None:
@@ -345,9 +297,11 @@ class SqliteArchive(ArchivalBackend):
     # lifecycle
     # ------------------------------------------------------------------
     def flush(self) -> None:
+        """Make all buffered writes visible to other connections."""
         self._conn.commit()
 
     def close(self) -> None:
+        """Commit and release the connection."""
         self._conn.commit()
         self._conn.close()
 
@@ -355,7 +309,7 @@ class SqliteArchive(ArchivalBackend):
 def open_archive(source: "str | os.PathLike | SqliteArchive") -> SqliteArchive:
     """Coerce a path or an existing :class:`SqliteArchive` to an archive.
 
-    History queries and the offline auditor accept either form; opening
+    The offline auditor accepts either form; opening
     a path that does not exist is a configuration error (sqlite would
     happily create an empty database and every audit would "pass").
     """

@@ -286,7 +286,6 @@ def audit_archive(source: "str | os.PathLike | SqliteArchive") -> ArchiveAuditRe
     mapper = ShardMapper(
         num_shards=meta["num_shards"],
         accounts_per_shard=meta["accounts_per_shard"],
-        strategy=meta.get("partition_strategy", "range"),
     )
     report.minted_total = (
         meta["num_shards"] * meta["accounts_per_shard"] * meta["initial_balance"]

@@ -1,15 +1,13 @@
 """Columnar million-account state store: flat array columns, O(1) lookup.
 
 :class:`ArrayAccountStore` stores a shard's balance table in flat
-``array('q')`` columns indexed by *dense* account ids.  Both
-:class:`~repro.txn.accounts.ShardMapper` strategies assign a shard an
-arithmetic progression of account ids (``range(start, stop)`` for the
-contiguous-range strategy, ``range(shard, total, num_shards)`` for
-modulo), so ``dense_index = (account_id - first) // stride`` gives O(1)
+``array('q')`` columns indexed by *dense* account ids.
+:class:`~repro.txn.accounts.ShardMapper` assigns a shard a contiguous
+range of account ids, so ``dense_index = account_id - first`` gives O(1)
 lookup with no per-account Python objects — at one million accounts the
 resident footprint is two 8 MB arrays plus a presence bitmap, instead of
 a dict of a million :class:`~repro.storage.base.Account` objects.
-Accounts outside the progression (tests creating ad-hoc ids) fall back
+Accounts outside the range (tests creating ad-hoc ids) fall back
 to a small overflow dict.
 
 Two properties make the backend checkpointable at this scale:
@@ -96,19 +94,15 @@ class ArrayAccountStore(StateStore):
         self,
         shard: ShardId | None = None,
         first_id: int = 0,
-        stride: int = 1,
         capacity: int = 0,
     ) -> None:
         super().__init__(shard)
-        if stride <= 0:
-            raise ValidationError("account id stride must be positive")
         self._first = int(first_id)
-        self._stride = int(stride)
         self._capacity = int(capacity)
         self._balances = array("q", bytes(8 * self._capacity))
         self._owners = array("q", bytes(8 * self._capacity))
         self._present = bytearray(self._capacity)
-        #: accounts outside the dense progression (ad-hoc test ids).
+        #: accounts outside the dense range (ad-hoc test ids).
         self._extra: dict[AccountId, Account] = {}
         self._count = 0
         self._total = 0
@@ -126,14 +120,9 @@ class ArrayAccountStore(StateStore):
     # dense index mapping
     # ------------------------------------------------------------------
     def _slot(self, account_id: int) -> int | None:
-        """Dense column index of ``account_id``, or None if off-progression."""
-        offset = int(account_id) - self._first
-        if offset < 0:
-            return None
-        index, remainder = divmod(offset, self._stride)
-        if remainder or index >= self._capacity:
-            return None
-        return index
+        """Dense column index of ``account_id``, or None if out of range."""
+        index = int(account_id) - self._first
+        return index if 0 <= index < self._capacity else None
 
     # ------------------------------------------------------------------
     # setup
@@ -148,17 +137,14 @@ class ArrayAccountStore(StateStore):
     ) -> "ArrayAccountStore":
         """Create a store pre-populated with every account of ``shard``.
 
-        ``mapper.accounts_in_shard`` returns an arithmetic progression
-        (a ``range``) under both partition strategies; its start/step
-        become the store's dense-id mapping and the columns are filled
-        directly, bypassing the per-account ``create_account`` path.
+        ``mapper.accounts_in_shard`` returns a contiguous ``range``; its
+        start becomes the store's dense-id offset and the columns are
+        filled directly, bypassing the per-account ``create_account`` path.
         """
         if initial_balance < 0:
             raise ValidationError("accounts cannot start with negative balance")
         ids = mapper.accounts_in_shard(shard)
-        stride = ids.step if isinstance(ids, range) else 1
-        first = ids.start if isinstance(ids, range) else (min(ids) if len(ids) else 0)
-        store = cls(shard=shard, first_id=first, stride=stride, capacity=len(ids))
+        store = cls(shard=shard, first_id=ids.start, capacity=len(ids))
         balances = store._balances
         owners = store._owners
         for slot, raw_id in enumerate(ids):
@@ -196,7 +182,6 @@ class ArrayAccountStore(StateStore):
         copy = ArrayAccountStore(
             shard=self.shard,
             first_id=self._first,
-            stride=self._stride,
             capacity=self._capacity,
         )
         copy._balances = self._balances[:]
@@ -271,10 +256,10 @@ class ArrayAccountStore(StateStore):
         present = self._present
         balances = self._balances
         owners = self._owners
-        first, stride = self._first, self._stride
+        first = self._first
         for slot in range(self._capacity):
             if present[slot]:
-                yield (AccountId(first + slot * stride), ClientId(owners[slot]), balances[slot])
+                yield (AccountId(first + slot), ClientId(owners[slot]), balances[slot])
         for account_id, account in self._extra.items():
             yield (account_id, account.owner, account.balance)
 

@@ -8,9 +8,8 @@ source account is owned by the requesting client and holds enough funds.
 
 :class:`ShardMapper` maps accounts to data shards.  A workload-aware
 mapper would minimise cross-shard transactions, but the evaluation
-controls the cross-shard fraction directly, so two simple strategies
-suffice: ``"range"`` partitions the id space into contiguous ranges
-(the default), ``"modulo"`` stripes ids round-robin (``id % |P|``).
+controls the cross-shard fraction directly, so contiguous id ranges
+suffice.
 
 The per-shard state itself lives in :mod:`repro.storage`:
 :class:`~repro.storage.dict_store.AccountStore` (the original dict
@@ -34,44 +33,28 @@ __all__ = ["Account", "AccountStore", "ShardMapper"]
 class ShardMapper:
     """Maps account ids to data shards ``d_1 .. d_|P|``.
 
-    Two partitioning strategies are supported.  ``"range"`` (the
-    default) assigns contiguous id ranges, which keeps "account i lives
-    in shard i // span" easy to reason about in tests and mirrors how a
-    workload-aware partitioner would co-locate related accounts.
-    ``"modulo"`` stripes ids round-robin — ``shard_of(i) = i % |P|`` —
-    the other classic hash-free scheme; it spreads hot contiguous id
-    ranges across every shard.  Either way each shard's population is an
-    arithmetic progression, which the columnar store maps to flat array
-    slots without a hash table; the ``range`` objects are built once.
+    Each shard holds a contiguous id range — account ``i`` lives in
+    shard ``i // accounts_per_shard`` — which mirrors how a
+    workload-aware partitioner would co-locate related accounts and lets
+    the columnar store map ids to flat array slots without a hash table;
+    the ``range`` objects are built once.
 
     A run has **one** mapper (the system's ``workload_mapper``, shared by
     generators, router and replicas), so a transaction's classification
     memo knows its mapper by identity; mappers have no value equality.
     """
 
-    STRATEGIES = ("range", "modulo")
-
-    def __init__(
-        self, num_shards: int, accounts_per_shard: int, strategy: str = "range"
-    ) -> None:
+    def __init__(self, num_shards: int, accounts_per_shard: int) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
         if accounts_per_shard <= 0:
             raise ConfigurationError("accounts_per_shard must be positive")
-        if strategy not in self.STRATEGIES:
-            raise ConfigurationError(
-                f"unknown partition strategy {strategy!r}; expected one of "
-                f"{self.STRATEGIES}"
-            )
         self.num_shards = num_shards
         self.accounts_per_shard = accounts_per_shard
-        self.strategy = strategy
         #: total number of accounts across all shards.
         self.total_accounts = total = num_shards * accounts_per_shard
         self._shard_accounts = tuple(
-            range(shard, total, num_shards)
-            if strategy == "modulo"
-            else range(shard * accounts_per_shard, (shard + 1) * accounts_per_shard)
+            range(shard * accounts_per_shard, (shard + 1) * accounts_per_shard)
             for shard in range(num_shards)
         )
 
@@ -79,12 +62,10 @@ class ShardMapper:
         """Shard that stores ``account_id``."""
         if not 0 <= account_id < self.total_accounts:
             raise UnknownAccountError(f"account {account_id} is outside the keyspace")
-        if self.strategy == "modulo":
-            return ShardId(account_id % self.num_shards)
         return ShardId(account_id // self.accounts_per_shard)
 
     def accounts_in_shard(self, shard: ShardId) -> range:
-        """The account ids stored in ``shard`` (an arithmetic progression)."""
+        """The account ids stored in ``shard`` (a contiguous range)."""
         if not 0 <= shard < self.num_shards:
             raise ConfigurationError(f"unknown shard {shard}")
         return self._shard_accounts[shard]

@@ -10,14 +10,7 @@ The paper's experiments control two knobs (Section 4):
 :class:`WorkloadGenerator` reproduces that: it draws intra-shard
 transactions uniformly over the shards and, with the configured
 probability, emits a cross-shard transfer between accounts of distinct,
-randomly chosen shards.  Account popularity within a shard is uniform by
-default, optionally skewed by a *two-level hot-spot model*: a
-``hot_account_fraction`` of each shard's accounts (the "hot set", the
-lowest-numbered accounts) absorbs a ``hot_access_fraction`` of the
-accesses, and the remaining accesses are uniform over the whole shard.
-This is a flat hot/cold split, not a Zipf (power-law) distribution —
-e.g. ``hot_account_fraction=0.1, hot_access_fraction=0.9`` gives the
-classic "90% of traffic on 10% of accounts" contention profile.
+randomly chosen shards.  Accounts within a shard are drawn uniformly.
 Generation is seeded and fully deterministic.
 """
 
@@ -52,18 +45,6 @@ class WorkloadConfig:
     max_amount: int = 10
     #: number of distinct application clients issuing requests.
     num_clients: int = 64
-    #: two-level hot-spot skew: fraction of each shard's accounts forming
-    #: the hot set (0 = no hot set, uniform selection).  At least one
-    #: account is hot whenever this is non-zero.
-    hot_account_fraction: float = 0.0
-    #: probability that an access targets the hot set (the remaining
-    #: accesses draw uniformly over the whole shard, hot accounts
-    #: included).  Only meaningful with ``hot_account_fraction > 0``.
-    hot_access_fraction: float = 0.0
-    #: how account ids map to shards: ``"range"`` (contiguous ranges,
-    #: the default) or ``"modulo"`` (round-robin striping).  See
-    #: :class:`repro.txn.accounts.ShardMapper`.
-    partition_strategy: str = "range"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.cross_shard_fraction <= 1.0:
@@ -76,15 +57,6 @@ class WorkloadConfig:
             raise ConfigurationError("invalid transfer amount range")
         if self.num_clients <= 0:
             raise ConfigurationError("num_clients must be positive")
-        if not 0.0 <= self.hot_account_fraction <= 1.0:
-            raise ConfigurationError("hot_account_fraction must be within [0, 1]")
-        if not 0.0 <= self.hot_access_fraction <= 1.0:
-            raise ConfigurationError("hot_access_fraction must be within [0, 1]")
-        if self.partition_strategy not in ShardMapper.STRATEGIES:
-            raise ConfigurationError(
-                f"unknown partition strategy {self.partition_strategy!r}; "
-                f"expected one of {ShardMapper.STRATEGIES}"
-            )
 
 
 class WorkloadGenerator:
@@ -109,19 +81,14 @@ class WorkloadGenerator:
                 f"with only {num_shards} shards"
             )
         if mapper is None:
-            mapper = ShardMapper(
-                num_shards, config.accounts_per_shard, strategy=config.partition_strategy
-            )
-        elif (mapper.num_shards, mapper.accounts_per_shard, mapper.strategy) != (
-            num_shards, config.accounts_per_shard, config.partition_strategy
+            mapper = ShardMapper(num_shards, config.accounts_per_shard)
+        elif (mapper.num_shards, mapper.accounts_per_shard) != (
+            num_shards, config.accounts_per_shard
         ):
             raise ConfigurationError("mapper does not match the workload's shard layout")
         self.config = config
         self.num_shards = num_shards
         self.mapper = mapper
-        hot = config.hot_account_fraction
-        #: size of every shard's hot set (0 = none; shards are equally large).
-        self._hot_count = max(1, int(config.accounts_per_shard * hot)) if hot else 0
         self.rng = random.Random(seed)
         self.seed = seed
         self.generated = 0
@@ -142,28 +109,10 @@ class WorkloadGenerator:
     # account selection
     # ------------------------------------------------------------------
     def _pick_account(self, shard: ShardId, exclude: AccountId | None = None) -> AccountId:
-        """Pick an account of ``shard`` under the two-level hot-spot model.
-
-        With probability ``hot_access_fraction`` the account is drawn
-        uniformly from the shard's hot set (its first
-        ``hot_account_fraction`` of accounts); otherwise uniformly from
-        the whole shard.  The shard's account range is the mapper's and
-        the hot-set size was resolved at construction; a pick only draws.
-        """
+        """Pick an account of ``shard`` uniformly, other than ``exclude``."""
         accounts = self.mapper.accounts_in_shard(shard)
-        config = self.config
-        hot_count = self._hot_count
-        # The range strategy keeps the historical draw over raw ids so
-        # seeded workloads stay bit-identical; striped (modulo) shards
-        # draw an index into the progression instead.
-        contiguous = accounts.step == 1
         for _ in range(16):
-            if hot_count and self.rng.random() < config.hot_access_fraction:
-                candidate = AccountId(accounts[self.rng.randrange(hot_count)])
-            elif contiguous:
-                candidate = AccountId(self.rng.randrange(accounts.start, accounts.stop))
-            else:
-                candidate = AccountId(accounts[self.rng.randrange(len(accounts))])
+            candidate = AccountId(self.rng.randrange(accounts.start, accounts.stop))
             if candidate != exclude:
                 return candidate
         # Extremely small shards can collide repeatedly; fall back linearly.

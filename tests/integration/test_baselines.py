@@ -13,7 +13,10 @@ from repro.obs import TraceSpec
 from repro.txn.workload import WorkloadConfig
 
 
-def run_result(system_name, fault_model, cross_fraction, clients=12, duration=0.15, seed=5, trace=None):
+def run_result(
+    system_name, fault_model, cross_fraction, clients=12, duration=0.15, warmup=0.02, seed=5,
+    trace=None,
+):
     return Scenario(
         deployment=DeploymentSpec(system=system_name, fault_model=fault_model, trace=trace),
         workload=WorkloadConfig(
@@ -21,7 +24,7 @@ def run_result(system_name, fault_model, cross_fraction, clients=12, duration=0.
         ),
         clients=clients,
         duration=duration,
-        warmup=0.02,
+        warmup=warmup,
         seed=seed,
     ).run()
 
@@ -48,8 +51,8 @@ class TestActivePassive:
             assert passive.applied >= primary_height * 0.9
 
     def test_active_group_sizes_match_paper(self):
-        crash, _ = run("apr", FaultModel.CRASH, 0.0, clients=2, duration=0.02)
-        byz, _ = run("apr", FaultModel.BYZANTINE, 0.0, clients=2, duration=0.02)
+        crash, _ = run("apr", FaultModel.CRASH, 0.0, clients=2, duration=0.02, warmup=0.0)
+        byz, _ = run("apr", FaultModel.BYZANTINE, 0.0, clients=2, duration=0.02, warmup=0.0)
         assert crash.active_cluster.size == 3 and len(crash.passives) == 9
         assert byz.active_cluster.size == 4 and len(byz.passives) == 12
 
@@ -66,7 +69,7 @@ class TestFastConsensus:
     def test_traced_run_stamps_decided_and_attributes_all_latency(self, fault_model):
         """The fast engines decide through the shared helper, so a traced run
         sees ``decided`` for every commit — and tracing moves no result."""
-        traced = run_result("fast", fault_model, 0.5, trace=TraceSpec(gauges=False))
+        traced = run_result("fast", fault_model, 0.5, trace=TraceSpec(gauge_interval=0))
         _, untraced = run("fast", fault_model, cross_fraction=0.5)
         assert traced.stats.committed == untraced.committed > 50
         assert traced.stats.avg_latency == untraced.avg_latency
@@ -85,8 +88,8 @@ class TestFastConsensus:
         assert sum(decided) == len(replied)
 
     def test_group_sizes_match_paper(self):
-        crash, _ = run("fast", FaultModel.CRASH, 0.0, clients=2, duration=0.02)
-        byz, _ = run("fast", FaultModel.BYZANTINE, 0.0, clients=2, duration=0.02)
+        crash, _ = run("fast", FaultModel.CRASH, 0.0, clients=2, duration=0.02, warmup=0.0)
+        byz, _ = run("fast", FaultModel.BYZANTINE, 0.0, clients=2, duration=0.02, warmup=0.0)
         assert crash.active_cluster.size == 4 and len(crash.passives) == 8
         assert byz.active_cluster.size == 6 and len(byz.passives) == 10
 

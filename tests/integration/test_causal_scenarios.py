@@ -161,26 +161,15 @@ class TestDecidingVotes:
 class TestSampling:
     def test_sampled_run_is_bit_identical_to_untraced(self):
         untraced = traced_scenario(trace=None).run()
-        sampled = traced_scenario(
-            trace=TraceSpec(gauges=False, sample=4)
-        ).run()
+        sampled = traced_scenario(trace=TraceSpec(gauge_interval=0, sample=4)).run()
         assert_identical(untraced, sampled)
 
     def test_sampling_records_fewer_phase_events(self):
         full = traced_scenario(trace=SPANS_ONLY).run()
-        sampled = traced_scenario(trace=TraceSpec(gauges=False, sample=4)).run()
+        sampled = traced_scenario(trace=TraceSpec(gauge_interval=0, sample=4)).run()
         assert 0 < len(sampled.trace.events) < len(full.trace.events) / 2
         # Sampled chains still reconstruct exactly.
         assert_paths_exact(sampled)
-
-    def test_causal_off_skips_graph_but_keeps_phases(self):
-        result = traced_scenario(trace=TraceSpec(gauges=False, causal=False)).run()
-        assert result.trace.critical is None
-        assert result.trace.causal == ()
-        assert result.trace.deciding == ()
-        assert result.trace.events
-        assert result.trace.critpath_columns() == {}
-        assert "(no causal data recorded)" in result.trace.critical_table()
 
 
 class TestCrashCut:

@@ -3,7 +3,7 @@
 The recorder's contract has three halves:
 
 * **Tracing off is free** — an untraced run and a spans-only traced run
-  (``TraceSpec(gauges=False)``) are bit-identical: same event count,
+  (``TraceSpec(gauge_interval=0)``) are bit-identical: same event count,
   same messages, same commits, same per-replica state digests, under
   batching and under churn.  Gauge sampling adds *only* its own timer
   events: the protocol outcome is unchanged and the simulator event
@@ -98,7 +98,7 @@ def load_validator():
     return validate
 
 
-SPANS_ONLY = TraceSpec(gauges=False)
+SPANS_ONLY = TraceSpec(gauge_interval=0)
 
 
 class TestTracedAcceptance:

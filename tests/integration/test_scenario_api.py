@@ -79,6 +79,30 @@ class TestScenarioRoundTrip:
         with pytest.raises(UnknownSystemError):
             scenario.build_system()
 
+    @pytest.mark.parametrize(
+        "field, timing",
+        [
+            pytest.param("duration", dict(duration=0.0, warmup=0.0), id="no-duration"),
+            # Measured 0 commits and reported ok.
+            pytest.param("warmup", dict(warmup=0.5, duration=0.3), id="warmup-past-end"),
+            pytest.param("warmup", dict(warmup=0.3, duration=0.3), id="warmup-at-end"),
+            # Reported 2,271 tps over a 1.2 s window.
+            pytest.param("warmup", dict(warmup=-1.0), id="negative-warmup"),
+            pytest.param("clients", dict(clients=-3), id="negative-clients"),
+            # Never returned.
+            pytest.param("retry_timeout", dict(retry_timeout=0.0), id="zero-retry"),
+            pytest.param("retry_timeout", dict(retry_timeout=-1.0), id="negative-retry"),
+            # Never drained, audited anyway.
+            pytest.param("drain_grace", dict(drain_grace=-1.0), id="negative-drain"),
+        ],
+    )
+    def test_timing_that_hangs_or_measures_nothing_is_refused(self, field, timing):
+        with pytest.raises(ConfigurationError, match=field):
+            Scenario(deployment=DeploymentSpec(system="sharper"), **timing)
+
+    def test_zero_clients_is_a_valid_scenario(self):
+        assert Scenario(clients=0).clients == 0
+
     def test_explicit_config_override(self):
         config = SystemConfig.build(2, FaultModel.CRASH, seed=3)
         scenario = Scenario(

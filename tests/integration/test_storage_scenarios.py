@@ -1,4 +1,4 @@
-"""End-to-end storage scenarios: backend equivalence, archived runs, history.
+"""End-to-end storage scenarios: backend equivalence, archived runs.
 
 Integration acceptance for the storage subsystem:
 
@@ -8,18 +8,14 @@ Integration acceptance for the storage subsystem:
   crash/recover churn with checkpointing and state transfer;
 * a checkpointed run with an archive attached keeps the resident block
   count bounded while the archive absorbs the pruned history contiguously,
-  and the offline auditor re-verifies the archived chain and balances;
-* the history query API answers over the archive what the live system
-  can no longer answer after pruning.
+  and the offline auditor re-verifies the archived chain and balances.
 """
 
 import hashlib
 
-import pytest
-
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.common.types import FaultModel
-from repro.storage import HistoryQuery, audit_archive
+from repro.storage import audit_archive
 from repro.txn.workload import WorkloadConfig
 
 from helpers import assert_roles_follow_views
@@ -114,12 +110,17 @@ class TestArchivedRun:
         assert storage.peak_ledger_blocks <= 4 * interval
         # The archive holds the pruned prefix contiguously.
         archive = result.system.archive
-        history = HistoryQuery(archive)
         for cluster_id in result.chain_heights:
             height = archive.archived_height(int(cluster_id))
             assert height > 0
-            blocks = history.blocks_in_range(int(cluster_id), 1, height)
-            assert [block.position for block in blocks] == list(range(1, height + 1))
+            positions = [
+                row[0]
+                for row in archive.connection.execute(
+                    "SELECT position FROM blocks WHERE cluster = ? ORDER BY position",
+                    (int(cluster_id),),
+                )
+            ]
+            assert positions == list(range(1, height + 1))
 
     def test_offline_audit_passes_on_archived_run(self):
         result = storage_scenario(
@@ -164,50 +165,6 @@ class TestArchivedRun:
         assert result.storage.archive_blocks == 0
 
 
-class TestHistoryOverArchivedRun:
-    @pytest.fixture(scope="class")
-    def archived_result(self):
-        result = storage_scenario(
-            "columnar", archive=":memory:", checkpoint_interval=16, seed=13
-        ).run()
-        result.raise_if_failed()
-        return result
-
-    def test_archived_tx_queryable_by_id(self, archived_result):
-        history = HistoryQuery(archived_result.system.archive)
-        block = history.block_at(0, 1)
-        assert block.tx_ids or block.is_noop
-        if block.tx_ids:
-            tx = history.tx_by_id(block.tx_ids[0])
-            assert (0, 1) in tx.positions
-            assert tx.transfers
-
-    def test_account_activity_covers_pruned_prefix(self, archived_result):
-        history = HistoryQuery(archived_result.system.archive)
-        archive = archived_result.system.archive
-        # Some account of shard 0 must have archived activity.
-        row = archive.connection.execute(
-            "SELECT source FROM transfers WHERE cluster = 0 LIMIT 1"
-        ).fetchone()
-        assert row is not None
-        activity = history.account_activity(row[0])
-        assert activity
-        assert all(record.delta != 0 for record in activity if record.source != record.destination)
-
-    def test_cross_shard_ancestry_over_archive(self, archived_result):
-        archive = archived_result.system.archive
-        history = HistoryQuery(archive)
-        cross = archive.connection.execute(
-            "SELECT src_cluster, dst_cluster, pre_position, post_position"
-            " FROM xlinks LIMIT 1"
-        ).fetchone()
-        assert cross is not None, "cross-shard workload produced no archived links"
-        src, dst, pre, post = cross
-        if pre > 1:
-            assert history.is_ancestor((src, 1), (dst, post))
-        assert not history.is_ancestor((src, pre), (dst, post))  # same block
-
-
 def failover_scenario() -> Scenario:
     """``perf/workloads.py``'s ``failover_ckpt`` shape, scaled down (~1 s of wall)."""
     return Scenario(
@@ -237,7 +194,7 @@ def _sha(rows) -> str:
 def failover_pins(result) -> dict:
     system = result.system
     conn = system.archive.connection
-    tables = ("blocks", "txs", "transfers", "xlinks", "checkpoints")
+    tables = ("blocks", "txs", "transfers", "checkpoints")
     stable = [
         (pid, replica.checkpoints.stable.seq, replica.checkpoints.stable.digest,
          replica.checkpoints.stable.store_digest)
@@ -265,17 +222,17 @@ def failover_pins(result) -> dict:
 
 #: ``failover_pins(failover_scenario().run())`` recorded at 829c2e3, when
 #: every replica scanned its own genesis table, hashed its own leaves and
-#: spilled its own copy of each pruned block.
+#: spilled its own copy of each pruned block (minus the since-dropped
+#: ``xlinks`` table).
 FAILOVER_PINNED = {
     "stable_seqs": [960, 960, 960, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024],
     "stable_digests": "28e63d6151652b54",
     "store_digests": "0a1ead1c4a974316",
-    "row_counts": {"blocks": 4028, "txs": 4022, "transfers": 4022, "xlinks": 700, "checkpoints": 63},
+    "row_counts": {"blocks": 4028, "txs": 4022, "transfers": 4022, "checkpoints": 63},
     "row_hashes": {
         "blocks": "88e66747f650c423",
         "txs": "8880eb512abf8a7c",
         "transfers": "1871973b1b78bf57",
-        "xlinks": "d3dabe12cdd71bc5",
         "checkpoints": "c52b9ba39ec343be",
     },
     "events": 71981,

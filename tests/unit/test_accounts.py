@@ -120,37 +120,6 @@ class TestAccountStore:
         assert store.version == version + 2
 
 
-class TestModuloStrategy:
-    def test_striped_assignment(self):
-        mapper = ShardMapper(num_shards=4, accounts_per_shard=10, strategy="modulo")
-        assert mapper.shard_of(0) == 0
-        assert mapper.shard_of(1) == 1
-        assert mapper.shard_of(4) == 0
-        assert mapper.shard_of(39) == 3
-        assert mapper.total_accounts == 40
-
-    def test_accounts_in_shard_is_progression(self):
-        mapper = ShardMapper(3, 5, strategy="modulo")
-        accounts = mapper.accounts_in_shard(1)
-        assert list(accounts) == [1, 4, 7, 10, 13]
-        assert accounts.step == 3
-
-    def test_every_account_has_exactly_one_home(self):
-        mapper = ShardMapper(4, 8, strategy="modulo")
-        homes = {}
-        for shard in range(4):
-            for account in mapper.accounts_in_shard(shard):
-                assert account not in homes
-                homes[account] = shard
-        assert len(homes) == mapper.total_accounts
-        for account, shard in homes.items():
-            assert mapper.shard_of(account) == shard
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardMapper(2, 4, strategy="hash")
-
-
 class TestIncrementalDigest:
     """The memoised digest must pin the naive sorted-table computation."""
 

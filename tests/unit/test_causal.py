@@ -23,7 +23,7 @@ from repro.obs.recorder import FlightRecorder, TraceSpec
 # ----------------------------------------------------------------------
 def recorded_chain():
     """One tx through submit -> send -> recv -> send -> recv -> reply."""
-    recorder = FlightRecorder(TraceSpec(gauges=False))
+    recorder = FlightRecorder(TraceSpec(gauge_interval=0))
     request, reply = object(), object()
     recorder.slot_open(0.0, 0, 0, 0)                      # keep exports span-bearing
     recorder.slot_close(0.006, 0, 0)
@@ -59,7 +59,7 @@ class TestCriticalPaths:
         assert path.edges[0].src_eid == 1  # rooted at the submit event
 
     def test_clipped_chain_gets_wait_edge(self):
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         request, reply = object(), object()
         recorder.submit(0.0, "t1", 100, cross=True)
         recorder.clear_context()
@@ -84,7 +84,7 @@ class TestCriticalPaths:
         assert path.edges[0].t0 == 0.0 and path.edges[0].t1 == 0.004
 
     def test_tx_without_reply_or_submit_is_excluded(self):
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         recorder.submit(0.0, "no-reply", 100, cross=False)
         recorder.clear_context()
         recorder.phase(0.001, "no-submit", "reply", 100)
@@ -97,7 +97,7 @@ class TestCriticalPaths:
         assert critical_paths([(0.0, "t", "submit", 1)], [], [], set()) == ()
 
     def test_same_time_submits_are_ordered_by_tx_id(self):
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         for tx, client in (("t2", 101), ("t1", 100)):  # t2 submits (and replies) first
             request = object()
             recorder.submit(0.0, tx, client, cross=False)
@@ -113,7 +113,7 @@ class TestCriticalPaths:
     def test_clipped_chain_inside_a_stream(self):
         """One clipped path between two complete ones: each path is
         walked on its own, and the summary counts exactly one clip."""
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
 
         def complete(tx, t):
             request = object()
@@ -214,7 +214,7 @@ class TestSummaries:
 # ----------------------------------------------------------------------
 class TestQuorumVotes:
     def test_deciding_vote_closes_key_and_dedups(self):
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         recorder.quorum_vote(0.1, 0, "accept", ("k",), 0, False)
         recorder.quorum_vote(0.1, 0, "accept", ("k",), 0, False)  # dup voter
         recorder.quorum_vote(0.2, 0, "accept", ("k",), 1, False)
@@ -227,7 +227,7 @@ class TestQuorumVotes:
         assert lag == pytest.approx(0.3 - 0.2)  # median of 0.1/0.2/0.3
 
     def test_undecided_quorums_are_not_reported(self):
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         recorder.quorum_vote(0.1, 0, "accept", ("k",), 0, False)
         report = recorder.finalize(_FakeSystem(), end_time=1.0)
         assert report.deciding == ()

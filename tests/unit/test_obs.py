@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.obs import (
     FlightRecorder,
     TraceSpec,
@@ -117,8 +118,12 @@ class TestFlightRecorder:
         assert normalize_trace(None) is None
         assert normalize_trace(False) is None
         assert normalize_trace(True) == TraceSpec()
-        spec = TraceSpec(gauges=False)
+        spec = TraceSpec(gauge_interval=0)
         assert normalize_trace(spec) is spec
+
+    def test_negative_gauge_interval_is_refused(self):
+        with pytest.raises(ConfigurationError, match="gauge_interval"):
+            TraceSpec(gauge_interval=-0.01)
 
     def test_slot_spans_first_open_wins(self):
         recorder = FlightRecorder()
@@ -145,7 +150,7 @@ class TestFlightRecorder:
     def test_finalize_produces_picklable_report(self):
         import pickle
 
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         recorder.submit(0.0, "t1", 100, cross=False)
         recorder.phase(0.001, "t1", "reply", 100)
         recorder.slot_open(0.0005, pid=0, cluster=0, slot=1)
@@ -157,7 +162,7 @@ class TestFlightRecorder:
         assert "1 slot spans" not in clone.summary()  # still open, not closed
 
     def test_as_dict_columns_are_prefixed(self):
-        recorder = FlightRecorder(TraceSpec(gauges=False))
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         report = recorder.finalize(_FakeSystem(), end_time=0.1)
         assert all(
             key.startswith(("trace_", "critpath_")) for key in report.as_dict()
@@ -169,7 +174,7 @@ class TestFlightRecorder:
 # exporters + validator + report CLI
 # ----------------------------------------------------------------------
 def _tiny_report():
-    recorder = FlightRecorder(TraceSpec(gauges=False))
+    recorder = FlightRecorder(TraceSpec(gauge_interval=0))
     recorder.submit(0.0, "t1", 100, cross=False)
     recorder.phase(0.001, "t1", "enqueue", 0)
     recorder.phase(0.003, "t1", "decided", 0)

@@ -127,8 +127,6 @@ class TestFaultInjection:
 class CausalStub:
     """The two recorder hooks ``Process`` calls, noting their order."""
 
-    causal_armed = True
-
     def __init__(self, process):
         self.calls = []
         original = process._on_text
@@ -214,14 +212,6 @@ class TestCompletionLanes:
         with pytest.raises(RuntimeError):
             sim.run()
         assert [call[0] for call in stub.calls] == ["begin", "handle", "clear"]
-
-    def test_recorder_that_is_not_causal_stays_off_the_checked_lane(self, kind):
-        sim, network, a, b = build(kind=kind)
-        b.recorder = stub = CausalStub(b)
-        stub.causal_armed = False
-        network.send(0, 1, "m")
-        sim.run()
-        assert stub.calls == [("handle", self._seen(kind, "m")[0])]
 
     def test_crashing_one_process_leaves_the_others_messages_alone(self, kind):
         sim, network, a, b = build(kind=kind)

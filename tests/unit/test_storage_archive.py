@@ -1,4 +1,4 @@
-"""Unit tests for the archival tier (archive schema, history queries, audit).
+"""Unit tests for the archival tier (archive schema, writes, audit).
 
 A small hash-chain-valid history is built by hand: two clusters, one
 cross-shard block, every parent hash derived the way the live ledger
@@ -11,11 +11,10 @@ import os
 import pytest
 
 from repro.common.crypto import GENESIS_HASH, chain_hash
-from repro.common.errors import ConfigurationError, UnknownBlockError
+from repro.common.errors import ConfigurationError
 from repro.ledger.block import GENESIS_BLOCK_ID, Block
 from repro.storage import (
     ArrayAccountStore,
-    HistoryQuery,
     SqliteArchive,
     audit_archive,
     open_archive,
@@ -26,7 +25,6 @@ from repro.txn.transaction import Transaction, Transfer
 BOOTSTRAP = {
     "num_shards": 2,
     "accounts_per_shard": 4,
-    "partition_strategy": "range",
     "initial_balance": 100,
     "num_clients": 2,
 }
@@ -94,6 +92,16 @@ class TestSqliteArchive:
         assert archive.archived_height(7) == 0
         assert archive.checkpoints_archived() == 1
 
+    def test_schema_holds_what_the_audit_reads_and_nothing_else(self):
+        archive, _ = _archived()
+        rows = archive.connection.execute(
+            "SELECT type, name FROM sqlite_master WHERE sql IS NOT NULL ORDER BY type, name"
+        ).fetchall()
+        tables = [name for kind, name in rows if kind == "table"]
+        indexes = [name for kind, name in rows if kind == "index"]
+        assert tables == ["blocks", "checkpoints", "meta", "transfers", "txs"]
+        assert indexes == ["txs_by_position"]  # the hash-chain walk's order
+
     def test_in_memory_archive_reports_its_page_footprint(self):
         archive, _ = _archived()
         conn = archive.connection
@@ -126,7 +134,7 @@ class TestSqliteArchive:
             assert archive.archive_blocks(0, iter(spill)) == 0
             archive.record_checkpoint(0, 3, "digest", blocks["b3"].block_hash)
         # One checkpoint row from the first of the two calls; no block,
-        # tx, transfer or xlink statement ran for the repeated range.
+        # tx or transfer statement ran for the repeated range.
         assert archive.connection.total_changes == changes + 1
         assert archive.checkpoints_archived() == 1
         assert archive.blocks_written == 3
@@ -213,96 +221,6 @@ class TestSqliteArchive:
         assert reopened.blocks_archived() == 3
         assert reopened.bootstrap_meta() == BOOTSTRAP
         reopened.close()
-
-
-class TestHistoryQuery:
-    def test_block_at(self):
-        archive, blocks = _archived()
-        history = HistoryQuery(archive)
-        block = history.block_at(0, 2)
-        assert block.block_hash == blocks["cross"].block_hash
-        assert block.is_cross_shard
-        assert block.positions == ((0, 2), (1, 1))
-        assert block.tx_ids == ("tx-x",)
-        assert not history.block_at(0, 1).is_cross_shard
-        with pytest.raises(UnknownBlockError):
-            history.block_at(0, 9)
-
-    def test_blocks_in_range(self):
-        archive, _ = _archived()
-        history = HistoryQuery(archive)
-        positions = [block.position for block in history.blocks_in_range(0, 2, 3)]
-        assert positions == [2, 3]
-
-    def test_tx_by_id_spans_clusters(self):
-        archive, _ = _archived()
-        history = HistoryQuery(archive)
-        tx = history.tx_by_id("tx-x")
-        assert tx.positions == ((0, 2), (1, 1))
-        assert tx.transfers == ((0, 5, 3),)
-        assert history.tx_by_id("tx-c").positions == ((1, 2),)
-        with pytest.raises(UnknownBlockError):
-            history.tx_by_id("tx-missing")
-
-    def test_account_activity_uses_home_cluster(self):
-        archive, _ = _archived()
-        history = HistoryQuery(archive)
-        activity = history.account_activity(2)  # shard 0 via bootstrap meta
-        assert [(record.position, record.delta) for record in activity] == [
-            (1, 5),   # tx-a credits 2
-            (3, -1),  # tx-b debits 2
-        ]
-        assert activity[0].tx_id == "tx-a"
-        # The cross-shard destination lives on cluster 1.
-        cross_in = history.account_activity(5)
-        assert [(record.position, record.delta) for record in cross_in] == [(1, 3)]
-
-    def test_is_ancestor_same_cluster(self):
-        archive, _ = _archived()
-        history = HistoryQuery(archive)
-        assert history.is_ancestor((0, 1), (0, 3))
-        assert not history.is_ancestor((0, 3), (0, 1))
-        assert not history.is_ancestor((0, 2), (0, 2))
-
-    def test_is_ancestor_single_hop(self):
-        archive, _ = _archived()
-        history = HistoryQuery(archive)
-        # b1 at (0,1) precedes the cross block, which precedes b4 at (1,2).
-        assert history.is_ancestor((0, 1), (1, 2))
-        assert history.is_ancestor((0, 2), (1, 2))
-        # b4 commits after the cross block; nothing links it back to 0's chain.
-        assert not history.is_ancestor((1, 2), (0, 3))
-
-    def test_same_cross_block_is_not_its_own_ancestor(self):
-        archive, _ = _archived()
-        history = HistoryQuery(archive)
-        # (0,2) and (1,1) name the same cross-shard block.
-        assert not history.is_ancestor((0, 2), (1, 1))
-        assert not history.is_ancestor((1, 1), (0, 2))
-
-    def test_is_ancestor_multi_hop(self):
-        # Three clusters chained 0 -> 1 -> 2 through two cross blocks.
-        meta = dict(BOOTSTRAP, num_shards=3)
-        archive = SqliteArchive(":memory:")
-        archive.record_bootstrap(meta)
-        genesis = chain_hash(GENESIS_BLOCK_ID, GENESIS_HASH)
-        hop1 = Block.create(
-            _tx("tx-h1", 0, 5, 1), {0: 1, 1: 1}, proposer=0,
-            parents={0: genesis, 1: genesis},
-        )
-        hop2 = Block.create(
-            _tx("tx-h2", 4, 9, 1), {1: 2, 2: 1}, proposer=1,
-            parents={1: hop1.block_hash, 2: genesis},
-        )
-        tail = Block.create(
-            _tx("tx-h3", 8, 9, 1), {2: 2}, proposer=2, parents={2: hop2.block_hash}
-        )
-        archive.archive_blocks(0, [hop1])
-        archive.archive_blocks(1, [hop1, hop2])
-        archive.archive_blocks(2, [hop2, tail])
-        history = HistoryQuery(archive)
-        assert history.is_ancestor((0, 1), (2, 2))  # needs the recursive CTE
-        assert not history.is_ancestor((2, 2), (0, 1))
 
 
 class TestAuditArchive:

@@ -14,25 +14,19 @@ from repro.storage.dict_store import AccountStore
 from repro.txn.accounts import ShardMapper
 
 
-def _columnar(num_shards=2, accounts_per_shard=16, strategy="range", shard=0, balance=100):
-    mapper = ShardMapper(num_shards, accounts_per_shard, strategy=strategy)
+def _columnar(num_shards=2, accounts_per_shard=16, shard=0, balance=100):
+    mapper = ShardMapper(num_shards, accounts_per_shard)
     return ArrayAccountStore.bootstrap(shard, mapper, initial_balance=balance)
 
 
 class TestColumnarBasics:
-    def test_bootstrap_range_strategy(self):
+    def test_bootstrap_maps_the_shard_range(self):
         store = _columnar(shard=1)
         assert len(store) == 16
         assert store.total_balance() == 1600
         assert store.balance(16) == 100
         assert 15 not in store
         assert 32 not in store
-
-    def test_bootstrap_modulo_strategy(self):
-        store = _columnar(num_shards=3, accounts_per_shard=5, strategy="modulo", shard=1)
-        assert sorted(account.account_id for account in store) == [1, 4, 7, 10, 13]
-        assert 1 in store and 2 not in store
-        assert store.balance(13) == 100
 
     def test_deposit_withdraw_update_columns(self):
         store = _columnar()

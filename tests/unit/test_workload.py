@@ -68,41 +68,16 @@ class TestWorkloadGenerator:
         with pytest.raises(ConfigurationError):
             WorkloadGenerator(WorkloadConfig(cross_shard_fraction=0.5), num_shards=1)
 
-    def test_hot_spot_skew(self):
-        config = WorkloadConfig(
-            cross_shard_fraction=0.0,
-            hot_account_fraction=0.01,
-            hot_access_fraction=0.9,
-            accounts_per_shard=1000,
-        )
-        generator = WorkloadGenerator(config, num_shards=2, seed=5)
-        hits = 0
-        total = 500
-        for _ in range(total):
-            tx = generator.next_intra_shard(shard=0)
-            hot_limit = 10  # 1% of 1000
-            (transfer,) = tx.transfers
-            hits += transfer.source < hot_limit or transfer.destination < hot_limit
-        assert hits > total * 0.5
-
 
 #: SHA-256 over the first 2,000 ``payload_digest()``s of a seeded generator
 #: (4 shards, 64 accounts each, 30 % cross-shard, seed 11, timestamp 0.5),
-#: recorded at c530f9c — before the generator shared the run's mapper and
-#: resolved its hot-set size at construction.  Same draws, same ids, same
-#: digests: a change to either of them moves every seed of every run.
+#: recorded at c530f9c — before the generator shared the run's mapper.
+#: Same draws, same ids, same digests: a change to either of them moves
+#: every seed of every run.
 GENERATOR_GOLDEN = {
     "range": (
         {},
         "c4a9afea6262f9567bdd4b2b1bb652ab4997e6b1b9b8b5e9f7799228445b46e5",
-    ),
-    "modulo": (
-        {"partition_strategy": "modulo"},
-        "f0ee780ce5352b6d2ab2f119c56c37a0988318065640408bc22f444d35507be5",
-    ),
-    "hot-spot": (
-        {"hot_account_fraction": 0.1, "hot_access_fraction": 0.9},
-        "060e2a42d066d19c47e8f27fdeecf42a158c5281c03bf49555915139f70055b7",
     ),
 }
 
@@ -121,13 +96,13 @@ class TestGeneratorGolden:
         config = WorkloadConfig(cross_shard_fraction=0.3, accounts_per_shard=64, **overrides)
         assert self.stream_hash(WorkloadGenerator(config, num_shards=4, seed=11)) == golden
         # ... and the mapper it is handed (what a system does) changes nothing.
-        mapper = ShardMapper(4, 64, strategy=config.partition_strategy)
+        mapper = ShardMapper(4, 64)
         shared = WorkloadGenerator(config, num_shards=4, seed=11, mapper=mapper)
         assert shared.mapper is mapper
         assert self.stream_hash(shared) == golden
 
     def test_a_mapper_of_another_layout_is_refused(self):
         config = WorkloadConfig(accounts_per_shard=64)
-        for wrong in (ShardMapper(3, 64), ShardMapper(4, 32), ShardMapper(4, 64, strategy="modulo")):
+        for wrong in (ShardMapper(3, 64), ShardMapper(4, 32)):
             with pytest.raises(ConfigurationError):
                 WorkloadGenerator(config, num_shards=4, mapper=wrong)
