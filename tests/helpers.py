@@ -116,6 +116,38 @@ def assert_roles_follow_views(replicas) -> None:
         assert replica.is_cluster_primary == engine.is_primary
 
 
+def archived_precedes(archive, earlier, later) -> bool:
+    """Whether the archived block at ``later`` descends from the one at ``earlier``.
+
+    Both are ``(cluster, position)``.  Walks the ``blocks`` table's
+    per-cluster parent hashes; a cross-shard block has one row per
+    involved cluster, so the walk crosses clusters through it.
+    """
+    conn = archive.connection
+
+    def hash_at(cluster, position):
+        row = conn.execute(
+            "SELECT block_hash FROM blocks WHERE cluster = ? AND position = ?",
+            (cluster, position),
+        ).fetchone()
+        assert row is not None, f"no archived block at {(cluster, position)}"
+        return row[0]
+
+    target = hash_at(*earlier)
+    frontier, seen = [hash_at(*later)], set()
+    while frontier:
+        rows = conn.execute(
+            "SELECT parent_hash FROM blocks WHERE block_hash = ?", (frontier.pop(),)
+        )
+        for (parent,) in rows.fetchall():
+            if parent == target:
+                return True
+            if parent not in seen:
+                seen.add(parent)
+                frontier.append(parent)
+    return False
+
+
 def assert_run_leaves_no_garbage(scenario):
     """Run ``scenario`` with the collector off; fail if only a cyclic pass could free something.
 

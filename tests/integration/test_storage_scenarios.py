@@ -8,17 +8,22 @@ Integration acceptance for the storage subsystem:
   crash/recover churn with checkpointing and state transfer;
 * a checkpointed run with an archive attached keeps the resident block
   count bounded while the archive absorbs the pruned history contiguously,
-  and the offline auditor re-verifies the archived chain and balances.
+  and the offline auditor re-verifies the archived chain and balances;
+* the archive answers, over its own tables, what the live system can no
+  longer answer after pruning.
 """
 
 import hashlib
 
+import pytest
+
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.common.types import FaultModel
 from repro.storage import audit_archive
+from repro.txn.accounts import ShardMapper
 from repro.txn.workload import WorkloadConfig
 
-from helpers import assert_roles_follow_views
+from helpers import archived_precedes, assert_roles_follow_views
 
 
 def storage_scenario(
@@ -163,6 +168,71 @@ class TestArchivedRun:
         assert result.storage is not None
         assert not result.storage.archived
         assert result.storage.archive_blocks == 0
+
+
+class TestHistoryOverArchivedRun:
+    """The archive answers, in plain SQL, what pruning took from the live ledger."""
+
+    @pytest.fixture(scope="class")
+    def archived_result(self):
+        result = storage_scenario(
+            "columnar", archive=":memory:", checkpoint_interval=16, seed=13
+        ).run()
+        result.raise_if_failed()
+        return result
+
+    def test_archived_tx_queryable_by_id(self, archived_result):
+        conn = archived_result.system.archive.connection
+        tx_ids = conn.execute(
+            "SELECT tx_id FROM txs WHERE cluster = 0 AND position = 1"
+        ).fetchall()
+        noop = conn.execute(
+            "SELECT is_noop FROM blocks WHERE cluster = 0 AND position = 1"
+        ).fetchone()[0]
+        assert tx_ids or noop
+        for (tx_id,) in tx_ids:
+            where = conn.execute("SELECT cluster, position FROM txs WHERE tx_id = ?", (tx_id,))
+            assert (0, 1) in where.fetchall()
+            assert conn.execute(
+                "SELECT COUNT(*) FROM transfers WHERE tx_id = ? AND cluster = 0", (tx_id,)
+            ).fetchone()[0] > 0
+
+    def test_account_activity_covers_pruned_prefix(self, archived_result):
+        archive = archived_result.system.archive
+        # Some account of shard 0 must have archived activity.
+        row = archive.connection.execute(
+            "SELECT source FROM transfers WHERE cluster = 0 LIMIT 1"
+        ).fetchone()
+        assert row is not None
+        account = row[0]
+        meta = archive.bootstrap_meta()
+        assert ShardMapper(meta["num_shards"], meta["accounts_per_shard"]).shard_of(account) == 0
+        activity = archive.connection.execute(
+            "SELECT position, amount FROM transfers"
+            " WHERE cluster = 0 AND (source = ? OR destination = ?)",
+            (account, account),
+        ).fetchall()
+        assert activity
+        assert all(0 < position <= archive.archived_height(0) for position, _ in activity)
+        assert all(amount > 0 for _, amount in activity)
+
+    def test_cross_shard_ancestry_over_archive(self, archived_result):
+        archive = archived_result.system.archive
+        # A cross-shard block has one row per involved cluster, same hash.
+        cross = archive.connection.execute(
+            "SELECT a.cluster, a.position, b.cluster, b.position"
+            " FROM blocks a JOIN blocks b ON a.block_hash = b.block_hash AND a.cluster < b.cluster"
+            " WHERE b.position < (SELECT MAX(position) FROM blocks WHERE cluster = b.cluster)"
+            " LIMIT 1"
+        ).fetchone()
+        assert cross is not None, "cross-shard workload produced no archived cross block"
+        src, pre, dst, post = cross
+        # The next block of the destination chain descends from the source
+        # chain's history through the cross block.
+        assert archived_precedes(archive, (src, pre), (dst, post + 1))
+        if pre > 1:
+            assert archived_precedes(archive, (src, 1), (dst, post + 1))
+        assert not archived_precedes(archive, (src, pre), (dst, post))  # same block
 
 
 def failover_scenario() -> Scenario:

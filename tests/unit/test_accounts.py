@@ -33,6 +33,23 @@ class TestShardMapper:
         with pytest.raises(ConfigurationError):
             mapper.accounts_in_shard(3)
 
+    def test_accounts_in_shard_is_progression(self):
+        mapper = ShardMapper(3, 5)
+        accounts = mapper.accounts_in_shard(2)
+        assert (accounts.start, accounts.stop, accounts.step) == (10, 15, 1)
+        assert mapper.accounts_in_shard(2) is accounts  # built once
+
+    def test_every_account_has_exactly_one_home(self):
+        mapper = ShardMapper(4, 8)
+        homes = {}
+        for shard in range(4):
+            for account in mapper.accounts_in_shard(shard):
+                assert account not in homes
+                homes[account] = shard
+        assert len(homes) == mapper.total_accounts
+        for account, shard in homes.items():
+            assert mapper.shard_of(account) == shard
+
     def test_shards_of_multiple_accounts(self):
         mapper = ShardMapper(4, 10)
         assert mapper.shards_of([1, 2, 3]) == frozenset({0})

@@ -1,4 +1,4 @@
-"""Unit tests for the archival tier (archive schema, writes, audit).
+"""Unit tests for the archival tier (archive schema, writes, history, audit).
 
 A small hash-chain-valid history is built by hand: two clusters, one
 cross-shard block, every parent hash derived the way the live ledger
@@ -6,6 +6,7 @@ derives them — so the offline auditor's recomputation genuinely checks
 the same encodings the system uses.
 """
 
+import json
 import os
 
 import pytest
@@ -21,6 +22,8 @@ from repro.storage import (
 )
 from repro.txn.accounts import ShardMapper
 from repro.txn.transaction import Transaction, Transfer
+
+from helpers import archived_precedes
 
 BOOTSTRAP = {
     "num_shards": 2,
@@ -221,6 +224,120 @@ class TestSqliteArchive:
         assert reopened.blocks_archived() == 3
         assert reopened.bootstrap_meta() == BOOTSTRAP
         reopened.close()
+
+
+class TestHistoryQuery:
+    """A history question is plain SQL over the tables the audit reads."""
+
+    def test_block_at(self):
+        archive, blocks = _archived()
+        conn = archive.connection
+        row = conn.execute(
+            "SELECT block_hash, is_noop, positions FROM blocks WHERE cluster = 0 AND position = 2"
+        ).fetchone()
+        assert row[0] == blocks["cross"].block_hash
+        assert not row[1]
+        assert json.loads(row[2]) == [[0, 2], [1, 1]]
+        tx_ids = conn.execute(
+            "SELECT tx_id FROM txs WHERE cluster = 0 AND position = 2 ORDER BY tx_ord"
+        ).fetchall()
+        assert tx_ids == [("tx-x",)]
+        assert json.loads(
+            conn.execute("SELECT positions FROM blocks WHERE cluster = 0 AND position = 1")
+            .fetchone()[0]
+        ) == [[0, 1]]
+        assert conn.execute(
+            "SELECT 1 FROM blocks WHERE cluster = 0 AND position = 9"
+        ).fetchone() is None
+
+    def test_blocks_in_range(self):
+        archive, blocks = _archived()
+        rows = archive.connection.execute(
+            "SELECT position, block_hash, parent_hash FROM blocks"
+            " WHERE cluster = 0 AND position BETWEEN 2 AND 3 ORDER BY position"
+        ).fetchall()
+        assert [row[0] for row in rows] == [2, 3]
+        assert rows[0][2] == blocks["b1"].block_hash
+        assert rows[1][2] == rows[0][1] == blocks["cross"].block_hash
+
+    def test_tx_by_id_spans_clusters(self):
+        archive, _ = _archived()
+        conn = archive.connection
+
+        def where(tx_id):
+            return conn.execute(
+                "SELECT cluster, position FROM txs WHERE tx_id = ? ORDER BY cluster", (tx_id,)
+            ).fetchall()
+
+        assert where("tx-x") == [(0, 2), (1, 1)]
+        # Each involved cluster keeps its own copy of the transfers.
+        assert conn.execute(
+            "SELECT cluster, source, destination, amount FROM transfers"
+            " WHERE tx_id = 'tx-x' ORDER BY cluster"
+        ).fetchall() == [(0, 0, 5, 3), (1, 0, 5, 3)]
+        assert where("tx-c") == [(1, 2)]
+        assert where("tx-missing") == []
+
+    def test_account_activity_uses_home_cluster(self):
+        archive, _ = _archived()
+        meta = archive.bootstrap_meta()
+        mapper = ShardMapper(meta["num_shards"], meta["accounts_per_shard"])
+
+        def activity(account):
+            return archive.connection.execute(
+                "SELECT position, tx_id,"
+                " CASE WHEN destination = ? THEN amount ELSE -amount END"
+                " FROM transfers WHERE cluster = ? AND (source = ? OR destination = ?)"
+                " ORDER BY position, idx",
+                (account, mapper.shard_of(account), account, account),
+            ).fetchall()
+
+        assert activity(2) == [(1, "tx-a", 5), (3, "tx-b", -1)]  # shard 0
+        # The cross-shard destination lives on cluster 1.
+        assert activity(5) == [(1, "tx-x", 3)]
+
+    def test_is_ancestor_same_cluster(self):
+        archive, _ = _archived()
+        assert archived_precedes(archive, (0, 1), (0, 3))
+        assert not archived_precedes(archive, (0, 3), (0, 1))
+        assert not archived_precedes(archive, (0, 2), (0, 2))
+
+    def test_is_ancestor_single_hop(self):
+        archive, _ = _archived()
+        # b1 at (0,1) precedes the cross block, which precedes b4 at (1,2).
+        assert archived_precedes(archive, (0, 1), (1, 2))
+        assert archived_precedes(archive, (0, 2), (1, 2))
+        # b4 commits after the cross block; nothing links it back to 0's chain.
+        assert not archived_precedes(archive, (1, 2), (0, 3))
+
+    def test_same_cross_block_is_not_its_own_ancestor(self):
+        archive, _ = _archived()
+        # (0,2) and (1,1) name the same cross-shard block.
+        assert not archived_precedes(archive, (0, 2), (1, 1))
+        assert not archived_precedes(archive, (1, 1), (0, 2))
+
+    def test_is_ancestor_multi_hop(self):
+        # Three clusters chained 0 -> 1 -> 2 through two cross blocks.
+        archive = SqliteArchive(":memory:")
+        archive.record_bootstrap(dict(BOOTSTRAP, num_shards=3))
+        genesis = chain_hash(GENESIS_BLOCK_ID, GENESIS_HASH)
+        hop1 = Block.create(
+            _tx("tx-h1", 0, 5, 1), {0: 1, 1: 1}, proposer=0,
+            parents={0: genesis, 1: genesis},
+        )
+        hop2 = Block.create(
+            _tx("tx-h2", 4, 9, 1), {1: 2, 2: 1}, proposer=1,
+            parents={1: hop1.block_hash, 2: genesis},
+        )
+        tail = Block.create(
+            _tx("tx-h3", 8, 9, 1), {2: 2}, proposer=2, parents={2: hop2.block_hash}
+        )
+        archive.archive_blocks(0, [hop1])
+        archive.archive_blocks(1, [hop1, hop2])
+        archive.archive_blocks(2, [hop2, tail])
+        assert archived_precedes(archive, (0, 1), (2, 2))
+        assert not archived_precedes(archive, (2, 2), (0, 1))
+        assert audit_archive(archive).ok
 
 
 class TestAuditArchive:

@@ -20,7 +20,7 @@ def _columnar(num_shards=2, accounts_per_shard=16, shard=0, balance=100):
 
 
 class TestColumnarBasics:
-    def test_bootstrap_maps_the_shard_range(self):
+    def test_bootstrap_range_strategy(self):
         store = _columnar(shard=1)
         assert len(store) == 16
         assert store.total_balance() == 1600
