@@ -10,9 +10,10 @@ declines beyond), and compares it with batch 8 / pipeline depth 4.
 
 from __future__ import annotations
 
-from repro.bench.harness import ExperimentSpec, run_point
+from repro.api import DeploymentSpec, Scenario
 from repro.common.config import ProtocolTuning
 from repro.common.types import FaultModel
+from repro.txn.workload import WorkloadConfig
 
 #: simulated tps of both configurations, recorded at 18b17bf.  Simulated
 #: results are deterministic for a seed, so these are exact.
@@ -20,16 +21,19 @@ BATCHING_PINNED = {"batch 1": 10916.666666666668, "batch 8 / depth 4": 19883.333
 
 
 def _run(tuning: ProtocolTuning, clients: int = 120):
-    spec = ExperimentSpec(
-        system="sharper",
-        fault_model=FaultModel.CRASH,
-        num_clusters=2,
-        cross_shard_fraction=0.1,
+    scenario = Scenario(
+        deployment=DeploymentSpec(
+            system="sharper", fault_model=FaultModel.CRASH, num_clusters=2, tuning=tuning
+        ),
+        workload=WorkloadConfig(
+            cross_shard_fraction=0.1, accounts_per_shard=256, num_clients=32
+        ),
+        clients=clients,
         duration=0.15,
         warmup=0.03,
-        tuning=tuning,
+        verify=False,
     )
-    return run_point(spec, clients)
+    return scenario.run().stats
 
 
 def test_batching_ablation(benchmark):

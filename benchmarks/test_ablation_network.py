@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bench.harness import ExperimentSpec, run_point
+from repro.api import DeploymentSpec, Scenario
 from repro.common.config import PerformanceModel
 from repro.common.types import FaultModel
+from repro.txn.workload import WorkloadConfig
 
 #: mean simulated cross-shard latency (seconds), recorded at 18b17bf (exact).
 LATENCY_PINNED = {
@@ -24,16 +25,19 @@ LATENCY_PINNED = {
 
 def _latency_of(system: str, cross_cluster_latency: float, clients: int = 24) -> float:
     performance = replace(PerformanceModel(), cross_cluster_latency=cross_cluster_latency)
-    spec = ExperimentSpec(
-        system=system,
-        fault_model=FaultModel.CRASH,
-        cross_shard_fraction=1.0,
+    scenario = Scenario(
+        deployment=DeploymentSpec(
+            system=system, fault_model=FaultModel.CRASH, performance=performance
+        ),
+        workload=WorkloadConfig(
+            cross_shard_fraction=1.0, accounts_per_shard=256, num_clients=32
+        ),
+        clients=clients,
         duration=0.15,
         warmup=0.03,
-        performance=performance,
+        verify=False,
     )
-    stats = run_point(spec, clients)
-    return stats.avg_latency_cross
+    return scenario.run().stats.avg_latency_cross
 
 
 def test_cross_cluster_latency_ablation(benchmark):

@@ -12,25 +12,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_point
+from repro.api import DeploymentSpec, Scenario
 from repro.common.config import ProtocolTuning
-from repro.common.metrics import MetricsCollector
 from repro.common.types import FaultModel
+from repro.txn.workload import WorkloadConfig
 
 #: simulated tps with the rule on and off, recorded at 18b17bf (exact).
 SUPER_PRIMARY_PINNED = {"on": 8825.0, "off": 8825.0}
 
 
 def _run(use_super_primary: bool, clients: int = 48):
-    spec = ExperimentSpec(
-        system="sharper",
-        fault_model=FaultModel.CRASH,
-        cross_shard_fraction=0.8,
+    scenario = Scenario(
+        deployment=DeploymentSpec(
+            system="sharper",
+            fault_model=FaultModel.CRASH,
+            tuning=ProtocolTuning(use_super_primary=use_super_primary),
+        ),
+        workload=WorkloadConfig(
+            cross_shard_fraction=0.8, accounts_per_shard=256, num_clients=32
+        ),
+        clients=clients,
         duration=0.15,
         warmup=0.03,
-        tuning=ProtocolTuning(use_super_primary=use_super_primary),
+        verify=False,
     )
-    return run_point(spec, clients)
+    return scenario.run().stats
 
 
 def test_super_primary_ablation(benchmark):

@@ -3,10 +3,10 @@
 Runs the four systems of Figure 6/7 under the same workload and prints a
 small table of peak throughput and latency, for both failure models.
 Each series is one declarative :class:`repro.api.Scenario` swept across
-client counts with :func:`repro.api.run_sweep`; the systems are resolved
-by name through the pluggable registry, so a third-party system
-registered with :func:`repro.api.register_system` would appear here by
-just adding its name.
+client counts with :func:`repro.bench.harness.run_curve`; the systems
+are resolved by name through the pluggable registry, so a third-party
+system registered with :func:`repro.api.register_system` would appear
+here by just adding its name.
 
 Run with::
 
@@ -18,7 +18,8 @@ from __future__ import annotations
 import sys
 
 from repro import FaultModel, WorkloadConfig
-from repro.api import DeploymentSpec, Scenario, run_sweep
+from repro.api import DeploymentSpec, Scenario
+from repro.bench.harness import run_curve
 from repro.bench.reporting import format_table
 
 LABELS = {
@@ -41,13 +42,12 @@ def compare(fault_model: FaultModel, cross_fraction: float) -> None:
             warmup=0.05,
             verify=False,
         )
-        results = run_sweep(scenario, client_counts=(16, 64, 128))
-        peak = max(results, key=lambda result: result.throughput)
+        peak = run_curve(scenario, client_counts=(16, 64, 128)).peak()
         rows.append(
             {
                 "system": label,
                 "peak_tps": f"{peak.throughput:,.0f}",
-                "latency_ms_at_peak": f"{peak.avg_latency_ms:.2f}",
+                "latency_ms_at_peak": f"{peak.latency_ms:.2f}",
             }
         )
     print(format_table(rows))

@@ -4,7 +4,7 @@ Runs the 90% intra / 10% cross-shard workload on 2..5 clusters for both
 failure models and prints the measured peak throughput, reproducing the
 shape of Figure 8 (near-linear scaling with the cluster count).  Each
 cluster count is a :class:`repro.api.Scenario` variation swept across
-client counts with :func:`repro.api.run_sweep`.
+client counts with :func:`repro.bench.harness.run_curve`.
 
 Run with::
 
@@ -14,7 +14,8 @@ Run with::
 from __future__ import annotations
 
 from repro import FaultModel, WorkloadConfig
-from repro.api import DeploymentSpec, Scenario, run_sweep
+from repro.api import DeploymentSpec, Scenario
+from repro.bench.harness import run_curve
 
 
 def sweep(fault_model: FaultModel) -> None:
@@ -34,12 +35,11 @@ def sweep(fault_model: FaultModel) -> None:
             warmup=0.05,
             verify=False,
         )
-        results = run_sweep(scenario, client_counts=(16, 64, 128))
-        peak = max(results, key=lambda result: result.throughput)
+        peak = run_curve(scenario, client_counts=(16, 64, 128)).peak()
         baseline = baseline or peak.throughput
         print(
             f"  {clusters} clusters: peak {peak.throughput:9,.0f} tx/s "
-            f"at {peak.avg_latency_ms:6.2f} ms  (x{peak.throughput / baseline:.2f} vs 2 clusters)"
+            f"at {peak.latency_ms:6.2f} ms  (x{peak.throughput / baseline:.2f} vs 2 clusters)"
         )
     print()
 

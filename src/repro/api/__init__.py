@@ -34,7 +34,7 @@ from .faults import (
 )
 from .registry import available_systems, get_system, register_system, unregister_system
 from .result import ScenarioResult
-from .scenario import DeploymentSpec, Scenario, run_scenarios, run_sweep
+from .scenario import DeploymentSpec, Scenario, run_scenarios
 
 __all__ = [
     "CrashNode",
@@ -56,6 +56,5 @@ __all__ = [
     "get_system",
     "register_system",
     "run_scenarios",
-    "run_sweep",
     "unregister_system",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..adversary.auditor import SafetyReport
 from ..common.errors import ValidationError
@@ -122,27 +122,6 @@ class ScenarioResult:
     def avg_latency_ms(self) -> float:
         """Average end-to-end latency in milliseconds."""
         return self.stats.avg_latency * 1e3
-
-    def as_dict(self) -> dict[str, Any]:
-        """Flat dictionary form, convenient for CSV/JSON reporting."""
-        row: dict[str, Any] = {
-            "scenario": self.scenario.name or self.scenario.deployment.system,
-            "system": self.scenario.deployment.system,
-            "clients": self.scenario.clients,
-            **self.stats.as_dict(),
-            "audit_ok": self.audit.ok if self.audit is not None else None,
-            "safety_ok": self.safety.ok if self.safety is not None else None,
-            "balance_conserved": self.balance_conserved,
-        }
-        if self.recovery is not None:
-            row.update(self.recovery.as_dict())
-        if self.storage is not None:
-            row.update(self.storage.as_dict())
-        for cluster_id in sorted(self.chain_heights):
-            row[f"height_p{int(cluster_id)}"] = self.chain_heights[cluster_id]
-        if self.trace is not None:
-            row.update(self.trace.as_dict())
-        return row
 
     def summary(self) -> str:
         """A short human-readable account of the run."""

@@ -21,7 +21,8 @@ audit) that examples and benchmarks used to hand-wire::
 
 Scenarios are frozen dataclasses, so variations (client sweeps, fault
 ablations) are cheap ``dataclasses.replace`` copies — see
-:meth:`Scenario.with_clients` and :func:`run_sweep`.
+:meth:`Scenario.with_clients` and :func:`repro.bench.harness.run_curve`,
+which sweeps one scenario over client counts.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .result import ScenarioResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.system import BaseSystem
 
-__all__ = ["DeploymentSpec", "Scenario", "run_scenarios", "run_sweep"]
+__all__ = ["DeploymentSpec", "Scenario", "run_scenarios"]
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,6 @@ class Scenario:
     def with_clients(self, clients: int) -> "Scenario":
         """A copy of this scenario at a different offered load."""
         return dataclasses.replace(self, clients=clients)
-
-    def with_faults(self, faults: FaultSchedule) -> "Scenario":
-        """A copy of this scenario with a different fault schedule."""
-        return dataclasses.replace(self, faults=faults)
-
-    def with_seed(self, seed: int) -> "Scenario":
-        """A copy of this scenario with a different simulation seed."""
-        return dataclasses.replace(self, seed=seed)
 
     # ------------------------------------------------------------------
     # adversary integration
@@ -335,23 +328,4 @@ def _progress_line(result: ScenarioResult) -> str:
     return (
         f"{scenario.label}: {scenario.clients} clients -> "
         f"{result.throughput:.0f} tps @ {result.avg_latency_ms:.1f} ms"
-    )
-
-
-def run_sweep(
-    scenario: Scenario,
-    client_counts: Sequence[int],
-    progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
-) -> list[ScenarioResult]:
-    """Run ``scenario`` once per client count (a load sweep).
-
-    With ``jobs > 1`` the sweep points run in a process pool (see
-    :func:`run_scenarios`); results are returned in ``client_counts``
-    order either way.
-    """
-    return run_scenarios(
-        [scenario.with_clients(clients) for clients in client_counts],
-        jobs=jobs,
-        progress=progress,
     )

@@ -1,4 +1,4 @@
-"""Benchmark harness: experiment specs, figure definitions, reporting."""
+"""Benchmark harness: figure definitions, load sweeps, reporting."""
 
 from .experiments import (
     FIGURES,
@@ -10,20 +10,12 @@ from .experiments import (
     list_figures,
     run_figure,
 )
-from .harness import (
-    Curve,
-    CurvePoint,
-    ExperimentSpec,
-    peak_throughput,
-    run_curve,
-    run_point,
-)
+from .harness import Curve, CurvePoint, run_curve
 from .reporting import figure_to_csv, format_figure, format_table, write_csv
 
 __all__ = [
     "Curve",
     "CurvePoint",
-    "ExperimentSpec",
     "FIGURES",
     "FULL_CLIENTS",
     "FigureResult",
@@ -34,9 +26,7 @@ __all__ = [
     "format_figure",
     "format_table",
     "list_figures",
-    "peak_throughput",
     "run_curve",
     "run_figure",
-    "run_point",
     "write_csv",
 ]

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from ..adversary import available_behaviors, get_behavior
+from ..adversary import available_behaviors
 from ..api import DeploymentSpec, FaultSchedule, Scenario, available_systems
 from ..common.errors import SharPerError
 from ..common.types import FaultModel
@@ -40,16 +41,17 @@ from .experiments import (
     COALITION_ATTACK,
     FULL_CLIENTS,
     QUICK_CLIENTS,
-    coalition_members,
     list_figures,
     run_figure,
+    schedule_attack,
 )
 from .reporting import format_figure, write_csv
 
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(scenario_flags: bool = True) -> argparse.ArgumentParser:
+    """The CLI parser; ``scenario_flags=False`` keeps only what figure mode reads."""
     parser = argparse.ArgumentParser(
         prog="sharper-bench",
         description="Regenerate the figures of the SharPer evaluation (Section 4).",
@@ -81,12 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=1, metavar="K",
         help="average every point over K seeds (seed, seed+1, ...)",
     )
+    parser.add_argument(
+        "--seed", type=int, default=1,
+        help="simulation seed (figure mode: the first of the --seeds K seeds)",
+    )
 
     scenario = parser.add_argument_group("scenario mode (repro.api.Scenario)")
     scenario.add_argument(
         "--scenario", metavar="SYSTEM", default=None,
         help="run one declarative scenario against a registered system",
     )
+    if not scenario_flags:
+        return parser
     scenario.add_argument(
         "--byzantine", action="store_true",
         help="scenario: use the Byzantine fault model (default: crash-only)",
@@ -101,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--clients", type=int, default=32, help="scenario: closed-loop client count"
     )
-    scenario.add_argument("--seed", type=int, default=1, help="scenario: simulation seed")
     scenario.add_argument(
         "--crash-primary-at", type=float, default=None, metavar="T",
         help="scenario: crash a cluster primary at simulated time T",
@@ -204,23 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _schedule_attack(args: argparse.Namespace, faults: FaultSchedule) -> None:
-    """Route ``--attack NAME`` to the fault event its target needs."""
-    if args.attack is None:
-        return
-    if args.attack == COALITION_ATTACK:
-        faults.form_coalition(
-            at=args.attack_at,
-            members=coalition_members(args.clusters, byzantine=args.byzantine),
-        )
-    elif get_behavior(args.attack).target == "client":
-        faults.make_client_byzantine(at=args.attack_at, client=0, behavior=args.attack)
-    else:
-        faults.make_primary_byzantine(
-            at=args.attack_at, cluster=args.attack_cluster, behavior=args.attack
-        )
-
-
 def _deployment(args: argparse.Namespace) -> DeploymentSpec:
     """The deployment the scenario-mode flags describe; unset knobs keep their defaults."""
     trace_spec = None
@@ -250,7 +240,15 @@ def _run_scenario(args: argparse.Namespace) -> int:
     if args.recover_node_at is not None:
         faults.recover_node(at=args.recover_node_at, node_id=args.crash_node)
     try:
-        _schedule_attack(args, faults)
+        if args.attack is not None:
+            schedule_attack(
+                faults,
+                args.attack,
+                at=args.attack_at,
+                num_clusters=args.clusters,
+                byzantine=args.byzantine,
+                cluster=args.attack_cluster,
+            )
     except (SharPerError, ValueError) as error:
         print(f"sharper-bench: error: {error}", file=sys.stderr)
         return 2
@@ -336,9 +334,15 @@ def main(argv: list[str] | None = None) -> int:
         for figure_id in list_figures():
             print(f"  {figure_id}")
         return 0
+    # Figure mode reads none of the scenario flags: refuse them rather
+    # than run a figure that silently ignored them.
+    _, stray = _build_parser(scenario_flags=False).parse_known_args(argv)
+    if stray:
+        flag = stray[0].split("=")[0]
+        parser.error(f"{flag} applies to scenario mode only (--scenario SYSTEM)")
     progress = None if args.quiet else (lambda line: print(f"  {line}", file=sys.stderr))
     counts = FULL_CLIENTS if args.full else QUICK_CLIENTS
-    seeds = list(range(1, args.seeds + 1)) if args.seeds > 1 else None
+    seeds = range(args.seed, args.seed + args.seeds)
     for figure_id in args.figures:
         result = run_figure(
             figure_id,
@@ -352,8 +356,10 @@ def main(argv: list[str] | None = None) -> int:
         print(format_figure(result))
         print()
         if args.csv:
-            target = args.csv if len(args.figures) == 1 else f"{figure_id}_{args.csv}"
-            write_csv(result, target)
+            target = Path(args.csv)
+            if len(args.figures) > 1:
+                target = target.with_name(f"{figure_id}_{target.name}")
+            write_csv(result, str(target))
     return 0
 
 

@@ -15,21 +15,23 @@ plots:
 * **Figure 8** — SharPer only, 90% intra / 10% cross-shard, scaling the
   number of clusters from 2 to 5: (a) crash-only, (b) Byzantine.
 
-Execution flows through :class:`repro.api.Scenario` (each series'
-:class:`ExperimentSpec` converts via ``to_scenario``), so the systems a
-figure names are resolved by the pluggable registry.
+Each series is one :class:`repro.api.Scenario` (:meth:`FigureSpec.spec_for`)
+swept by :func:`repro.bench.harness.run_curve`, so the systems a figure
+names are resolved by the pluggable registry.  The adversary sweep
+(:func:`run_attack_sweep`) builds its scenarios the same way, arming
+each named attack through :func:`schedule_attack`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ..adversary import available_behaviors, get_behavior
 from ..api import DeploymentSpec, FaultSchedule, Scenario, ScenarioResult, run_scenarios
 from ..common.types import FaultModel
 from ..txn.workload import WorkloadConfig
-from .harness import Curve, ExperimentSpec, run_curve
+from .harness import Curve, run_curve
 
 __all__ = [
     "SeriesSpec",
@@ -40,15 +42,13 @@ __all__ = [
     "FULL_CLIENTS",
     "ATTACK_CROSS_FRACTIONS",
     "COALITION_ATTACK",
-    "attack_scenario",
     "churn_scenario",
-    "client_attack_scenario",
-    "coalition_scenario",
+    "coalition_members",
     "default_attack_names",
     "longrun_scenario",
     "run_attack_sweep",
     "run_figure",
-    "run_recovery_suite",
+    "schedule_attack",
     "list_figures",
 ]
 
@@ -80,15 +80,27 @@ class FigureSpec:
     #: above the measured outcome by :mod:`repro.bench.reporting`.
     expected_shape: str = ""
 
-    def spec_for(self, series: SeriesSpec, duration: float, warmup: float) -> ExperimentSpec:
-        """Experiment spec for one of the figure's series."""
-        return ExperimentSpec(
-            system=series.system,
-            fault_model=self.fault_model,
-            num_clusters=series.num_clusters,
-            cross_shard_fraction=self.cross_shard_fraction,
+    def spec_for(self, series: SeriesSpec, duration: float, warmup: float) -> Scenario:
+        """The scenario one of the figure's series sweeps over client counts.
+
+        Figure points measure performance only (``verify=False``) on 256
+        accounts per shard and 32 application clients.
+        """
+        return Scenario(
+            deployment=DeploymentSpec(
+                system=series.system,
+                fault_model=self.fault_model,
+                num_clusters=series.num_clusters,
+            ),
+            workload=WorkloadConfig(
+                cross_shard_fraction=self.cross_shard_fraction,
+                accounts_per_shard=256,
+                num_clients=32,
+            ),
+            name=series.label,
             duration=duration,
             warmup=warmup,
+            verify=False,
         )
 
 
@@ -202,87 +214,9 @@ def list_figures() -> list[str]:
 #: cross-shard fractions the adversary sweep exercises by default.
 ATTACK_CROSS_FRACTIONS: tuple[float, ...] = (0.0, 0.2)
 
-
-def attack_scenario(
-    behavior: str,
-    cross_shard_fraction: float = 0.0,
-    num_clusters: int = 2,
-    clients: int = 12,
-    duration: float = 0.5,
-    warmup: float = 0.06,
-    seed: int = 1,
-    at: float = 0.05,
-    cluster: int = 0,
-    accounts_per_shard: int = 128,
-) -> Scenario:
-    """One Byzantine SharPer deployment attacked by a named behaviour.
-
-    The primary of ``cluster`` turns Byzantine at time ``at`` — one
-    adversary per cluster, i.e. exactly the paper's ``f = 1`` bound —
-    and the run is verified end to end, including the cross-replica
-    :class:`~repro.adversary.SafetyAuditor` (armed automatically because
-    the schedule contains an adversary event).
-    """
-    return Scenario(
-        deployment=DeploymentSpec(
-            system="sharper",
-            fault_model=FaultModel.BYZANTINE,
-            num_clusters=num_clusters,
-        ),
-        workload=WorkloadConfig(
-            cross_shard_fraction=cross_shard_fraction,
-            accounts_per_shard=accounts_per_shard,
-        ),
-        name=f"{behavior} @ {cross_shard_fraction:.0%} cross-shard",
-        clients=clients,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        faults=FaultSchedule().make_primary_byzantine(at=at, cluster=cluster, behavior=behavior),
-    )
-
-
-#: pseudo-behaviour name selecting the colluding-adversary scenario in
+#: pseudo-behaviour name selecting the colluding-adversary attack in
 #: sweeps and on the CLI ``--attack`` surface.
 COALITION_ATTACK = "coalition"
-
-
-def client_attack_scenario(
-    behavior: str,
-    cross_shard_fraction: float = 0.0,
-    num_clusters: int = 2,
-    clients: int = 12,
-    duration: float = 0.5,
-    warmup: float = 0.06,
-    seed: int = 1,
-    at: float = 0.05,
-    client: int = 0,
-    accounts_per_shard: int = 128,
-) -> Scenario:
-    """One Byzantine SharPer deployment attacked by a Byzantine *client*.
-
-    Client ``client`` runs the named behaviour from time ``at``; arming
-    it also arms every replica's request guard, so forged, duplicated,
-    and ownership-violating traffic is screened — the run must still
-    pass the cross-replica safety audit.
-    """
-    return Scenario(
-        deployment=DeploymentSpec(
-            system="sharper",
-            fault_model=FaultModel.BYZANTINE,
-            num_clusters=num_clusters,
-        ),
-        workload=WorkloadConfig(
-            cross_shard_fraction=cross_shard_fraction,
-            accounts_per_shard=accounts_per_shard,
-        ),
-        name=f"{behavior} @ {cross_shard_fraction:.0%} cross-shard",
-        clients=clients,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        faults=FaultSchedule().make_client_byzantine(at=at, client=client, behavior=behavior),
-    )
 
 
 def coalition_members(num_clusters: int, byzantine: bool = True) -> dict[int, str]:
@@ -299,43 +233,36 @@ def coalition_members(num_clusters: int, byzantine: bool = True) -> dict[int, st
     return {0: "delay-attacker", cluster_size + 1: "vote-withholder"}
 
 
-def coalition_scenario(
-    cross_shard_fraction: float = 0.2,
-    num_clusters: int = 2,
-    clients: int = 12,
-    duration: float = 0.5,
-    warmup: float = 0.06,
-    seed: int = 1,
-    at: float = 0.05,
-    members: "dict[int, str] | None" = None,
-    accounts_per_shard: int = 128,
-) -> Scenario:
-    """Colluding adversaries: one shared script across two clusters.
+def schedule_attack(
+    faults: FaultSchedule,
+    name: str,
+    at: float,
+    num_clusters: int,
+    byzantine: bool = True,
+    cluster: int = 0,
+) -> FaultSchedule:
+    """Add the attack ``name`` to ``faults``, shaped for its target.
 
-    The default coalition (see :func:`coalition_members`) squeezes every
-    cross-shard transaction from both ends — delayed at the initiator,
-    vote-starved at a remote cluster — while each member stays within
-    its cluster's ``f = 1`` bound.  A brutal performance attack, but the
-    safety audit must keep passing.
+    * :data:`COALITION_ATTACK` forms the default colluding pair (see
+      :func:`coalition_members`): cross-shard transactions are delayed at
+      the initiator and vote-starved at a remote cluster, while each
+      member stays within its cluster's ``f = 1`` bound;
+    * a client-target behaviour turns client 0 Byzantine, which also
+      arms every replica's request guard;
+    * a replica-target behaviour turns the primary of ``cluster``
+      Byzantine — one adversary per cluster, the paper's ``f = 1``.
+
+    Every shape arms the cross-replica safety audit of the scenario that
+    runs it (the schedule then contains an adversary event).  Returns
+    ``faults`` for chaining.
     """
-    chosen = members if members is not None else coalition_members(num_clusters)
-    return Scenario(
-        deployment=DeploymentSpec(
-            system="sharper",
-            fault_model=FaultModel.BYZANTINE,
-            num_clusters=num_clusters,
-        ),
-        workload=WorkloadConfig(
-            cross_shard_fraction=cross_shard_fraction,
-            accounts_per_shard=accounts_per_shard,
-        ),
-        name=f"{COALITION_ATTACK} @ {cross_shard_fraction:.0%} cross-shard",
-        clients=clients,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        faults=FaultSchedule().form_coalition(at=at, members=chosen),
-    )
+    if name == COALITION_ATTACK:
+        return faults.form_coalition(
+            at=at, members=coalition_members(num_clusters, byzantine=byzantine)
+        )
+    if get_behavior(name).target == "client":
+        return faults.make_client_byzantine(at=at, client=0, behavior=name)
+    return faults.make_primary_byzantine(at=at, cluster=cluster, behavior=name)
 
 
 def default_attack_names() -> list[str]:
@@ -345,15 +272,6 @@ def default_attack_names() -> list[str]:
         + sorted(available_behaviors("client"))
         + [COALITION_ATTACK]
     )
-
-
-def _attack_scenario_for(name: str, **kwargs) -> Scenario:
-    """Route an attack name to the scenario shape its target needs."""
-    if name == COALITION_ATTACK:
-        return coalition_scenario(**kwargs)
-    if get_behavior(name).target == "client":
-        return client_attack_scenario(name, **kwargs)
-    return attack_scenario(name, **kwargs)
 
 
 def run_attack_sweep(
@@ -369,26 +287,35 @@ def run_attack_sweep(
 ) -> list[ScenarioResult]:
     """Sweep attack type × cross-shard fraction × seed under SharPer.
 
-    Every point runs with at most ``f`` Byzantine replicas per cluster
-    (and at most one Byzantine client) and must pass the safety audit;
-    use :func:`repro.api.run_scenarios` semantics (``jobs``
+    Every point is a Byzantine SharPer deployment on 128 accounts per
+    shard whose attack activates at 0.05 s (:func:`schedule_attack`), so
+    it runs with at most ``f`` Byzantine replicas per cluster (and at
+    most one Byzantine client) and must pass the safety audit.
+    :func:`repro.api.run_scenarios` semantics apply (``jobs``
     parallelises, results come back in input order: behaviour-major,
     then fraction, then seed).  ``behaviors`` defaults to every
     registered adversary behaviour — replica *and* client targets —
-    plus the :data:`COALITION_ATTACK` pseudo-behaviour; each name is
-    routed to the scenario shape its target needs (primary attack,
-    client attack, or coalition).
+    plus the :data:`COALITION_ATTACK` pseudo-behaviour.
     """
     names = list(behaviors) if behaviors is not None else default_attack_names()
     scenarios = [
-        _attack_scenario_for(
-            behavior,
-            cross_shard_fraction=fraction,
-            num_clusters=num_clusters,
+        Scenario(
+            deployment=DeploymentSpec(
+                system="sharper",
+                fault_model=FaultModel.BYZANTINE,
+                num_clusters=num_clusters,
+            ),
+            workload=WorkloadConfig(
+                cross_shard_fraction=fraction, accounts_per_shard=128
+            ),
+            name=f"{behavior} @ {fraction:.0%} cross-shard",
             clients=clients,
             duration=duration,
             warmup=warmup,
             seed=seed,
+            faults=schedule_attack(
+                FaultSchedule(), behavior, at=0.05, num_clusters=num_clusters
+            ),
         )
         for behavior in names
         for fraction in cross_fractions
@@ -485,32 +412,6 @@ def churn_scenario(
     )
 
 
-def run_recovery_suite(
-    checkpoint_interval: int = 50,
-    duration: float = 2.0,
-    jobs: int = 1,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, ScenarioResult]:
-    """The recovery experiment pair: bounded-memory long run + churn.
-
-    Returns ``{"longrun": ..., "longrun_unbounded": ..., "churn": ...}``
-    — the first two differ only in whether checkpointing is on, which is
-    what the bounded-vs-unbounded comparison in the examples and the CI
-    smoke job asserts on.
-    """
-    scenarios = [
-        longrun_scenario(checkpoint_interval=checkpoint_interval, duration=duration),
-        longrun_scenario(checkpoint_interval=0, duration=duration),
-        churn_scenario(checkpoint_interval=max(checkpoint_interval // 2, 1)),
-    ]
-    results = run_scenarios(scenarios, jobs=jobs, progress=progress)
-    return {
-        "longrun": results[0],
-        "longrun_unbounded": results[1],
-        "churn": results[2],
-    }
-
-
 def run_figure(
     figure_id: str,
     client_counts: Sequence[int] | None = None,
@@ -533,9 +434,8 @@ def run_figure(
     counts = tuple(client_counts or QUICK_CLIENTS)
     result = FigureResult(figure=figure)
     for series in figure.series:
-        spec = figure.spec_for(series, duration=duration, warmup=warmup)
-        curve = run_curve(
-            spec, counts, label=series.label, progress=progress, jobs=jobs, seeds=seeds
+        scenario = figure.spec_for(series, duration=duration, warmup=warmup)
+        result.curves.append(
+            run_curve(scenario, counts, progress=progress, jobs=jobs, seeds=seeds)
         )
-        result.curves.append(curve)
     return result

@@ -3,15 +3,12 @@
 The paper's methodology (Section 4): drive each system with an increasing
 number of closed-loop clients until throughput saturates, and report the
 throughput (x axis) and average latency (y axis) measured during steady
-state.  :func:`run_point` measures one client count; :func:`run_curve`
-sweeps a list of client counts and returns the resulting curve, from
-which :func:`peak_throughput` extracts the "just below saturation" point.
-
-Both are thin wrappers over :class:`repro.api.Scenario`: an
-:class:`ExperimentSpec` is the flat, sweep-friendly form of a scenario
-(:meth:`ExperimentSpec.to_scenario` converts), and systems are resolved
-through the pluggable registry (:func:`repro.api.register_system`), so
-any registered system — including third-party ones — can be swept.
+state.  :func:`run_curve` runs one :class:`repro.api.Scenario` at every
+client count of a sweep and returns the resulting :class:`Curve`, whose
+:meth:`Curve.peak` is the "just below saturation" point.  The scenario
+is the whole experiment description, so any registered system —
+including third-party ones (:func:`repro.api.register_system`) — can be
+swept.
 
 Performance model & parallel execution
 --------------------------------------
@@ -28,88 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from ..api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
-from ..common.config import PerformanceModel, ProtocolTuning
+from ..api import Scenario, run_scenarios
 from ..common.metrics import RunStats
-from ..common.types import FaultModel
-from ..core.system import BaseSystem
-from ..txn.workload import WorkloadConfig
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import TraceSpec
-
-__all__ = [
-    "ExperimentSpec",
-    "CurvePoint",
-    "Curve",
-    "run_point",
-    "run_curve",
-    "peak_throughput",
-]
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything needed to measure one system under one workload."""
-
-    system: str
-    fault_model: FaultModel
-    num_clusters: int = 4
-    f: int = 1
-    cross_shard_fraction: float = 0.0
-    shards_per_cross_tx: int = 2
-    accounts_per_shard: int = 256
-    num_app_clients: int = 32
-    duration: float = 0.30
-    warmup: float = 0.06
-    seed: int = 1
-    performance: PerformanceModel = field(default_factory=PerformanceModel)
-    tuning: ProtocolTuning = field(default_factory=ProtocolTuning)
-    #: arm the :mod:`repro.obs` flight recorder on every point; traced
-    #: sweeps gain additive ``phase_*`` columns in their reports while
-    #: untraced sweeps keep the exact legacy header.
-    trace: "TraceSpec | bool | None" = None
-
-    def to_scenario(
-        self,
-        clients: int,
-        verify: bool = False,
-        faults: FaultSchedule | None = None,
-        name: str = "",
-    ) -> Scenario:
-        """The :class:`~repro.api.Scenario` equivalent of this spec."""
-        deployment = DeploymentSpec(
-            system=self.system,
-            fault_model=self.fault_model,
-            num_clusters=self.num_clusters,
-            f=self.f,
-            performance=self.performance,
-            tuning=self.tuning,
-            trace=self.trace,
-        )
-        workload = WorkloadConfig(
-            cross_shard_fraction=self.cross_shard_fraction,
-            shards_per_cross_tx=self.shards_per_cross_tx,
-            accounts_per_shard=self.accounts_per_shard,
-            num_clients=self.num_app_clients,
-        )
-        return Scenario(
-            deployment=deployment,
-            workload=workload,
-            name=name,
-            clients=clients,
-            duration=self.duration,
-            warmup=self.warmup,
-            seed=self.seed,
-            faults=faults or FaultSchedule(),
-            verify=verify,
-        )
-
-    def build_system(self) -> BaseSystem:
-        """Instantiate the system under test."""
-        return self.to_scenario(clients=0).build_system()
+__all__ = ["CurvePoint", "Curve", "run_curve"]
 
 
 @dataclass(frozen=True)
@@ -167,39 +88,27 @@ class Curve:
         ]
 
 
-def run_point(
-    spec: ExperimentSpec,
-    clients: int,
-    check_consistency: bool = False,
-) -> RunStats:
-    """Run one system at one offered load and return its steady-state stats."""
-    result = spec.to_scenario(clients, verify=check_consistency).run()
-    if check_consistency:
-        result.raise_if_failed()
-    return result.stats
-
-
 def run_curve(
-    spec: ExperimentSpec,
+    scenario: Scenario,
     client_counts: Sequence[int],
     label: str | None = None,
     progress: Callable[[str], None] | None = None,
     jobs: int = 1,
     seeds: Sequence[int] | None = None,
 ) -> Curve:
-    """Sweep offered load and return the throughput/latency curve.
+    """Sweep ``scenario`` over offered load and return its curve.
 
+    ``label`` names the curve (defaults to :attr:`Scenario.label`).
     ``seeds`` repeats every point once per seed and pools the per-seed
-    statistics with :meth:`RunStats.aggregate` (defaults to the spec's
-    single seed).  ``jobs`` runs the whole ``point × seed`` grid in a
-    ``multiprocessing`` pool; per-seed results are bit-identical to a
-    serial run, so parallelism never changes the curve.
+    statistics with :meth:`RunStats.aggregate` (defaults to the
+    scenario's own seed).  ``jobs`` runs the whole ``point × seed`` grid
+    in a ``multiprocessing`` pool; per-seed results are bit-identical to
+    a serial run, so parallelism never changes the curve.
     """
-    seed_list = list(seeds) if seeds else [spec.seed]
+    label = label or scenario.label
+    seed_list = list(seeds) if seeds else [scenario.seed]
     scenarios = [
-        dataclasses.replace(spec, seed=seed).to_scenario(
-            clients, name=label or spec.system
-        )
+        dataclasses.replace(scenario, name=label, clients=clients, seed=seed)
         for clients in client_counts
         for seed in seed_list
     ]
@@ -219,9 +128,4 @@ def run_curve(
                 phase_columns=traced.phase_columns() if traced is not None else {},
             )
         )
-    return Curve(system=spec.system, label=label or spec.system, points=tuple(points))
-
-
-def peak_throughput(curve: Curve) -> float:
-    """Peak throughput of a curve (transactions per second)."""
-    return curve.peak().throughput
+    return Curve(system=scenario.deployment.system, label=label, points=tuple(points))

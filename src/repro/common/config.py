@@ -17,7 +17,7 @@ clusters.  :func:`plan_clusters` implements both the baseline formula
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ConfigurationError
@@ -64,20 +64,6 @@ class PerformanceModel:
     execution_cpu: float = 6e-6
     #: CPU time to append a block to the ledger view.
     append_cpu: float = 2e-6
-
-    def scaled(self, factor: float) -> "PerformanceModel":
-        """Return a copy with all CPU costs multiplied by ``factor``.
-
-        Useful for sensitivity/ablation experiments.
-        """
-        return replace(
-            self,
-            message_cpu=self.message_cpu * factor,
-            signature_verify_cpu=self.signature_verify_cpu * factor,
-            signature_sign_cpu=self.signature_sign_cpu * factor,
-            execution_cpu=self.execution_cpu * factor,
-            append_cpu=self.append_cpu * factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -220,17 +206,12 @@ class SystemConfig:
             if overlap:
                 raise ConfigurationError(f"nodes {sorted(overlap)} appear in two clusters")
             seen.update(cluster.node_ids)
-        # Lookup indexes (not fields: excluded from eq/hash/repr).  Built
+        # Lookup index (not a field: excluded from eq/hash/repr).  Built
         # in reverse so the first cluster with an id wins, as in a scan.
         object.__setattr__(
             self,
             "_cluster_by_id",
             {cluster.cluster_id: cluster for cluster in reversed(self.clusters)},
-        )
-        object.__setattr__(
-            self,
-            "_cluster_by_node",
-            {node: cluster for cluster in self.clusters for node in cluster.node_ids},
         )
 
     @property
@@ -254,13 +235,6 @@ class SystemConfig:
             return self._cluster_by_id[cluster_id]
         except KeyError:
             raise ConfigurationError(f"unknown cluster {cluster_id}") from None
-
-    def cluster_of_node(self, node_id: NodeId) -> ClusterConfig:
-        """Return the cluster that ``node_id`` belongs to."""
-        try:
-            return self._cluster_by_node[node_id]
-        except KeyError:
-            raise ConfigurationError(f"node {node_id} does not belong to any cluster") from None
 
     @staticmethod
     def build(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, is_dataclass, fields
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "digest",
@@ -149,20 +149,3 @@ def verify(signature: Signature, payload: Any, expected_signer: int | None = Non
     if expected_signer is not None and signature.signer != expected_signer:
         return False
     return signature.payload_digest == digest(payload)
-
-
-def merkle_root(leaves: Iterable[Any]) -> str:
-    """Compute a Merkle root over ``leaves``.
-
-    Provided for completeness (batched blocks in the ablation benchmarks
-    summarise their transactions with a Merkle root, as a real deployment
-    would).  An empty set of leaves hashes to :data:`GENESIS_HASH`.
-    """
-    level = [digest(leaf) for leaf in leaves]
-    if not level:
-        return GENESIS_HASH
-    while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        level = [chain_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]

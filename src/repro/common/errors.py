@@ -68,23 +68,6 @@ class ConsensusError(SharPerError):
     """Base class for consensus-protocol errors."""
 
 
-class QuorumNotReachedError(ConsensusError):
-    """A protocol instance could not gather the required quorum."""
-
-
-class ViewChangeError(ConsensusError):
-    """A view change could not be completed."""
-
-
-class ConflictError(ConsensusError):
-    """Two concurrent conflicting cross-shard transactions collided.
-
-    The paper resolves this by having the initiator retry after a timer
-    (Section 3.2, Safety and Liveness).  The error is surfaced when the
-    retry budget is exhausted.
-    """
-
-
 class SimulationError(SharPerError):
     """Base class for simulator misuse (e.g. scheduling in the past)."""
 

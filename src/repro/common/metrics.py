@@ -59,36 +59,6 @@ class RunStats:
     #: even in steady state.  0 for legacy collectors that never counted.
     submitted: int = 0
 
-    @property
-    def abort_rate(self) -> float:
-        """Aborted transactions as a fraction of the offered load."""
-        if self.submitted <= 0:
-            return 0.0
-        return self.aborted / self.submitted
-
-    def as_dict(self) -> dict[str, float]:
-        """Dictionary form, convenient for CSV reporting.
-
-        New columns are only ever appended at the end (the bench CSV
-        consumers key on the leading columns staying stable).
-        """
-        return {
-            "duration_s": self.duration,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "throughput_tps": self.throughput,
-            "avg_latency_ms": self.avg_latency * 1e3,
-            "p50_latency_ms": self.p50_latency * 1e3,
-            "p95_latency_ms": self.p95_latency * 1e3,
-            "p99_latency_ms": self.p99_latency * 1e3,
-            "avg_latency_intra_ms": self.avg_latency_intra * 1e3,
-            "avg_latency_cross_ms": self.avg_latency_cross * 1e3,
-            "committed_cross": self.committed_cross,
-            "late_commits": self.late_commits,
-            "submitted": self.submitted,
-            "abort_rate": round(self.abort_rate, 6),
-        }
-
     @staticmethod
     def aggregate(runs: "Sequence[RunStats]") -> "RunStats":
         """Pool several runs of the same configuration into one summary.

@@ -61,18 +61,3 @@ class FaultModel(enum.Enum):
         if self is FaultModel.CRASH:
             return f + 1
         return 2 * f + 1
-
-
-class NodeRole(enum.Enum):
-    """Role a node currently plays inside its cluster."""
-
-    PRIMARY = "primary"
-    BACKUP = "backup"
-    PASSIVE = "passive"
-
-
-def node_label(node_id: NodeId, cluster_id: ClusterId | None = None) -> str:
-    """Human-readable label used in logs and error messages."""
-    if cluster_id is None:
-        return f"n{node_id}"
-    return f"n{node_id}@p{cluster_id}"

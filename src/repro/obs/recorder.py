@@ -435,19 +435,6 @@ class TraceReport:
             )
         return line
 
-    def as_dict(self) -> dict[str, Any]:
-        """Additive flat columns for ``ScenarioResult.as_dict()``."""
-        row = {
-            "trace_events": len(self.events),
-            "trace_txs": self.breakdown.txs,
-            "trace_slot_spans": len(self.slot_spans),
-            "trace_vc_spans": len(self.vc_spans),
-            "trace_gauge_ticks": self.gauge_ticks,
-            "trace_attributed": round(self.breakdown.attributed_fraction, 6),
-        }
-        row.update(self.critpath_columns())
-        return row
-
     def phase_table(self) -> str:
         """The per-phase latency breakdown as an aligned text table."""
         return render_phase_table(self.breakdown)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.system import BaseSystem
@@ -37,20 +37,6 @@ class RecoveryStats:
     terminations_noop: int = 0
     #: safety red flags (should stay 0 with at most f faults per cluster).
     divergent_checkpoints: int = 0
-
-    def as_dict(self) -> dict[str, Any]:
-        """Flat dictionary form for CSV/JSON reporting."""
-        return {
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoints_stable": self.checkpoints_stable,
-            "entries_truncated": self.entries_truncated,
-            "blocks_pruned": self.blocks_pruned,
-            "max_stable_seq": self.max_stable_seq,
-            "peak_log_entries": self.peak_log_entries,
-            "state_transfers_completed": self.state_transfers_completed,
-            "terminations_adopted": self.terminations_adopted,
-            "terminations_noop": self.terminations_noop,
-        }
 
     def summary(self) -> str:
         """One line suitable for example/CLI output."""

@@ -10,7 +10,7 @@ archival tier absorbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.system import BaseSystem
@@ -40,19 +40,6 @@ class StorageStats:
     archive_checkpoints: int = 0
     #: archive size: files on disk, or resident pages of a ``:memory:`` archive.
     archive_bytes: int = 0
-
-    def as_dict(self) -> dict[str, Any]:
-        """Flat dictionary form for CSV/JSON reporting."""
-        return {
-            "store_backend": self.backend,
-            "resident_accounts": self.resident_accounts,
-            "peak_ledger_blocks": self.peak_ledger_blocks,
-            "resident_blocks": self.resident_blocks,
-            "archive_blocks": self.archive_blocks,
-            "archive_tx_rows": self.archive_tx_rows,
-            "archive_checkpoints": self.archive_checkpoints,
-            "archive_bytes": self.archive_bytes,
-        }
 
     def summary(self) -> str:
         """One line suitable for example/CLI output."""

@@ -8,6 +8,8 @@ execution) must hold, and liveness must return once the view change
 elects a correct primary.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import FaultModel, WorkloadConfig
@@ -146,7 +148,9 @@ class TestComposition:
             .make_byzantine(at=0.05, node=0, behavior="silent-primary")
             .restore(at=0.2, node=0)
         )
-        scenario = byzantine_scenario("silent-primary", duration=0.6).with_faults(faults)
+        scenario = dataclasses.replace(
+            byzantine_scenario("silent-primary", duration=0.6), faults=faults
+        )
         result = scenario.run()
         process = result.system.replicas[0]
         assert not process.byzantine
@@ -173,7 +177,7 @@ class TestWorkerPool:
 
         behavior = SelectiveSilence(seed=7, targets=[1, 2])
         base = byzantine_scenario(behavior, duration=0.3)
-        scenarios = [base.with_seed(1), base.with_seed(2)]
+        scenarios = [dataclasses.replace(base, seed=seed) for seed in (1, 2)]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=2)
         for s, p in zip(serial, pooled):

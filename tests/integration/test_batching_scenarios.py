@@ -284,7 +284,7 @@ class TestDeterminism:
     def test_serial_and_pooled_batched_runs_agree(self):
         """Acceptance: serial vs pooled bit-identity holds with batching."""
         base = batching_scenario(batch_size=8, pipeline_depth=4, duration=0.3)
-        scenarios = [base.with_seed(1), base.with_seed(2)]
+        scenarios = [dataclasses.replace(base, seed=seed) for seed in (1, 2)]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=2)
         for s, p in zip(serial, pooled):

@@ -2,47 +2,40 @@
 
 import pytest
 
-from repro.api import DeploymentSpec
+from repro.api import DeploymentSpec, Scenario
+from repro.bench import cli
 from repro.bench.cli import _build_parser, _deployment, main as cli_main
-from repro.bench.experiments import FIGURES, list_figures, run_figure
-from repro.bench.harness import ExperimentSpec, run_curve, run_point, peak_throughput
+from repro.bench.experiments import FIGURES, FigureResult, list_figures, run_figure
+from repro.bench.harness import run_curve
 from repro.bench.reporting import figure_to_csv, format_figure, format_table
 from repro.common.types import FaultModel
 
 
-class TestExperimentSpec:
-    def test_unknown_system_rejected(self):
-        spec = ExperimentSpec(system="nope", fault_model=FaultModel.CRASH)
-        with pytest.raises(KeyError):
-            spec.build_system()
-
-    def test_build_every_registered_system(self):
-        for name in ("sharper", "ahl", "apr", "fast"):
-            spec = ExperimentSpec(system=name, fault_model=FaultModel.CRASH)
-            system = spec.build_system()
-            assert system.route(system.make_workload().next_transaction()) >= 0
-
-
 class TestHarness:
-    def test_run_point_produces_stats(self):
-        spec = ExperimentSpec(
-            system="sharper", fault_model=FaultModel.CRASH,
-            cross_shard_fraction=0.2, duration=0.08, warmup=0.02,
-        )
-        stats = run_point(spec, clients=8, check_consistency=True)
-        assert stats.committed > 0
-        assert stats.throughput > 0
-        assert stats.avg_latency > 0
-
     def test_run_curve_and_peak(self):
-        spec = ExperimentSpec(
-            system="apr", fault_model=FaultModel.CRASH, duration=0.06, warmup=0.01
+        scenario = Scenario(
+            deployment=DeploymentSpec(system="apr", fault_model=FaultModel.CRASH),
+            duration=0.06,
+            warmup=0.01,
+            verify=False,
         )
-        curve = run_curve(spec, client_counts=[2, 8], label="APR-C")
+        curve = run_curve(scenario, client_counts=[2, 8], label="APR-C")
         assert len(curve.points) == 2
-        assert peak_throughput(curve) == max(p.throughput for p in curve.points)
+        assert [point.clients for point in curve.points] == [2, 8]
+        assert curve.peak().throughput == max(p.throughput for p in curve.points)
+        assert curve.system == "apr"
         rows = curve.as_rows()
         assert rows[0]["system"] == "APR-C"
+
+    def test_figure_series_are_performance_only_scenarios(self):
+        figure = FIGURES["fig7b"]
+        scenario = figure.spec_for(figure.series[1], duration=0.2, warmup=0.05)
+        assert scenario.name == "AHL-B"
+        assert scenario.deployment.system == "ahl"
+        assert scenario.deployment.fault_model is FaultModel.BYZANTINE
+        assert scenario.workload.cross_shard_fraction == 0.2
+        assert (scenario.workload.accounts_per_shard, scenario.workload.num_clients) == (256, 32)
+        assert (scenario.duration, scenario.warmup, scenario.verify) == (0.2, 0.05, False)
 
 
 class TestFigureRegistry:
@@ -108,3 +101,60 @@ class TestScenarioFlags:
             "--batch-size", "1", "--pipeline-depth", "32", "--checkpoint-interval", "0"
         )
         assert spelled == self.resolved()
+
+
+class TestFigureMode:
+    """Figure mode honours ``--seed`` and refuses the flags only scenarios read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Replace the figure runner with a recorder that measures nothing."""
+        recorded = []
+
+        def fake_run_figure(figure_id, **kwargs):
+            recorded.append((figure_id, kwargs))
+            return FigureResult(figure=FIGURES[figure_id])
+
+        monkeypatch.setattr(cli, "run_figure", fake_run_figure)
+        return recorded
+
+    def test_seed_is_the_first_of_the_seeds(self, calls):
+        assert cli_main(["fig8a", "--quiet", "--seed", "7"]) == 0
+        assert cli_main(["fig8a", "--quiet", "--seed", "7", "--seeds", "3"]) == 0
+        assert cli_main(["fig8a", "--quiet"]) == 0
+        assert [list(kwargs["seeds"]) for _, kwargs in calls] == [[7], [7, 8, 9], [1]]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--clusters", "2"],
+            ["--byzantine"],
+            ["--cross-shard=0.5"],
+            ["--clients", "8"],
+            ["--attack", "coalition"],
+            ["--crash-primary-at", "0.1"],
+            ["--recover-node-at", "0.2"],
+            ["--batch-size", "8"],
+            ["--checkpoint-interval", "16"],
+            ["--store-backend", "columnar"],
+            ["--trace"],
+        ],
+        ids=lambda flags: flags[0].split("=")[0],
+    )
+    def test_scenario_flags_are_refused(self, calls, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["fig8a", *flags])
+        assert exit_info.value.code == 2
+        assert flags[0].split("=")[0] in capsys.readouterr().err
+        assert calls == []
+
+    def test_csv_for_several_figures_lands_beside_the_named_file(
+        self, calls, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert cli_main(["fig8a", "fig8b", "--quiet", "--csv", "out/points.csv"]) == 0
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+            "fig8a_points.csv",
+            "fig8b_points.csv",
+        ]

@@ -20,6 +20,7 @@ The recorder's contract has three halves:
 Pattern follows ``test_batching_scenarios.py``'s differential style.
 """
 
+import dataclasses
 import hashlib
 import sys
 
@@ -131,12 +132,11 @@ class TestTracedAcceptance:
         # Gauges made it into the export as counter tracks.
         assert any(event["ph"] == "C" for event in events)
 
-    def test_trace_columns_ride_result_as_dict(self):
+    def test_trace_report_rides_the_result(self):
         result = traced_scenario(trace=SPANS_ONLY, duration=0.3).run()
-        row = result.as_dict()
-        assert row["trace_txs"] > 0
-        assert row["trace_attributed"] >= 0.95
-        assert "submitted" in row and "abort_rate" in row
+        assert result.trace.breakdown.txs > 0
+        assert result.trace.breakdown.attributed_fraction >= 0.95
+        assert result.stats.submitted >= result.stats.committed > 0
 
 
 class TestZeroOverheadOff:
@@ -191,7 +191,7 @@ class TestPooledTracing:
         base = traced_scenario(
             trace=True, batch_size=8, pipeline_depth=4, duration=0.3
         )
-        scenarios = [base.with_seed(1), base.with_seed(2)]
+        scenarios = [dataclasses.replace(base, seed=seed) for seed in (1, 2)]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=2)
         for s, p in zip(serial, pooled):

@@ -7,8 +7,10 @@ single reported number.  These tests pin that down.
 
 from __future__ import annotations
 
-from repro.api import DeploymentSpec, Scenario, run_scenarios, run_sweep
-from repro.bench.harness import ExperimentSpec, run_curve
+import dataclasses
+
+from repro.api import DeploymentSpec, Scenario, run_scenarios
+from repro.bench.harness import run_curve
 from repro.common.metrics import RunStats
 from repro.common.types import FaultModel
 from repro.txn.workload import WorkloadConfig
@@ -56,37 +58,28 @@ class TestDeterminism:
         serial = run_scenarios(scenarios, jobs=1)
         assert all(result.system is not None for result in serial)
 
-    def test_run_sweep_jobs_matches_serial(self):
+    def test_run_curve_jobs_matches_serial(self):
         scenario = small_scenario()
-        serial = run_sweep(scenario, [4, 8], jobs=1)
-        pooled = run_sweep(scenario, [4, 8], jobs=2)
-        assert [result.stats for result in serial] == [result.stats for result in pooled]
+        serial = run_curve(scenario, [4, 8], jobs=1)
+        pooled = run_curve(scenario, [4, 8], jobs=2)
+        assert serial == pooled
 
 
 class TestMultiSeedCurve:
     def test_seeds_aggregate_into_one_point(self):
-        spec = ExperimentSpec(
-            system="sharper",
-            fault_model=FaultModel.CRASH,
-            num_clusters=2,
+        scenario = Scenario(
+            deployment=DeploymentSpec(
+                system="sharper", fault_model=FaultModel.CRASH, num_clusters=2
+            ),
             duration=0.08,
             warmup=0.02,
+            verify=False,
         )
-        curve = run_curve(spec, [6], seeds=[1, 2], jobs=2)
+        curve = run_curve(scenario, [6], seeds=[1, 2], jobs=2)
         assert len(curve.points) == 1
         pooled = curve.points[0].stats
         singles = [
-            run_curve(
-                ExperimentSpec(
-                    system="sharper",
-                    fault_model=FaultModel.CRASH,
-                    num_clusters=2,
-                    duration=0.08,
-                    warmup=0.02,
-                    seed=seed,
-                ),
-                [6],
-            ).points[0].stats
+            run_curve(dataclasses.replace(scenario, seed=seed), [6]).points[0].stats
             for seed in (1, 2)
         ]
         assert pooled == RunStats.aggregate(singles)

@@ -1,7 +1,7 @@
 """Integration tests for the Scenario API (repro.api).
 
-Covers the declarative lifecycle (build -> run -> result), the
-equivalence of the thin harness wrappers, and fault schedules executed
+Covers the declarative lifecycle (build -> run -> result), every
+built-in system run through a scenario, and fault schedules executed
 as simulator events.
 """
 
@@ -15,7 +15,6 @@ from repro.api import (
     FaultSchedule,
     Scenario,
 )
-from repro.bench.harness import ExperimentSpec, run_point
 from repro.common.config import ProtocolTuning, SystemConfig
 from repro.common.errors import ConfigurationError, UnknownSystemError
 from repro.common.types import FaultModel
@@ -122,29 +121,8 @@ class TestScenarioRoundTrip:
         assert heavier.clients == 16
         assert heavier.deployment is scenario.deployment
 
-    def test_result_as_dict_is_flat(self):
-        scenario = Scenario(
-            name="dict-check",
-            deployment=DeploymentSpec(system="sharper"),
-            workload=SMALL_WORKLOAD,
-            **QUICK,
-        )
-        row = scenario.run().as_dict()
-        assert row["scenario"] == "dict-check"
-        assert row["audit_ok"] is True
-        assert row["height_p0"] > 0
-
 
 class TestHarnessWrappers:
-    def test_run_point_matches_direct_scenario_run(self):
-        spec = ExperimentSpec(
-            system="sharper", fault_model=FaultModel.CRASH,
-            cross_shard_fraction=0.2, duration=0.08, warmup=0.02,
-        )
-        via_wrapper = run_point(spec, clients=8)
-        via_scenario = spec.to_scenario(8).run().stats
-        assert via_wrapper == via_scenario
-
     def test_every_registered_builtin_runs_through_a_scenario(self):
         for name in ("sharper", "ahl", "apr", "fast"):
             scenario = Scenario(

@@ -149,15 +149,14 @@ class TestArchivedRun:
         assert report.ok, report.problems
 
     def test_storage_gauges_in_report(self):
-        """Satellite acceptance: gauges surface in summary() and as_dict()."""
+        """Gauges surface on the result and in summary()."""
         result = storage_scenario(
             "columnar", archive=":memory:", duration=0.4
         ).run()
-        row = result.as_dict()
-        assert row["store_backend"] == "columnar"
+        assert result.storage.backend == "columnar"
         # Summed over every replica: 3 clusters x 3 crash-model replicas.
-        assert row["resident_accounts"] == 9 * 256
-        assert row["archive_blocks"] > 0
+        assert result.storage.resident_accounts == 9 * 256
+        assert result.storage.archive_blocks > 0
         summary = result.summary()
         assert "storage" in summary
         assert "columnar" in summary
@@ -332,6 +331,5 @@ class TestCheckpointOncePerCluster:
         assert report.blocks_verified == FAILOVER_PINNED["row_counts"]["blocks"]
         # An in-memory archive has a size too.
         assert result.storage.archive_bytes > 0
-        assert result.storage.as_dict()["archive_bytes"] == result.storage.archive_bytes
         assert " 0 bytes" not in result.storage.summary()
         archive.close()

@@ -7,6 +7,8 @@ while honest traffic flows untouched, and the cross-replica safety
 audit (no fork, balance conservation, at-most-once) must keep passing.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import FaultModel, WorkloadConfig
@@ -229,7 +231,7 @@ class TestSchedulingSurface:
             .make_client_byzantine(at=0.05, client=0, behavior="duplicating-client")
             .restore(at=0.2, node=1_000_000)
         )
-        result = client_attack("duplicating-client").with_faults(faults).run()
+        result = dataclasses.replace(client_attack("duplicating-client"), faults=faults).run()
         client = result.system.clients[0]
         assert client.interceptor is None
         assert not client.byzantine
@@ -245,7 +247,7 @@ class TestSchedulingSurface:
         from repro.api import run_scenarios
 
         base = client_attack("duplicating-client", duration=0.3)
-        scenarios = [base.with_seed(1), base.with_seed(2)]
+        scenarios = [dataclasses.replace(base, seed=seed) for seed in (1, 2)]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=2)
         for s, p in zip(serial, pooled):

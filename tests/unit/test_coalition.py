@@ -8,12 +8,15 @@ delay-attacker + vote-withholder pair squeezes cross-shard transactions
 from both ends, yet every run passes the cross-replica safety audit.
 """
 
+import dataclasses
+
 import pytest
 
+from helpers import attack_scenario
 from repro import FaultModel, WorkloadConfig
 from repro.adversary import Coalition, CoalitionMember, DelayAttacker, VoteWithholder
 from repro.api import DeploymentSpec, FaultSchedule, FormCoalition, Scenario
-from repro.bench.experiments import coalition_members, coalition_scenario
+from repro.bench.experiments import COALITION_ATTACK, coalition_members
 from repro.common.types import ClusterId
 from repro.consensus.messages import CrossAcceptB, CrossProposeB, Prepare
 
@@ -87,7 +90,7 @@ class TestCoalitionMechanism:
 class TestCoalitionEndToEnd:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_coalition_passes_the_safety_audit(self, seed):
-        result = coalition_scenario(seed=seed, duration=0.5).run()
+        result = attack_scenario(COALITION_ATTACK, 0.2, seed=seed).run()
         assert result.safety is not None
         problems = (result.audit.problems if result.audit else []) + result.safety.problems
         assert result.ok, problems
@@ -96,7 +99,7 @@ class TestCoalitionEndToEnd:
         assert system.byzantine_nodes == {0, 5}
         per_cluster = {}
         for node in system.byzantine_nodes:
-            cluster = system.config.cluster_of_node(node).cluster_id
+            (cluster,) = (c.cluster_id for c in system.config.clusters if node in c.node_ids)
             per_cluster[cluster] = per_cluster.get(cluster, 0) + 1
         assert all(count <= 1 for count in per_cluster.values())
         # The shared script actually fired: targets spotted, members acted.
@@ -107,7 +110,7 @@ class TestCoalitionEndToEnd:
         assert all(height > 0 for height in result.chain_heights.values())
 
     def test_members_coordinate_across_clusters(self):
-        result = coalition_scenario(seed=1, duration=0.5).run()
+        result = attack_scenario(COALITION_ATTACK, 0.2, seed=1).run()
         (coalition,) = result.system.coalitions
         delayer, withholder = coalition.members
         # The delayer (initiator primary) spotted targets and delayed them;
@@ -116,7 +119,7 @@ class TestCoalitionEndToEnd:
         assert withholder.inner.dropped > 0
 
     def test_no_cross_shard_traffic_means_no_targets(self):
-        result = coalition_scenario(cross_shard_fraction=0.0, duration=0.3).run()
+        result = attack_scenario(COALITION_ATTACK, 0.0, duration=0.3).run()
         assert result.ok
         (coalition,) = result.system.coalitions
         assert coalition.targeted == 0
@@ -126,8 +129,8 @@ class TestCoalitionEndToEnd:
     def test_serial_and_pooled_runs_are_bit_identical(self):
         from repro.api import run_scenarios
 
-        base = coalition_scenario(duration=0.3)
-        scenarios = [base.with_seed(1), base.with_seed(2)]
+        base = attack_scenario(COALITION_ATTACK, 0.2, duration=0.3)
+        scenarios = [dataclasses.replace(base, seed=seed) for seed in (1, 2)]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=2)
         for s, p in zip(serial, pooled):

@@ -7,7 +7,6 @@ from repro.bench.cli import main as cli_main
 from repro.common.config import (
     ClusterConfig,
     NodeGroup,
-    PerformanceModel,
     ProtocolTuning,
     SystemConfig,
     plan_clusters,
@@ -62,11 +61,8 @@ class TestSystemConfig:
     def test_cluster_lookup(self):
         config = SystemConfig.build(2, FaultModel.CRASH)
         assert config.cluster(ClusterId(1)).cluster_id == 1
-        assert config.cluster_of_node(NodeId(4)).cluster_id == 1
         with pytest.raises(ConfigurationError):
             config.cluster(ClusterId(9))
-        with pytest.raises(ConfigurationError):
-            config.cluster_of_node(NodeId(99))
 
     def test_invalid_cluster_count(self):
         with pytest.raises(ConfigurationError):
@@ -114,13 +110,6 @@ class TestClusterPlanning:
 
 
 class TestPerformanceModel:
-    def test_scaled_returns_new_instance(self):
-        base = PerformanceModel()
-        doubled = base.scaled(2.0)
-        assert doubled.message_cpu == pytest.approx(2 * base.message_cpu)
-        assert doubled.intra_cluster_latency == base.intra_cluster_latency
-        assert base.message_cpu != doubled.message_cpu
-
     def test_tuning_defaults(self):
         tuning = ProtocolTuning()
         assert tuning.use_super_primary is True

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.common.crypto import (
-    GENESIS_HASH,
     KeyPair,
     Signature,
     chain_hash,
     digest,
-    merkle_root,
     sign,
     verify,
 )
@@ -66,16 +64,3 @@ class TestSignatures:
         forged = Signature(signer=7, payload_digest=digest("payload"), forged=True)
         assert not verify(forged, "payload")
 
-
-class TestMerkleRoot:
-    def test_empty_is_genesis_hash(self):
-        assert merkle_root([]) == GENESIS_HASH
-
-    def test_single_leaf(self):
-        assert merkle_root(["x"]) == digest("x")
-
-    def test_order_sensitivity(self):
-        assert merkle_root(["a", "b"]) != merkle_root(["b", "a"])
-
-    def test_odd_number_of_leaves(self):
-        assert len(merkle_root(["a", "b", "c"])) == 64

@@ -161,13 +161,11 @@ class TestFlightRecorder:
         assert clone.breakdown.txs == 1
         assert "1 slot spans" not in clone.summary()  # still open, not closed
 
-    def test_as_dict_columns_are_prefixed(self):
+    def test_critpath_columns_are_prefixed(self):
         recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         report = recorder.finalize(_FakeSystem(), end_time=0.1)
-        assert all(
-            key.startswith(("trace_", "critpath_")) for key in report.as_dict()
-        )
-        assert "critpath_txs" in report.as_dict()
+        assert all(key.startswith("critpath_") for key in report.critpath_columns())
+        assert "critpath_txs" in report.phase_columns()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.types import FaultModel, node_label
+from repro.common.types import FaultModel
 
 
 class TestFaultModel:
@@ -31,8 +31,3 @@ class TestFaultModel:
     def test_cluster_size_property_uses_f_equal_one(self):
         assert FaultModel.CRASH.cluster_size == 3
         assert FaultModel.BYZANTINE.cluster_size == 4
-
-
-def test_node_label_formats():
-    assert node_label(3) == "n3"
-    assert node_label(3, 1) == "n3@p1"
