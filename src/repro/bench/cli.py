@@ -334,6 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         for figure_id in list_figures():
             print(f"  {figure_id}")
         return 0
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     # Figure mode reads none of the scenario flags: refuse them rather
     # than run a figure that silently ignored them.
     _, stray = _build_parser(scenario_flags=False).parse_known_args(argv)

@@ -15,7 +15,7 @@ plots:
 * **Figure 8** — SharPer only, 90% intra / 10% cross-shard, scaling the
   number of clusters from 2 to 5: (a) crash-only, (b) Byzantine.
 
-Each series is one :class:`repro.api.Scenario` (:meth:`FigureSpec.spec_for`)
+Each series is one :class:`repro.api.Scenario` (:meth:`FigureSpec.scenario_for`)
 swept by :func:`repro.bench.harness.run_curve`, so the systems a figure
 names are resolved by the pluggable registry.  The adversary sweep
 (:func:`run_attack_sweep`) builds its scenarios the same way, arming
@@ -42,6 +42,7 @@ __all__ = [
     "FULL_CLIENTS",
     "ATTACK_CROSS_FRACTIONS",
     "COALITION_ATTACK",
+    "attack_point",
     "churn_scenario",
     "coalition_members",
     "default_attack_names",
@@ -80,7 +81,7 @@ class FigureSpec:
     #: above the measured outcome by :mod:`repro.bench.reporting`.
     expected_shape: str = ""
 
-    def spec_for(self, series: SeriesSpec, duration: float, warmup: float) -> Scenario:
+    def scenario_for(self, series: SeriesSpec, duration: float, warmup: float) -> Scenario:
         """The scenario one of the figure's series sweeps over client counts.
 
         Figure points measure performance only (``verify=False``) on 256
@@ -287,10 +288,9 @@ def run_attack_sweep(
 ) -> list[ScenarioResult]:
     """Sweep attack type × cross-shard fraction × seed under SharPer.
 
-    Every point is a Byzantine SharPer deployment on 128 accounts per
-    shard whose attack activates at 0.05 s (:func:`schedule_attack`), so
-    it runs with at most ``f`` Byzantine replicas per cluster (and at
-    most one Byzantine client) and must pass the safety audit.
+    Every point is an :func:`attack_point`, so it runs with at most
+    ``f`` Byzantine replicas per cluster (and at most one Byzantine
+    client) and must pass the safety audit.
     :func:`repro.api.run_scenarios` semantics apply (``jobs``
     parallelises, results come back in input order: behaviour-major,
     then fraction, then seed).  ``behaviors`` defaults to every
@@ -299,29 +299,39 @@ def run_attack_sweep(
     """
     names = list(behaviors) if behaviors is not None else default_attack_names()
     scenarios = [
-        Scenario(
-            deployment=DeploymentSpec(
-                system="sharper",
-                fault_model=FaultModel.BYZANTINE,
-                num_clusters=num_clusters,
-            ),
-            workload=WorkloadConfig(
-                cross_shard_fraction=fraction, accounts_per_shard=128
-            ),
-            name=f"{behavior} @ {fraction:.0%} cross-shard",
-            clients=clients,
-            duration=duration,
-            warmup=warmup,
-            seed=seed,
-            faults=schedule_attack(
-                FaultSchedule(), behavior, at=0.05, num_clusters=num_clusters
-            ),
-        )
+        attack_point(behavior, fraction, seed, num_clusters, clients, duration, warmup)
         for behavior in names
         for fraction in cross_fractions
         for seed in seeds
     ]
     return run_scenarios(scenarios, jobs=jobs, progress=progress)
+
+
+def attack_point(
+    name: str,
+    cross_shard_fraction: float,
+    seed: int = 1,
+    num_clusters: int = 2,
+    clients: int = 12,
+    duration: float = 0.5,
+    warmup: float = 0.06,
+) -> Scenario:
+    """One point of :func:`run_attack_sweep`: the attack ``name``, armed
+    at 0.05 s, against Byzantine SharPer on 128 accounts per shard."""
+    return Scenario(
+        deployment=DeploymentSpec(
+            system="sharper", fault_model=FaultModel.BYZANTINE, num_clusters=num_clusters
+        ),
+        workload=WorkloadConfig(
+            cross_shard_fraction=cross_shard_fraction, accounts_per_shard=128
+        ),
+        name=f"{name} @ {cross_shard_fraction:.0%} cross-shard",
+        clients=clients,
+        duration=duration,
+        warmup=warmup,
+        seed=seed,
+        faults=schedule_attack(FaultSchedule(), name, at=0.05, num_clusters=num_clusters),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +444,7 @@ def run_figure(
     counts = tuple(client_counts or QUICK_CLIENTS)
     result = FigureResult(figure=figure)
     for series in figure.series:
-        scenario = figure.spec_for(series, duration=duration, warmup=warmup)
+        scenario = figure.scenario_for(series, duration=duration, warmup=warmup)
         result.curves.append(
             run_curve(scenario, counts, progress=progress, jobs=jobs, seeds=seeds)
         )

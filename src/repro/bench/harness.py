@@ -91,24 +91,22 @@ class Curve:
 def run_curve(
     scenario: Scenario,
     client_counts: Sequence[int],
-    label: str | None = None,
     progress: Callable[[str], None] | None = None,
     jobs: int = 1,
     seeds: Sequence[int] | None = None,
 ) -> Curve:
     """Sweep ``scenario`` over offered load and return its curve.
 
-    ``label`` names the curve (defaults to :attr:`Scenario.label`).
-    ``seeds`` repeats every point once per seed and pools the per-seed
-    statistics with :meth:`RunStats.aggregate` (defaults to the
-    scenario's own seed).  ``jobs`` runs the whole ``point × seed`` grid
-    in a ``multiprocessing`` pool; per-seed results are bit-identical to
-    a serial run, so parallelism never changes the curve.
+    The curve is named by :attr:`Scenario.label`.  ``seeds`` repeats
+    every point once per seed and pools the per-seed statistics with
+    :meth:`RunStats.aggregate` (defaults to the scenario's own seed).
+    ``jobs`` runs the whole ``point × seed`` grid in a
+    ``multiprocessing`` pool; per-seed results are bit-identical to a
+    serial run, so parallelism never changes the curve.
     """
-    label = label or scenario.label
     seed_list = list(seeds) if seeds else [scenario.seed]
     scenarios = [
-        dataclasses.replace(scenario, name=label, clients=clients, seed=seed)
+        dataclasses.replace(scenario, clients=clients, seed=seed)
         for clients in client_counts
         for seed in seed_list
     ]
@@ -128,4 +126,4 @@ def run_curve(
                 phase_columns=traced.phase_columns() if traced is not None else {},
             )
         )
-    return Curve(system=scenario.deployment.system, label=label, points=tuple(points))
+    return Curve(system=scenario.deployment.system, label=scenario.label, points=tuple(points))

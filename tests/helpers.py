@@ -6,13 +6,10 @@ import gc
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.api import DeploymentSpec, FaultSchedule, Scenario
-from repro.bench.experiments import schedule_attack
 from repro.common.config import ClusterConfig, SystemConfig
 from repro.common.types import ClusterId, FaultModel, NodeId
 from repro.consensus.log import OrderingLog
 from repro.txn.transaction import Transaction
-from repro.txn.workload import WorkloadConfig
 
 
 class FakeTimer:
@@ -149,27 +146,6 @@ def archived_precedes(archive, earlier, later) -> bool:
                 seen.add(parent)
                 frontier.append(parent)
     return False
-
-
-def attack_scenario(
-    name: str, cross_shard_fraction: float, seed: int = 1, duration: float = 0.5
-) -> Scenario:
-    """One point of ``run_attack_sweep``'s default grid: the attack ``name``
-    against 2 Byzantine SharPer clusters driven by 12 clients."""
-    return Scenario(
-        deployment=DeploymentSpec(
-            system="sharper", fault_model=FaultModel.BYZANTINE, num_clusters=2
-        ),
-        workload=WorkloadConfig(
-            cross_shard_fraction=cross_shard_fraction, accounts_per_shard=128
-        ),
-        name=f"{name} @ {cross_shard_fraction:.0%} cross-shard",
-        clients=12,
-        duration=duration,
-        warmup=0.06,
-        seed=seed,
-        faults=schedule_attack(FaultSchedule(), name, at=0.05, num_clusters=2),
-    )
 
 
 def assert_run_leaves_no_garbage(scenario):

@@ -15,11 +15,12 @@ class TestHarness:
     def test_run_curve_and_peak(self):
         scenario = Scenario(
             deployment=DeploymentSpec(system="apr", fault_model=FaultModel.CRASH),
+            name="APR-C",
             duration=0.06,
             warmup=0.01,
             verify=False,
         )
-        curve = run_curve(scenario, client_counts=[2, 8], label="APR-C")
+        curve = run_curve(scenario, client_counts=[2, 8])
         assert len(curve.points) == 2
         assert [point.clients for point in curve.points] == [2, 8]
         assert curve.peak().throughput == max(p.throughput for p in curve.points)
@@ -29,7 +30,7 @@ class TestHarness:
 
     def test_figure_series_are_performance_only_scenarios(self):
         figure = FIGURES["fig7b"]
-        scenario = figure.spec_for(figure.series[1], duration=0.2, warmup=0.05)
+        scenario = figure.scenario_for(figure.series[1], duration=0.2, warmup=0.05)
         assert scenario.name == "AHL-B"
         assert scenario.deployment.system == "ahl"
         assert scenario.deployment.fault_model is FaultModel.BYZANTINE
@@ -123,6 +124,14 @@ class TestFigureMode:
         assert cli_main(["fig8a", "--quiet", "--seed", "7", "--seeds", "3"]) == 0
         assert cli_main(["fig8a", "--quiet"]) == 0
         assert [list(kwargs["seeds"]) for _, kwargs in calls] == [[7], [7, 8, 9], [1]]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_seeds_below_one_are_refused(self, calls, capsys, count):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["fig8a", "--seeds", count])
+        assert exit_info.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "flags",

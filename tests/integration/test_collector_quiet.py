@@ -13,10 +13,10 @@ import weakref
 
 import pytest
 
-from helpers import assert_run_leaves_no_garbage, attack_scenario
+from helpers import assert_run_leaves_no_garbage
 from repro import FaultModel, WorkloadConfig
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
-from repro.bench.experiments import COALITION_ATTACK, churn_scenario
+from repro.bench.experiments import COALITION_ATTACK, attack_point, churn_scenario
 from repro.common.metrics import MetricsCollector
 from repro.consensus.messages import ClientRequest
 from repro.core.replica import _shared_block
@@ -59,9 +59,9 @@ SCENARIOS = [
     _scenario("batched_mixed", cross=0.1, clients=96, batch_size=16, pipeline_depth=4),
     failover_ckpt(),
     _scenario("traced_intra", trace=True),
-    attack_scenario("silent-primary", 0.0),
-    attack_scenario("equivocating-primary", 0.0),
-    attack_scenario(COALITION_ATTACK, 0.2),
+    attack_point("silent-primary", 0.0),
+    attack_point("equivocating-primary", 0.0),
+    attack_point(COALITION_ATTACK, 0.2),
     churn_scenario(),
 ]
 

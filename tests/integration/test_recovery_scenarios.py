@@ -194,6 +194,9 @@ class TestDeterminism:
             assert one.recovery == two.recovery
             assert one.storage == two.storage
             assert one.chain_heights == two.chain_heights
+            assert one.audit == two.audit
+            assert one.safety == two.safety
+            assert one.balance_conserved == two.balance_conserved
 
 
 class TestLateCommitsSurfaced:

@@ -12,11 +12,10 @@ import dataclasses
 
 import pytest
 
-from helpers import attack_scenario
 from repro import FaultModel, WorkloadConfig
 from repro.adversary import Coalition, CoalitionMember, DelayAttacker, VoteWithholder
 from repro.api import DeploymentSpec, FaultSchedule, FormCoalition, Scenario
-from repro.bench.experiments import COALITION_ATTACK, coalition_members
+from repro.bench.experiments import COALITION_ATTACK, attack_point, coalition_members
 from repro.common.types import ClusterId
 from repro.consensus.messages import CrossAcceptB, CrossProposeB, Prepare
 
@@ -90,7 +89,7 @@ class TestCoalitionMechanism:
 class TestCoalitionEndToEnd:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_coalition_passes_the_safety_audit(self, seed):
-        result = attack_scenario(COALITION_ATTACK, 0.2, seed=seed).run()
+        result = attack_point(COALITION_ATTACK, 0.2, seed=seed).run()
         assert result.safety is not None
         problems = (result.audit.problems if result.audit else []) + result.safety.problems
         assert result.ok, problems
@@ -110,7 +109,7 @@ class TestCoalitionEndToEnd:
         assert all(height > 0 for height in result.chain_heights.values())
 
     def test_members_coordinate_across_clusters(self):
-        result = attack_scenario(COALITION_ATTACK, 0.2, seed=1).run()
+        result = attack_point(COALITION_ATTACK, 0.2, seed=1).run()
         (coalition,) = result.system.coalitions
         delayer, withholder = coalition.members
         # The delayer (initiator primary) spotted targets and delayed them;
@@ -119,7 +118,7 @@ class TestCoalitionEndToEnd:
         assert withholder.inner.dropped > 0
 
     def test_no_cross_shard_traffic_means_no_targets(self):
-        result = attack_scenario(COALITION_ATTACK, 0.0, duration=0.3).run()
+        result = attack_point(COALITION_ATTACK, 0.0, duration=0.3).run()
         assert result.ok
         (coalition,) = result.system.coalitions
         assert coalition.targeted == 0
@@ -129,7 +128,7 @@ class TestCoalitionEndToEnd:
     def test_serial_and_pooled_runs_are_bit_identical(self):
         from repro.api import run_scenarios
 
-        base = attack_scenario(COALITION_ATTACK, 0.2, duration=0.3)
+        base = attack_point(COALITION_ATTACK, 0.2, duration=0.3)
         scenarios = [dataclasses.replace(base, seed=seed) for seed in (1, 2)]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=2)
