@@ -20,14 +20,15 @@ makes both halves of that claim testable instead of assumed:
   :class:`DuplicatingClient`, :class:`ForgedSignatureClient`,
   :class:`OwnershipViolatorClient` — the same interceptor mechanism
   attached to client processes
-  (:meth:`repro.core.system.BaseSystem.make_client_byzantine`),
+  (:meth:`repro.api.FaultSchedule.make_client_byzantine`),
   attacking the request path the paper assumes correct.
 * :class:`Coalition` / :class:`CoalitionMember` — colluding adversaries:
   up to ``f`` Byzantine replicas per cluster, in *different* clusters,
   bound to one shared script through a common target set
-  (:meth:`repro.core.system.BaseSystem.form_coalition`).
+  (:meth:`repro.api.FaultSchedule.form_coalition`).
 * :class:`SafetyAuditor` / :class:`SafetyReport` — post-run checks
-  across every correct replica.
+  across every correct replica; a process is Byzantine exactly while an
+  interceptor is attached to it (:attr:`repro.sim.process.Process.byzantine`).
 
 Invariants this package asserts (and the protocol hardening defends),
 regardless of which behaviours are armed, as long as at most ``f``

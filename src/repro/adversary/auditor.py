@@ -16,7 +16,8 @@ paper's safety claims across **every correct replica** after a run:
   correct replica's chain, and replicas agreeing on a height agree on
   the transaction committed there.
 
-Replicas flagged Byzantine (``system.byzantine_nodes``) are excluded:
+Byzantine replicas — those with an adversary interceptor attached
+(:attr:`repro.sim.process.Process.byzantine`) — are excluded:
 the paper makes no promises about *their* state, only that they cannot
 drag correct replicas into inconsistency while at most ``f`` per cluster
 misbehave.
@@ -83,10 +84,12 @@ class SafetyAuditor:
     def audit(self) -> SafetyReport:
         """Run all safety checks and return the bundled report."""
         system = self.system
-        byzantine = {int(pid) for pid in getattr(system, "byzantine_nodes", ())}
-        report = SafetyReport(byzantine_nodes=tuple(sorted(byzantine)))
+        byzantine = tuple(
+            sorted(int(process.pid) for process in system.processes() if process.byzantine)
+        )
+        report = SafetyReport(byzantine_nodes=byzantine)
 
-        groups = self._correct_replicas_by_cluster(byzantine)
+        groups = self._correct_replicas_by_cluster()
         representatives = {}
         for cluster_id in sorted(groups):
             replicas = groups[cluster_id]
@@ -101,7 +104,7 @@ class SafetyAuditor:
     # ------------------------------------------------------------------
     # replica discovery
     # ------------------------------------------------------------------
-    def _correct_replicas_by_cluster(self, byzantine: set[int]) -> dict:
+    def _correct_replicas_by_cluster(self) -> dict:
         """Group the system's correct, chain-bearing replicas by cluster.
 
         Works on any :class:`~repro.core.system.BaseSystem` whose replica
@@ -110,7 +113,7 @@ class SafetyAuditor:
         """
         groups: dict = {}
         for process in self.system.processes():
-            if int(process.pid) in byzantine:
+            if process.byzantine:
                 continue
             chain = getattr(process, "chain", None)
             cluster_id = getattr(process, "cluster_id", None)

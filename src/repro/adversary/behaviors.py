@@ -6,10 +6,11 @@ subclass implementing one classic attack against the paper's protocols
 itself under a short name so schedules, the CLI (``--attack``), and the
 bench sweeps can select it by string — mirroring the system registry::
 
-    from repro.adversary import get_behavior, make_behavior
+    from repro.adversary import make_behavior
+    from repro.api import FaultSchedule
 
     behavior = make_behavior("equivocating-primary", seed=3)
-    system.make_byzantine(node_id=0, behavior=behavior)
+    faults = FaultSchedule().make_byzantine(at=0.05, node=0, behavior=behavior)
 
 Shipped behaviours:
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Type, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, Type, TypeVar
 
 from ..common.crypto import Signature
 from ..common.errors import ConfigurationError, RegistrationError
@@ -95,7 +96,7 @@ __all__ = [
 
 BehaviorT = TypeVar("BehaviorT", bound="type")
 
-#: name -> behaviour class; aliases map to the same class.
+#: name -> behaviour class.
 _BEHAVIORS: dict[str, Type["AdversaryBehavior"]] = {}
 
 #: message types that are quorum votes (withheld / tampered with by the
@@ -117,32 +118,28 @@ def _normalize(name: str) -> str:
     return key
 
 
-def register_behavior(
-    name: str, *, aliases: Iterable[str] = (), replace: bool = False
-) -> Callable[[BehaviorT], BehaviorT]:
+def register_behavior(name: str, *, replace: bool = False) -> Callable[[BehaviorT], BehaviorT]:
     """Class decorator registering an adversary behaviour under ``name``.
 
     Same contract as :func:`repro.api.register_system`: re-registering
     the identical class is a no-op; binding a name to a different class
     raises unless ``replace=True``.
     """
-    keys = [_normalize(name)] + [_normalize(alias) for alias in aliases]
+    key = _normalize(name)
 
     def _same_class(a: type, b: type) -> bool:
         return a is b or (a.__module__, a.__qualname__) == (b.__module__, b.__qualname__)
 
     def decorator(cls: BehaviorT) -> BehaviorT:
-        for key in keys:
-            existing = _BEHAVIORS.get(key)
-            if existing is not None and not _same_class(existing, cls) and not replace:
-                raise RegistrationError(
-                    f"behavior name {key!r} is already registered to "
-                    f"{existing.__module__}.{existing.__qualname__}; "
-                    "pass replace=True to override"
-                )
-        for key in keys:
-            _BEHAVIORS[key] = cls
-        cls.registry_name = keys[0]
+        existing = _BEHAVIORS.get(key)
+        if existing is not None and not _same_class(existing, cls) and not replace:
+            raise RegistrationError(
+                f"behavior name {key!r} is already registered to "
+                f"{existing.__module__}.{existing.__qualname__}; "
+                "pass replace=True to override"
+            )
+        _BEHAVIORS[key] = cls
+        cls.registry_name = key
         return cls
 
     return decorator
@@ -161,7 +158,7 @@ def get_behavior(name: str) -> Type["AdversaryBehavior"]:
 def available_behaviors(
     target: str | None = "replica",
 ) -> dict[str, Type["AdversaryBehavior"]]:
-    """A snapshot of the registry: sorted canonical name -> class.
+    """A snapshot of the registry: sorted name -> class.
 
     ``target`` filters by the surface a behaviour attacks — ``"replica"``
     (the default, preserving the pre-client-adversary contract of
@@ -171,7 +168,7 @@ def available_behaviors(
     return {
         name: cls
         for name, cls in sorted(_BEHAVIORS.items())
-        if cls.registry_name == name and (target is None or cls.target == target)
+        if target is None or cls.target == target
     }
 
 
@@ -200,7 +197,7 @@ class AdversaryBehavior(MessageInterceptor):
     ``(scenario seed, behavior seed)`` pair replays bit-identically.
     """
 
-    #: canonical registry name, set by :func:`register_behavior`.
+    #: registry name, set by :func:`register_behavior`.
     registry_name = ""
     #: which surface the behaviour attacks: ``"replica"`` behaviours
     #: attach to consensus nodes, ``"client"`` behaviours (see
@@ -232,7 +229,7 @@ class AdversaryBehavior(MessageInterceptor):
         return self.registry_name or type(self).__name__
 
 
-@register_behavior("silent-primary", aliases=("silent", "fail-silent"))
+@register_behavior("silent-primary")
 class SilentPrimary(AdversaryBehavior):
     """Drop every outbound message: a live node the network never hears.
 
@@ -245,7 +242,7 @@ class SilentPrimary(AdversaryBehavior):
         return self.drop()
 
 
-@register_behavior("selective-silence", aliases=("mute-peers",))
+@register_behavior("selective-silence")
 class SelectiveSilence(AdversaryBehavior):
     """Mute traffic toward a chosen subset of peers only.
 
@@ -281,7 +278,7 @@ class SelectiveSilence(AdversaryBehavior):
         return self.pass_through()
 
 
-@register_behavior("delay-attacker", aliases=("delayer",))
+@register_behavior("delay-attacker")
 class DelayAttacker(AdversaryBehavior):
     """Hold every outbound message just under the view-change timeout.
 
@@ -315,7 +312,7 @@ class DelayAttacker(AdversaryBehavior):
         return self.emit(Outbound(dst=dst, message=message, extra_delay=self.delay or 0.0))
 
 
-@register_behavior("vote-withholder", aliases=("withholder",))
+@register_behavior("vote-withholder")
 class VoteWithholder(AdversaryBehavior):
     """Suppress quorum votes while behaving correctly otherwise.
 
@@ -333,7 +330,7 @@ class VoteWithholder(AdversaryBehavior):
         return self.pass_through()
 
 
-@register_behavior("tampered-digest", aliases=("tamperer",))
+@register_behavior("tampered-digest")
 class TamperedDigest(AdversaryBehavior):
     """Corrupt the digest carried by this node's quorum votes.
 
@@ -354,7 +351,7 @@ class TamperedDigest(AdversaryBehavior):
         return self.emit(Outbound(dst=dst, message=dataclass_replace(message, digest=forged)))
 
 
-@register_behavior("quorum-aware-equivocator", aliases=("adaptive-equivocator",))
+@register_behavior("quorum-aware-equivocator")
 class QuorumAwareEquivocator(AdversaryBehavior):
     """Equivocate a quorum vote only when the quorum is one vote short.
 
@@ -429,7 +426,7 @@ class QuorumAwareEquivocator(AdversaryBehavior):
         return self.emit(Outbound(dst=dst, message=dataclass_replace(message, digest=forged)))
 
 
-@register_behavior("equivocating-primary", aliases=("equivocator",))
+@register_behavior("equivocating-primary")
 class EquivocatingPrimary(AdversaryBehavior):
     """Send conflicting pre-prepares to two disjoint halves of the backups.
 
@@ -478,7 +475,7 @@ class EquivocatingPrimary(AdversaryBehavior):
         return self.pass_through()
 
 
-@register_behavior("forged-view", aliases=("view-inflator",))
+@register_behavior("forged-view")
 class ForgedViewAttacker(AdversaryBehavior):
     """Inflate view numbers to self-elect — the forged-view attack.
 
@@ -581,7 +578,7 @@ class ForgedViewAttacker(AdversaryBehavior):
         return self.emit(*actions)
 
 
-@register_behavior("mute-during-view-change", aliases=("vc-mute",))
+@register_behavior("mute-during-view-change")
 class MuteDuringViewChange(AdversaryBehavior):
     """Go silent exactly while a view change is in flight.
 
@@ -615,7 +612,7 @@ class MuteDuringViewChange(AdversaryBehavior):
         return self.pass_through()
 
 
-@register_behavior("checkpoint-suppressor", aliases=("gc-staller",))
+@register_behavior("checkpoint-suppressor")
 class CheckpointSuppressor(AdversaryBehavior):
     """Drop outbound checkpoint messages to stall garbage collection.
 

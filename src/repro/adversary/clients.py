@@ -5,7 +5,7 @@ consensus from inside a cluster; the behaviours here attack it from the
 outside, through the client request path the paper assumes to be
 correct.  They are the same mechanism — clients are simulated processes,
 so a :class:`~repro.adversary.interceptor.MessageInterceptor` attached
-with :meth:`repro.core.system.BaseSystem.make_client_byzantine` filters
+by :meth:`repro.api.FaultSchedule.make_client_byzantine` filters
 their outbound traffic exactly like a replica's — but they target the
 invariants the replica-side :class:`~repro.core.guard.RequestGuard`
 defends:
@@ -61,7 +61,7 @@ class ClientBehavior(AdversaryBehavior):
         return getattr(workload, "mapper", None)
 
 
-@register_behavior("duplicating-client", aliases=("duplicate-client", "replaying-client"))
+@register_behavior("duplicating-client")
 class DuplicatingClient(ClientBehavior):
     """Duplicate and replay requests to attack at-most-once execution.
 
@@ -99,7 +99,7 @@ class DuplicatingClient(ClientBehavior):
         return self.emit(*actions)
 
 
-@register_behavior("forged-signature-client", aliases=("forging-client",))
+@register_behavior("forged-signature-client")
 class ForgedSignatureClient(ClientBehavior):
     """Pair every request with a forged-signature impersonation attempt.
 
@@ -140,7 +140,7 @@ class ForgedSignatureClient(ClientBehavior):
         )
 
 
-@register_behavior("ownership-violator-client", aliases=("thief-client",))
+@register_behavior("ownership-violator-client")
 class OwnershipViolatorClient(ClientBehavior):
     """Submit transfers from accounts the client does not own.
 

@@ -24,8 +24,8 @@ passing.
 Members *wrap* registry behaviours (`Coalition.member("delay-attacker")`
 resolves through :func:`~repro.adversary.behaviors.make_behavior`), so
 any registered replica behaviour can join a coalition.  Coalitions are
-formed at fault-event time (:meth:`repro.api.FaultSchedule.form_coalition`
-→ :meth:`repro.core.system.BaseSystem.form_coalition`), which keeps
+formed when their :class:`~repro.api.faults.FormCoalition` event applies
+(:meth:`repro.api.FaultSchedule.form_coalition`), which keeps
 schedules picklable and lets pool workers build private instances —
 per-seed results stay bit-identical between serial and pooled runs.
 """
@@ -84,11 +84,6 @@ class Coalition:
             self.targets.add(digest)
             self.targeted += 1
 
-    def describe(self) -> str:
-        """One-line account used by fault-event and CLI logging."""
-        inner = "+".join(member.inner.describe() for member in self.members) or "empty"
-        return f"coalition[{inner}]"
-
 
 class CoalitionMember(AdversaryBehavior):
     """One replica's seat in a coalition: an inner behaviour, target-gated.
@@ -118,9 +113,6 @@ class CoalitionMember(AdversaryBehavior):
     def detach(self) -> None:
         self.inner.detach()
         super().detach()
-
-    def describe(self) -> str:
-        return f"coalition-member[{self.inner.describe()}]"
 
     # ------------------------------------------------------------------
     # the hook

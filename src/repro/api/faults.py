@@ -2,8 +2,8 @@
 
 The paper's availability experiments crash primaries and backups at
 chosen points of a run.  Instead of interleaving ``sim.run`` calls with
-ad-hoc ``crash_node()`` calls, a :class:`FaultSchedule` declares *what
-happens when* up front::
+ad-hoc crash calls, a :class:`FaultSchedule` declares *what happens
+when* up front::
 
     faults = (
         FaultSchedule()
@@ -16,28 +16,32 @@ happens when* up front::
         .restore(at=0.20, node=4)
     )
 
-and :meth:`FaultSchedule.arm` turns every event into a simulator event,
-so a single ``sim.run`` drives the whole scenario.  Events operate on
-the :class:`~repro.core.system.BaseSystem` fault-injection surface
-(``crash_node``/``recover_node``/``crash_primary``/``make_byzantine``)
-and the network's partition primitives, so they work against every
-registered system — and adversaries (:mod:`repro.adversary`) compose
-with crashes and partitions in the same declarative schedule.
+A schedule is a value: frozen, hashable, equal to any schedule with the
+same events, and each builder method returns a new one.
+:meth:`FaultSchedule.arm` binds every event to a system — a node,
+cluster primary, or client the system lacks fails at time zero — and
+schedules the bound actions, so one ``sim.run`` drives the scenario.
+Each event injects itself: it crashes or recovers a process, partitions
+the network, or attaches / detaches an adversary interceptor
+(:mod:`repro.adversary`), the one record of which processes are
+Byzantine.  A behaviour aimed at the wrong kind of process, or an
+unknown behaviour name, is refused when the event is built.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-from weakref import WeakSet
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from ..adversary import AdversaryBehavior, Coalition, get_behavior, make_behavior
 from ..common.errors import ConfigurationError
 from ..common.types import ClusterId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..adversary import AdversaryBehavior
     from ..core.system import BaseSystem
+    from ..sim.process import Process
 
 __all__ = [
     "CrashNode",
@@ -55,9 +59,46 @@ __all__ = [
 ]
 
 
+def _process(system: "BaseSystem", pid: int, clients: bool = False) -> "Process":
+    """The replica (or, with ``clients``, replica or client) process ``pid``."""
+    for process in system.processes() + (system.clients if clients else []):
+        if int(process.pid) == pid:
+            return process
+    kind = "replica or client" if clients else "replica"
+    raise ConfigurationError(f"no {kind} process with id {pid}")
+
+
+def _primary(system: "BaseSystem", cluster: int) -> "Process":
+    """The initial (view-0) primary of ``cluster``."""
+    return _process(system, int(system.config.cluster(ClusterId(cluster)).primary))
+
+
+def _check_target(behavior: "str | AdversaryBehavior", target: str) -> None:
+    """Refuse an unknown behaviour, or one that attacks another kind of process."""
+    cls = behavior if isinstance(behavior, AdversaryBehavior) else get_behavior(behavior)
+    if cls.target != target:
+        raise ConfigurationError(
+            f"behavior {_label(behavior)!r} has target {cls.target!r}, not {target!r}"
+        )
+
+
+def _label(behavior: "str | AdversaryBehavior") -> str:
+    return behavior if isinstance(behavior, str) else behavior.describe()
+
+
+def _attach(
+    system: "BaseSystem", process: "Process", behavior: "str | AdversaryBehavior", seed: int
+) -> None:
+    # A private copy: a schedule (and any behaviour instance in it) is shared
+    # by scenario variations and pool pickles, so one run's adversary state
+    # (RNG draws, forks, counters) must not leak into the next.
+    process.set_interceptor(copy.deepcopy(make_behavior(behavior, seed=seed)))
+    system.arm_request_guards()
+
+
 @dataclass(frozen=True)
 class FaultEvent:
-    """A single timed fault; ``apply`` runs at simulated time ``time``."""
+    """A single timed fault, injected at simulated time ``time``."""
 
     time: float
 
@@ -65,7 +106,13 @@ class FaultEvent:
         if self.time < 0:
             raise ConfigurationError(f"fault events need a non-negative time, got {self.time}")
 
-    def apply(self, system: "BaseSystem") -> None:
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        """Resolve this event's target in ``system``; return the action injecting the fault.
+
+        :meth:`FaultSchedule.arm` binds every event before the run starts
+        and runs each action at its event's ``time``.  A target ``system``
+        lacks raises :class:`ConfigurationError`.
+        """
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -78,8 +125,8 @@ class CrashNode(FaultEvent):
 
     node_id: int = 0
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.crash_node(self.node_id)
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        return _process(system, self.node_id).crash
 
     def describe(self) -> str:
         return f"crash node {self.node_id} @ t={self.time:.3f}s"
@@ -95,8 +142,8 @@ class CrashPrimary(FaultEvent):
 
     cluster: int = 0
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.crash_primary(ClusterId(self.cluster))
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        return _primary(system, self.cluster).crash
 
     def describe(self) -> str:
         return f"crash primary of cluster p{self.cluster} @ t={self.time:.3f}s"
@@ -104,12 +151,16 @@ class CrashPrimary(FaultEvent):
 
 @dataclass(frozen=True)
 class RecoverNode(FaultEvent):
-    """Restart a previously crashed replica (state retained, Section 2.1)."""
+    """Restart a previously crashed replica (state retained, Section 2.1).
+
+    SharPer replicas then fetch, by state transfer (:mod:`repro.recovery`),
+    the slots their cluster decided while they were down.
+    """
 
     node_id: int = 0
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.recover_node(self.node_id)
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        return _process(system, self.node_id).recover
 
     def describe(self) -> str:
         return f"recover node {self.node_id} @ t={self.time:.3f}s"
@@ -127,15 +178,16 @@ class PartitionClusters(FaultEvent):
 
     groups: tuple[tuple[int, ...], ...] = ()
 
-    def apply(self, system: "BaseSystem") -> None:
-        pid_groups = []
-        for group in self.groups:
-            pids = []
-            for cluster in group:
-                cluster_config = system.config.cluster(ClusterId(cluster))
-                pids.extend(int(node) for node in cluster_config.node_ids)
-            pid_groups.append(pids)
-        system.network.partition(pid_groups)
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        pid_groups = [
+            [
+                int(node)
+                for cluster in group
+                for node in system.config.cluster(ClusterId(cluster)).node_ids
+            ]
+            for group in self.groups
+        ]
+        return partial(system.network.partition, pid_groups)
 
     def describe(self) -> str:
         rendered = " | ".join(
@@ -148,8 +200,8 @@ class PartitionClusters(FaultEvent):
 class Heal(FaultEvent):
     """Remove every partition and severed link."""
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.network.heal()
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        return system.network.heal
 
     def describe(self) -> str:
         return f"heal network @ t={self.time:.3f}s"
@@ -157,7 +209,7 @@ class Heal(FaultEvent):
 
 @dataclass(frozen=True)
 class MakeByzantine(FaultEvent):
-    """Attach an adversary behaviour to one replica (it keeps running).
+    """Attach a replica adversary behaviour to one replica (it keeps running).
 
     ``behavior`` is a :mod:`repro.adversary` registry name or a ready
     :class:`~repro.adversary.AdversaryBehavior` instance.
@@ -170,40 +222,50 @@ class MakeByzantine(FaultEvent):
     node_id: int = 0
     behavior: "str | AdversaryBehavior" = "silent-primary"
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.make_byzantine(self.node_id, self.behavior)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_target(self.behavior, "replica")
+
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        process = _process(system, self.node_id)
+        return partial(_attach, system, process, self.behavior, system.seed + self.node_id)
 
     def describe(self) -> str:
-        label = self.behavior if isinstance(self.behavior, str) else self.behavior.describe()
-        return f"make node {self.node_id} byzantine ({label}) @ t={self.time:.3f}s"
+        return f"make node {self.node_id} byzantine ({_label(self.behavior)}) @ t={self.time:.3f}s"
 
 
 @dataclass(frozen=True)
 class MakePrimaryByzantine(FaultEvent):
-    """Attach an adversary behaviour to the initial primary of a cluster."""
+    """Attach a replica adversary behaviour to the initial primary of a cluster."""
 
     adversarial = True
 
     cluster: int = 0
     behavior: "str | AdversaryBehavior" = "silent-primary"
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.make_primary_byzantine(ClusterId(self.cluster), self.behavior)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_target(self.behavior, "replica")
+
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        primary = _primary(system, self.cluster)
+        return partial(_attach, system, primary, self.behavior, system.seed + int(primary.pid))
 
     def describe(self) -> str:
-        label = self.behavior if isinstance(self.behavior, str) else self.behavior.describe()
-        return f"make primary of cluster p{self.cluster} byzantine ({label}) @ t={self.time:.3f}s"
+        return (
+            f"make primary of cluster p{self.cluster} byzantine "
+            f"({_label(self.behavior)}) @ t={self.time:.3f}s"
+        )
 
 
 @dataclass(frozen=True)
 class MakeClientByzantine(FaultEvent):
     """Attach a *client* adversary behaviour to one spawned client.
 
-    ``client`` indexes the system's clients in spawn order; ``behavior``
-    is a client-target registry name (``duplicating-client``,
-    ``forged-signature-client``, ``ownership-violator-client``, …) or a
-    ready instance.  Arming any adversary also arms the replica-side
-    request guards (:meth:`repro.core.system.BaseSystem.arm_request_guards`).
+    ``client`` indexes the system's clients in spawn order.  Every
+    replica's request guard is armed in the same simulator event, so the
+    client's forged, duplicated, or stolen traffic is screened from its
+    very first message.
     """
 
     adversarial = True
@@ -211,23 +273,32 @@ class MakeClientByzantine(FaultEvent):
     client: int = 0
     behavior: "str | AdversaryBehavior" = "duplicating-client"
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.make_client_byzantine(self.client, self.behavior)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_target(self.behavior, "client")
+
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        if not 0 <= self.client < len(system.clients):
+            raise ConfigurationError(
+                f"no spawned client with index {self.client} "
+                f"({len(system.clients)} clients exist)"
+            )
+        seed = system.seed + 733 * (self.client + 1)
+        return partial(_attach, system, system.clients[self.client], self.behavior, seed)
 
     def describe(self) -> str:
-        label = self.behavior if isinstance(self.behavior, str) else self.behavior.describe()
-        return f"make client {self.client} byzantine ({label}) @ t={self.time:.3f}s"
+        return f"make client {self.client} byzantine ({_label(self.behavior)}) @ t={self.time:.3f}s"
 
 
 @dataclass(frozen=True)
 class FormCoalition(FaultEvent):
     """Bind Byzantine replicas in different clusters to one shared script.
 
-    ``members`` maps node ids to the behaviour each coalition member
-    gates on the shared target set (see
+    ``members`` maps node ids to the replica behaviour each coalition
+    member gates on the shared target set (see
     :class:`repro.adversary.Coalition`).  The coalition object itself is
-    built at apply time, so schedules stay picklable and worker pools
-    construct private instances.
+    built when the event fires, so schedules stay picklable and each run
+    gets a private instance.
     """
 
     adversarial = True
@@ -235,8 +306,21 @@ class FormCoalition(FaultEvent):
     members: tuple[tuple[int, str], ...] = ()
     seed: int = 0
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.form_coalition(dict(self.members), seed=self.seed)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for _, behavior in self.members:
+            _check_target(behavior, "replica")
+
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        members = [(_process(system, node), behavior) for node, behavior in sorted(self.members)]
+
+        def form() -> None:
+            coalition = Coalition(seed=system.seed + 104729 * (self.seed + 1))
+            for process, behavior in members:
+                process.set_interceptor(coalition.member(behavior))
+            system.arm_request_guards()
+
+        return form
 
     def describe(self) -> str:
         rendered = ", ".join(f"{node}:{behavior}" for node, behavior in self.members)
@@ -245,45 +329,40 @@ class FormCoalition(FaultEvent):
 
 @dataclass(frozen=True)
 class RestoreNode(FaultEvent):
-    """Restore a Byzantine replica to correct behaviour (detach adversary)."""
+    """Restore a Byzantine replica or client to correct behaviour (detach adversary)."""
 
     node_id: int = 0
 
-    def apply(self, system: "BaseSystem") -> None:
-        system.restore_node(self.node_id)
+    def bind(self, system: "BaseSystem") -> Callable[[], None]:
+        return partial(_process(system, self.node_id, clients=True).set_interceptor, None)
 
     def describe(self) -> str:
         return f"restore node {self.node_id} @ t={self.time:.3f}s"
 
 
+@dataclass(frozen=True, repr=False)
 class FaultSchedule:
-    """An ordered collection of :class:`FaultEvent` with a fluent builder.
+    """An immutable, time-ordered tuple of :class:`FaultEvent` with a fluent builder.
 
-    Schedules are append-only; every builder method returns ``self`` so
-    calls chain.  :meth:`arm` registers the events with a system's
-    simulator — after that, a plain ``sim.run`` executes them in time
-    order alongside the protocol traffic.
+    Every builder method returns a new schedule, so calls chain and a
+    schedule shared by two scenarios never changes under either.
+    :meth:`arm` registers the events with a system's simulator — after
+    that, a plain ``sim.run`` executes them in time order alongside the
+    protocol traffic.
     """
 
-    def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
-        self._events: list[FaultEvent] = sorted(events, key=lambda event: event.time)
-        #: systems this schedule was already armed on (arm guard); weak
-        #: references, so a collected system never blocks a new one that
-        #: happens to reuse its memory address.
-        self._armed_on: "WeakSet[BaseSystem]" = WeakSet()
+    events: tuple[FaultEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        # A stable sort: events at the same time keep the order they were added in.
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.time)))
 
     # ------------------------------------------------------------------
     # builder surface
     # ------------------------------------------------------------------
     def add(self, event: FaultEvent) -> "FaultSchedule":
-        """Insert one event, keeping the list sorted by time.
-
-        Uses a binary insertion (``bisect.insort``) instead of re-sorting
-        the whole list on every append; ties keep insertion order, which
-        ``list.sort`` (stable) also guaranteed.
-        """
-        insort(self._events, event, key=lambda item: item.time)
-        return self
+        """This schedule plus ``event``."""
+        return FaultSchedule((*self.events, event))
 
     def crash_node(self, at: float, node_id: int) -> "FaultSchedule":
         """Crash replica ``node_id`` at simulated time ``at``."""
@@ -309,13 +388,13 @@ class FaultSchedule:
     def make_byzantine(
         self, at: float, node: int, behavior: "str | AdversaryBehavior" = "silent-primary"
     ) -> "FaultSchedule":
-        """Attach an adversary behaviour to replica ``node`` at time ``at``."""
+        """Attach a replica adversary behaviour to replica ``node`` at time ``at``."""
         return self.add(MakeByzantine(time=at, node_id=node, behavior=behavior))
 
     def make_primary_byzantine(
         self, at: float, cluster: int, behavior: "str | AdversaryBehavior" = "silent-primary"
     ) -> "FaultSchedule":
-        """Attach an adversary behaviour to ``cluster``'s initial primary."""
+        """Attach a replica adversary behaviour to ``cluster``'s initial primary."""
         return self.add(MakePrimaryByzantine(time=at, cluster=cluster, behavior=behavior))
 
     def make_client_byzantine(
@@ -333,56 +412,37 @@ class FaultSchedule:
         return self.add(FormCoalition(time=at, members=frozen, seed=seed))
 
     def restore(self, at: float, node: int) -> "FaultSchedule":
-        """Restore Byzantine replica ``node`` to correct behaviour at ``at``."""
+        """Restore Byzantine replica or client ``node`` to correct behaviour at ``at``."""
         return self.add(RestoreNode(time=at, node_id=node))
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def arm(self, system: "BaseSystem") -> None:
-        """Schedule every event on ``system``'s simulator.
+        """Resolve every event against ``system``, then schedule its action.
 
-        Arming is idempotent per system: arming the same schedule twice
-        on one system is a no-op (double-arming would apply every fault
-        twice — crash/heal pairs would still work, but adversary and
-        partition events would misbehave).  Arming on a *different*
-        system schedules normally, so one schedule can drive several
-        deployments.
+        A node, cluster, or client the system lacks raises
+        :class:`ConfigurationError` here, at time zero; each action still
+        runs at its event's time.  Arming an equal schedule twice on one
+        system is a no-op (double-arming would apply every fault twice):
+        ``system.armed_faults`` records what is armed, by value.
         """
-        if system in self._armed_on:
+        if self in system.armed_faults:
             return
-        self._armed_on.add(system)
-        for event in self._events:
-            system.sim.schedule_at(event.time, event.apply, system)
-
-    # ------------------------------------------------------------------
-    # pickling (schedules ride inside scenarios shipped to --jobs workers;
-    # the arm guard is per-process runtime state and does not travel)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return {"_events": self._events}
-
-    def __setstate__(self, state: dict) -> None:
-        self._events = state["_events"]
-        self._armed_on = WeakSet()
+        actions = [(event.time, event.bind(system)) for event in self.events]
+        system.armed_faults.add(self)
+        for time, action in actions:
+            system.sim.schedule_at(time, action)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def events(self) -> tuple[FaultEvent, ...]:
-        """The schedule's events in time order."""
-        return tuple(self._events)
-
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.events)
 
     def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self._events)
-
-    def __bool__(self) -> bool:
-        return bool(self._events)
+        return iter(self.events)
 
     def __repr__(self) -> str:
-        inner = "; ".join(event.describe() for event in self._events) or "empty"
+        inner = "; ".join(event.describe() for event in self.events) or "empty"
         return f"FaultSchedule({inner})"

@@ -5,7 +5,7 @@ Every evaluated system registers itself with :func:`register_system`::
     from repro.api import register_system
     from repro.core.system import BaseSystem
 
-    @register_system("mysystem", aliases=("my",))
+    @register_system("mysystem")
     class MySystem(BaseSystem):
         ...
 
@@ -18,7 +18,7 @@ bare ``get_system("sharper")`` works without any prior import.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Type, TypeVar
+from typing import TYPE_CHECKING, Callable, Type, TypeVar
 
 from ..common.errors import RegistrationError, UnknownSystemError
 
@@ -34,7 +34,7 @@ __all__ = [
 
 SystemT = TypeVar("SystemT", bound="type")
 
-#: name -> system class; aliases map to the same class as the canonical name.
+#: name -> system class.
 _REGISTRY: dict[str, Type["BaseSystem"]] = {}
 _builtins_loaded = False
 
@@ -57,17 +57,15 @@ def _ensure_builtins() -> None:
     _builtins_loaded = True
 
 
-def register_system(
-    name: str, *, aliases: Iterable[str] = (), replace: bool = False
-) -> Callable[[SystemT], SystemT]:
-    """Class decorator registering a system under ``name`` (plus aliases).
+def register_system(name: str, *, replace: bool = False) -> Callable[[SystemT], SystemT]:
+    """Class decorator registering a system under ``name``.
 
     Re-registering the *same* class under the same name is a no-op, so
     module reloads stay harmless; binding a name to a *different* class
     raises :class:`~repro.common.errors.RegistrationError` unless
     ``replace=True`` is passed explicitly.
     """
-    keys = [_normalize(name)] + [_normalize(alias) for alias in aliases]
+    key = _normalize(name)
 
     def _same_class(a: type, b: type) -> bool:
         # A module reload re-executes the class statement, producing a new
@@ -75,19 +73,15 @@ def register_system(
         return a is b or (a.__module__, a.__qualname__) == (b.__module__, b.__qualname__)
 
     def decorator(cls: SystemT) -> SystemT:
-        # Validate every key before touching the registry, so a conflict
-        # on an alias does not leave a half-registered system behind.
-        for key in keys:
-            existing = _REGISTRY.get(key)
-            if existing is not None and not _same_class(existing, cls) and not replace:
-                raise RegistrationError(
-                    f"system name {key!r} is already registered to "
-                    f"{existing.__module__}.{existing.__qualname__}; "
-                    "pass replace=True to override"
-                )
-        for key in keys:
-            _REGISTRY[key] = cls
-        cls.registry_name = keys[0]
+        existing = _REGISTRY.get(key)
+        if existing is not None and not _same_class(existing, cls) and not replace:
+            raise RegistrationError(
+                f"system name {key!r} is already registered to "
+                f"{existing.__module__}.{existing.__qualname__}; "
+                "pass replace=True to override"
+            )
+        _REGISTRY[key] = cls
+        cls.registry_name = key
         return cls
 
     return decorator
@@ -111,8 +105,5 @@ def available_systems() -> dict[str, Type["BaseSystem"]]:
 
 
 def unregister_system(name: str) -> None:
-    """Remove a system and every alias it was registered under."""
-    removed = _REGISTRY.pop(_normalize(name), None)
-    if removed is not None:
-        for key in [key for key, cls in _REGISTRY.items() if cls is removed]:
-            del _REGISTRY[key]
+    """Remove a system from the registry (a no-op for an unknown name)."""
+    _REGISTRY.pop(_normalize(name), None)

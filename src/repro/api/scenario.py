@@ -19,8 +19,10 @@ audit) that examples and benchmarks used to hand-wire::
     result = scenario.run()
     print(result.summary())
 
-Scenarios are frozen dataclasses, so variations (client sweeps, fault
-ablations) are cheap ``dataclasses.replace`` copies — see
+Scenarios are values — frozen dataclasses whose every field, the fault
+schedule included, is immutable — so equal scenarios compare and hash
+equal, and variations (client sweeps, fault ablations) are cheap
+``dataclasses.replace`` copies — see
 :meth:`Scenario.with_clients` and :func:`repro.bench.harness.run_curve`,
 which sweeps one scenario over client counts.
 """
@@ -145,7 +147,7 @@ class Scenario:
     retry_timeout: float = 2.0
     seed: int = 1
     #: timed faults injected during the run.
-    faults: FaultSchedule = field(default_factory=FaultSchedule)
+    faults: FaultSchedule = FaultSchedule()
     #: drain, audit, and check balance conservation after measuring.
     verify: bool = True
     #: run the cross-replica :class:`~repro.adversary.SafetyAuditor`

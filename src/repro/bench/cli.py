@@ -233,15 +233,15 @@ def _deployment(args: argparse.Namespace) -> DeploymentSpec:
 
 def _run_scenario(args: argparse.Namespace) -> int:
     faults = FaultSchedule()
-    if args.crash_primary_at is not None:
-        faults.crash_primary(at=args.crash_primary_at, cluster=args.crash_cluster)
-    if args.crash_node_at is not None:
-        faults.crash_node(at=args.crash_node_at, node_id=args.crash_node)
-    if args.recover_node_at is not None:
-        faults.recover_node(at=args.recover_node_at, node_id=args.crash_node)
     try:
+        if args.crash_primary_at is not None:
+            faults = faults.crash_primary(at=args.crash_primary_at, cluster=args.crash_cluster)
+        if args.crash_node_at is not None:
+            faults = faults.crash_node(at=args.crash_node_at, node_id=args.crash_node)
+        if args.recover_node_at is not None:
+            faults = faults.recover_node(at=args.recover_node_at, node_id=args.crash_node)
         if args.attack is not None:
-            schedule_attack(
+            faults = schedule_attack(
                 faults,
                 args.attack,
                 at=args.attack_at,

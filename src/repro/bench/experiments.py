@@ -242,7 +242,7 @@ def schedule_attack(
     byzantine: bool = True,
     cluster: int = 0,
 ) -> FaultSchedule:
-    """Add the attack ``name`` to ``faults``, shaped for its target.
+    """``faults`` plus the attack ``name``, shaped for its target.
 
     * :data:`COALITION_ATTACK` forms the default colluding pair (see
       :func:`coalition_members`): cross-shard transactions are delayed at
@@ -254,8 +254,7 @@ def schedule_attack(
       Byzantine — one adversary per cluster, the paper's ``f = 1``.
 
     Every shape arms the cross-replica safety audit of the scenario that
-    runs it (the schedule then contains an adversary event).  Returns
-    ``faults`` for chaining.
+    runs it (the schedule then contains an adversary event).
     """
     if name == COALITION_ATTACK:
         return faults.form_coalition(

@@ -10,19 +10,11 @@ cross-shard protocol.  The baselines in :mod:`repro.baselines` subclass
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
-from ..adversary import (
-    AdversaryBehavior,
-    Coalition,
-    SafetyAuditor,
-    SafetyReport,
-    make_behavior,
-)
+from ..adversary import SafetyAuditor, SafetyReport
 from ..api.registry import register_system
 from ..common.config import SystemConfig
-from ..common.errors import ConfigurationError
 from ..common.metrics import MetricsCollector
 from ..common.types import AccountId, ClientId, ClusterId, FaultModel
 from ..ledger.validation import AuditReport, audit_views
@@ -39,6 +31,9 @@ from ..txn.workload import WorkloadConfig, WorkloadGenerator
 from . import sharding
 from .client import CLIENT_PID_BASE, ClosedLoopClient
 from .replica import SharPerReplica
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ..api.faults import FaultSchedule
 
 __all__ = ["BaseSystem", "SharPerSystem"]
 
@@ -92,15 +87,9 @@ class BaseSystem:
                 }
             )
         self.clients: list[ClosedLoopClient] = []
-        #: process ids currently running an adversary behaviour; the
-        #: safety auditor excludes these from its cross-replica checks.
-        self.byzantine_nodes: set[int] = set()
-        #: client process ids currently running a *client* behaviour
-        #: (clients hold no chain, so the auditor needs no exclusion —
-        #: the set exists for introspection and restore bookkeeping).
-        self.byzantine_clients: set[int] = set()
-        #: coalitions formed during the run (shared cross-cluster scripts).
-        self.coalitions: list[Coalition] = []
+        #: fault schedules armed on this system, so arming one twice is a
+        #: no-op (:meth:`repro.api.FaultSchedule.arm`).
+        self.armed_faults: set[FaultSchedule] = set()
         #: armed flight recorder (:mod:`repro.obs`); ``None`` when tracing
         #: is off, which keeps every hook at a single ``is None`` check.
         self.recorder = None
@@ -219,134 +208,8 @@ class BaseSystem:
         return self.sim.run(until=self.sim.now + grace)
 
     # ------------------------------------------------------------------
-    # fault injection (used directly and by repro.api.FaultSchedule)
+    # lazily armed hooks (fault events and the flight recorder call these)
     # ------------------------------------------------------------------
-    def _process_by_pid(self, node_id: int) -> Process:
-        for process in self.processes():
-            if int(process.pid) == int(node_id):
-                return process
-        raise ConfigurationError(f"no replica process with id {node_id}")
-
-    def crash_node(self, node_id: int) -> None:
-        """Crash a replica."""
-        self._process_by_pid(node_id).crash()
-
-    def recover_node(self, node_id: int) -> None:
-        """Restart a crashed replica (state retained, as in Section 2.1).
-
-        SharPer replicas additionally run a state-transfer round on
-        recovery (:mod:`repro.recovery`): slots decided — and possibly
-        garbage-collected — while the node was down are fetched from its
-        cluster peers, so the node catches up and rejoins consensus
-        instead of staying alive-but-deaf behind an apply gap.
-        """
-        self._process_by_pid(node_id).recover()
-
-    def crash_primary(self, cluster_id: ClusterId) -> None:
-        """Crash the (initial) primary of a cluster."""
-        self.crash_node(int(self.config.cluster(cluster_id).primary))
-
-    def make_byzantine(
-        self, node_id: int, behavior: "str | AdversaryBehavior" = "silent-primary"
-    ) -> AdversaryBehavior:
-        """Turn a replica Byzantine by attaching an adversary behaviour.
-
-        ``behavior`` is a registry name (see
-        :func:`repro.adversary.available_behaviors`) or a ready-made
-        :class:`~repro.adversary.AdversaryBehavior` instance.  The node
-        keeps running — unlike a crash it still receives, executes, and
-        proposes — but its outbound traffic is filtered by the behaviour.
-        Returns the attached instance for introspection.
-
-        A passed-in instance is deep-copied before attaching: fault
-        schedules (and the behaviours inside them) are shared across
-        scenario variations and worker-pool pickles, so attaching a
-        private copy keeps one run's adversary state (RNG draws,
-        equivocation forks, counters) from leaking into the next —
-        per-seed results stay bit-identical between serial and pooled
-        execution.
-        """
-        process = self._process_by_pid(node_id)
-        instance = copy.deepcopy(make_behavior(behavior, seed=self.seed + int(node_id)))
-        process.byzantine = True
-        process.set_interceptor(instance)
-        self.byzantine_nodes.add(int(node_id))
-        self.arm_request_guards()
-        return instance
-
-    def make_primary_byzantine(
-        self, cluster_id: ClusterId, behavior: "str | AdversaryBehavior" = "silent-primary"
-    ) -> AdversaryBehavior:
-        """Attach an adversary behaviour to a cluster's initial primary."""
-        return self.make_byzantine(int(self.config.cluster(cluster_id).primary), behavior)
-
-    def make_client_byzantine(
-        self, client_index: int, behavior: "str | AdversaryBehavior" = "duplicating-client"
-    ) -> AdversaryBehavior:
-        """Turn one spawned client Byzantine by attaching a client behaviour.
-
-        ``client_index`` indexes :attr:`clients` in spawn order;
-        ``behavior`` is a registry name (``duplicating-client``,
-        ``forged-signature-client``, ``ownership-violator-client``, …) or
-        a ready instance — the same contract as :meth:`make_byzantine`,
-        including the defensive deep copy.  Every replica's
-        :class:`~repro.core.guard.RequestGuard` is armed in the same
-        simulator event, so the forged/duplicated/stolen traffic the
-        client is about to emit is screened from its very first message.
-        """
-        try:
-            client = self.clients[client_index]
-        except IndexError:
-            raise ConfigurationError(
-                f"no spawned client with index {client_index} "
-                f"({len(self.clients)} clients exist)"
-            ) from None
-        instance = copy.deepcopy(
-            make_behavior(behavior, seed=self.seed + 733 * (client_index + 1))
-        )
-        client.byzantine = True
-        client.set_interceptor(instance)
-        self.byzantine_clients.add(int(client.pid))
-        self.arm_request_guards()
-        return instance
-
-    def form_coalition(
-        self, members: "Mapping[int, str | AdversaryBehavior]", seed: int = 0
-    ) -> Coalition:
-        """Bind Byzantine replicas in different clusters to one shared script.
-
-        ``members`` maps replica node ids to the behaviour each member
-        runs once a shared target is spotted (see
-        :class:`~repro.adversary.Coalition`).  The coalition object — and
-        therefore the target set the members coordinate through — is
-        constructed here, at fault-event time, so schedules stay
-        picklable and pool workers build their own private instance.
-        """
-        coalition = Coalition(seed=self.seed + 104729 * (seed + 1))
-        for node_id, behavior in sorted(members.items()):
-            process = self._process_by_pid(node_id)
-            member = coalition.member(behavior)
-            process.byzantine = True
-            process.set_interceptor(member)
-            self.byzantine_nodes.add(int(node_id))
-        self.coalitions.append(coalition)
-        self.arm_request_guards()
-        return coalition
-
-    def restore_node(self, node_id: int) -> None:
-        """Restore a Byzantine replica or client to correct behaviour."""
-        if int(node_id) in self.byzantine_clients:
-            for client in self.clients:
-                if int(client.pid) == int(node_id):
-                    client.set_interceptor(None)
-                    client.byzantine = False
-            self.byzantine_clients.discard(int(node_id))
-            return
-        process = self._process_by_pid(node_id)
-        process.set_interceptor(None)
-        process.byzantine = False
-        self.byzantine_nodes.discard(int(node_id))
-
     def arm_request_guards(self) -> None:
         """Arm the Byzantine-client request guard on every replica.
 

@@ -36,11 +36,12 @@ the hot path pass the same precomputed tuple every time.
 Fault injection hooks:
 
 * :meth:`Process.crash` / :meth:`Process.recover` — crash-stop behaviour;
-* :attr:`Process.byzantine` — a flag marking the node as adversarial
-  (set by :meth:`repro.core.system.BaseSystem.make_byzantine`);
 * :meth:`Process.set_interceptor` — attach a
   :class:`~repro.adversary.MessageInterceptor` that filters every
-  outbound message per destination (drop, delay, duplicate, rewrite).
+  outbound message per destination (drop, delay, duplicate, rewrite);
+  :attr:`Process.byzantine` reads whether one is attached, the only
+  record of the node being adversarial (the fault events of
+  :mod:`repro.api.faults` attach and detach them).
   With no interceptor attached, ``send``/``multicast`` take exactly the
   pre-existing fast path — one ``is None`` check and no extra RNG draws
   — so faultless runs stay bit-identical.
@@ -82,7 +83,6 @@ class Process:
         self.cost_model = cost_model
         self.name = name or f"proc-{pid}"
         self.crashed = False
-        self.byzantine = False
         #: outbound message filter; None on the (default) faultless path.
         self.interceptor: "MessageInterceptor | None" = None
         #: flight recorder (repro.obs); None on the (default) untraced
@@ -102,6 +102,11 @@ class Process:
         #: message must reach the override — a table that stays empty.
         self._fast_lane = self._dispatch if type(self).on_message is Process.on_message else {}
         network.register(self)
+
+    @property
+    def byzantine(self) -> bool:
+        """Whether an adversary interceptor is attached to this process."""
+        return self.interceptor is not None
 
     @property
     def now(self) -> float:

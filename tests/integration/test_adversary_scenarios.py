@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro import FaultModel, WorkloadConfig
-from repro.adversary import available_behaviors
+from repro.adversary import CoalitionMember, available_behaviors
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.common.metrics import MetricsCollector
 from repro.common.types import ClusterId
@@ -227,10 +227,14 @@ class TestAttackSweepRouting:
                 + result.safety.problems
             )
         # Each name landed on the scenario shape its target needs.
-        assert forged.system.byzantine_nodes == {0}
-        assert duplicating.system.byzantine_clients and not duplicating.system.byzantine_nodes
-        assert coalition.system.byzantine_nodes == {0, 5}
-        assert coalition.system.coalitions
+        assert forged.safety.byzantine_nodes == (0,)
+        assert duplicating.system.clients[0].byzantine
+        assert duplicating.safety.byzantine_nodes == ()
+        assert coalition.safety.byzantine_nodes == (0, 5)
+        assert all(
+            isinstance(coalition.system.replicas[node].interceptor, CoalitionMember)
+            for node in (0, 5)
+        )
 
     def test_default_names_cover_every_registered_target(self):
         from repro.bench.experiments import COALITION_ATTACK, default_attack_names

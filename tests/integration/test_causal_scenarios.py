@@ -174,16 +174,14 @@ class TestSampling:
 
 class TestCrashCut:
     def crashed_run(self):
-        faults = FaultSchedule()
-        faults.crash_node(at=0.3, node_id=1)
+        faults = FaultSchedule().crash_node(at=0.3, node_id=1)
         return traced_scenario(
             trace=SPANS_ONLY, cross_shard_fraction=0.1, faults=faults,
             verify=False,
         ).run()
 
     def test_open_spans_flagged_open_not_misclosed(self, tmp_path):
-        faults = FaultSchedule()
-        faults.crash_primary(at=0.3, cluster=0)
+        faults = FaultSchedule().crash_primary(at=0.3, cluster=0)
         result = traced_scenario(
             trace=SPANS_ONLY, faults=faults, verify=False
         ).run()

@@ -63,12 +63,15 @@ class _GarbleOneRequest(FaultEvent):
     cross_shard: bool = False
     guarded: bool = False
 
-    def apply(self, system) -> None:
-        if self.guarded:
-            system.arm_request_guards()
-        garbler = _Garbler(self.cross_shard)
-        system.clients[0].set_interceptor(garbler)
-        system.garbler = garbler
+    def bind(self, system):
+        def garble() -> None:
+            if self.guarded:
+                system.arm_request_guards()
+            garbler = _Garbler(self.cross_shard)
+            system.clients[0].set_interceptor(garbler)
+            system.garbler = garbler
+
+        return garble
 
 
 def run_with_one_malformed_request(system, fault_model=FaultModel.CRASH, **event):

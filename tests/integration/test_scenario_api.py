@@ -259,7 +259,7 @@ class TestFaultSchedules:
         assert result.stats.committed > 0
         assert result.audit.ok, result.audit.problems
 
-    def test_crash_unknown_node_raises_at_apply_time(self):
+    def test_crash_unknown_node_raises_before_the_run(self):
         scenario = Scenario(
             deployment=DeploymentSpec(system="sharper", num_clusters=2),
             workload=SMALL_WORKLOAD,

@@ -27,7 +27,7 @@ class TestRegistration:
     def test_registered_under_roadmap_name(self):
         behaviors = available_behaviors()
         assert "quorum-aware-equivocator" in behaviors
-        instance = make_behavior("adaptive-equivocator", seed=7)
+        instance = make_behavior("quorum-aware-equivocator", seed=7)
         assert isinstance(instance, QuorumAwareEquivocator)
 
 

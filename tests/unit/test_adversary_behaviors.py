@@ -44,16 +44,16 @@ class TestRegistry:
             "vote-withholder",
         } <= names
 
-    def test_aliases_resolve_to_the_same_class(self):
-        assert get_behavior("equivocator") is get_behavior("equivocating-primary")
-        assert get_behavior("silent") is get_behavior("silent-primary")
-
-    def test_available_lists_canonical_names_only(self):
-        assert "equivocator" not in available_behaviors()
-
     def test_unknown_name_raises_with_choices(self):
         with pytest.raises(ConfigurationError, match="silent-primary"):
             get_behavior("nonsense")
+
+    def test_unknown_name_lists_the_thirteen_registered_names(self):
+        with pytest.raises(ConfigurationError) as raised:
+            get_behavior("equivocator")
+        listed = str(raised.value).split("choose from ", 1)[1]
+        assert listed == str(sorted(available_behaviors(None)))
+        assert len(available_behaviors(None)) == 13
 
     def test_conflicting_registration_raises(self):
         with pytest.raises(RegistrationError):
@@ -228,11 +228,10 @@ class TestAdaptiveMuting:
         assert behavior.outbound(2, "new-view-traffic") is None
         assert behavior.muted_messages == 1
 
-    def test_registered_with_alias(self):
+    def test_registered(self):
         from repro.adversary import MuteDuringViewChange
 
         assert get_behavior("mute-during-view-change") is MuteDuringViewChange
-        assert get_behavior("vc-mute") is MuteDuringViewChange
         assert "mute-during-view-change" in available_behaviors()
 
 
@@ -248,9 +247,8 @@ class TestCheckpointSuppressor:
         assert behavior.outbound(1, Prepare(view=0, slot=1, digest="d", node=0)) is None
         assert behavior.suppressed_checkpoints == 1
 
-    def test_registered_with_alias(self):
+    def test_registered(self):
         from repro.adversary import CheckpointSuppressor
 
         assert get_behavior("checkpoint-suppressor") is CheckpointSuppressor
-        assert get_behavior("gc-staller") is CheckpointSuppressor
         assert "checkpoint-suppressor" in available_behaviors()

@@ -47,21 +47,17 @@ class TestLookupErrors:
 
 class TestPluggability:
     def test_register_and_unregister_a_custom_system(self):
-        @register_system("unit-test-system", aliases=("uts",))
+        @register_system("unit-test-system")
         class CustomSystem(BaseSystem):
             pass
 
         try:
             assert get_system("unit-test-system") is CustomSystem
-            assert get_system("uts") is CustomSystem
             assert CustomSystem.registry_name == "unit-test-system"
         finally:
             unregister_system("unit-test-system")
-        # Unregistering the canonical name removes the aliases too.
         with pytest.raises(UnknownSystemError):
             get_system("unit-test-system")
-        with pytest.raises(UnknownSystemError):
-            get_system("uts")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(RegistrationError):
@@ -70,16 +66,6 @@ class TestPluggability:
             class Impostor(BaseSystem):
                 pass
 
-    def test_alias_conflict_registers_nothing(self):
-        # A conflict on an alias must not leave the canonical name behind.
-        with pytest.raises(RegistrationError):
-
-            @register_system("unit-test-partial", aliases=("sharper",))
-            class Partial(BaseSystem):
-                pass
-
-        with pytest.raises(UnknownSystemError):
-            get_system("unit-test-partial")
         assert get_system("sharper") is SharPerSystem
 
     def test_same_class_reregistration_is_idempotent(self):

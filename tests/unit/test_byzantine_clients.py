@@ -234,8 +234,7 @@ class TestSchedulingSurface:
         result = dataclasses.replace(client_attack("duplicating-client"), faults=faults).run()
         client = result.system.clients[0]
         assert client.interceptor is None
-        assert not client.byzantine
-        assert result.system.byzantine_clients == set()
+        assert not any(client.byzantine for client in result.system.clients)
         assert result.ok
 
     def test_client_behaviors_have_client_target(self):

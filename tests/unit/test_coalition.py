@@ -20,6 +20,16 @@ from repro.common.types import ClusterId
 from repro.consensus.messages import CrossAcceptB, CrossProposeB, Prepare
 
 
+def coalition_of(system):
+    """The run's one coalition, reached through its members' interceptors."""
+    (coalition,) = {
+        id(process.interceptor.coalition): process.interceptor.coalition
+        for process in system.processes()
+        if process.byzantine
+    }.values()
+    return coalition
+
+
 class TestCoalitionMechanism:
     def test_members_resolve_registry_behaviors(self):
         coalition = Coalition(seed=7)
@@ -95,14 +105,14 @@ class TestCoalitionEndToEnd:
         assert result.ok, problems
         system = result.system
         # One Byzantine replica per cluster — the paper's f = 1 bound in each.
-        assert system.byzantine_nodes == {0, 5}
+        assert result.safety.byzantine_nodes == (0, 5)
         per_cluster = {}
-        for node in system.byzantine_nodes:
+        for node in result.safety.byzantine_nodes:
             (cluster,) = (c.cluster_id for c in system.config.clusters if node in c.node_ids)
             per_cluster[cluster] = per_cluster.get(cluster, 0) + 1
         assert all(count <= 1 for count in per_cluster.values())
         # The shared script actually fired: targets spotted, members acted.
-        (coalition,) = system.coalitions
+        coalition = coalition_of(system)
         assert coalition.targeted > 0
         assert coalition.attacked > 0
         # Despite the squeeze the system keeps committing (drain included).
@@ -110,7 +120,7 @@ class TestCoalitionEndToEnd:
 
     def test_members_coordinate_across_clusters(self):
         result = attack_point(COALITION_ATTACK, 0.2, seed=1).run()
-        (coalition,) = result.system.coalitions
+        coalition = coalition_of(result.system)
         delayer, withholder = coalition.members
         # The delayer (initiator primary) spotted targets and delayed them;
         # the withholder in the remote cluster attacked the *same* digests.
@@ -120,7 +130,7 @@ class TestCoalitionEndToEnd:
     def test_no_cross_shard_traffic_means_no_targets(self):
         result = attack_point(COALITION_ATTACK, 0.0, duration=0.3).run()
         assert result.ok
-        (coalition,) = result.system.coalitions
+        coalition = coalition_of(result.system)
         assert coalition.targeted == 0
         # With nothing to collude on, both members stay scrupulously honest.
         assert result.stats.committed > 0

@@ -1,7 +1,7 @@
 """Unit tests for the cross-replica SafetyAuditor."""
 
 from repro import FaultModel, WorkloadConfig
-from repro.adversary import SafetyAuditor
+from repro.adversary import MessageInterceptor, SafetyAuditor
 from repro.api import DeploymentSpec, Scenario
 from repro.common.types import ClusterId
 from repro.ledger.block import Block
@@ -88,7 +88,7 @@ class TestViolationDetection:
                 parents={peer.chain.cluster_id: peer.chain.head_hash},
             )
         )
-        system.byzantine_nodes.add(int(replica.pid))
+        replica.set_interceptor(MessageInterceptor())  # what marks a node Byzantine
         report = SafetyAuditor(system).audit()
         assert int(replica.pid) in report.byzantine_nodes
         # Remaining correct replicas may still fork against each other; at
