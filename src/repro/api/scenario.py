@@ -88,15 +88,18 @@ class DeploymentSpec:
     #: (":memory:" accepted); None drops pruned history as before.
     archive: str | None = None
     #: flight-recorder arming (:mod:`repro.obs`): ``None``/``False`` runs
-    #: untraced (bit-identical to the seeds — every hook is a single
-    #: ``is None`` check), ``True`` arms the default :class:`TraceSpec`,
+    #: untraced (bit-identical to the seeds — every hook is the inert
+    #: recorder's no-op), ``True`` arms the default :class:`TraceSpec`,
     #: and an explicit :class:`TraceSpec` tunes gauges and their
-    #: sampling interval.
+    #: sampling interval; anything else is refused at construction.
     trace: "TraceSpec | bool | None" = None
     #: explicit topology override; when set, the fields above describing
     #: the homogeneous layout are ignored (except ``store_backend`` /
     #: ``archive``, which still apply when non-default).
     config: SystemConfig | None = None
+
+    def __post_init__(self) -> None:
+        normalize_trace(self.trace)
 
     def resolve(self, seed: int = 0) -> SystemConfig:
         """The concrete :class:`SystemConfig` this spec describes."""
@@ -230,11 +233,9 @@ class Scenario:
         metrics = MetricsCollector(warmup=self.warmup, measure_until=self.duration)
         group = system.spawn_clients(self.clients, metrics, retry_timeout=self.retry_timeout)
         trace_spec = normalize_trace(self.deployment.trace)
-        recorder = None
         if trace_spec is not None:
-            recorder = FlightRecorder(trace_spec)
-            system.arm_recorder(recorder)
-            recorder.start_gauges(system)
+            system.arm_recorder(FlightRecorder(trace_spec))
+        system.recorder.start_gauges(system)
         system.start_clients(group)
         self.faults.arm(system)
         end = system.sim.run(until=self.duration)
@@ -268,9 +269,7 @@ class Scenario:
         heights = {
             cluster_id: view.height for cluster_id, view in system.views().items()
         }
-        trace_report = None
-        if recorder is not None:
-            trace_report = recorder.finalize(system, system.sim.now)
+        trace_report = system.recorder.finalize(system, system.sim.now)
         return ScenarioResult(
             scenario=self,
             system=system,

@@ -151,12 +151,6 @@ class HandlerTable:
         handler(message, src)
         return True
 
-    def _report_vote(self, kind: str, key: object, voter: int, decided: bool) -> None:
-        """Tell the armed recorder about one quorum vote."""
-        self.host.recorder.quorum_vote(
-            self.host.now, int(self.host.node_id), kind, key, int(voter), decided
-        )
-
 
 class ConsensusEngine(HandlerTable):
     """Common plumbing shared by the intra-shard engines.
@@ -203,20 +197,17 @@ class ConsensusEngine(HandlerTable):
         """
         host = self.host
         host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
-        recorder = host.recorder
-        if recorder is not None:
-            recorder.milestone(host.now, int(host.node_id), item, "decided")
+        host.recorder.milestone(host, item, "decided")
         self.view_change.slot_decided(slot)
 
     def _open_slot(self, slot: int, proposed: object = None) -> None:
         """Watch ``slot`` for a stalled primary; stamp it open (and proposed, at the primary)."""
         self.view_change.monitor_slot(slot)
-        recorder = self.host.recorder
-        if recorder is not None:
-            now, pid = self.host.now, int(self.host.node_id)
-            recorder.slot_open(now, pid, int(self.cluster_id), slot)
-            if proposed is not None:
-                recorder.milestone(now, pid, proposed, "propose")
+        host = self.host
+        recorder = host.recorder
+        recorder.slot_open(host.now, int(host.node_id), int(self.cluster_id), slot)
+        if proposed is not None:
+            recorder.milestone(host, proposed, "propose")
 
     # ------------------------------------------------------------------
     # shared view-change handlers (both intra-shard engines own a

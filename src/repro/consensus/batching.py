@@ -75,7 +75,6 @@ __all__ = [
     "BatchPipeline",
     "member_requests",
     "members_all_committed",
-    "screen_members",
 ]
 
 
@@ -98,25 +97,6 @@ def members_all_committed(chain, item: object) -> bool:
     """
     contains = chain.contains_tx
     return all(contains(request.transaction.tx_id) for request in member_requests(item))
-
-
-def screen_members(guard, item: object) -> int:
-    """Worst :mod:`~repro.core.guard` verdict across an item's members.
-
-    Cross-shard proposals are screened at every involved cluster; for a
-    batch, *all* members must be admissible — a single forged or
-    ownership-violating member poisons the whole batch (no correct node
-    accepts it, so its quorum never forms and the honest members retry
-    through a fresh batch after the initiator gives up).
-    """
-    from ..core.guard import ADMIT  # local import: core imports consensus
-
-    worst = ADMIT
-    for request in member_requests(item):
-        verdict = guard.screen(request)
-        if verdict != ADMIT:
-            worst = max(worst, verdict)
-    return worst
 
 
 class BatchPipeline:
@@ -229,9 +209,7 @@ class BatchPipeline:
             if len(chunk) > self.max_batch:
                 self.max_batch = len(chunk)
             item = RequestBatch(requests=chunk)
-            recorder = self.host.recorder
-            if recorder is not None:
-                recorder.milestone(self.host.now, int(self.host.node_id), item, "seal")
+            self.host.recorder.milestone(self.host, item, "seal")
         self._in_flight[item_digest(item)] = (involved, chunk)
         if involved is not None:
             members = self._members

@@ -52,8 +52,8 @@ class PaxosEngine(ConsensusEngine):
         # The primary's own vote counts toward the f + 1 majority.
         fired = self._accepted.vote((self.view, slot, digest), self.host.node_id)
         self._open_slot(slot, item)
-        if self.host.recorder is not None:
-            self._report_vote("accept", (self.view, slot, digest), self.host.node_id, fired)
+        host = self.host
+        host.recorder.quorum_vote(host, "accept", (self.view, slot, digest), host.node_id, fired)
 
     # ------------------------------------------------------------------
     # message handling (table-driven; see HandlerTable.handle)
@@ -84,8 +84,7 @@ class PaxosEngine(ConsensusEngine):
             return
         key = (message.view, message.slot, message.digest)
         fired = self._accepted.vote(key, src)
-        if self.host.recorder is not None:
-            self._report_vote("accept", key, src, fired)
+        self.host.recorder.quorum_vote(self.host, "accept", key, src, fired)
         if not fired:
             return
         entry = self.host.log.entry(message.slot)

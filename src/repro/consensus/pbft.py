@@ -111,18 +111,13 @@ class PBFTEngine(ConsensusEngine):
 
     def _record_prepare_vote(self, key: tuple[int, int, str], voter: int) -> None:
         fired = self._prepares.vote(key, voter)
-        recorder = self.host.recorder
-        if recorder is not None:
-            self._report_vote("prepare", key, voter, fired)
+        self.host.recorder.quorum_vote(self.host, "prepare", key, voter, fired)
         if not fired:
             return
         # Prepared: multicast commit and count our own commit vote.
         view, slot, digest = key
-        if recorder is not None:
-            # A key nobody proposed here has no item (and no members to stamp).
-            recorder.milestone(
-                self.host.now, int(self.host.node_id), self._items.get(key), "prepared"
-            )
+        # A key nobody proposed here has no item (and no members to stamp).
+        self.host.recorder.milestone(self.host, self._items.get(key), "prepared")
         commit = PBFTCommit(view=view, slot=slot, digest=digest, node=self.host.node_id)
         self.host.multicast_cluster(commit)
         self._record_commit_vote(key, self.host.node_id)
@@ -133,8 +128,7 @@ class PBFTEngine(ConsensusEngine):
 
     def _record_commit_vote(self, key: tuple[int, int, str], voter: int) -> None:
         fired = self._commits.vote(key, voter)
-        if self.host.recorder is not None:
-            self._report_vote("commit", key, voter, fired)
+        self.host.recorder.quorum_vote(self.host, "commit", key, voter, fired)
         if not fired:
             return
         view, slot, digest = key

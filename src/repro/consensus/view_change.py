@@ -197,11 +197,9 @@ class ViewChangeManager:
         self.in_view_change = True
         new_view = self.engine.view + 1
         host = self.engine.host
-        recorder = host.recorder
-        if recorder is not None:
-            recorder.vc_open(
-                host.now, int(host.node_id), int(host.cluster.cluster_id), new_view
-            )
+        host.recorder.vc_open(
+            host.now, int(host.node_id), int(host.cluster.cluster_id), new_view
+        )
         message = self._build_view_change(new_view)
         self.engine.host.multicast_cluster(message)
         self.handle_view_change(message, self.engine.host.node_id)
@@ -280,9 +278,7 @@ class ViewChangeManager:
         self.in_view_change = False
         self.view_changes_completed += 1
         host = self.engine.host
-        recorder = host.recorder
-        if recorder is not None:
-            recorder.vc_close(host.now, int(host.node_id), view)
+        host.recorder.vc_close(host.now, int(host.node_id), view)
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

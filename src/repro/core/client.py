@@ -116,16 +116,14 @@ class ClosedLoopClient(Process):
         self._outstanding[transaction.tx_id] = state
         self.metrics.record_submission()
         recorder = self.recorder
-        if recorder is not None:
-            recorder.submit(self.sim.now, transaction.tx_id, self.pid, cross)
+        recorder.submit(self.sim.now, transaction.tx_id, self.pid, cross)
         self.send(target, request)
         self._schedule_resend(state, transaction.tx_id)
-        if recorder is not None:
-            # The submit context must not leak into whatever runs next on
-            # this client (timer callbacks, the next closed-loop submit
-            # issued from a reply dispatch): only the request sent above
-            # parents to the submit event.
-            recorder.clear_context()
+        # The submit context must not leak into whatever runs next on this
+        # client (timer callbacks, the next closed-loop submit issued from
+        # a reply dispatch): only the request sent above parents to the
+        # submit event.
+        recorder.clear_context()
 
     def _schedule_resend(self, state: _Outstanding, tx_id: str) -> None:
         deadline = self.sim.now + self.retry_timeout
@@ -202,9 +200,7 @@ class ClosedLoopClient(Process):
             committed_at=self.sim.now,
             cross_shard=state.cross_shard,
         )
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.phase(self.sim.now, message.tx_id, "reply", self.pid)
+        self.recorder.phase(self.sim.now, message.tx_id, "reply", self.pid)
         self._issue_next()
 
     @property

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 from ..common.errors import ConsensusError
 from ..common.types import ClusterId
 from ..consensus.base import HandlerTable
-from ..consensus.batching import members_all_committed, screen_members
+from ..consensus.batching import members_all_committed
 from ..consensus.log import item_digest
 from ..consensus.messages import (
     ClientRequest,
@@ -114,8 +114,7 @@ class _CrossShardEngine(HandlerTable):
         at clusters that never saw the original client submission — so
         its quorum can never form.
         """
-        guard = self.host.request_guard
-        return guard is not None and screen_members(guard, request) != ADMIT
+        return self.host.request_guard.screen_item(request) != ADMIT
 
     def _settled_slot(self, digest: str, item: object) -> int | None:
         """Local position of an already-committed item, if any.
@@ -202,9 +201,7 @@ class _CrossShardEngine(HandlerTable):
                 raise
             self.late_commits += 1
             return
-        recorder = host.recorder
-        if recorder is not None:
-            recorder.milestone(host.now, int(host.node_id), item, "decided")
+        host.recorder.milestone(host, item, "decided")
         host.after_decide()
 
     # ------------------------------------------------------------------
@@ -283,13 +280,11 @@ class CrashCrossShardEngine(_CrossShardEngine):
             self._tally(state, host.cluster_id, host.node_id, slot)
             self._states[digest] = state
             self.initiated += 1
-            recorder = host.recorder
-            if recorder is not None:
-                recorder.milestone(host.now, int(host.node_id), request, "cross_start")
-                # The initiator's own vote (counted above) never fires
-                # the quorum by itself: every involved cluster needs a
-                # full cross_quorum, so decided is always False here.
-                self._report_vote("cross_accept", digest, host.node_id, False)
+            host.recorder.milestone(host, request, "cross_start")
+            # The initiator's own vote (counted above) never fires the
+            # quorum by itself: every involved cluster needs a full
+            # cross_quorum, so decided is always False here.
+            host.recorder.quorum_vote(host, "cross_accept", digest, host.node_id, False)
         message = CrossPropose(
             digest=digest,
             request=state.request,
@@ -341,8 +336,8 @@ class CrashCrossShardEngine(_CrossShardEngine):
         self._tally(state, message.cluster, src, message.slot)
         if not state.waiting:
             self._commit(state)
-        if self.host.recorder is not None:
-            self._report_vote("cross_accept", message.digest, src, state.decided)
+        host = self.host
+        host.recorder.quorum_vote(host, "cross_accept", message.digest, src, state.decided)
 
     def _tally(self, state: _CrashState, cluster: ClusterId, voter: int, slot: int | None) -> None:
         """Count one accept; votes of clusters that are not involved are ignored."""
@@ -364,9 +359,7 @@ class CrashCrossShardEngine(_CrossShardEngine):
         self._finish(state)
         state.votes, state.waiting = _RELEASED_VOTES, _RELEASED_CLUSTERS
         host = self.host
-        recorder = host.recorder
-        if recorder is not None:
-            recorder.milestone(host.now, int(host.node_id), state.request, "cross_prepared")
+        host.recorder.milestone(host, state.request, "cross_prepared")
         positions = dict(state.slots)
         commit = CrossCommit(
             digest=state.digest,
@@ -458,9 +451,7 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
             state.initiator_cluster = host.cluster_id
             state.my_slot = self._reserve_slot(digest, request)
             self.initiated += 1
-            recorder = host.recorder
-            if recorder is not None:
-                recorder.milestone(host.now, int(host.node_id), request, "cross_start")
+            host.recorder.milestone(host, request, "cross_start")
         propose = CrossProposeB(
             digest=digest,
             request=request,
@@ -591,16 +582,14 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
                     state.unconfirmed.discard(cluster)
             if state.involved and not state.unconfirmed and state.request is not None:
                 self._send_commit(state)
-        if self.host.recorder is not None:
-            self._report_vote("cross_accept", state.digest, voter, state.commit_sent)
+        host = self.host
+        host.recorder.quorum_vote(host, "cross_accept", state.digest, voter, state.commit_sent)
 
     def _send_commit(self, state: _ByzState) -> None:
         state.commit_sent = True
         state.accept_votes = _RELEASED_VOTES
         host = self.host
-        recorder = host.recorder
-        if recorder is not None:
-            recorder.milestone(host.now, int(host.node_id), state.request, "cross_prepared")
+        host.recorder.milestone(host, state.request, "cross_prepared")
         commit = CrossCommitB(
             digest=state.digest,
             cluster=host.cluster_id,
@@ -644,8 +633,8 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
                 and state.request is not None
             ):
                 self._decide(state)
-        if self.host.recorder is not None:
-            self._report_vote("cross_commit", state.digest, voter, state.decided)
+        host = self.host
+        host.recorder.quorum_vote(host, "cross_commit", state.digest, voter, state.decided)
 
     def _decide(self, state: _ByzState) -> None:
         self._finish(state)

@@ -31,10 +31,12 @@ screens each client request at the door — before it can reach consensus
   keeps **at-most-once** execution intact under arbitrary duplicated,
   replayed, or mutated client traffic.
 
-The guard is deliberately **lazy**: faultless runs never construct one,
-and the hot path pays exactly one ``is None`` check per client request —
-the same contract the message-interceptor hook established.  All
-screening is deterministic, so serial and pooled runs stay bit-identical.
+Arming is a swap of values, the same seam as the flight recorder's:
+every replica starts with an :class:`InertGuard`, which admits every
+request, keeps no books and backstops the apply path with the chain's
+own duplicate index, so replica code calls its guard unconditionally.
+Faultless runs never construct a :class:`RequestGuard`.  All screening
+is deterministic, so serial and pooled runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from ..common.types import AccountId, ClientId
+from ..consensus.batching import member_requests
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..consensus.messages import ClientRequest
     from ..ledger.view import ClusterView
 
-__all__ = ["ADMIT", "DROP", "REFUSE", "RequestGuard"]
+__all__ = ["ADMIT", "DROP", "REFUSE", "InertGuard", "RequestGuard"]
 
 #: screening verdicts: admit to the normal path, drop silently, or drop
 #: and answer the client with a failure reply (invalid-but-authentic
@@ -127,6 +130,22 @@ class RequestGuard:
             self._pending_tx[tx_id] = digest
         return ADMIT
 
+    def screen_item(self, item: object) -> int:
+        """Worst verdict across an ordered item's members.
+
+        Cross-shard proposals are screened at every involved cluster; for a
+        batch, *all* members must be admissible — a single forged or
+        ownership-violating member poisons the whole batch (no correct node
+        accepts it, so its quorum never forms and the honest members retry
+        through a fresh batch after the initiator gives up).
+        """
+        worst = ADMIT
+        for request in member_requests(item):
+            verdict = self.screen(request)
+            if verdict != ADMIT:
+                worst = max(worst, verdict)
+        return worst
+
     # ------------------------------------------------------------------
     # apply-side bookkeeping
     # ------------------------------------------------------------------
@@ -175,3 +194,21 @@ class RequestGuard:
             f"ownership={self.rejected_ownership} replays={self.rejected_replays} "
             f"duplicates={self.rejected_duplicates} deduped={self.deduped_applies}>"
         )
+
+
+class InertGuard:
+    """The guard of a replica no adversary has reached (see module docstring)."""
+
+    __slots__ = ("is_duplicate_apply",)
+
+    def __init__(self, chain: "ClusterView") -> None:
+        self.is_duplicate_apply = chain.contains_tx
+
+    def screen(self, request: object) -> int:
+        return ADMIT
+
+    def committed(self, request: object) -> None:
+        return None
+
+    screen_item = screen
+    abandoned = committed

@@ -18,12 +18,12 @@ A replica glues together everything a node of the paper's system runs:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable
+from typing import Iterable
 from weakref import ref
 
 from ..common.config import ClusterConfig, SystemConfig
 from ..common.errors import ConfigurationError, UnknownAccountError
-from ..common.types import AccountId, ClientId, ClusterId, FaultModel, NodeId
+from ..common.types import ClusterId, FaultModel, NodeId
 from ..consensus.batching import BatchPipeline, member_requests
 from ..consensus.log import Noop, OrderingLog, item_digest
 from ..consensus.messages import ClientReply, ClientRequest, NewViewAnnouncement
@@ -42,7 +42,7 @@ from ..txn.execution import TransactionExecutor
 from ..txn.transaction import Transaction
 from . import sharding
 from .cross_shard import ByzantineCrossShardEngine, CrashCrossShardEngine
-from .guard import ADMIT, REFUSE, RequestGuard
+from .guard import ADMIT, REFUSE, InertGuard, RequestGuard
 
 __all__ = ["SharPerReplica"]
 
@@ -230,9 +230,8 @@ class SharPerReplica(ReplicaHost):
         self.terminator = CrossShardTerminator(self)
         #: suppress client replies while replaying state-transferred slots.
         self._replaying = False
-        #: Byzantine-client defence, armed lazily (None on the faultless
-        #: fast path — one ``is None`` check per client request).
-        self.request_guard: RequestGuard | None = None
+        #: Byzantine-client defence: inert until an adversary enters.
+        self.request_guard: RequestGuard | InertGuard = InertGuard(self.chain)
         #: the one submission path: every client request this replica
         #: orders enters through the pipeline, whatever the batch size.
         self.batcher = BatchPipeline(self)
@@ -366,16 +365,14 @@ class SharPerReplica(ReplicaHost):
     def _on_client_request(self, request: ClientRequest, src: int) -> None:
         if request.reply_to < 0:
             request = replace(request, reply_to=src)
-        guard = self.request_guard
-        if guard is not None:
-            verdict = guard.screen(request)
-            if verdict != ADMIT:
-                if verdict == REFUSE:
-                    # Authentic but invalid (e.g. ownership violation):
-                    # answer with a failure so honest submitters do not
-                    # retry forever; forged/replayed traffic is dropped.
-                    self._send_reply(request, success=False, cross_shard=False)
-                return
+        verdict = self.request_guard.screen(request)
+        if verdict != ADMIT:
+            if verdict == REFUSE:
+                # Authentic but invalid (e.g. ownership violation): answer
+                # with a failure so honest submitters do not retry
+                # forever; forged/replayed traffic is dropped.
+                self._send_reply(request, success=False, cross_shard=False)
+            return
         transaction = request.transaction
         if self.chain.contains_tx(transaction.tx_id):
             # Duplicate of an already-committed transaction: reply directly.
@@ -384,8 +381,7 @@ class SharPerReplica(ReplicaHost):
         try:
             involved = sharding.involved_clusters(transaction, self.mapper)
         except UnknownAccountError:
-            if guard is not None:
-                guard.abandoned(transaction.tx_id)
+            self.request_guard.abandoned(transaction.tx_id)
             self._reject_unclassifiable(request)
             return
         if len(involved) == 1:
@@ -407,11 +403,7 @@ class SharPerReplica(ReplicaHost):
             # twice.  Once the first slot applies, the duplicate check
             # in _on_client_request answers the client's next retry.
             return
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.phase(
-                self.sim.now, request.transaction.tx_id, "enqueue", self.pid
-            )
+        self.recorder.phase(self.sim.now, request.transaction.tx_id, "enqueue", self.pid)
         self.batcher.submit_intra(request)
 
     def _handle_cross_request(
@@ -430,11 +422,7 @@ class SharPerReplica(ReplicaHost):
             self._monitor_forwarded_request(request)
             self._forward(request, self.primary_pid_of(self.cluster_id))
             return
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.phase(
-                self.sim.now, request.transaction.tx_id, "enqueue", self.pid
-            )
+        self.recorder.phase(self.sim.now, request.transaction.tx_id, "enqueue", self.pid)
         self.batcher.submit_cross(request, involved)
 
     def _forward(self, request: ClientRequest, destination: int) -> None:
@@ -575,8 +563,7 @@ class SharPerReplica(ReplicaHost):
         proposer = entry.proposer if entry.proposer is not None else self.cluster_id
         item = entry.item
         recorder = self.recorder
-        if recorder is not None:
-            recorder.slot_close(self.sim.now, self.pid, entry.slot)
+        recorder.slot_close(self.sim.now, self.pid, entry.slot)
         # Free the pipeline's window entry for this slot (a no-op on
         # every replica but the proposing primary).
         self.batcher.item_applied(entry.digest)
@@ -588,7 +575,7 @@ class SharPerReplica(ReplicaHost):
         guard = self.request_guard
         cross = len(positions) > 1
         admitted = []
-        committed = self.chain.contains_tx if guard is None else guard.is_duplicate_apply
+        committed = guard.is_duplicate_apply
         for request in requests:
             transaction = request.transaction
             if committed(transaction.tx_id):
@@ -596,8 +583,7 @@ class SharPerReplica(ReplicaHost):
             # The classification is memoised on the shared payload, so
             # this guard costs one cache probe per applied transaction.
             if not cross and len(sharding.involved_clusters(transaction, self.mapper)) > 1:
-                if guard is not None:
-                    guard.abandoned(transaction.tx_id)
+                guard.abandoned(transaction.tx_id)
                 continue
             admitted.append(request)
         # One fused charge: a single append plus one execution per member
@@ -612,13 +598,10 @@ class SharPerReplica(ReplicaHost):
         executed = self._commit(item, admitted, positions, proposer, parents)
         if cross:
             self.committed_cross_count += len(executed)
-        if recorder is not None:
-            now = self.sim.now
-            for request, _success in executed:
-                recorder.phase(now, request.transaction.tx_id, "applied", self.pid)
-        if guard is not None:
-            for request, _success in executed:
-                guard.committed(request)
+        now = self.sim.now
+        for request, _success in executed:
+            recorder.phase(now, request.transaction.tx_id, "applied", self.pid)
+            guard.committed(request)
         if self._should_reply(proposer):
             for request, success in executed:
                 self._send_reply(request, success=success, cross_shard=cross)
@@ -634,21 +617,6 @@ class SharPerReplica(ReplicaHost):
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def arm_request_guard(
-        self, owner_of: "Callable[[AccountId], ClientId] | None" = None
-    ) -> RequestGuard:
-        """Create (idempotently) the Byzantine-client request guard.
-
-        Armed by :meth:`repro.core.system.BaseSystem.arm_request_guards`
-        the moment any adversary enters the run — every replica of every
-        cluster arms in the same simulator event, so screening decisions
-        are identical cluster- and system-wide.  Faultless runs never
-        call this, keeping the fast path at one ``is None`` check.
-        """
-        if self.request_guard is None:
-            self.request_guard = RequestGuard(self.chain, owner_of=owner_of)
-        return self.request_guard
-
     def recover(self) -> None:
         """Restart after a crash and actively catch up on missed slots.
 

@@ -6,6 +6,11 @@ spawning); :class:`SharPerSystem` builds the paper's system — one cluster
 per shard, each cluster running intra-shard consensus plus the flattened
 cross-shard protocol.  The baselines in :mod:`repro.baselines` subclass
 :class:`BaseSystem` the same way.
+
+Instruments are armed by swapping values: :meth:`BaseSystem.arm_recorder`
+replaces the inert recorder every process, client and the network start
+with, and :meth:`BaseSystem.arm_request_guards` replaces every replica's
+inert guard, so the code that calls them never tests which one it holds.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from ..common.metrics import MetricsCollector
 from ..common.types import AccountId, ClientId, ClusterId, FaultModel
 from ..ledger.validation import AuditReport, audit_views
 from ..ledger.view import ClusterView
+from ..obs.recorder import INERT_RECORDER
 from ..sim.costs import CostModel
 from ..sim.network import ClusteredLatencyModel, Network
 from ..sim.process import Process
@@ -30,6 +36,7 @@ from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadConfig, WorkloadGenerator
 from . import sharding
 from .client import CLIENT_PID_BASE, ClosedLoopClient
+from .guard import InertGuard, RequestGuard
 from .replica import SharPerReplica
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -90,9 +97,9 @@ class BaseSystem:
         #: fault schedules armed on this system, so arming one twice is a
         #: no-op (:meth:`repro.api.FaultSchedule.arm`).
         self.armed_faults: set[FaultSchedule] = set()
-        #: armed flight recorder (:mod:`repro.obs`); ``None`` when tracing
-        #: is off, which keeps every hook at a single ``is None`` check.
-        self.recorder = None
+        #: flight recorder (:mod:`repro.obs`) clients are spawned with;
+        #: the inert one until :meth:`arm_recorder` swaps one in.
+        self.recorder = INERT_RECORDER
 
     # ------------------------------------------------------------------
     # account bootstrap
@@ -185,8 +192,7 @@ class BaseSystem:
                 retry_timeout=retry_timeout,
                 fallback_targets=self.fallback_route,
             )
-            if self.recorder is not None:
-                client.recorder = self.recorder
+            client.recorder = self.recorder
             self.clients.append(client)
             clients.append(client)
         return clients
@@ -208,7 +214,7 @@ class BaseSystem:
         return self.sim.run(until=self.sim.now + grace)
 
     # ------------------------------------------------------------------
-    # lazily armed hooks (fault events and the flight recorder call these)
+    # arming: swap the inert instruments for real ones
     # ------------------------------------------------------------------
     def arm_request_guards(self) -> None:
         """Arm the Byzantine-client request guard on every replica.
@@ -216,23 +222,21 @@ class BaseSystem:
         Called whenever any adversary (replica, client, or coalition)
         enters the run; idempotent, and a single simulator event arms the
         whole deployment, so screening decisions are identical
-        system-wide.  Faultless runs never arm, keeping the hot path at
-        one ``is None`` check per client request.
+        system-wide.  Faultless runs never arm: their replicas keep the
+        inert guard, which admits every request.
         """
         for process in self.processes():
-            arm = getattr(process, "arm_request_guard", None)
-            if arm is not None:
-                arm(owner_of=self.owner_of)
+            if isinstance(getattr(process, "request_guard", None), InertGuard):
+                process.request_guard = RequestGuard(process.chain, owner_of=self.owner_of)
 
     def arm_recorder(self, recorder) -> None:
         """Arm the :mod:`repro.obs` flight recorder on the whole deployment.
 
-        Same lazy-arming contract as :meth:`arm_request_guards` and the
-        adversary interceptors: one attribute assignment per replica,
-        client, and the network fabric.  Untraced runs never call this,
-        so every instrumentation hook stays a single ``is None`` check
-        and results are bit-identical with tracing off.  Clients spawned
-        after arming inherit the recorder in :meth:`spawn_clients`.
+        Swaps the inert recorder out: one attribute assignment per
+        replica, client, and the network fabric.  Untraced runs never call
+        this, so every hook stays the inert one's no-op and results are
+        bit-identical with tracing off.  Clients spawned after arming get
+        the recorder in :meth:`spawn_clients`.
         """
         self.recorder = recorder
         self.network.recorder = recorder

@@ -1,11 +1,11 @@
 """Observability: the simulation-time flight recorder (``repro.obs``).
 
 The recorder is armed per-scenario through ``DeploymentSpec(trace=...)``
-and follows the same lazy-arming contract as the adversary interceptor
-and the ``RequestGuard``: every hook on the hot path is a single
-``recorder is None`` check, so untraced runs take the untouched code
-path and stay bit-identical to the pre-observability tree (asserted
-differentially in ``tests/integration/test_obs_scenarios.py``).
+by swapping a value, the same seam as the ``RequestGuard``: until then
+every process and the network hold :data:`INERT_RECORDER`, whose hooks
+do nothing, so untraced runs stay bit-identical to the
+pre-observability tree (asserted differentially in
+``tests/integration/test_obs_scenarios.py``).
 
 Four pillars:
 
@@ -44,7 +44,9 @@ from .causal import (
     summarize_paths,
 )
 from .phases import PhaseBreakdown, PhaseStats, attribute_phases, render_phase_table
-from .recorder import FlightRecorder, TraceReport, TraceSpec, normalize_trace
+from .recorder import (
+    INERT_RECORDER, FlightRecorder, InertRecorder, TraceReport, TraceSpec, normalize_trace,
+)
 from .export import write_chrome_trace, write_jsonl, write_trace
 
 __all__ = [
@@ -52,6 +54,8 @@ __all__ = [
     "CriticalSummary",
     "EdgeStats",
     "FlightRecorder",
+    "INERT_RECORDER",
+    "InertRecorder",
     "PhaseBreakdown",
     "PhaseStats",
     "StragglerStats",

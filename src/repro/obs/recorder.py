@@ -1,12 +1,15 @@
-"""The flight recorder: lazily armed tracing with zero cost when off.
+"""The flight recorder: armed by swapping a value, zero cost when off.
 
-Arming model (the same contract as the adversary interceptor and the
-``RequestGuard``): every ``Process``, client, and the ``Network`` carry
-a ``recorder`` attribute that is ``None`` by default, and every
-instrumentation hook is guarded by one ``recorder is None`` check —
-the untraced hot path is untouched and runs stay bit-identical to the
-pre-observability tree.  ``BaseSystem.arm_recorder`` sets the attribute
-everywhere in one sweep; ``Scenario.run`` arms it when
+Arming model (the same seam as the ``RequestGuard``): every
+``Process``, client, and the ``Network`` hold a ``recorder`` from the
+start — the shared :data:`INERT_RECORDER`, whose hooks (the names of
+:class:`FlightRecorder`'s, ``start_gauges`` and ``finalize`` included)
+do nothing.  Protocol code calls its hooks unconditionally; only
+:meth:`~repro.sim.process.Process.deliver` looks at which recorder it
+holds, to send traffic through the checked lane that opens a dispatch
+context.  Untraced runs stay bit-identical to the pre-observability
+tree.  ``BaseSystem.arm_recorder`` swaps a :class:`FlightRecorder` in
+everywhere in one sweep; ``Scenario.run`` arms one when
 ``DeploymentSpec.trace`` is set.
 
 Recording is append-only on the hot path (tuples into flat lists, no
@@ -50,7 +53,9 @@ from .causal import (
 )
 from .phases import PhaseBreakdown, attribute_phases, phase_columns, render_phase_table
 
-__all__ = ["TraceSpec", "FlightRecorder", "TraceReport", "normalize_trace"]
+__all__ = [
+    "INERT_RECORDER", "InertRecorder", "TraceSpec", "FlightRecorder", "TraceReport", "normalize_trace"
+]
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,21 @@ class TraceSpec:
             raise ConfigurationError(
                 f"gauge_interval must be non-negative, got {self.gauge_interval}"
             )
+        if self.sample < 1:
+            raise ConfigurationError(f"sample must be at least 1, got {self.sample}")
 
 
 def normalize_trace(trace: "TraceSpec | bool | None") -> TraceSpec | None:
-    """Coerce ``DeploymentSpec.trace`` to a spec (``True`` -> defaults)."""
+    """Coerce ``DeploymentSpec.trace`` to a spec (``True`` -> defaults).
+
+    Anything but ``None``, a bool or a :class:`TraceSpec` is refused.
+    """
     if trace is None or trace is False:
         return None
     if trace is True:
         return TraceSpec()
+    if not isinstance(trace, TraceSpec):
+        raise ConfigurationError(f"trace must be None, a bool or a TraceSpec, got {trace!r}")
     return trace
 
 
@@ -129,7 +141,7 @@ class FlightRecorder:
         #: (single) send node; FIFO links let unmatched earlier entries
         #: (delivered to a crashed node) be discarded on match.
         self._links: dict[int, list[tuple[int, int]]] = {}
-        self._sample = max(1, self.spec.sample)
+        self._sample = self.spec.sample
         self._submit_seq = 0
         #: tx ids whose chain is recorded (None: sampling off, keep all).
         self._sampled: set[str] | None = set() if self._sample > 1 else None
@@ -140,7 +152,7 @@ class FlightRecorder:
         #: ``(pid, kind, key, voter, t, lag)`` per decided quorum.
         self._deciding: list[tuple[int, str, Any, int, float, float]] = []
 
-    # -- hot-path hooks (every caller guards ``recorder is not None``) --
+    # -- hot-path hooks (called unconditionally; see InertRecorder) --
 
     def phase(self, time: float, tx_id: str, phase: str, pid: int) -> None:
         """Record one lifecycle milestone for ``tx_id``."""
@@ -151,14 +163,17 @@ class FlightRecorder:
         self._eid += 1
         self.event_meta.append((self._eid, self._ctx))
 
-    def milestone(self, time: float, pid: int, item: object, phase: str) -> None:
-        """Record ``phase`` for every client request an ordered item carries.
+    def milestone(self, host: Any, item: object, phase: str) -> None:
+        """Record ``phase`` at ``host`` for each client request ``item`` carries.
 
         The one loop over an item's members (one request, or a batch):
         engines report protocol milestones per *item*, the trace keeps
         them per *transaction*.  Items that carry no client request
-        (no-ops, protocol markers) record nothing.
+        (no-ops, protocol markers) record nothing.  The engine hooks
+        (this and :meth:`quorum_vote`) read the time and node id off the
+        host, so an untraced engine evaluates no argument.
         """
+        time, pid = host.now, int(host.node_id)
         for request in member_requests(item):
             self.phase(time, request.transaction.tx_id, phase, pid)
 
@@ -224,15 +239,23 @@ class FlightRecorder:
             queue = self._links[link] = []
         queue.append((eid, id(message)))
 
-    def wire_multicast(self, time: float, src: int, dsts: list, message: Any) -> None:
-        """Record one send node, fanned out to every destination link."""
+    def wire_multicast(
+        self, time: float, src: int, routes: Any, message: Any, attempted: int
+    ) -> None:
+        """Count ``attempted`` sends; record one send node, fanned out to the
+        reached ``routes`` (Network route rows; ``row[2]`` is the link key)."""
+        name = message.__class__.__name__
+        if attempted:
+            self.count_send(name, attempted)
+        if not routes:
+            return
         self._eid += 1
         eid = self._eid
-        self.causal.append((eid, self._ctx, time, "send", src, message.__class__.__name__))
+        self.causal.append((eid, self._ctx, time, "send", src, name))
         links = self._links
         entry = (eid, id(message))
-        for dst in dsts:
-            link = (src << 21) | dst
+        for row in routes:
+            link = row[2]
             queue = links.get(link)
             if queue is None:
                 queue = links[link] = []
@@ -264,10 +287,8 @@ class FlightRecorder:
         """Close the current dispatch context (try/finally on dispatch)."""
         self._ctx = 0
 
-    def quorum_vote(
-        self, time: float, pid: int, kind: str, key: Any, voter: int, decided: bool
-    ) -> None:
-        """Record one quorum vote arrival at observer ``pid``.
+    def quorum_vote(self, host: Any, kind: str, key: Any, voter: int, decided: bool) -> None:
+        """Record one quorum vote arrival at observer ``host``.
 
         The vote that flips ``decided`` is the *deciding vote* and
         closes the key — later votes are dropped, so engines may pass
@@ -275,6 +296,7 @@ class FlightRecorder:
         dropped too, keeping the median over distinct voters.  The key's
         votes reduce to its deciding row right there and are released.
         """
+        time, pid = host.now, int(host.node_id)
         track = (pid, kind, key)
         if track in self._quorum_done:
             return
@@ -384,6 +406,23 @@ class FlightRecorder:
             causal=tuple(self.causal),
             deciding=tuple(deciding),
         )
+
+
+class InertRecorder:
+    """The recorder of an untraced run: every hook of
+    :class:`FlightRecorder` by name, each doing nothing (``finalize``
+    reports ``None``)."""
+
+    def _ignore(self, *args: Any) -> None:
+        return None
+
+    phase = milestone = submit = slot_open = slot_close = vc_open = vc_close = _ignore
+    count_send = wire_send = wire_multicast = begin_dispatch = clear_context = _ignore
+    quorum_vote = start_gauges = finalize = _ignore
+
+
+#: the one inert recorder every process and network holds until armed.
+INERT_RECORDER = InertRecorder()
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol
 
 from ..common.config import PerformanceModel
 from ..common.errors import NetworkError
+from ..obs.recorder import INERT_RECORDER
 from .simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -177,11 +178,10 @@ class Network:
         self._last_arrival: dict[int, float] = {}
         self.messages_sent = 0
         self.messages_dropped = 0
-        #: flight recorder (repro.obs); None on the (default) untraced
-        #: path.  When armed, send/multicast bump its per-message-type
-        #: counters — one ``is None`` check, no RNG draws, so traced
-        #: runs stay bit-identical on the wire.
-        self.recorder = None
+        #: flight recorder (repro.obs); the inert one until armed.
+        #: send/multicast report every message to it unconditionally —
+        #: no RNG draws, so traced runs stay bit-identical on the wire.
+        self.recorder = INERT_RECORDER
 
     # ------------------------------------------------------------------
     # registration
@@ -295,8 +295,7 @@ class Network:
         """
         self.messages_sent += 1
         recorder = self.recorder
-        if recorder is not None:
-            recorder.count_send(message.__class__.__name__, 1)
+        recorder.count_send(message.__class__.__name__, 1)
         link = (src << _PID_BITS) | dst
         row = self._links.get(link) or self._link(src, dst)
         if (
@@ -319,8 +318,7 @@ class Network:
         # arrival >= departure >= now, so push without the in-the-past check.
         queue = sim._queue
         heappush(queue._heap, [arrival, next(queue._counter), row[0], (message, src)])
-        if recorder is not None:
-            recorder.wire_send(departure, src, dst, message)
+        recorder.wire_send(departure, src, dst, message)
         return True
 
     def multicast(
@@ -373,12 +371,5 @@ class Network:
                 last_arrival[link] = arrival
             heappush(heap, [arrival, next(counter), deliver, args])
         self.messages_sent += attempted
-        recorder = self.recorder
-        if recorder is not None:
-            if attempted:
-                recorder.count_send(message.__class__.__name__, attempted)
-            if reached:
-                recorder.wire_multicast(
-                    departure, src, [row[2] & _PID_MASK for row in reached], message
-                )
+        self.recorder.wire_multicast(departure, src, reached, message, attempted)
         return len(reached)

@@ -33,18 +33,24 @@ in docs/architecture.md, "The per-message fast lane".  Multicasts go through
 destinations and memoises the route per destination tuple — callers on
 the hot path pass the same precomputed tuple every time.
 
-Fault injection hooks:
-
-* :meth:`Process.crash` / :meth:`Process.recover` — crash-stop behaviour;
-* :meth:`Process.set_interceptor` — attach a
-  :class:`~repro.adversary.MessageInterceptor` that filters every
-  outbound message per destination (drop, delay, duplicate, rewrite);
-  :attr:`Process.byzantine` reads whether one is attached, the only
-  record of the node being adversarial (the fault events of
-  :mod:`repro.api.faults` attach and detach them).
-  With no interceptor attached, ``send``/``multicast`` take exactly the
-  pre-existing fast path — one ``is None`` check and no extra RNG draws
-  — so faultless runs stay bit-identical.
+The arming seam
+---------------
+Instruments are armed by swapping values, not by a test at each call
+site: a process starts with :data:`~repro.obs.INERT_RECORDER`, whose
+hooks do nothing, so protocol code (and the checked lane's dispatch
+context) calls ``recorder`` hooks unconditionally until
+``BaseSystem.arm_recorder`` swaps a flight recorder in.  Only the
+message path still branches: :meth:`deliver` picks the checked lane
+when the recorder is not the inert one, and :meth:`send` /
+:meth:`multicast` divert to :meth:`set_interceptor`'s
+:class:`~repro.adversary.MessageInterceptor` when one is attached (it
+filters every outbound message per destination: drop, delay,
+duplicate, rewrite).  :attr:`byzantine` reads whether one is attached,
+the only record of the node being adversarial (the fault events of
+:mod:`repro.api.faults` attach and detach them).  With none attached,
+``send``/``multicast`` take the fast path — one ``is None`` check, no
+extra RNG draws — so faultless runs stay bit-identical.
+:meth:`crash` / :meth:`recover` give crash-stop behaviour.
 """
 
 from __future__ import annotations
@@ -52,13 +58,14 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..obs.recorder import INERT_RECORDER
 from .costs import CostModel
 from .network import Network
 from .simulator import Simulator, Timer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..adversary.interceptor import MessageInterceptor
-    from ..obs.recorder import FlightRecorder
+    from ..obs.recorder import FlightRecorder, InertRecorder
 
 __all__ = ["Process"]
 
@@ -85,10 +92,8 @@ class Process:
         self.crashed = False
         #: outbound message filter; None on the (default) faultless path.
         self.interceptor: "MessageInterceptor | None" = None
-        #: flight recorder (repro.obs); None on the (default) untraced
-        #: path — every instrumentation hook is one ``is None`` check,
-        #: the same lazy-arming contract as the interceptor above.
-        self.recorder: "FlightRecorder | None" = None
+        #: flight recorder (repro.obs); the inert one until armed.
+        self.recorder: "FlightRecorder | InertRecorder" = INERT_RECORDER
         self._cpu_free_at = 0.0
         self.messages_received = 0
         #: arrivals dropped at the NIC because the process was crashed.
@@ -170,8 +175,7 @@ class Process:
         self._cpu_free_at = completion
         self.cpu_busy_time += cost
         handler = self._fast_lane.get(kind)
-        recorder = self.recorder
-        if handler is None or recorder is not None:
+        if handler is None or self.recorder is not INERT_RECORDER:
             handler = self._dispatch_message
         queue = sim._queue
         heappush(queue._heap, [completion, next(queue._counter), handler, (message, src)])
@@ -181,17 +185,14 @@ class Process:
         :meth:`crash` did not leave pointing at a handler.
 
         ``crashed`` is tested when the event fires; a type without a table
-        entry falls to :meth:`on_message`; under an armed recorder the
-        handler runs in a recv context, so every event it records (phases,
-        sends, quorum votes) parents to this arrival.
+        entry falls to :meth:`on_message`; the handler runs in a recv
+        context (the inert recorder's does nothing), so every event it
+        records (phases, sends, quorum votes) parents to this arrival.
         """
         if self.crashed:
             return
         handler = self._fast_lane.get(message.__class__, self.on_message)
         recorder = self.recorder
-        if recorder is None:
-            handler(message, src)
-            return
         recorder.begin_dispatch(self.sim._now, message, src, self.pid)
         try:
             handler(message, src)

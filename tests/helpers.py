@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from repro.common.config import ClusterConfig, SystemConfig
 from repro.common.types import ClusterId, FaultModel, NodeId
 from repro.consensus.log import OrderingLog
+from repro.obs import INERT_RECORDER
 from repro.txn.transaction import Transaction
 
 
@@ -47,8 +48,8 @@ class FakeHost:
         self.timers: list[FakeTimer] = []
         #: simulated clock (ConsensusHost interface); tests may advance it.
         self.now = 0.0
-        #: flight recorder (ConsensusHost interface); left unarmed here.
-        self.recorder = None
+        #: flight recorder (ConsensusHost interface); left inert here.
+        self.recorder = INERT_RECORDER
 
     # -- ConsensusHost interface ---------------------------------------
     def multicast_cluster(self, message: object) -> None:

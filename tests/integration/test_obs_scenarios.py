@@ -5,9 +5,10 @@ The recorder's contract has three halves:
 * **Tracing off is free** — an untraced run and a spans-only traced run
   (``TraceSpec(gauge_interval=0)``) are bit-identical: same event count,
   same messages, same commits, same per-replica state digests, under
-  batching and under churn.  Gauge sampling adds *only* its own timer
-  events: the protocol outcome is unchanged and the simulator event
-  count grows by exactly ``gauge_ticks``.
+  batching, under churn and with an adversary armed mid-run.  Gauge
+  sampling adds *only* its own timer events: the protocol outcome is
+  unchanged and the simulator event count grows by exactly
+  ``gauge_ticks``.
 * **Tracing on is complete** — a traced 5-cluster batched run yields a
   Chrome-trace export with balanced spans that passes the validator,
   and a phase table attributing >=95% of end-to-end latency.
@@ -28,6 +29,7 @@ import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
 from repro.common.types import ClusterId, FaultModel
+from repro.core.guard import RequestGuard
 from repro.obs import TraceSpec, write_chrome_trace
 from repro.obs.export import chrome_trace_events
 from repro.txn.workload import WorkloadConfig
@@ -167,6 +169,32 @@ class TestZeroOverheadOff:
             trace=SPANS_ONLY, faults=faults(), seed=7, duration=0.8
         ).run()
         assert_identical(off, on)
+
+    def test_spans_only_trace_is_bit_identical_with_every_instrument_armed(self):
+        """A replica turns Byzantine mid-run on a cross-shard workload, so
+        its interceptor, every replica's request guard and the recorder
+        are all armed in the traced run."""
+
+        def run(trace):
+            return traced_scenario(
+                trace=trace,
+                fault_model=FaultModel.BYZANTINE,
+                cross_shard_fraction=0.5,
+                clients=16,
+                duration=0.4,
+                faults=FaultSchedule().make_byzantine(
+                    at=0.1, node=0, behavior="equivocating-primary"
+                ),
+            ).run()
+
+        off, on = run(None), run(SPANS_ONLY)
+        assert_identical(off, on)
+        assert on.system.replicas[0].byzantine
+        assert all(
+            isinstance(replica.request_guard, RequestGuard)
+            for replica in on.system.replicas.values()
+        )
+        assert on.trace.breakdown.txs > 0 and on.stats.committed_cross > 0
 
     def test_gauge_sampling_adds_exactly_its_own_ticks(self):
         """Gauges only read state: the protocol outcome is unchanged and

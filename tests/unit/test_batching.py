@@ -13,6 +13,7 @@ from repro.common.types import AccountId, ClientId, ClusterId
 from repro.consensus.batching import BatchPipeline, member_requests
 from repro.consensus.log import item_digest
 from repro.consensus.messages import ClientRequest, RequestBatch
+from repro.obs import INERT_RECORDER
 from repro.txn.transaction import Transaction, Transfer
 
 
@@ -62,8 +63,8 @@ class FakeHost:
         self.cross = FakeCross()
         self.forwarded = []
         self.monitored = []
-        #: flight recorder (ConsensusHost interface); left unarmed here.
-        self.recorder = None
+        #: flight recorder (ConsensusHost interface); left inert here.
+        self.recorder = INERT_RECORDER
         self.now = 0.0
         self.node_id = 0
 

@@ -16,8 +16,8 @@ from repro.adversary import available_behaviors, get_behavior, make_behavior
 from repro.api import DeploymentSpec, FaultSchedule, MakeClientByzantine, Scenario
 from repro.common.crypto import KeyPair, Signature
 from repro.common.types import AccountId, ClientId
-from repro.consensus.messages import ClientRequest
-from repro.core.guard import ADMIT, DROP, REFUSE, RequestGuard
+from repro.consensus.messages import ClientRequest, RequestBatch
+from repro.core.guard import ADMIT, DROP, REFUSE, InertGuard, RequestGuard
 from repro.txn.transaction import Transaction
 
 
@@ -126,6 +126,31 @@ class TestRequestGuardUnit:
         assert not guard.is_duplicate_apply("tx-2")
         assert guard.deduped_applies == 1
 
+    def test_a_batch_with_one_refused_member_is_refused(self):
+        guard = RequestGuard(FakeChain(), owner_of=lambda account: ClientId(1))
+        honest, stolen = request(tx_id="tx-1"), request(tx_id="tx-2", client=2)
+        assert guard.screen_item(RequestBatch(requests=(honest,))) == ADMIT
+        assert guard.screen_item(RequestBatch(requests=(honest, stolen))) == REFUSE
+
+
+class TestInertGuard:
+    """The guard a replica holds until an adversary enters the run."""
+
+    def test_admits_everything_and_keeps_no_books(self):
+        guard = InertGuard(FakeChain())
+        forged = request(keypair=KeyPair(owner=2))
+        assert RequestGuard(FakeChain()).screen(forged) == DROP
+        assert guard.screen(forged) == ADMIT
+        assert guard.screen_item(RequestBatch(requests=(forged,))) == ADMIT
+        assert guard.committed(forged) is None and guard.abandoned("tx-1") is None
+
+    def test_apply_backstop_is_the_chains_duplicate_index(self):
+        chain = FakeChain()
+        guard = InertGuard(chain)
+        chain.committed.add("tx-1")
+        assert guard.is_duplicate_apply("tx-1")
+        assert not guard.is_duplicate_apply("tx-2")
+
 
 def client_attack(behavior, seed=1, duration=0.6, cross=0.2, **overrides):
     return Scenario(
@@ -146,7 +171,7 @@ def guard_totals(system):
     guards = [
         process.request_guard
         for process in system.processes()
-        if getattr(process, "request_guard", None) is not None
+        if isinstance(getattr(process, "request_guard", None), RequestGuard)
     ]
     assert guards, "adversary events must arm the request guards"
     return {
@@ -209,8 +234,8 @@ class TestClientBehaviorsAreSafe:
         )
         result = scenario.run()
         assert result.ok
-        assert all(
-            getattr(process, "request_guard", None) is None
+        assert not any(
+            isinstance(getattr(process, "request_guard", None), RequestGuard)
             for process in result.system.processes()
         )
 

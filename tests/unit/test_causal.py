@@ -2,6 +2,7 @@
 
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,11 @@ from repro.obs.causal import (
 )
 from repro.obs.export import chrome_trace_events, jsonl_rows, write_chrome_trace
 from repro.obs.recorder import FlightRecorder, TraceSpec
+
+
+def at(now, node_id):
+    """The host an engine passes to the recorder's engine hooks."""
+    return SimpleNamespace(now=now, node_id=node_id)
 
 
 # ----------------------------------------------------------------------
@@ -215,11 +221,11 @@ class TestSummaries:
 class TestQuorumVotes:
     def test_deciding_vote_closes_key_and_dedups(self):
         recorder = FlightRecorder(TraceSpec(gauge_interval=0))
-        recorder.quorum_vote(0.1, 0, "accept", ("k",), 0, False)
-        recorder.quorum_vote(0.1, 0, "accept", ("k",), 0, False)  # dup voter
-        recorder.quorum_vote(0.2, 0, "accept", ("k",), 1, False)
-        recorder.quorum_vote(0.3, 0, "accept", ("k",), 2, True)   # deciding
-        recorder.quorum_vote(0.4, 0, "accept", ("k",), 3, True)   # late: dropped
+        recorder.quorum_vote(at(0.1, 0), "accept", ("k",), 0, False)
+        recorder.quorum_vote(at(0.1, 0), "accept", ("k",), 0, False)  # dup voter
+        recorder.quorum_vote(at(0.2, 0), "accept", ("k",), 1, False)
+        recorder.quorum_vote(at(0.3, 0), "accept", ("k",), 2, True)   # deciding
+        recorder.quorum_vote(at(0.4, 0), "accept", ("k",), 3, True)   # late: dropped
         report = recorder.finalize(_FakeSystem(), end_time=1.0)
         assert len(report.deciding) == 1
         pid, kind, key, voter, t, lag = report.deciding[0]
@@ -228,7 +234,7 @@ class TestQuorumVotes:
 
     def test_undecided_quorums_are_not_reported(self):
         recorder = FlightRecorder(TraceSpec(gauge_interval=0))
-        recorder.quorum_vote(0.1, 0, "accept", ("k",), 0, False)
+        recorder.quorum_vote(at(0.1, 0), "accept", ("k",), 0, False)
         report = recorder.finalize(_FakeSystem(), end_time=1.0)
         assert report.deciding == ()
 
@@ -265,7 +271,7 @@ class TestFlowExport:
 
     def test_deciding_instants_exported(self):
         recorder = recorded_chain()
-        recorder.quorum_vote(0.003, 0, "accept", (0, 1, "d"), 2, True)
+        recorder.quorum_vote(at(0.003, 0), "accept", (0, 1, "d"), 2, True)
         report = recorder.finalize(_FakeSystem(), end_time=0.01)
         events = chrome_trace_events(report)
         deciding = [e for e in events if e.get("cat") == "deciding"]
@@ -374,7 +380,7 @@ class TestReportCsv:
         from repro.obs.report import main
 
         recorder = recorded_chain()
-        recorder.quorum_vote(0.003, 0, "accept", (0, 1, "d"), 2, True)
+        recorder.quorum_vote(at(0.003, 0), "accept", (0, 1, "d"), 2, True)
         report = recorder.finalize(_FakeSystem(), end_time=0.01)
         path = tmp_path / ("trace.jsonl" if jsonl else "trace.json")
         if jsonl:

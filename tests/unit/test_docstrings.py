@@ -68,7 +68,7 @@ INVARIANT_PHRASES = {
     "repro.core.guard": [
         "at-most-once",
         "ownership",
-        "is None",  # the faultless-path cost contract
+        "InertGuard",  # the faultless-path contract: an unarmed replica admits all
     ],
 }
 

@@ -20,6 +20,7 @@ from repro.api import (
 from repro.api.scenario import DeploymentSpec, Scenario
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsCollector
+from repro.core.guard import InertGuard, RequestGuard
 
 
 def build_system(num_clusters=2, fault_model=FaultModel.BYZANTINE, clients=0):
@@ -174,10 +175,12 @@ class TestArming:
         system = build_system(clients=1)
         FaultSchedule().make_client_byzantine(at=0.05, client=0).arm(system)
         assert not system.clients[0].byzantine
-        assert all(process.request_guard is None for process in system.processes())
+        assert all(isinstance(process.request_guard, InertGuard) for process in system.processes())
         system.sim.run(until=0.06)
         assert system.clients[0].byzantine
-        assert all(process.request_guard is not None for process in system.processes())
+        assert all(
+            isinstance(process.request_guard, RequestGuard) for process in system.processes()
+        )
 
 
 class TestAdversaryEvents:

@@ -5,8 +5,11 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.api import DeploymentSpec
 from repro.obs import (
+    INERT_RECORDER,
     FlightRecorder,
+    InertRecorder,
     TraceSpec,
     attribute_phases,
     normalize_trace,
@@ -124,6 +127,29 @@ class TestFlightRecorder:
     def test_negative_gauge_interval_is_refused(self):
         with pytest.raises(ConfigurationError, match="gauge_interval"):
             TraceSpec(gauge_interval=-0.01)
+
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_sample_below_one_is_refused(self, sample):
+        with pytest.raises(ConfigurationError, match="sample"):
+            TraceSpec(sample=sample)
+
+    @pytest.mark.parametrize("trace", [1, 0, "yes", {"sample": 2}])
+    def test_a_trace_that_is_not_none_bool_or_spec_is_refused(self, trace):
+        with pytest.raises(ConfigurationError, match="trace must be"):
+            normalize_trace(trace)
+        with pytest.raises(ConfigurationError, match="trace must be"):
+            DeploymentSpec(trace=trace)
+
+    def test_inert_recorder_has_every_hook_and_records_nothing(self):
+        hooks = {
+            name
+            for name in vars(FlightRecorder)
+            if not name.startswith("_") and callable(getattr(FlightRecorder, name))
+        }
+        assert hooks <= set(dir(InertRecorder))
+        assert isinstance(INERT_RECORDER, InertRecorder)
+        assert INERT_RECORDER.finalize(None, 1.0) is None
+        assert INERT_RECORDER.quorum_vote(0.0, 0, "accept", ("k",), 1, True) is None
 
     def test_slot_spans_first_open_wins(self):
         recorder = FlightRecorder()

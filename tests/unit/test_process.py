@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from repro.common.config import PerformanceModel
+from repro.obs import InertRecorder
 from repro.sim.costs import CostModel
 from repro.sim.network import Network, UniformLatencyModel
 from repro.sim.process import Process
@@ -124,8 +125,9 @@ class TestFaultInjection:
             proc.on_message("x", 0)
 
 
-class CausalStub:
-    """The two recorder hooks ``Process`` calls, noting their order."""
+class CausalStub(InertRecorder):
+    """A recorder noting the two hooks ``Process`` calls around a handler;
+    every other hook stays inert.  Swapping it in arms the process."""
 
     def __init__(self, process):
         self.calls = []
