@@ -1,7 +1,8 @@
 """Causal commit graphs: critical-path and quorum-straggler analytics.
 
-The recorder (when ``TraceSpec.causal`` is on) tags every traced event
-with a monotonically increasing event id and a *causal parent*:
+Every trace is causal: the recorder stores each phase event and each
+message ``send``/``recv`` node as one row of a :class:`NodeTable`, whose
+row index is the node's event id, next to its *causal parent*:
 
 * a ``send`` node's parent is the context in which the send happened —
   the ``recv`` node of the message being dispatched, or the ``submit``
@@ -43,7 +44,11 @@ kind).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Sequence
+from itertools import compress, count
+from struct import Struct, calcsize, iter_unpack
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+from .phases import PHASES_CROSS, PHASES_INTRA
 
 __all__ = [
     "CritEdge",
@@ -51,6 +56,9 @@ __all__ = [
     "EdgeStats",
     "CriticalSummary",
     "StragglerStats",
+    "Rows",
+    "NodeTable",
+    "RowView",
     "iter_critical_paths",
     "critical_paths",
     "summarize_paths",
@@ -150,95 +158,213 @@ class StragglerStats:
     max_lag_ms: float
 
 
+#: Node kind codes.  ``ABSENT`` marks a row without a node (row 0, so
+#: eid 0 means "no event"); phase names take the codes after ``RECV``.
+ABSENT, SEND, RECV = 0, 1, 2
+#: a node row's numbers: time, parent eid, pid, kind code (the last byte).
+NODE_ROW = Struct("<dqiB")
+pack_node = NODE_ROW.pack
+
+
+class Rows:
+    """Append-only rows of fixed-width numbers, packed by one ``struct``
+    format into a bytearray: no tuple or number object per row.
+    Iterating yields each row as a tuple, in append order; ``len`` is
+    O(1); tables compare by their bytes.  Do not append while iterating."""
+
+    __slots__ = ("fmt", "data")
+
+    def __init__(self, fmt: str) -> None:
+        self.fmt, self.data = fmt, bytearray()
+
+    def __len__(self) -> int:
+        return len(self.data) // calcsize(self.fmt)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter_unpack(self.fmt, self.data)
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.fmt == other.fmt and self.data == other.data
+
+
+class RowView:
+    """A read-only view of some of a table's rows, as tuples: ``len``
+    without a scan, rows built one at a time when iterated."""
+
+    __slots__ = ("_rows", "_len")
+
+    def __init__(self, rows: Callable[[], Iterator[tuple]], length: int) -> None:
+        self._rows, self._len = rows, length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._rows()
+
+
+class NodeTable(Rows):
+    """Phase events and message ``send``/``recv`` nodes in record order,
+    one row each; a row's index is its node's eid, so the next node's
+    eid is always ``len(table)``.  A row packs (:data:`NODE_ROW`) time,
+    parent eid, pid and kind code (an index into ``names``); ``labels``
+    holds the run's own strings: a phase's tx id, a message's type name.
+    """
+
+    __slots__ = ("labels", "names", "codes", "phases", "holes")
+
+    def __init__(self) -> None:
+        super().__init__(NODE_ROW.format)
+        self.labels: list[str] = []
+        self.names = ["", "send", "recv", *dict.fromkeys(PHASES_INTRA + PHASES_CROSS)]
+        self.codes = {name: code for code, name in enumerate(self.names)}
+        self.phases, self.holes = 0, 1  # phase rows; ABSENT rows
+        self.append(0.0, 0, 0, ABSENT, "")
+
+    def append(self, time: float, parent: int, pid: int, code: int, label: str) -> int:
+        """Append one node; returns its eid."""
+        labels = self.labels
+        labels.append(label)
+        self.data += pack_node(time, parent, pid, code)
+        return len(labels) - 1
+
+    def new_phase(self, phase: str) -> int:
+        """Register a phase name outside the canonical ones; its code."""
+        code = self.codes[phase] = len(self.names)
+        self.names.append(phase)
+        return code
+
+    @classmethod
+    def from_rows(cls, nodes: Iterable[tuple[int, int, float, str, int, str]]) -> "NodeTable":
+        """Rebuild a table from ``(eid, parent, t, kind, pid, label)``
+        rows, a phase event's kind being its phase and its label its tx
+        id (the JSONL export's).  An eid no row names stays absent."""
+        table, rows = cls(), {row[0]: row for row in nodes}
+        for eid in range(1, max(rows, default=0) + 1):
+            _, parent, time, kind, pid, label = rows.get(eid, (eid, 0, 0.0, "", 0, ""))
+            code = table.codes.get(kind)
+            table.append(time, parent, pid, table.new_phase(kind) if code is None else code, label)
+        kinds = table.kinds()
+        table.holes = kinds.count(ABSENT)
+        table.phases = len(kinds) - table.holes - kinds.count(SEND) - kinds.count(RECV)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, eid: int) -> tuple[float, int, int, int]:
+        """``(time, parent, pid, code)`` of node ``eid``."""
+        return NODE_ROW.unpack_from(self.data, eid * NODE_ROW.size)
+
+    def kinds(self) -> bytes:
+        """Every row's kind code, one byte each (a copy)."""
+        return self.data[NODE_ROW.size - 1 :: NODE_ROW.size]
+
+    def events(self) -> RowView:
+        """``(time, tx_id, phase, pid)`` per phase event, in record order."""
+        names = self.names
+        return RowView(lambda: (
+            (time, label, names[code], pid)
+            for (time, _, pid, code), label in zip(iter(self), self.labels)
+            if code > RECV
+        ), self.phases)
+
+    def event_meta(self) -> RowView:
+        """``(eid, parent)`` per phase event, aligned with :meth:`events`."""
+        return RowView(lambda: (
+            (eid, parent) for eid, (_, parent, _, code) in enumerate(self) if code > RECV
+        ), self.phases)
+
+    def messages(self) -> RowView:
+        """``(eid, parent, t, kind, pid, label)`` per message node; kind is
+        ``"send"`` (NIC departure) or ``"recv"`` (dispatch time)."""
+        names = self.names
+        return RowView(lambda: (
+            (eid, parent, time, names[code], pid, label)
+            for eid, ((time, parent, pid, code), label) in enumerate(zip(iter(self), self.labels))
+            if code == SEND or code == RECV
+        ), len(self.labels) - self.phases - self.holes)
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not NodeTable:
+            return NotImplemented
+        return self.data == other.data and self.labels == other.labels and self.names == other.names
+
+
 def iter_critical_paths(
-    events: Sequence[tuple[float, str, str, int]],
-    event_meta: Sequence[tuple[int, int]],
-    causal: Sequence[tuple[int, int, float, str, int, str]],
-    cross_txs: frozenset[str] | set[str],
+    nodes: NodeTable, cross_txs: frozenset[str] | set[str]
 ) -> Iterator[TxCriticalPath]:
     """Walk every committed transaction's critical path, one at a time.
 
-    ``events``/``event_meta`` are the recorder's aligned phase events and
-    ``(eid, parent)`` pairs; ``causal`` holds the message ``send``/``recv``
-    nodes.  Transactions without both a submit and a reply (in flight at
-    the horizon, or cut by a crash) are excluded — their chains simply
+    Transactions without both a submit and a reply (in flight at the
+    horizon, or cut by a crash) are excluded — their chains simply
     terminate at the last recorded event and are never walked.
 
-    Paths come in ``(submitted, tx)`` order.  Nothing is copied: an eid
-    resolves through one table whose slot is the recorded causal row
-    itself, or the index of the phase event, so only the path being
-    yielded is alive at any time.
+    Paths come in ``(submitted, tx)`` order.  Only the rows' kind bytes
+    are copied: an eid is a row index of ``nodes``, so only the path
+    being yielded is alive at any time.
     """
-    if not event_meta:
-        return
-    top = max(max(eid for eid, _ in event_meta), max((row[0] for row in causal), default=0))
-    rows: list[Any] = [None] * (top + 1)
-    for row in causal:
-        rows[row[0]] = row
+    labels, names = nodes.labels, nodes.names
+    kinds = nodes.kinds()
     submits: dict[str, int] = {}
+    for eid in compress(count(), map(nodes.codes["submit"].__eq__, kinds)):
+        submits.setdefault(labels[eid], eid)
     replies: dict[str, int] = {}
-    for index, ((_, tx, phase, _), (eid, _)) in enumerate(zip(events, event_meta)):
-        rows[eid] = index
-        if phase == "submit":
-            submits.setdefault(tx, index)
-        elif phase == "reply":
-            replies.setdefault(tx, index)
+    for eid in compress(count(), map(nodes.codes["reply"].__eq__, kinds)):
+        replies.setdefault(labels[eid], eid)
+    del kinds
     order = sorted(
-        (events[submit][0], tx, submit, reply)
+        (nodes[submit][0], tx, submit, reply)
         for tx, reply in replies.items()
         if (submit := submits.get(tx)) is not None
-        and events[reply][0] >= events[submit][0]
-        and event_meta[reply][0] > event_meta[submit][0]
+        and nodes[reply][0] >= nodes[submit][0]
+        and reply > submit
     )
     del submits, replies
 
     def node(eid: int) -> tuple[int, int, float, str, int, str]:
-        """The causal row of ``eid``; a phase event's is built on the fly."""
-        row = rows[eid]
-        if type(row) is not int:
-            return row
-        time, _, phase, pid = events[row]
-        return eid, event_meta[row][1], time, "phase", pid, phase
+        """``eid``'s ``(eid, parent, t, kind, pid, label)``; a phase
+        event's kind is ``"phase"`` and its label the phase name."""
+        time, parent, pid, code = nodes[eid]
+        if code > RECV:
+            return eid, parent, time, "phase", pid, names[code]
+        return eid, parent, time, names[code], pid, labels[eid]
 
     for submitted, tx, submit, reply in order:
-        submit_node = node(event_meta[submit][0])
-        submit_eid = submit_node[0]
-        chain = [node(event_meta[reply][0])]
-        cursor = event_meta[reply][1]
+        submit_node = node(submit)
+        chain = [node(reply)]
+        cursor = chain[0][1]
         # Backward walk: parent ids are strictly smaller than child ids,
         # so the chain strictly decreases and must terminate.  It either
         # reaches this transaction's submit (complete) or escapes the
         # transaction's window / hits a contextless event (clip).
         complete = False
         while cursor:
-            if cursor == submit_eid:
+            if cursor == submit:
                 complete = True
                 break
-            if cursor < submit_eid or cursor >= chain[-1][0] or rows[cursor] is None:
+            if cursor < submit or cursor >= chain[-1][0] or nodes[cursor][3] == ABSENT:
                 break
             chain.append(node(cursor))
             cursor = chain[-1][1]
         chain.append(submit_node)
         chain.reverse()
         edges = [
-            CritEdge(src[0], eid, src[4], pid, kind, label, src[2], time)
-            for src, (eid, _, time, kind, pid, label) in zip(chain, chain[1:])
+            CritEdge(src[0], eid, src[4], dst_pid, kind, name, src[2], at)
+            for src, (eid, _, at, kind, dst_pid, name) in zip(chain, chain[1:])
         ]
         if not complete:
             edges[0] = replace(edges[0], kind="wait", label="wait")
-        yield TxCriticalPath(
-            tx, tx in cross_txs, submitted, events[reply][0], complete, tuple(edges)
-        )
+        yield TxCriticalPath(tx, tx in cross_txs, submitted, chain[-1][2], complete, tuple(edges))
 
 
 def critical_paths(
-    events: Sequence[tuple[float, str, str, int]],
-    event_meta: Sequence[tuple[int, int]],
-    causal: Sequence[tuple[int, int, float, str, int, str]],
-    cross_txs: frozenset[str] | set[str],
+    nodes: NodeTable, cross_txs: frozenset[str] | set[str]
 ) -> tuple[TxCriticalPath, ...]:
     """:func:`iter_critical_paths`, collected into one tuple."""
-    return tuple(iter_critical_paths(events, event_meta, causal, cross_txs))
+    return tuple(iter_critical_paths(nodes, cross_txs))
 
 
 def summarize_paths(paths: Iterable[TxCriticalPath]) -> CriticalSummary:

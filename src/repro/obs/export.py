@@ -10,7 +10,7 @@ Spans still open at the end of the run are closed at the final
 timestamp with ``args: {"open": true}`` so every ``"b"`` has a matching
 ``"e"`` — the validator checks that balance.
 
-When causal data is present (:mod:`repro.obs.causal`), each
+Every trace is causal (:mod:`repro.obs.causal`), so each
 critical-path hop additionally becomes a flow ``"s"``/``"f"`` pair
 (``cat: "flow"``) — Perfetto renders them as arrows between tracks, so
 the latency-dominant chain of a transaction is visible as a connected
@@ -23,8 +23,8 @@ alone.  Deciding quorum votes are ``"i"`` instants (``cat:
 The JSONL writer dumps one self-describing JSON object per line (meta
 header first, then phase/slot/view_change/causal/deciding/gauge rows)
 — the format the report CLI and ad-hoc ``jq`` pipelines consume; phase
-rows carry their ``eid``/``parent`` when the causal layer recorded
-them, letting the report rebuild critical paths offline.
+rows carry their ``eid``/``parent``, letting the report rebuild
+critical paths offline.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def _us(time: float) -> int:
 def chrome_trace_events(report: "TraceReport") -> list[dict[str, Any]]:
     """Build the sorted ``traceEvents`` list for a report."""
     clusters = report.pid_clusters
-    end_us = _us(report.end_time)
     events: list[dict[str, Any]] = []
     seen_tracks: set[tuple[int, int]] = set()
 
@@ -79,45 +78,23 @@ def chrome_trace_events(report: "TraceReport") -> list[dict[str, Any]]:
     cross = report.cross_txs
     for time, tx, phase, pid in report.events:
         group, tid = track(pid)
-        events.append(
-            {
-                "ph": "i",
-                "cat": "phase",
-                "name": phase,
-                "pid": group,
-                "tid": tid,
-                "ts": _us(time),
-                "s": "t",
-                "args": {"tx": tx, "cross": tx in cross},
-            }
-        )
+        events.append({
+            "ph": "i", "cat": "phase", "name": phase, "pid": group, "tid": tid,
+            "ts": _us(time), "s": "t", "args": {"tx": tx, "cross": tx in cross},
+        })
 
     for sample in report.gauges:
         ts = _us(sample["t"])
-        events.append(
-            {
-                "ph": "C",
-                "cat": "gauge",
-                "name": "net in-transit",
-                "pid": GLOBAL_GROUP,
-                "tid": 0,
-                "ts": ts,
-                "args": {"messages": sample["in_transit"]},
-            }
-        )
+        events.append({
+            "ph": "C", "cat": "gauge", "name": "net in-transit", "pid": GLOBAL_GROUP,
+            "tid": 0, "ts": ts, "args": {"messages": sample["in_transit"]},
+        })
         for pid, values in sample["replicas"].items():
-            group = clusters.get(pid, GLOBAL_GROUP)
-            events.append(
-                {
-                    "ph": "C",
-                    "cat": "gauge",
-                    "name": f"r{pid} pipeline",
-                    "pid": group,
-                    "tid": pid,
-                    "ts": ts,
-                    "args": {"window": values["window"], "queue": values["queue"]},
-                }
-            )
+            events.append({
+                "ph": "C", "cat": "gauge", "name": f"r{pid} pipeline",
+                "pid": clusters.get(pid, GLOBAL_GROUP), "tid": pid, "ts": ts,
+                "args": {"window": values["window"], "queue": values["queue"]},
+            })
 
     # Critical-path hops as Perfetto flow arrows.  Zero-width phase
     # edges are skipped (the instants above already mark them); wait
@@ -132,50 +109,26 @@ def chrome_trace_events(report: "TraceReport") -> list[dict[str, Any]]:
             group0, tid0 = track(edge.src_pid)
             group1, tid1 = track(edge.pid)
             base = {"cat": "flow", "name": f"critpath:{edge.label}", "id": f"f{flow_id}"}
-            events.append(
-                {
-                    **base,
-                    "ph": "s",
-                    "pid": group0,
-                    "tid": tid0,
-                    "ts": _us(edge.t0),
-                    "args": {"eid": edge.src_eid, "tx": path.tx},
-                }
-            )
-            events.append(
-                {
-                    **base,
-                    "ph": "f",
-                    "bp": "e",
-                    "pid": group1,
-                    "tid": tid1,
-                    "ts": _us(edge.t1),
-                    "args": {
-                        "eid": edge.dst_eid,
-                        "parent": edge.src_eid,
-                        "kind": edge.kind,
-                        "label": edge.label,
-                        "dur_ms": round((edge.t1 - edge.t0) * 1e3, 6),
-                        "tx": path.tx,
-                        "cross": path.cross,
-                    },
-                }
-            )
+            events.append({
+                **base, "ph": "s", "pid": group0, "tid": tid0, "ts": _us(edge.t0),
+                "args": {"eid": edge.src_eid, "tx": path.tx},
+            })
+            events.append({
+                **base, "ph": "f", "bp": "e", "pid": group1, "tid": tid1, "ts": _us(edge.t1),
+                "args": {
+                    "eid": edge.dst_eid, "parent": edge.src_eid, "kind": edge.kind,
+                    "label": edge.label, "dur_ms": round((edge.t1 - edge.t0) * 1e3, 6),
+                    "tx": path.tx, "cross": path.cross,
+                },
+            })
 
     for pid, kind, key, voter, time, lag in report.deciding:
         group, tid = track(pid)
-        events.append(
-            {
-                "ph": "i",
-                "cat": "deciding",
-                "name": f"deciding:{kind}",
-                "pid": group,
-                "tid": tid,
-                "ts": _us(time),
-                "s": "t",
-                "args": {"voter": voter, "lag_ms": round(lag * 1e3, 6), "key": str(key)},
-            }
-        )
+        events.append({
+            "ph": "i", "cat": "deciding", "name": f"deciding:{kind}", "pid": group, "tid": tid,
+            "ts": _us(time), "s": "t",
+            "args": {"voter": voter, "lag_ms": round(lag * 1e3, 6), "key": str(key)},
+        })
 
     # Stable sort: a zero-length span's "b" was appended before its "e"
     # and stays first, so pairs never invert at equal timestamps.
@@ -184,28 +137,16 @@ def chrome_trace_events(report: "TraceReport") -> list[dict[str, Any]]:
     meta: list[dict[str, Any]] = []
     for group, tid in sorted(seen_tracks):
         name = f"replica {tid}" if group != GLOBAL_GROUP else f"client {tid}"
-        meta.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": group,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": name},
-            }
-        )
+        meta.append({
+            "ph": "M", "name": "thread_name", "pid": group, "tid": tid, "ts": 0,
+            "args": {"name": name},
+        })
     for group in sorted({group for group, _tid in seen_tracks} | {GLOBAL_GROUP}):
         label = f"cluster {group}" if group != GLOBAL_GROUP else "clients/network"
-        meta.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": group,
-                "tid": 0,
-                "ts": 0,
-                "args": {"name": label},
-            }
-        )
+        meta.append({
+            "ph": "M", "name": "process_name", "pid": group, "tid": 0, "ts": 0,
+            "args": {"name": label},
+        })
     return meta + events
 
 
@@ -229,30 +170,11 @@ def jsonl_rows(report: "TraceReport") -> Iterator[dict[str, Any]]:
         "sent_by_type": report.sent_by_type,
     }
     cross = report.cross_txs
-    if report.event_meta:
-        for (time, tx, phase, pid), (eid, parent) in zip(
-            report.events, report.event_meta
-        ):
-            yield {
-                "type": "phase",
-                "t": time,
-                "tx": tx,
-                "phase": phase,
-                "pid": pid,
-                "cross": tx in cross,
-                "eid": eid,
-                "parent": parent,
-            }
-    else:
-        for time, tx, phase, pid in report.events:
-            yield {
-                "type": "phase",
-                "t": time,
-                "tx": tx,
-                "phase": phase,
-                "pid": pid,
-                "cross": tx in cross,
-            }
+    for (time, tx, phase, pid), (eid, parent) in zip(report.events, report.event_meta):
+        yield {
+            "type": "phase", "t": time, "tx": tx, "phase": phase, "pid": pid,
+            "cross": tx in cross, "eid": eid, "parent": parent,
+        }
     for pid, cluster, slot, t0, t1 in report.slot_spans:
         yield {
             "type": "slot", "pid": pid, "cluster": cluster, "slot": slot,

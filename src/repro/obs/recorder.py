@@ -12,12 +12,14 @@ tree.  ``BaseSystem.arm_recorder`` swaps a :class:`FlightRecorder` in
 everywhere in one sweep; ``Scenario.run`` arms one when
 ``DeploymentSpec.trace`` is set.
 
-Recording is append-only on the hot path (tuples into flat lists, no
-allocation beyond the tuple); all reduction — phase attribution, span
-pairing, report assembly — happens once in :meth:`FlightRecorder.finalize`.
-Reduction streams: the critical-path walk reads the recorded rows in
-place and hands one path at a time to the summary, so finalizing costs
-a table of row references, not a second copy of the trace.
+Recording is append-only on the hot path and packed: phase events and
+message nodes are rows of one :class:`~repro.obs.causal.NodeTable` (a
+node's eid is its row index), slot spans of a ``Rows`` — no tuple, eid
+int or float object per record.  All reduction happens once in
+:meth:`FlightRecorder.finalize`, which copies nothing (a recorder is
+finalized once): the report's rows are views over the same table, and
+the critical-path walk indexes it by eid and hands one path at a time
+to the summary.
 Gauge sampling is the only part of the recorder that schedules
 simulator events (a repeating timer); it only *reads* replica and
 network state, so a gauge-sampled run produces identical protocol
@@ -35,14 +37,21 @@ equals measured end-to-end latency exactly.
 
 from __future__ import annotations
 
-from statistics import median
+from collections import defaultdict
 from dataclasses import dataclass, field
+from statistics import median
+from struct import Struct
 from typing import Any
 
 from ..common.errors import ConfigurationError
 from ..consensus.batching import member_requests
 from .causal import (
+    RECV,
+    SEND,
     CriticalSummary,
+    NodeTable,
+    Rows,
+    pack_node,
     critical_paths as compute_critical_paths,
     critpath_columns,
     iter_critical_paths,
@@ -52,6 +61,10 @@ from .causal import (
     summarize_paths,
 )
 from .phases import PhaseBreakdown, attribute_phases, phase_columns, render_phase_table
+
+#: a slot span row: pid, cluster, slot, t_open, t_close.
+SPAN_ROW = Struct("<iiqdd")
+_pack_span = SPAN_ROW.pack
 
 __all__ = [
     "INERT_RECORDER", "InertRecorder", "TraceSpec", "FlightRecorder", "TraceReport", "normalize_trace"
@@ -107,13 +120,14 @@ class FlightRecorder:
 
     def __init__(self, spec: TraceSpec | None = None) -> None:
         self.spec = spec or TraceSpec()
-        #: ``(time, tx_id, phase, pid)`` in simulation-time order.
-        self.events: list[tuple[float, str, str, int]] = []
+        #: phase events and message nodes in simulation-time order; a
+        #: node's eid is its row index, row 0 (eid 0) is "no event".
+        self.nodes = NodeTable()
         #: tx ids whose submit was cross-shard.
         self.cross_txs: set[str] = set()
         self._slot_open: dict[tuple[int, int], tuple[float, int]] = {}
         #: Completed ``(pid, cluster, slot, t_open, t_close)`` slot spans.
-        self.slot_spans: list[tuple[int, int, int, float, float]] = []
+        self.slot_spans = Rows(SPAN_ROW.format)
         self._vc_open: dict[int, tuple[float, int, int]] = {}
         #: Completed ``(pid, cluster, view, t_open, t_close)`` view-change spans.
         self.vc_spans: list[tuple[int, int, int, float, float]] = []
@@ -124,23 +138,17 @@ class FlightRecorder:
         self.gauge_ticks = 0
         self._system: Any = None
         self._gauge_timer: Any = None
-        #: last assigned event id (strictly increasing; 0 = "no event").
-        self._eid = 0
         #: current dispatch context: the recv/submit eid new events
         #: parent to.  Set only by begin_dispatch/submit, cleared by
         #: clear_context — timer callbacks always run with context 0.
         self._ctx = 0
-        #: ``(eid, parent)`` per phase event, aligned with :attr:`events`.
-        self.event_meta: list[tuple[int, int]] = []
-        #: message nodes ``(eid, parent, t, kind, pid, label)``;
-        #: kind is "send" (NIC departure) or "recv" (dispatch time).
-        self.causal: list[tuple[int, int, float, str, int, str]] = []
         #: per-link send nodes awaiting their recv, keyed ``src<<21|dst``
-        #: as ``(send_eid, id(payload))`` — multicast shares one payload
+        #: as ``(send_eid, payload)`` — multicast shares one payload
         #: object, so identity matching pairs each delivery with its
         #: (single) send node; FIFO links let unmatched earlier entries
-        #: (delivered to a crashed node) be discarded on match.
-        self._links: dict[int, list[tuple[int, int]]] = {}
+        #: (delivered to a crashed node) be discarded on match.  Holding
+        #: the payload keeps its address from passing to a later one.
+        self._links: defaultdict[int, list[tuple[int, Any]]] = defaultdict(list)
         self._sample = self.spec.sample
         self._submit_seq = 0
         #: tx ids whose chain is recorded (None: sampling off, keep all).
@@ -159,9 +167,11 @@ class FlightRecorder:
         sampled = self._sampled
         if sampled is not None and tx_id not in sampled:
             return
-        self.events.append((time, tx_id, phase, pid))
-        self._eid += 1
-        self.event_meta.append((self._eid, self._ctx))
+        nodes = self.nodes
+        code = nodes.codes.get(phase) or nodes.new_phase(phase)  # no phase's code is 0
+        nodes.phases += 1
+        nodes.labels.append(tx_id)
+        nodes.data += pack_node(time, self._ctx, pid, code)
 
     def milestone(self, host: Any, item: object, phase: str) -> None:
         """Record ``phase`` at ``host`` for each client request ``item`` carries.
@@ -193,10 +203,8 @@ class FlightRecorder:
             sampled.add(tx_id)
         if cross:
             self.cross_txs.add(tx_id)
-        self.events.append((time, tx_id, "submit", pid))
-        self._eid += 1
-        self.event_meta.append((self._eid, self._ctx))
-        self._ctx = self._eid
+        self.phase(time, tx_id, "submit", pid)
+        self._ctx = len(self.nodes.labels) - 1
 
     def slot_open(self, time: float, pid: int, cluster: int, slot: int) -> None:
         """Open a consensus-slot span (first open per replica wins)."""
@@ -208,7 +216,7 @@ class FlightRecorder:
         """Close a slot span at apply time (no-op if never opened here)."""
         opened = self._slot_open.pop((pid, slot), None)
         if opened is not None:
-            self.slot_spans.append((pid, opened[1], slot, opened[0], time))
+            self.slot_spans.data += _pack_span(pid, opened[1], slot, opened[0], time)
 
     def vc_open(self, time: float, pid: int, cluster: int, view: int) -> None:
         """Open a view-change span when a replica starts suspecting."""
@@ -230,14 +238,8 @@ class FlightRecorder:
 
     def wire_send(self, time: float, src: int, dst: int, message: Any) -> None:
         """Record a unicast send node at its NIC departure time."""
-        self._eid += 1
-        eid = self._eid
-        self.causal.append((eid, self._ctx, time, "send", src, message.__class__.__name__))
-        link = (src << 21) | dst
-        queue = self._links.get(link)
-        if queue is None:
-            queue = self._links[link] = []
-        queue.append((eid, id(message)))
+        eid = self.nodes.append(time, self._ctx, src, SEND, message.__class__.__name__)
+        self._links[(src << 21) | dst].append((eid, message))
 
     def wire_multicast(
         self, time: float, src: int, routes: Any, message: Any, attempted: int
@@ -249,17 +251,10 @@ class FlightRecorder:
             self.count_send(name, attempted)
         if not routes:
             return
-        self._eid += 1
-        eid = self._eid
-        self.causal.append((eid, self._ctx, time, "send", src, name))
         links = self._links
-        entry = (eid, id(message))
+        entry = (self.nodes.append(time, self._ctx, src, SEND, name), message)
         for row in routes:
-            link = row[2]
-            queue = links.get(link)
-            if queue is None:
-                queue = links[link] = []
-            queue.append(entry)
+            links[row[2]].append(entry)
 
     def begin_dispatch(self, time: float, message: Any, src: int, pid: int) -> None:
         """Open a recv context: events the handler records parent here.
@@ -272,16 +267,12 @@ class FlightRecorder:
         queue = self._links.get((src << 21) | pid)
         parent = 0
         if queue:
-            ident = id(message)
-            for index, (send_eid, send_ident) in enumerate(queue):
-                if send_ident == ident:
+            for index, (send_eid, payload) in enumerate(queue):
+                if payload is message:
                     parent = send_eid
                     del queue[: index + 1]
                     break
-        self._eid += 1
-        eid = self._eid
-        self.causal.append((eid, parent, time, "recv", pid, message.__class__.__name__))
-        self._ctx = eid
+        self._ctx = self.nodes.append(time, parent, pid, RECV, message.__class__.__name__)
 
     def clear_context(self) -> None:
         """Close the current dispatch context (try/finally on dispatch)."""
@@ -376,15 +367,13 @@ class FlightRecorder:
             cluster = getattr(process, "cluster", None)
             if cluster is not None:
                 pid_clusters[int(process.pid)] = int(cluster.cluster_id)
-        breakdown = attribute_phases(self.events, self.cross_txs)
+        breakdown = attribute_phases(self.nodes.events(), self.cross_txs)
         deciding = sorted(self._deciding, key=lambda row: (row[4], row[0], row[1], str(row[2])))
-        critical = summarize_paths(
-            iter_critical_paths(self.events, self.event_meta, self.causal, self.cross_txs)
-        )
+        critical = summarize_paths(iter_critical_paths(self.nodes, self.cross_txs))
         return TraceReport(
-            events=tuple(self.events),
+            nodes=self.nodes,
             cross_txs=frozenset(self.cross_txs),
-            slot_spans=tuple(self.slot_spans),
+            slot_spans=self.slot_spans,
             open_slots=tuple(
                 (pid, cluster, slot, opened)
                 for (pid, slot), (opened, cluster) in sorted(self._slot_open.items())
@@ -402,8 +391,6 @@ class FlightRecorder:
             critical=critical,
             pid_clusters=pid_clusters,
             end_time=end_time,
-            event_meta=tuple(self.event_meta),
-            causal=tuple(self.causal),
             deciding=tuple(deciding),
         )
 
@@ -429,15 +416,18 @@ INERT_RECORDER = InertRecorder()
 class TraceReport:
     """The reduced, picklable trace attached to ``ScenarioResult.trace``.
 
-    Holds only tuples, dicts, and frozen dataclasses so it survives
-    ``ScenarioResult.detach()`` and the pooled-runner process boundary
-    unchanged (serial-vs-pooled bit-identity is asserted with tracing
-    enabled).
+    Holds only packed row tables, tuples, dicts, and frozen dataclasses
+    so it survives ``ScenarioResult.detach()`` and the pooled-runner
+    process boundary unchanged (serial-vs-pooled bit-identity is
+    asserted with tracing enabled).  :attr:`events`, :attr:`event_meta`
+    and :attr:`causal` are views over :attr:`nodes` with O(1) ``len``.
     """
 
-    events: tuple[tuple[float, str, str, int], ...]
+    #: phase events and message nodes, one row per eid.
+    nodes: NodeTable
     cross_txs: frozenset[str]
-    slot_spans: tuple[tuple[int, int, int, float, float], ...]
+    #: ``(pid, cluster, slot, t_open, t_close)`` per completed slot span.
+    slot_spans: Rows
     open_slots: tuple[tuple[int, int, int, float], ...]
     vc_spans: tuple[tuple[int, int, int, float, float], ...]
     open_vcs: tuple[tuple[int, int, int, float], ...]
@@ -450,12 +440,12 @@ class TraceReport:
     critical: CriticalSummary
     pid_clusters: dict[int, int] = field(default_factory=dict)
     end_time: float = 0.0
-    #: ``(eid, parent)`` per phase event, aligned with :attr:`events`.
-    event_meta: tuple[tuple[int, int], ...] = ()
-    #: message send/recv nodes ``(eid, parent, t, kind, pid, label)``.
-    causal: tuple[tuple[int, int, float, str, int, str], ...] = ()
     #: deciding-vote rows ``(pid, kind, key, voter, t, lag)``.
     deciding: tuple[tuple[int, str, Any, int, float, float], ...] = ()
+
+    events = property(lambda self: self.nodes.events(), doc=NodeTable.events.__doc__)
+    event_meta = property(lambda self: self.nodes.event_meta(), doc=NodeTable.event_meta.__doc__)
+    causal = property(lambda self: self.nodes.messages(), doc=NodeTable.messages.__doc__)
 
     def summary(self) -> str:
         """One status line for ``ScenarioResult.summary()``."""
@@ -494,9 +484,7 @@ class TraceReport:
 
     def critical_paths(self):
         """Recompute the per-transaction critical paths on demand."""
-        return compute_critical_paths(
-            self.events, self.event_meta, self.causal, self.cross_txs
-        )
+        return compute_critical_paths(self.nodes, self.cross_txs)
 
     def critical_table(self) -> str:
         """The critical-path breakdown as an aligned text table."""

@@ -22,9 +22,11 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 from typing import Any
 
 from .causal import (
+    NodeTable,
     iter_critical_paths,
     render_critical_table,
     render_straggler_table,
@@ -45,43 +47,26 @@ def _rows_from_chrome(payload: dict[str, Any]) -> list[dict[str, Any]]:
     for event in payload.get("traceEvents", []):
         ph = event.get("ph")
         cat = event.get("cat")
+        args = event.get("args", {})
         if ph == "i" and cat == "phase":
-            args = event.get("args", {})
-            rows.append(
-                {
-                    "type": "phase",
-                    "t": event["ts"] / 1e6,
-                    "tx": args.get("tx", ""),
-                    "phase": event["name"],
-                    "pid": event.get("tid", 0),
-                    "cross": bool(args.get("cross")),
-                }
-            )
+            rows.append({
+                "type": "phase", "t": event["ts"] / 1e6, "tx": args.get("tx", ""),
+                "phase": event["name"], "pid": event.get("tid", 0),
+                "cross": bool(args.get("cross")),
+            })
         elif ph == "f" and cat == "flow":
-            args = event.get("args", {})
-            rows.append(
-                {
-                    "type": "flow",
-                    "tx": args.get("tx", ""),
-                    "cross": bool(args.get("cross")),
-                    "kind": args.get("kind", ""),
-                    "label": args.get("label", ""),
-                    "dur": args.get("dur_ms", 0.0) / 1e3,
-                }
-            )
+            rows.append({
+                "type": "flow", "tx": args.get("tx", ""), "cross": bool(args.get("cross")),
+                "kind": args.get("kind", ""), "label": args.get("label", ""),
+                "dur": args.get("dur_ms", 0.0) / 1e3,
+            })
         elif ph == "i" and cat == "deciding":
-            args = event.get("args", {})
-            rows.append(
-                {
-                    "type": "deciding",
-                    "pid": event.get("tid", 0),
-                    "kind": event.get("name", "deciding:?").split(":", 1)[-1],
-                    "key": args.get("key", ""),
-                    "voter": args.get("voter", -1),
-                    "t": event["ts"] / 1e6,
-                    "lag": args.get("lag_ms", 0.0) / 1e3,
-                }
-            )
+            rows.append({
+                "type": "deciding", "pid": event.get("tid", 0),
+                "kind": event.get("name", "deciding:?").split(":", 1)[-1],
+                "key": args.get("key", ""), "voter": args.get("voter", -1),
+                "t": event["ts"] / 1e6, "lag": args.get("lag_ms", 0.0) / 1e3,
+            })
         elif ph == "b":
             rows.append({"type": "span", "cat": cat})
     return rows
@@ -113,18 +98,14 @@ def _critical_summary(rows: list[dict[str, Any]]):
     causal_rows = [row for row in rows if row.get("type") == "causal"]
     phase_rows = [row for row in rows if row.get("type") == "phase"]
     if causal_rows and phase_rows and "eid" in phase_rows[0]:
-        events = [
-            (row["t"], row["tx"], row["phase"], row.get("pid", 0))
-            for row in phase_rows
-        ]
-        meta = [(row["eid"], row.get("parent", 0)) for row in phase_rows]
-        causal = [
-            (row["eid"], row.get("parent", 0), row["t"], row["kind"],
-             row.get("pid", 0), row.get("label", ""))
-            for row in causal_rows
-        ]
+        nodes = NodeTable.from_rows(chain(
+            ((row["eid"], row.get("parent", 0), row["t"], row["phase"], row.get("pid", 0),
+              row["tx"]) for row in phase_rows),
+            ((row["eid"], row.get("parent", 0), row["t"], row["kind"], row.get("pid", 0),
+              row.get("label", "")) for row in causal_rows),
+        ))
         cross_txs = {row["tx"] for row in phase_rows if row.get("cross")}
-        return summarize_paths(iter_critical_paths(events, meta, causal, cross_txs))
+        return summarize_paths(iter_critical_paths(nodes, cross_txs))
     summary = summarize_edge_records(
         (row["tx"], row["cross"], row["kind"], f"{row['kind']}:{row['label']}", row["dur"])
         for row in rows
@@ -147,42 +128,25 @@ def _write_csv(breakdown, critical, stragglers) -> None:
     writer.writeheader()
     for scope, stats in (("intra", breakdown.intra), ("cross", breakdown.cross)):
         for entry in stats:
-            writer.writerow(
-                {
-                    "section": "phase",
-                    "scope": scope,
-                    "name": entry.phase,
-                    "count": entry.count,
-                    "avg_ms": f"{entry.avg_ms:.4f}",
-                    "p50_ms": f"{entry.p50_ms:.4f}",
-                    "p95_ms": f"{entry.p95_ms:.4f}",
-                    "share": f"{entry.share:.6f}",
-                }
-            )
+            writer.writerow({
+                "section": "phase", "scope": scope, "name": entry.phase, "count": entry.count,
+                "avg_ms": f"{entry.avg_ms:.4f}", "p50_ms": f"{entry.p50_ms:.4f}",
+                "p95_ms": f"{entry.p95_ms:.4f}", "share": f"{entry.share:.6f}",
+            })
     if critical is not None:
         for scope, stats in (("intra", critical.intra), ("cross", critical.cross)):
             for entry in stats:
-                writer.writerow(
-                    {
-                        "section": "critpath",
-                        "scope": scope,
-                        "name": entry.label,
-                        "count": entry.count,
-                        "avg_ms": f"{entry.avg_ms:.4f}",
-                        "share": f"{entry.share:.6f}",
-                    }
-                )
+                writer.writerow({
+                    "section": "critpath", "scope": scope, "name": entry.label,
+                    "count": entry.count, "avg_ms": f"{entry.avg_ms:.4f}",
+                    "share": f"{entry.share:.6f}",
+                })
     for entry in stragglers:
-        writer.writerow(
-            {
-                "section": "straggler",
-                "scope": entry.kind,
-                "name": entry.pid,
-                "count": entry.count,
-                "avg_ms": f"{entry.avg_lag_ms:.4f}",
-                "p95_ms": f"{entry.max_lag_ms:.4f}",
-            }
-        )
+        writer.writerow({
+            "section": "straggler", "scope": entry.kind, "name": entry.pid,
+            "count": entry.count, "avg_ms": f"{entry.avg_lag_ms:.4f}",
+            "p95_ms": f"{entry.max_lag_ms:.4f}",
+        })
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,7 +30,7 @@ import pytest
 from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
 from repro.common.types import ClusterId, FaultModel
 from repro.core.guard import RequestGuard
-from repro.obs import TraceSpec, write_chrome_trace
+from repro.obs import TraceSpec, write_chrome_trace, write_jsonl
 from repro.obs.export import chrome_trace_events
 from repro.txn.workload import WorkloadConfig
 
@@ -295,7 +295,8 @@ class TestMuteCoalitionStallsElection:
 
 def trace_fingerprint(report) -> str:
     """sha256 over what the hooks wrote, in the order they wrote it."""
-    blob = repr((report.events, report.event_meta, report.slot_spans, report.causal))
+    rows = (report.events, report.event_meta, report.slot_spans, report.causal)
+    blob = repr(tuple(tuple(view) for view in rows))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -342,12 +343,35 @@ REPORT_PINNED = {
 }
 
 
+#: sha256 of the ``write_jsonl`` / ``write_chrome_trace`` files of a
+#: ``TRACE_PINNED`` scenario, recorded at commit 9715a63, when the
+#: recorder still kept one tuple per event: the packed node table must
+#: export the same bytes.
+EXPORT_PINNED = {
+    "crash_batched": (
+        "945e1f98ae2bffb47c8db2cd4df2a12612e715593b0d7cdcbff1790f35e992c1",
+        "1ec2be602891c93c25367ae802545a98ef623a09cfce6d6f291d99524355c305",
+    ),
+}
+
+
+def export_digests(report, directory) -> tuple[str, str]:
+    """sha256 of the report's JSONL dump and Chrome trace files."""
+    digests = []
+    for name, writer in (("trace.jsonl", write_jsonl), ("trace.json", write_chrome_trace)):
+        path = directory / name
+        writer(report, str(path))
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    return tuple(digests)
+
+
 class TestTraceContentIsPinned:
     """The refactored hook sites write the same trace, event for event,
-    and finalize reduces it to the same report, byte for byte."""
+    finalize reduces it to the same report, byte for byte, and the
+    exporters write the same files."""
 
     @pytest.mark.parametrize("name", sorted(TRACE_PINNED))
-    def test_trace_reproduces_the_parent_commit(self, name):
+    def test_trace_reproduces_the_parent_commit(self, name, tmp_path):
         kwargs, pinned = TRACE_PINNED[name]
         result = traced_scenario(**kwargs).run()
         result.raise_if_failed()
@@ -356,3 +380,5 @@ class TestTraceContentIsPinned:
         assert (len(report.events), trace_fingerprint(report)) == pinned
         assert report.deciding and report.critical.txs > 0
         assert report_fingerprint(report) == REPORT_PINNED[name]
+        if name in EXPORT_PINNED:
+            assert export_digests(report, tmp_path) == EXPORT_PINNED[name]

@@ -1,12 +1,14 @@
 """Unit tests for the causal analyzer, validator edge checks and report CSV."""
 
 import json
+import pickle
 import sys
 from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.causal import (
+    NodeTable,
     critical_paths,
     critpath_columns,
     render_critical_table,
@@ -49,9 +51,7 @@ def recorded_chain():
 class TestCriticalPaths:
     def test_complete_chain_reconstructs(self):
         recorder = recorded_chain()
-        paths = critical_paths(
-            recorder.events, recorder.event_meta, recorder.causal, set()
-        )
+        paths = critical_paths(recorder.nodes, set())
         assert len(paths) == 1
         path = paths[0]
         assert path.complete
@@ -76,9 +76,7 @@ class TestCriticalPaths:
         recorder.phase(0.006, "t1", "reply", 100)
         recorder.clear_context()
         del request
-        paths = critical_paths(
-            recorder.events, recorder.event_meta, recorder.causal, {"t1"}
-        )
+        paths = critical_paths(recorder.nodes, {"t1"})
         assert len(paths) == 1
         path = paths[0]
         assert not path.complete
@@ -94,13 +92,11 @@ class TestCriticalPaths:
         recorder.submit(0.0, "no-reply", 100, cross=False)
         recorder.clear_context()
         recorder.phase(0.001, "no-submit", "reply", 100)
-        paths = critical_paths(
-            recorder.events, recorder.event_meta, recorder.causal, set()
-        )
+        paths = critical_paths(recorder.nodes, set())
         assert paths == ()
 
     def test_no_causal_meta_returns_empty(self):
-        assert critical_paths([(0.0, "t", "submit", 1)], [], [], set()) == ()
+        assert critical_paths(NodeTable(), set()) == ()
 
     def test_same_time_submits_are_ordered_by_tx_id(self):
         recorder = FlightRecorder(TraceSpec(gauge_interval=0))
@@ -112,7 +108,7 @@ class TestCriticalPaths:
             recorder.begin_dispatch(0.002, request, client, 0)
             recorder.phase(0.002, tx, "reply", 0)
             recorder.clear_context()
-        paths = critical_paths(recorder.events, recorder.event_meta, recorder.causal, set())
+        paths = critical_paths(recorder.nodes, set())
         assert [path.tx for path in paths] == ["t1", "t2"]
         assert all(path.complete for path in paths)
 
@@ -140,9 +136,7 @@ class TestCriticalPaths:
         recorder.clear_context()
         complete("c", 0.02)
 
-        paths = critical_paths(
-            recorder.events, recorder.event_meta, recorder.causal, {"b"}
-        )
+        paths = critical_paths(recorder.nodes, {"b"})
         assert [(path.tx, path.complete) for path in paths] == [
             ("a", True), ("b", False), ("c", True)
         ]
@@ -155,20 +149,50 @@ class TestCriticalPaths:
 
     def test_on_demand_paths_survive_finalize(self):
         recorder = recorded_chain()
-        before = critical_paths(
-            recorder.events, recorder.event_meta, recorder.causal, set()
-        )
+        before = critical_paths(recorder.nodes, set())
         report = recorder.finalize(_FakeSystem(), end_time=0.01)
         assert report.critical_paths() == before
         assert report.critical_paths() == before  # the walk is repeatable
 
 
+class TestNodeTableViews:
+    def test_report_views_yield_the_recorded_rows_in_order(self):
+        report = recorded_chain().finalize(_FakeSystem(), end_time=0.01)
+        assert list(report.events) == [
+            (0.0, "t1", "submit", 100), (0.003, "t1", "decided", 0), (0.006, "t1", "reply", 100),
+        ]
+        assert list(report.event_meta) == [(1, 0), (4, 3), (7, 6)]
+        assert list(report.causal) == [
+            (2, 1, 0.001, "send", 100, "object"), (3, 2, 0.003, "recv", 0, "object"),
+            (5, 3, 0.004, "send", 0, "object"), (6, 5, 0.006, "recv", 100, "object"),
+        ]
+        assert (len(report.events), len(report.event_meta), len(report.causal)) == (3, 3, 4)
+        assert list(report.slot_spans) == [(0, 0, 0, 0.0, 0.006)]
+
+    def test_reports_compare_and_pickle_by_their_columns(self):
+        report = recorded_chain().finalize(_FakeSystem(), end_time=0.01)
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and copy.nodes == report.nodes
+        assert list(copy.events) == list(report.events)
+        other = recorded_chain()
+        other.phase(0.007, "t1", "applied", 1)
+        assert other.finalize(_FakeSystem(), end_time=0.01) != report
+
+    def test_an_exported_graph_with_a_gap_leaves_the_eid_absent(self):
+        nodes = NodeTable.from_rows([
+            (1, 0, 0.0, "submit", 100, "t1"),
+            (3, 2, 0.002, "recv", 0, "Request"),   # eid 2 was filtered out
+            (4, 3, 0.002, "reply", 0, "t1"),
+        ])
+        assert len(nodes.events()) == 2 and len(nodes.messages()) == 1
+        (path,) = critical_paths(nodes, set())
+        assert not path.complete and path.edges[0].kind == "wait"
+
+
 class TestSummaries:
     def test_summarize_paths_shares_sum_to_one(self):
         recorder = recorded_chain()
-        paths = critical_paths(
-            recorder.events, recorder.event_meta, recorder.causal, set()
-        )
+        paths = critical_paths(recorder.nodes, set())
         summary = summarize_paths(paths)
         assert summary.txs == 1 and summary.complete == 1
         share = sum(entry.share for entry in summary.intra)
@@ -213,6 +237,36 @@ class TestSummaries:
         table = render_straggler_table(stats)
         assert "accept" in table
         assert "(no deciding votes recorded)" in render_straggler_table(())
+
+
+# ----------------------------------------------------------------------
+# send/recv matching
+# ----------------------------------------------------------------------
+class Payload:
+    """A message payload; every instance has the same size."""
+
+
+class TestMessageMatching:
+    def test_recv_parents_to_its_own_send_after_a_missed_payload_is_freed(self):
+        """A send delivered to a crashed node stays pending on its link.
+        Once nothing else holds its payload, CPython hands the freed
+        block to the next payload of that size; the recv of that later
+        message must still parent to its own send, not the dead one."""
+        freed = Payload()
+        address = id(freed)
+        del freed
+        assert id(Payload()) == address  # the allocator reuses the block at once
+
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
+        missed = Payload()
+        recorder.wire_send(0.001, 1, 2, missed)       # eid 1: node 2 crashed
+        del missed
+        later = Payload()
+        recorder.wire_send(0.002, 1, 2, later)        # eid 2
+        recorder.begin_dispatch(0.003, later, 1, 2)   # eid 3 <- 2
+        recorder.clear_context()
+        report = recorder.finalize(_FakeSystem(), end_time=0.01)
+        assert list(report.causal)[-1] == (3, 2, 0.003, "recv", 2, "Payload")
 
 
 # ----------------------------------------------------------------------
@@ -286,13 +340,12 @@ class TestFlowExport:
         causal_rows = [row for row in rows if row["type"] == "causal"]
         assert {row["kind"] for row in causal_rows} == {"send", "recv"}
         # Round-trip: the JSONL graph rebuilds the identical paths.
-        events = [(r["t"], r["tx"], r["phase"], r["pid"]) for r in phase_rows]
-        meta = [(r["eid"], r["parent"]) for r in phase_rows]
+        events = [(r["eid"], r["parent"], r["t"], r["phase"], r["pid"], r["tx"]) for r in phase_rows]
         causal = [
             (r["eid"], r["parent"], r["t"], r["kind"], r["pid"], r["label"])
             for r in causal_rows
         ]
-        rebuilt = critical_paths(events, meta, causal, set())
+        rebuilt = critical_paths(NodeTable.from_rows(events + causal), set())
         assert rebuilt == _chain_report().critical_paths()
 
 

@@ -157,7 +157,7 @@ class TestFlightRecorder:
         recorder.slot_open(0.002, pid=0, cluster=0, slot=7)  # re-propose: ignored
         recorder.slot_close(0.005, pid=0, slot=7)
         recorder.slot_close(0.006, pid=0, slot=7)  # double close: no-op
-        assert recorder.slot_spans == [(0, 0, 7, 0.001, 0.005)]
+        assert list(recorder.slot_spans) == [(0, 0, 7, 0.001, 0.005)]
 
     def test_vc_span_close_without_open_is_noop(self):
         recorder = FlightRecorder()
