@@ -25,7 +25,6 @@ three flattened phases — the effect Figures 6 and 7 quantify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 from ..api.registry import register_system
 from ..common.config import ClusterConfig, SystemConfig
@@ -82,9 +81,6 @@ class AHLPrepareRequest:
     request: ClientRequest
     digest: str
 
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
-
 
 @dataclass(frozen=True)
 class AHLVote:
@@ -94,9 +90,6 @@ class AHLVote:
     cluster: ClusterId
     vote: bool
 
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
-
 
 @dataclass(frozen=True)
 class AHLCommitRequest:
@@ -105,9 +98,6 @@ class AHLCommitRequest:
     request: ClientRequest
     digest: str
     commit: bool
-
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
 
 
 # ----------------------------------------------------------------------

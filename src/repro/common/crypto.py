@@ -34,6 +34,7 @@ __all__ = [
     "sign",
     "verify",
     "GENESIS_HASH",
+    "memo_slots",
 ]
 
 
@@ -95,6 +96,18 @@ def chain_hash(*parts: Any) -> str:
     for part in parts:
         hasher.update(_canonical(part))
     return hasher.hexdigest()
+
+
+def memo_slots(*names: str) -> type:
+    """Slotted base of a frozen payload dataclass whose memos are ``names``.
+
+    A memo slot is not a dataclass field, so :func:`digest`, ``repr``,
+    ``==``, ``hash``, pickling and ``dataclasses.replace`` never see it:
+    a copy starts with every memo unset, and readers use ``getattr(x,
+    name, None)``.  ``__weakref__`` rides along because
+    ``dataclass(weakref_slot=True)`` needs Python 3.11.
+    """
+    return type("PayloadMemos", (), {"__slots__": (*names, "__weakref__")})
 
 
 #: Hash used as the parent reference of the genesis block ``λ``.

@@ -48,11 +48,12 @@ def item_digest(item: object) -> str:
     Ordered items are immutable (frozen dataclasses), and one payload
     object is shared by every replica a multicast reaches, so the digest
     is computed once and memoised on the instance — every later replica
-    touching the same payload gets the cached value.  The cache attribute
-    lives in ``__dict__`` and is not a dataclass field, so equality,
-    hashing, and canonical encoding are unaffected.  Items that provide
-    their own ``payload_digest`` (transactions, client requests) delegate
-    to it.
+    touching the same payload gets the cached value.  Items that provide
+    their own ``payload_digest`` (transactions, client requests, batches)
+    delegate to it, which memoises in a slot of the payload
+    (:func:`repro.common.crypto.memo_slots`); any other item (a no-op)
+    memoises in its ``__dict__``.  Neither memo is a dataclass field, so
+    equality, hashing, and canonical encoding are unaffected.
     """
     payload_digest = getattr(item, "payload_digest", None)
     if payload_digest is not None:

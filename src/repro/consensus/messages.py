@@ -2,10 +2,11 @@
 
 Message classes double as the unit of CPU accounting: the simulator's
 cost model charges signature verification per ``verify_signatures`` and
-signing per ``sign_signatures``.  Crash-only protocol messages carry no
-signatures ("since all nodes in the system are crash-only nodes, there is
-no need to sign messages", Section 3.2); Byzantine protocol messages are
-signed, as in Algorithms 2 and PBFT.
+signing per ``sign_signatures`` (a count a class omits is zero).
+Crash-only protocol messages carry no signatures ("since all nodes in
+the system are crash-only nodes, there is no need to sign messages",
+Section 3.2); Byzantine protocol messages are signed, as in Algorithms 2
+and PBFT.
 
 Performance model & parallel execution
 --------------------------------------
@@ -15,12 +16,11 @@ bearing for the hot path:
 * one payload object is shared by all destinations of a multicast
   (:meth:`repro.sim.network.Network.multicast`) — receivers must never
   mutate a message;
-* digests are memoised on the instance by
-  :func:`repro.consensus.log.item_digest`; :class:`ClientRequest` — the
-  only message type that gets digested as an ordered item — therefore
-  keeps its ``__dict__`` (the cache lives there), while every other
-  message type is declared with ``slots=True`` to make the per-message
-  allocation as small as possible;
+* every message type is declared with ``slots=True``, so no message
+  carries a ``__dict__``; the two ordered as log items
+  (:class:`ClientRequest`, :class:`RequestBatch`) memoise their digest
+  and their slot's block in memo slots that are not dataclass fields
+  (:func:`repro.common.crypto.memo_slots`);
 * protocol dispatch is keyed on the concrete class (the per-engine
   ``HANDLERS`` tables, merged into each replica's process-level table at
   construction), so a delivered message is routed with a single dict
@@ -31,10 +31,10 @@ bearing for the hot path:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
-from ..common.crypto import Signature
+from ..common.crypto import Signature, memo_slots
 from ..common.types import ClientId, ClusterId, NodeId
 from ..txn.transaction import Transaction
 
@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClientRequest:
+@dataclass(frozen=True, slots=True)
+class ClientRequest(memo_slots("_item_digest", "_block_memo")):
     """``⟨REQUEST, tx, τ_c, c⟩σ_c`` — a signed client request.
 
     ``reply_to`` is the network address (process id) of the submitting
@@ -77,10 +77,9 @@ class ClientRequest:
 
     #: replicas verify the client signature once.
     verify_signatures: ClassVar[int] = 1
-    sign_signatures: ClassVar[int] = 0
 
     def payload_digest(self) -> str:
-        """Digest of the request, memoised on the (immutable) instance.
+        """Digest of the request, memoised in the (immutable) instance's slot.
 
         Built from the transaction's cached payload digest plus the
         request scalars, so ordering a request never re-canonicalises the
@@ -88,7 +87,7 @@ class ClientRequest:
         which is what the cross-shard engines' duplicate detection needs
         across client retries.
         """
-        cached = self.__dict__.get("_item_digest")
+        cached = getattr(self, "_item_digest", None)
         if cached is None:
             cached = hashlib.sha256(
                 (
@@ -100,8 +99,8 @@ class ClientRequest:
         return cached
 
 
-@dataclass(frozen=True)
-class RequestBatch:
+@dataclass(frozen=True, slots=True)
+class RequestBatch(memo_slots("_item_digest", "_block_memo")):
     """An ordered batch of client requests proposed as one consensus item.
 
     Built only by the primary-side batching pipeline
@@ -114,11 +113,10 @@ class RequestBatch:
     at-most-once execution are all per member).
 
     Like :class:`ClientRequest` — the other message type ordered as a
-    log item — the class keeps its ``__dict__`` so
-    :func:`repro.consensus.log.item_digest` can memoise the batch digest
-    on the instance; the digest chains the members' (themselves
-    memoised) request digests, so digesting a batch never
-    re-canonicalises a transaction body.
+    log item — the batch memoises its digest in a slot (not a field);
+    the digest chains the members' (themselves memoised) request
+    digests, so digesting a batch never re-canonicalises a transaction
+    body.
     """
 
     requests: tuple[ClientRequest, ...]
@@ -126,7 +124,6 @@ class RequestBatch:
     #: the batch rides inside one pre-prepare/accept: one signature per
     #: batch, which is precisely the amortisation batching buys.
     verify_signatures: ClassVar[int] = 1
-    sign_signatures: ClassVar[int] = 0
 
     @property
     def transaction(self) -> Transaction:
@@ -142,8 +139,8 @@ class RequestBatch:
         return self.requests[0].transaction
 
     def payload_digest(self) -> str:
-        """Digest of the batch, memoised on the (immutable) instance."""
-        cached = self.__dict__.get("_item_digest")
+        """Digest of the batch, memoised in the (immutable) instance's slot."""
+        cached = getattr(self, "_item_digest", None)
         if cached is None:
             hasher = hashlib.sha256(b"RB")
             for request in self.requests:
@@ -165,9 +162,6 @@ class ClientReply:
     success: bool
     cross_shard: bool = False
 
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
-
 
 # ----------------------------------------------------------------------
 # Intra-shard consensus, crash failure model (Paxos, Figure 3a)
@@ -181,9 +175,6 @@ class PaxosAccept:
     digest: str
     item: object
 
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
-
 
 @dataclass(frozen=True, slots=True)
 class PaxosAccepted:
@@ -194,9 +185,6 @@ class PaxosAccepted:
     digest: str
     node: NodeId
 
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
-
 
 @dataclass(frozen=True, slots=True)
 class PaxosCommit:
@@ -206,9 +194,6 @@ class PaxosCommit:
     slot: int
     digest: str
     item: object
-
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
 
 
 # ----------------------------------------------------------------------
@@ -350,9 +335,6 @@ class CrossPropose:
     initiator_slot: int
     attempt: int = 0
 
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
-
 
 @dataclass(frozen=True, slots=True)
 class CrossAccept:
@@ -369,9 +351,6 @@ class CrossAccept:
     slot: int | None
     attempt: int = 0
 
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
-
 
 @dataclass(frozen=True, slots=True)
 class CrossCommit:
@@ -386,9 +365,6 @@ class CrossCommit:
     positions: tuple[tuple[ClusterId, int], ...]
     proposer: ClusterId
     attempt: int = 0
-
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +423,3 @@ class PassiveUpdate:
     slot: int
     digest: str
     item: object
-
-    verify_signatures: ClassVar[int] = 0
-    sign_signatures: ClassVar[int] = 0

@@ -157,8 +157,17 @@ class ViewChangeManager:
         self._timer = host.set_timer(delay if delay > 0.0 else 0.0, self._on_timer)
 
     def slot_decided(self, slot: int) -> None:
-        """Stop monitoring a slot once it is decided (lazily dequeued)."""
-        self._monitored.discard(slot)
+        """Stop monitoring a slot once it is decided.
+
+        The deque's leading run of dead entries goes now; one decided out
+        of order waits for :meth:`_on_timer` to skip it.  The live timer
+        keeps its deadline, so no event moves.
+        """
+        monitored = self._monitored
+        monitored.discard(slot)
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][1] not in monitored:
+            deadlines.popleft()
 
     def _on_timer(self) -> None:
         # The fired timer is spent; clear the handle so re-entrant

@@ -76,8 +76,8 @@ class ClosedLoopClient(Process):
         self.register_handler(ClientReply, self._on_reply)
         # One rolling retry timer per client instead of one simulator
         # timer per request: deadlines are armed in monotonic order, so
-        # the timer tracks the earliest pending deadline and lazily skips
-        # entries whose request completed or was already resent.
+        # the timer tracks the earliest pending deadline and drops entries
+        # whose request completed or was already resent (see _live_head).
         self._retry_deadlines: deque[tuple[float, str]] = deque()
         self._retry_timer = None
         self._stopped = False
@@ -146,21 +146,27 @@ class ClosedLoopClient(Process):
         # cancels it again, keeping exactly one live timer).
         self._retry_timer = None
         now = self.sim.now
+        while (head := self._live_head()) is not None:
+            deadline, tx_id, state = head
+            if deadline > now:
+                self._arm_retry_timer(deadline)
+                return
+            self._retry_deadlines.popleft()
+            self._resend(state, tx_id)
+        # Deque drained; a timer armed re-entrantly (if any) stays owned.
+
+    def _live_head(self) -> tuple[float, str, _Outstanding] | None:
+        """The retry deque's first live entry, once the dead ones before it
+        (completed, or superseded by a later resend of the same tx) are gone."""
         deadlines = self._retry_deadlines
         outstanding = self._outstanding
         while deadlines:
             deadline, tx_id = deadlines[0]
             state = outstanding.get(tx_id)
-            if state is None or deadline != state.resend_deadline:
-                # Completed, or superseded by a later resend of the same tx.
-                deadlines.popleft()
-                continue
-            if deadline > now:
-                self._arm_retry_timer(deadline)
-                return
+            if state is not None and deadline == state.resend_deadline:
+                return deadline, tx_id, state
             deadlines.popleft()
-            self._resend(state, tx_id)
-        # Deque drained; a timer armed re-entrantly (if any) stays owned.
+        return None
 
     def _resend(self, state: _Outstanding, tx_id: str) -> None:
         state.attempts += 1
@@ -189,8 +195,10 @@ class ClosedLoopClient(Process):
         if len(state.repliers) < self.required_replies:
             return
         # Completed: enough distinct replicas confirmed execution.  The
-        # rolling retry timer skips the stale deadline entry lazily.
+        # retry deque's leading dead entries go now; the timer keeps its
+        # deadline and skips any later dead one when it fires.
         del self._outstanding[message.tx_id]
+        self._live_head()
         self.completed += 1
         if state.successes == 0:
             self.failed += 1

@@ -54,10 +54,11 @@ def _shared_block(item, transactions, positions, proposer, parents) -> Block:
     proposer)`` for a slot and executes the same members of it — and
     block identity excludes parent hashes — so the first replica to
     apply the slot builds (and hashes) the block and the rest reuse the
-    object through a memo on the shared ``item`` payload.  Parents and
-    the executed ``transactions`` are part of the memo key: each cluster
-    of a cross-shard item materialises a block carrying its own parent
-    reference, and may have skipped different members.
+    object through the ``_block_memo`` slot of the shared ``item``
+    payload.  The memo is the bare block: a hit is decided against the
+    block's own fields, parents and executed ``transactions`` included —
+    each cluster of a cross-shard item materialises a block carrying its
+    own parent reference, and may have skipped different members.
 
     The memo holds the block *weakly*: a payload must never point back at
     its holder, or ``Transaction → Block → Transaction`` would be a cycle
@@ -67,17 +68,18 @@ def _shared_block(item, transactions, positions, proposer, parents) -> Block:
     optimisation: once every chain has released the block, a replica that
     applies the slot late builds an equal one.
     """
-    slots = tuple(positions.items())
-    if len(slots) > 1:
-        slots = tuple(sorted(slots))
-    key = (slots, proposer, tuple(parents.items()), transactions)
-    memo = item.__dict__.get("_block_memo")
-    if memo is not None and memo[0] == key:
-        block = memo[1]()
-        if block is not None:
-            return block
+    memo = getattr(item, "_block_memo", None)
+    block = memo() if memo is not None else None
+    if (
+        block is not None
+        and block.proposer == proposer
+        and block.transactions == transactions
+        and block.positions == Block.sorted_items(positions)
+        and block.parents == Block.sorted_items(parents)
+    ):
+        return block
     block = Block.create(transactions, positions, proposer, parents)
-    object.__setattr__(item, "_block_memo", (key, ref(block)))
+    object.__setattr__(item, "_block_memo", ref(block))
     return block
 
 

@@ -55,13 +55,13 @@ def cluster_to_shard(cluster: ClusterId) -> ShardId:
 def involved_clusters(transaction: Transaction, mapper: ShardMapper) -> tuple[ClusterId, ...]:
     """Sorted tuple of clusters whose shards ``transaction`` accesses.
 
-    The one classification memo: kept on the transaction for the mapper
+    The one classification memo: kept in a slot of the transaction for the mapper
     that asked last, known by identity — a run has one mapper — so
     client, router and every replica share one tuple object, which also
     keeps the per-involved-set memos downstream (destination tuples,
     network routes) on their fast probe.
     """
-    cached = transaction.__dict__.get("_involved_clusters")
+    cached = getattr(transaction, "_involved_clusters", None)
     if cached is not None and cached[0] is mapper:
         return cached[1]
     clusters = tuple(

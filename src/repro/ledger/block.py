@@ -28,11 +28,10 @@ from the position vectors, which encode the same predecessor relation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from ..common.crypto import GENESIS_HASH, chain_hash
+from ..common.crypto import GENESIS_HASH, chain_hash, memo_slots
 from ..common.errors import LedgerError
 from ..common.types import ClusterId
 from ..txn.transaction import Transaction
@@ -43,8 +42,8 @@ __all__ = ["Block", "GENESIS_BLOCK_ID"]
 GENESIS_BLOCK_ID = "genesis"
 
 
-@dataclass(frozen=True)
-class Block:
+@dataclass(frozen=True, slots=True)
+class Block(memo_slots("_block_hash")):
     """One vertex of the blockchain DAG."""
 
     #: transactions contained in the block (exactly one by default).
@@ -110,7 +109,7 @@ class Block:
         )
 
     @staticmethod
-    def _sorted_items(mapping: Mapping | None) -> tuple:
+    def sorted_items(mapping: Mapping | None) -> tuple:
         """Deterministically ordered ``(key, value)`` tuple of a mapping.
 
         Mappings of one entry — the overwhelmingly common intra-shard case
@@ -136,8 +135,8 @@ class Block:
         """
         return cls(
             transactions=transaction if isinstance(transaction, tuple) else (transaction,),
-            positions=cls._sorted_items(positions),
-            parents=cls._sorted_items(parents),
+            positions=cls.sorted_items(positions),
+            parents=cls.sorted_items(parents),
             proposer=proposer,
         )
 
@@ -151,8 +150,8 @@ class Block:
         """Build an empty gap-filling block."""
         return cls(
             transactions=(),
-            positions=cls._sorted_items(positions),
-            parents=cls._sorted_items(parents),
+            positions=cls.sorted_items(positions),
+            parents=cls.sorted_items(parents),
             proposer=proposer,
             is_noop=True,
         )
@@ -160,17 +159,23 @@ class Block:
     # ------------------------------------------------------------------
     # derived properties
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def block_hash(self) -> str:
         """Cryptographic hash identifying the block (``H(t)`` in the paper).
 
         SHA-256 over an unambiguous flat encoding of the identity fields
         (transaction payload digests, position vector, proposer, no-op
-        flag).  Every replica builds its own :class:`Block` object for a
-        decided slot, so this runs once per block per replica — the
-        encoding is built by hand instead of the generic canonical encoder
-        because it sits on the apply hot path.
+        flag), memoised in the block's slot.  It runs once per block
+        object — the encoding is built by hand instead of the generic
+        canonical encoder because it sits on the apply hot path.
         """
+        cached = getattr(self, "_block_hash", None)
+        if cached is None:
+            cached = self._hash()
+            object.__setattr__(self, "_block_hash", cached)
+        return cached
+
+    def _hash(self) -> str:
         if self.is_genesis:
             return chain_hash(GENESIS_BLOCK_ID, GENESIS_HASH)
         transactions = self.transactions
@@ -234,14 +239,7 @@ class Block:
             raise LedgerError(f"block {self.label()} does not involve cluster {cluster}")
         parents = dict(self.parents)
         parents[cluster] = parent_hash
-        return Block(
-            transactions=self.transactions,
-            positions=self.positions,
-            parents=tuple(sorted(parents.items())),
-            proposer=self.proposer,
-            is_genesis=self.is_genesis,
-            is_noop=self.is_noop,
-        )
+        return replace(self, parents=tuple(sorted(parents.items())))
 
     def parent_for(self, cluster: ClusterId) -> str:
         """Hash of the previous block of ``cluster`` referenced by this block."""

@@ -12,8 +12,9 @@ Messages opt into signature costs by exposing two integer attributes:
 * ``sign_signatures`` — number of signatures the *sender* produces when
   creating the message (charged once per message, not per destination).
 
-Crash-only protocols leave both at zero (the paper notes that crash-only
-deployments do not sign messages); Byzantine protocols set them to 1.
+Crash-only protocols leave both out, which reads as zero (the paper notes
+that crash-only deployments do not sign messages); Byzantine protocols
+set them to 1.
 A message class may additionally declare ``extra_receive_cpu`` (seconds)
 to model heavier parsing.  All three attributes are class-level
 constants, so the per-type costs are cached on first use — cost lookup on

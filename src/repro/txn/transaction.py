@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..common.crypto import KeyPair, Signature, digest
+from ..common.crypto import KeyPair, Signature, digest, memo_slots
 from ..common.errors import ValidationError
 from ..common.types import AccountId, ClientId, ShardId
 from .accounts import ShardMapper
@@ -47,8 +47,8 @@ class Transfer:
             raise ValidationError("transfer source and destination must differ")
 
 
-@dataclass(frozen=True)
-class Transaction:
+@dataclass(frozen=True, slots=True)
+class Transaction(memo_slots("_payload_digest", "_involved_clusters")):
     """A client request: an ordered list of transfers plus metadata.
 
     ``timestamp`` is the client-assigned request timestamp ``τ_c`` used in
@@ -72,10 +72,10 @@ class Transaction:
         """Digest ``D(m)`` over the transaction body (excludes signature).
 
         SHA-256 over a flat, unambiguous encoding of the body fields,
-        memoised on the (frozen) instance — every replica that orders or
-        executes the transaction reuses the cached value.
+        memoised in the (frozen) instance's slot — every replica that
+        orders or executes the transaction reuses the cached value.
         """
-        cached = self.__dict__.get("_payload_digest")
+        cached = getattr(self, "_payload_digest", None)
         if cached is not None:
             return cached
         transfers = ";".join(
@@ -84,7 +84,6 @@ class Transaction:
         value = hashlib.sha256(
             f"TX|{self.tx_id}|{int(self.client)}|{transfers}|{self.timestamp!r}".encode()
         ).hexdigest()
-        # Cache on the instance; the dataclass is frozen so use object.__setattr__.
         object.__setattr__(self, "_payload_digest", value)
         return value
 

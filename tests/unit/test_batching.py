@@ -82,7 +82,7 @@ class TestRequestBatchDigest:
     def test_digest_is_memoised_on_the_instance(self):
         batch = RequestBatch(requests=(make_request(0), make_request(1)))
         first = batch.payload_digest()
-        assert batch.__dict__["_item_digest"] is first
+        assert batch._item_digest is first  # the memo slot
         assert batch.payload_digest() is first
 
     def test_digest_depends_on_member_order(self):
