@@ -60,8 +60,8 @@ class ScenarioResult:
     #: aggregated checkpoint/state-transfer/termination counters (None
     #: for systems without the recovery subsystem, e.g. some baselines).
     recovery: RecoveryStats | None = None
-    #: storage footprint gauges (store backend, resident accounts and
-    #: blocks, archive growth).
+    #: storage footprint gauges (resident accounts and blocks, archive
+    #: growth).
     storage: StorageStats | None = None
     #: flight-recorder report (phase breakdown, spans, gauges); ``None``
     #: unless the scenario armed tracing via ``DeploymentSpec(trace=…)``.

@@ -34,7 +34,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..common.config import PerformanceModel, ProtocolTuning, StorageSpec, SystemConfig
+from ..common.config import PerformanceModel, ProtocolTuning, SystemConfig
 from ..common.errors import ConfigurationError
 from ..common.metrics import MetricsCollector
 from ..common.types import FaultModel
@@ -60,7 +60,9 @@ class DeploymentSpec:
     ``nodes_per_cluster``, built via :meth:`SystemConfig.build`) or hand
     in an explicit :class:`SystemConfig` via ``config`` — e.g. one
     produced by :func:`repro.core.sharding.build_grouped_system` for the
-    per-cloud clustering of Section 3.4.
+    per-cloud clustering of Section 3.4.  Every replica holds its shard
+    in a :class:`repro.storage.StateStore`; ``archive`` is the one
+    storage knob.
     """
 
     system: str = "sharper"
@@ -81,9 +83,9 @@ class DeploymentSpec:
     #: per primary; binds only when ``batch_size > 1``).
     batch_size: int | None = None
     pipeline_depth: int | None = None
-    #: replica state-store backend: "dict" (default) or "columnar"
-    #: (flat-column store for million-account shards).
-    store_backend: str = "dict"
+    #: perf-pinned (ROADMAP item 4(b) deletes it): accepts only "columnar"
+    #: and is forwarded nowhere.
+    store_backend: str = "columnar"
     #: sqlite database path checkpoint GC spills pruned blocks into
     #: (":memory:" accepted); None drops pruned history as before.
     archive: str | None = None
@@ -94,19 +96,22 @@ class DeploymentSpec:
     #: sampling interval; anything else is refused at construction.
     trace: "TraceSpec | bool | None" = None
     #: explicit topology override; when set, the fields above describing
-    #: the homogeneous layout are ignored (except ``store_backend`` /
-    #: ``archive``, which still apply when non-default).
+    #: the homogeneous layout are ignored (except ``archive``, which
+    #: still applies when set).
     config: SystemConfig | None = None
 
     def __post_init__(self) -> None:
         normalize_trace(self.trace)
+        if self.store_backend != "columnar":
+            raise ConfigurationError(
+                f"unknown store backend {self.store_backend!r}; there is one store"
+            )
 
     def resolve(self, seed: int = 0) -> SystemConfig:
         """The concrete :class:`SystemConfig` this spec describes."""
-        storage = StorageSpec(store_backend=self.store_backend, archive_path=self.archive)
         if self.config is not None:
-            if storage != StorageSpec():
-                return dataclasses.replace(self.config, storage=storage)
+            if self.archive is not None:
+                return dataclasses.replace(self.config, archive_path=self.archive)
             return self.config
         tuning = self.tuning
         if self.checkpoint_interval is not None:
@@ -124,7 +129,7 @@ class DeploymentSpec:
             nodes_per_cluster=self.nodes_per_cluster,
             performance=self.performance,
             tuning=tuning,
-            storage=storage,
+            archive_path=self.archive,
             seed=seed,
         )
 

@@ -40,7 +40,7 @@ from ..core import sharding
 from ..ledger.block import Block
 from ..ledger.view import ClusterView
 from ..sim.process import Process
-from ..txn.accounts import AccountStore
+from ..storage import StateStore
 from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadConfig
 
@@ -379,7 +379,7 @@ class AHLSystem(BaseSystem):
             result[cluster.cluster_id] = best.chain
         return result
 
-    def stores(self) -> list[AccountStore]:
+    def stores(self) -> list[StateStore]:
         stores = []
         for cluster in self.config.clusters:
             replicas = [self.replicas[int(node)] for node in cluster.node_ids]

@@ -47,7 +47,8 @@ from ..core.system import BaseSystem
 from ..ledger.block import Block
 from ..ledger.view import ClusterView
 from ..sim.process import Process
-from ..txn.accounts import AccountStore, ShardMapper
+from ..storage import StateStore
+from ..txn.accounts import ShardMapper
 from ..txn.execution import TransactionExecutor
 from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadConfig
@@ -152,7 +153,7 @@ class SingleGroupReplica(ReplicaHost):
         cluster: ClusterConfig,
         config: SystemConfig,
         mapper: ShardMapper,
-        store: AccountStore,
+        store: StateStore,
         sim,
         network,
         cost_model,
@@ -326,7 +327,7 @@ class _SingleGroupSystem(BaseSystem):
         best = max(self.replicas.values(), key=lambda replica: replica.chain.height)
         return {ClusterId(0): best.chain}
 
-    def stores(self) -> list[AccountStore]:
+    def stores(self) -> list[StateStore]:
         best = max(self.replicas.values(), key=lambda replica: replica.chain.height)
         return [best.store]
 

@@ -169,11 +169,6 @@ def _build_parser(scenario_flags: bool = True) -> argparse.ArgumentParser:
 
     storage = parser.add_argument_group("storage (repro.storage)")
     storage.add_argument(
-        "--store-backend", choices=("dict", "columnar"), default="dict",
-        help="scenario: replica state-store backend (columnar scales to "
-        "million-account shards)",
-    )
-    storage.add_argument(
         "--archive", metavar="PATH", default=None,
         help="scenario: sqlite database that checkpoint GC spills pruned "
         "blocks into (requires --checkpoint-interval)",
@@ -225,7 +220,6 @@ def _deployment(args: argparse.Namespace) -> DeploymentSpec:
         checkpoint_interval=args.checkpoint_interval,
         batch_size=args.batch_size,
         pipeline_depth=args.pipeline_depth,
-        store_backend=args.store_backend,
         archive=args.archive,
         trace=trace_spec,
     )

@@ -26,7 +26,6 @@ from .types import ClusterId, FaultModel, NodeId
 __all__ = [
     "PerformanceModel",
     "ProtocolTuning",
-    "StorageSpec",
     "ClusterConfig",
     "SystemConfig",
     "NodeGroup",
@@ -97,30 +96,6 @@ class ProtocolTuning:
 
 
 @dataclass(frozen=True)
-class StorageSpec:
-    """How replicas hold state and what happens to pruned history.
-
-    ``store_backend`` selects the per-shard state store: ``"dict"`` (one
-    :class:`~repro.storage.base.Account` object per account — the
-    original backend) or ``"columnar"`` (flat array columns for
-    million-account shards).  ``archive_path`` names a sqlite database
-    that checkpoint GC spills pruned blocks into instead of dropping
-    them (``":memory:"`` is accepted for tests); ``None`` keeps the
-    original drop-on-prune behaviour.  See :mod:`repro.storage`.
-    """
-
-    store_backend: str = "dict"
-    archive_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.store_backend not in ("dict", "columnar"):
-            raise ConfigurationError(
-                f"unknown store backend {self.store_backend!r}; "
-                "expected 'dict' or 'columnar'"
-            )
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """Static description of one cluster ``p_i`` and its shard ``d_i``."""
 
@@ -185,15 +160,18 @@ class SystemConfig:
     fault_model: FaultModel
     performance: PerformanceModel = field(default_factory=PerformanceModel)
     tuning: ProtocolTuning = field(default_factory=ProtocolTuning)
-    storage: StorageSpec = field(default_factory=StorageSpec)
+    #: sqlite database checkpoint GC spills pruned blocks into instead of
+    #: dropping them (``":memory:"`` is accepted); ``None`` drops them.
+    #: See :mod:`repro.storage`.
+    archive_path: str | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.clusters:
             raise ConfigurationError("a system needs at least one cluster")
-        if self.storage.archive_path is not None and self.tuning.checkpoint_interval == 0:
+        if self.archive_path is not None and self.tuning.checkpoint_interval == 0:
             raise ConfigurationError(
-                "storage.archive_path is set but tuning.checkpoint_interval is 0: "
+                "archive_path is set but tuning.checkpoint_interval is 0: "
                 "only checkpoint GC fills the archive, so it would stay empty"
             )
         seen: set[NodeId] = set()
@@ -244,7 +222,7 @@ class SystemConfig:
         nodes_per_cluster: int | None = None,
         performance: PerformanceModel | None = None,
         tuning: ProtocolTuning | None = None,
-        storage: "StorageSpec | None" = None,
+        archive_path: str | None = None,
         seed: int = 0,
     ) -> "SystemConfig":
         """Construct a homogeneous deployment.
@@ -274,7 +252,7 @@ class SystemConfig:
             fault_model=fault_model,
             performance=performance or PerformanceModel(),
             tuning=tuning or ProtocolTuning(),
-            storage=storage or StorageSpec(),
+            archive_path=archive_path,
             seed=seed,
         )
 

@@ -37,7 +37,8 @@ from ..sim.costs import CostModel
 from ..sim.network import Network
 from ..sim.process import Process
 from ..sim.simulator import Simulator
-from ..txn.accounts import AccountStore, ShardMapper
+from ..storage import StateStore
+from ..txn.accounts import ShardMapper
 from ..txn.execution import TransactionExecutor
 from ..txn.transaction import Transaction
 from . import sharding
@@ -197,7 +198,7 @@ class SharPerReplica(ReplicaHost):
         cluster: ClusterConfig,
         config: SystemConfig,
         mapper: ShardMapper,
-        store: AccountStore,
+        store: StateStore,
         sim: Simulator,
         network: Network,
         cost_model: CostModel,

@@ -29,9 +29,8 @@ from ..sim.costs import CostModel
 from ..sim.network import ClusteredLatencyModel, Network
 from ..sim.process import Process
 from ..sim.simulator import Simulator
-from ..storage import SqliteArchive, make_store
-from ..storage.base import StateStore
-from ..txn.accounts import AccountStore, ShardMapper
+from ..storage import SqliteArchive, StateStore
+from ..txn.accounts import ShardMapper
 from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadConfig, WorkloadGenerator
 from . import sharding
@@ -77,14 +76,12 @@ class BaseSystem:
             num_shards=config.num_clusters,
             accounts_per_shard=workload_config.accounts_per_shard,
         )
-        #: state-store backend every replica uses ("dict" or "columnar").
-        self.store_backend = config.storage.store_backend
         #: bootstrapped store per shard; replicas receive cheap clones.
         self._store_cache: dict[int, StateStore] = {}
         #: archival backend checkpoint GC spills pruned blocks into.
         self.archive: SqliteArchive | None = None
-        if config.storage.archive_path is not None:
-            self.archive = SqliteArchive(config.storage.archive_path)
+        if config.archive_path is not None:
+            self.archive = SqliteArchive(config.archive_path)
             self.archive.record_bootstrap(
                 {
                     "num_shards": config.num_clusters,
@@ -109,18 +106,16 @@ class BaseSystem:
         return ClientId(account_id % self.workload_config.num_clients)
 
     def _bootstrap_store(self, mapper: ShardMapper, shard: int) -> StateStore:
-        """Store for one replica of ``shard`` with the configured backend.
+        """Store for one replica of ``shard``.
 
         The shard is bootstrapped once and cached; each replica gets an
-        independent :meth:`~repro.storage.base.StateStore.clone`, which
-        for the columnar backend is an array memcpy instead of a
-        million ``create_account`` calls per replica.
+        independent :meth:`~repro.storage.StateStore.clone` (an array
+        memcpy).
         """
         key = int(shard)
         cached = self._store_cache.get(key)
         if cached is None:
-            cached = make_store(
-                self.store_backend,
+            cached = StateStore.bootstrap(
                 shard=shard,
                 mapper=mapper,
                 initial_balance=self.workload_config.initial_balance,
@@ -151,7 +146,7 @@ class BaseSystem:
         """One representative ledger view per cluster (for audits)."""
         raise NotImplementedError
 
-    def stores(self) -> list[AccountStore]:
+    def stores(self) -> list[StateStore]:
         """One representative account store per shard."""
         raise NotImplementedError
 
@@ -369,7 +364,7 @@ class SharPerSystem(BaseSystem):
             for cluster in self.config.clusters
         }
 
-    def stores(self) -> list[AccountStore]:
+    def stores(self) -> list[StateStore]:
         return [
             self.representative_of(cluster.cluster_id).store
             for cluster in self.config.clusters

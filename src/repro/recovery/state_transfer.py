@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from ..common.types import FaultModel
 from ..consensus.base import HandlerTable
 from ..consensus.log import EntryStatus, item_digest
-from ..txn.accounts import AccountStore
+from ..storage import StateStore
 from .checkpoint import StableCheckpoint, checkpoint_digest
 from .messages import StateRequest, StateResponse
 
@@ -198,7 +198,7 @@ class StateTransferManager(HandlerTable):
         if anchor_hash is None:
             return False
         recomputed = checkpoint_digest(
-            message.checkpoint_seq, anchor_hash, AccountStore.snapshot_digest(message.snapshot)
+            message.checkpoint_seq, anchor_hash, StateStore.snapshot_digest(message.snapshot)
         )
         return recomputed == message.checkpoint_digest
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from ..common.crypto import GENESIS_HASH, chain_hash
 from .archive import SqliteArchive, open_archive
-from .columnar import ArrayAccountStore
+from .base import StateStore
 
 __all__ = ["ArchiveAuditReport", "audit_archive", "main"]
 
@@ -169,7 +169,7 @@ def _replay_cluster(
     from ..txn.transaction import Transfer
 
     num_clients = meta["num_clients"]
-    store = ArrayAccountStore.bootstrap(
+    store = StateStore.bootstrap(
         shard=cluster,
         mapper=mapper,
         initial_balance=meta["initial_balance"],

@@ -1,44 +1,57 @@
-"""State-store interface and the incremental digest shared by every backend.
+"""The state store: a shard's balance table in flat columns, with an incremental digest.
 
-The accounting application's replicated state is a balance table.  This
-module defines the contract every backend implements —
-:class:`StateStore` — plus the one piece of machinery that must be
-bit-identical across backends for checkpoints and state transfer to
-work: the **store digest**.
+The accounting application's replicated state is a balance table.
+:class:`StateStore` keeps one shard's table in two flat ``array('q')``
+columns (owner, balance) indexed by *dense* account ids:
+:class:`~repro.txn.accounts.ShardMapper` assigns a shard a contiguous
+range of account ids, so ``index = account_id - first`` gives O(1)
+lookup with no per-account Python objects.  The paper models an account
+as the pair ``(amount, PK)``; the owner column holds the owning client's
+id in place of the public key, and ownership checks compare it against
+the transaction's signer.  Every account of the range
+exists from bootstrap to the end of the run; there is no account
+creation, and a :meth:`StateStore.restore` must cover the range exactly.
 
-The digest is an additive homomorphic hash: every account contributes a
-256-bit *leaf* ``SHA-256(f"{id}:{owner}:{balance}")`` and the store
-digest is the sum of all leaves modulo ``2**256``, rendered as 64 hex
-digits.  Because addition commutes, the digest is order-independent, so
+Two properties make the store checkpointable at any size:
 
-* a full-table pass (:meth:`StateStore.naive_state_digest`, the
-  reference computation) and
-* the incremental accumulator every store maintains — subtract the
-  touched accounts' old leaves, add their new ones —
-
-produce the same value.  Stores record the *pre-image* of each account
-the first time it is written after a digest was computed
-(:meth:`StateStore._note_write`), so :meth:`StateStore.state_digest`
-costs ``O(accounts changed since the previous digest)`` instead of
-``O(n log n)`` — the property that makes checkpointing a million-account
-store affordable (see ``docs/storage.md``).
-
-:class:`Account` also lives here (re-exported from
-:mod:`repro.txn.accounts` for compatibility) so backends need nothing
-from the transaction layer.
+* the **store digest** is an additive homomorphic hash: every account
+  contributes a 256-bit *leaf* ``SHA-256(f"{id}:{owner}:{balance}")``
+  and the digest is the sum of all leaves modulo ``2**256``, rendered
+  as 64 hex digits.  Because addition commutes, a full-table pass
+  (:meth:`StateStore.naive_state_digest`, the reference computation)
+  and the incremental accumulator — subtract the touched accounts' old
+  leaves, add their new ones — produce the same value.  The store
+  records the *pre-image* of each account the first time it is written
+  after a digest was computed, so :meth:`StateStore.state_digest` costs
+  ``O(accounts changed since the previous digest)`` (see
+  ``docs/storage.md``);
+* **lazy checkpoint snapshots** (:meth:`StateStore.checkpoint_snapshot`):
+  instead of copying the table per checkpoint, the store opens an *undo
+  epoch* that records the pre-image of each account the first time it
+  is written after the checkpoint.  A :class:`ColumnarSnapshot` is a
+  Mapping view that materialises on demand by walking the undo frames
+  newest-to-oldest (older pre-images overwrite newer ones), and caches
+  the result.  Frames older than every live snapshot are released at
+  the next checkpoint, so retained undo state is bounded by the
+  checkpoint manager's pending-record window.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import weakref
+from array import array
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ..common.errors import ValidationError
+from ..common.errors import (
+    InsufficientBalanceError,
+    UnknownAccountError,
+    ValidationError,
+)
 from ..common.types import AccountId, ClientId, ShardId
 
-__all__ = ["Account", "StateStore", "leaf_hash", "DIGEST_MASK"]
+__all__ = ["ColumnarSnapshot", "StateStore", "leaf_hash", "DIGEST_MASK"]
 
 #: the digest accumulator is a 256-bit ring (matching SHA-256 leaves).
 DIGEST_MASK = (1 << 256) - 1
@@ -58,154 +71,113 @@ def leaf_hash(account_id: int, owner: int, balance: int) -> int:
 _memo_leaf_hash = lru_cache(maxsize=4096)(leaf_hash)
 
 
-def resolve_owner(
-    owner_of: "Mapping[AccountId, ClientId] | Callable[[AccountId], ClientId] | None",
-    account_id: AccountId,
-) -> ClientId:
-    """Owner of ``account_id`` under a mapping, a callable, or the default."""
-    if owner_of is None:
-        return ClientId(int(account_id))
-    if callable(owner_of):
-        return owner_of(account_id)
-    return owner_of[account_id]
+class ColumnarSnapshot(Mapping):
+    """Lazy ``id -> (owner, balance)`` view of a store at checkpoint ``seq``.
 
-
-@dataclass
-class Account:
-    """One client account: a balance and the public key of its owner.
-
-    The paper models an account as the pair ``(amount, PK)``.  We store
-    the owner's client id in place of the public key; ownership checks
-    compare it against the transaction's signer.
+    Materialises (and caches) the full mapping on first access; until
+    then it holds no per-account state.  Safe to ship in state-transfer
+    responses: it satisfies the Mapping protocol that
+    :meth:`StateStore.snapshot_digest` and :meth:`StateStore.restore`
+    consume.
     """
 
-    account_id: AccountId
-    owner: ClientId
-    balance: int
+    def __init__(self, store: "StateStore", seq: int) -> None:
+        self._store = store
+        self.seq = seq
+        self._data: dict[AccountId, tuple[ClientId, int]] | None = None
 
-    def __post_init__(self) -> None:
-        if self.balance < 0:
-            raise ValidationError(f"account {self.account_id} cannot start with negative balance")
+    @property
+    def materialized(self) -> bool:
+        """Whether the snapshot has been expanded to an eager dict yet."""
+        return self._data is not None
+
+    def _ensure(self) -> dict[AccountId, tuple[ClientId, int]]:
+        if self._data is None:
+            self._data = self._store._materialize_at(self.seq)
+        return self._data
+
+    def __getitem__(self, account_id: AccountId) -> tuple[ClientId, int]:
+        return self._ensure()[account_id]
+
+    def __iter__(self) -> Iterator[AccountId]:
+        return iter(self._ensure())
+
+    def __len__(self) -> int:
+        return len(self._ensure())
+
+    def items(self):
+        return self._ensure().items()
+
+    # Mapping sets __hash__ to None; snapshots are tracked by identity
+    # in the store's WeakSet, so restore identity hashing.
+    __hash__ = object.__hash__
 
 
 class StateStore:
-    """Mutable balance table for (a shard of) the accounting application.
+    """Mutable balance table of one shard: flat columns over its id range."""
 
-    Concrete backends (:class:`repro.storage.dict_store.AccountStore`,
-    :class:`repro.storage.columnar.ArrayAccountStore`) implement the
-    primitive accessors; this base class owns the digest bookkeeping so
-    both backends produce bit-identical digests by construction.
-    """
-
-    #: registry name of the backend (``repro.storage.make_store``).
-    backend_name = "abstract"
-
-    def __init__(self, shard: ShardId | None = None) -> None:
+    def __init__(
+        self, shard: ShardId, first_id: int, owners: array, balances: array
+    ) -> None:
         self.shard = shard
         self.version = 0
+        self._first = first_id
+        self._capacity = len(balances)
+        self._owners = owners
+        self._balances = balances
+        self._total = sum(balances)
         #: memoised digest accumulator; ``None`` until first computed.
         self._digest_acc: int | None = None
         #: pre-images of accounts written since the last digest:
-        #: ``account_id -> (owner, balance) | None`` (None = did not exist).
-        self._pending: dict[AccountId, tuple[ClientId, int] | None] = {}
+        #: ``account_id -> (owner, balance)``.
+        self._pending: dict[AccountId, tuple[ClientId, int]] = {}
         #: ``(prototype, its version)`` of a clone taken from a store that
-        #: had no digest yet (:meth:`_finish_clone`); gone after one digest.
+        #: had no digest yet (:meth:`clone`); gone after one digest.
         self._cloned_from: tuple[StateStore, int] | None = None
+        # -- lazy checkpoint snapshot machinery --------------------------
+        #: pre-images of writes since the last checkpoint (None = no
+        #: checkpoint snapshot is live, undo tracking is off).
+        self._epoch_undo: dict[AccountId, tuple[ClientId, int]] | None = None
+        #: checkpoint seq at which the open epoch started.
+        self._epoch_seq = 0
+        #: closed epochs, oldest first: ``(epoch_start_seq, undo dict)``.
+        self._frames: list[tuple[int, dict]] = []
+        self._snapshots: "weakref.WeakSet[ColumnarSnapshot]" = weakref.WeakSet()
 
     # ------------------------------------------------------------------
-    # primitive interface implemented by backends
+    # setup
     # ------------------------------------------------------------------
-    def create_account(self, account_id: AccountId, owner: ClientId, balance: int) -> Account:
-        """Create a new account; fails if the id already exists."""
-        raise NotImplementedError
+    @classmethod
+    def bootstrap(
+        cls,
+        shard: ShardId,
+        mapper,
+        initial_balance: int,
+        owner_of: "Callable[[AccountId], ClientId] | None" = None,
+    ) -> "StateStore":
+        """A store holding every account of ``shard`` at ``initial_balance``.
 
-    def account(self, account_id: AccountId) -> Account:
-        """Return the account record or raise ``UnknownAccountError``."""
-        raise NotImplementedError
-
-    def deposit(self, account_id: AccountId, amount: int) -> None:
-        """Credit ``amount`` to the account."""
-        raise NotImplementedError
-
-    def withdraw(
-        self, account_id: AccountId, amount: int, requester: ClientId | None = None
-    ) -> None:
-        """Debit ``amount``; ``requester`` (when given) must own the account."""
-        raise NotImplementedError
-
-    def snapshot(self) -> "Mapping[AccountId, tuple[ClientId, int]]":
-        """Eager copy of the full state (``id -> (owner, balance)``)."""
-        return {
-            account_id: (owner, balance) for account_id, owner, balance in self._entries()
-        }
-
-    def restore(self, snapshot: "Mapping[AccountId, tuple[ClientId, int]]") -> None:
-        """Replace the store contents with ``snapshot``."""
-        raise NotImplementedError
-
-    def total_balance(self) -> int:
-        """Sum of all balances in this store (conservation invariant)."""
-        raise NotImplementedError
+        ``mapper.accounts_in_shard`` returns a contiguous ``range``; its
+        start becomes the store's dense-id offset.  ``owner_of`` maps an
+        account to its owning client; by default client ``i`` owns
+        account ``i``.
+        """
+        if initial_balance < 0:
+            raise ValidationError("accounts cannot start with negative balance")
+        ids = mapper.accounts_in_shard(shard)
+        owners = array("q", ids if owner_of is None else map(owner_of, ids))
+        return cls(shard, ids.start, owners, array("q", [initial_balance]) * len(ids))
 
     def clone(self) -> "StateStore":
-        """An independent deep copy (bootstrap sharing across replicas)."""
-        raise NotImplementedError
+        """An independent deep copy (bootstrap sharing across replicas).
 
-    def _entry(self, account_id: AccountId) -> tuple[ClientId, int]:
-        """Current ``(owner, balance)`` of an existing account."""
-        raise NotImplementedError
-
-    def _entries(self) -> Iterator[tuple[AccountId, ClientId, int]]:
-        """Iterate ``(account_id, owner, balance)`` over the whole table."""
-        raise NotImplementedError
-
-    def __contains__(self, account_id: AccountId) -> bool:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Account]:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # shared reads
-    # ------------------------------------------------------------------
-    def balance(self, account_id: AccountId) -> int:
-        """Current balance of ``account_id``."""
-        return self.account(account_id).balance
-
-    # ------------------------------------------------------------------
-    # digests (shared, incremental)
-    # ------------------------------------------------------------------
-    def _note_write(
-        self, account_id: AccountId, before: tuple[ClientId, int] | None
-    ) -> None:
-        """Record an account's pre-image the first time it is written.
-
-        ``before`` is the ``(owner, balance)`` the account held when the
-        digest was last computed, or ``None`` if it did not exist then.
-        Backends call this before every mutation; repeat writes to the
-        same account are free (the first pre-image is the one that
-        matters).
-        """
-        pending = self._pending
-        if account_id not in pending:
-            pending[account_id] = before
-
-    def _reset_digest(self) -> None:
-        """Forget the memoised digest (wholesale state replacement)."""
-        self._digest_acc = None
-        self._pending.clear()
-        self._cloned_from = None
-
-    def _finish_clone(self, copy: "StateStore") -> "StateStore":
-        """Last step of a backend's :meth:`clone`: the digest bookkeeping.
-
+        Snapshot/undo state is not cloned — clones start a fresh
+        checkpoint history, exactly like a freshly bootstrapped replica.
         A digested store hands over its accumulator and pre-images; an
-        undigested one (a bootstrap prototype) is remembered, version-
-        stamped, so its table is scanned once, not once per clone.
+        undigested one (a bootstrap prototype) is remembered,
+        version-stamped, so its table is scanned once, not once per clone.
         """
+        copy = StateStore(self.shard, self._first, self._owners[:], self._balances[:])
         copy.version = self.version
         if self._digest_acc is None:
             copy._cloned_from = (self, self.version)
@@ -214,6 +186,89 @@ class StateStore:
             copy._pending = dict(self._pending)
         return copy
 
+    # ------------------------------------------------------------------
+    # reads
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return self._capacity
+
+    def entry(self, account_id: AccountId) -> tuple[ClientId, int]:
+        """Current ``(owner, balance)`` of ``account_id``."""
+        index = account_id - self._first
+        if not 0 <= index < self._capacity:
+            raise UnknownAccountError(f"unknown account {account_id}")
+        return (self._owners[index], self._balances[index])
+
+    def balance(self, account_id: AccountId) -> int:
+        """Current balance of ``account_id``."""
+        return self.entry(account_id)[1]
+
+    def total_balance(self) -> int:
+        """Sum of all balances (maintained incrementally, O(1))."""
+        return self._total
+
+    def _entries(self) -> Iterator[tuple[AccountId, ClientId, int]]:
+        """``(account_id, owner, balance)`` over the whole table, in id order."""
+        first = self._first
+        return zip(range(first, first + self._capacity), self._owners, self._balances)
+
+    # ------------------------------------------------------------------
+    # writes
+    # ------------------------------------------------------------------
+    def _note_write(self, account_id: AccountId, before: tuple[ClientId, int]) -> None:
+        """Record an account's pre-image the first time it is written.
+
+        Once for the digest (since the last :meth:`state_digest`) and once
+        for the open undo epoch (since the last checkpoint); repeat writes
+        are free — the first pre-image is the one that matters.
+        """
+        pending = self._pending
+        if account_id not in pending:
+            pending[account_id] = before
+        undo = self._epoch_undo
+        if undo is not None and account_id not in undo:
+            undo[account_id] = before
+
+    def deposit(self, account_id: AccountId, amount: int) -> None:
+        """Credit ``amount`` to the account."""
+        if amount < 0:
+            raise ValidationError("deposit amount must be non-negative")
+        index = account_id - self._first
+        if not 0 <= index < self._capacity:
+            raise UnknownAccountError(f"unknown account {account_id}")
+        balances = self._balances
+        self._note_write(account_id, (self._owners[index], balances[index]))
+        balances[index] += amount
+        self._total += amount
+        self.version += 1
+
+    def withdraw(
+        self, account_id: AccountId, amount: int, requester: ClientId | None = None
+    ) -> None:
+        """Debit ``amount``; ``requester`` (when given) must own the account.
+
+        The ownership check implements the paper's "valid signature of its
+        owner" rule.
+        """
+        if amount < 0:
+            raise ValidationError("withdrawal amount must be non-negative")
+        index = account_id - self._first
+        if not 0 <= index < self._capacity:
+            raise UnknownAccountError(f"unknown account {account_id}")
+        owner = self._owners[index]
+        balance = self._balances[index]
+        if requester is not None and owner != requester:
+            raise ValidationError(f"client {requester} does not own account {account_id}")
+        if balance < amount:
+            raise InsufficientBalanceError(f"account {account_id} holds {balance} < {amount}")
+        self._note_write(account_id, (owner, balance))
+        self._balances[index] = balance - amount
+        self._total -= amount
+        self.version += 1
+
+    # ------------------------------------------------------------------
+    # digests (incremental)
+    # ------------------------------------------------------------------
     def state_digest(self) -> str:
         """Deterministic digest of the full balance table.
 
@@ -222,9 +277,9 @@ class StateStore:
         call folds in only the accounts written since the previous call,
         so a checkpoint costs ``O(changed)`` regardless of table size.
         Order-independent by construction, so every replica that applied
-        the same transaction prefix — regardless of backend or of how
-        its store was built (bootstrap or :meth:`restore`) — produces
-        the same digest.  This is the store half of a checkpoint digest
+        the same transaction prefix — however its store was built
+        (bootstrap, clone or :meth:`restore`) — produces the same digest.
+        This is the store half of a checkpoint digest
         (:func:`repro.recovery.checkpoint_digest`).
         """
         acc = self._digest_acc
@@ -240,33 +295,30 @@ class StateStore:
                 acc += leaf_hash(account_id, owner, balance)
         else:
             leaf = _memo_leaf_hash
-            for account_id, before in self._pending.items():
-                if before is not None:
-                    acc -= leaf(account_id, before[0], before[1])
-                owner, balance = self._entry(account_id)
-                acc += leaf(account_id, owner, balance)
+            first, owners, balances = self._first, self._owners, self._balances
+            for account_id, (owner, balance) in self._pending.items():
+                acc -= leaf(account_id, owner, balance)
+                index = account_id - first
+                acc += leaf(account_id, owners[index], balances[index])
         acc &= DIGEST_MASK
         self._digest_acc = acc
         self._pending.clear()
         return format(acc, "064x")
 
     def naive_state_digest(self) -> str:
-        """Reference digest: full-table pass in sorted id order.
+        """Reference digest: one memo-free pass over the whole table.
 
         The pre-incremental computation, kept as the regression baseline:
-        :meth:`state_digest` must always equal this (the digest is
-        order-independent, so the sort is immaterial to the value — it
-        only makes the reference pass deterministic and obviously
-        memoisation-free).
+        :meth:`state_digest` must always equal this.
         """
-        return self.digest_entries(sorted(self._entries()))
+        return self.digest_entries(self._entries())
 
     @staticmethod
     def digest_entries(entries: "Iterable[tuple[AccountId, ClientId, int]]") -> str:
         """Digest of ``(account_id, owner, balance)`` triples, any order.
 
         The single definition of the store digest format — shared by
-        :meth:`state_digest` (live store) and :meth:`snapshot_digest`
+        :meth:`naive_state_digest` (live store) and :meth:`snapshot_digest`
         (shipped snapshot), which must agree byte for byte for
         state-transfer verification to work.
         """
@@ -284,13 +336,90 @@ class StateStore:
         )
 
     # ------------------------------------------------------------------
-    # checkpoint snapshots
+    # snapshots
     # ------------------------------------------------------------------
-    def checkpoint_snapshot(self, seq: int) -> "Mapping[AccountId, tuple[ClientId, int]]":
-        """Snapshot of the state at checkpoint ``seq`` (called at take time).
+    def snapshot(self) -> dict[AccountId, tuple[ClientId, int]]:
+        """Eager copy of the full state (``id -> (owner, balance)``)."""
+        return {account_id: (owner, balance) for account_id, owner, balance in self._entries()}
 
-        The default materialises eagerly via :meth:`snapshot`; the
-        columnar backend overrides this with a lazy copy-on-write view
-        so million-account checkpoints stay ``O(changed)``.
+    def checkpoint_snapshot(self, seq: int) -> ColumnarSnapshot:
+        """Open a new undo epoch and return a lazy snapshot at ``seq``.
+
+        Called by the checkpoint manager right after applying slot
+        ``seq``; O(1) — no account data is copied until (unless) the
+        snapshot is actually read, e.g. to serve a state transfer.
         """
-        return self.snapshot()
+        # Close the epoch that was accumulating since the last checkpoint.
+        if self._epoch_undo is not None:
+            self._frames.append((self._epoch_seq, self._epoch_undo))
+        # Release frames no live, unmaterialised snapshot can still need.
+        live = [snap.seq for snap in self._snapshots if not snap.materialized]
+        floor = min(live) if live else seq
+        self._frames = [frame for frame in self._frames if frame[0] >= floor]
+        self._epoch_undo = {}
+        self._epoch_seq = seq
+        snapshot = ColumnarSnapshot(self, seq)
+        self._snapshots.add(snapshot)
+        return snapshot
+
+    def _materialize_at(self, seq: int) -> dict[AccountId, tuple[ClientId, int]]:
+        """Current state rolled back to checkpoint ``seq`` via undo frames.
+
+        Pre-image layers are applied newest-to-oldest with unconditional
+        assignment, so for an account written in several epochs the
+        oldest pre-image at or after ``seq`` — its value *at* ``seq`` —
+        wins.
+        """
+        data = self.snapshot()
+        layers: list[dict] = []
+        if self._epoch_undo is not None and self._epoch_seq >= seq:
+            layers.append(self._epoch_undo)
+        for epoch_start, undo in reversed(self._frames):
+            if epoch_start >= seq:
+                layers.append(undo)
+        for undo in layers:
+            data.update(undo)
+        return data
+
+    def restore(self, snapshot: Mapping[AccountId, tuple[ClientId, int]]) -> None:
+        """Replace the store contents with ``snapshot``.
+
+        The snapshot (a peer's, in a state transfer) must name every
+        account of the store's range exactly once, with a non-negative
+        balance; otherwise :class:`ValidationError` names the first
+        offending id and the store is left unchanged.  Live lazy
+        snapshots are materialised first: their undo frames are expressed
+        against the *current* columns, which this call overwrites.
+        """
+        first, capacity = self._first, self._capacity
+        rows: list = [None] * capacity
+        for account_id, entry in snapshot.items():
+            index = account_id - first if type(account_id) is int else -1
+            if not 0 <= index < capacity:
+                raise ValidationError(
+                    f"snapshot account {account_id!r} is outside shard {self.shard}'s "
+                    f"range {first}..{first + capacity - 1}"
+                )
+            if rows[index] is not None:
+                raise ValidationError(f"snapshot names account {account_id} twice")
+            if entry[1] < 0:
+                raise ValidationError(
+                    f"snapshot account {account_id} has negative balance {entry[1]}"
+                )
+            rows[index] = entry
+        if None in rows:
+            raise ValidationError(f"snapshot is missing account {first + rows.index(None)}")
+        owners = array("q", (owner for owner, _ in rows))
+        balances = array("q", (balance for _, balance in rows))
+        for snap in list(self._snapshots):
+            snap._ensure()
+        self._frames = []
+        self._epoch_undo = None
+        self._epoch_seq = 0
+        self._owners = owners
+        self._balances = balances
+        self._total = sum(balances)
+        self._digest_acc = None
+        self._pending.clear()
+        self._cloned_from = None
+        self.version += 1

@@ -22,8 +22,6 @@ __all__ = ["StorageStats", "collect_storage_stats"]
 class StorageStats:
     """System-wide storage footprint for one scenario run (picklable)."""
 
-    #: state-store backend the replicas ran ("dict" or "columnar").
-    backend: str = "dict"
     #: account rows resident across all replica stores (replicated copies
     #: counted individually — this is what the host actually holds).
     resident_accounts: int = 0
@@ -44,7 +42,7 @@ class StorageStats:
     def summary(self) -> str:
         """One line suitable for example/CLI output."""
         line = (
-            f"store {self.backend}: {self.resident_accounts} resident accounts, "
+            f"{self.resident_accounts} resident accounts, "
             f"ledger peak {self.peak_ledger_blocks} blocks "
             f"({self.resident_blocks} resident)"
         )
@@ -58,7 +56,7 @@ class StorageStats:
 
 def collect_storage_stats(system: "BaseSystem") -> StorageStats:
     """Gauge the storage footprint of a finished system."""
-    stats = StorageStats(backend=getattr(system, "store_backend", "dict"))
+    stats = StorageStats()
     for process in system.processes():
         store = getattr(process, "store", None)
         if store is not None:

@@ -1,13 +1,11 @@
-"""Account-based transaction model, state store, execution, workloads."""
+"""Account-based transaction model: shard mapping, execution, workloads."""
 
-from .accounts import Account, AccountStore, ShardMapper
+from .accounts import ShardMapper
 from .execution import ExecutionResult, TransactionExecutor
 from .transaction import Transaction, Transfer, new_tx_id
 from .workload import WorkloadConfig, WorkloadGenerator
 
 __all__ = [
-    "Account",
-    "AccountStore",
     "ExecutionResult",
     "ShardMapper",
     "Transaction",

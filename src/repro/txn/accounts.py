@@ -11,11 +11,7 @@ mapper would minimise cross-shard transactions, but the evaluation
 controls the cross-shard fraction directly, so contiguous id ranges
 suffice.
 
-The per-shard state itself lives in :mod:`repro.storage`:
-:class:`~repro.storage.dict_store.AccountStore` (the original dict
-backend) and :class:`~repro.storage.base.Account` are re-exported here
-for compatibility — existing imports of ``repro.txn.accounts`` keep
-working unchanged.
+The per-shard state itself is :class:`repro.storage.StateStore`.
 """
 
 from __future__ import annotations
@@ -24,10 +20,8 @@ from typing import Iterable
 
 from ..common.errors import ConfigurationError, UnknownAccountError
 from ..common.types import AccountId, ShardId
-from ..storage.base import Account
-from ..storage.dict_store import AccountStore
 
-__all__ = ["Account", "AccountStore", "ShardMapper"]
+__all__ = ["ShardMapper"]
 
 
 class ShardMapper:
@@ -36,7 +30,7 @@ class ShardMapper:
     Each shard holds a contiguous id range — account ``i`` lives in
     shard ``i // accounts_per_shard`` — which mirrors how a
     workload-aware partitioner would co-locate related accounts and lets
-    the columnar store map ids to flat array slots without a hash table;
+    the state store map ids to flat array slots without a hash table;
     the ``range`` objects are built once.
 
     A run has **one** mapper (the system's ``workload_mapper``, shared by

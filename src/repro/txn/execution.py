@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from ..common.errors import ValidationError
 from ..common.types import ShardId
-from .accounts import AccountStore, ShardMapper
+from ..storage import StateStore
+from .accounts import ShardMapper
 from .transaction import Transaction, Transfer
 
 __all__ = ["ExecutionResult", "TransactionExecutor"]
@@ -39,7 +40,7 @@ class TransactionExecutor:
 
     def __init__(
         self,
-        store: AccountStore,
+        store: StateStore,
         mapper: ShardMapper,
         shard: ShardId,
         enforce_ownership: bool = True,
@@ -91,12 +92,11 @@ class TransactionExecutor:
             source = transfer.source
             left = remaining.get(source)
             if left is None:
-                account = self.store.account(source)
-                if self.enforce_ownership and account.owner != transaction.client:
+                owner, left = self.store.entry(source)
+                if self.enforce_ownership and owner != transaction.client:
                     raise ValidationError(
                         f"client {transaction.client} does not own account {source}"
                     )
-                left = account.balance
             remaining[source] = left - transfer.amount
         for account_id, left in remaining.items():
             if left < 0:

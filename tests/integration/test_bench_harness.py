@@ -145,7 +145,7 @@ class TestFigureMode:
             ["--recover-node-at", "0.2"],
             ["--batch-size", "8"],
             ["--checkpoint-interval", "16"],
-            ["--store-backend", "columnar"],
+            ["--archive", "run.db"],
             ["--trace"],
         ],
         ids=lambda flags: flags[0].split("=")[0],

@@ -42,10 +42,10 @@ def _scenario(name, fault_model=FaultModel.CRASH, cross=0.0, clients=24, duratio
 
 
 def failover_ckpt(**overrides):
-    """Scaled-down ``failover_ckpt``: checkpoints, columnar store, archive, primary crash/recover."""
+    """Scaled-down ``failover_ckpt``: checkpoints, archive, primary crash/recover."""
     return _scenario(
         "failover_ckpt", cross=0.1, clients=16, duration=0.9, accounts=1024,
-        checkpoint_interval=16, store_backend="columnar", archive=":memory:",
+        checkpoint_interval=16, archive=":memory:",
         faults=FaultSchedule().crash_primary(at=0.1, cluster=0).recover_node(at=0.65, node_id=0),
         **overrides,
     )

@@ -99,6 +99,16 @@ class TestScenarioRoundTrip:
         with pytest.raises(ConfigurationError, match=field):
             Scenario(deployment=DeploymentSpec(system="sharper"), **timing)
 
+    @pytest.mark.parametrize("backend", ["dict", "", None])
+    def test_a_store_backend_other_than_the_one_store_is_refused(self, backend):
+        with pytest.raises(ConfigurationError, match="store backend"):
+            DeploymentSpec(store_backend=backend)
+
+    def test_an_archive_applies_to_an_explicit_config(self):
+        config = SystemConfig.build(2, FaultModel.CRASH, tuning=ProtocolTuning(checkpoint_interval=8))
+        assert DeploymentSpec(config=config).resolve() is config
+        assert DeploymentSpec(config=config, archive=":memory:").resolve().archive_path == ":memory:"
+
     def test_zero_clients_is_a_valid_scenario(self):
         assert Scenario(clients=0).clients == 0
 

@@ -1,11 +1,12 @@
-"""End-to-end storage scenarios: backend equivalence, archived runs.
+"""End-to-end storage scenarios: pinned store outcomes, archived runs.
 
 Integration acceptance for the storage subsystem:
 
-* the columnar backend is an *observationally identical* drop-in for the
-  dict backend — same seed, same committed transactions, same chain
-  heights, and bit-identical per-replica store digests, including under
-  crash/recover churn with checkpointing and state transfer;
+* the state store reproduces the outcomes recorded at e3d5edf with the
+  since-deleted dict backend (identical there to the columnar one) —
+  same committed transactions, same chain heights, and bit-identical
+  per-replica store digests, including under crash/recover churn with
+  checkpointing and state transfer;
 * a checkpointed run with an archive attached keeps the resident block
   count bounded while the archive absorbs the pruned history contiguously,
   and the offline auditor re-verifies the archived chain and balances;
@@ -27,7 +28,6 @@ from helpers import archived_precedes, assert_roles_follow_views
 
 
 def storage_scenario(
-    store_backend: str,
     archive: str | None = None,
     checkpoint_interval: int | None = 20,
     faults: FaultSchedule | None = None,
@@ -40,7 +40,6 @@ def storage_scenario(
             fault_model=FaultModel.CRASH,
             num_clusters=3,
             checkpoint_interval=checkpoint_interval,
-            store_backend=store_backend,
             archive=archive,
         ),
         workload=WorkloadConfig(cross_shard_fraction=0.1, accounts_per_shard=256),
@@ -51,56 +50,67 @@ def storage_scenario(
     )
 
 
-def replica_digests(result) -> dict:
-    return {
-        pid: replica.store.state_digest()
+def store_pins(result) -> dict:
+    """Outcome of a run, with a sha256 over the sorted per-replica store digests."""
+    digests = sorted(
+        (int(pid), replica.store.state_digest())
         for pid, replica in result.system.replicas.items()
+    )
+    return {
+        "committed": result.stats.committed,
+        "committed_cross": result.stats.committed_cross,
+        "chain_heights": {int(cluster): height for cluster, height in result.chain_heights.items()},
+        "total_balance": result.total_balance,
+        "replica_digests": hashlib.sha256(repr(digests).encode()).hexdigest(),
     }
 
 
-class TestDifferentialBackends:
-    def test_columnar_is_observationally_identical_to_dict(self):
-        """Satellite acceptance: backend equivalence, bit for bit."""
-        dict_result = storage_scenario("dict").run()
-        columnar_result = storage_scenario("columnar").run()
-        dict_result.raise_if_failed()
-        columnar_result.raise_if_failed()
-        assert dict_result.stats.committed == columnar_result.stats.committed
-        assert dict_result.stats.committed_cross == columnar_result.stats.committed_cross
-        assert dict_result.chain_heights == columnar_result.chain_heights
-        assert dict_result.total_balance == columnar_result.total_balance
-        assert replica_digests(dict_result) == replica_digests(columnar_result)
-        assert dict_result.storage.backend == "dict"
-        assert columnar_result.storage.backend == "columnar"
+#: ``store_pins`` of three scenarios, recorded at e3d5edf on the dict
+#: backend (the columnar backend read the same values there).
+PLAIN_PINNED = {
+    "committed": 3872,
+    "committed_cross": 375,
+    "chain_heights": {0: 1544, 1: 1469, 2: 1599},
+    "total_balance": 768000000,
+    "replica_digests": "183846f0de49551d9436a1907f0eba204796004f28deb440bd9e6dfc302af304",
+}
+CRASH_RECOVER_PINNED = {
+    "committed": 3920,
+    "committed_cross": 362,
+    "chain_heights": {0: 1532, 1: 1569, 2: 1560},
+    "total_balance": 768000000,
+    "replica_digests": "5dbaec0fa052110b299305c3f661bcf7d766a02ee4f62edcf99049a0a3445692",
+}
+ARCHIVED_PINNED = {
+    "committed": 3860,
+    "committed_cross": 379,
+    "chain_heights": {0: 1485, 1: 1590, 2: 1523},
+    "total_balance": 768000000,
+    "replica_digests": "654fd085aaec6e80c6d50ab84cc07039ecf1db9b752193fcf328ba220cfa3111",
+}
 
-    def test_backends_identical_under_crash_and_recovery(self):
-        """Equivalence must survive checkpoint restore and state transfer."""
-        def faults():
-            return (
-                FaultSchedule()
-                .crash_node(at=0.2, node_id=2)
-                .recover_node(at=0.5, node_id=2)
-            )
 
-        dict_result = storage_scenario("dict", faults=faults(), seed=9).run()
-        columnar_result = storage_scenario("columnar", faults=faults(), seed=9).run()
-        dict_result.raise_if_failed()
-        columnar_result.raise_if_failed()
-        assert dict_result.stats.committed == columnar_result.stats.committed
-        assert dict_result.chain_heights == columnar_result.chain_heights
-        assert replica_digests(dict_result) == replica_digests(columnar_result)
+class TestPinnedStoreOutcomes:
+    def test_store_reproduces_the_dict_backend_outcome(self):
+        result = storage_scenario().run()
+        result.raise_if_failed()
+        assert store_pins(result) == PLAIN_PINNED
+
+    def test_store_reproduces_the_dict_backend_under_crash_and_recovery(self):
+        """The pins must survive checkpoint restore and state transfer."""
+        faults = FaultSchedule().crash_node(at=0.2, node_id=2).recover_node(at=0.5, node_id=2)
+        result = storage_scenario(faults=faults, seed=9).run()
+        result.raise_if_failed()
+        assert store_pins(result) == CRASH_RECOVER_PINNED
         # The recovered replica actually exercised snapshot restore.
-        assert dict_result.recovery.state_transfers_completed > 0
-        assert columnar_result.recovery.state_transfers_completed > 0
+        assert result.recovery.state_transfers_completed == 1
 
 
 class TestArchivedRun:
     def test_bounded_residency_with_contiguous_archive(self):
         """Tentpole acceptance: prune spills, residency stays bounded."""
         interval = 20
-        result = storage_scenario(
-            "columnar", archive=":memory:", checkpoint_interval=interval
-        ).run()
+        result = storage_scenario(archive=":memory:", checkpoint_interval=interval).run()
         result.raise_if_failed()
         storage = result.storage
         decided = min(result.chain_heights.values())
@@ -128,9 +138,7 @@ class TestArchivedRun:
             assert positions == list(range(1, height + 1))
 
     def test_offline_audit_passes_on_archived_run(self):
-        result = storage_scenario(
-            "columnar", archive=":memory:", checkpoint_interval=16, seed=7
-        ).run()
+        result = storage_scenario(archive=":memory:", checkpoint_interval=16, seed=7).run()
         result.raise_if_failed()
         report = audit_archive(result.system.archive)
         assert report.ok, report.problems
@@ -139,31 +147,30 @@ class TestArchivedRun:
         assert report.checkpoints_verified > 0
         assert report.failed_replays == 0
 
-    def test_dict_backend_archives_too(self):
-        result = storage_scenario(
-            "dict", archive=":memory:", checkpoint_interval=16, seed=3
-        ).run()
+    def test_archived_run_reproduces_the_dict_backend_outcome(self):
+        result = storage_scenario(archive=":memory:", checkpoint_interval=16, seed=3).run()
         result.raise_if_failed()
+        assert store_pins(result) == ARCHIVED_PINNED
         assert result.storage.archived
         report = audit_archive(result.system.archive)
         assert report.ok, report.problems
+        # Recorded with the pins above.
+        assert (report.blocks_verified, report.txs_replayed, report.checkpoints_verified) == (
+            4573, 4573, 283
+        )
 
     def test_storage_gauges_in_report(self):
         """Gauges surface on the result and in summary()."""
-        result = storage_scenario(
-            "columnar", archive=":memory:", duration=0.4
-        ).run()
-        assert result.storage.backend == "columnar"
+        result = storage_scenario(archive=":memory:", duration=0.4).run()
         # Summed over every replica: 3 clusters x 3 crash-model replicas.
         assert result.storage.resident_accounts == 9 * 256
         assert result.storage.archive_blocks > 0
         summary = result.summary()
-        assert "storage" in summary
-        assert "columnar" in summary
+        assert f"storage    : {9 * 256} resident accounts" in summary
         assert "archive" in summary
 
     def test_unarchived_run_reports_no_archive(self):
-        result = storage_scenario("columnar", archive=None, duration=0.4).run()
+        result = storage_scenario(archive=None, duration=0.4).run()
         assert result.storage is not None
         assert not result.storage.archived
         assert result.storage.archive_blocks == 0
@@ -174,9 +181,7 @@ class TestHistoryOverArchivedRun:
 
     @pytest.fixture(scope="class")
     def archived_result(self):
-        result = storage_scenario(
-            "columnar", archive=":memory:", checkpoint_interval=16, seed=13
-        ).run()
+        result = storage_scenario(archive=":memory:", checkpoint_interval=16, seed=13).run()
         result.raise_if_failed()
         return result
 
@@ -243,7 +248,6 @@ def failover_scenario() -> Scenario:
             num_clusters=4,
             f=1,
             checkpoint_interval=64,
-            store_backend="columnar",
             archive=":memory:",
         ),
         workload=WorkloadConfig(cross_shard_fraction=0.1, accounts_per_shard=2048),

@@ -1,4 +1,4 @@
-"""Unit tests for the account store and shard mapper."""
+"""Unit tests for the state store and shard mapper."""
 
 import pytest
 
@@ -8,7 +8,8 @@ from repro.common.errors import (
     UnknownAccountError,
     ValidationError,
 )
-from repro.txn.accounts import AccountStore, ShardMapper
+from repro.storage import StateStore
+from repro.txn.accounts import ShardMapper
 
 
 class TestShardMapper:
@@ -62,75 +63,67 @@ class TestShardMapper:
             ShardMapper(2, 0)
 
 
-class TestAccountStore:
+class TestStateStore:
+    def _store(self, balance=50):
+        """Shard 0 of two, accounts 0..3, account ``i`` owned by client ``i + 7``."""
+        return StateStore.bootstrap(0, ShardMapper(2, 4), balance, owner_of=lambda a: a + 7)
+
     def test_bootstrap_populates_shard(self):
         mapper = ShardMapper(2, 4)
-        store = AccountStore.bootstrap(1, mapper, initial_balance=100)
+        store = StateStore.bootstrap(1, mapper, initial_balance=100)
         assert len(store) == 4
         assert store.balance(4) == 100
-        assert 3 not in store
+        with pytest.raises(UnknownAccountError):
+            store.balance(3)
         assert store.total_balance() == 400
 
-    def test_create_duplicate_account_rejected(self):
-        store = AccountStore()
-        store.create_account(1, owner=1, balance=10)
-        with pytest.raises(ValidationError):
-            store.create_account(1, owner=2, balance=5)
-
     def test_negative_initial_balance_rejected(self):
-        store = AccountStore()
         with pytest.raises(ValidationError):
-            store.create_account(1, owner=1, balance=-1)
+            self._store(balance=-1)
 
     def test_deposit_and_withdraw(self):
-        store = AccountStore()
-        store.create_account(1, owner=7, balance=50)
+        store = self._store()
         store.deposit(1, 25)
         assert store.balance(1) == 75
         store.withdraw(1, 30)
         assert store.balance(1) == 45
 
     def test_withdraw_checks_owner(self):
-        store = AccountStore()
-        store.create_account(1, owner=7, balance=50)
+        store = self._store()
         with pytest.raises(ValidationError):
-            store.withdraw(1, 10, requester=8)
-        store.withdraw(1, 10, requester=7)
-        assert store.balance(1) == 40
+            store.withdraw(0, 10, requester=8)
+        store.withdraw(0, 10, requester=7)
+        assert store.balance(0) == 40
 
     def test_overdraft_rejected(self):
-        store = AccountStore()
-        store.create_account(1, owner=7, balance=5)
+        store = self._store(balance=5)
         with pytest.raises(InsufficientBalanceError):
             store.withdraw(1, 6)
         assert store.balance(1) == 5
 
     def test_unknown_account(self):
-        store = AccountStore()
+        store = self._store()
         with pytest.raises(UnknownAccountError):
             store.balance(42)
 
     def test_negative_amounts_rejected(self):
-        store = AccountStore()
-        store.create_account(1, owner=1, balance=10)
+        store = self._store()
         with pytest.raises(ValidationError):
             store.deposit(1, -1)
         with pytest.raises(ValidationError):
             store.withdraw(1, -1)
 
     def test_snapshot_and_restore(self):
-        store = AccountStore()
-        store.create_account(1, owner=1, balance=10)
-        store.create_account(2, owner=2, balance=20)
+        store = self._store()
+        store.withdraw(1, 40)
         snapshot = store.snapshot()
         store.deposit(1, 100)
         store.restore(snapshot)
         assert store.balance(1) == 10
-        assert store.balance(2) == 20
+        assert store.balance(2) == 50
 
     def test_version_increments_on_writes(self):
-        store = AccountStore()
-        store.create_account(1, owner=1, balance=10)
+        store = self._store()
         version = store.version
         store.deposit(1, 1)
         store.withdraw(1, 1)
@@ -142,7 +135,7 @@ class TestIncrementalDigest:
 
     def _store(self):
         mapper = ShardMapper(2, 16)
-        return AccountStore.bootstrap(0, mapper, initial_balance=100)
+        return StateStore.bootstrap(0, mapper, initial_balance=100)
 
     def test_digest_matches_naive_after_writes(self):
         store = self._store()
@@ -183,7 +176,7 @@ class TestIncrementalDigest:
     def test_snapshot_digest_matches_state_digest(self):
         store = self._store()
         store.deposit(2, 9)
-        assert AccountStore.snapshot_digest(store.snapshot()) == store.state_digest()
+        assert StateStore.snapshot_digest(store.snapshot()) == store.state_digest()
 
     def test_restore_resets_memo(self):
         store = self._store()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.txn.accounts import AccountStore, ShardMapper
+from repro.storage import StateStore
+from repro.txn.accounts import ShardMapper
 from repro.txn.execution import ExecutionResult, TransactionExecutor
 from repro.txn.transaction import Transaction, Transfer
 
@@ -13,8 +14,8 @@ def mapper():
 
 
 def make_executor(mapper, shard, balance=100):
-    store = AccountStore.bootstrap(shard, mapper, initial_balance=balance,
-                                   owner_of={a: a % 4 for a in mapper.accounts_in_shard(shard)})
+    store = StateStore.bootstrap(shard, mapper, initial_balance=balance,
+                                 owner_of=lambda a: a % 4)
     return TransactionExecutor(store, mapper, shard), store
 
 
@@ -47,7 +48,7 @@ class TestIntraShardExecution:
         assert store.balance(2) == 10
 
     def test_ownership_can_be_disabled(self, mapper):
-        store = AccountStore.bootstrap(0, mapper, initial_balance=50)
+        store = StateStore.bootstrap(0, mapper, initial_balance=50)
         executor = TransactionExecutor(store, mapper, 0, enforce_ownership=False)
         tx = Transaction.transfer(client=99, source=1, destination=2, amount=10)
         assert executor.execute(tx).success
@@ -116,9 +117,10 @@ class TestExecutionResultParity:
         assert executor.execute(overdraft) == ExecutionResult(
             "t2", False, 0, "account 1 holds 10 < 12 required by t2"
         )
-        sparse = AccountStore(shard=0)  # the keyspace knows account 1, this store does not
+        # The keyspace puts account 1 in shard 0; a store of shard 1 does not hold it.
+        _, other = make_executor(mapper, 1)
         missing = Transaction.transfer(client=1, source=1, destination=2, amount=1, tx_id="t3")
-        assert TransactionExecutor(sparse, mapper, 0).execute(missing) == ExecutionResult(
+        assert TransactionExecutor(other, mapper, 0).execute(missing) == ExecutionResult(
             "t3", False, 0, "unknown account 1"
         )
         assert executor.failed == 2 and store.total_balance() == 10 * 10
@@ -134,8 +136,8 @@ class TestExecutionResultParity:
     def test_each_local_source_is_read_once(self, mapper):
         executor, store = make_executor(mapper, 0)
         reads = []
-        account = store.account
-        store.account = lambda account_id: reads.append(account_id) or account(account_id)
+        entry = store.entry
+        store.entry = lambda account_id: reads.append(account_id) or entry(account_id)
         tx = Transaction.multi_transfer(
             client=1, transfers=[Transfer(1, 2, 6), Transfer(1, 3, 6), Transfer(5, 15, 1)]
         )

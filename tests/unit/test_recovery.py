@@ -18,7 +18,8 @@ from repro.core.system import SharPerSystem
 from repro.ledger.block import Block
 from repro.ledger.view import ClusterView
 from repro.recovery import checkpoint_digest
-from repro.txn.accounts import AccountStore, ShardMapper
+from repro.storage import StateStore
+from repro.txn.accounts import ShardMapper
 from repro.txn.workload import WorkloadConfig
 
 from helpers import simple_transfer
@@ -169,10 +170,10 @@ class TestClusterViewPruning:
 class TestCheckpointDigest:
     def test_store_digest_is_construction_independent(self):
         mapper = ShardMapper(num_shards=1, accounts_per_shard=8)
-        store = AccountStore.bootstrap(shard=0, mapper=mapper, initial_balance=100)
+        store = StateStore.bootstrap(shard=0, mapper=mapper, initial_balance=100)
         store.withdraw(AccountId(1), 30)
         store.deposit(AccountId(5), 30)
-        clone = AccountStore(shard=0)
+        clone = StateStore.bootstrap(shard=0, mapper=mapper, initial_balance=7)
         clone.restore(store.snapshot())
         assert store.state_digest() == clone.state_digest()
         clone.deposit(AccountId(2), 1)

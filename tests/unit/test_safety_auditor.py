@@ -99,8 +99,7 @@ class TestViolationDetection:
         result = run_scenario()
         system = result.system
         store = system.stores()[0]
-        account = next(iter(store))
-        store.deposit(account.account_id, 13)
+        store.deposit(min(store.snapshot()), 13)
         report = SafetyAuditor(system).audit()
         assert not report.ok
         assert any("balance" in problem for problem in report.problems)

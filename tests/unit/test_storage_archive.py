@@ -15,8 +15,8 @@ from repro.common.crypto import GENESIS_HASH, chain_hash
 from repro.common.errors import ConfigurationError
 from repro.ledger.block import GENESIS_BLOCK_ID, Block
 from repro.storage import (
-    ArrayAccountStore,
     SqliteArchive,
+    StateStore,
     audit_archive,
     open_archive,
 )
@@ -71,7 +71,7 @@ def _archived(record_checkpoint=True):
         # The store digest cluster 0's replicas would have stabilised
         # after block 3: tx-a, the out-half of tx-x, then tx-b.
         mapper = ShardMapper(BOOTSTRAP["num_shards"], BOOTSTRAP["accounts_per_shard"])
-        store = ArrayAccountStore.bootstrap(
+        store = StateStore.bootstrap(
             0, mapper, BOOTSTRAP["initial_balance"],
             owner_of=lambda account: account % BOOTSTRAP["num_clients"],
         )

@@ -5,26 +5,28 @@ shard, so the genesis table scan belongs to the prototype (done lazily,
 once, at the first digest any clone asks for) and a clone folds in only
 its own writes.  Whatever path a store took to its digest — inherited,
 fallen back to the full scan, restored, state-transferred — the value
-must equal ``naive_state_digest()``, on both backends.
+must equal ``naive_state_digest()``.
 """
 
 import pytest
 
-from repro.storage import AccountStore, ArrayAccountStore
 from repro.storage import base
 from repro.storage.base import StateStore, leaf_hash
 from repro.txn.accounts import ShardMapper
 
 ACCOUNTS = 64
-BACKENDS = [AccountStore, ArrayAccountStore]
 
 
-def _prototype(backend, shard=1):
-    return backend.bootstrap(shard, ShardMapper(4, ACCOUNTS), 1000, owner_of=lambda a: a % 5)
+def _prototype(shard=1):
+    return StateStore.bootstrap(shard, ShardMapper(4, ACCOUNTS), 1000, owner_of=lambda a: a % 5)
 
 
 def _first(store):
-    return next(iter(store)).account_id
+    return min(store.snapshot())
+
+
+def _with_balance(store, balance):
+    return {account_id: (owner, balance) for account_id, (owner, _) in store.snapshot().items()}
 
 
 @pytest.fixture
@@ -41,50 +43,48 @@ def leaf_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestCloneDigest:
-    def test_untouched_clone(self, backend):
-        clone = _prototype(backend).clone()
+    def test_untouched_clone(self):
+        clone = _prototype().clone()
         assert clone.state_digest() == clone.naive_state_digest()
         assert clone._cloned_from is None  # link dropped at the first digest
 
-    def test_clone_written_before_its_first_digest(self, backend):
-        prototype = _prototype(backend)
+    def test_clone_written_before_its_first_digest(self):
+        prototype = _prototype()
         clone = prototype.clone()
         account = _first(clone)
         clone.withdraw(account, 7)
         clone.deposit(account + 1, 7)
-        clone.create_account(9000, owner=2, balance=11)
         assert clone.state_digest() == clone.naive_state_digest()
         assert prototype.state_digest() == prototype.naive_state_digest()
         assert clone.state_digest() != prototype.state_digest()
 
-    def test_prototype_written_after_cloning_takes_the_full_scan(self, backend):
-        prototype = _prototype(backend)
+    def test_prototype_written_after_cloning_takes_the_full_scan(self):
+        prototype = _prototype()
         clone = prototype.clone()
         prototype.deposit(_first(prototype), 5)
         assert clone.state_digest() == clone.naive_state_digest()
         assert prototype._digest_acc is None  # never asked: the clone scanned itself
         assert clone.state_digest() != prototype.state_digest()
 
-    def test_prototype_restored_after_cloning_takes_the_full_scan(self, backend):
-        prototype = _prototype(backend)
+    def test_prototype_restored_after_cloning_takes_the_full_scan(self):
+        prototype = _prototype()
         clone = prototype.clone()
-        prototype.restore({account.account_id: (account.owner, 1) for account in prototype})
+        prototype.restore(_with_balance(prototype, 1))
         assert clone.state_digest() == clone.naive_state_digest()
         assert clone.state_digest() != prototype.state_digest()
 
-    def test_restored_clone(self, backend):
-        prototype = _prototype(backend)
+    def test_restored_clone(self):
+        prototype = _prototype()
         clone = prototype.clone()
-        clone.restore({account.account_id: (account.owner, 3) for account in prototype})
+        clone.restore(_with_balance(prototype, 3))
         assert clone._cloned_from is None
         assert clone.state_digest() == clone.naive_state_digest()
         assert clone.state_digest() != prototype.state_digest()
 
-    def test_state_transferred_clone(self, backend):
+    def test_state_transferred_clone(self):
         """A joiner installs a helper's checkpoint snapshot, then applies the suffix."""
-        prototype = _prototype(backend)
+        prototype = _prototype()
         helper, joiner = prototype.clone(), prototype.clone()
         account = _first(helper)
         helper.withdraw(account, 9)
@@ -98,16 +98,16 @@ class TestCloneDigest:
         joiner.deposit(account + 1, 9)
         assert joiner.state_digest() == helper.state_digest() == joiner.naive_state_digest()
 
-    def test_clone_of_an_undigested_clone(self, backend):
-        middle = _prototype(backend).clone()
+    def test_clone_of_an_undigested_clone(self):
+        middle = _prototype().clone()
         middle.deposit(_first(middle), 4)
         leaf = middle.clone()
         leaf.deposit(_first(leaf), 1)
         assert leaf.state_digest() == leaf.naive_state_digest()
         assert middle.state_digest() == middle.naive_state_digest()
 
-    def test_prototype_is_scanned_once_for_all_its_clones(self, backend, leaf_calls):
-        prototype = _prototype(backend)
+    def test_prototype_is_scanned_once_for_all_its_clones(self, leaf_calls):
+        prototype = _prototype()
         clones = [prototype.clone() for _ in range(3)]
         writes = 0
         for clone in clones:
@@ -124,8 +124,8 @@ class TestCloneDigest:
         assert len({clone.state_digest() for clone in clones}) == 1
         assert clones[0].state_digest() == clones[0].naive_state_digest()
 
-    def test_digested_prototype_hands_its_accumulator_over(self, backend, leaf_calls):
-        prototype = _prototype(backend)
+    def test_digested_prototype_hands_its_accumulator_over(self, leaf_calls):
+        prototype = _prototype()
         prototype.state_digest()
         prototype.deposit(_first(prototype), 1)  # a pre-image in flight
         scanned = leaf_calls[0]
@@ -135,9 +135,8 @@ class TestCloneDigest:
         assert leaf_calls[0] - scanned <= 4 + 2 * ACCOUNTS  # incremental + the naive pass
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("accounts", [1_000, 10_000, 50_000])
-def test_incremental_digest_hashes_two_leaves_per_write(backend, accounts, leaf_calls):
+def test_incremental_digest_hashes_two_leaves_per_write(accounts, leaf_calls):
     """O(writes), not O(accounts): the same 2W leaf hashes at every population.
 
     Each written account folds its pre-image out and its post-image in.  A
@@ -146,7 +145,7 @@ def test_incremental_digest_hashes_two_leaves_per_write(backend, accounts, leaf_
     """
     writes = 100
     mapper = ShardMapper(1, accounts)
-    store = backend.bootstrap(0, mapper, 1000)
+    store = StateStore.bootstrap(0, mapper, 1000)
     store.state_digest()  # the genesis scan
     leaf_calls[0] = 0
     for account_id in mapper.accounts_in_shard(0)[:: accounts // writes]:
@@ -167,15 +166,14 @@ class TestLeafMemo:
         assert base._memo_leaf_hash(7, 3, 12345678901234567890) == int(
             "2fe751382624be67fdc13d6c2af9b55497dae2163eca05c28cf5229875c78715", 16
         )
-        assert _prototype(AccountStore).state_digest() == (
+        assert _prototype().state_digest() == (
             "c8ed143ba2bc900e5b797a2689b89a3086fa64366ad8c0bea21e4577721e34b0"
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_full_scans_leave_the_memo_alone(self, backend):
+    def test_full_scans_leave_the_memo_alone(self):
         memo = base._memo_leaf_hash
         memo.cache_clear()
-        store = _prototype(backend)
+        store = _prototype()
         store.state_digest()  # genesis scan
         store.naive_state_digest()
         store.restore(store.snapshot())
@@ -188,7 +186,7 @@ class TestLeafMemo:
     def test_replicas_of_a_cluster_hash_each_written_leaf_once(self):
         memo = base._memo_leaf_hash
         memo.cache_clear()
-        replicas = [_prototype(ArrayAccountStore).clone() for _ in range(3)]
+        replicas = [_prototype().clone() for _ in range(3)]
         for replica in replicas:
             replica.state_digest()
         account = _first(replicas[0])
