@@ -392,7 +392,7 @@ class CrossAcceptB:
     digest: str
     cluster: ClusterId
     node: NodeId
-    slot: int | None
+    slot: int
     attempt: int = 0
 
     verify_signatures: ClassVar[int] = 1

@@ -12,16 +12,10 @@ layered on top of intra-shard consensus.  Two variants exist:
   accepts and commits are multicast all-to-all among the involved nodes
   and quorums are ``2f + 1`` per cluster.
 
-Implementation interpretation (documented in docs/architecture.md,
-"Substitutions and interpretations"): consensus
-instances are pipelined over per-cluster sequence numbers instead of
-being chained on the literal hash of the previous block.  The position a
-cluster reserves for a cross-shard transaction is assigned by that
-cluster's primary and echoed by its backups; the accept/commit quorums of
-the paper are unchanged.  Non-overlapping cross-shard transactions
-therefore proceed fully in parallel, and transactions that share clusters
-are serialised per cluster by the (single) slot assigner — the role the
-super-primary plays in the paper.
+Instances are pipelined over per-cluster sequence numbers, not chained
+on the previous block's hash: each cluster's primary assigns the
+position and its single slot assigner plays the super-primary's role
+(docs/architecture.md, "Substitutions and interpretations").
 
 With ``ProtocolTuning.batch_size > 1`` the ordered item may be a
 :class:`~repro.consensus.messages.RequestBatch` instead of a bare
@@ -31,12 +25,9 @@ engines stay item-agnostic — only the duplicate checks and the
 Byzantine-client screen iterate batch members (see
 :mod:`repro.consensus.batching`).
 
-Both engines extend one module-private skeleton, ``_CrossShardEngine``:
-reserving the local position, the already-committed gate, the
-retry/abort timer, the Byzantine-client screen, the local decide (with
-its one tolerated conflict) and compaction live there, once.  The
-engine classes keep what the paper says differs — who votes to whom,
-and which quorum.
+Both engines extend one module-private skeleton, ``_CrossShardEngine``,
+which holds what they share; the engine classes keep what the paper
+says differs — who votes to whom, and which quorum.
 """
 
 from __future__ import annotations
@@ -69,7 +60,6 @@ __all__ = ["CrashCrossShardEngine", "ByzantineCrossShardEngine"]
 
 #: a released tally: empty and immutable, so a write after release raises.
 _RELEASED_VOTES = MappingProxyType({})
-_RELEASED_CLUSTERS = frozenset()
 #: (quorum, voter bits) of a cluster this deployment does not know: nobody votes for it.
 _NOBODY = (1, _RELEASED_VOTES)
 
@@ -96,6 +86,8 @@ class _CrossShardEngine(HandlerTable):
         self._voting = {c.cluster_id: (c.cross_quorum, c.voter_bits) for c in host.config.clusters}
         #: votes refused: the sender is not a member of the cluster it speaks for.
         self.foreign_votes = 0
+        #: votes refused: a slot or position vector that is not well formed.
+        self.malformed_votes = 0
         self.initiated = 0
         self.committed = 0
         self.retries = 0
@@ -182,7 +174,7 @@ class _CrossShardEngine(HandlerTable):
             state.timer.cancel()
         self.committed += 1
 
-    def _decide_local(self, slot: int, digest: str, item: object, positions, proposer) -> None:
+    def _decide_local(self, slot: int, digest: str, item, positions, proposer, forget=False) -> None:
         """This cluster's slot of the instance is decided here: log, stamp, apply.
 
         The one place a cross-shard engine calls ``log.decide``.  One
@@ -191,16 +183,19 @@ class _CrossShardEngine(HandlerTable):
         counted instead of crashing; the client's retry re-runs the
         instance at a fresh position.  A conflicting *real* decision is
         a genuine fork (two decisions for one slot) and keeps raising.
+        ``forget`` drops the state once the log, its only record, holds it.
         """
         host = self.host
         try:
-            host.log.decide(slot, digest, item, positions=positions, proposer=proposer)
+            logged = host.log.decide(slot, digest, item, positions=positions, proposer=proposer)
         except ConsensusError:
             entry = host.log.entry(slot)
             if entry is None or not entry.is_noop:
                 raise
             self.late_commits += 1
             return
+        if forget and logged is not None:
+            del self._states[digest]
         host.recorder.milestone(host, item, "decided")
         host.after_decide()
 
@@ -210,11 +205,10 @@ class _CrossShardEngine(HandlerTable):
     def compact_below(self, slot: int) -> None:
         """Drop bookkeeping for instances decided at or below ``slot``.
 
-        Decided instances whose local slot fell at or below the
-        checkpoint can never be consulted again (stale proposals are
-        answered through the ledger's transaction index), so their vote
-        sets and slot assignments are dropped.  Undecided instances
-        stay — their retry timers are still live.
+        Slot assignments at or below the checkpoint go, and with them
+        the few decided states that outlived their decision (stale
+        proposals are answered through the ledger's transaction index).
+        Undecided instances stay — their retry timers are still live.
         """
         states, assigned = self._states, self._assigned_slots
         for digest in [d for d, s in assigned.items() if s <= slot]:
@@ -234,7 +228,7 @@ class _CrashState:
     Tally invariant: ``waiting`` holds exactly the involved clusters that
     still lack an accept quorum or a reserved position, so the instance
     commits the moment it empties — no re-scan of the clusters per vote.
-    Both tallies are released at commit; later accepts stop at ``decided``.
+    It leaves at commit once the log holds the decision, else stays for the retry.
     """
 
     request: ClientRequest
@@ -357,7 +351,6 @@ class CrashCrossShardEngine(_CrossShardEngine):
 
     def _commit(self, state: _CrashState) -> None:
         self._finish(state)
-        state.votes, state.waiting = _RELEASED_VOTES, _RELEASED_CLUSTERS
         host = self.host
         host.recorder.milestone(host, state.request, "cross_prepared")
         positions = dict(state.slots)
@@ -370,7 +363,8 @@ class CrashCrossShardEngine(_CrossShardEngine):
         )
         host.multicast(host.nodes_of_clusters(state.involved), commit)
         self._decide_local(
-            positions[host.cluster_id], state.digest, state.request, positions, host.cluster_id
+            positions[host.cluster_id], state.digest, state.request, positions, host.cluster_id,
+            forget=True,
         )
 
     def _on_commit(self, message: CrossCommit, src: int) -> None:
@@ -394,8 +388,8 @@ class _ByzState:
     ``uncommitted`` those without a commit quorum, so "may I commit /
     decide?" is an emptiness check.  Votes may arrive before the propose
     does; until then both are ``None`` and the votes just accumulate.
-    Each tally is released at its last read (accepts once this node's commit
-    is sent, the rest at decision); the state stays behind as a tombstone.
+    The accept tally goes once this node's commit is sent; the state at
+    decision, unless the log lacks it or this node's own accept is unsent.
     """
 
     digest: str
@@ -464,17 +458,36 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
         self._send_accept(state)
         self._arm_retry_timer(state)
 
-    def _state(self, digest: str) -> _ByzState:
+    def _state(self, digest: str, own_slot: int | None = None) -> _ByzState | None:
+        """The digest's state; ``None`` once the log decided it or checkpointed ``own_slot``."""
         state = self._states.get(digest)
         if state is None:
+            log = self.host.log
+            compacted = own_slot is not None and own_slot <= log.low_water_mark
+            if compacted or log.decided_slot_of(digest) is not None:
+                return None  # a late message resurrects nothing
             state = self._states[digest] = _ByzState(digest)
         return state
+
+    def _well_formed(self, positions: object) -> bool:
+        """``((cluster, slot), ...)``: known clusters in ascending order, slots ints >= 1."""
+        if type(positions) is not tuple or not positions:
+            return False
+        last = -1
+        try:
+            for cluster, slot in positions:
+                if type(cluster) is not int or cluster <= last or cluster not in self._voting:
+                    return False
+                if type(slot) is not int or slot < 1:
+                    return False
+                last = cluster
+        except (TypeError, ValueError):  # an item that is no pair
+            return False
+        return True
 
     def _set_involved(self, state: _ByzState, involved: tuple[ClusterId, ...]) -> None:
         """Fix the involved set and derive both tallies from the votes already held."""
         state.involved = involved
-        if state.decided:
-            return  # its tallies are released: nothing reads them again
         state.unconfirmed = {c for c in involved if c not in state.confirmed_slots}
         votes, voting = state.commit_votes, self._voting
         state.uncommitted = {
@@ -494,13 +507,13 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
     # message handling (table-driven; see HandlerTable.handle)
     # ------------------------------------------------------------------
     def _on_propose(self, message: CrossProposeB, src: int) -> None:
-        expected = self.host.primary_pid_of(message.initiator_cluster)
-        if src != expected:
-            # Only the initiator cluster's primary may propose.
-            return
+        if src != self.host.primary_pid_of(message.initiator_cluster):
+            return  # only the initiator cluster's primary may propose
         if self._rejects(message.request):
             return
         state = self._state(message.digest)
+        if state is None:
+            return
         state.request = message.request
         if message.involved != state.involved:
             self._set_involved(state, message.involved)
@@ -540,28 +553,25 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
         )
         host.multicast(host.nodes_of_clusters(state.involved), accept)
         self._register_accept(state, host.cluster_id, slot, host.node_id)
+        if state.decided and host.log.decided_slot_of(state.digest) is not None:
+            self._states.pop(state.digest, None)  # gone already if this accept decided it
 
     def _on_accept(self, message: CrossAcceptB, src: int) -> None:
         slot = message.slot
-        if slot is None:
+        if type(slot) is not int or slot < 1:  # a bool is no slot either
+            self.malformed_votes += 1
             return
-        cluster = message.cluster
-        state = self._states.get(message.digest)
+        own = message.cluster == self.host.cluster_id
+        state = self._states.get(message.digest) or self._state(message.digest, slot if own else None)
         if state is None:
-            if cluster == self.host.cluster_id and slot <= self.host.log.low_water_mark:
-                return  # late vote for a compacted instance: nothing to resurrect
-            state = self._state(message.digest)
+            return
         # Backups learn their cluster's slot from their primary's accept
         # (nothing left to learn once this node's own accept is out).
-        if (
-            not state.accept_sent
-            and cluster == self.host.cluster_id
-            and src == self.host.primary_pid_of(cluster)
-        ):
+        if own and not state.accept_sent and src == self.host.primary_pid_of(message.cluster):
             if state.my_slot is None:
                 state.my_slot = slot
             self._send_accept(state)
-        self._register_accept(state, cluster, slot, src)
+        self._register_accept(state, message.cluster, slot, src)
 
     def _register_accept(
         self, state: _ByzState, cluster: ClusterId, slot: int, voter: int
@@ -601,12 +611,14 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
         self._register_commit(state, host.cluster_id, host.node_id)
 
     def _on_commit(self, message: CrossCommitB, src: int) -> None:
-        state = self._states.get(message.digest)
+        if not self._well_formed(message.positions):
+            self.malformed_votes += 1
+            return
+        state = self._states.get(message.digest) or self._state(
+            message.digest, dict(message.positions).get(self.host.cluster_id)
+        )
         if state is None:
-            own = dict(message.positions).get(self.host.cluster_id)
-            if own is not None and own <= self.host.log.low_water_mark:
-                return  # late vote for a compacted instance: nothing to resurrect
-            state = self._state(message.digest)
+            return
         if not state.decided:
             if src not in self._voting.get(message.cluster, _NOBODY)[1]:
                 self.foreign_votes += 1
@@ -626,30 +638,23 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
             voters = state.commit_votes[cluster] = state.commit_votes.get(cluster, 0) | bits[voter]
             if voters.bit_count() >= quorum and state.uncommitted:
                 state.uncommitted.discard(cluster)
-            if (
-                state.involved
-                and not state.uncommitted
-                and not state.unconfirmed
-                and state.request is not None
-            ):
+            proposed = state.involved and state.request is not None
+            if proposed and not state.uncommitted and not state.unconfirmed:
                 self._decide(state)
         host = self.host
         host.recorder.quorum_vote(host, "cross_commit", state.digest, voter, state.decided)
 
     def _decide(self, state: _ByzState) -> None:
         self._finish(state)
-        state.accept_votes = state.commit_votes = _RELEASED_VOTES
-        state.unconfirmed = state.uncommitted = _RELEASED_CLUSTERS
+        mine = self.host.cluster_id
         positions = {cluster: state.confirmed_slots[cluster] for cluster in state.involved}
-        my_slot = positions.get(self.host.cluster_id)
-        if my_slot is None:
+        if mine not in positions:
             return
-        proposer = (
-            state.initiator_cluster
-            if state.initiator_cluster is not None
-            else self.host.cluster_id
+        proposer = mine if state.initiator_cluster is None else state.initiator_cluster
+        self._decide_local(
+            positions[mine], state.digest, state.request, positions, proposer,
+            forget=state.accept_sent,  # else its primary's late accept still makes it send one
         )
-        self._decide_local(my_slot, state.digest, state.request, positions, proposer)
 
     # ------------------------------------------------------------------
     # checkpoint compaction (repro.recovery)
@@ -657,13 +662,13 @@ class ByzantineCrossShardEngine(_CrossShardEngine):
     def compact_below(self, slot: int) -> None:
         """The shared sweep, then the state only this engine keeps at every node.
 
-        ``_assigned_slots`` only knows the instances this node assigned
-        a slot as primary, so every other replica compacts by the
-        position the instance took in its own cluster.  Request-less
-        states — votes for a digest nobody proposed here, typically a
-        remote cluster's late accept for an instance already compacted —
-        are swept once a checkpoint has outlived them: seen request-less
-        by two consecutive compactions.
+        The decided states left (decisions the log did not record, or
+        still owing this node's accept) go by the position the instance
+        took in this node's cluster: ``_assigned_slots`` only knows a
+        primary's.  Request-less states — votes for a digest nobody
+        proposed here, typically a remote cluster's late accept for an
+        instance already compacted — go once a checkpoint has outlived
+        them: seen request-less by two consecutive compactions.
         """
         super().compact_below(slot)
         states = self._states

@@ -329,13 +329,8 @@ class FlightRecorder:
             else:
                 window = queue = 0
             cross = getattr(process, "cross", None)
-            pending_cross = 0
-            if cross is not None:
-                pending_cross = sum(
-                    1
-                    for state in cross._states.values()
-                    if not getattr(state, "decided", False)
-                )
+            states = () if cross is None else cross._states.values()
+            pending_cross = sum(1 for state in states if not state.decided)
             replicas[int(process.pid)] = {
                 "window": window,
                 "queue": queue,

@@ -7,7 +7,9 @@ contract on that representation, then check the rule every tally now
 applies first: a vote counts only if its sender is a member of the
 cluster it speaks for.  Each refusal below is a vote that counted before
 membership was checked (cross-shard accepts and commits, PBFT prepares,
-Paxos accepted, view-change votes, AHL's committee votes).  The last test records a
+Paxos accepted, view-change votes, AHL's committee votes).  A Byzantine
+cross-shard vote whose slot or position vector is not well formed is
+refused and counted before it touches any state.  The last test records a
 hole that is still open: a forged position vector in one early commit.
 """
 
@@ -214,6 +216,35 @@ def test_ahl_committee_refuses_a_vote_from_outside_the_cluster():
 
 
 # ----------------------------------------------------------------------
+# a malformed vote is refused and counted, never raised or adopted
+# ----------------------------------------------------------------------
+MALFORMED = {
+    "pair-too-short": CrossCommitB("d", C0, NodeId(2), ((C0,),)),
+    "pair-too-long": CrossCommitB("d", C0, NodeId(2), ((C0, 9, 1),)),
+    "no-vector": CrossCommitB("d", C0, NodeId(2), None),
+    "slot-not-int": CrossCommitB("d", C0, NodeId(2), ((C0, "x"), (C1, 1))),
+    "accept-slot-not-int": CrossAcceptB("d", C0, NodeId(2), "x"),
+    "cluster-twice": CrossCommitB("d", C0, NodeId(2), ((C0, 9), (C0, 10))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_byzantine_vote_is_refused_before_any_state(name):
+    # Unchecked, every case but ``cluster-twice`` raises out of ``handle``
+    # and aborts the run; ``cluster-twice`` is adopted as ``involved == (0, 0)``.
+    system = build(FaultModel.BYZANTINE)
+    replica = system.replicas[1]
+    engine = replica.cross
+    sent = []
+    replica.multicast = lambda destinations, message: sent.append(message)
+    replica.send_to = lambda dst, message: sent.append(message)
+    engine.handle(MALFORMED[name], src=2)
+    assert engine.malformed_votes == 1 and engine.foreign_votes == 0
+    assert engine._states == {} and sent == []
+    assert list(replica.log.entries()) == [] and replica.log.next_slot == 1
+
+
+# ----------------------------------------------------------------------
 # recorded, not fixed: a forged position vector in one early commit
 # ----------------------------------------------------------------------
 @pytest.mark.xfail(
@@ -237,5 +268,5 @@ def test_one_member_cannot_move_its_own_clusters_decision():
         commits=[(0, C0, honest), (3, C0, honest), (4, C1, honest), (5, C1, honest),
                  (6, C1, honest)],
     )
-    assert engine._states[digest].decided
+    assert system.replicas[1].log.decided_slot_of(digest) is not None
     assert system.replicas[1].log.decided_slot_of(digest) == 9
