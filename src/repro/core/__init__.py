@@ -1,7 +1,6 @@
 """SharPer core: replicas, cross-shard consensus, clients, system builder."""
 
 from .client import CLIENT_PID_BASE, ClosedLoopClient
-from .cross_shard import ByzantineCrossShardEngine, CrashCrossShardEngine
 from .replica import SharPerReplica
 from .sharding import (
     build_grouped_system,
@@ -15,10 +14,8 @@ from .system import BaseSystem, SharPerSystem
 
 __all__ = [
     "BaseSystem",
-    "ByzantineCrossShardEngine",
     "CLIENT_PID_BASE",
     "ClosedLoopClient",
-    "CrashCrossShardEngine",
     "SharPerReplica",
     "SharPerSystem",
     "build_grouped_system",

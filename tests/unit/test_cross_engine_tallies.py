@@ -10,14 +10,16 @@ that arrive before the propose, and an instance wedged until it aborts —
 and compare decided positions, engine counters and per-replica state
 digests with the values the dict-of-dict engines of the parent commit
 produced for the same script (``PINNED``, recorded by running
-:func:`fingerprint` on that commit).
+:func:`fingerprint` on that commit).  Two whole runs are pinned the same
+way: the crash failover race (``RACE_PINNED``) and a batched Byzantine
+run (``BATCHED_BYZANTINE_PINNED``).
 """
 
 import hashlib
 
 import pytest
 
-from repro.api import DeploymentSpec
+from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.common.config import ProtocolTuning
 from repro.common.errors import ConsensusError
 from repro.common.types import ClusterId, FaultModel
@@ -219,3 +221,83 @@ class TestSharedSkeleton:
         assert (engine.initiated, engine.retries, engine.aborted) == (1, 3, 1)
         assert (engine.committed, engine.late_commits) == (0, 0)
         assert system.replicas[primaries[0]].log.decided_slot_of(item_digest(req)) is None
+
+
+# ----------------------------------------------------------------------
+# whole runs: a failover race (crash) and batched instances (Byzantine)
+# ----------------------------------------------------------------------
+def run_fingerprint(system):
+    """(engine counters, events, messages, sha256 over heights / head hashes / state digests)."""
+    replicas = [system.replicas[pid] for pid in sorted(system.replicas)]
+    counters = tuple(
+        sum(getattr(replica.cross, name) for replica in replicas)
+        for name in ("initiated", "committed", "retries", "aborted", "late_commits")
+    )
+    state = [
+        (replica.pid, replica.chain.height, replica.chain.head_hash, replica.store.state_digest())
+        for replica in replicas
+    ]
+    digest = hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+    return counters, system.sim.processed_events, system.network.messages_sent, digest
+
+
+def race_scenario(seed):
+    """perf/README.md's recorded finding: a primary crash under aggressive timers, 10% cross."""
+    return Scenario(
+        deployment=DeploymentSpec(
+            system="sharper", num_clusters=4, tuning=ProtocolTuning(view_change_timeout=0.05)
+        ),
+        workload=WorkloadConfig(cross_shard_fraction=0.1, accounts_per_shard=256),
+        clients=64,
+        duration=0.6,
+        retry_timeout=0.1,
+        seed=seed,
+        audit_safety=True,
+        faults=FaultSchedule().crash_primary(at=0.2, cluster=0),
+    )
+
+
+#: recorded at ab177d2, before the two cross-shard engines were merged.
+#: The trajectory is known to be wrong (ROADMAP item 2(a)): a client
+#: retry reaches the new primary while a crash cross-shard instance is in
+#: flight, half-commits it and drifts the total balance.  Item 2's crash
+#: PR fixes that and re-records this pin; until then any move means the
+#: engine's retry or position rule changed.
+RACE_PINNED = ((396, 391, 0, 0, 0), 81675, 39930, "d4806404fcfb49f2")
+
+
+def test_crash_failover_race_keeps_its_recorded_wrong_trajectory():
+    """The pinned trajectory is known to be wrong (ROADMAP item 2(a)).
+
+    It ends in balance drift and 7 audit problems.  Item 2's crash PR
+    fixes the race and re-records this pin and the fork below.
+    """
+    result = race_scenario(1).run()
+    assert run_fingerprint(result.system) == RACE_PINNED
+    assert not result.balance_conserved
+    assert len(result.audit.problems) == 7
+
+
+def test_crash_failover_race_keeps_its_recorded_fork():
+    # Same schedule, seed 5: known wrong too (ROADMAP item 2(a)).
+    with pytest.raises(ConsensusError, match="slot 1126 decided twice"):
+        race_scenario(5).run()
+
+
+#: Byzantine, batch 8 / depth 4: ``RequestBatch`` items through Algorithm 2.
+#: Recorded at ab177d2, before the two cross-shard engines were merged.
+BATCHED_BYZANTINE_PINNED = ((339, 2712, 0, 0, 0), 129440, 64660, "3d8d0117d2b9f262")
+
+
+def test_byzantine_batched_run_reproduces_the_parent_commit():
+    result = Scenario(
+        deployment=DeploymentSpec(
+            system="sharper", fault_model=BYZANTINE, num_clusters=3, batch_size=8, pipeline_depth=4
+        ),
+        workload=WorkloadConfig(cross_shard_fraction=0.5, accounts_per_shard=ACCOUNTS),
+        clients=48,
+        duration=0.3,
+        seed=5,
+    ).run()
+    assert run_fingerprint(result.system) == BATCHED_BYZANTINE_PINNED
+    assert result.ok and result.stats.committed_cross == 623

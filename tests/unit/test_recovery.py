@@ -246,7 +246,7 @@ class TestByzantineCrossShardCompaction:
         for digest, own, decided in (("low", 8, True), ("high", 20, True), ("open", 7, False)):
             state = engine._state(digest)
             state.request = object()
-            state.confirmed_slots = {mine: own, remote: 1}
+            state.positions = {mine: own, remote: 1}
             state.decided = decided
         assert engine._assigned_slots == {}  # a backup never fills the primary's index
         engine.compact_below(16)
