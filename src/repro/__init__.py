@@ -31,7 +31,6 @@ from .adversary import (
     available_behaviors,
     get_behavior,
     make_behavior,
-    register_behavior,
 )
 from .common import FaultModel, PerformanceModel, ProtocolTuning, SystemConfig
 from .core import SharPerSystem
@@ -70,7 +69,6 @@ __all__ = [
     "get_behavior",
     "get_system",
     "make_behavior",
-    "register_behavior",
     "register_system",
     "__version__",
 ]

@@ -8,24 +8,18 @@ makes both halves of that claim testable instead of assumed:
   a per-process outbound filter that can drop, delay, duplicate, or
   rewrite messages per destination (attached with
   :meth:`repro.sim.process.Process.set_interceptor`).
-* the replica behaviour library — :class:`EquivocatingPrimary`,
-  :class:`SilentPrimary`, :class:`SelectiveSilence`,
-  :class:`DelayAttacker`, :class:`VoteWithholder`,
-  :class:`TamperedDigest`, the adaptive
-  :class:`QuorumAwareEquivocator`, and the view-inflating
-  :class:`ForgedViewAttacker` — each seeded, deterministic, and
-  registered by name (:func:`register_behavior` / :func:`get_behavior` /
+* the attack catalogue (:mod:`repro.adversary.behaviors`) — one
+  seeded interceptor, :class:`AdversaryBehavior`, running one row of the
+  :data:`ATTACKS` table: ten replica attacks (equivocation, silence,
+  delays, withheld or tampered votes, the adaptive quorum-aware
+  equivocator, forged views, election muting, checkpoint suppression)
+  and three client attacks on the request path the paper assumes
+  correct (duplicates and replays, forged signatures, ownership
+  violations), selected by name (:func:`get_behavior` /
   :func:`make_behavior`; :func:`available_behaviors` filters by target).
-* the **client** behaviour library (:mod:`repro.adversary.clients`) —
-  :class:`DuplicatingClient`, :class:`ForgedSignatureClient`,
-  :class:`OwnershipViolatorClient` — the same interceptor mechanism
-  attached to client processes
-  (:meth:`repro.api.FaultSchedule.make_client_byzantine`),
-  attacking the request path the paper assumes correct.
-* :class:`Coalition` / :class:`CoalitionMember` — colluding adversaries:
-  up to ``f`` Byzantine replicas per cluster, in *different* clusters,
-  bound to one shared script through a common target set
-  (:meth:`repro.api.FaultSchedule.form_coalition`).
+* :class:`Coalition` — colluding adversaries: up to ``f`` Byzantine
+  replicas per cluster, in *different* clusters, gated on one shared
+  target set (:meth:`repro.api.FaultSchedule.form_coalition`).
 * :class:`SafetyAuditor` / :class:`SafetyReport` — post-run checks
   across every correct replica; a process is Byzantine exactly while an
   interceptor is attached to it (:attr:`repro.sim.process.Process.byzantine`).
@@ -58,55 +52,26 @@ auditor — see ``examples/byzantine_attacks.py`` and
 
 from .auditor import SafetyAuditor, SafetyReport
 from .behaviors import (
+    ATTACKS,
     AdversaryBehavior,
-    CheckpointSuppressor,
-    DelayAttacker,
-    EquivocatingPrimary,
-    ForgedViewAttacker,
-    MuteDuringViewChange,
-    QuorumAwareEquivocator,
-    SelectiveSilence,
-    SilentPrimary,
-    TamperedDigest,
-    VoteWithholder,
+    Attack,
     available_behaviors,
     get_behavior,
     make_behavior,
-    register_behavior,
 )
-from .clients import (
-    ClientBehavior,
-    DuplicatingClient,
-    ForgedSignatureClient,
-    OwnershipViolatorClient,
-)
-from .coalition import Coalition, CoalitionMember
+from .coalition import Coalition
 from .interceptor import MessageInterceptor, Outbound
 
 __all__ = [
+    "ATTACKS",
     "AdversaryBehavior",
-    "CheckpointSuppressor",
-    "ClientBehavior",
+    "Attack",
     "Coalition",
-    "CoalitionMember",
-    "DelayAttacker",
-    "DuplicatingClient",
-    "EquivocatingPrimary",
-    "ForgedSignatureClient",
-    "ForgedViewAttacker",
     "MessageInterceptor",
-    "MuteDuringViewChange",
     "Outbound",
-    "OwnershipViolatorClient",
-    "QuorumAwareEquivocator",
     "SafetyAuditor",
     "SafetyReport",
-    "SelectiveSilence",
-    "SilentPrimary",
-    "TamperedDigest",
-    "VoteWithholder",
     "available_behaviors",
     "get_behavior",
     "make_behavior",
-    "register_behavior",
 ]

@@ -1,10 +1,15 @@
-"""Scripted Byzantine behaviours (the adversary library).
+"""The attack catalogue: one seeded interceptor and one table row per attack.
 
-Each behaviour is a :class:`~repro.adversary.interceptor.MessageInterceptor`
-subclass implementing one classic attack against the paper's protocols
-(Sections 3.1–3.3), is fully deterministic for a ``seed``, and registers
-itself under a short name so schedules, the CLI (``--attack``), and the
-bench sweeps can select it by string — mirroring the system registry::
+Every attack against the paper's protocols (Sections 3.1–3.3), replica
+and client alike, is a row of :data:`ATTACKS`: the surface it targets,
+a one-line blurb, the message kinds it touches, an optional host-state
+gate and an action.  Most actions are one of three shared primitives —
+:func:`drop`, :func:`split` (equivocate to a seeded half of the peers)
+and :func:`copies` (extra transmissions); the rest are one-row actions:
+``delay-attacker``'s hold-back, ``tampered-digest``'s rewrite,
+``forged-view``'s takeover paperwork and the three client forgeries.  One class, :class:`AdversaryBehavior`,
+runs a row for a seed, and schedules, the CLI (``--attack``) and the
+bench sweeps select rows by name::
 
     from repro.adversary import make_behavior
     from repro.api import FaultSchedule
@@ -12,628 +17,422 @@ bench sweeps can select it by string — mirroring the system registry::
     behavior = make_behavior("equivocating-primary", seed=3)
     faults = FaultSchedule().make_byzantine(at=0.05, node=0, behavior=behavior)
 
-Shipped behaviours:
+A row draws from its behaviour's private RNG in a fixed order, so one
+``(scenario seed, behaviour seed)`` pair replays bit-identically:
+``selective-silence`` samples its peers on its first message, a split shuffles the
+peers the first time it sees a key, and ``duplicating-client`` draws
+``randrange(4)``, then ``random()``, then ``randrange(len)``.
 
-* ``equivocating-primary`` — sends *conflicting* pre-prepares to two
-  disjoint halves of the cluster's backups, so neither digest can gather
-  a ``2f + 1`` prepare quorum (classic equivocation; forces a view
-  change without ever forking the chain).
-* ``silent-primary`` — drops every outbound message (a "fail-silent"
-  node that is *not* crashed: it still receives, executes, and allocates
-  slots, but nothing it says reaches the network).
-* ``selective-silence`` — mutes traffic toward a chosen subset of peers
-  only, modelling a node that keeps some links alive to delay detection.
-* ``delay-attacker`` — holds every outbound message just under the
-  view-change timeout, the strongest attack that stays formally timely.
-* ``vote-withholder`` — suppresses only its prepare/commit/accept votes
-  while still proposing and executing, starving quorums of one voter.
-* ``tampered-digest`` — rewrites the digest carried by its votes, so
-  correct replicas can never match them into a quorum (equivalent to
-  withholding, but exercises the digest-checking paths).
-* ``quorum-aware-equivocator`` — the *adaptive* adversary from the
-  ROADMAP gap list: reads the host's live prepare-quorum tracker and
-  sends conflicting prepares only at the exact moment its vote would
-  complete the ``2f + 1`` quorum, staying honest otherwise.
-* ``mute-during-view-change`` — silent only while a view change is in
-  flight, withholding its election vote at the most fragile moment
-  while leaving no steady-state evidence to suspect it over.
-* ``checkpoint-suppressor`` — drops outbound checkpoint messages to
-  stall garbage collection; the stall is bounded by quorum stability
-  (``f`` suppressors cannot starve a ``2f + 1`` checkpoint quorum).
-
-All behaviours are safe-by-construction targets for the
-:class:`~repro.adversary.auditor.SafetyAuditor`: with at most ``f``
-Byzantine replicas per cluster they may slow the system down or force
-view changes, but no correct replica ever forks, double-executes, or
-loses balance.
+With at most ``f`` Byzantine replicas per cluster no row may fork a
+correct replica, double-execute or lose balance; each row's attack and
+the defence it exercises are tabulated in ``docs/adversary.md``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING, Callable, Sequence, Type, TypeVar
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..common.crypto import Signature
-from ..common.errors import ConfigurationError, RegistrationError
+from ..common.errors import ConfigurationError, UnknownAccountError
+from ..common.types import AccountId, ClientId
 from ..consensus.log import Noop, item_digest
 from ..consensus.messages import (
-    CrossAccept,
-    CrossAcceptB,
-    CrossCommitB,
-    NewView,
-    NewViewAnnouncement,
-    PaxosAccepted,
-    PBFTCommit,
-    Prepare,
-    PrePrepare,
-    ViewChange,
+    ClientRequest, CrossAccept, CrossAcceptB, CrossCommitB, NewView, NewViewAnnouncement,
+    PaxosAccepted, PBFTCommit, Prepare, PrePrepare, ViewChange,
 )
 from ..recovery.messages import Checkpoint
+from ..txn.transaction import Transaction, Transfer
 from .interceptor import MessageInterceptor, Outbound
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..sim.process import Process
+    from .coalition import Coalition
 
 __all__ = [
-    "AdversaryBehavior",
-    "CheckpointSuppressor",
-    "DelayAttacker",
-    "EquivocatingPrimary",
-    "ForgedViewAttacker",
-    "MuteDuringViewChange",
-    "QuorumAwareEquivocator",
-    "SelectiveSilence",
-    "SilentPrimary",
-    "TamperedDigest",
-    "VoteWithholder",
-    "available_behaviors",
-    "get_behavior",
+    "ATTACKS", "AdversaryBehavior", "Attack", "available_behaviors", "get_behavior",
     "make_behavior",
-    "register_behavior",
 ]
 
-BehaviorT = TypeVar("BehaviorT", bound="type")
+Verdict = "Sequence[Outbound] | None"
+#: what a row does with one (destination, message) it touches.
+Action = Callable[["AdversaryBehavior", int, object], Verdict]
+#: whether a row touches one (destination, message); ``False`` passes it.
+Gate = Callable[["AdversaryBehavior", int, object], bool]
 
-#: name -> behaviour class.
-_BEHAVIORS: dict[str, Type["AdversaryBehavior"]] = {}
-
-#: message types that are quorum votes (withheld / tampered with by the
-#: vote-targeting behaviours).  Proposals are deliberately excluded.
+#: message types that are quorum votes.  Proposals are deliberately excluded.
 VOTE_MESSAGE_TYPES: tuple[type, ...] = (
-    Prepare,
-    PBFTCommit,
-    PaxosAccepted,
-    CrossAccept,
-    CrossAcceptB,
-    CrossCommitB,
+    Prepare, PBFTCommit, PaxosAccepted, CrossAccept, CrossAcceptB, CrossCommitB
 )
 
 
-def _normalize(name: str) -> str:
-    key = name.strip().lower()
-    if not key:
-        raise RegistrationError("behavior names must be non-empty")
-    return key
+@dataclass(frozen=True)
+class Attack:
+    """One row of the catalogue."""
 
-
-def register_behavior(name: str, *, replace: bool = False) -> Callable[[BehaviorT], BehaviorT]:
-    """Class decorator registering an adversary behaviour under ``name``.
-
-    Same contract as :func:`repro.api.register_system`: re-registering
-    the identical class is a no-op; binding a name to a different class
-    raises unless ``replace=True``.
-    """
-    key = _normalize(name)
-
-    def _same_class(a: type, b: type) -> bool:
-        return a is b or (a.__module__, a.__qualname__) == (b.__module__, b.__qualname__)
-
-    def decorator(cls: BehaviorT) -> BehaviorT:
-        existing = _BEHAVIORS.get(key)
-        if existing is not None and not _same_class(existing, cls) and not replace:
-            raise RegistrationError(
-                f"behavior name {key!r} is already registered to "
-                f"{existing.__module__}.{existing.__qualname__}; "
-                "pass replace=True to override"
-            )
-        _BEHAVIORS[key] = cls
-        cls.registry_name = key
-        return cls
-
-    return decorator
-
-
-def get_behavior(name: str) -> Type["AdversaryBehavior"]:
-    """Look up a registered behaviour class by (case-insensitive) name."""
-    try:
-        return _BEHAVIORS[_normalize(name)]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown adversary behavior {name!r}; choose from {sorted(_BEHAVIORS)}"
-        ) from None
-
-
-def available_behaviors(
-    target: str | None = "replica",
-) -> dict[str, Type["AdversaryBehavior"]]:
-    """A snapshot of the registry: sorted name -> class.
-
-    ``target`` filters by the surface a behaviour attacks — ``"replica"``
-    (the default, preserving the pre-client-adversary contract of
-    sweeps that attach every listed behaviour to a replica), ``"client"``
-    for Byzantine-client behaviours, or ``None`` for everything.
-    """
-    return {
-        name: cls
-        for name, cls in sorted(_BEHAVIORS.items())
-        if target is None or cls.target == target
-    }
-
-
-def make_behavior(
-    behavior: "str | AdversaryBehavior", seed: int = 0, **kwargs: object
-) -> "AdversaryBehavior":
-    """Resolve a behaviour spec — a registry name or a ready instance.
-
-    Instances pass through untouched (their own seed wins); names are
-    instantiated with ``seed`` and any extra keyword arguments.
-    """
-    if isinstance(behavior, AdversaryBehavior):
-        return behavior
-    if isinstance(behavior, str):
-        return get_behavior(behavior)(seed=seed, **kwargs)
-    raise ConfigurationError(
-        f"behavior must be a registry name or an AdversaryBehavior, got {behavior!r}"
-    )
+    #: ``"replica"`` rows attach to consensus nodes, ``"client"`` rows to clients.
+    target: str
+    #: one line, printed by ``sharper-bench --list-attacks``.
+    blurb: str
+    action: Action
+    #: message types the row touches; empty touches every message.
+    kinds: tuple[type, ...] = ()
+    gate: Gate | None = None
 
 
 class AdversaryBehavior(MessageInterceptor):
-    """Base class for scripted Byzantine behaviours.
+    """The attack ``name`` from :data:`ATTACKS`, seeded with ``seed``.
 
-    Behaviours are seeded: every random choice (which peers to mute,
-    which half gets which equivocation) comes from ``self.rng``, so one
-    ``(scenario seed, behavior seed)`` pair replays bit-identically.
+    Every random choice comes from ``self.rng``, and ``memo`` holds the
+    row's own state (split forks, muted peers, the forged view, the
+    replay history).  A coalition member (:meth:`Coalition.member`)
+    passes through everything that does not carry a coalition target.
     """
 
-    #: registry name, set by :func:`register_behavior`.
-    registry_name = ""
-    #: which surface the behaviour attacks: ``"replica"`` behaviours
-    #: attach to consensus nodes, ``"client"`` behaviours (see
-    #: :mod:`repro.adversary.clients`) to client processes.
-    target = "replica"
-
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, name: str, seed: int = 0, coalition: "Coalition | None" = None) -> None:
         super().__init__()
+        self.name = name.strip().lower()
+        get_behavior(self.name)  # an unknown name fails here, not mid-run
         self.seed = seed
         self.rng = random.Random(seed)
+        self.coalition = coalition
+        self.memo: dict = {}
 
-    # ------------------------------------------------------------------
-    # topology helpers
-    # ------------------------------------------------------------------
+    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
+        attack = ATTACKS[self.name]
+        coalition = self.coalition
+        if (
+            (coalition is not None and not coalition.admits(message))
+            or (attack.kinds and type(message) not in attack.kinds)
+            or (attack.gate is not None and not attack.gate(self, dst, message))
+        ):
+            return self.pass_through()
+        return attack.action(self, dst, message)
+
     def cluster_peers(self) -> list[int]:
-        """Process ids of the host's cluster peers (host excluded), sorted.
-
-        Only meaningful once attached to a replica (a process exposing a
-        ``cluster`` attribute); generic processes have no peers.
-        """
+        """Process ids of the host's cluster peers (host excluded), sorted."""
         process = self.process
         cluster = getattr(process, "cluster", None)
         if process is None or cluster is None:
             return []
         return sorted(int(node) for node in cluster.node_ids if int(node) != process.pid)
 
-    def describe(self) -> str:
-        """One-line account used by fault-event and CLI logging."""
-        return self.registry_name or type(self).__name__
+
+def get_behavior(name: str) -> Attack:
+    """The catalogue row named ``name`` (case-insensitive)."""
+    try:
+        return ATTACKS[name.strip().lower()]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown adversary behavior {name!r}; choose from {sorted(ATTACKS)}"
+        ) from None
 
 
-@register_behavior("silent-primary")
-class SilentPrimary(AdversaryBehavior):
-    """Drop every outbound message: a live node the network never hears.
+def available_behaviors(target: str | None = "replica") -> dict[str, Attack]:
+    """Sorted name -> row, for ``target`` (``"replica"``, ``"client"``, or ``None`` for all)."""
+    return {name: row for name, row in sorted(ATTACKS.items()) if target in (None, row.target)}
 
-    Unlike a crash, the node keeps receiving and processing traffic (it
-    stays up to date and can be restored instantly); backups observe
-    missing pre-prepares/commits and trigger a view change by timeout.
+
+def make_behavior(behavior: "str | AdversaryBehavior", seed: int = 0) -> AdversaryBehavior:
+    """A behaviour for catalogue name ``behavior``; an instance passes through (its seed wins)."""
+    if isinstance(behavior, AdversaryBehavior):
+        return behavior
+    if isinstance(behavior, str):
+        return AdversaryBehavior(behavior, seed)
+    raise ConfigurationError(
+        f"behavior must be a registry name or an AdversaryBehavior, got {behavior!r}"
+    )
+
+
+# ----------------------------------------------------------------------
+# the shared primitives
+# ----------------------------------------------------------------------
+
+def drop(behavior: AdversaryBehavior, dst: int, message: object) -> Verdict:
+    """Suppress the message toward ``dst``."""
+    return behavior.drop()
+
+
+def split(
+    key: Callable[[object], object], forge: Callable[[AdversaryBehavior, object], object]
+) -> Action:
+    """Equivocate: a seeded half of the peers gets the forgery, the rest the original.
+
+    The first message with a new ``key(message)`` shuffles the sorted
+    peers once and memoises the victims; every message a victim gets is
+    ``forge(behavior, message)``, built from that message (two message
+    types may share a key), so ``forge`` must be deterministic.
     """
 
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        return self.drop()
-
-
-@register_behavior("selective-silence")
-class SelectiveSilence(AdversaryBehavior):
-    """Mute traffic toward a chosen subset of peers only.
-
-    ``targets`` fixes the muted process ids explicitly; otherwise a
-    seeded sample of ``fraction`` of the host's cluster peers is drawn on
-    attach.  Keeping some links alive models an adversary that stays
-    under the detection radar of part of the cluster.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        targets: Sequence[int] | None = None,
-        fraction: float = 0.5,
-    ) -> None:
-        super().__init__(seed)
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError("fraction must be in (0, 1]")
-        self.fraction = fraction
-        self.muted: set[int] = set(int(t) for t in targets) if targets is not None else set()
-        self._explicit = targets is not None
-
-    def attach(self, process: "Process") -> None:
-        super().attach(process)
-        if not self._explicit:
-            peers = self.cluster_peers()
-            count = max(1, round(len(peers) * self.fraction)) if peers else 0
-            self.muted = set(self.rng.sample(peers, count)) if count else set()
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        if dst in self.muted:
-            return self.drop()
-        return self.pass_through()
-
-
-@register_behavior("delay-attacker")
-class DelayAttacker(AdversaryBehavior):
-    """Hold every outbound message just under the view-change timeout.
-
-    ``delay`` defaults to ``timeout_fraction`` of the host's
-    ``view_change_timeout`` (discovered on attach), i.e. the slowest a
-    node can act while still (just) never being suspected — the classic
-    performance attack on timeout-based fail-over.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        delay: float | None = None,
-        timeout_fraction: float = 0.9,
-    ) -> None:
-        super().__init__(seed)
-        if delay is not None and delay < 0:
-            raise ConfigurationError("delay must be non-negative")
-        if not 0.0 < timeout_fraction < 1.0:
-            raise ConfigurationError("timeout_fraction must be in (0, 1)")
-        self.delay = delay
-        self.timeout_fraction = timeout_fraction
-
-    def attach(self, process: "Process") -> None:
-        super().attach(process)
-        if self.delay is None:
-            timeout = getattr(process, "view_change_timeout", 0.5)
-            self.delay = timeout * self.timeout_fraction
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        return self.emit(Outbound(dst=dst, message=message, extra_delay=self.delay or 0.0))
-
-
-@register_behavior("vote-withholder")
-class VoteWithholder(AdversaryBehavior):
-    """Suppress quorum votes while behaving correctly otherwise.
-
-    Prepares, commits, Paxos accepted-acks, and cross-shard accept/commit
-    votes (:data:`VOTE_MESSAGE_TYPES`) are dropped; proposals, client
-    replies, forwards, and view-change traffic pass through.  With at
-    most ``f`` withholders per cluster, quorums of ``2f + 1`` out of
-    ``3f + 1`` still form from the correct replicas — the paper's
-    liveness bound exercised exactly at its edge.
-    """
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        if type(message) in VOTE_MESSAGE_TYPES:
-            return self.drop()
-        return self.pass_through()
-
-
-@register_behavior("tampered-digest")
-class TamperedDigest(AdversaryBehavior):
-    """Corrupt the digest carried by this node's quorum votes.
-
-    Correct replicas accumulate votes keyed on ``(view, slot, digest)``,
-    so a vote carrying a forged digest can never join a quorum for the
-    real proposal — behaviourally a withheld vote, but it drives the
-    digest-matching code paths a plain drop never touches.  The forged
-    digest is deterministic per (seed, original digest).
-    """
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        if type(message) not in VOTE_MESSAGE_TYPES:
-            return self.pass_through()
-        digest = getattr(message, "digest", None)
-        if digest is None:
-            return self.pass_through()
-        forged = hashlib.sha256(f"tampered|{self.seed}|{digest}".encode()).hexdigest()
-        return self.emit(Outbound(dst=dst, message=dataclass_replace(message, digest=forged)))
-
-
-@register_behavior("quorum-aware-equivocator")
-class QuorumAwareEquivocator(AdversaryBehavior):
-    """Equivocate a quorum vote only when the quorum is one vote short.
-
-    The first *adaptive* adversary from the ROADMAP gap list: instead of
-    following a fixed script it reads the host replica's live protocol
-    state through the interceptor hook.  Whenever this node is about to
-    multicast a prepare/commit vote after whose accounting the quorum
-    for ``(view, slot, digest)`` would sit *exactly one peer vote short*
-    of ``2f + 1`` — i.e. precisely when withholding the truth from part
-    of the cluster maximally endangers the quorum — it splits the
-    cluster: a seeded half of the peers receives a *conflicting* vote
-    (forged digest) while the rest receive the real one.  The oracle is
-    the host engine's own vote tracker plus the votes the engine records
-    the moment this multicast returns (a backup's prepare carries two:
-    its own and the pre-prepare it doubles for).  When the tracker shows
-    the cluster is already further along — peer votes arrived before
-    this node's own, e.g. across view changes or under concurrent
-    attacks — the condition fails and the node stays scrupulously
-    honest, keeping the attack invisible to any detector that samples
-    behaviour at random moments.
-
-    With at most ``f`` such adversaries per cluster the quorum
-    intersection argument still holds — the forged digest can never
-    gather ``2f + 1`` matching votes — so the attack can at worst stall
-    a slot into a view change; the
-    :class:`~repro.adversary.auditor.SafetyAuditor` must keep passing.
-    """
-
-    #: outbound vote type → (host tracker name, votes the engine records
-    #: for the key right after this multicast returns).
-    _TRACKERS = {Prepare: ("_prepares", 2), PBFTCommit: ("_commits", 1)}
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        #: (view, slot, digest) -> set of pids fed the conflicting vote.
-        self._forks: dict[tuple[int, int, str], set[int]] = {}
-        self.equivocations = 0
-
-    def _pivotal(self, message: object) -> bool:
-        spec = self._TRACKERS.get(type(message))
-        if spec is None:
-            return False
-        tracker_name, own_weight = spec
-        engine = getattr(self.process, "intra", None)
-        tracker = getattr(engine, tracker_name, None)
-        if tracker is None:
-            return False
-        key = (message.view, message.slot, message.digest)
-        return tracker.threshold - (tracker.count(key) + own_weight) == 1
-
-    def _victims(self, key: tuple[int, int, str]) -> set[int]:
-        victims = self._forks.get(key)
+    def act(behavior: AdversaryBehavior, dst: int, message: object) -> Verdict:
+        fork_key = key(message)
+        victims = behavior.memo.get(fork_key)
         if victims is None:
-            peers = self.cluster_peers()
-            self.rng.shuffle(peers)
-            victims = set(peers[: max(1, len(peers) // 2)]) if peers else set()
-            self._forks[key] = victims
-        return victims
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        if type(message) not in self._TRACKERS:
-            return self.pass_through()
-        key = (message.view, message.slot, message.digest)
-        if key not in self._forks and not self._pivotal(message):
-            return self.pass_through()
-        if dst not in self._victims(key):
-            return self.pass_through()
-        forged = hashlib.sha256(
-            f"quorum-equivocation|{self.seed}|{message.digest}".encode()
-        ).hexdigest()
-        self.equivocations += 1
-        return self.emit(Outbound(dst=dst, message=dataclass_replace(message, digest=forged)))
-
-
-@register_behavior("equivocating-primary")
-class EquivocatingPrimary(AdversaryBehavior):
-    """Send conflicting pre-prepares to two disjoint halves of the backups.
-
-    For every slot this node pre-prepares, one (seeded, per-slot) half of
-    the cluster's backups receives the real proposal and the other half
-    receives an internally consistent *conflicting* proposal (a no-op
-    with a distinct digest).  With ``3f + 1`` nodes neither digest can
-    reach ``2f + 1`` prepares — the primary's own vote counts only for
-    the real one — so the slot stalls, backups time out, and the view
-    change elects a correct primary.  No correct replica ever commits
-    either conflicting proposal, which is exactly the safety property
-    the :class:`~repro.adversary.auditor.SafetyAuditor` checks.
-
-    Non-proposal traffic passes through, so the attack is invisible
-    until the node becomes (or already is) a primary.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        #: (view, slot) -> (set of pids fed the fork, conflicting message).
-        self._forks: dict[tuple[int, int], tuple[set[int], PrePrepare]] = {}
-
-    def _fork_for(self, message: PrePrepare) -> tuple[set[int], PrePrepare]:
-        key = (message.view, message.slot)
-        fork = self._forks.get(key)
-        if fork is None:
-            peers = self.cluster_peers()
-            self.rng.shuffle(peers)
-            victims = set(peers[: max(1, len(peers) // 2)]) if peers else set()
-            alternate = Noop(
-                reason=f"equivocation-s{self.seed}-v{message.view}-slot{message.slot}"
-            )
-            forged = dataclass_replace(
-                message, digest=item_digest(alternate), item=alternate
-            )
-            fork = (victims, forged)
-            self._forks[key] = fork
-        return fork
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        if type(message) is not PrePrepare:
-            return self.pass_through()
-        victims, forged = self._fork_for(message)
+            peers = behavior.cluster_peers()
+            behavior.rng.shuffle(peers)
+            victims = behavior.memo[fork_key] = set(peers[: max(1, len(peers) // 2)])
         if dst in victims:
-            return self.emit(Outbound(dst=dst, message=forged))
-        return self.pass_through()
+            return behavior.emit(Outbound(dst, forge(behavior, message)))
+        return behavior.pass_through()
+
+    return act
 
 
-@register_behavior("forged-view")
-class ForgedViewAttacker(AdversaryBehavior):
-    """Inflate view numbers to self-elect — the forged-view attack.
+def copies(extra: Callable[[AdversaryBehavior, int, object], list[Outbound]]) -> Action:
+    """Send the original plus ``extra(behavior, dst, message)``; no extras passes it through."""
 
-    Primaries rotate round-robin, so every node is the designated
-    primary of infinitely many future views.  This behaviour rewrites
-    the ``view`` of every outbound pre-prepare to the next future view
-    whose primary the host is, and fabricates the takeover paperwork a
-    real fail-over would produce: a :class:`NewView` to its cluster
-    peers and a :class:`NewViewAnnouncement` to every remote node, both
-    carrying a *fabricated* certificate of view-change votes "from" its
-    peers (with forged signatures — the adversary cannot sign for
-    correct nodes).
+    def act(behavior: AdversaryBehavior, dst: int, message: object) -> Verdict:
+        added = extra(behavior, dst, message)
+        if not added:
+            return behavior.pass_through()
+        return behavior.emit(Outbound(dst, message), *added)
 
-    Against the pre-certificate protocol this captures the primary seat
-    outright: backups trusted ``message.view`` and adopted the inflated
-    view.  Against the authenticated view change it must fail on every
-    path — backups park pre-prepares for uninstalled views, the
-    fabricated certificates never verify, and state transfer only adopts
-    quorum-attested views — so the attacker merely goes silent in its
-    real view and loses its seat to an honest timeout-driven view
-    change.  The :class:`~repro.adversary.auditor.SafetyAuditor` must
-    keep passing throughout.
-    """
+    return act
 
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self._target_view: int | None = None
-        self._announced = False
-        self.forged_pre_prepares = 0
 
-    def _target(self) -> int | None:
-        """Next future view whose round-robin primary this node is."""
-        if self._target_view is not None:
-            return self._target_view
-        process = self.process
-        cluster = getattr(process, "cluster", None)
-        engine = getattr(process, "intra", None)
-        if cluster is None or engine is None:
-            return None
-        view = engine.view + 1
-        while int(cluster.primary_for_view(view)) != process.pid:
-            view += 1
-        self._target_view = view
-        return view
+# ----------------------------------------------------------------------
+# what the rows forge and gate on, and the one-row actions
+# ----------------------------------------------------------------------
 
-    def _takeover_messages(self, target: int) -> list[Outbound]:
-        """Fabricated NewView + cross-cluster announcements for ``target``."""
-        process = self.process
-        cluster = process.cluster
-        certificate = tuple(
-            ViewChange(
-                new_view=target,
-                node=peer,
-                decided=(),
-                accepted=(),
-                checkpoint=0,
-                signature=Signature(
-                    signer=int(peer), payload_digest="forged", forged=True
-                ),
-            )
-            for peer in cluster.node_ids
+def _forged_digest(tag: str, behavior: AdversaryBehavior, digest: str) -> str:
+    return hashlib.sha256(f"{tag}|{behavior.seed}|{digest}".encode()).hexdigest()
+
+
+def _tamper(behavior: AdversaryBehavior, dst: int, message: object) -> Verdict:
+    """Send the vote with a forged digest instead."""
+    forged = _forged_digest("tampered", behavior, message.digest)
+    return behavior.emit(Outbound(dst, replace(message, digest=forged)))
+
+
+def _noop_proposal(behavior: AdversaryBehavior, message: PrePrepare) -> PrePrepare:
+    alternate = Noop(reason=f"equivocation-s{behavior.seed}-v{message.view}-slot{message.slot}")
+    return replace(message, digest=item_digest(alternate), item=alternate)
+
+
+def _vote_key(message: object) -> tuple:
+    return (message.view, message.slot, message.digest)
+
+
+def _conflicting_vote(behavior: AdversaryBehavior, message: object) -> object:
+    return replace(message, digest=_forged_digest("quorum-equivocation", behavior, message.digest))
+
+
+#: outbound vote type -> (host tracker name, votes the engine records for
+#: the key right after this multicast returns: a backup's prepare counts
+#: itself and the pre-prepare it doubles for).
+_TRACKERS = {Prepare: ("_prepares", 2), PBFTCommit: ("_commits", 1)}
+
+
+def _forked_or_pivotal(behavior: AdversaryBehavior, dst: int, message: object) -> bool:
+    """This vote's split is under way, or the vote leaves its quorum one peer vote short."""
+    key = _vote_key(message)
+    if key in behavior.memo:
+        return True
+    tracker_name, own_weight = _TRACKERS[type(message)]
+    tracker = getattr(getattr(behavior.process, "intra", None), tracker_name, None)
+    return tracker is not None and tracker.threshold - (tracker.count(key) + own_weight) == 1
+
+
+def _in_view_change(behavior: AdversaryBehavior, dst: int, message: object) -> bool:
+    manager = getattr(getattr(behavior.process, "intra", None), "view_change", None)
+    return manager is not None and manager.in_view_change
+
+
+def _muted(behavior: AdversaryBehavior, dst: int, message: object) -> bool:
+    """``dst`` is in the half of the peers sampled on the first message."""
+    muted = behavior.memo.get("muted")
+    if muted is None:
+        peers = behavior.cluster_peers()
+        count = max(1, round(len(peers) * 0.5)) if peers else 0
+        muted = behavior.memo["muted"] = set(behavior.rng.sample(peers, count))
+    return dst in muted
+
+
+def _delay_under_timeout(behavior: AdversaryBehavior, dst: int, message: object) -> Verdict:
+    """Hold the message back by 0.9 of the host's view-change timeout."""
+    timeout = getattr(behavior.process, "view_change_timeout", 0.5)
+    return behavior.emit(Outbound(dst, message, timeout * 0.9))
+
+
+def _next_own_view(behavior: AdversaryBehavior) -> int | None:
+    """The next future view whose round-robin primary the host is."""
+    process = behavior.process
+    cluster = getattr(process, "cluster", None)
+    engine = getattr(process, "intra", None)
+    if cluster is None or engine is None:
+        return None
+    view = engine.view + 1
+    while int(cluster.primary_for_view(view)) != process.pid:
+        view += 1
+    return view
+
+
+def _takeover(behavior: AdversaryBehavior, view: int) -> list[Outbound]:
+    """A NewView to the cluster and announcements to every remote node, certified by forgeries."""
+    process = behavior.process
+    cluster = process.cluster
+    certificate = tuple(
+        ViewChange(
+            new_view=view,
+            node=peer,
+            decided=(),
+            signature=Signature(signer=int(peer), payload_digest="forged", forged=True),
         )
-        new_view = NewView(
-            view=target, node=process.node_id, entries=(), certificate=certificate
+        for peer in cluster.node_ids
+    )
+    new_view = NewView(view=view, node=process.node_id, entries=(), certificate=certificate)
+    actions = [Outbound(dst=peer, message=new_view) for peer in behavior.cluster_peers()]
+    nodes_of_clusters = getattr(process, "nodes_of_clusters", None)  # SharPer replicas only
+    if nodes_of_clusters is not None:
+        announcement = NewViewAnnouncement(
+            cluster=cluster.cluster_id, view=view, node=process.node_id, certificate=certificate
         )
-        actions = [
-            Outbound(dst=peer, message=new_view) for peer in self.cluster_peers()
-        ]
-        config = getattr(process, "config", None)
-        nodes_of_clusters = getattr(process, "nodes_of_clusters", None)
-        if config is not None and nodes_of_clusters is not None:
-            announcement = NewViewAnnouncement(
-                cluster=cluster.cluster_id,
-                view=target,
-                node=process.node_id,
-                certificate=certificate,
+        actions.extend(
+            Outbound(dst=node, message=announcement)
+            for node in nodes_of_clusters(
+                remote.cluster_id
+                for remote in process.config.clusters
+                if remote.cluster_id != cluster.cluster_id
             )
-            actions.extend(
-                Outbound(dst=node, message=announcement)
-                for node in nodes_of_clusters(
-                    remote.cluster_id
-                    for remote in config.clusters
-                    if remote.cluster_id != cluster.cluster_id
-                )
-            )
-        return actions
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        if type(message) is not PrePrepare:
-            return self.pass_through()
-        target = self._target()
-        if target is None:
-            return self.pass_through()
-        forged = dataclass_replace(message, view=target)
-        self.forged_pre_prepares += 1
-        actions = [Outbound(dst=dst, message=forged)]
-        if not self._announced:
-            self._announced = True
-            actions.extend(self._takeover_messages(target))
-        return self.emit(*actions)
+        )
+    return actions
 
 
-@register_behavior("mute-during-view-change")
-class MuteDuringViewChange(AdversaryBehavior):
-    """Go silent exactly while a view change is in flight.
-
-    The adaptive complement of ``silent-primary``: the node behaves
-    correctly in steady state — votes, proposes, replies — but the
-    moment it starts participating in a view change (its own
-    ``in_view_change`` flag, set between suspecting the primary and
-    installing the successor view) it drops *everything* outbound,
-    including its own view-change vote.  That withholds one voter from
-    the election at its most fragile moment while leaving no steady-
-    state evidence to suspect this node over.
-
-    With at most ``f`` such nodes per cluster the election still
-    completes: the new primary needs a quorum of view-change votes, the
-    correct replicas supply it (the muted node's *own* vote still counts
-    locally if the rotation lands on it, and its ``NewView`` passes —
-    ``in_view_change`` clears at installation, before the announcement
-    is sent), and ordering resumes in the new view.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self.muted_messages = 0
-
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        engine = getattr(self.process, "intra", None)
-        manager = getattr(engine, "view_change", None)
-        if manager is not None and manager.in_view_change:
-            self.muted_messages += 1
-            return self.drop()
-        return self.pass_through()
+def _forge_view(behavior: AdversaryBehavior, dst: int, message: PrePrepare) -> Verdict:
+    """Re-address the pre-prepare to the host's next own view; the first also claims it."""
+    view = behavior.memo.get("view")
+    claiming = view is None
+    if claiming:
+        view = behavior.memo["view"] = _next_own_view(behavior)
+        if view is None:
+            return behavior.pass_through()
+    actions = [Outbound(dst=dst, message=replace(message, view=view))]
+    if claiming:
+        actions.extend(_takeover(behavior, view))
+    return behavior.emit(*actions)
 
 
-@register_behavior("checkpoint-suppressor")
-class CheckpointSuppressor(AdversaryBehavior):
-    """Drop outbound checkpoint messages to stall garbage collection.
+def _duplicate_and_replay(
+    behavior: AdversaryBehavior, dst: int, message: ClientRequest
+) -> list[Outbound]:
+    """A nudged-timestamp duplicate (same transaction, new digest) and, half the time, a replay."""
+    rng = behavior.rng
+    duplicate = replace(message, timestamp=message.timestamp + 1e-7 * (1 + rng.randrange(4)))
+    extra = [Outbound(dst=dst, message=duplicate, extra_delay=1e-4)]
+    history = behavior.memo.setdefault("history", deque(maxlen=8))
+    if history and rng.random() < 0.5:
+        replayed = history[rng.randrange(len(history))]
+        extra.append(Outbound(dst=dst, message=replayed, extra_delay=2e-4))
+    history.append(message)
+    return extra
 
-    Checkpoint stability needs an intra-quorum of matching signed
-    digests (:mod:`repro.recovery.checkpoint`); a suppressor keeps
-    taking checkpoints locally but never shares them, trying to starve
-    the quorum so logs and ledgers grow without bound.  The stall is
-    bounded by quorum stability: with at most ``f`` suppressors per
-    cluster the ``2f + 1`` (crash: ``f + 1``) correct replicas still
-    exchange enough matching digests to stabilise every interval, and
-    even the suppressor itself garbage-collects — it still *receives*
-    its peers' checkpoints and counts its own unsent vote.  Ordering
-    traffic is untouched, so the behaviour is invisible to throughput.
-    """
 
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self.suppressed_checkpoints = 0
+def _request_beside(
+    dst: int, message: ClientRequest, suffix: str, client: ClientId, transfers: tuple,
+    signature: Signature | None = None,
+) -> Outbound:
+    """A new request to ``dst``, 1e-4 s behind ``message``, on its timestamps and reply address."""
+    transaction = Transaction(
+        tx_id=f"{message.transaction.tx_id}-{suffix}",
+        client=client,
+        transfers=transfers,
+        timestamp=message.transaction.timestamp,
+        signature=signature,
+    )
+    request = ClientRequest(transaction, client, message.timestamp, message.reply_to)
+    return Outbound(dst=dst, message=request, extra_delay=1e-4)
 
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
-        if type(message) is Checkpoint:
-            self.suppressed_checkpoints += 1
-            return self.drop()
-        return self.pass_through()
+
+def _impersonate(behavior: AdversaryBehavior, dst: int, message: ClientRequest) -> list[Outbound]:
+    """The request re-attributed to the next client under a forged signature."""
+    victim = ClientId(int(message.transaction.client) + 1)
+    forgery = Signature(signer=int(victim), payload_digest="forged", forged=True)
+    transfers = message.transaction.transfers
+    return [_request_beside(dst, message, f"forged{behavior.seed}", victim, transfers, forgery)]
+
+
+def _neighbour_in_shard(behavior: AdversaryBehavior, source: AccountId) -> AccountId | None:
+    """An account adjacent to ``source`` in its shard (so owned by another client)."""
+    mapper = getattr(getattr(behavior.process, "workload", None), "mapper", None)
+    if mapper is None:
+        return None
+    shard = mapper.shard_of(source)
+    for candidate in (AccountId(int(source) + 1), AccountId(int(source) - 1)):
+        try:
+            if mapper.shard_of(candidate) == shard:
+                return candidate
+        except UnknownAccountError:
+            continue  # past either end of the keyspace: try the other side
+    return None
+
+
+def _steal(behavior: AdversaryBehavior, dst: int, message: ClientRequest) -> list[Outbound]:
+    """A transfer into the request's source from a neighbouring account the client does not own."""
+    source = message.transaction.transfers[0].source
+    stolen = _neighbour_in_shard(behavior, source)
+    if stolen is None:
+        return []
+    amount = 1 + behavior.rng.randrange(10)
+    theft = (Transfer(source=stolen, destination=source, amount=amount),)
+    client = message.transaction.client
+    return [_request_beside(dst, message, f"theft{behavior.seed}", client, theft)]
+
+
+# ----------------------------------------------------------------------
+# the catalogue
+# ----------------------------------------------------------------------
+
+ATTACKS: dict[str, Attack] = {
+    "silent-primary": Attack(
+        "replica", "Drop every outbound message: a live node the network never hears.", drop
+    ),
+    "selective-silence": Attack(
+        "replica", "Mute traffic toward a chosen subset of peers only.", drop, (), _muted,
+    ),
+    "delay-attacker": Attack(
+        "replica", "Hold every outbound message just under the view-change timeout.",
+        _delay_under_timeout,
+    ),
+    "vote-withholder": Attack(
+        "replica", "Suppress quorum votes while behaving correctly otherwise.", drop,
+        VOTE_MESSAGE_TYPES,
+    ),
+    "tampered-digest": Attack(
+        "replica", "Corrupt the digest carried by this node's quorum votes.", _tamper,
+        VOTE_MESSAGE_TYPES,
+    ),
+    "quorum-aware-equivocator": Attack(
+        "replica", "Equivocate a quorum vote only when the quorum is one vote short.",
+        split(_vote_key, _conflicting_vote), tuple(_TRACKERS), _forked_or_pivotal,
+    ),
+    "equivocating-primary": Attack(
+        "replica", "Send conflicting pre-prepares to two disjoint halves of the backups.",
+        split(lambda message: (message.view, message.slot), _noop_proposal), (PrePrepare,),
+    ),
+    "forged-view": Attack(
+        "replica", "Inflate view numbers to self-elect — the forged-view attack.", _forge_view,
+        (PrePrepare,),
+    ),
+    "mute-during-view-change": Attack(
+        "replica", "Go silent exactly while a view change is in flight.", drop, (),
+        _in_view_change,
+    ),
+    "checkpoint-suppressor": Attack(
+        "replica", "Drop outbound checkpoint messages to stall garbage collection.", drop,
+        (Checkpoint,),
+    ),
+    "duplicating-client": Attack(
+        "client", "Duplicate and replay requests to attack at-most-once execution.",
+        copies(_duplicate_and_replay), (ClientRequest,),
+    ),
+    "forged-signature-client": Attack(
+        "client", "Pair every request with a forged-signature impersonation attempt.",
+        copies(_impersonate), (ClientRequest,),
+    ),
+    "ownership-violator-client": Attack(
+        "client", "Submit transfers from accounts the client does not own.", copies(_steal),
+        (ClientRequest,),
+    ),
+}

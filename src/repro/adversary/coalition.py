@@ -1,48 +1,37 @@
-"""Colluding adversaries: one shared script across Byzantine replicas.
+"""Colluding adversaries: one shared target set across Byzantine replicas.
 
-The behaviours in :mod:`repro.adversary.behaviors` act alone.  A
-:class:`Coalition` binds up to ``f`` Byzantine replicas *per cluster* —
-in different clusters — to one script: the members share a target set
-(the adversary's out-of-band channel, which the paper's model grants it
-for free), and each member unleashes its inner behaviour only against
-messages of a shared target.
+A lone behaviour acts on its own.  A :class:`Coalition` binds up to
+``f`` Byzantine replicas *per cluster* — in different clusters — to one
+script: the members share a target set (the adversary's out-of-band
+channel, which the paper's model grants it for free), and each member
+runs its catalogue row only against messages of a shared target.
 
-The canonical play, from the ROADMAP gap list: a ``delay-attacker``
-member sitting on the initiator cluster's primary spots every
-cross-shard transaction it proposes and registers its digest as a
-coalition target; a ``vote-withholder`` member in a *remote* involved
-cluster then withholds its accept/commit votes for exactly those
-digests.  Each member stays within the per-cluster fault bound ``f``,
-and each looks almost honest in isolation — the delay is formally
-timely, the withholder only mutes votes for a few digests — yet
-together they squeeze the same transactions from both ends.  Safety
-must still hold: quorums of ``2f + 1`` form from the correct replicas,
-so the coalition can at worst slow the targeted instances or force
-retries, and the :class:`~repro.adversary.auditor.SafetyAuditor` keeps
-passing.
+The canonical play: a ``delay-attacker`` member on the initiator
+cluster's primary spots every cross-shard transaction it proposes and
+registers its digest as a target; a ``vote-withholder`` member in a
+*remote* involved cluster then withholds its accept/commit votes for
+exactly those digests.  Each member stays within its cluster's bound
+``f`` and looks almost honest alone, yet together they squeeze the same
+transactions from both ends.  Safety must still hold: quorums of
+``2f + 1`` form from the correct replicas, so the coalition can at worst
+slow the targeted instances or force retries, and the
+:class:`~repro.adversary.auditor.SafetyAuditor` keeps passing.
 
-Members *wrap* registry behaviours (`Coalition.member("delay-attacker")`
-resolves through :func:`~repro.adversary.behaviors.make_behavior`), so
-any registered replica behaviour can join a coalition.  Coalitions are
-formed when their :class:`~repro.api.faults.FormCoalition` event applies
-(:meth:`repro.api.FaultSchedule.form_coalition`), which keeps
-schedules picklable and lets pool workers build private instances —
-per-seed results stay bit-identical between serial and pooled runs.
+A coalition is not an interceptor: it is the gate a member
+(:class:`~repro.adversary.behaviors.AdversaryBehavior` with
+``coalition`` set) checks before its row.  Coalitions are formed when
+their :class:`~repro.api.faults.FormCoalition` event applies
+(:meth:`repro.api.FaultSchedule.form_coalition`), which keeps schedules
+picklable and lets pool workers build private instances — per-seed
+results stay bit-identical between serial and pooled runs.
 """
 
 from __future__ import annotations
 
-import random
-from typing import TYPE_CHECKING, Sequence
-
 from ..consensus.messages import CrossPropose, CrossProposeB
-from .behaviors import AdversaryBehavior, make_behavior
-from .interceptor import Outbound
+from .behaviors import AdversaryBehavior
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..sim.process import Process
-
-__all__ = ["Coalition", "CoalitionMember"]
+__all__ = ["Coalition"]
 
 #: message types whose appearance on a member's wire marks a new target
 #: (only the initiator cluster's primary multicasts these).
@@ -50,31 +39,26 @@ _SPOTTER_TYPES: tuple[type, ...] = (CrossPropose, CrossProposeB)
 
 
 class Coalition:
-    """Shared state binding coalition members to one script."""
+    """The target set shared by a coalition's members."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.rng = random.Random(seed)
         #: request digests of the cross-shard transactions under attack.
         self.targets: set[str] = set()
-        self.members: list["CoalitionMember"] = []
+        self.members: list[AdversaryBehavior] = []
         #: distinct targets ever registered.
         self.targeted = 0
-        #: messages a member handed to its inner behaviour.
+        #: messages a member attacked (handed to its row).
         self.attacked = 0
 
-    def member(
-        self, behavior: "str | AdversaryBehavior" = "delay-attacker"
-    ) -> "CoalitionMember":
-        """Create a member whose inner behaviour is gated on the targets.
+    def member(self, behavior: str = "delay-attacker") -> AdversaryBehavior:
+        """A member running catalogue row ``behavior`` on coalition targets only.
 
-        ``behavior`` is resolved through the ordinary behaviour registry
-        (or taken as a ready instance), so coalitions compose from the
-        same library solo attacks use.  Members get distinct derived
-        seeds, keeping the whole coalition deterministic per run seed.
+        Members get distinct derived seeds, keeping the whole coalition
+        deterministic per run seed.
         """
-        inner = make_behavior(behavior, seed=self.seed + 31 * (len(self.members) + 1))
-        member = CoalitionMember(coalition=self, inner=inner)
+        seed = self.seed + 31 * (len(self.members) + 1)
+        member = AdversaryBehavior(behavior, seed, coalition=self)
         self.members.append(member)
         return member
 
@@ -84,57 +68,19 @@ class Coalition:
             self.targets.add(digest)
             self.targeted += 1
 
+    def admits(self, message: object) -> bool:
+        """Whether a member attacks ``message``: it carries a target's digest.
 
-class CoalitionMember(AdversaryBehavior):
-    """One replica's seat in a coalition: an inner behaviour, target-gated.
-
-    The member is honest toward everything except coalition targets.
-    Whenever the host is about to multicast a cross-shard proposal, the
-    member registers the instance's digest with the coalition — the
-    shared channel by which, in the same simulated instant, every other
-    member learns what to attack.  Messages carrying a targeted digest
-    are handed to the inner behaviour (delay, withhold, tamper, …);
-    everything else passes through untouched, keeping each member under
-    the detection radar its inner behaviour would otherwise trip.
-    """
-
-    def __init__(self, coalition: Coalition, inner: AdversaryBehavior) -> None:
-        super().__init__(seed=inner.seed)
-        self.coalition = coalition
-        self.inner = inner
-
-    # ------------------------------------------------------------------
-    # lifecycle (keep the inner behaviour attached alongside)
-    # ------------------------------------------------------------------
-    def attach(self, process: "Process") -> None:
-        super().attach(process)
-        self.inner.attach(process)
-
-    def detach(self) -> None:
-        self.inner.detach()
-        super().detach()
-
-    # ------------------------------------------------------------------
-    # the hook
-    # ------------------------------------------------------------------
-    def outbound(self, dst: int, message: object) -> Sequence[Outbound] | None:
+        A cross-shard proposal on a member's wire registers its digest
+        first — the shared channel by which, in the same simulated
+        instant, every other member learns what to attack.
+        """
         digest = getattr(message, "digest", None)
         if digest is None:
-            return self.pass_through()
-        coalition = self.coalition
+            return False
         if type(message) in _SPOTTER_TYPES:
-            coalition.register_target(digest)
-        if digest not in coalition.targets:
-            return self.pass_through()
-        coalition.attacked += 1
-        verdict = self.inner.outbound(dst, message)
-        if verdict is None:
-            self.passed += 1
-            return None
-        # Mirror the inner behaviour's verdict in this member's counters
-        # (the inner behaviour already counted it for itself).
-        if len(verdict) == 0:
-            self.dropped += 1
-        else:
-            self.injected += len(verdict)
-        return verdict
+            self.register_target(digest)
+        if digest not in self.targets:
+            return False
+        self.attacked += 1
+        return True

@@ -75,15 +75,15 @@ def _primary(system: "BaseSystem", cluster: int) -> "Process":
 
 def _check_target(behavior: "str | AdversaryBehavior", target: str) -> None:
     """Refuse an unknown behaviour, or one that attacks another kind of process."""
-    cls = behavior if isinstance(behavior, AdversaryBehavior) else get_behavior(behavior)
-    if cls.target != target:
+    actual = get_behavior(_label(behavior)).target
+    if actual != target:
         raise ConfigurationError(
-            f"behavior {_label(behavior)!r} has target {cls.target!r}, not {target!r}"
+            f"behavior {_label(behavior)!r} has target {actual!r}, not {target!r}"
         )
 
 
 def _label(behavior: "str | AdversaryBehavior") -> str:
-    return behavior if isinstance(behavior, str) else behavior.describe()
+    return behavior if isinstance(behavior, str) else behavior.name
 
 
 def _attach(

@@ -302,14 +302,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:10s} {system_cls.__module__}.{system_cls.__qualname__}")
         return 0
     if args.list_attacks:
-        print("registered adversary behaviors (replica-target):")
-        for name, behavior_cls in available_behaviors().items():
-            blurb = (behavior_cls.__doc__ or behavior_cls.__name__).strip().splitlines()[0]
-            print(f"  {name:26s} {blurb}")
-        print("registered adversary behaviors (client-target):")
-        for name, behavior_cls in available_behaviors("client").items():
-            blurb = (behavior_cls.__doc__ or behavior_cls.__name__).strip().splitlines()[0]
-            print(f"  {name:26s} {blurb}")
+        for target in ("replica", "client"):
+            print(f"registered adversary behaviors ({target}-target):")
+            for name, attack in available_behaviors(target).items():
+                print(f"  {name:26s} {attack.blurb}")
         print("composite attacks:")
         print(
             f"  {COALITION_ATTACK:26s} colluding pair: initiator-primary "

@@ -7,10 +7,10 @@ vote short — and an end-to-end attack run checks that the
 active (satellite acceptance for this PR).
 """
 
-from repro.adversary import QuorumAwareEquivocator, available_behaviors, make_behavior
+from repro.adversary import AdversaryBehavior, available_behaviors, make_behavior
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.common.types import FaultModel
-from repro.consensus.messages import Prepare
+from repro.consensus.messages import PBFTCommit, Prepare
 from repro.core.system import SharPerSystem
 from repro.txn.workload import WorkloadConfig
 
@@ -28,13 +28,14 @@ class TestRegistration:
         behaviors = available_behaviors()
         assert "quorum-aware-equivocator" in behaviors
         instance = make_behavior("quorum-aware-equivocator", seed=7)
-        assert isinstance(instance, QuorumAwareEquivocator)
+        assert isinstance(instance, AdversaryBehavior)
+        assert instance.name == "quorum-aware-equivocator"
 
 
 class TestAdaptiveTrigger:
     def test_equivocates_only_when_one_vote_short(self):
         replica = build_replica()
-        behavior = QuorumAwareEquivocator(seed=3)
+        behavior = make_behavior("quorum-aware-equivocator", seed=3)
         behavior.attach(replica)
         vote = Prepare(view=0, slot=1, digest="d" * 8, node=replica.node_id)
         # Fresh slot: after this prepare lands (own + the pre-prepare it
@@ -49,11 +50,35 @@ class TestAdaptiveTrigger:
             (action,) = outcomes[dst]
             assert action.message.digest != vote.digest
             assert action.message.slot == vote.slot
-        assert behavior.equivocations == len(forged)
+        assert behavior.injected == len(forged)
+
+    def test_commit_after_a_split_prepare_is_forged_as_a_commit(self):
+        replica = build_replica()
+        behavior = make_behavior("quorum-aware-equivocator", seed=3)
+        behavior.attach(replica)
+        prepare = Prepare(view=0, slot=1, digest="d" * 8, node=replica.node_id)
+        outcomes = {dst: behavior.outbound(dst, prepare) for dst in behavior.cluster_peers()}
+        victims = [dst for dst, actions in outcomes.items() if actions is not None]
+        assert victims
+        # The commit shares the prepare's (view, slot, digest) key, so the
+        # split under way admits it; each victim must get a forged commit,
+        # not the prepare forged for that key.
+        commit = PBFTCommit(view=0, slot=1, digest="d" * 8, node=replica.node_id)
+        for dst in behavior.cluster_peers():
+            actions = behavior.outbound(dst, commit)
+            if dst not in victims:
+                assert actions is None
+                continue
+            (action,) = actions
+            assert type(action.message) is PBFTCommit
+            assert action.message.digest != commit.digest
+            assert action.message.digest == outcomes[dst][0].message.digest
+            assert (action.message.view, action.message.slot) == (commit.view, commit.slot)
+        assert behavior.injected == 2 * len(victims)
 
     def test_stays_honest_when_cluster_is_already_ahead(self):
         replica = build_replica()
-        behavior = QuorumAwareEquivocator(seed=3)
+        behavior = make_behavior("quorum-aware-equivocator", seed=3)
         behavior.attach(replica)
         vote = Prepare(view=0, slot=2, digest="e" * 8, node=replica.node_id)
         # Two peer prepares arrived before our own (e.g. a delayed
@@ -64,11 +89,11 @@ class TestAdaptiveTrigger:
         replica.intra._prepares.vote(key, 3)
         for dst in behavior.cluster_peers():
             assert behavior.outbound(dst, vote) is None
-        assert behavior.equivocations == 0
+        assert behavior.injected == 0
 
     def test_non_vote_traffic_passes_through(self):
         replica = build_replica()
-        behavior = QuorumAwareEquivocator(seed=3)
+        behavior = make_behavior("quorum-aware-equivocator", seed=3)
         behavior.attach(replica)
         assert behavior.outbound(2, object()) is None
 
@@ -96,5 +121,5 @@ class TestAttackRun:
         )
         adversary = result.system.replicas[1].interceptor
         # The attack genuinely fired and the cluster kept committing.
-        assert adversary is not None and adversary.equivocations > 0
+        assert adversary is not None and adversary.injected > 0
         assert result.stats.committed > 0

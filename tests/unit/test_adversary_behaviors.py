@@ -1,22 +1,15 @@
-"""Unit tests for the adversary behaviour library and its registry."""
+"""Unit tests for the attack catalogue and its name lookup."""
 
 import pytest
 
 from repro.adversary import (
+    ATTACKS,
     AdversaryBehavior,
-    DelayAttacker,
-    EquivocatingPrimary,
-    SelectiveSilence,
-    SilentPrimary,
-    TamperedDigest,
-    VoteWithholder,
     available_behaviors,
     get_behavior,
     make_behavior,
-    register_behavior,
 )
-from repro.adversary.behaviors import _BEHAVIORS
-from repro.common.errors import ConfigurationError, RegistrationError
+from repro.common.errors import ConfigurationError
 from repro.consensus.log import Noop, item_digest
 from repro.consensus.messages import PBFTCommit, Prepare, PrePrepare
 
@@ -55,28 +48,12 @@ class TestRegistry:
         assert listed == str(sorted(available_behaviors(None)))
         assert len(available_behaviors(None)) == 13
 
-    def test_conflicting_registration_raises(self):
-        with pytest.raises(RegistrationError):
-
-            @register_behavior("silent-primary")
-            class Impostor(AdversaryBehavior):
-                pass
-
-    def test_registration_is_reversible_for_tests(self):
-        @register_behavior("test-noop-behavior")
-        class TestBehavior(AdversaryBehavior):
-            pass
-
-        try:
-            assert get_behavior("test-noop-behavior") is TestBehavior
-        finally:
-            del _BEHAVIORS["test-noop-behavior"]
-
     def test_make_behavior_from_name_and_instance(self):
         built = make_behavior("delay-attacker", seed=7)
-        assert isinstance(built, DelayAttacker)
+        assert isinstance(built, AdversaryBehavior)
+        assert built.name == "delay-attacker"
         assert built.seed == 7
-        instance = SilentPrimary(seed=3)
+        instance = make_behavior("silent-primary", seed=3)
         assert make_behavior(instance, seed=99) is instance  # own seed wins
 
     def test_make_behavior_rejects_other_types(self):
@@ -86,69 +63,62 @@ class TestRegistry:
 
 class TestSilence:
     def test_silent_primary_drops_everything(self):
-        behavior = SilentPrimary()
+        behavior = make_behavior("silent-primary")
         assert behavior.outbound(1, "anything") == ()
         assert behavior.outbound(2, Prepare(view=0, slot=1, digest="d", node=0)) == ()
         assert behavior.dropped == 2
 
-    def test_selective_silence_explicit_targets(self):
-        behavior = SelectiveSilence(targets=[2, 3])
-        behavior.attach(FakeReplica(pid=0))
-        assert behavior.outbound(2, "x") == ()
-        assert behavior.outbound(1, "x") is None
-
     def test_selective_silence_samples_peers_deterministically(self):
-        first = SelectiveSilence(seed=5)
-        second = SelectiveSilence(seed=5)
+        first = make_behavior("selective-silence", seed=5)
+        second = make_behavior("selective-silence", seed=5)
         first.attach(FakeReplica(pid=0))
         second.attach(FakeReplica(pid=0))
-        assert first.muted == second.muted
-        assert first.muted  # non-empty
+        # The peers are sampled on the first message, not on attach.
+        assert "muted" not in first.memo
+        first.outbound(1, "x")
+        second.outbound(1, "x")
+        muted = first.memo["muted"]
+        assert muted == second.memo["muted"]
+        assert muted  # non-empty
         peers = {1, 2, 3}
-        assert first.muted < peers or first.muted == peers
-
-    def test_selective_silence_fraction_validated(self):
-        with pytest.raises(ConfigurationError):
-            SelectiveSilence(fraction=0.0)
+        assert muted < peers or muted == peers
+        # Exactly the sampled peers are silenced; the rest hear everything.
+        for dst in sorted(peers):
+            assert first.outbound(dst, "x") == (() if dst in muted else None)
 
 
 class TestDelayAttacker:
     def test_delay_defaults_to_fraction_of_view_change_timeout(self):
-        behavior = DelayAttacker()
+        behavior = make_behavior("delay-attacker")
         behavior.attach(FakeReplica(view_change_timeout=1.0))
-        assert behavior.delay == pytest.approx(0.9)
-
-    def test_explicit_delay_wins(self):
-        behavior = DelayAttacker(delay=0.123)
-        behavior.attach(FakeReplica())
         actions = behavior.outbound(1, "m")
-        assert [a.extra_delay for a in actions] == [pytest.approx(0.123)]
+        assert [a.extra_delay for a in actions] == [pytest.approx(0.9)]
         assert actions[0].message == "m"
 
 
 class TestVoteTargeting:
     def test_withholder_drops_votes_only(self):
-        behavior = VoteWithholder()
+        behavior = make_behavior("vote-withholder")
         vote = Prepare(view=0, slot=1, digest="d", node=0)
         proposal = PrePrepare(view=0, slot=1, digest="d", item="tx")
         assert behavior.outbound(1, vote) == ()
         assert behavior.outbound(1, proposal) is None
 
     def test_tamperer_rewrites_digest_deterministically(self):
-        behavior = TamperedDigest(seed=1)
+        behavior = make_behavior("tampered-digest", seed=1)
         vote = PBFTCommit(view=0, slot=4, digest="real", node=0)
         (action,) = behavior.outbound(1, vote)
         assert action.message.digest != "real"
         assert action.message.slot == 4
         # Same seed, same original digest -> same forgery.
-        (again,) = TamperedDigest(seed=1).outbound(2, vote)
+        (again,) = make_behavior("tampered-digest", seed=1).outbound(2, vote)
         assert again.message.digest == action.message.digest
         # Different seed forges differently.
-        (other,) = TamperedDigest(seed=2).outbound(1, vote)
+        (other,) = make_behavior("tampered-digest", seed=2).outbound(1, vote)
         assert other.message.digest != action.message.digest
 
     def test_tamperer_passes_proposals_through(self):
-        behavior = TamperedDigest()
+        behavior = make_behavior("tampered-digest")
         proposal = PrePrepare(view=0, slot=1, digest="d", item="tx")
         assert behavior.outbound(1, proposal) is None
 
@@ -159,7 +129,7 @@ class TestEquivocatingPrimary:
         return PrePrepare(view=view, slot=slot, digest=item_digest(item), item=item)
 
     def test_two_disjoint_halves_get_conflicting_proposals(self):
-        behavior = EquivocatingPrimary(seed=1)
+        behavior = make_behavior("equivocating-primary", seed=1)
         behavior.attach(FakeReplica(pid=0))
         message = self._pre_prepare()
         outcomes = {dst: behavior.outbound(dst, message) for dst in (1, 2, 3)}
@@ -173,8 +143,8 @@ class TestEquivocatingPrimary:
         assert fork.slot == message.slot and fork.view == message.view
 
     def test_fork_is_deterministic_per_seed(self):
-        first = EquivocatingPrimary(seed=9)
-        second = EquivocatingPrimary(seed=9)
+        first = make_behavior("equivocating-primary", seed=9)
+        second = make_behavior("equivocating-primary", seed=9)
         for behavior in (first, second):
             behavior.attach(FakeReplica(pid=0))
         message = self._pre_prepare(slot=7)
@@ -186,7 +156,7 @@ class TestEquivocatingPrimary:
                 assert a[0].message.digest == b[0].message.digest
 
     def test_non_proposal_traffic_passes(self):
-        behavior = EquivocatingPrimary()
+        behavior = make_behavior("equivocating-primary")
         behavior.attach(FakeReplica(pid=0))
         assert behavior.outbound(1, Prepare(view=0, slot=1, digest="d", node=0)) is None
 
@@ -199,9 +169,7 @@ class TestAdaptiveMuting:
             self.in_view_change = False
 
     def _attached(self):
-        from repro.adversary import MuteDuringViewChange
-
-        behavior = MuteDuringViewChange()
+        behavior = make_behavior("mute-during-view-change")
         replica = FakeReplica(pid=1)
         replica.intra = type("FakeEngine", (), {})()
         replica.intra.view_change = self.FakeManager()
@@ -211,14 +179,14 @@ class TestAdaptiveMuting:
     def test_steady_state_traffic_passes(self):
         behavior, _ = self._attached()
         assert behavior.outbound(2, Prepare(view=0, slot=1, digest="d", node=1)) is None
-        assert behavior.muted_messages == 0
+        assert behavior.dropped == 0
 
     def test_everything_drops_during_a_view_change(self):
         behavior, manager = self._attached()
         manager.in_view_change = True
         assert behavior.outbound(2, "view-change-vote") == ()
         assert behavior.outbound(3, Prepare(view=0, slot=1, digest="d", node=1)) == ()
-        assert behavior.muted_messages == 2
+        assert behavior.dropped == 2
 
     def test_voice_returns_once_the_view_installs(self):
         behavior, manager = self._attached()
@@ -226,29 +194,26 @@ class TestAdaptiveMuting:
         assert behavior.outbound(2, "vote") == ()
         manager.in_view_change = False  # _enter_view clears the flag
         assert behavior.outbound(2, "new-view-traffic") is None
-        assert behavior.muted_messages == 1
+        assert behavior.dropped == 1
 
     def test_registered(self):
-        from repro.adversary import MuteDuringViewChange
-
-        assert get_behavior("mute-during-view-change") is MuteDuringViewChange
+        assert get_behavior("mute-during-view-change") is ATTACKS["mute-during-view-change"]
+        assert ATTACKS["mute-during-view-change"].target == "replica"
         assert "mute-during-view-change" in available_behaviors()
 
 
 class TestCheckpointSuppressor:
     def test_drops_checkpoints_only(self):
-        from repro.adversary import CheckpointSuppressor
         from repro.recovery.messages import Checkpoint
 
-        behavior = CheckpointSuppressor()
+        behavior = make_behavior("checkpoint-suppressor")
         behavior.attach(FakeReplica(pid=0))
         checkpoint = Checkpoint(seq=16, digest="d", node=0)
         assert behavior.outbound(1, checkpoint) == ()
         assert behavior.outbound(1, Prepare(view=0, slot=1, digest="d", node=0)) is None
-        assert behavior.suppressed_checkpoints == 1
+        assert behavior.dropped == 1
 
     def test_registered(self):
-        from repro.adversary import CheckpointSuppressor
-
-        assert get_behavior("checkpoint-suppressor") is CheckpointSuppressor
+        assert get_behavior("checkpoint-suppressor") is ATTACKS["checkpoint-suppressor"]
+        assert ATTACKS["checkpoint-suppressor"].target == "replica"
         assert "checkpoint-suppressor" in available_behaviors()

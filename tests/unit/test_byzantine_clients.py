@@ -8,6 +8,7 @@ audit (no fork, balance conservation, at-most-once) must keep passing.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.common.crypto import KeyPair, Signature
 from repro.common.types import AccountId, ClientId
 from repro.consensus.messages import ClientRequest, RequestBatch
 from repro.core.guard import ADMIT, DROP, REFUSE, InertGuard, RequestGuard
+from repro.txn.accounts import ShardMapper
 from repro.txn.transaction import Transaction
 
 
@@ -200,7 +202,7 @@ class TestClientBehaviorsAreSafe:
         totals = guard_totals(result.system)
         assert totals["duplicates"] > 0
         behavior = result.system.clients[0].interceptor
-        assert behavior.duplicates_sent > 0
+        assert behavior.injected > 0
 
     def test_forged_signatures_are_rejected_at_the_door(self):
         result = client_attack("forged-signature-client").run()
@@ -238,6 +240,40 @@ class TestClientBehaviorsAreSafe:
             isinstance(getattr(process, "request_guard", None), RequestGuard)
             for process in result.system.processes()
         )
+
+
+class TestOwnershipViolatorTheftSource:
+    """The theft draws from the source's neighbour inside its shard."""
+
+    @staticmethod
+    def theft_source(mapper, source):
+        behavior = make_behavior("ownership-violator-client", seed=1)
+        behavior.attach(SimpleNamespace(workload=SimpleNamespace(mapper=mapper)))
+        honest, theft = behavior.outbound(0, request(source=source))
+        assert honest.message.transaction.transfers[0].source == source
+        (transfer,) = theft.message.transaction.transfers
+        assert transfer.destination == source
+        return transfer.source
+
+    def test_keyspace_ends_draw_from_the_inner_neighbour(self):
+        mapper = ShardMapper(num_shards=2, accounts_per_shard=4)
+        assert self.theft_source(mapper, 0) == 1  # account -1 is outside the keyspace
+        assert self.theft_source(mapper, 7) == 6  # account 8 is outside the keyspace
+
+    def test_shard_boundaries_draw_from_the_same_shard(self):
+        mapper = ShardMapper(num_shards=2, accounts_per_shard=4)
+        assert self.theft_source(mapper, 3) == 2
+        assert self.theft_source(mapper, 4) == 5
+
+    def test_other_mapper_errors_are_not_swallowed(self):
+        class BrokenMapper(ShardMapper):
+            def shard_of(self, account_id):
+                if account_id != 0:
+                    raise RuntimeError("mapper bug")
+                return super().shard_of(account_id)
+
+        with pytest.raises(RuntimeError, match="mapper bug"):
+            self.theft_source(BrokenMapper(num_shards=2, accounts_per_shard=4), 0)
 
 
 class TestSchedulingSurface:

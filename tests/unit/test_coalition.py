@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro import FaultModel, WorkloadConfig
-from repro.adversary import Coalition, CoalitionMember, DelayAttacker, VoteWithholder
+from repro.adversary import Coalition
 from repro.api import DeploymentSpec, FaultSchedule, FormCoalition, Scenario
 from repro.bench.experiments import COALITION_ATTACK, attack_point, coalition_members
 from repro.common.types import ClusterId
@@ -35,12 +35,12 @@ class TestCoalitionMechanism:
         coalition = Coalition(seed=7)
         delayer = coalition.member("delay-attacker")
         withholder = coalition.member("vote-withholder")
-        assert isinstance(delayer, CoalitionMember)
-        assert isinstance(delayer.inner, DelayAttacker)
-        assert isinstance(withholder.inner, VoteWithholder)
-        assert len(coalition.members) == 2
+        assert delayer.coalition is coalition and withholder.coalition is coalition
+        assert delayer.name == "delay-attacker"
+        assert withholder.name == "vote-withholder"
+        assert coalition.members == [delayer, withholder]
         # Derived seeds differ, keeping members mutually deterministic.
-        assert delayer.inner.seed != withholder.inner.seed
+        assert delayer.seed != withholder.seed
 
     def test_spotting_registers_targets_once(self):
         coalition = Coalition()
@@ -60,7 +60,7 @@ class TestCoalitionMechanism:
         member = coalition.member("vote-withholder")
         targeted = CrossAcceptB(digest="d1", cluster=ClusterId(1), node=5, slot=3)
         untargeted = CrossAcceptB(digest="d2", cluster=ClusterId(1), node=5, slot=4)
-        assert member.outbound(0, targeted) == ()  # dropped by the inner behaviour
+        assert member.outbound(0, targeted) == ()  # dropped by the member's row
         assert member.outbound(0, untargeted) is None  # honest pass-through
         assert coalition.attacked == 1
         assert member.dropped == 1
@@ -124,8 +124,8 @@ class TestCoalitionEndToEnd:
         delayer, withholder = coalition.members
         # The delayer (initiator primary) spotted targets and delayed them;
         # the withholder in the remote cluster attacked the *same* digests.
-        assert delayer.inner.injected > 0
-        assert withholder.inner.dropped > 0
+        assert delayer.injected > 0
+        assert withholder.dropped > 0
 
     def test_no_cross_shard_traffic_means_no_targets(self):
         result = attack_point(COALITION_ATTACK, 0.0, duration=0.3).run()
