@@ -222,7 +222,7 @@ def _conflicting_vote(behavior: AdversaryBehavior, message: object) -> object:
 #: outbound vote type -> (host tracker name, votes the engine records for
 #: the key right after this multicast returns: a backup's prepare counts
 #: itself and the pre-prepare it doubles for).
-_TRACKERS = {Prepare: ("_prepares", 2), PBFTCommit: ("_commits", 1)}
+_TRACKERS = {Prepare: ("_votes", 2), PBFTCommit: ("_commits", 1)}
 
 
 def _forked_or_pivotal(behavior: AdversaryBehavior, dst: int, message: object) -> bool:

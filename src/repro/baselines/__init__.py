@@ -2,21 +2,21 @@
 
 from .ahl import AHLReplica, AHLSystem, ReferenceCommitteeReplica
 from .single_group import (
+    FAB,
+    FAST_PAXOS,
     ActivePassiveSystem,
-    FaBEngine,
     FastConsensusSystem,
-    FastPaxosEngine,
     PassiveReplica,
     SingleGroupReplica,
 )
 
 __all__ = [
+    "FAB",
+    "FAST_PAXOS",
     "AHLReplica",
     "AHLSystem",
     "ActivePassiveSystem",
-    "FaBEngine",
     "FastConsensusSystem",
-    "FastPaxosEngine",
     "PassiveReplica",
     "ReferenceCommitteeReplica",
     "SingleGroupReplica",

@@ -17,11 +17,13 @@ replica group; their performance is therefore insensitive to the
 cross-shard percentage, which is exactly the behaviour Figures 6 and 7
 show.
 
-The fast engines model the phase reduction: replicas execute as soon as
-they accept the leader's proposal and the leader replies after collecting
-the (larger) fast quorum, eliminating the explicit commit phase.  This
-reproduces the latency/throughput profile of Fast Paxos [34] and FaB [40]
-in fault-free runs, which is all the paper's evaluation exercises.
+The fast rows (:data:`FAST_PAXOS`, :data:`FAB`) of the intra-shard engine
+model the phase reduction: Fast Paxos replicas execute as soon as they
+accept the leader's proposal and the leader replies after collecting the
+(larger) fast quorum; FaB decides on its larger prepare quorum.  Neither
+has an explicit commit phase.  This reproduces the latency/throughput
+profile of Fast Paxos [34] and FaB [40] in fault-free runs, which is all
+the paper's evaluation exercises.
 """
 
 from __future__ import annotations
@@ -32,16 +34,11 @@ from ..api.registry import register_system
 from ..common.config import ClusterConfig, SystemConfig
 from ..common.errors import ConfigurationError, UnknownAccountError
 from ..common.types import ClusterId, FaultModel, NodeId
+from ..consensus.base import ConsensusEngine, _Phases
 from ..consensus.log import Noop
-from ..consensus.messages import (
-    ClientRequest,
-    PassiveUpdate,
-    PaxosAccept,
-    PaxosAccepted,
-    PrePrepare,
-)
-from ..consensus.paxos import PaxosEngine
-from ..consensus.pbft import PBFTEngine
+from ..consensus.messages import ClientRequest, PassiveUpdate
+from ..consensus.paxos import PAXOS
+from ..consensus.pbft import PBFT
 from ..core.replica import ReplicaHost
 from ..core.system import BaseSystem
 from ..ledger.block import Block
@@ -54,8 +51,8 @@ from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadConfig
 
 __all__ = [
-    "FastPaxosEngine",
-    "FaBEngine",
+    "FAST_PAXOS",
+    "FAB",
     "SingleGroupReplica",
     "PassiveReplica",
     "ActivePassiveSystem",
@@ -63,79 +60,15 @@ __all__ = [
 ]
 
 
-class FastPaxosEngine(PaxosEngine):
-    """Fast Paxos [34]: ``3f + 1`` acceptors, one fewer phase than Paxos.
-
-    Backups execute optimistically when they accept; the leader decides
-    after a fast quorum of ``2f + 1`` accepted messages and replies
-    without multicasting a separate commit.
-    """
-
-    def __init__(self, host) -> None:
-        super().__init__(host)
-        # Fast quorum: 2f + 1 out of 3f + 1 acceptors.
-        self._accepted.threshold = 2 * host.cluster.f + 1
-
-    def propose_at(self, slot: int, item: object) -> None:
-        super().propose_at(slot, item)
-        # The fast path saves one message delay: the leader executes and
-        # replies speculatively while the acceptors' answers are in flight
-        # (they are still collected and would trigger recovery on a
-        # mismatch in a deployment with failures).
-        entry = self.host.log.entry(slot)
-        if entry is not None:
-            self._decide(slot, entry.digest, entry.item, self.view)
-            self.host.after_decide()
-
-    def _on_accept(self, message: PaxosAccept, src: int) -> None:
-        super()._on_accept(message, src)
-        # Optimistic execution: the backup treats the accepted proposal as
-        # decided immediately (safe in the fault-free runs the evaluation
-        # uses; a real deployment would fall back to classic rounds).
-        entry = self.host.log.entry(message.slot)
-        if entry is not None and entry.digest == message.digest:
-            self._decide(message.slot, message.digest, message.item, message.view)
-            self.host.after_decide()
-
-    def _on_accepted(self, message: PaxosAccepted, src: int) -> None:
-        if not self.is_primary or message.view != self.view:
-            return
-        key = (message.view, message.slot, message.digest)
-        if not self._accepted.vote(key, src):
-            return
-        entry = self.host.log.entry(message.slot)
-        if entry is None:
-            return
-        self._decide(message.slot, message.digest, entry.item, message.view)
-        # No commit phase: the leader replies straight after the fast quorum.
-        self.host.after_decide()
-
-
-class FaBEngine(PBFTEngine):
-    """FaB [40]: ``5f + 1`` replicas commit in two phases instead of three.
-
-    A replica decides once it holds a prepare quorum of ``⌈(n + 3f + 1)/2⌉``
-    messages; the commit phase of PBFT is skipped entirely.
-    """
-
-    def __init__(self, host) -> None:
-        super().__init__(host)
-        n = host.cluster.size
-        f = host.cluster.f
-        self._prepares.threshold = (n + 3 * f + 1 + 1) // 2
-
-    def _record_prepare_vote(self, key: tuple[int, int, str], voter: int) -> None:
-        if not self._prepares.vote(key, voter):
-            return
-        view, slot, digest = key
-        item = self._items.get(key)
-        if item is None:
-            entry = self.host.log.entry(slot)
-            if entry is None or entry.digest != digest:
-                return
-            item = entry.item
-        self._decide(slot, digest, item, view)
-        self.host.after_decide()
+#: Fast Paxos [34]: ``3f + 1`` acceptors; everyone decides on the proposal
+#: itself, and the leader decides (again) on a fast quorum of ``2f + 1``
+#: accepted messages, with no commit phase.
+FAST_PAXOS = PAXOS._replace(
+    commit=None, quorum=lambda cluster: 2 * cluster.f + 1, optimistic=True
+)
+#: FaB [40]: ``5f + 1`` replicas decide on a prepare quorum of
+#: ``⌈(n + 3f + 1)/2⌉``; PBFT's commit phase is skipped.
+FAB = PBFT._replace(commit=None, quorum=lambda cluster: (cluster.size + 3 * cluster.f + 2) // 2)
 
 
 class SingleGroupReplica(ReplicaHost):
@@ -157,7 +90,7 @@ class SingleGroupReplica(ReplicaHost):
         sim,
         network,
         cost_model,
-        engine_factory,
+        phases: _Phases,
         passive_nodes: tuple[int, ...] = (),
     ) -> None:
         super().__init__(
@@ -167,7 +100,7 @@ class SingleGroupReplica(ReplicaHost):
         self.store = store
         self.executor = TransactionExecutor(store, mapper, shard=0)
         self.passive_nodes = passive_nodes
-        self.intra = engine_factory(self)
+        self.intra = ConsensusEngine(self, phases)
         self.committed_count = 0
         self.failed_executions = 0
         self.register_handler(ClientRequest, self._on_client_request)
@@ -248,11 +181,11 @@ class PassiveReplica(Process):
 class _SingleGroupSystem(BaseSystem):
     """Shared builder for the non-sharded baselines."""
 
+    #: the intra-shard row the active group runs, per fault model; subclasses set it.
+    ROWS: dict[FaultModel, _Phases]
+
     #: number of active replicas as a function of ``f``; subclasses set it.
     def _active_count(self, f: int) -> int:
-        raise NotImplementedError
-
-    def _engine_factory(self):
         raise NotImplementedError
 
     def __init__(
@@ -295,7 +228,7 @@ class _SingleGroupSystem(BaseSystem):
                 sim=self.sim,
                 network=self.network,
                 cost_model=self.cost_model,
-                engine_factory=self._engine_factory(),
+                phases=self.ROWS[config.fault_model],
                 passive_nodes=passive_nodes,
             )
         for pid in passive_nodes:
@@ -349,13 +282,10 @@ class ActivePassiveSystem(_SingleGroupSystem):
     def name(self) -> str:  # type: ignore[override]
         return "APR-C" if self.config.fault_model is FaultModel.CRASH else "APR-B"
 
+    ROWS = {FaultModel.CRASH: PAXOS, FaultModel.BYZANTINE: PBFT}
+
     def _active_count(self, f: int) -> int:
         return self.config.fault_model.min_cluster_size(f)
-
-    def _engine_factory(self):
-        if self.config.fault_model is FaultModel.CRASH:
-            return PaxosEngine
-        return PBFTEngine
 
 
 @register_system("fast")
@@ -366,12 +296,9 @@ class FastConsensusSystem(_SingleGroupSystem):
     def name(self) -> str:  # type: ignore[override]
         return "FPaxos" if self.config.fault_model is FaultModel.CRASH else "FaB"
 
+    ROWS = {FaultModel.CRASH: FAST_PAXOS, FaultModel.BYZANTINE: FAB}
+
     def _active_count(self, f: int) -> int:
         if self.config.fault_model is FaultModel.CRASH:
             return 3 * f + 1
         return 5 * f + 1
-
-    def _engine_factory(self):
-        if self.config.fault_model is FaultModel.CRASH:
-            return FastPaxosEngine
-        return FaBEngine

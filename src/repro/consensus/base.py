@@ -1,59 +1,72 @@
-"""Shared infrastructure for the consensus engines.
+"""Shared infrastructure for the consensus engines, and the intra-shard engine.
 
-Engines (Paxos, PBFT, and the cross-shard protocols in
+Engines (the intra-shard engine here, the cross-shard protocols in
 :mod:`repro.core`) are plain state machines: they do not own a network
 socket or a ledger, they talk to a *host* — the replica process — through
 the small :class:`ConsensusHost` interface.  This keeps the protocols
 testable without the simulator and lets SharPer plug either intra-shard
 protocol into the same replica ("the intra-shard consensus protocol in
-SharPer is pluggable", Section 3.1).
+SharPer is pluggable", Section 3.1): Paxos, PBFT and the Fast Paxos / FaB
+baselines are four :class:`_Phases` rows of one :class:`ConsensusEngine`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Hashable, Mapping, Protocol, runtime_checkable
+from typing import (
+    Any, Callable, ClassVar, Hashable, Mapping, NamedTuple, Protocol, runtime_checkable,
+)
 
 from ..common.config import ClusterConfig
 from ..common.types import ClusterId, NodeId
 from ..sim.simulator import Timer
-from .log import OrderingLog
+from .log import OrderingLog, item_digest
+from .messages import NewView, ViewChange
 
 __all__ = ["ConsensusHost", "QuorumTracker", "ConsensusEngine", "HandlerTable"]
 
 
 @runtime_checkable
 class ConsensusHost(Protocol):
-    """What a consensus engine needs from the replica hosting it."""
+    """What the intra-shard engine and its view-change manager need from their replica.
+
+    :class:`repro.core.replica.ReplicaHost` implements all of it; its last
+    four methods are inert there, and SharPer's replica fills them in.
+    """
 
     node_id: NodeId
     cluster: ClusterConfig
     log: OrderingLog
+    #: the flight recorder; ``repro.obs.INERT_RECORDER`` when untraced.
+    recorder: Any
+    #: cross-shard termination rounds; read only for items ``spans_clusters`` accepts.
+    terminator: Any
+    #: simulated time at the host, and the timeout after which a backup suspects the primary.
+    now: float
+    view_change_timeout: float
 
     def multicast_cluster(self, message: Any) -> None:
         """Send ``message`` to every other node of this cluster."""
-        ...
 
     def send_to(self, node_id: NodeId, message: Any) -> None:
         """Send ``message`` to one node."""
-        ...
 
     def after_decide(self) -> None:
         """Notify the host that new slots may be ready to apply."""
-        ...
 
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Arm a timer on the host's clock."""
-        ...
 
-    @property
-    def now(self) -> float:
-        """Current simulated time at the host."""
-        ...
+    def spans_clusters(self, item: object) -> bool:
+        """Whether an ordered item is a cross-shard request (never re-proposed intra-shard)."""
 
-    @property
-    def view_change_timeout(self) -> float:
-        """Timeout after which a backup suspects the primary."""
-        ...
+    def announce_new_view(self, view: int, certificate: tuple) -> None:
+        """Tell the other clusters this replica now leads its cluster."""
+
+    def on_intra_view_installed(self, view: int) -> None:
+        """Reset view-scoped host state when a view is installed."""
+
+    def request_catch_up(self) -> None:
+        """Fetch state this replica is missing from its peers."""
 
 
 class QuorumTracker:
@@ -122,9 +135,9 @@ class HandlerTable:
 
     Subclasses declare ``HANDLERS``, a class-level mapping from concrete
     message type to the *name* of the handling method.  The constructor
-    resolves those names into bound methods once (so subclass overrides —
-    e.g. :class:`~repro.baselines.single_group.FastPaxosEngine` replacing
-    ``_on_accept`` — are picked up automatically), and :meth:`handle`
+    resolves those names into bound methods once (so an instance may
+    shadow the table — e.g. :class:`ConsensusEngine` built with the Fast
+    Paxos row, which has no commit round), and :meth:`handle`
     dispatches with a single dict lookup on ``type(message)``.  Hosts
     merge :meth:`handlers` into their own process-level dispatch table so
     a delivered message is routed with one lookup end to end.
@@ -152,24 +165,67 @@ class HandlerTable:
         return True
 
 
-class ConsensusEngine(HandlerTable):
-    """Common plumbing shared by the intra-shard engines.
+class _Phases(NamedTuple):
+    """What one intra-shard protocol does differently in the shared phases."""
 
-    Role is state: assigning :attr:`view` resolves ``primary`` (the node
-    the view elects) and ``is_primary`` (whether the host is that node);
-    every per-message and per-request test reads them as attributes.
+    #: the proposal, its vote and the commit round's message (None: no commit round).
+    propose: type
+    vote: type
+    commit: type | None
+    #: votes that fire a key (f + 1, 2f + 1 or a fast quorum), and the recorder's name for a vote.
+    quorum: Callable[[ClusterConfig], int]
+    vote_kind: str
+    #: votes go to every member, which tallies them and votes to commit; not to the
+    #: primary alone, whose commit announces its decision.
+    votes_to_all: bool
+    #: a proposal of a later view is parked until that view is installed, not adopted.
+    parks_later_views: bool
+    #: the proposer and each acceptor decide on the proposal itself (Fast Paxos).
+    optimistic: bool
+
+
+def _handlers(phases: _Phases) -> dict[type, str]:
+    """An engine's ``HANDLERS``: its row's message classes and the view change's."""
+    table = dict(zip(phases[:3], ("_on_propose", "_on_vote", "_on_commit")))
+    table.pop(None, None)
+    return {**table, ViewChange: "_on_view_change_message", NewView: "_on_new_view_message"}
+
+
+class ConsensusEngine(HandlerTable):
+    """The one intra-shard engine: propose → vote → (commit) → decide.
+
+    Subclasses name their :class:`_Phases` row (``PHASES``) and
+    ``HANDLERS``; a baseline passes its own row (``phases``).  Role is
+    state: assigning :attr:`view` resolves ``primary`` (the node the view
+    elects) and ``is_primary`` (whether the host is that node).
     """
 
-    def __init__(self, host: ConsensusHost) -> None:
+    PHASES: ClassVar[_Phases]
+    #: bound on parked later-view proposals (a Byzantine primary may inflate views).
+    MAX_PARKED = 64
+
+    def __init__(self, host: ConsensusHost, phases: _Phases | None = None) -> None:
+        from .view_change import ViewChangeManager  # it imports QuorumTracker from here
+
+        if phases is not None:
+            self.PHASES, self.HANDLERS = phases, _handlers(phases)
+        self.phases = phases = self.PHASES
         self.host = host
-        #: identifier of the hosting cluster.
         self.cluster_id: ClusterId = host.cluster.cluster_id
         self.view = 0
+        quorum, members = phases.quorum(host.cluster), host.cluster.voter_bits
+        self._votes = QuorumTracker(quorum, members)
+        #: the commit round's votes; None where the primary announces its decision.
+        voted_commit = phases.votes_to_all and phases.commit
+        self._commits = QuorumTracker(quorum, members) if voted_commit else None
+        #: proposed items by key, kept where every member tallies (its log may hold another digest).
+        self._items: dict[tuple[int, int, str], object] = {}
+        #: proposals for views this replica has not installed yet, keyed by view.
+        self._parked: dict[int, list[tuple[Any, int]]] = {}
+        self._parked_count = 0
+        self.view_change = ViewChangeManager(self, quorum=host.cluster.intra_quorum)
         self._build_handlers()
 
-    # ------------------------------------------------------------------
-    # primary/backup roles
-    # ------------------------------------------------------------------
     @property
     def view(self) -> int:
         """The view this engine is in."""
@@ -181,24 +237,145 @@ class ConsensusEngine(HandlerTable):
         self.primary = self.host.cluster.primary_for_view(view)
         self.is_primary = self.host.node_id == self.primary
 
-    # ------------------------------------------------------------------
-    # the decide step every intra-shard engine shares; the engines keep
-    # who votes to whom and which quorum
-    # ------------------------------------------------------------------
-    def _decide(self, slot: int, digest: str, item: object, view: int) -> None:
-        """``slot`` is decided here: log it, stamp it, stop watching it.
+    def submit(self, item: object) -> int | None:
+        """Order ``item`` at the next slot; only the current view's primary may."""
+        if not self.is_primary:
+            return None
+        slot = self.host.log.allocate()
+        self.propose_at(slot, item)
+        return slot
 
-        The one place an intra-shard engine calls ``log.decide`` (a fork
-        — a second, different decision for the slot — raises from there).
-        Applying is left to the caller (``host.after_decide()``), because
-        what goes on the wire between deciding and applying is protocol:
-        Paxos multicasts its commit in that gap, and link-jitter draws
-        are consumed per send, so the order is part of every seed.
+    def propose_at(self, slot: int, item: object) -> None:
+        """Propose ``item`` at an explicit slot (view changes re-propose through here)."""
+        host, phases, view = self.host, self.phases, self.view
+        digest = item_digest(item)
+        host.log.record_pending(slot, digest, item, view=view, proposer=self.cluster_id)
+        key = (view, slot, digest)
+        if phases.votes_to_all:
+            self._items[key] = item
+        host.multicast_cluster(phases.propose(view, slot, digest, item))
+        self._open_slot(slot, item)
+        # The proposal is the proposer's own vote.
+        self._vote(key, host.node_id)
+        if phases.optimistic:
+            self._decide_on_proposal(key, item)
+
+    # ------------------------------------------------------------------
+    # message handling (table-driven; see HandlerTable.handle)
+    # ------------------------------------------------------------------
+    def _on_propose(self, message: Any, src: int) -> None:
+        host, phases, view = self.host, self.phases, message.view
+        if view != self.view:
+            if view < self.view or src != host.cluster.primary_for_view(view):
+                return
+            if phases.parks_later_views:
+                # Never adopted from a proposal (how `forged-view` self-elects):
+                # only a certified NewView or state transfer installs it.
+                self._park(message, src)
+                return
+            # The cluster moved on without us; adopt the newer view.
+            self.view = view
+        elif src != self.primary:
+            return
+        slot, digest, item = message.slot, message.digest, message.item
+        if not host.log.try_record_pending(slot, digest, item, view=view, proposer=self.cluster_id):
+            return  # a different digest already occupies the slot: do not vote
+        key = (view, slot, digest)
+        self._open_slot(slot)
+        vote = phases.vote(view, slot, digest, host.node_id)
+        if phases.votes_to_all:
+            self._items[key] = item
+            host.multicast_cluster(vote)
+            self._vote(key, host.node_id)
+            # The proposal doubles as the proposer's vote: it sends no other.
+            self._vote(key, src)
+        else:
+            host.send_to(self.primary, vote)
+        if phases.optimistic:
+            self._decide_on_proposal(key, item)
+
+    def _on_vote(self, message: Any, src: int) -> None:
+        if not self.phases.votes_to_all and (not self.is_primary or message.view != self.view):
+            return
+        self._vote((message.view, message.slot, message.digest), src)
+
+    def _on_commit(self, message: Any, src: int) -> None:
+        if self._commits is not None:
+            self._commit_vote((message.view, message.slot, message.digest), src)
+            return
+        # The primary's announcement: the view it names may trail or lead ours.
+        view = message.view
+        primary = self.primary if view == self.view else self.host.cluster.primary_for_view(view)
+        if src == primary:
+            self._decide(message.slot, message.digest, message.item, view)
+
+    # ------------------------------------------------------------------
+    # the tallies and the decide step
+    # ------------------------------------------------------------------
+    def _vote(self, key: tuple[int, int, str], voter: int) -> None:
+        """Count one vote of the proposal round (every vote is recorded)."""
+        host = self.host
+        fired = self._votes.vote(key, voter)
+        host.recorder.quorum_vote(host, self.phases.vote_kind, key, voter, fired)
+        if not fired:
+            return
+        if self._commits is None:
+            self._decide_key(key)
+            return
+        # Prepared: vote to commit.  A key nobody proposed here has no item.
+        view, slot, digest = key
+        host.recorder.milestone(host, self._items.get(key), "prepared")
+        host.multicast_cluster(self.phases.commit(view, slot, digest, host.node_id))
+        self._commit_vote(key, host.node_id)
+
+    def _commit_vote(self, key: tuple[int, int, str], voter: int) -> None:
+        fired = self._commits.vote(key, voter)
+        self.host.recorder.quorum_vote(self.host, "commit", key, voter, fired)
+        if fired:
+            self._decide_key(key)
+
+    def _fired_item(self, key: tuple[int, int, str]) -> object:
+        """The item a fired tally decides: a proposal held here, else the slot's logged one.
+
+        Where the primary alone tallies (the crash rows), the logged item
+        is taken *without* checking its digest: ROADMAP 2(a)'s hole.
         """
+        item = self._items.get(key)
+        if item is None:
+            entry = self.host.log.entry(key[1])
+            if entry is None or (self.phases.votes_to_all and entry.digest != key[2]):
+                return None
+            item = entry.item
+        return item
+
+    def _decide_key(self, key: tuple[int, int, str]) -> None:
+        item = self._fired_item(key)
+        if item is None:
+            return
+        view, slot, digest = key
+        # Where the primary alone tallies, its commit (if any) announces the decision.
+        phases = self.phases
+        self._decide(slot, digest, item, view, None if phases.votes_to_all else phases.commit)
+
+    def _decide_on_proposal(self, key: tuple[int, int, str], item: object) -> None:
+        """Fast Paxos' optimistic path: decide the logged proposal without waiting for votes
+        (safe in fault-free runs, all the evaluation uses; with failures it would fall back)."""
+        view, slot, digest = key
+        entry = self.host.log.entry(slot)
+        if entry is not None and entry.digest == digest:
+            self._decide(slot, digest, item, view)
+
+    def _decide(self, slot: int, digest: str, item: object, view: int, announce=None) -> None:
+        """Log ``slot`` decided (a fork raises there), stamp it, stop watching it, announce
+        it with the commit class ``announce`` if given (link jitter is drawn per send,
+        so this order is part of every seed), and apply."""
         host = self.host
         host.log.decide(slot, digest, item, proposer=self.cluster_id, view=view)
         host.recorder.milestone(host, item, "decided")
         self.view_change.slot_decided(slot)
+        if announce:
+            host.multicast_cluster(announce(view, slot, digest, item))
+        host.after_decide()
 
     def _open_slot(self, slot: int, proposed: object = None) -> None:
         """Watch ``slot`` for a stalled primary; stamp it open (and proposed, at the primary)."""
@@ -210,30 +387,45 @@ class ConsensusEngine(HandlerTable):
             recorder.milestone(host, proposed, "propose")
 
     # ------------------------------------------------------------------
-    # shared view-change handlers (both intra-shard engines own a
-    # ViewChangeManager under ``self.view_change``)
+    # view changes (the ViewChangeManager under ``self.view_change``)
     # ------------------------------------------------------------------
-    def _on_view_change_message(self, message: Any, src: int) -> None:
+    def _on_view_change_message(self, message: ViewChange, src: int) -> None:
         self.view_change.handle_view_change(message, src)
 
-    def _on_new_view_message(self, message: Any, src: int) -> None:
+    def _on_new_view_message(self, message: NewView, src: int) -> None:
         self.view_change.handle_new_view(message, src)
 
+    def _park(self, message: Any, src: int) -> None:
+        """Park a later-view proposal; when full, evict the farthest view's for a nearer one
+        (a forged-view adversary inflates to far views, the next installed view wants near ones)."""
+        if self._parked_count >= self.MAX_PARKED:
+            farthest = max(self._parked)
+            if message.view >= farthest:
+                return
+            batch = self._parked[farthest]
+            batch.pop()
+            if not batch:
+                del self._parked[farthest]
+            self._parked_count -= 1
+        self._parked.setdefault(message.view, []).append((message, src))
+        self._parked_count += 1
+
     def on_view_installed(self, view: int) -> None:
-        """Hook invoked whenever a view is installed (certificate-verified).
-
-        Engines that park traffic for not-yet-installed views (PBFT
-        stashes pre-prepares rather than trusting ``message.view``)
-        release it here.  The base implementation does nothing.
-        """
+        """A view was installed: replay its parked proposals (checked as usual), drop older ones."""
+        for parked_view in sorted(v for v in self._parked if v <= view):
+            batch = self._parked.pop(parked_view)
+            self._parked_count -= len(batch)
+            if parked_view == view:
+                for message, src in batch:
+                    self._on_propose(message, src)
 
     # ------------------------------------------------------------------
-    # primary side (concrete engines implement ``propose_at``)
+    # checkpoint compaction (repro.recovery)
     # ------------------------------------------------------------------
-    def submit(self, item: object) -> int | None:
-        """Order ``item`` at the next slot; only the current view's primary may."""
-        if not self.is_primary:
-            return None
-        slot = self.host.log.allocate()
-        self.propose_at(slot, item)
-        return slot
+    def compact_below(self, slot: int) -> None:
+        """Drop the ``(view, slot, digest)`` tallies and items a stable checkpoint covers."""
+        self._votes.drop(lambda key: key[1] <= slot)
+        if self._commits is not None:
+            self._commits.drop(lambda key: key[1] <= slot)
+        for key in [key for key in self._items if key[1] <= slot]:
+            del self._items[key]

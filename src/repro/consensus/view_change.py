@@ -301,9 +301,7 @@ class ViewChangeManager:
         # Hosts may carry view-scoped state of their own (the batching
         # pipeline's in-flight window and queues); give them the same
         # installation signal the engine gets.
-        notify = getattr(self.engine.host, "on_intra_view_installed", None)
-        if notify is not None:
-            notify(view)
+        host.on_intra_view_installed(view)
 
     def _install_as_primary(self, view: int) -> None:
         """Become the primary of ``view``: announce it and resolve open slots.
@@ -322,9 +320,7 @@ class ViewChangeManager:
         host.multicast_cluster(
             NewView(view=view, node=host.node_id, entries=(), certificate=certificate)
         )
-        announce = getattr(host, "announce_new_view", None)
-        if announce is not None:
-            announce(view, certificate)
+        host.announce_new_view(view, certificate)
 
         # Determine what needs re-proposing: every slot up to the highest
         # slot any replica has heard of that this primary has not applied.
@@ -360,19 +356,15 @@ class ViewChangeManager:
         )
         stable_floor = max(host.log.low_water_mark, attested)
         if stable_floor > host.log.next_apply - 1:
-            transfer = getattr(host, "state_transfer", None)
-            if transfer is not None:
-                transfer.request_catch_up()
+            host.request_catch_up()
 
-        spans_clusters = getattr(host, "spans_clusters", None)
-        terminator = getattr(host, "terminator", None)
         for slot in range(max(host.log.next_apply, stable_floor + 1), highest + 1):
             entry = host.log.entry(slot)
             if entry is not None and entry.status is not EntryStatus.PENDING:
                 continue
             if slot in decided_digest and decided_digest[slot] in items_by_digest:
                 item = items_by_digest[decided_digest[slot]]
-                if spans_clusters is not None and spans_clusters(item):
+                if host.spans_clusters(item):
                     # Some replica reported this slot DECIDED as a
                     # cross-shard instance: its all-to-all commit (with
                     # the full position vector) is still in flight to
@@ -381,8 +373,7 @@ class ViewChangeManager:
                     # with that decision and fork correct replicas.
                     # Run a termination round to fetch the decision
                     # actively (the late commit remains a fallback).
-                    if terminator is not None:
-                        terminator.begin(slot, item, view)
+                    host.terminator.begin(slot, item, view)
                     continue
             else:
                 if entry is not None:
@@ -392,7 +383,7 @@ class ViewChangeManager:
                     item = items_by_digest[best_digest]
                 else:
                     item = Noop(reason=f"view-change-{view}-slot-{slot}")
-                if spans_clusters is not None and spans_clusters(item):
+                if host.spans_clusters(item):
                     # A merely *pending* cross-shard request must not be
                     # re-proposed through intra-shard consensus:
                     # committing it with a single-cluster position
@@ -404,9 +395,7 @@ class ViewChangeManager:
                     # closing the race the immediate no-op fill used to
                     # run — and only no-op-fills the slot when no
                     # decision evidence exists anywhere.
-                    if terminator is not None:
-                        terminator.begin(slot, item, view)
-                        continue
-                    item = Noop(reason=f"view-change-{view}-cross-slot-{slot}")
+                    host.terminator.begin(slot, item, view)
+                    continue
             host.log.observe(slot)
             self.engine.propose_at(slot, item)

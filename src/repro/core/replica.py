@@ -125,10 +125,29 @@ class ReplicaHost(Process):
             int(node) for node in cluster.node_ids if node != node_id
         )
 
+    #: cross-shard termination rounds (SharPer's replica arms one); read
+    #: only for items :meth:`spans_clusters` accepts.
+    terminator = None
+
     @property
     def view_change_timeout(self) -> float:
         """Timeout used by the view-change manager (ConsensusHost interface)."""
         return self.tuning.view_change_timeout
+
+    # The view-change manager's hooks (ConsensusHost interface), inert
+    # here: no cross-shard items, no remote clusters tracking this one,
+    # nothing view-scoped, no state transfer.
+    def spans_clusters(self, item: object) -> bool:
+        return False
+
+    def announce_new_view(self, view: int, certificate: tuple) -> None:
+        pass
+
+    def on_intra_view_installed(self, view: int) -> None:
+        pass
+
+    def request_catch_up(self) -> None:
+        pass
 
     def multicast_cluster(self, message: object) -> None:
         """Send ``message`` to every other node of this cluster."""
@@ -658,6 +677,10 @@ class SharPerReplica(ReplicaHost):
         for request in member_requests(item):
             self._send_reply(request, success=False, cross_shard=True)
         self.batcher.item_applied(item_digest(item))
+
+    def request_catch_up(self) -> None:
+        """Start a state-transfer round (the view-change manager calls it)."""
+        self.state_transfer.request_catch_up()
 
     def on_intra_view_installed(self, view: int) -> None:
         """Hook called by the view-change manager on every view install.

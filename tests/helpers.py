@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -50,6 +51,8 @@ class FakeHost:
         self.now = 0.0
         #: flight recorder (ConsensusHost interface); left inert here.
         self.recorder = INERT_RECORDER
+        #: no cross-shard items here, so no termination rounds either.
+        self.terminator = None
 
     # -- ConsensusHost interface ---------------------------------------
     def multicast_cluster(self, message: object) -> None:
@@ -69,6 +72,18 @@ class FakeHost:
     @property
     def view_change_timeout(self) -> float:
         return 0.5
+
+    def spans_clusters(self, item: object) -> bool:
+        return False
+
+    def announce_new_view(self, view: int, certificate: tuple) -> None:
+        pass
+
+    def on_intra_view_installed(self, view: int) -> None:
+        pass
+
+    def request_catch_up(self) -> None:
+        pass
 
     # -- convenience -----------------------------------------------------
     def messages_of_type(self, message_type) -> list[object]:
@@ -179,3 +194,16 @@ def assert_run_leaves_no_garbage(scenario):
         f"collector can free, by type: {kinds.most_common(8)}"
     )
     return result
+
+
+def trace_fingerprint(report) -> str:
+    """sha256 over what the trace hooks wrote, in the order they wrote it."""
+    rows = (report.events, report.event_meta, report.slot_spans, report.causal)
+    blob = repr(tuple(tuple(view) for view in rows))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def report_fingerprint(report) -> str:
+    """sha256 over what finalize reduced the trace to."""
+    blob = repr((report.deciding, report.critical))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -122,8 +122,8 @@ class TestDecidingVotes:
         assert rows
         for pid, _kind, key, voter, _t, _lag in rows:
             replica = result.system.replicas[pid]
-            assert voter in replica.intra._accepted.voters(key)
-            assert replica.intra._accepted.reached(key)
+            assert voter in replica.intra._votes.voters(key)
+            assert replica.intra._votes.reached(key)
         # Every deciding row is observed at the slot's primary, and the
         # recorder closed the key on the vote that flipped the quorum.
         assert len(rows) == result.trace.critical.txs
@@ -138,7 +138,7 @@ class TestDecidingVotes:
         prepares = [row for row in result.trace.deciding if row[1] == "prepare"]
         commits = [row for row in result.trace.deciding if row[1] == "commit"]
         assert prepares and commits
-        for rows, tracker in ((prepares, "_prepares"), (commits, "_commits")):
+        for rows, tracker in ((prepares, "_votes"), (commits, "_commits")):
             for pid, _kind, key, voter, _t, _lag in rows:
                 replica = result.system.replicas[pid]
                 assert voter in getattr(replica.intra, tracker).voters(key)

@@ -34,6 +34,8 @@ from repro.obs import TraceSpec, write_chrome_trace, write_jsonl
 from repro.obs.export import chrome_trace_events
 from repro.txn.workload import WorkloadConfig
 
+from helpers import report_fingerprint, trace_fingerprint
+
 
 def traced_scenario(
     trace=None,
@@ -293,13 +295,6 @@ class TestMuteCoalitionStallsElection:
             )
 
 
-def trace_fingerprint(report) -> str:
-    """sha256 over what the hooks wrote, in the order they wrote it."""
-    rows = (report.events, report.event_meta, report.slot_spans, report.causal)
-    blob = repr(tuple(tuple(view) for view in rows))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 #: trace content recorded at commit 890a182, before the engines' hook
 #: sites were folded into ``FlightRecorder.milestone``: scenario kwargs →
 #: (phase events, fingerprint).  Event order inside one dispatch is part
@@ -324,12 +319,6 @@ TRACE_PINNED = {
         (10547, "14b57ce652e3e011"),
     ),
 }
-
-
-def report_fingerprint(report) -> str:
-    """sha256 over what finalize reduced the trace to."""
-    blob = repr((report.deciding, report.critical))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 #: ``report_fingerprint`` of the ``TRACE_PINNED`` scenarios, recorded at

@@ -85,8 +85,8 @@ class TestAdaptiveTrigger:
         # pre-prepare): the quorum completes regardless of us, the vote
         # is not pivotal, and the behaviour passes everything through.
         key = (vote.view, vote.slot, vote.digest)
-        replica.intra._prepares.vote(key, 2)
-        replica.intra._prepares.vote(key, 3)
+        replica.intra._votes.vote(key, 2)
+        replica.intra._votes.vote(key, 3)
         for dst in behavior.cluster_peers():
             assert behavior.outbound(dst, vote) is None
         assert behavior.injected == 0

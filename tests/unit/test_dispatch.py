@@ -4,12 +4,14 @@ import pytest
 
 from helpers import FakeHost, byzantine_cluster, crash_cluster, simple_transfer
 
-from repro.baselines.single_group import FaBEngine, FastPaxosEngine
+from repro.baselines.single_group import FAB, FAST_PAXOS
 from repro.common.config import PerformanceModel
+from repro.consensus.base import ConsensusEngine
 from repro.consensus.log import item_digest
 from repro.consensus.messages import (
     NewView,
     PaxosAccept,
+    PaxosCommit,
     PBFTCommit,
     Prepare,
     PrePrepare,
@@ -51,12 +53,20 @@ class TestEngineHandlerTables:
         assert engine.handle(accept, src=0) is True
         assert engine.host.log.entry(1) is not None
 
-    def test_subclass_overrides_are_bound_into_the_table(self):
-        """FastPaxosEngine overrides _on_accept; the table must pick it up."""
-        fast = FastPaxosEngine(FakeHost(0, crash_cluster(size=4)))
-        assert fast.handlers()[PaxosAccept].__func__ is FastPaxosEngine._on_accept
-        fab = FaBEngine(FakeHost(0, byzantine_cluster(size=6)))
-        assert fab.handlers()[PrePrepare].__func__ is PBFTEngine._on_pre_prepare
+    def test_baseline_rows_bind_the_shared_handlers(self):
+        """A fast row overrides nothing: the shared handlers, its quorum from
+        construction, and no commit round in its table."""
+        fast = PaxosEngine(FakeHost(0, crash_cluster(size=4)), FAST_PAXOS)
+        assert fast.handlers()[PaxosAccept].__func__ is ConsensusEngine._on_propose
+        assert PaxosCommit not in fast.handlers()
+        assert fast._votes.threshold == 3  # 2f + 1 of 3f + 1
+        fab = PBFTEngine(FakeHost(0, byzantine_cluster(size=6)), FAB)
+        assert fab.handlers()[PrePrepare].__func__ is ConsensusEngine._on_propose
+        assert PBFTCommit not in fab.handlers() and fab._commits is None
+        assert fab._votes.threshold == 5  # ⌈(n + 3f + 1) / 2⌉ at n = 6
+        # The named engines keep their own rows' tables.
+        paxos = PaxosEngine(FakeHost(0, crash_cluster()))
+        assert set(paxos.handlers()) == set(PaxosEngine.HANDLERS)
 
 
 class _TableProcess(Process):

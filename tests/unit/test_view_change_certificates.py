@@ -190,9 +190,9 @@ class TestForgedViewRejection:
         ]
         # Backups stashed the inflated pre-prepares instead of adopting
         # their view, and the stash respects its bound.
-        assert any(r.intra._stashed_count > 0 for r in correct)
+        assert any(r.intra._parked_count > 0 for r in correct)
         for replica in correct:
-            assert replica.intra._stashed_count <= replica.intra.MAX_STASHED_PRE_PREPARES
+            assert replica.intra._parked_count <= replica.intra.MAX_PARKED
 
     def test_remote_clusters_ignore_the_forged_announcement(self):
         result = byzantine_scenario("forged-view").run()
@@ -253,20 +253,20 @@ class TestStashEviction:
         from repro.consensus.pbft import PBFTEngine
 
         engine = PBFTEngine.__new__(PBFTEngine)
-        engine._stashed_pre_prepares = {}
-        engine._stashed_count = 0
+        engine._parked = {}
+        engine._parked_count = 0
         junk = PrePrepare(view=40, slot=1, digest="d", item=None)
-        for _ in range(PBFTEngine.MAX_STASHED_PRE_PREPARES):
-            engine._stash_pre_prepare(junk, src=0)
-        assert engine._stashed_count == PBFTEngine.MAX_STASHED_PRE_PREPARES
+        for _ in range(PBFTEngine.MAX_PARKED):
+            engine._park(junk, src=0)
+        assert engine._parked_count == PBFTEngine.MAX_PARKED
         # A farther-or-equal view is dropped outright once full...
-        engine._stash_pre_prepare(PrePrepare(view=41, slot=1, digest="d", item=None), src=0)
-        assert 41 not in engine._stashed_pre_prepares
+        engine._park(PrePrepare(view=41, slot=1, digest="d", item=None), src=0)
+        assert 41 not in engine._parked
         # ...but the legitimate next view always finds room.
         near = PrePrepare(view=1, slot=1, digest="d", item=None)
-        engine._stash_pre_prepare(near, src=2)
-        assert engine._stashed_pre_prepares[1] == [(near, 2)]
-        assert engine._stashed_count == PBFTEngine.MAX_STASHED_PRE_PREPARES
+        engine._park(near, src=2)
+        assert engine._parked[1] == [(near, 2)]
+        assert engine._parked_count == PBFTEngine.MAX_PARKED
 
 
 class TestHonestViewChangesStillComplete:

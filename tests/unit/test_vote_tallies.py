@@ -106,8 +106,8 @@ def test_pbft_refuses_prepares_from_another_cluster():
     key = (0, 1, "d")
     for outsider in byzantine_cluster(1).node_ids[:2]:  # pids 4 and 5
         engine.handle(Prepare(view=0, slot=1, digest="d", node=outsider), src=int(outsider))
-    assert engine._prepares.count(key) == 0  # 2 before membership was checked
-    assert engine._prepares.foreign_votes == 2
+    assert engine._votes.count(key) == 0  # 2 before membership was checked
+    assert engine._votes.foreign_votes == 2
 
 
 def test_paxos_primary_refuses_accepted_from_another_cluster():
@@ -118,7 +118,7 @@ def test_paxos_primary_refuses_accepted_from_another_cluster():
     engine.handle(PaxosAccepted(view=0, slot=1, digest=item_digest("item"), node=outsider),
                   src=int(outsider))
     assert host.log.decided_slot_of(item_digest("item")) is None
-    assert engine._accepted.foreign_votes == 1
+    assert engine._votes.foreign_votes == 1
 
 
 def test_view_change_refuses_a_validly_signed_vote_from_another_cluster():
