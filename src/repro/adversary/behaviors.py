@@ -252,7 +252,8 @@ def _muted(behavior: AdversaryBehavior, dst: int, message: object) -> bool:
 
 def _delay_under_timeout(behavior: AdversaryBehavior, dst: int, message: object) -> Verdict:
     """Hold the message back by 0.9 of the host's view-change timeout."""
-    timeout = getattr(behavior.process, "view_change_timeout", 0.5)
+    tuning = getattr(behavior.process, "tuning", None)
+    timeout = tuning.view_change_timeout if tuning is not None else 0.5
     return behavior.emit(Outbound(dst, message, timeout * 0.9))
 
 
@@ -284,14 +285,13 @@ def _takeover(behavior: AdversaryBehavior, view: int) -> list[Outbound]:
     )
     new_view = NewView(view=view, node=process.node_id, entries=(), certificate=certificate)
     actions = [Outbound(dst=peer, message=new_view) for peer in behavior.cluster_peers()]
-    nodes_of_clusters = getattr(process, "nodes_of_clusters", None)  # SharPer replicas only
-    if nodes_of_clusters is not None:
+    if getattr(process, "cross", None) is not None:  # SharPer replicas only
         announcement = NewViewAnnouncement(
             cluster=cluster.cluster_id, view=view, node=process.node_id, certificate=certificate
         )
         actions.extend(
             Outbound(dst=node, message=announcement)
-            for node in nodes_of_clusters(
+            for node in process.nodes_of_clusters(
                 remote.cluster_id
                 for remote in process.config.clusters
                 if remote.cluster_id != cluster.cluster_id

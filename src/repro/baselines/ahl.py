@@ -124,11 +124,11 @@ class AHLReplica(SharPerReplica):
         self.send(self.rc_primary_pid, request)
 
     def _on_prepare_request(self, message: AHLPrepareRequest, src: int) -> None:
-        if self.is_cluster_primary:
+        if self.intra.is_primary:
             self.intra.submit(PrepareMarker(request=message.request))
 
     def _on_commit_request(self, message: AHLCommitRequest, src: int) -> None:
-        if self.is_cluster_primary and message.commit:
+        if self.intra.is_primary and message.commit:
             self.intra.submit(CommitMarker(request=message.request))
 
     def on_marker_applied(self, entry, positions, parents, proposer) -> None:
@@ -138,7 +138,7 @@ class AHLReplica(SharPerReplica):
             # in the chain.  The primary votes back to the RC.
             self.chain.append(Block.noop(positions, proposer=proposer, parents=parents))
             self.prepared.add(item_digest(item.request))
-            if self.is_cluster_primary:
+            if self.intra.is_primary:
                 vote = AHLVote(
                     digest=item_digest(item.request), cluster=self.cluster_id, vote=True
                 )
@@ -157,7 +157,7 @@ class AHLReplica(SharPerReplica):
     def _should_reply_cross(self) -> bool:
         if self.cluster.fault_model is FaultModel.BYZANTINE:
             return True
-        return self.is_cluster_primary
+        return self.intra.is_primary
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +216,7 @@ class ReferenceCommitteeReplica(ReplicaHost):
         if request.reply_to < 0:
             request = replace(request, reply_to=src)
         if not self.intra.is_primary:
-            self.send(int(self.intra.primary), request)
+            self.relay_to_primary(request)
             return
         digest = item_digest(request)
         if digest in self._states:

@@ -121,7 +121,7 @@ class SingleGroupReplica(ReplicaHost):
             self._reject_unclassifiable(request)
             return
         if not self.intra.is_primary:
-            self.send(int(self.intra.primary), request)
+            self.relay_to_primary(request)
             return
         self.intra.submit(request)
 
@@ -249,9 +249,7 @@ class _SingleGroupSystem(BaseSystem):
 
     @property
     def required_replies(self) -> int:
-        if self.config.fault_model is FaultModel.CRASH:
-            return 1
-        return self.active_cluster.f + 1
+        return self.active_cluster.reply_quorum
 
     def processes(self) -> list[Process]:
         return list(self.replicas.values()) + list(self.passives.values())

@@ -151,6 +151,12 @@ class ClusterConfig:
         """Per-cluster quorum for the cross-shard protocol (Alg. 1/2)."""
         return self.fault_model.quorum_size(self.f)
 
+    @property
+    def reply_quorum(self) -> int:
+        """Matching replies that prove a fact to their collector: one crash, ``f + 1``
+        (so at least one correct) Byzantine — client replies, state transfer, termination."""
+        return 1 if self.fault_model is FaultModel.CRASH else self.f + 1
+
 
 @dataclass(frozen=True)
 class SystemConfig:

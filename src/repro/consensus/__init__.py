@@ -1,6 +1,6 @@
 """Intra-shard consensus engines (Paxos, PBFT), ordering log, messages."""
 
-from .base import ConsensusEngine, ConsensusHost, QuorumTracker
+from .base import ConsensusEngine, Host, QuorumTracker
 from .batching import BatchPipeline, member_requests
 from .log import EntryStatus, LogEntry, Noop, OrderingLog, item_digest
 from .messages import (
@@ -32,7 +32,6 @@ __all__ = [
     "ClientReply",
     "ClientRequest",
     "ConsensusEngine",
-    "ConsensusHost",
     "CrossAccept",
     "CrossAcceptB",
     "CrossCommit",
@@ -40,6 +39,7 @@ __all__ = [
     "CrossPropose",
     "CrossProposeB",
     "EntryStatus",
+    "Host",
     "LogEntry",
     "NewView",
     "Noop",

@@ -3,7 +3,7 @@
 Engines (the intra-shard engine here, the cross-shard protocols in
 :mod:`repro.core`) are plain state machines: they do not own a network
 socket or a ledger, they talk to a *host* — the replica process — through
-the small :class:`ConsensusHost` interface.  This keeps the protocols
+the one narrow :class:`Host` surface.  This keeps the protocols
 testable without the simulator and lets SharPer plug either intra-shard
 protocol into the same replica ("the intra-shard consensus protocol in
 SharPer is pluggable", Section 3.1): Paxos, PBFT and the Fast Paxos / FaB
@@ -13,60 +13,87 @@ baselines are four :class:`_Phases` rows of one :class:`ConsensusEngine`.
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, ClassVar, Hashable, Mapping, NamedTuple, Protocol, runtime_checkable,
+    TYPE_CHECKING, Any, Callable, ClassVar, Hashable, Mapping, NamedTuple, Protocol,
+    runtime_checkable,
 )
 
-from ..common.config import ClusterConfig
+from ..common.config import ClusterConfig, ProtocolTuning
 from ..common.types import ClusterId, NodeId
-from ..sim.simulator import Timer
 from .log import OrderingLog, item_digest
 from .messages import NewView, ViewChange
 
-__all__ = ["ConsensusHost", "QuorumTracker", "ConsensusEngine", "HandlerTable"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..ledger.view import ClusterView
+
+__all__ = ["Host", "TimerHandle", "QuorumTracker", "ConsensusEngine", "HandlerTable"]
 
 
 @runtime_checkable
-class ConsensusHost(Protocol):
-    """What the intra-shard engine and its view-change manager need from their replica.
+class TimerHandle(Protocol):
+    """What :meth:`Host.set_timer` returns: ``active`` while pending, and ``cancel()``."""
 
-    :class:`repro.core.replica.ReplicaHost` implements all of it; its last
-    four methods are inert there, and SharPer's replica fills them in.
+    active: bool
+
+    def cancel(self) -> None: ...
+
+
+@runtime_checkable
+class Host(Protocol):
+    """Everything the engines see of their node, one name per fact.
+
+    The intra-shard engine, its view-change manager, the batcher, the
+    cross-shard engine and the termination rounds read their node through
+    these members only, and import nothing from the simulator or the
+    replica.  :class:`repro.core.replica.ReplicaHost` implements it for
+    every replica kind (inert where a kind runs no cross-shard part), and
+    the tests' ``BagHost`` does without a simulator.
     """
 
+    #: this node, its cluster (members, ``f``, quorums, the primary of a view) and the cluster's id.
     node_id: NodeId
     cluster: ClusterConfig
+    cluster_id: ClusterId
+    #: the cluster's other members, one stable tuple (a multicast's destinations).
+    peers: tuple[int, ...]
+    #: per cluster of the deployment: (cross-shard quorum, member pid → voter bit).
+    voting: Mapping[ClusterId, tuple[int, Mapping[int, int]]]
+    #: the ordering log both engines share, the ledger view it applies to, and the timeouts.
     log: OrderingLog
-    #: the flight recorder; ``repro.obs.INERT_RECORDER`` when untraced.
-    recorder: Any
-    #: cross-shard termination rounds; read only for items ``spans_clusters`` accepts.
-    terminator: Any
-    #: simulated time at the host, and the timeout after which a backup suspects the primary.
+    chain: ClusterView
+    tuning: ProtocolTuning
+    #: simulated time at the node, and its flight recorder (``repro.obs.INERT_RECORDER`` untraced).
     now: float
-    view_change_timeout: float
+    recorder: Any
+    #: the engines; the cross-shard one, termination rounds and the client screen are None
+    #: where a replica kind runs no cross-shard part.
+    intra: ConsensusEngine
+    cross: Any
+    terminator: Any
+    request_guard: Any
 
-    def multicast_cluster(self, message: Any) -> None:
-        """Send ``message`` to every other node of this cluster."""
+    # Send to one node; to every node of ``nodes`` but this one; call ``callback(*args)``
+    # after ``delay``; apply the slots a decision made ready.
+    def send(self, node: int, message: Any) -> None: ...
+    def multicast(self, nodes: tuple[int, ...], message: Any) -> None: ...
+    def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> TimerHandle: ...
+    def after_decide(self) -> None: ...
 
-    def send_to(self, node_id: NodeId, message: Any) -> None:
-        """Send ``message`` to one node."""
+    # A cluster's primary (this one's current view, a remote one's last certified view);
+    # every node of some clusters (one stable tuple per set); a transaction's clusters;
+    # whether an ordered item is a cross-shard request (never re-proposed intra-shard).
+    def primary_pid_of(self, cluster_id: ClusterId) -> int: ...
+    def nodes_of_clusters(self, clusters: tuple[ClusterId, ...]) -> tuple[int, ...]: ...
+    def involved_clusters_of(self, transaction: Any) -> tuple[ClusterId, ...]: ...
+    def spans_clusters(self, item: object) -> bool: ...
 
-    def after_decide(self) -> None:
-        """Notify the host that new slots may be ready to apply."""
-
-    def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
-        """Arm a timer on the host's clock."""
-
-    def spans_clusters(self, item: object) -> bool:
-        """Whether an ordered item is a cross-shard request (never re-proposed intra-shard)."""
-
-    def announce_new_view(self, view: int, certificate: tuple) -> None:
-        """Tell the other clusters this replica now leads its cluster."""
-
-    def on_intra_view_installed(self, view: int) -> None:
-        """Reset view-scoped host state when a view is installed."""
-
-    def request_catch_up(self) -> None:
-        """Fetch state this replica is missing from its peers."""
+    # Hand a client request to this cluster's primary and watch that it commits; answer
+    # the clients of a cross-shard item given up on; at a view change, tell the other
+    # clusters this node leads now, reset view-scoped state, fetch missing state.
+    def relay_to_primary(self, request: Any) -> None: ...
+    def on_cross_shard_abort(self, item: object) -> None: ...
+    def announce_new_view(self, view: int, certificate: tuple) -> None: ...
+    def on_intra_view_installed(self, view: int) -> None: ...
+    def request_catch_up(self) -> None: ...
 
 
 class QuorumTracker:
@@ -204,14 +231,14 @@ class ConsensusEngine(HandlerTable):
     #: bound on parked later-view proposals (a Byzantine primary may inflate views).
     MAX_PARKED = 64
 
-    def __init__(self, host: ConsensusHost, phases: _Phases | None = None) -> None:
+    def __init__(self, host: Host, phases: _Phases | None = None) -> None:
         from .view_change import ViewChangeManager  # it imports QuorumTracker from here
 
         if phases is not None:
             self.PHASES, self.HANDLERS = phases, _handlers(phases)
         self.phases = phases = self.PHASES
         self.host = host
-        self.cluster_id: ClusterId = host.cluster.cluster_id
+        self.cluster_id: ClusterId = host.cluster_id
         self.view = 0
         quorum, members = phases.quorum(host.cluster), host.cluster.voter_bits
         self._votes = QuorumTracker(quorum, members)
@@ -253,7 +280,7 @@ class ConsensusEngine(HandlerTable):
         key = (view, slot, digest)
         if phases.votes_to_all:
             self._items[key] = item
-        host.multicast_cluster(phases.propose(view, slot, digest, item))
+        host.multicast(host.peers, phases.propose(view, slot, digest, item))
         self._open_slot(slot, item)
         # The proposal is the proposer's own vote.
         self._vote(key, host.node_id)
@@ -285,12 +312,12 @@ class ConsensusEngine(HandlerTable):
         vote = phases.vote(view, slot, digest, host.node_id)
         if phases.votes_to_all:
             self._items[key] = item
-            host.multicast_cluster(vote)
+            host.multicast(host.peers, vote)
             self._vote(key, host.node_id)
             # The proposal doubles as the proposer's vote: it sends no other.
             self._vote(key, src)
         else:
-            host.send_to(self.primary, vote)
+            host.send(self.primary, vote)
         if phases.optimistic:
             self._decide_on_proposal(key, item)
 
@@ -325,7 +352,7 @@ class ConsensusEngine(HandlerTable):
         # Prepared: vote to commit.  A key nobody proposed here has no item.
         view, slot, digest = key
         host.recorder.milestone(host, self._items.get(key), "prepared")
-        host.multicast_cluster(self.phases.commit(view, slot, digest, host.node_id))
+        host.multicast(host.peers, self.phases.commit(view, slot, digest, host.node_id))
         self._commit_vote(key, host.node_id)
 
     def _commit_vote(self, key: tuple[int, int, str], voter: int) -> None:
@@ -374,7 +401,7 @@ class ConsensusEngine(HandlerTable):
         host.recorder.milestone(host, item, "decided")
         self.view_change.slot_decided(slot)
         if announce:
-            host.multicast_cluster(announce(view, slot, digest, item))
+            host.multicast(host.peers, announce(view, slot, digest, item))
         host.after_decide()
 
     def _open_slot(self, slot: int, proposed: object = None) -> None:

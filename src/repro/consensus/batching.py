@@ -62,14 +62,11 @@ that decides the batch slot is the quorum recorded for every member.
 from __future__ import annotations
 
 from math import inf
-from typing import TYPE_CHECKING
 
 from ..common.types import ClusterId
+from .base import Host
 from .log import item_digest
 from .messages import ClientRequest, RequestBatch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.replica import SharPerReplica
 
 __all__ = [
     "BatchPipeline",
@@ -109,7 +106,7 @@ class BatchPipeline:
     vector.
     """
 
-    def __init__(self, host: "SharPerReplica") -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
         tuning = host.tuning
         self.batch_size: int = max(1, tuning.batch_size)
@@ -219,7 +216,7 @@ class BatchPipeline:
 
     def _pump_intra(self) -> None:
         queue = self._intra_queue
-        if not queue or not self.host.is_cluster_primary:
+        if not queue or not self.host.intra.is_primary:
             return
         while queue and self._intra_in_flight < self.window:
             item = self._seal(queue, None)
@@ -228,7 +225,7 @@ class BatchPipeline:
 
     def _pump_cross(self, involved: tuple[ClusterId, ...]) -> None:
         queue = self._cross_queues.get(involved)
-        if not queue or not self.host.is_cluster_primary:
+        if not queue or not self.host.intra.is_primary:
             return
         while queue and self._cross_in_flight < self.window:
             item = self._seal(queue, involved)
@@ -295,7 +292,7 @@ class BatchPipeline:
         self._intra_in_flight = 0
         self._cross_in_flight = 0
         host = self.host
-        if host.is_cluster_primary:
+        if host.intra.is_primary:
             self._pump_intra()
             self._pump_all_cross()
             return
@@ -305,11 +302,9 @@ class BatchPipeline:
             queued.extend(lane)
         self._cross_queues.clear()
         self.queued = 0
-        primary = host.primary_pid_of(host.cluster_id)
         self._release(queued)
         for request in queued:
-            host._monitor_forwarded_request(request)
-            host._forward(request, primary)
+            host.relay_to_primary(request)
 
     # ------------------------------------------------------------------
     # observability

@@ -299,6 +299,21 @@ class OrderingLog:
         self._decided_digests[digest] = slot
         return entry
 
+    def decide_unless_noop(self, slot, digest, item, positions, proposer) -> bool:
+        """Decide a cross-shard instance's slot; ``False`` where a view change's no-op holds it.
+
+        The instance loses there (the caller counts it; the client's retry
+        re-runs it); a conflicting *real* decision is a fork and raises.
+        """
+        try:
+            self.decide(slot, digest, item, positions=positions, proposer=proposer)
+        except ConsensusError:
+            entry = self._entries.get(slot)
+            if entry is None or not entry.is_noop:
+                raise
+            return False
+        return True
+
     def decided_slot_of(self, digest: str) -> int | None:
         """Slot at which ``digest`` was decided, if it was."""
         return self._decided_digests.get(digest)

@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..common.config import ClusterConfig
 from ..common.crypto import Signature
-from ..sim.simulator import Timer
-from .base import QuorumTracker
+from .base import QuorumTracker, TimerHandle
 from .log import EntryStatus, Noop, item_digest
 from .messages import NewView, ViewChange
 
@@ -125,7 +124,7 @@ class ViewChangeManager:
         self._monitored: set[int] = set()
         #: (deadline, slot) in arming order — deadlines are monotonic.
         self._deadlines: deque[tuple[float, int]] = deque()
-        self._timer: Timer | None = None
+        self._timer: TimerHandle | None = None
         self.in_view_change = False
         self.view_changes_completed = 0
         #: view-change votes dropped for bad/missing signatures, and
@@ -142,7 +141,7 @@ class ViewChangeManager:
             return
         host = self.engine.host
         self._monitored.add(slot)
-        deadline = host.now + host.view_change_timeout
+        deadline = host.now + host.tuning.view_change_timeout
         self._deadlines.append((deadline, slot))
         if self._timer is None or not self._timer.active:
             self._arm(deadline)
@@ -206,12 +205,10 @@ class ViewChangeManager:
         self.in_view_change = True
         new_view = self.engine.view + 1
         host = self.engine.host
-        host.recorder.vc_open(
-            host.now, int(host.node_id), int(host.cluster.cluster_id), new_view
-        )
+        host.recorder.vc_open(host.now, int(host.node_id), int(host.cluster_id), new_view)
         message = self._build_view_change(new_view)
-        self.engine.host.multicast_cluster(message)
-        self.handle_view_change(message, self.engine.host.node_id)
+        host.multicast(host.peers, message)
+        self.handle_view_change(message, host.node_id)
 
     def _build_view_change(self, new_view: int) -> ViewChange:
         log = self.engine.host.log
@@ -317,8 +314,8 @@ class ViewChangeManager:
         certificate = tuple(reports.values())
         self._enter_view(view)
         host = self.engine.host
-        host.multicast_cluster(
-            NewView(view=view, node=host.node_id, entries=(), certificate=certificate)
+        host.multicast(
+            host.peers, NewView(view=view, node=host.node_id, entries=(), certificate=certificate)
         )
         host.announce_new_view(view, certificate)
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from ..common.errors import ConsensusError
 from ..common.types import ClusterId, FaultModel
-from ..consensus.base import HandlerTable
+from ..consensus.base import HandlerTable, Host, TimerHandle
 from ..consensus.batching import members_all_committed
 from ..consensus.log import item_digest
 from ..consensus.messages import (
@@ -31,11 +30,7 @@ from ..consensus.messages import (
     CrossPropose,
     CrossProposeB,
 )
-from ..sim.simulator import Timer
 from .guard import ADMIT
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .replica import SharPerReplica
 
 __all__ = ["PHASE_TABLE", "CrashCrossShardEngine", "ByzantineCrossShardEngine"]
 
@@ -117,7 +112,7 @@ class _Instance:
     accept_sent: bool = False
     commit_sent: bool = False
     decided: bool = False
-    timer: Timer | None = None
+    timer: TimerHandle | None = None
 
 
 class _CrossShardEngine(HandlerTable):
@@ -129,7 +124,7 @@ class _CrossShardEngine(HandlerTable):
 
     PHASES: _Phases
 
-    def __init__(self, host: "SharPerReplica") -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
         self._build_handlers()
         self._phases = self.PHASES
@@ -138,8 +133,8 @@ class _CrossShardEngine(HandlerTable):
         self._assigned_slots: dict[str, int] = {}
         #: digests whose state was request-less at the last compaction.
         self._orphans: set[str] = set()
-        #: per cluster, resolved once: (vote quorum: f + 1 crash, 2f + 1 Byzantine; voter bits).
-        self._voting = {c.cluster_id: (c.cross_quorum, c.voter_bits) for c in host.config.clusters}
+        #: per cluster: (vote quorum: f + 1 crash, 2f + 1 Byzantine; voter bits).
+        self._voting = host.voting
         #: votes refused: the sender is not a member of the cluster it speaks for.
         self.foreign_votes = 0
         #: votes refused: a slot or position vector that is not well formed.
@@ -231,7 +226,7 @@ class _CrossShardEngine(HandlerTable):
         if state is None or state.decided:
             return
         host = self.host
-        driving = state.initiator_cluster == host.cluster_id and host.is_cluster_primary
+        driving = state.initiator_cluster == host.cluster_id and host.intra.is_primary
         if self._phases.retry_needs_primary and not driving:
             return  # every node holds state, and a primary may have lost its seat
         if state.attempt >= host.tuning.max_conflict_retries:
@@ -274,14 +269,14 @@ class _CrossShardEngine(HandlerTable):
             # The initiator fixed the local position; a refused record still votes.
             slot = message.initiator_slot
             host.log.try_record_pending(slot, digest, request, proposer=mine)
-        elif host.is_cluster_primary and (state is None or state.my_slot is None):
+        elif host.intra.is_primary and (state is None or state.my_slot is None):
             slot = self._reserve_slot(digest, request)
             if state is not None:
                 state.my_slot = slot
         # else: a remote backup.  Algorithm 1's votes without a slot; Algorithm
         # 2's waits for its primary's accept to announce one.
         if state is None:
-            host.send_to(src, phases.accept(digest, mine, host.node_id, slot, message.attempt))
+            host.send(src, phases.accept(digest, mine, host.node_id, slot, message.attempt))
         else:
             self._send_accept(state)
 
@@ -445,21 +440,16 @@ class _CrossShardEngine(HandlerTable):
     def _decide_local(self, slot: int, digest: str, item, positions, proposer, forget=False) -> None:
         """This cluster's slot of the instance is decided here: log, stamp, apply.
 
-        The one ``log.decide`` call.  A late commit onto a slot a view change
-        no-op filled is dropped and counted (the client's retry re-runs the
-        instance); a conflicting *real* decision is a fork and raises.
+        A late commit onto a slot a view change no-op filled is dropped and
+        counted (:meth:`~repro.consensus.log.OrderingLog.decide_unless_noop`).
         ``forget`` drops the state once the log, its only record, holds it.
         """
         host = self.host
-        try:
-            logged = host.log.decide(slot, digest, item, positions=positions, proposer=proposer)
-        except ConsensusError:
-            entry = host.log.entry(slot)
-            if entry is None or not entry.is_noop:
-                raise
+        log = host.log
+        if not log.decide_unless_noop(slot, digest, item, positions, proposer):
             self.late_commits += 1
             return
-        if forget and logged is not None:
+        if forget and slot > log.low_water_mark:
             del self._states[digest]
         host.recorder.milestone(host, item, "decided")
         host.after_decide()

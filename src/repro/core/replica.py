@@ -85,14 +85,14 @@ def _shared_block(item, transactions, positions, proposer, parents) -> Block:
 
 
 class ReplicaHost(Process):
-    """The :class:`~repro.consensus.base.ConsensusHost` every replica kind is.
+    """The :class:`~repro.consensus.base.Host` every replica kind is.
 
-    One ordering log and one ledger view per node, the cluster-local
-    send helpers the engines call, the in-order apply loop, the
-    execute-and-append step of replicas that own an ``executor``, and the
-    client reply.  SharPer's replica, the non-sharded baselines' active
-    replica and AHL's reference-committee member extend it with the
-    engine(s) they run (``self.intra``) and their ``_apply``.
+    One ordering log and one ledger view per node, the routing tables the
+    engines read, the in-order apply loop, the execute-and-append step of
+    replicas that own an ``executor``, and the client reply.  SharPer's
+    replica, the non-sharded baselines' active replica and AHL's
+    reference-committee member extend it with the engine(s) they run
+    (``self.intra``) and their ``_apply``.
     """
 
     def __init__(
@@ -121,24 +121,34 @@ class ReplicaHost(Process):
         # Stable destination tuple: the network memoises a route per
         # (sender, destination tuple), so hand it the same tuple object
         # for the whole run instead of rebuilding a list per multicast.
-        self._cluster_peers = tuple(
-            int(node) for node in cluster.node_ids if node != node_id
-        )
+        self.peers = tuple(int(node) for node in cluster.node_ids if node != node_id)
+        #: per cluster: (cross-shard quorum, member pid → voter bit), resolved once.
+        self.voting = {c.cluster_id: (c.cross_quorum, c.voter_bits) for c in config.clusters}
+        # Remote-primary table: who currently speaks for each other
+        # cluster.  Pre-resolved to plain pids (replacing a linear config
+        # scan per lookup) and updated only through certificate-verified
+        # NewViewAnnouncements — a bare claim never changes it.
+        self._remote_primaries: dict[ClusterId, int] = {
+            remote.cluster_id: int(remote.primary) for remote in config.clusters
+        }
+        #: memoised destination tuples per involved-cluster set (stable
+        #: objects, for the same reason as ``peers``).
+        self._nodes_of: dict[tuple[ClusterId, ...], tuple[int, ...]] = {}
 
-    #: cross-shard termination rounds (SharPer's replica arms one); read
-    #: only for items :meth:`spans_clusters` accepts.
-    terminator = None
+    def relay_to_primary(self, request: ClientRequest) -> None:
+        """Hand a client request to this cluster's primary."""
+        self.send(int(self.intra.primary), request)
 
-    @property
-    def view_change_timeout(self) -> float:
-        """Timeout used by the view-change manager (ConsensusHost interface)."""
-        return self.tuning.view_change_timeout
+    # The cross-shard part of the Host surface, inert here: no cross-shard
+    # engine, termination rounds, client screen or items, no remote
+    # clusters tracking this one, nothing view-scoped, no state transfer.
+    cross = terminator = request_guard = None
 
-    # The view-change manager's hooks (ConsensusHost interface), inert
-    # here: no cross-shard items, no remote clusters tracking this one,
-    # nothing view-scoped, no state transfer.
     def spans_clusters(self, item: object) -> bool:
         return False
+
+    def on_cross_shard_abort(self, item: object) -> None:
+        pass
 
     def announce_new_view(self, view: int, certificate: tuple) -> None:
         pass
@@ -149,13 +159,35 @@ class ReplicaHost(Process):
     def request_catch_up(self) -> None:
         pass
 
-    def multicast_cluster(self, message: object) -> None:
-        """Send ``message`` to every other node of this cluster."""
-        self.multicast(self._cluster_peers, message)
+    def primary_pid_of(self, cluster_id: ClusterId) -> int:
+        """Process id of the primary of ``cluster_id``.
 
-    def send_to(self, node_id: int, message: object) -> None:
-        """Send ``message`` to one node."""
-        self.send(int(node_id), message)
+        For the local cluster the current view is used; remote primaries
+        come from the pre-resolved table, which starts at every cluster's
+        initial view and advances only through certificate-verified
+        :class:`~repro.consensus.messages.NewViewAnnouncement` messages
+        (see :meth:`SharPerReplica._on_new_view_announcement`).
+        """
+        if cluster_id == self.cluster_id:
+            return int(self.intra.primary)
+        return self._remote_primaries[cluster_id]
+
+    def nodes_of_clusters(self, clusters: Iterable[ClusterId]) -> tuple[int, ...]:
+        """Process ids of every node of the given clusters (memoised per set)."""
+        if clusters.__class__ is not tuple:
+            clusters = tuple(clusters)
+        nodes = self._nodes_of.get(clusters)
+        if nodes is None:
+            nodes = self._nodes_of[clusters] = tuple(
+                int(node)
+                for cluster_id in clusters
+                for node in self.config.cluster(cluster_id).node_ids
+            )
+        return nodes
+
+    def involved_clusters_of(self, transaction: Transaction) -> tuple[ClusterId, ...]:
+        """Clusters whose shards ``transaction`` accesses."""
+        return sharding.involved_clusters(transaction, self.mapper)
 
     def after_decide(self) -> None:
         """Apply every decided slot that is next in line (in slot order)."""
@@ -257,17 +289,7 @@ class SharPerReplica(ReplicaHost):
         #: the one submission path: every client request this replica
         #: orders enters through the pipeline, whatever the batch size.
         self.batcher = BatchPipeline(self)
-        # Remote-primary table: who currently speaks for each other
-        # cluster.  Pre-resolved to plain pids (replacing a linear config
-        # scan per lookup) and updated only through certificate-verified
-        # NewViewAnnouncements — a bare claim never changes it.
-        self._remote_primaries: dict[ClusterId, int] = {
-            remote.cluster_id: int(remote.primary) for remote in config.clusters
-        }
         self._remote_views: dict[ClusterId, int] = {}
-        #: memoised destination tuples per involved-cluster set (stable
-        #: objects, for the same reason as ``_cluster_peers``).
-        self._nodes_of: dict[tuple[ClusterId, ...], tuple[int, ...]] = {}
         # Table-driven dispatch: merge the engines' handler tables into the
         # process-level table once, so delivery is a single dict lookup
         # (the message sets of the engines and managers are disjoint).
@@ -282,41 +304,6 @@ class SharPerReplica(ReplicaHost):
     # ------------------------------------------------------------------
     # identity helpers
     # ------------------------------------------------------------------
-    @property
-    def is_cluster_primary(self) -> bool:
-        """Whether this replica is the primary of its cluster's current view."""
-        return self.intra.is_primary
-
-    def primary_pid_of(self, cluster_id: ClusterId) -> int:
-        """Process id of the primary of ``cluster_id``.
-
-        For the local cluster the current view is used; remote primaries
-        come from the pre-resolved table, which starts at every cluster's
-        initial view and advances only through certificate-verified
-        :class:`~repro.consensus.messages.NewViewAnnouncement` messages
-        (see :meth:`_on_new_view_announcement`).
-        """
-        if cluster_id == self.cluster_id:
-            return int(self.intra.primary)
-        return self._remote_primaries[cluster_id]
-
-    def nodes_of_clusters(self, clusters: Iterable[ClusterId]) -> tuple[int, ...]:
-        """Process ids of every node of the given clusters (memoised per set)."""
-        if clusters.__class__ is not tuple:
-            clusters = tuple(clusters)
-        nodes = self._nodes_of.get(clusters)
-        if nodes is None:
-            nodes = self._nodes_of[clusters] = tuple(
-                int(node)
-                for cluster_id in clusters
-                for node in self.config.cluster(cluster_id).node_ids
-            )
-        return nodes
-
-    def involved_clusters_of(self, transaction: Transaction) -> tuple[ClusterId, ...]:
-        """Clusters whose shards ``transaction`` accesses."""
-        return sharding.involved_clusters(transaction, self.mapper)
-
     def spans_clusters(self, item: object) -> bool:
         """Whether an ordered item is a cross-shard client request.
 
@@ -416,8 +403,7 @@ class SharPerReplica(ReplicaHost):
             self._forward(request, self.primary_pid_of(target))
             return
         if not self.intra.is_primary:
-            self._monitor_forwarded_request(request)
-            self._forward(request, self.primary_pid_of(self.cluster_id))
+            self.relay_to_primary(request)
             return
         if self.log.slot_of(item_digest(request)) is not None:
             # Retry of a request already ordered (or in flight) here:
@@ -441,8 +427,7 @@ class SharPerReplica(ReplicaHost):
             self._forward(request, self.primary_pid_of(initiator))
             return
         if not self.intra.is_primary:
-            self._monitor_forwarded_request(request)
-            self._forward(request, self.primary_pid_of(self.cluster_id))
+            self.relay_to_primary(request)
             return
         self.recorder.phase(self.sim.now, request.transaction.tx_id, "enqueue", self.pid)
         self.batcher.submit_cross(request, involved)
@@ -453,8 +438,8 @@ class SharPerReplica(ReplicaHost):
         self.forwarded_requests += 1
         self.send(destination, request)
 
-    def _monitor_forwarded_request(self, request: ClientRequest) -> None:
-        """PBFT's request timer: relay to the primary, then watch it.
+    def relay_to_primary(self, request: ClientRequest) -> None:
+        """PBFT's request timer: watch the request, then relay it to the primary.
 
         A backup that hands a client request to its cluster primary
         starts a timer; if the transaction has not committed when it
@@ -467,11 +452,12 @@ class SharPerReplica(ReplicaHost):
         so the fast path is untouched.
         """
         self.set_timer(
-            self.view_change_timeout,
+            self.tuning.view_change_timeout,
             self._check_forwarded_request,
             request.transaction.tx_id,
             self.intra.view,
         )
+        self._forward(request, self.primary_pid_of(self.cluster_id))
 
     def _check_forwarded_request(self, tx_id: str, view_at_forward: int) -> None:
         if self.chain.contains_tx(tx_id):
@@ -538,7 +524,7 @@ class SharPerReplica(ReplicaHost):
         if self._gap_timer is not None:
             return
         self._gap_timer = self.set_timer(
-            self.view_change_timeout,
+            self.tuning.view_change_timeout,
             self._on_gap_timeout,
             self.log.next_apply,
             self.intra.view,

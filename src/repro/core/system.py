@@ -21,7 +21,7 @@ from ..adversary import SafetyAuditor, SafetyReport
 from ..api.registry import register_system
 from ..common.config import SystemConfig
 from ..common.metrics import MetricsCollector
-from ..common.types import AccountId, ClientId, ClusterId, FaultModel
+from ..common.types import AccountId, ClientId, ClusterId
 from ..ledger.validation import AuditReport, audit_views
 from ..ledger.view import ClusterView
 from ..obs.recorder import INERT_RECORDER
@@ -138,9 +138,7 @@ class BaseSystem:
     @property
     def required_replies(self) -> int:
         """Matching replies a client must collect: 1 crash, ``f + 1`` Byzantine."""
-        if self.config.fault_model is FaultModel.CRASH:
-            return 1
-        return self.config.clusters[0].f + 1
+        return self.config.clusters[0].reply_quorum
 
     def views(self) -> dict[ClusterId, ClusterView]:
         """One representative ledger view per cluster (for audits)."""

@@ -117,7 +117,7 @@ class CheckpointManager(HandlerTable):
         while len(self._records) > self.MAX_PENDING_RECORDS:
             del self._records[min(self._records)]
         self.taken += 1
-        host.multicast_cluster(Checkpoint(seq=seq, digest=digest, node=host.node_id))
+        host.multicast(host.peers, Checkpoint(seq=seq, digest=digest, node=host.node_id))
         self._vote(seq, digest, int(host.pid))
 
     # ------------------------------------------------------------------

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..common.types import FaultModel
 from ..consensus.base import HandlerTable
 from ..consensus.log import EntryStatus, item_digest
 from ..storage import StateStore
@@ -54,7 +53,7 @@ class StateTransferManager(HandlerTable):
         self.host = host
         self._build_handlers()
         #: matching responses required before trusting a snapshot/entry.
-        self.quorum = 1 if host.cluster.fault_model is FaultModel.CRASH else host.cluster.f + 1
+        self.quorum = host.cluster.reply_quorum
         self._cooldown_until = 0.0
         self._round_active = False
         #: (checkpoint_seq, digest, tx_index) → verified helper pids.
@@ -96,14 +95,14 @@ class StateTransferManager(HandlerTable):
         now = host.now
         if now < self._cooldown_until:
             return
-        self._cooldown_until = now + host.view_change_timeout
+        self._cooldown_until = now + host.tuning.view_change_timeout
         self._round_active = True
         self._snapshot_votes.clear()
         self._entry_votes.clear()
         self._view_claims.clear()
         self.requested += 1
-        host.multicast_cluster(
-            StateRequest(node=host.node_id, have_seq=host.log.next_apply - 1)
+        host.multicast(
+            host.peers, StateRequest(node=host.node_id, have_seq=host.log.next_apply - 1)
         )
 
     # ------------------------------------------------------------------
@@ -138,7 +137,7 @@ class StateTransferManager(HandlerTable):
             for entry in host.log.entries()
             if entry.slot > base and entry.status is not EntryStatus.PENDING
         )
-        host.send_to(
+        host.send(
             src,
             StateResponse(
                 checkpoint_seq=base,

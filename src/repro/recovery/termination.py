@@ -28,17 +28,11 @@ only ever runs for slots above the cluster's low-water mark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from ..common.errors import ConsensusError
-from ..common.types import ClusterId, FaultModel
-from ..consensus.base import HandlerTable
+from ..common.types import ClusterId
+from ..consensus.base import HandlerTable, Host, TimerHandle
 from ..consensus.log import EntryStatus, Noop, item_digest
-from ..sim.simulator import Timer
 from .messages import TerminationDecision, TerminationReply, TerminationRequest
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..core.replica import SharPerReplica
 
 __all__ = ["CrossShardTerminator"]
 
@@ -57,7 +51,7 @@ class _TerminationState:
     #: one representative decided reply per positions-vector key.
     evidence: dict[tuple, TerminationReply] = field(default_factory=dict)
     resolved: bool = False
-    timer: Timer | None = None
+    timer: TimerHandle | None = None
 
 
 class CrossShardTerminator(HandlerTable):
@@ -69,10 +63,10 @@ class CrossShardTerminator(HandlerTable):
         TerminationDecision: "_on_decision",
     }
 
-    def __init__(self, host: "SharPerReplica") -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
         self._build_handlers()
-        self.quorum = 1 if host.cluster.fault_model is FaultModel.CRASH else host.cluster.f + 1
+        self.quorum = host.cluster.reply_quorum
         self._states: dict[str, _TerminationState] = {}
         self.started = 0
         self.adopted = 0
@@ -157,7 +151,7 @@ class CrossShardTerminator(HandlerTable):
             # termination exists for — does the reply degrade to
             # ``decided=False``.
             reply = self._reply_from_ledger(message)
-        host.send_to(src, reply)
+        host.send(src, reply)
 
     def _reply_from_ledger(self, message: TerminationRequest) -> TerminationReply:
         host = self.host
@@ -213,10 +207,12 @@ class CrossShardTerminator(HandlerTable):
             return
         proposer = evidence.proposer if evidence.proposer is not None else host.cluster_id
         item = evidence.item if evidence.item is not None else state.item
-        if not self._decide(my_slot, state.digest, item, positions, proposer):
+        if not host.log.decide_unless_noop(my_slot, state.digest, item, positions, proposer):
+            self.conflicted += 1
             return
         self.adopted += 1
-        host.multicast_cluster(
+        host.multicast(
+            host.peers,
             TerminationDecision(
                 digest=state.digest,
                 positions=evidence.positions,
@@ -224,7 +220,7 @@ class CrossShardTerminator(HandlerTable):
                 item=item,
                 view=state.view,
                 node=host.node_id,
-            )
+            ),
         )
         host.after_decide()
 
@@ -238,17 +234,9 @@ class CrossShardTerminator(HandlerTable):
         my_slot = positions.get(host.cluster_id)
         if my_slot is None:
             return
-        if self._decide(my_slot, message.digest, message.item, positions, message.proposer):
+        if host.log.decide_unless_noop(
+            my_slot, message.digest, message.item, positions, message.proposer
+        ):
             host.after_decide()
-
-    def _decide(self, slot, digest, item, positions, proposer) -> bool:
-        host = self.host
-        try:
-            host.log.decide(slot, digest, item, positions=positions, proposer=proposer)
-        except ConsensusError:
-            entry = host.log.entry(slot)
-            if entry is None or not entry.is_noop:
-                raise
+        else:
             self.conflicted += 1
-            return False
-        return True

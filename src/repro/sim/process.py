@@ -115,7 +115,7 @@ class Process:
 
     @property
     def now(self) -> float:
-        """Current simulated time (ConsensusHost interface)."""
+        """Current simulated time (the engines' ``Host.now``)."""
         return self.sim.now
 
     # ------------------------------------------------------------------

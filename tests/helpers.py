@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.common.config import ClusterConfig, SystemConfig
+from repro.common.config import ClusterConfig, ProtocolTuning, SystemConfig
 from repro.common.types import ClusterId, FaultModel, NodeId
+from repro.consensus.batching import member_requests
 from repro.consensus.log import OrderingLog
+from repro.core.guard import InertGuard
+from repro.core.sharding import involved_clusters
+from repro.ledger.view import ClusterView
 from repro.obs import INERT_RECORDER
 from repro.txn.transaction import Transaction
 
@@ -30,51 +36,134 @@ class FakeTimer:
 
 @dataclass
 class SentMessage:
-    """A message captured by :class:`FakeHost`."""
+    """A message captured by :class:`BagHost`."""
 
     kind: str  # "multicast" or "send"
     destination: int | None
     message: object
 
 
-class FakeHost:
-    """Minimal in-memory ConsensusHost used to unit-test engines."""
+class Bag:
+    """The network and clock of a simulator-free run, shared by its :class:`BagHost` nodes.
 
-    def __init__(self, node_id: int, cluster: ClusterConfig) -> None:
+    A sent message waits in ``pending`` as ``(src, dst, message)`` until a
+    test delivers it, in whatever order the test picks; a timer waits in
+    the ``timers`` heap until :meth:`fire_timer`.  No simulator, no network.
+    """
+
+    def __init__(self, clusters, mapper=None) -> None:
+        self.clusters = {cluster.cluster_id: cluster for cluster in clusters}
+        self.mapper = mapper
+        self.hosts: dict[int, BagHost] = {}
+        self.pending: list[tuple[int, int, object]] = []
+        self.timers: list[tuple] = []
+        self.now = 0.0
+        self._seq = itertools.count()
+
+    def deliver(self, index: int = 0) -> None:
+        """Hand the pending message at ``index`` to its destination."""
+        src, dst, message = self.pending.pop(index)
+        if dst in self.hosts:
+            self.hosts[dst].handle(message, src)
+
+    def run(self, pick=lambda pending: 0, limit: int = 100_000) -> None:
+        """Deliver until nothing is pending; ``pick(pending)`` is the next message's index."""
+        for _ in range(limit):
+            if not self.pending:
+                return
+            self.deliver(pick(self.pending))
+        raise AssertionError(f"{len(self.pending)} messages still pending after {limit}")
+
+    def fire_timer(self) -> bool:
+        """Move the clock to the earliest live timer and fire it; ``False`` if none is left."""
+        while self.timers:
+            deadline, _, timer, callback, args = heapq.heappop(self.timers)
+            if timer.active:
+                self.now = max(self.now, deadline)
+                callback(*args)
+                return True
+        return False
+
+
+class BagHost:
+    """A :class:`~repro.consensus.base.Host` without a simulator: one node of a :class:`Bag`.
+
+    Sends go into the bag (a bag of its own when none is shared) and are
+    recorded in ``sent``; timers go into the bag's heap.  A test attaches
+    the engines it drives (``intra``, ``cross``, ``terminator``).
+    """
+
+    def __init__(self, node_id: int, cluster: ClusterConfig, bag: Bag | None = None) -> None:
+        self.bag = bag = bag if bag is not None else Bag((cluster,))
+        bag.hosts[int(node_id)] = self
         self.node_id = NodeId(node_id)
         self.cluster = cluster
+        self.cluster_id = cluster.cluster_id
+        self.peers = tuple(int(node) for node in cluster.node_ids if node != node_id)
+        self.voting = {
+            c.cluster_id: (c.cross_quorum, c.voter_bits) for c in bag.clusters.values()
+        }
         self.log = OrderingLog(cluster.cluster_id)
-        self.sent: list[SentMessage] = []
-        self.decide_notifications = 0
-        self.timers: list[FakeTimer] = []
-        #: simulated clock (ConsensusHost interface); tests may advance it.
-        self.now = 0.0
-        #: flight recorder (ConsensusHost interface); left inert here.
+        self.chain = ClusterView(cluster.cluster_id)
+        self.tuning = ProtocolTuning()
         self.recorder = INERT_RECORDER
-        #: no cross-shard items here, so no termination rounds either.
-        self.terminator = None
+        self.request_guard = InertGuard(self.chain)
+        self.intra = self.cross = self.terminator = None
+        self.sent: list[SentMessage] = []
+        self.timers: list[FakeTimer] = []
+        self.decide_notifications = 0
+        self.aborted: list[object] = []
 
-    # -- ConsensusHost interface ---------------------------------------
-    def multicast_cluster(self, message: object) -> None:
+    @property
+    def now(self) -> float:
+        return self.bag.now
+
+    def handle(self, message: object, src: int) -> None:
+        """Deliver ``message`` to whichever attached engine handles its type."""
+        for engine in (self.intra, self.cross, self.terminator):
+            if engine is not None and engine.handle(message, src):
+                return
+
+    # -- Host interface --------------------------------------------------
+    def send(self, node: int, message: object) -> None:
+        self.sent.append(SentMessage("send", int(node), message))
+        self.bag.pending.append((int(self.node_id), int(node), message))
+
+    def multicast(self, nodes, message: object) -> None:
         self.sent.append(SentMessage("multicast", None, message))
-
-    def send_to(self, node_id: int, message: object) -> None:
-        self.sent.append(SentMessage("send", int(node_id), message))
-
-    def after_decide(self) -> None:
-        self.decide_notifications += 1
+        me = int(self.node_id)
+        self.bag.pending.extend((me, node, message) for node in nodes if node != me)
 
     def set_timer(self, delay: float, callback, *args) -> FakeTimer:
         timer = FakeTimer()
         self.timers.append(timer)
+        bag = self.bag
+        heapq.heappush(bag.timers, (bag.now + delay, next(bag._seq), timer, callback, args))
         return timer
 
-    @property
-    def view_change_timeout(self) -> float:
-        return 0.5
+    def after_decide(self) -> None:
+        self.decide_notifications += 1
+
+    def primary_pid_of(self, cluster_id) -> int:
+        if cluster_id == self.cluster_id:
+            return int(self.intra.primary)
+        return int(self.bag.clusters[cluster_id].primary)
+
+    def nodes_of_clusters(self, clusters) -> tuple[int, ...]:
+        return tuple(int(node) for c in clusters for node in self.bag.clusters[c].node_ids)
+
+    def involved_clusters_of(self, transaction) -> tuple[ClusterId, ...]:
+        return involved_clusters(transaction, self.bag.mapper)
 
     def spans_clusters(self, item: object) -> bool:
-        return False
+        requests = member_requests(item)
+        return bool(requests) and len(self.involved_clusters_of(requests[0].transaction)) > 1
+
+    def relay_to_primary(self, request) -> None:
+        self.send(self.primary_pid_of(self.cluster_id), request)
+
+    def on_cross_shard_abort(self, item: object) -> None:
+        self.aborted.append(item)
 
     def announce_new_view(self, view: int, certificate: tuple) -> None:
         pass
@@ -88,6 +177,11 @@ class FakeHost:
     # -- convenience -----------------------------------------------------
     def messages_of_type(self, message_type) -> list[object]:
         return [sent.message for sent in self.sent if isinstance(sent.message, message_type)]
+
+
+#: the engine unit tests' name for a BagHost whose messages nobody delivers:
+#: they read what it sent.
+FakeHost = BagHost
 
 
 def crash_cluster(cluster_id: int = 0, size: int = 3, f: int = 1) -> ClusterConfig:
@@ -129,7 +223,6 @@ def assert_roles_follow_views(replicas) -> None:
             f"engine says {engine.primary}"
         )
         assert engine.is_primary == (replica.node_id == elected)
-        assert replica.is_cluster_primary == engine.is_primary
 
 
 def archived_precedes(archive, earlier, later) -> bool:

@@ -140,7 +140,7 @@ BASELINES_PINNED = {
 
 @pytest.mark.parametrize("system_name,fault_model", sorted(BASELINES_PINNED, key=repr))
 def test_shared_replica_host_moves_no_baseline_result(system_name, fault_model):
-    """Same destinations in the same order over the stable ``_cluster_peers``
+    """Same destinations in the same order over the stable ``peers``
     tuple, so every link-jitter draw — and every result — stays put."""
     system, stats = run(system_name, fault_model, cross_fraction=0.3)
     observed = (
@@ -152,5 +152,5 @@ def test_shared_replica_host_moves_no_baseline_result(system_name, fault_model):
     assert observed == BASELINES_PINNED[(system_name, fault_model)]
     hosts = list(system.replicas.values()) + list(getattr(system, "committee_replicas", {}).values())
     for host in hosts:
-        assert host.pid not in host._cluster_peers
-        assert set(host._cluster_peers) | {host.pid} == {int(n) for n in host.cluster.node_ids}
+        assert host.pid not in host.peers
+        assert set(host.peers) | {host.pid} == {int(n) for n in host.cluster.node_ids}

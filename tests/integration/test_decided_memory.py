@@ -276,7 +276,7 @@ def test_state_response_entries_are_byte_identical_for_intra_slots(fault_model):
     system = _scenario(fault_model, cross=0.2, clients=8, duration=0.06, clusters=2).run().system
     replica = system.replicas[1]
     sent = []
-    replica.send_to = lambda dst, message: sent.append(message)
+    replica.send = lambda dst, message: sent.append(message)
     replica.state_transfer.handle(StateRequest(node=0, have_seq=0), src=0)
     [response] = sent
     decided = [e for e in replica.log.entries() if e.status is not EntryStatus.PENDING]

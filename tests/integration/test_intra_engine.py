@@ -8,19 +8,22 @@ new view and replays them when it installs that view.  All of them
 were recorded before Paxos, PBFT, Fast Paxos and FaB became one engine.
 
 Beside the pins: single-node crash clusters (``f = 0``) commit, traced
-Fast Paxos / FaB runs record their deciding votes, and AHL's known
-cross-shard atomicity break under a shard-primary crash (a strict xfail).
+Fast Paxos / FaB runs record their deciding votes, and two known breaks
+held as strict xfails: AHL's cross-shard atomicity under a shard-primary
+crash, and a Byzantine fork when the crashed primary recovers inside the
+view change.
 """
 
 import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
+from repro.common.errors import ConsensusError
 from repro.common.types import FaultModel
-from repro.consensus.base import ConsensusEngine, ConsensusHost
+from repro.consensus.base import ConsensusEngine, Host
 from repro.obs import TraceSpec, straggler_summary
 from repro.txn.workload import WorkloadConfig
 
-from helpers import FakeHost, crash_cluster, report_fingerprint, trace_fingerprint
+from helpers import BagHost, FakeHost, crash_cluster, report_fingerprint, trace_fingerprint
 
 CRASH, BYZANTINE = FaultModel.CRASH, FaultModel.BYZANTINE
 SPANS_ONLY = TraceSpec(gauge_interval=0)
@@ -63,7 +66,7 @@ def test_traced_baselines_reproduce_the_parent_commit(system, fault_model):
         assert report_fingerprint(report) == report_pin
 
 
-def byzantine_failover() -> Scenario:
+def byzantine_failover(duration=1.3, seed=5, recover_at=1.0008) -> Scenario:
     """Cluster 0's primary crashes at 0.1 s; the view change installs view 1
     at ~0.90 s, and the old primary recovers at 1.0008 s — just before two
     view-1 pre-prepares reach it and before its state transfer attests
@@ -74,12 +77,12 @@ def byzantine_failover() -> Scenario:
         ),
         workload=WorkloadConfig(cross_shard_fraction=0.1, accounts_per_shard=64),
         clients=24,
-        duration=1.3,
-        seed=5,
+        duration=duration,
+        seed=seed,
         retry_timeout=0.1,
         faults=FaultSchedule()
         .crash_primary(at=0.1, cluster=0)
-        .recover_node(at=1.0008, node_id=0),
+        .recover_node(at=recover_at, node_id=0),
     )
 
 
@@ -118,14 +121,33 @@ def test_byzantine_failover_reproduces_the_parent_commit(monkeypatch):
     assert observed == FAILOVER_PINNED
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConsensusError,
+    reason="a recovery inside the view change forks Byzantine SharPer (ROADMAP 2(f))",
+)
+@pytest.mark.parametrize("seed", [2, 5])
+def test_a_recovery_inside_the_view_change_does_not_fork(seed):
+    """``byzantine_failover`` with the old primary back at 0.9 s, ~0.5 ms after
+    view 1 installs: seeds 2 and 5 decide slot 168 / 184 twice (no fix yet)."""
+    byzantine_failover(duration=1.2, seed=seed, recover_at=0.9).run()
+
+
 @pytest.mark.parametrize("system", ["sharper", "apr", "fast", "ahl"])
 def test_every_host_is_a_consensus_host(system):
-    """One host surface: each replica kind (and the unit tests' stub) has all
-    of it, the view-change hooks included, so nothing is probed by name."""
+    """One host surface: each replica kind (and the unit tests' stubs) has all
+    of it, the cross-shard part included, so nothing is probed by name; and
+    every engine, manager and batcher a replica runs sees its replica as it."""
     built = Scenario(deployment=DeploymentSpec(system=system)).build_system()
     hosts = list(built.replicas.values()) + list(getattr(built, "committee_replicas", {}).values())
-    assert hosts and all(isinstance(host, ConsensusHost) for host in hosts)
-    assert isinstance(FakeHost(0, crash_cluster()), ConsensusHost)
+    assert hosts and all(isinstance(host, Host) for host in hosts)
+    parts = ("intra", "cross", "terminator", "batcher")
+    engines = [getattr(host, part, None) for host in hosts for part in parts]
+    assert all(isinstance(engine.host, Host) for engine in engines if engine is not None)
+    if system in ("sharper", "ahl"):  # the cross-shard engine's host is among them
+        assert all(replica.cross is not None for replica in built.replicas.values())
+    assert isinstance(FakeHost(0, crash_cluster()), Host)
+    assert isinstance(BagHost(0, crash_cluster()), Host)
 
 
 @pytest.mark.parametrize("fault_model", [CRASH, BYZANTINE])

@@ -9,6 +9,7 @@ from repro.adversary import (
     get_behavior,
     make_behavior,
 )
+from repro.common.config import ProtocolTuning
 from repro.common.errors import ConfigurationError
 from repro.consensus.log import Noop, item_digest
 from repro.consensus.messages import PBFTCommit, Prepare, PrePrepare
@@ -22,7 +23,7 @@ class FakeReplica:
     def __init__(self, pid=0, cluster=None, view_change_timeout=0.5):
         self.pid = pid
         self.cluster = cluster or byzantine_cluster()
-        self.view_change_timeout = view_change_timeout
+        self.tuning = ProtocolTuning(view_change_timeout=view_change_timeout)
 
 
 class TestRegistry:

@@ -35,7 +35,8 @@ def make_request(index: int) -> ClientRequest:
 
 
 class FakeIntra:
-    def __init__(self):
+    def __init__(self, primary=True):
+        self.is_primary = primary
         self.submitted = []
 
     def submit(self, item):
@@ -51,31 +52,22 @@ class FakeCross:
 
 
 class FakeHost:
-    """The slice of SharPerReplica that BatchPipeline touches."""
+    """The slice of the `Host` surface that BatchPipeline touches."""
 
     def __init__(self, batch_size=4, pipeline_depth=2, primary=True):
         self.tuning = ProtocolTuning(
             batch_size=batch_size, pipeline_depth=pipeline_depth
         )
-        self.is_cluster_primary = primary
-        self.cluster_id = ClusterId(0)
-        self.intra = FakeIntra()
+        self.intra = FakeIntra(primary)
         self.cross = FakeCross()
-        self.forwarded = []
-        self.monitored = []
-        #: flight recorder (ConsensusHost interface); left inert here.
+        self.relayed = []
+        #: flight recorder (Host interface); left inert here.
         self.recorder = INERT_RECORDER
         self.now = 0.0
         self.node_id = 0
 
-    def primary_pid_of(self, cluster):
-        return 1
-
-    def _monitor_forwarded_request(self, request):
-        self.monitored.append(request)
-
-    def _forward(self, request, destination):
-        self.forwarded.append((request, destination))
+    def relay_to_primary(self, request):
+        self.relayed.append(request)
 
 
 class TestRequestBatchDigest:
@@ -296,12 +288,9 @@ class TestViewChangeReset:
         requests = [make_request(i) for i in range(3)]
         for request in requests:
             pipeline.submit_intra(request)
-        host.is_cluster_primary = False
+        host.intra.is_primary = False
         pipeline.on_view_installed()
-        forwarded = [request for request, _ in host.forwarded]
-        assert forwarded == requests[1:3]
-        assert host.monitored == requests[1:3]
-        assert all(destination == 1 for _, destination in host.forwarded)
+        assert host.relayed == requests[1:3]
         # Forwarded members leave the dedup index: the new primary owns
         # them now, and a later retry through this replica must forward
         # again rather than vanish (absorbed as a retry it would not queue).

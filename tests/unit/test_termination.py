@@ -133,7 +133,7 @@ class TestTerminationNoopFill:
             replica.intra.view = 1
 
         primary = system.replicas_of(ClusterId(0))[1]  # primary of view 1
-        assert primary.is_cluster_primary
+        assert primary.intra.is_primary
         primary.terminator.begin(1, request, view=1)
         system.sim.run(until=0.5)
 

@@ -237,7 +237,7 @@ def test_a_malformed_byzantine_vote_is_refused_before_any_state(name):
     engine = replica.cross
     sent = []
     replica.multicast = lambda destinations, message: sent.append(message)
-    replica.send_to = lambda dst, message: sent.append(message)
+    replica.send = lambda dst, message: sent.append(message)
     engine.handle(MALFORMED[name], src=2)
     assert engine.malformed_votes == 1 and engine.foreign_votes == 0
     assert engine._states == {} and sent == []
