@@ -167,18 +167,6 @@ def _build_parser(scenario_flags: bool = True) -> argparse.ArgumentParser:
         "(it state-transfers the missed slots and rejoins consensus)",
     )
 
-    storage = parser.add_argument_group("storage (repro.storage)")
-    storage.add_argument(
-        "--archive", metavar="PATH", default=None,
-        help="scenario: sqlite database that checkpoint GC spills pruned "
-        "blocks into (requires --checkpoint-interval)",
-    )
-    storage.add_argument(
-        "--audit-archive", action="store_true",
-        help="scenario: after the run, re-verify the archive offline "
-        "(hash-chain continuity + balance conservation replay)",
-    )
-
     obs = parser.add_argument_group("observability (repro.obs)")
     obs.add_argument(
         "--trace", action="store_true",
@@ -220,7 +208,6 @@ def _deployment(args: argparse.Namespace) -> DeploymentSpec:
         checkpoint_interval=args.checkpoint_interval,
         batch_size=args.batch_size,
         pipeline_depth=args.pipeline_depth,
-        archive=args.archive,
         trace=trace_spec,
     )
 
@@ -249,9 +236,6 @@ def _run_scenario(args: argparse.Namespace) -> int:
     if faults and not args.quiet:
         for event in faults:
             print(f"  scheduled: {event.describe()}", file=sys.stderr)
-    if args.audit_archive and not args.archive:
-        print("sharper-bench: error: --audit-archive requires --archive", file=sys.stderr)
-        return 2
     try:
         scenario = Scenario(
             deployment=_deployment(args),
@@ -280,16 +264,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
 
             write_trace(result.trace, args.trace_out)
             print(f"trace written to {args.trace_out}")
-    ok = result.ok
-    if args.audit_archive:
-        from ..storage import audit_archive
-
-        report = audit_archive(result.system.archive)
-        print(report.summary())
-        for problem in report.problems:
-            print(f"  problem: {problem}", file=sys.stderr)
-        ok = ok and report.ok
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

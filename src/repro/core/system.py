@@ -82,14 +82,6 @@ class BaseSystem:
         self.archive: SqliteArchive | None = None
         if config.archive_path is not None:
             self.archive = SqliteArchive(config.archive_path)
-            self.archive.record_bootstrap(
-                {
-                    "num_shards": config.num_clusters,
-                    "accounts_per_shard": workload_config.accounts_per_shard,
-                    "initial_balance": workload_config.initial_balance,
-                    "num_clients": workload_config.num_clients,
-                }
-            )
         self.clients: list[ClosedLoopClient] = []
         #: fault schedules armed on this system, so arming one twice is a
         #: no-op (:meth:`repro.api.FaultSchedule.arm`).
@@ -242,8 +234,20 @@ class BaseSystem:
     # correctness checks
     # ------------------------------------------------------------------
     def audit(self) -> AuditReport:
-        """Run the ledger consistency audit over the representative views."""
-        return audit_views(self.views())
+        """Run the ledger consistency audit over the representative views.
+
+        Also reports every correct replica whose own checkpoint digest
+        disagreed with the quorum its cluster stabilised.
+        """
+        report = audit_views(self.views())
+        for process in self.processes():
+            checkpoints = getattr(process, "checkpoints", None)
+            if checkpoints is not None and checkpoints.divergent and not process.byzantine:
+                report.problems.append(
+                    f"replica {process.pid}: {checkpoints.divergent} checkpoint(s) "
+                    "diverged from its cluster's stable digest"
+                )
+        return report
 
     def safety_audit(self) -> SafetyReport:
         """Cross-replica safety audit (no fork, conservation, at-most-once).
@@ -281,6 +285,8 @@ class SharPerSystem(BaseSystem):
     ) -> None:
         super().__init__(config, workload_config, seed)
         self.replicas: dict[int, SharPerReplica] = {}
+        # Every view records the cross-shard blocks it prunes in one table.
+        pruned_cross: dict = {}
         for cluster in config.clusters:
             shard = sharding.cluster_to_shard(cluster.cluster_id)
             for node in cluster.node_ids:
@@ -295,6 +301,7 @@ class SharPerSystem(BaseSystem):
                     network=self.network,
                     cost_model=self.cost_model,
                 )
+                replica.chain.pruned_cross = pruned_cross
                 if self.archive is not None:
                     replica.chain.archive = self.archive
                 self.replicas[int(node)] = replica

@@ -28,7 +28,7 @@ from the position vectors, which encode the same predecessor relation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..common.crypto import GENESIS_HASH, chain_hash, memo_slots
@@ -228,18 +228,6 @@ class Block(memo_slots("_block_hash")):
             if candidate == cluster:
                 return index
         raise LedgerError(f"block {self.block_hash[:8]} does not involve cluster {cluster}")
-
-    def with_parent(self, cluster: ClusterId, parent_hash: str) -> "Block":
-        """Return a copy carrying ``cluster``'s parent hash (chain metadata).
-
-        Positions, transactions and therefore :attr:`block_hash` are
-        unchanged; only the per-cluster chain reference is added.
-        """
-        if not self.involves(cluster):
-            raise LedgerError(f"block {self.label()} does not involve cluster {cluster}")
-        parents = dict(self.parents)
-        parents[cluster] = parent_hash
-        return replace(self, parents=tuple(sorted(parents.items())))
 
     def parent_for(self, cluster: ClusterId) -> str:
         """Hash of the previous block of ``cluster`` referenced by this block."""

@@ -7,6 +7,9 @@ every simulated experiment:
 * every cluster view is a valid hash chain (total order per shard);
 * every cross-shard block appears in the view of **all and only** its
   involved clusters, and is byte-identical (same hash) everywhere;
+* every cross-shard block checkpoint GC pruned (the views'
+  ``pruned_cross`` rows) is held by each involved cluster at the
+  position its vector names;
 * for any two clusters, the cross-shard blocks they share appear in the
   same relative order in both views (the paper's overlapping-cluster
   safety argument, Section 3.2);
@@ -23,7 +26,12 @@ from ..common.types import ClusterId
 from .dag import BlockDAG
 from .view import ClusterView
 
-__all__ = ["AuditReport", "audit_views", "check_pairwise_cross_order"]
+__all__ = [
+    "AuditReport",
+    "audit_views",
+    "check_pairwise_cross_order",
+    "check_pruned_cross",
+]
 
 
 @dataclass
@@ -52,16 +60,50 @@ class AuditReport:
             raise LedgerError("; ".join(self.problems))
 
 
+def _pruned_by(view: ClusterView, block) -> bool:
+    """Whether ``view`` committed ``block`` and then pruned it."""
+    position = block.position_for(view.cluster_id)
+    return position <= view.pruned_height and view.holds_tx_at(block.tx_ids[0], position)
+
+
+def check_pruned_cross(views: Mapping[ClusterId, ClusterView]) -> list[str]:
+    """Check the cross-shard blocks checkpoint GC dropped from ``views``.
+
+    Reads the ``pruned_cross`` tables of the views (one shared table per
+    system, or one per standalone view): every row's transaction must sit
+    in the view of each involved cluster at the position its vector
+    names.  The transaction index survives pruning, so no block object
+    is needed.
+    """
+    problems: list[str] = []
+    tables = {id(view.pruned_cross): view.pruned_cross for view in views.values()}
+    for table in tables.values():
+        for (pruner, tx_id), positions in table.items():
+            for cluster, position in positions:
+                view = views.get(cluster)
+                if view is None or view.holds_tx_at(tx_id, position):
+                    continue
+                pruned = f"cross-shard tx {tx_id} pruned by cluster {pruner}"
+                if view.contains_tx(tx_id):
+                    problems.append(
+                        f"{pruned} sits at position {view.position_of_tx(tx_id)} of "
+                        f"cluster {cluster}, not {position}"
+                    )
+                else:
+                    problems.append(f"{pruned} is missing from cluster {cluster}")
+    return problems
+
+
 def check_pairwise_cross_order(
     view_a: ClusterView, view_b: ClusterView
 ) -> list[str]:
     """Check that blocks shared by two views appear in the same order.
 
     Views pruned by stable checkpoints (:mod:`repro.recovery`) may have
-    dropped old cross-shard blocks the other view still retains; a block
-    is only reported missing when its position in the other view lies
-    *above* that view's pruned prefix (for compacted positions the
-    retained transaction index already vouched for it at append time).
+    dropped old cross-shard blocks the other view still retains; such a
+    block counts as present only when its position in the other view
+    lies within that view's pruned prefix *and* the other view's
+    transaction index holds the block's transaction at that position.
 
     Returns a list of human-readable problems (empty when consistent).
     """
@@ -82,14 +124,12 @@ def check_pairwise_cross_order(
         only_a = {
             block_hash
             for block_hash, block in shared_a.items()
-            if block_hash not in shared_b
-            and block.position_for(view_b.cluster_id) > view_b.pruned_height
+            if block_hash not in shared_b and not _pruned_by(view_b, block)
         }
         only_b = {
             block_hash
             for block_hash, block in shared_b.items()
-            if block_hash not in shared_a
-            and block.position_for(view_a.cluster_id) > view_a.pruned_height
+            if block_hash not in shared_a and not _pruned_by(view_a, block)
         }
         if only_a:
             problems.append(
@@ -143,6 +183,9 @@ def audit_views(views: Mapping[ClusterId, ClusterView]) -> AuditReport:
                 problems.append(
                     f"cluster {cluster_id} stores block {block.label()} it is not involved in"
                 )
+
+    # Cross-shard blocks checkpoint GC dropped: the prune-time record.
+    problems.extend(check_pruned_cross(views))
 
     # Pairwise ordering of shared blocks.
     cluster_ids: Sequence[ClusterId] = sorted(views)

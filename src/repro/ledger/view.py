@@ -19,12 +19,16 @@ objects at positions at or below the checkpoint are removed (bounding
 memory for arbitrarily long runs), keeping the checkpointed block as the
 chain *anchor* — the hash-chain base for subsequent appends — and the
 full transaction index, which keeps answering the at-most-once duplicate
-checks for compacted history.  With an archive attached
-(:attr:`ClusterView.archive`, see :mod:`repro.storage.archive`), the
-pruned block objects are *spilled* into the archive before being
-discarded, so the full history stays auditable offline; without one they
-are simply dropped.  :attr:`ClusterView.height` keeps counting from
-genesis, so heights and positions are stable across pruning.
+checks for compacted history.  Pruning records every dropped cross-shard
+block as one ``(tx_id, position vector)`` row per pruning cluster in
+:attr:`ClusterView.pruned_cross`, the table every view of one system
+shares, so :func:`repro.ledger.validation.audit_views` still checks that
+each involved cluster holds the block at the position its vector names.
+The table grows with each pruned cross-shard transaction, like the
+transaction index.  With an archive attached (:attr:`ClusterView.archive`,
+see :mod:`repro.storage.archive`), the pruned block objects are also
+spilled into it before being discarded.  :attr:`ClusterView.height` keeps
+counting from genesis, so heights and positions are stable across pruning.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ class ClusterView:
         #: optional :class:`repro.storage.archive.SqliteArchive` that
         #: :meth:`prune` spills dropped blocks into.
         self.archive = None
+        #: ``(pruning cluster, tx_id) -> position vector`` of every pruned
+        #: cross-shard block; a system hands all its views one table.
+        self.pruned_cross: dict[tuple[ClusterId, str], tuple[tuple[ClusterId, int], ...]] = {}
         #: largest number of block objects this view ever retained.
         self.peak_retained = 1
 
@@ -122,6 +129,10 @@ class ClusterView:
     def contains_tx(self, tx_id: str) -> bool:
         """Whether a transaction has been committed in this view."""
         return tx_id in self._tx_index
+
+    def holds_tx_at(self, tx_id: str, position: int) -> bool:
+        """Whether ``tx_id`` was committed at ``position``, pruned history included."""
+        return self._tx_index.get(tx_id) == position
 
     def position_of_tx(self, tx_id: str) -> int:
         """Chain position of the block containing ``tx_id``."""
@@ -196,9 +207,10 @@ class ClusterView:
         anchor (its hash is the parent reference of position ``upto+1``
         and the base for state-transfer verification); the transaction
         index is kept in full so duplicate detection survives pruning.
-        With :attr:`archive` attached, the dropped blocks (minus the
-        genesis block) are spilled into the archive first.  Returns the
-        number of block objects dropped.
+        Every dropped cross-shard block is recorded in
+        :attr:`pruned_cross` for the audit; with :attr:`archive` attached,
+        the dropped blocks (minus the genesis block) are also spilled into
+        the archive.  Returns the number of block objects dropped.
         """
         upto = min(upto, self.height)
         if upto <= self._base:
@@ -211,8 +223,14 @@ class ClusterView:
                 [block for block in dropped if not block.is_genesis],
             )
         self._blocks = self._blocks[keep_from:]
+        cluster_id = self.cluster_id
+        pruned_cross = self.pruned_cross
         for block in dropped:
             self._by_hash.pop(block.block_hash, None)
+            positions = block.positions
+            if len(positions) > 1:
+                for transaction in block.transactions:
+                    pruned_cross[cluster_id, transaction.tx_id] = positions
         self._base = upto
         return len(dropped)
 

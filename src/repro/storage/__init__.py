@@ -1,6 +1,6 @@
 """The replica state store and the archival tier for pruned history.
 
-The package splits replica state management into three layers:
+The package splits replica state management into two layers:
 
 - :mod:`repro.storage.base` — :class:`StateStore`, one shard's balance
   table in flat array columns over the shard's contiguous id range.  It
@@ -10,30 +10,29 @@ The package splits replica state management into three layers:
   copy-on-write checkpoint snapshots (:class:`ColumnarSnapshot`).
 - :mod:`repro.storage.archive` — the :class:`SqliteArchive` that
   checkpoint GC spills pruned blocks into (stdlib only); attach one with
-  ``DeploymentSpec(archive="run.db")``.
-- :mod:`repro.storage.audit` — the archive's one reader:
-  :func:`audit_archive` re-verifies hash-chain continuity and balance
-  conservation without a live system.
+  ``DeploymentSpec(archive="run.db")``.  Nothing reads it at run time.
+
+Pruned history is judged live instead: each ledger view records the
+cross-shard blocks checkpoint GC drops (``ClusterView.pruned_cross``, one
+row per pruned cross-shard transaction per pruning cluster, growing like
+the view's transaction index), and the ledger audit checks every row
+against the involved clusters' views.
 """
 
 from __future__ import annotations
 
-from .archive import SqliteArchive, open_archive
-from .audit import ArchiveAuditReport, audit_archive
+from .archive import SqliteArchive
 from .base import ColumnarSnapshot, StateStore, leaf_hash
 from .stats import StorageStats, collect_storage_stats
 
 __all__ = [
-    "ArchiveAuditReport",
     "ArrayAccountStore",
     "ColumnarSnapshot",
     "SqliteArchive",
     "StateStore",
     "StorageStats",
-    "audit_archive",
     "collect_storage_stats",
     "leaf_hash",
-    "open_archive",
 ]
 
 

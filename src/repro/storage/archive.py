@@ -5,9 +5,10 @@ Stable checkpoints authorise garbage collection
 at or below the checkpoint.  With an archive attached
 (``ClusterView.archive``), :meth:`repro.ledger.view.ClusterView.prune`
 hands the dropped blocks to :meth:`SqliteArchive.archive_blocks` before
-discarding them, so the full history stays auditable offline
-(:func:`repro.storage.audit.audit_archive` is the archive's one reader)
-while resident memory remains bounded.
+discarding them.  The archive is write-only at run time: the judge of
+pruned history is the live audit, which reads the prune-time record
+every view keeps (:func:`repro.ledger.validation.check_pruned_cross`);
+a history question is plain SQL over :attr:`SqliteArchive.connection`.
 
 :class:`SqliteArchive` is stdlib-only.  Rows are keyed by
 ``(cluster, position)``.  Every replica of a cluster spills the
@@ -19,19 +20,16 @@ peers return before building a row.  Schema:
 ``blocks``
     one row per pruned block per involved cluster — stored hash, this
     cluster's parent hash, proposer, no-op flag, and the full position
-    vector (JSON) so the block hash can be recomputed offline.
+    vector (JSON).
 ``txs`` / ``transfers``
     the block's transactions (payload digest, issuing client, order
-    within the block) and their individual transfers — the replayable
-    record :func:`repro.storage.audit.audit_archive` verifies.  The
-    one secondary index, ``txs_by_position``, serves the audit's
-    hash-chain walk.
+    within the block) and their individual transfers.  The one
+    secondary index, ``txs_by_position``, serves queries by position.
 ``checkpoints``
-    the quorum-stabilised ``(seq, store digest)`` pairs the offline
-    auditor replays the transfer history against.
+    the quorum-stabilised ``(seq, store digest, head hash)`` rows.
 ``meta``
-    the bootstrap description (shard layout, initial balance, owner
-    rule) that makes the archive self-contained for replay.
+    the count of checkpoints recorded again with a different digest
+    (:attr:`SqliteArchive.conflicting_checkpoints`), kept across reopens.
 """
 
 from __future__ import annotations
@@ -41,12 +39,10 @@ import os
 import sqlite3
 from typing import TYPE_CHECKING, Iterable
 
-from ..common.errors import ConfigurationError
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..ledger.block import Block
 
-__all__ = ["SqliteArchive", "open_archive"]
+__all__ = ["SqliteArchive"]
 
 
 _SCHEMA = """
@@ -98,7 +94,7 @@ class SqliteArchive:
     """Sqlite-backed archive (stdlib only; ``:memory:`` supported in tests).
 
     Durability is deliberately relaxed (``synchronous=OFF``): the archive
-    is a derived, rebuildable audit tier, not the replicated state.
+    is a derived record of pruned history, not the replicated state.
     """
 
     def __init__(self, path: str) -> None:
@@ -196,7 +192,7 @@ class SqliteArchive:
     def record_checkpoint(
         self, cluster_id: int, seq: int, store_digest: str, head_hash: str
     ) -> None:
-        """Persist a stabilised checkpoint's store digest for offline audit."""
+        """Persist a stabilised checkpoint's store digest and head hash."""
         cluster = int(cluster_id)
         row = (int(seq), store_digest, head_hash)
         if cluster not in self._last_checkpoint:
@@ -220,10 +216,6 @@ class SqliteArchive:
         if last is None or row[0] > last[0]:
             self._last_checkpoint[cluster] = row
 
-    def record_bootstrap(self, meta: dict) -> None:
-        """Persist the deployment's bootstrap description (replay input)."""
-        self._set_meta("bootstrap", json.dumps(meta))
-
     def _set_meta(self, key: str, value: str) -> None:
         self._conn.execute("INSERT OR REPLACE INTO meta VALUES (?, ?)", (key, value))
         self._conn.commit()
@@ -237,22 +229,8 @@ class SqliteArchive:
     # ------------------------------------------------------------------
     @property
     def connection(self) -> sqlite3.Connection:
-        """The underlying connection (the audit's query surface)."""
+        """The underlying connection (the archive's query surface)."""
         return self._conn
-
-    def bootstrap_meta(self) -> dict | None:
-        """The recorded bootstrap description, or None if absent."""
-        value = self._meta("bootstrap")
-        return json.loads(value) if value is not None else None
-
-    def clusters(self) -> list[int]:
-        """Clusters with at least one archived block, ascending."""
-        return [
-            row[0]
-            for row in self._conn.execute(
-                "SELECT DISTINCT cluster FROM blocks ORDER BY cluster"
-            )
-        ]
 
     def archived_height(self, cluster_id: int) -> int:
         """Highest archived position of a cluster (0 when empty)."""
@@ -305,17 +283,3 @@ class SqliteArchive:
         self._conn.commit()
         self._conn.close()
 
-
-def open_archive(source: "str | os.PathLike | SqliteArchive") -> SqliteArchive:
-    """Coerce a path or an existing :class:`SqliteArchive` to an archive.
-
-    The offline auditor accepts either form; opening
-    a path that does not exist is a configuration error (sqlite would
-    happily create an empty database and every audit would "pass").
-    """
-    if isinstance(source, SqliteArchive):
-        return source
-    path = str(source)
-    if path != ":memory:" and not os.path.exists(path):
-        raise ConfigurationError(f"archive database {path!r} does not exist")
-    return SqliteArchive(path)

@@ -34,7 +34,7 @@ class StorageStats:
     #: distinct pruned blocks / transaction rows in the archive.
     archive_blocks: int = 0
     archive_tx_rows: int = 0
-    #: checkpoint digests recorded for offline audit.
+    #: checkpoint rows recorded in the archive.
     archive_checkpoints: int = 0
     #: archive size: files on disk, or resident pages of a ``:memory:`` archive.
     archive_bytes: int = 0

@@ -104,6 +104,31 @@ class TestScenarioFlags:
         assert spelled == self.resolved()
 
 
+class TestScenarioExitStatus:
+    """A checkpointed scenario run exits with the live audit's verdict."""
+
+    ARGV = [
+        "--scenario", "sharper", "--clusters", "2", "--cross-shard", "0.1",
+        "--checkpoint-interval", "16", "--duration", "0.2", "--quiet",
+    ]
+
+    def test_clean_checkpointed_run_exits_0(self, capsys):
+        assert cli_main(self.ARGV) == 0
+        assert "audit      : OK" in capsys.readouterr().out
+
+    def test_an_audit_problem_exits_1(self, monkeypatch, capsys):
+        build = Scenario.build_system
+
+        def build_with_a_diverged_backup(scenario):
+            system = build(scenario)
+            system.replicas_of(1)[2].store.state_digest = lambda: "0" * 64
+            return system
+
+        monkeypatch.setattr(Scenario, "build_system", build_with_a_diverged_backup)
+        assert cli_main(self.ARGV) == 1
+        assert "checkpoint(s) diverged" in capsys.readouterr().out
+
+
 class TestFigureMode:
     """Figure mode honours ``--seed`` and refuses the flags only scenarios read."""
 
@@ -145,7 +170,6 @@ class TestFigureMode:
             ["--recover-node-at", "0.2"],
             ["--batch-size", "8"],
             ["--checkpoint-interval", "16"],
-            ["--archive", "run.db"],
             ["--trace"],
         ],
         ids=lambda flags: flags[0].split("=")[0],

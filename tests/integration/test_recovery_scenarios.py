@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+from repro.adversary.interceptor import MessageInterceptor
 from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
 from repro.bench.experiments import churn_scenario, longrun_scenario
 from repro.common.types import ClusterId, FaultModel
@@ -60,6 +61,56 @@ class TestBoundedMemory:
         result.raise_if_failed()
         assert result.recovery.checkpoints_stable > 0
         assert result.recovery.peak_log_entries <= 2 * interval
+
+
+class TestCheckpointDivergence:
+    @staticmethod
+    def run_with_a_diverged_backup(monkeypatch, byzantine=False):
+        """A long run whose cluster-1 backup reports a digest no peer shares."""
+        build = Scenario.build_system
+
+        def build_with_a_diverged_backup(scenario):
+            system = build(scenario)
+            backup = system.replicas_of(ClusterId(1))[2]
+            backup.store.state_digest = lambda: "0" * 64
+            if byzantine:
+                backup.set_interceptor(MessageInterceptor())  # passes every message through
+            return system
+
+        monkeypatch.setattr(Scenario, "build_system", build_with_a_diverged_backup)
+        result = quick_longrun(16, num_clusters=2, duration=0.3).run()
+        return result, result.system.replicas_of(ClusterId(1))[2]
+
+    def test_a_correct_replica_whose_checkpoint_diverged_fails_the_audit(self, monkeypatch):
+        """The live audit reports a replica whose digest disagreed with its cluster's quorum."""
+        result, backup = self.run_with_a_diverged_backup(monkeypatch)
+        diverged = result.recovery.divergent_checkpoints
+        assert diverged > 0
+        assert result.audit.problems == [
+            f"replica {backup.pid}: {diverged} checkpoint(s) diverged from its "
+            "cluster's stable digest"
+        ]
+
+    def test_a_byzantine_replica_whose_checkpoint_diverged_is_not_reported(self, monkeypatch):
+        """Only correct replicas are judged: a Byzantine one may report any digest."""
+        result, backup = self.run_with_a_diverged_backup(monkeypatch, byzantine=True)
+        assert backup.byzantine
+        assert result.recovery.divergent_checkpoints > 0
+        assert result.audit.ok, result.audit.problems
+
+
+class TestPrunedHistoryRecord:
+    def test_every_view_of_a_system_shares_one_table_and_the_run_audits_clean(self):
+        result = quick_longrun(16, num_clusters=3, duration=0.3).run()
+        result.raise_if_failed()
+        tables = {id(replica.chain.pruned_cross) for replica in result.system.replicas.values()}
+        assert len(tables) == 1
+        pruned = next(iter(result.system.replicas.values())).chain.pruned_cross
+        assert pruned, "run too short to prune a cross-shard block"
+        clusters = {int(cluster) for cluster in result.chain_heights}
+        for (pruner, _tx_id), positions in pruned.items():
+            assert int(pruner) in clusters
+            assert len(positions) > 1 and int(pruner) in {int(c) for c, _ in positions}
 
 
 class TestByzantineCrossShardStateBounded:

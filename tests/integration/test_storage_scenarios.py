@@ -9,7 +9,8 @@ Integration acceptance for the storage subsystem:
   checkpointing and state transfer;
 * a checkpointed run with an archive attached keeps the resident block
   count bounded while the archive absorbs the pruned history contiguously,
-  and the offline auditor re-verifies the archived chain and balances;
+  and the live audit, which judges pruned history from the prune-time
+  record, passes;
 * the archive answers, over its own tables, what the live system can no
   longer answer after pruning.
 """
@@ -20,8 +21,6 @@ import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
 from repro.common.types import FaultModel
-from repro.storage import audit_archive
-from repro.txn.accounts import ShardMapper
 from repro.txn.workload import WorkloadConfig
 
 from helpers import archived_precedes, assert_roles_follow_views
@@ -48,6 +47,21 @@ def storage_scenario(
         seed=seed,
         faults=faults or FaultSchedule(),
     )
+
+
+def assert_archive_contiguous(archive, clusters) -> None:
+    """Every cluster's archived positions run 1..archived height, with no gap."""
+    for cluster_id in clusters:
+        height = archive.archived_height(int(cluster_id))
+        assert height > 0
+        positions = [
+            row[0]
+            for row in archive.connection.execute(
+                "SELECT position FROM blocks WHERE cluster = ? ORDER BY position",
+                (int(cluster_id),),
+            )
+        ]
+        assert positions == list(range(1, height + 1))
 
 
 def store_pins(result) -> dict:
@@ -124,40 +138,34 @@ class TestArchivedRun:
         assert storage.peak_ledger_blocks < decided
         assert storage.peak_ledger_blocks <= 4 * interval
         # The archive holds the pruned prefix contiguously.
-        archive = result.system.archive
-        for cluster_id in result.chain_heights:
-            height = archive.archived_height(int(cluster_id))
-            assert height > 0
-            positions = [
-                row[0]
-                for row in archive.connection.execute(
-                    "SELECT position FROM blocks WHERE cluster = ? ORDER BY position",
-                    (int(cluster_id),),
-                )
-            ]
-            assert positions == list(range(1, height + 1))
+        assert_archive_contiguous(result.system.archive, result.chain_heights)
 
-    def test_offline_audit_passes_on_archived_run(self):
+    def test_archived_run_passes_the_live_audit_over_pruned_history(self):
         result = storage_scenario(archive=":memory:", checkpoint_interval=16, seed=7).run()
         result.raise_if_failed()
-        report = audit_archive(result.system.archive)
-        assert report.ok, report.problems
-        assert report.blocks_verified > 0
-        assert report.txs_replayed > 0
-        assert report.checkpoints_verified > 0
-        assert report.failed_replays == 0
+        assert result.audit.ok, result.audit.problems
+        archive = result.system.archive
+        assert_archive_contiguous(archive, result.chain_heights)
+        assert archive.tx_rows_archived() > 0
+        assert archive.checkpoints_archived() > 0
+        assert archive.conflicting_checkpoints == 0
+        # The audit judged cross-shard blocks that exist only in the archive.
+        pruned = next(iter(result.system.replicas.values())).chain.pruned_cross
+        assert pruned
 
     def test_archived_run_reproduces_the_dict_backend_outcome(self):
         result = storage_scenario(archive=":memory:", checkpoint_interval=16, seed=3).run()
         result.raise_if_failed()
         assert store_pins(result) == ARCHIVED_PINNED
         assert result.storage.archived
-        report = audit_archive(result.system.archive)
-        assert report.ok, report.problems
-        # Recorded with the pins above.
-        assert (report.blocks_verified, report.txs_replayed, report.checkpoints_verified) == (
-            4573, 4573, 283
-        )
+        assert result.audit.ok, result.audit.problems
+        archive = result.system.archive
+        assert_archive_contiguous(archive, result.chain_heights)
+        # Block and tx rows recorded with the pins above, checkpoint rows
+        # counted on the same run.
+        assert (
+            archive.blocks_archived(), archive.tx_rows_archived(), archive.checkpoints_archived()
+        ) == (4573, 4573, 286)
 
     def test_storage_gauges_in_report(self):
         """Gauges surface on the result and in summary()."""
@@ -209,8 +217,7 @@ class TestHistoryOverArchivedRun:
         ).fetchone()
         assert row is not None
         account = row[0]
-        meta = archive.bootstrap_meta()
-        assert ShardMapper(meta["num_shards"], meta["accounts_per_shard"]).shard_of(account) == 0
+        assert archived_result.system.workload_mapper.shard_of(account) == 0
         activity = archive.connection.execute(
             "SELECT position, amount FROM transfers"
             " WHERE cluster = 0 AND (source = ? OR destination = ?)",
@@ -326,13 +333,12 @@ class TestCheckpointOncePerCluster:
         # state-transfer adoption, every engine's role is its view's.
         assert_roles_follow_views(result.system.replicas.values())
         assert [r.intra.view for r in result.system.replicas_of(0)] == [1, 1, 1]
+        assert result.audit.ok, result.audit.problems
         archive = result.system.archive
         # Each row was written once, by whichever replica pruned first.
         assert archive.blocks_written == FAILOVER_PINNED["row_counts"]["blocks"]
         assert archive.conflicting_checkpoints == 0
-        report = audit_archive(archive)
-        assert report.ok, report.problems
-        assert report.blocks_verified == FAILOVER_PINNED["row_counts"]["blocks"]
+        assert_archive_contiguous(archive, result.chain_heights)
         # An in-memory archive has a size too.
         assert result.storage.archive_bytes > 0
         assert " 0 bytes" not in result.storage.summary()

@@ -36,10 +36,14 @@ def build_views(schedule):
             client=1, source=account, destination=account + 1, amount=1
         )
         positions = {ClusterId(c): views[ClusterId(c)].next_index for c in involved}
-        block = Block.create(tx, positions, proposer=ClusterId(involved[0]))
         for cluster in involved:
-            cluster = ClusterId(cluster)
-            views[cluster].append(block.with_parent(cluster, views[cluster].head_hash))
+            view = views[ClusterId(cluster)]
+            view.append(
+                Block.create(
+                    tx, positions, proposer=ClusterId(involved[0]),
+                    parents={view.cluster_id: view.head_hash},
+                )
+            )
     return views
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import DeploymentSpec
-from repro.bench.cli import main as cli_main
 from repro.common.config import (
     ClusterConfig,
     NodeGroup,
@@ -76,14 +75,6 @@ class TestArchiveNeedsCheckpointing:
         with pytest.raises(ConfigurationError, match="archive_path.*checkpoint_interval"):
             DeploymentSpec(archive=":memory:").resolve()
         DeploymentSpec(archive=":memory:", checkpoint_interval=16).resolve()
-
-    def test_cli_refuses_it_with_exit_2(self, tmp_path, capsys):
-        argv = [
-            "--scenario", "sharper", "--clusters", "2", "--archive",
-            str(tmp_path / "a.db"), "--audit-archive", "--duration", "0.2",
-        ]
-        assert cli_main(argv) == 2
-        assert "checkpoint_interval" in capsys.readouterr().err
 
 
 class TestClusterPlanning:

@@ -241,11 +241,14 @@ def run_fingerprint(system):
     return counters, system.sim.processed_events, system.network.messages_sent, digest
 
 
-def race_scenario(seed):
+def race_scenario(seed, checkpoint_interval=None):
     """perf/README.md's recorded finding: a primary crash under aggressive timers, 10% cross."""
     return Scenario(
         deployment=DeploymentSpec(
-            system="sharper", num_clusters=4, tuning=ProtocolTuning(view_change_timeout=0.05)
+            system="sharper",
+            num_clusters=4,
+            checkpoint_interval=checkpoint_interval,
+            tuning=ProtocolTuning(view_change_timeout=0.05),
         ),
         workload=WorkloadConfig(cross_shard_fraction=0.1, accounts_per_shard=256),
         clients=64,
@@ -276,6 +279,21 @@ def test_crash_failover_race_keeps_its_recorded_wrong_trajectory():
     assert run_fingerprint(result.system) == RACE_PINNED
     assert not result.balance_conserved
     assert len(result.audit.problems) == 7
+
+
+#: audit problems of ``race_scenario(1, checkpoint_interval=16)``: the
+#: race's half-commits land in history that checkpoint GC prunes, and
+#: every one is a pruned cross-shard transaction missing from an involved
+#: cluster.  ROADMAP item 2's crash fix re-records this count with
+#: ``RACE_PINNED``.
+RACE_PRUNED_PROBLEMS = 19
+
+
+def test_checkpoint_gc_does_not_hide_the_race_from_the_audit():
+    result = race_scenario(1, checkpoint_interval=16).run()
+    problems = result.audit.problems
+    assert len(problems) == RACE_PRUNED_PROBLEMS
+    assert all("pruned by cluster" in problem and "missing" in problem for problem in problems)
 
 
 def test_crash_failover_race_keeps_its_recorded_fork():

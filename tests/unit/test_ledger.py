@@ -23,6 +23,16 @@ def intra_block(cluster, position, parent, transaction=None):
     )
 
 
+def chained(block, view):
+    """``block`` as ``view`` appends it: same identity, the view's head as parent."""
+    return Block.create(
+        block.transactions,
+        positions=dict(block.positions),
+        proposer=block.proposer,
+        parents={view.cluster_id: view.head_hash},
+    )
+
+
 class TestBlock:
     def test_genesis(self):
         genesis = Block.genesis()
@@ -56,14 +66,11 @@ class TestBlock:
     def test_hash_ignores_parent_metadata(self):
         transaction = tx()
         bare = Block.create(transaction, positions={0: 1, 1: 2}, proposer=0)
-        with_parent = bare.with_parent(0, "f" * 64)
-        assert bare.block_hash == with_parent.block_hash
-        assert with_parent.parent_for(0) == "f" * 64
-
-    def test_with_parent_requires_involvement(self):
-        block = Block.create(tx(), positions={0: 1}, proposer=0)
-        with pytest.raises(LedgerError):
-            block.with_parent(3, "a" * 64)
+        parented = Block.create(
+            transaction, positions={0: 1, 1: 2}, proposer=0, parents={0: "f" * 64}
+        )
+        assert bare.block_hash == parented.block_hash
+        assert parented.parent_for(0) == "f" * 64
 
     def test_positions_start_at_one(self):
         with pytest.raises(LedgerError):
@@ -138,6 +145,16 @@ class TestClusterView:
         view.append(cross)
         assert view.cross_shard_blocks() == [cross]
 
+    def test_holds_tx_at_survives_pruning(self):
+        view = ClusterView(0)
+        first = intra_block(0, 1, view.head_hash)
+        view.append(first)
+        view.append(intra_block(0, 2, view.head_hash))
+        view.prune(2)
+        assert view.holds_tx_at(first.tx_ids[0], 1)
+        assert not view.holds_tx_at(first.tx_ids[0], 2)
+        assert not view.holds_tx_at("missing", 1)
+
 
 def build_two_cluster_views():
     """Two views sharing one cross-shard block, mirroring Figure 2."""
@@ -145,8 +162,8 @@ def build_two_cluster_views():
     view0.append(intra_block(0, 1, view0.head_hash, tx(1, 2)))
     view1.append(intra_block(1, 1, view1.head_hash, tx(15, 16)))
     cross = Block.create(tx(3, 17), positions={0: 2, 1: 2}, proposer=0)
-    view0.append(cross.with_parent(0, view0.head_hash))
-    view1.append(cross.with_parent(1, view1.head_hash))
+    view0.append(chained(cross, view0))
+    view1.append(chained(cross, view1))
     view0.append(intra_block(0, 3, view0.head_hash, tx(4, 5)))
     return view0, view1, cross
 
@@ -212,7 +229,7 @@ class TestAudit:
     def test_missing_cross_block_detected(self):
         view0, view1 = ClusterView(0), ClusterView(1)
         cross = Block.create(tx(1, 15), positions={0: 1, 1: 1}, proposer=0)
-        view0.append(cross.with_parent(0, view0.head_hash))
+        view0.append(chained(cross, view0))
         # view1 never appends the cross block.
         report = audit_views({0: view0, 1: view1})
         assert not report.ok
@@ -223,9 +240,118 @@ class TestAudit:
         view0, view1 = ClusterView(0), ClusterView(1)
         a = Block.create(tx(1, 15), positions={0: 1, 1: 2}, proposer=0)
         b = Block.create(tx(2, 16), positions={0: 2, 1: 1}, proposer=0)
-        view0.append(a.with_parent(0, view0.head_hash))
-        view0.append(b.with_parent(0, view0.head_hash))
-        view1.append(b.with_parent(1, view1.head_hash))
-        view1.append(a.with_parent(1, view1.head_hash))
+        view0.append(chained(a, view0))
+        view0.append(chained(b, view0))
+        view1.append(chained(b, view1))
+        view1.append(chained(a, view1))
         problems = check_pairwise_cross_order(view0, view1)
         assert any("differently" in problem for problem in problems)
+
+    def test_pairwise_order_tolerates_a_shared_block_the_other_view_pruned(self):
+        view0, view1, cross = build_two_cluster_views()
+        view1.append(intra_block(1, 3, view1.head_hash, tx(18, 19)))
+        view1.prune(3)  # view 1 drops the cross block object; view 0 still retains it
+        assert cross.block_hash not in {block.block_hash for block in view1.cross_shard_blocks()}
+        assert check_pairwise_cross_order(view0, view1) == []
+        assert audit_views({0: view0, 1: view1}).ok
+
+
+class TestPrunedHistoryAudit:
+    """What checkpoint GC drops is still judged: the prune-time record."""
+
+    def test_pruned_block_missing_from_an_involved_cluster_is_flagged(self):
+        view0, view1 = ClusterView(0), ClusterView(1)
+        cross = Block.create(tx(1, 15), positions={0: 1, 1: 1}, proposer=0)
+        view0.append(chained(cross, view0))  # view 1 never commits it
+        view0.append(intra_block(0, 2, view0.head_hash, tx(2, 3)))
+        assert view0.prune(2) == 2  # past view 0's checkpoint: the block object is gone
+        assert view0.pruned_cross == {(0, cross.tx_ids[0]): cross.positions}
+        report = audit_views({0: view0, 1: view1})
+        assert report.problems == [
+            f"cross-shard tx {cross.tx_ids[0]} pruned by cluster 0 is missing from cluster 1"
+        ]
+
+    def test_pruned_block_held_at_another_position_is_flagged(self):
+        view0, view1 = ClusterView(0), ClusterView(1)
+        transaction = tx(1, 15)
+        cross = Block.create(transaction, positions={0: 1, 1: 1}, proposer=0)
+        view0.append(chained(cross, view0))
+        view0.append(intra_block(0, 2, view0.head_hash, tx(2, 3)))
+        view0.prune(2)
+        # View 1 commits the same transaction one position later.
+        view1.append(intra_block(1, 1, view1.head_hash, tx(16, 17)))
+        view1.append(chained(Block.create(transaction, positions={0: 1, 1: 2}, proposer=0), view1))
+        report = audit_views({0: view0, 1: view1})
+        assert report.problems == [
+            f"cross-shard tx {transaction.tx_id} pruned by cluster 0 sits at position 2 "
+            "of cluster 1, not 1"
+        ]
+
+    def test_block_pruned_on_both_sides_at_its_positions_passes(self):
+        view0, view1, cross = build_two_cluster_views()
+        view1.append(intra_block(1, 3, view1.head_hash, tx(18, 19)))
+        view0.prune(3)  # the block at 3 stays as the anchor; the cross block at 2 goes
+        view1.prune(3)
+        assert set(view0.pruned_cross) == {(0, cross.tx_ids[0])}
+        assert set(view1.pruned_cross) == {(1, cross.tx_ids[0])}
+        assert audit_views({0: view0, 1: view1}).ok
+
+    def test_retained_block_pruned_elsewhere_at_another_position_is_flagged(self):
+        view0, view1 = ClusterView(0), ClusterView(1)
+        transaction = tx(1, 15)
+        view0.append(intra_block(0, 1, view0.head_hash, tx(2, 3)))
+        view0.append(chained(Block.create(transaction, positions={0: 2, 1: 1}, proposer=0), view0))
+        # View 1 committed the transaction at its position 2, then pruned past it.
+        view1.append(intra_block(1, 1, view1.head_hash, tx(16, 17)))
+        view1.append(intra_block(1, 2, view1.head_hash, transaction))
+        view1.prune(2)
+        problems = check_pairwise_cross_order(view0, view1)
+        assert problems and "missing from its view" in problems[0]
+
+    def test_prune_records_cross_shard_blocks_only(self):
+        view0 = ClusterView(0)
+        view0.append(intra_block(0, 1, view0.head_hash, tx(2, 3)))
+        batch = (tx(1, 15), tx(4, 16))
+        cross = Block.create(batch, positions={0: 2, 1: 1}, proposer=0)
+        view0.append(chained(cross, view0))
+        view0.append(intra_block(0, 3, view0.head_hash, tx(5, 6)))
+        view0.prune(3)
+        # One row per transaction of the batched cross-shard block; none for intra blocks.
+        assert view0.pruned_cross == {
+            (0, transaction.tx_id): cross.positions for transaction in batch
+        }
+
+    def test_standalone_views_own_separate_tables(self):
+        view0, view1 = ClusterView(0), ClusterView(1)
+        assert view0.pruned_cross is not view1.pruned_cross
+        view0, view1, cross = build_two_cluster_views()
+        view0.prune(3)
+        assert view0.pruned_cross == {(0, cross.tx_ids[0]): cross.positions}
+        assert view1.pruned_cross == {}
+
+    def test_a_shared_table_is_judged_once(self):
+        view0, view1 = ClusterView(0), ClusterView(1)
+        view1.pruned_cross = view0.pruned_cross  # as a system wires its views
+        cross = Block.create(tx(1, 15), positions={0: 1, 1: 1}, proposer=0)
+        view0.append(chained(cross, view0))  # view 1 never commits it
+        view0.append(intra_block(0, 2, view0.head_hash, tx(2, 3)))
+        view0.prune(2)
+        assert view1.pruned_cross == {(0, cross.tx_ids[0]): cross.positions}
+        report = audit_views({0: view0, 1: view1})
+        assert report.problems == [
+            f"cross-shard tx {cross.tx_ids[0]} pruned by cluster 0 is missing from cluster 1"
+        ]
+
+    def test_rows_naming_a_cluster_outside_the_audit_are_skipped(self):
+        view0 = ClusterView(0)
+        cross = Block.create(tx(1, 15), positions={0: 1, 1: 1}, proposer=0)
+        view0.append(chained(cross, view0))
+        view0.append(intra_block(0, 2, view0.head_hash, tx(2, 3)))
+        view0.prune(2)
+        # Only view 0 is audited: its own coordinate is checked, cluster 1's is not.
+        assert audit_views({0: view0}).ok
+        view0.pruned_cross[0, cross.tx_ids[0]] = ((0, 2), (1, 1))
+        assert audit_views({0: view0}).problems == [
+            f"cross-shard tx {cross.tx_ids[0]} pruned by cluster 0 sits at position 1 "
+            "of cluster 0, not 2"
+        ]

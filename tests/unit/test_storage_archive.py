@@ -1,9 +1,9 @@
-"""Unit tests for the archival tier (archive schema, writes, history, audit).
+"""Unit tests for the archival tier (archive schema, writes, history queries).
 
 A small hash-chain-valid history is built by hand: two clusters, one
 cross-shard block, every parent hash derived the way the live ledger
-derives them — so the offline auditor's recomputation genuinely checks
-the same encodings the system uses.
+derives them, so the SQL history queries walk the same encodings the
+system writes.
 """
 
 import json
@@ -12,30 +12,19 @@ import os
 import pytest
 
 from repro.common.crypto import GENESIS_HASH, chain_hash
-from repro.common.errors import ConfigurationError
 from repro.ledger.block import GENESIS_BLOCK_ID, Block
-from repro.storage import (
-    SqliteArchive,
-    StateStore,
-    audit_archive,
-    open_archive,
-)
+from repro.storage import SqliteArchive
 from repro.txn.accounts import ShardMapper
 from repro.txn.transaction import Transaction, Transfer
 
 from helpers import archived_precedes
 
-BOOTSTRAP = {
-    "num_shards": 2,
-    "accounts_per_shard": 4,
-    "initial_balance": 100,
-    "num_clients": 2,
-}
+NUM_SHARDS, ACCOUNTS_PER_SHARD, NUM_CLIENTS = 2, 4, 2
 
 
 def _tx(tx_id, source, destination, amount):
     return Transaction.multi_transfer(
-        client=source % BOOTSTRAP["num_clients"],
+        client=source % NUM_CLIENTS,
         transfers=[Transfer(source=source, destination=destination, amount=amount)],
         timestamp=0.0,
         tx_id=tx_id,
@@ -63,31 +52,26 @@ def _build_history():
 
 def _archived(record_checkpoint=True):
     archive = SqliteArchive(":memory:")
-    archive.record_bootstrap(BOOTSTRAP)
     blocks = _build_history()
     archive.archive_blocks(0, [blocks["b1"], blocks["cross"], blocks["b3"]])
     archive.archive_blocks(1, [blocks["cross"], blocks["b4"]])
     if record_checkpoint:
-        # The store digest cluster 0's replicas would have stabilised
-        # after block 3: tx-a, the out-half of tx-x, then tx-b.
-        mapper = ShardMapper(BOOTSTRAP["num_shards"], BOOTSTRAP["accounts_per_shard"])
-        store = StateStore.bootstrap(
-            0, mapper, BOOTSTRAP["initial_balance"],
-            owner_of=lambda account: account % BOOTSTRAP["num_clients"],
-        )
-        store.withdraw(1, 5)
-        store.deposit(2, 5)
-        store.withdraw(0, 3)
-        store.withdraw(2, 1)
-        store.deposit(3, 1)
-        archive.record_checkpoint(0, 3, store.state_digest(), blocks["b3"].block_hash)
+        archive.record_checkpoint(0, 3, "digest-3", blocks["b3"].block_hash)
     return archive, blocks
+
+
+def _positions(archive, cluster):
+    return [
+        row[0]
+        for row in archive.connection.execute(
+            "SELECT position FROM blocks WHERE cluster = ? ORDER BY position", (cluster,)
+        )
+    ]
 
 
 class TestSqliteArchive:
     def test_roundtrip_counts(self):
         archive, _ = _archived()
-        assert archive.clusters() == [0, 1]
         assert archive.blocks_archived() == 5  # 3 + 2 rows (cross appears twice)
         assert archive.tx_rows_archived() == 5
         assert archive.archived_height(0) == 3
@@ -95,7 +79,7 @@ class TestSqliteArchive:
         assert archive.archived_height(7) == 0
         assert archive.checkpoints_archived() == 1
 
-    def test_schema_holds_what_the_audit_reads_and_nothing_else(self):
+    def test_schema_holds_the_history_tables_and_nothing_else(self):
         archive, _ = _archived()
         rows = archive.connection.execute(
             "SELECT type, name FROM sqlite_master WHERE sql IS NOT NULL ORDER BY type, name"
@@ -103,7 +87,7 @@ class TestSqliteArchive:
         tables = [name for kind, name in rows if kind == "table"]
         indexes = [name for kind, name in rows if kind == "index"]
         assert tables == ["blocks", "checkpoints", "meta", "transfers", "txs"]
-        assert indexes == ["txs_by_position"]  # the hash-chain walk's order
+        assert indexes == ["txs_by_position"]
 
     def test_in_memory_archive_reports_its_page_footprint(self):
         archive, _ = _archived()
@@ -167,7 +151,8 @@ class TestSqliteArchive:
             archive = SqliteArchive(path)
         assert archive.archive_blocks(0, [blocks["b1"], blocks["cross"]]) == 2
         assert archive.archive_blocks(0, [blocks["b1"], blocks["cross"], blocks["b3"]]) == 0
-        assert audit_archive(archive).blocks_verified == 3
+        assert _positions(archive, 0) == [1, 2, 3]
+        assert archive.archived_height(0) == archive.blocks_archived() == 3
 
     def test_reopened_archive_resumes_at_its_height(self, tmp_path):
         path = str(tmp_path / "archive.db")
@@ -186,9 +171,8 @@ class TestSqliteArchive:
         reopened.record_checkpoint(0, 2, "forged", blocks["cross"].block_hash)
         assert reopened.conflicting_checkpoints == 1
         reopened.close()
-        # The count is part of the archive, so an offline audit sees it.
+        # The count is part of the archive: it survives a reopen.
         assert SqliteArchive(path).conflicting_checkpoints == 1
-        assert not audit_archive(path).ok
 
     def test_older_checkpoint_of_a_lagging_replica_is_still_recorded(self):
         archive = SqliteArchive(":memory:")
@@ -198,36 +182,22 @@ class TestSqliteArchive:
         assert archive.checkpoints_archived() == 2
         assert archive.conflicting_checkpoints == 0
 
-    def test_bootstrap_meta_roundtrip(self):
-        archive, _ = _archived()
-        assert archive.bootstrap_meta() == BOOTSTRAP
-        assert SqliteArchive(":memory:").bootstrap_meta() is None
-
-    def test_open_archive_rejects_missing_path(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            open_archive(tmp_path / "nope.db")
-
-    def test_open_archive_passes_through(self):
-        archive = SqliteArchive(":memory:")
-        assert open_archive(archive) is archive
-
-    def test_open_archive_reads_from_disk(self, tmp_path):
-        path = tmp_path / "archive.db"
-        archive, _ = _archived()
-        # Rebuild on disk: :memory: archives cannot be reopened.
-        disk = SqliteArchive(str(path))
-        disk.record_bootstrap(BOOTSTRAP)
-        blocks = _build_history()
-        disk.archive_blocks(0, [blocks["b1"], blocks["cross"], blocks["b3"]])
-        disk.close()
-        reopened = open_archive(path)
-        assert reopened.blocks_archived() == 3
-        assert reopened.bootstrap_meta() == BOOTSTRAP
-        reopened.close()
+    def test_forged_second_spill_of_a_checkpoint_is_counted(self):
+        """A skipped spill must not hide what INSERT OR IGNORE used to swallow."""
+        archive, blocks = _archived()
+        recorded = archive.connection.execute(
+            "SELECT store_digest, head_hash FROM checkpoints WHERE cluster = 0 AND seq = 3"
+        ).fetchone()
+        archive.record_checkpoint(0, 3, *recorded)  # an honest peer: same row
+        assert archive.conflicting_checkpoints == 0
+        archive.record_checkpoint(0, 3, "0" * 64, recorded[1])  # diverged store
+        archive.record_checkpoint(0, 3, recorded[0], blocks["b1"].block_hash)  # diverged chain
+        assert archive.conflicting_checkpoints == 2
+        assert archive.checkpoints_archived() == 1  # the quorum's row is kept
 
 
 class TestHistoryQuery:
-    """A history question is plain SQL over the tables the audit reads."""
+    """A history question is plain SQL over the archive's tables."""
 
     def test_block_at(self):
         archive, blocks = _archived()
@@ -280,8 +250,7 @@ class TestHistoryQuery:
 
     def test_account_activity_uses_home_cluster(self):
         archive, _ = _archived()
-        meta = archive.bootstrap_meta()
-        mapper = ShardMapper(meta["num_shards"], meta["accounts_per_shard"])
+        mapper = ShardMapper(NUM_SHARDS, ACCOUNTS_PER_SHARD)
 
         def activity(account):
             return archive.connection.execute(
@@ -319,7 +288,6 @@ class TestHistoryQuery:
     def test_is_ancestor_multi_hop(self):
         # Three clusters chained 0 -> 1 -> 2 through two cross blocks.
         archive = SqliteArchive(":memory:")
-        archive.record_bootstrap(dict(BOOTSTRAP, num_shards=3))
         genesis = chain_hash(GENESIS_BLOCK_ID, GENESIS_HASH)
         hop1 = Block.create(
             _tx("tx-h1", 0, 5, 1), {0: 1, 1: 1}, proposer=0,
@@ -337,76 +305,4 @@ class TestHistoryQuery:
         archive.archive_blocks(2, [hop2, tail])
         assert archived_precedes(archive, (0, 1), (2, 2))
         assert not archived_precedes(archive, (2, 2), (0, 1))
-        assert audit_archive(archive).ok
-
-
-class TestAuditArchive:
-    def test_clean_archive_passes(self):
-        archive, _ = _archived()
-        report = audit_archive(archive)
-        assert report.ok, report.problems
-        assert report.clusters_audited == 2
-        assert report.blocks_verified == 5
-        assert report.txs_replayed == 5
-        assert report.checkpoints_verified == 1
-        assert report.failed_replays == 0
-        report.raise_if_failed()
-        assert "2 clusters" in report.summary()
-
-    def test_forged_second_spill_of_a_checkpoint_is_a_problem(self):
-        """A skipped spill must not hide what INSERT OR IGNORE used to swallow."""
-        archive, blocks = _archived()
-        recorded = archive.connection.execute(
-            "SELECT store_digest, head_hash FROM checkpoints WHERE cluster = 0 AND seq = 3"
-        ).fetchone()
-        archive.record_checkpoint(0, 3, *recorded)  # an honest peer: same row
-        assert archive.conflicting_checkpoints == 0 and audit_archive(archive).ok
-        archive.record_checkpoint(0, 3, "0" * 64, recorded[1])  # diverged store
-        archive.record_checkpoint(0, 3, recorded[0], blocks["b1"].block_hash)  # diverged chain
-        assert archive.conflicting_checkpoints == 2
-        assert archive.checkpoints_archived() == 1  # the quorum's row is kept
-        report = audit_archive(archive)
-        assert not report.ok
-        assert any("2 checkpoint(s)" in problem for problem in report.problems)
-
-    def test_empty_archive_passes(self):
-        assert audit_archive(SqliteArchive(":memory:")).ok
-
-    def test_tampered_amount_detected(self):
-        archive, _ = _archived()
-        archive.connection.execute(
-            "UPDATE transfers SET amount = 50 WHERE tx_id = 'tx-a'"
-        )
-        report = audit_archive(archive)
-        assert not report.ok
-        assert any(
-            "digest" in problem or "conserv" in problem for problem in report.problems
-        )
-        with pytest.raises(Exception):
-            report.raise_if_failed()
-
-    def test_replay_reads_the_outcome_of_each_execution(self):
-        """A re-attributed transaction fails ownership on replay: the audit
-        counts it from ``ExecutionResult.success`` and the digests diverge."""
-        archive, _ = _archived()
-        archive.connection.execute("UPDATE txs SET client = 99 WHERE tx_id = 'tx-a'")
-        report = audit_archive(archive)
-        assert (report.txs_replayed, report.failed_replays) == (5, 1)
-        assert not report.ok
-
-    def test_tampered_block_hash_detected(self):
-        archive, _ = _archived()
-        archive.connection.execute(
-            "UPDATE blocks SET block_hash = 'deadbeef' WHERE cluster = 0 AND position = 1"
-        )
-        report = audit_archive(archive)
-        assert not report.ok
-
-    def test_missing_block_breaks_contiguity(self):
-        archive, _ = _archived(record_checkpoint=False)
-        archive.connection.execute(
-            "DELETE FROM blocks WHERE cluster = 0 AND position = 2"
-        )
-        report = audit_archive(archive)
-        assert not report.ok
-        assert any("contiguous" in problem or "gap" in problem for problem in report.problems)
+        assert [archive.archived_height(cluster) for cluster in (0, 1, 2)] == [1, 2, 2]
