@@ -16,6 +16,7 @@ inert guard, so the code that calls them never tests which one it holds.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
+from weakref import WeakValueDictionary
 
 from ..adversary import SafetyAuditor, SafetyReport
 from ..api.registry import register_system
@@ -30,6 +31,7 @@ from ..sim.network import ClusteredLatencyModel, Network
 from ..sim.process import Process
 from ..sim.simulator import Simulator
 from ..storage import SqliteArchive, StateStore
+from ..storage.base import owner_of
 from ..txn.accounts import ShardMapper
 from ..txn.transaction import Transaction
 from ..txn.workload import WorkloadConfig, WorkloadGenerator
@@ -76,8 +78,9 @@ class BaseSystem:
             num_shards=config.num_clusters,
             accounts_per_shard=workload_config.accounts_per_shard,
         )
-        #: bootstrapped store per shard; replicas receive cheap clones.
-        self._store_cache: dict[int, StateStore] = {}
+        #: bootstrap prototype per shard, held weakly: replicas receive
+        #: clones, whose links keep it alive until their first digest.
+        self._store_cache: WeakValueDictionary[int, StateStore] = WeakValueDictionary()
         #: archival backend checkpoint GC spills pruned blocks into.
         self.archive: SqliteArchive | None = None
         if config.archive_path is not None:
@@ -95,26 +98,22 @@ class BaseSystem:
     # ------------------------------------------------------------------
     def owner_of(self, account_id: AccountId) -> ClientId:
         """Application client owning ``account_id`` (matches the workload)."""
-        return ClientId(account_id % self.workload_config.num_clients)
+        return owner_of(account_id, self.workload_config.num_clients)
 
     def _bootstrap_store(self, mapper: ShardMapper, shard: int) -> StateStore:
         """Store for one replica of ``shard``.
 
-        The shard is bootstrapped once and cached; each replica gets an
-        independent :meth:`~repro.storage.StateStore.clone` (an array
-        memcpy).
+        The shard is bootstrapped once into a weakly held prototype; each
+        replica gets an independent :meth:`~repro.storage.StateStore.clone`.
         """
-        key = int(shard)
-        cached = self._store_cache.get(key)
-        if cached is None:
-            cached = StateStore.bootstrap(
-                shard=shard,
-                mapper=mapper,
-                initial_balance=self.workload_config.initial_balance,
-                owner_of=self.owner_of,
+        prototype = self._store_cache.get(int(shard))
+        if prototype is None:
+            workload = self.workload_config
+            prototype = StateStore.bootstrap(
+                shard, mapper, workload.initial_balance, workload.num_clients
             )
-            self._store_cache[key] = cached
-        return cached.clone()
+            self._store_cache[int(shard)] = prototype
+        return prototype.clone()
 
     # ------------------------------------------------------------------
     # interface implemented by concrete systems

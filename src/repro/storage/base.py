@@ -42,7 +42,7 @@ import hashlib
 import weakref
 from array import array
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..common.errors import (
     InsufficientBalanceError,
@@ -51,23 +51,33 @@ from ..common.errors import (
 )
 from ..common.types import AccountId, ClientId, ShardId
 
-__all__ = ["ColumnarSnapshot", "StateStore", "leaf_hash", "DIGEST_MASK"]
+__all__ = ["ColumnarSnapshot", "StateStore", "leaf_hash", "owner_of", "DIGEST_MASK"]
 
 #: the digest accumulator is a 256-bit ring (matching SHA-256 leaves).
 DIGEST_MASK = (1 << 256) - 1
 
 
+def owner_of(account_id: int, num_clients: int) -> ClientId:
+    """The ownership rule: client ``account_id % num_clients`` owns the account."""
+    return ClientId(account_id % num_clients)
+
+
+def _leaf_sum(entries: "Iterable[tuple[AccountId, ClientId, int]]") -> int:
+    """Unmasked leaf sum of ``(id, owner, balance)`` triples: the one scan, the one format."""
+    sha256, from_bytes, acc = hashlib.sha256, int.from_bytes, 0
+    for account_id, owner, balance in entries:
+        acc += from_bytes(sha256(f"{account_id}:{owner}:{balance}".encode()).digest(), "big")
+    return acc
+
+
 def leaf_hash(account_id: int, owner: int, balance: int) -> int:
     """The 256-bit leaf one account contributes to the store digest."""
-    return int.from_bytes(
-        hashlib.sha256(f"{int(account_id)}:{int(owner)}:{balance}".encode()).digest(),
-        "big",
-    )
+    return _leaf_sum(((int(account_id), int(owner), balance),))
 
 
 #: :func:`leaf_hash` behind a bounded memo, for the *incremental* digest
 #: only: the replicas of a cluster fold the same written accounts in, one
-#: after another.  Table scans call :func:`leaf_hash`: they would flush it.
+#: after another.  Table scans bypass it: they would flush it.
 _memo_leaf_hash = lru_cache(maxsize=4096)(leaf_hash)
 
 
@@ -117,7 +127,7 @@ class StateStore:
     """Mutable balance table of one shard: flat columns over its id range."""
 
     def __init__(
-        self, shard: ShardId, first_id: int, owners: array, balances: array
+        self, shard: ShardId, first_id: int, owners: array, balances: array, total: int
     ) -> None:
         self.shard = shard
         self.version = 0
@@ -125,7 +135,7 @@ class StateStore:
         self._capacity = len(balances)
         self._owners = owners
         self._balances = balances
-        self._total = sum(balances)
+        self._total = total  # sum(balances), known to the caller without summing
         #: memoised digest accumulator; ``None`` until first computed.
         self._digest_acc: int | None = None
         #: pre-images of accounts written since the last digest:
@@ -149,24 +159,32 @@ class StateStore:
     # ------------------------------------------------------------------
     @classmethod
     def bootstrap(
-        cls,
-        shard: ShardId,
-        mapper,
-        initial_balance: int,
-        owner_of: "Callable[[AccountId], ClientId] | None" = None,
+        cls, shard: ShardId, mapper, initial_balance: int, num_clients: int | None = None
     ) -> "StateStore":
         """A store holding every account of ``shard`` at ``initial_balance``.
 
         ``mapper.accounts_in_shard`` returns a contiguous ``range``; its
-        start becomes the store's dense-id offset.  ``owner_of`` maps an
-        account to its owning client; by default client ``i`` owns
-        account ``i``.
+        start becomes the store's dense-id offset.  :func:`owner_of` over
+        ``num_clients`` assigns owners (``None``: client ``i`` owns account
+        ``i``); the owner column is one period of the rule (at most ``n``
+        entries), rotated to the first id and tiled, so no Python call is
+        made per account.
         """
         if initial_balance < 0:
             raise ValidationError("accounts cannot start with negative balance")
+        if num_clients is not None and num_clients < 1:
+            raise ValidationError(f"num_clients must be positive, got {num_clients}")
         ids = mapper.accounts_in_shard(shard)
-        owners = array("q", ids if owner_of is None else map(owner_of, ids))
-        return cls(shard, ids.start, owners, array("q", [initial_balance]) * len(ids))
+        n = len(ids)
+        if num_clients is None:
+            owners = array("q", ids)
+        else:
+            shift = owner_of(ids.start, num_clients)
+            head = array("q", range(shift, min(num_clients, shift + n)))
+            period = head + array("q", range(min(shift, n - len(head))))
+            owners = (period * (n // num_clients + 1))[:n]
+        balances = array("q", [initial_balance]) * n
+        return cls(shard, ids.start, owners, balances, n * initial_balance)
 
     def clone(self) -> "StateStore":
         """An independent deep copy (bootstrap sharing across replicas).
@@ -177,7 +195,7 @@ class StateStore:
         undigested one (a bootstrap prototype) is remembered,
         version-stamped, so its table is scanned once, not once per clone.
         """
-        copy = StateStore(self.shard, self._first, self._owners[:], self._balances[:])
+        copy = StateStore(self.shard, self._first, self._owners[:], self._balances[:], self._total)
         copy.version = self.version
         if self._digest_acc is None:
             copy._cloned_from = (self, self.version)
@@ -290,9 +308,7 @@ class StateStore:
             link[0].state_digest()
             acc = link[0]._digest_acc
         if acc is None:
-            acc = 0
-            for account_id, owner, balance in self._entries():
-                acc += leaf_hash(account_id, owner, balance)
+            acc = _leaf_sum(self._entries())
         else:
             leaf = _memo_leaf_hash
             first, owners, balances = self._first, self._owners, self._balances
@@ -311,29 +327,13 @@ class StateStore:
         The pre-incremental computation, kept as the regression baseline:
         :meth:`state_digest` must always equal this.
         """
-        return self.digest_entries(self._entries())
+        return format(_leaf_sum(self._entries()) & DIGEST_MASK, "064x")
 
     @staticmethod
-    def digest_entries(entries: "Iterable[tuple[AccountId, ClientId, int]]") -> str:
-        """Digest of ``(account_id, owner, balance)`` triples, any order.
-
-        The single definition of the store digest format — shared by
-        :meth:`naive_state_digest` (live store) and :meth:`snapshot_digest`
-        (shipped snapshot), which must agree byte for byte for
-        state-transfer verification to work.
-        """
-        acc = 0
-        for account_id, owner, balance in entries:
-            acc = (acc + leaf_hash(account_id, owner, balance)) & DIGEST_MASK
-        return format(acc, "064x")
-
-    @classmethod
-    def snapshot_digest(cls, snapshot: "Mapping[AccountId, tuple[ClientId, int]]") -> str:
-        """:meth:`state_digest` recomputed from a :meth:`snapshot` mapping."""
-        return cls.digest_entries(
-            (account_id, owner, balance)
-            for account_id, (owner, balance) in snapshot.items()
-        )
+    def snapshot_digest(snapshot: "Mapping[AccountId, tuple[ClientId, int]]") -> str:
+        """:meth:`naive_state_digest`'s scan over a :meth:`snapshot` mapping."""
+        entries = ((account, owner, balance) for account, (owner, balance) in snapshot.items())
+        return format(_leaf_sum(entries) & DIGEST_MASK, "064x")
 
     # ------------------------------------------------------------------
     # snapshots

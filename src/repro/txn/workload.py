@@ -22,6 +22,7 @@ from typing import Iterator
 
 from ..common.errors import ConfigurationError
 from ..common.types import AccountId, ClientId, ShardId
+from ..storage.base import owner_of
 from .accounts import ShardMapper
 from .transaction import Transaction, Transfer
 
@@ -122,15 +123,12 @@ class WorkloadGenerator:
         raise ConfigurationError(f"shard {shard} has no alternative account")
 
     def owner_of(self, account_id: AccountId) -> ClientId:
-        """Application client that owns ``account_id``.
+        """Client owning ``account_id`` under the stores' bootstrap rule.
 
-        Ownership follows a fixed modulo assignment so that the generator
-        can always produce transactions whose signer owns the source
-        account (the validity condition of the accounting application).
-        The system builder bootstraps the account stores with the same
-        assignment.
+        The rule lets every generated transaction's signer own its source
+        account, the accounting application's validity condition.
         """
-        return ClientId(account_id % self.config.num_clients)
+        return owner_of(account_id, self.config.num_clients)
 
     def _pick_amount(self) -> int:
         return self.rng.randint(self.config.min_amount, self.config.max_amount)

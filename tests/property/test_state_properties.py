@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.common.errors import InsufficientBalanceError, ValidationError
 from repro.storage import StateStore
+from repro.storage.base import owner_of
 from repro.txn.accounts import ShardMapper
 from repro.txn.execution import TransactionExecutor
 from repro.txn.transaction import Transaction, Transfer
@@ -21,8 +22,7 @@ def build_shards(initial_balance=1000):
     stores = {}
     for shard in range(NUM_SHARDS):
         store = StateStore.bootstrap(
-            shard, mapper, initial_balance,
-            owner_of=lambda a: a % 4,
+            shard, mapper, initial_balance, num_clients=4,
         )
         stores[shard] = store
         executors[shard] = TransactionExecutor(store, mapper, shard)
@@ -209,8 +209,7 @@ def _assert_live(live):
           ("writes", [("deposit", 8, 5)]), ("checkpoint",)])
 def test_store_tracks_a_plain_dict_model(ops):
     store = StateStore.bootstrap(
-        MODEL_SHARD, ShardMapper(NUM_SHARDS, ACCOUNTS_PER_SHARD), 20,
-        owner_of=lambda account: account % 4,
+        MODEL_SHARD, ShardMapper(NUM_SHARDS, ACCOUNTS_PER_SHARD), 20, num_clients=4,
     )
     model = {account: (account % 4, 20) for account in MODEL_IDS}
     #: live checkpoint snapshots: (seq, lazy snapshot, the model's copy at seq)
@@ -249,3 +248,41 @@ def test_store_tracks_a_plain_dict_model(ops):
             store.restore(dict(model))
         _assert_matches(store, model)
     _assert_live(live)
+
+
+def _total_is_the_column_sum(store):
+    assert store.total_balance() == sum(balance for _, balance in store.snapshot().values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_shards=st.integers(1, 5),
+    accounts=st.integers(1, 70),
+    num_clients=st.integers(1, 40),
+    balance=st.integers(0, 10**12),
+    data=st.data(),
+)
+@example(num_shards=3, accounts=5, num_clients=3, balance=7, data=None)  # first ids 5, 10
+@example(num_shards=2, accounts=4, num_clients=4, balance=1, data=None)  # length == clients
+@example(num_shards=2, accounts=3, num_clients=8, balance=1, data=None)  # length < clients
+@example(num_shards=2, accounts=5, num_clients=8, balance=1, data=None)  # < clients, wraps
+@example(num_shards=3, accounts=1024, num_clients=10**6, balance=1, data=None)  # clients >> length
+@example(num_shards=4, accounts=9, num_clients=1, balance=2, data=None)  # a single client
+def test_tiled_owner_column_is_the_rule_per_account(
+    num_shards, accounts, num_clients, balance, data
+):
+    """The tiled owner column equals :func:`owner_of` applied account by account,
+    and ``total_balance()`` equals the column sum after bootstrap, clone and restore."""
+    mapper = ShardMapper(num_shards, accounts)
+    shard = num_shards - 1 if data is None else data.draw(st.integers(0, num_shards - 1))
+    store = StateStore.bootstrap(shard, mapper, balance, num_clients=num_clients)
+    ids = mapper.accounts_in_shard(shard)
+    assert store.snapshot() == {account: (owner_of(account, num_clients), balance) for account in ids}
+    _total_is_the_column_sum(store)
+    copy = store.clone()
+    _total_is_the_column_sum(copy)
+    copy.deposit(ids[-1], 3)
+    _total_is_the_column_sum(copy)
+    store.restore({account: (owner, account % 5) for account, (owner, _) in copy.snapshot().items()})
+    _total_is_the_column_sum(store)
+    assert store.state_digest() == store.naive_state_digest()

@@ -1,5 +1,7 @@
 """Unit tests for the state store and shard mapper."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import (
@@ -65,8 +67,8 @@ class TestShardMapper:
 
 class TestStateStore:
     def _store(self, balance=50):
-        """Shard 0 of two, accounts 0..3, account ``i`` owned by client ``i + 7``."""
-        return StateStore.bootstrap(0, ShardMapper(2, 4), balance, owner_of=lambda a: a + 7)
+        """Shard 0 of two, accounts 0..3 owned by clients 0, 1, 2, 0."""
+        return StateStore.bootstrap(0, ShardMapper(2, 4), balance, num_clients=3)
 
     def test_bootstrap_populates_shard(self):
         mapper = ShardMapper(2, 4)
@@ -81,6 +83,23 @@ class TestStateStore:
         with pytest.raises(ValidationError):
             self._store(balance=-1)
 
+    @pytest.mark.parametrize("num_clients", [0, -3])
+    def test_non_positive_client_count_rejected(self, num_clients):
+        with pytest.raises(ValidationError, match="num_clients"):
+            StateStore.bootstrap(0, ShardMapper(2, 4), 10, num_clients=num_clients)
+
+    def test_owner_period_is_capped_at_the_shard_length(self):
+        # A million clients over 1,024 accounts: the tiled period holds
+        # 1,024 owners (8 KB), not one per client (8 MB).
+        tracemalloc.start()
+        try:
+            store = StateStore.bootstrap(1, ShardMapper(2, 1024), 10, num_clients=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [store.entry(a)[0] for a in (1024, 2047)] == [1024, 2047]
+        assert peak < 100_000
+
     def test_deposit_and_withdraw(self):
         store = self._store()
         store.deposit(1, 25)
@@ -91,9 +110,9 @@ class TestStateStore:
     def test_withdraw_checks_owner(self):
         store = self._store()
         with pytest.raises(ValidationError):
-            store.withdraw(0, 10, requester=8)
-        store.withdraw(0, 10, requester=7)
-        assert store.balance(0) == 40
+            store.withdraw(3, 10, requester=3)  # client 3 is not account 3's owner
+        store.withdraw(3, 10, requester=0)
+        assert store.balance(3) == 40
 
     def test_overdraft_rejected(self):
         store = self._store(balance=5)

@@ -14,8 +14,7 @@ def mapper():
 
 
 def make_executor(mapper, shard, balance=100):
-    store = StateStore.bootstrap(shard, mapper, initial_balance=balance,
-                                 owner_of=lambda a: a % 4)
+    store = StateStore.bootstrap(shard, mapper, initial_balance=balance, num_clients=4)
     return TransactionExecutor(store, mapper, shard), store
 
 

@@ -18,7 +18,7 @@ ACCOUNTS = 64
 
 
 def _prototype(shard=1):
-    return StateStore.bootstrap(shard, ShardMapper(4, ACCOUNTS), 1000, owner_of=lambda a: a % 5)
+    return StateStore.bootstrap(shard, ShardMapper(4, ACCOUNTS), 1000, num_clients=5)
 
 
 def _first(store):
@@ -31,15 +31,18 @@ def _with_balance(store, balance):
 
 @pytest.fixture
 def leaf_calls(monkeypatch):
-    """Number of real ``leaf_hash`` computations (memo hits do not count)."""
+    """Number of real leaf computations: every leaf a table scan hashes,
+    and every incremental leaf (memo hits do not count)."""
     calls = [0]
+    scan = base._leaf_sum
 
-    def counting(account_id, owner, balance):
-        calls[0] += 1
-        return leaf_hash(account_id, owner, balance)
+    def counting(entries):
+        entries = list(entries)
+        calls[0] += len(entries)
+        return scan(entries)
 
-    monkeypatch.setattr(base, "leaf_hash", counting)
-    monkeypatch.setattr(base, "_memo_leaf_hash", counting)
+    monkeypatch.setattr(base, "_leaf_sum", counting)
+    monkeypatch.setattr(base, "_memo_leaf_hash", leaf_hash)  # unmemoised, counted by the scan
     return calls
 
 

@@ -47,7 +47,7 @@ class TestColumnarBasics:
 
     def test_owner_enforced_and_overdraft_rejected(self):
         mapper = ShardMapper(1, 8)
-        store = StateStore.bootstrap(0, mapper, 10, owner_of=lambda a: a % 4)
+        store = StateStore.bootstrap(0, mapper, 10, num_clients=4)
         with pytest.raises(ValidationError):
             store.withdraw(5, 1, requester=0)  # owner is 5 % 4 == 1
         store.withdraw(5, 1, requester=1)
@@ -84,7 +84,7 @@ class TestColumnarDigestParity:
     def test_matches_the_dict_backend_pins(self):
         """Digests, table and total recorded at e3d5edf on the dict backend."""
         mapper = ShardMapper(2, 32)
-        store = StateStore.bootstrap(0, mapper, 50, owner_of=lambda a: a % 3)
+        store = StateStore.bootstrap(0, mapper, 50, num_clients=3)
         assert store.state_digest() == (
             "709b59711c981a80fea6857a68845c14c6182eb0658a2468c17dd9c104b71db9"
         )
