@@ -54,8 +54,8 @@ class StableCheckpoint:
     digest: str
     #: the block at position ``seq`` (the chain anchor a joiner installs).
     anchor: object
-    #: account-store snapshot at exactly slot ``seq`` (a Mapping: the
-    #: store's lazy view, materialised on demand).
+    #: account-store snapshot at exactly slot ``seq`` (an ``id -> balance``
+    #: Mapping: the store's lazy view, materialised on demand).
     snapshot: "dict | object"
     #: the store half of ``digest``, recorded into the archive on
     #: stabilisation ("" for snapshots installed via state transfer,

@@ -30,11 +30,11 @@ either way.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from ..consensus.base import HandlerTable
 from ..consensus.log import EntryStatus, item_digest
-from ..storage import StateStore
 from .checkpoint import StableCheckpoint, checkpoint_digest
 from .messages import StateRequest, StateResponse
 
@@ -78,7 +78,7 @@ class StateTransferManager(HandlerTable):
         self.requested = 0
         self.completed = 0
         self.installed = 0
-        #: responses whose digest failed recomputation (dropped).
+        #: responses whose snapshot or entry failed verification (dropped).
         self.rejected = 0
 
     # ------------------------------------------------------------------
@@ -193,11 +193,15 @@ class StateTransferManager(HandlerTable):
             host.intra.on_view_installed(attested)
 
     def _verify_snapshot(self, message: StateResponse) -> bool:
+        """Whether the snapshot is ``int`` ids to ``int`` balances that hash to its digest."""
         anchor_hash = getattr(message.anchor, "block_hash", None)
-        if anchor_hash is None:
+        snapshot = message.snapshot
+        if anchor_hash is None or not isinstance(snapshot, Mapping) or not all(
+            type(account) is int and type(balance) is int for account, balance in snapshot.items()
+        ):
             return False
         recomputed = checkpoint_digest(
-            message.checkpoint_seq, anchor_hash, StateStore.snapshot_digest(message.snapshot)
+            message.checkpoint_seq, anchor_hash, self.host.store.snapshot_digest(snapshot)
         )
         return recomputed == message.checkpoint_digest
 

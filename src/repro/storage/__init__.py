@@ -3,7 +3,7 @@
 The package splits replica state management into two layers:
 
 - :mod:`repro.storage.base` — :class:`StateStore`, one shard's balance
-  table in flat array columns over the shard's contiguous id range.  It
+  table in one flat array column over the shard's contiguous id range.  It
   maintains an order-independent incremental state digest, so a
   checkpoint costs time proportional to the accounts *touched* since the
   previous checkpoint, not to the store size, and takes lazy

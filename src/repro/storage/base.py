@@ -1,16 +1,16 @@
-"""The state store: a shard's balance table in flat columns, with an incremental digest.
+"""The state store: a shard's balance table in a flat column, with an incremental digest.
 
 The accounting application's replicated state is a balance table.
-:class:`StateStore` keeps one shard's table in two flat ``array('q')``
-columns (owner, balance) indexed by *dense* account ids:
+:class:`StateStore` keeps one shard's table in one flat ``array('q')``
+balance column indexed by *dense* account ids:
 :class:`~repro.txn.accounts.ShardMapper` assigns a shard a contiguous
 range of account ids, so ``index = account_id - first`` gives O(1)
 lookup with no per-account Python objects.  The paper models an account
-as the pair ``(amount, PK)``; the owner column holds the owning client's
-id in place of the public key, and ownership checks compare it against
-the transaction's signer.  Every account of the range
-exists from bootstrap to the end of the run; there is no account
-creation, and a :meth:`StateStore.restore` must cover the range exactly.
+as the pair ``(amount, PK)``; no transaction changes the PK, so the owner
+(a client id in place of the key) is not stored: :func:`owner_of`
+computes it where it is read.  Every account of the range exists from
+bootstrap to the end of the run; there is no account creation, and a
+:meth:`StateStore.restore` must cover the range exactly.
 
 Two properties make the store checkpointable at any size:
 
@@ -42,6 +42,8 @@ import hashlib
 import weakref
 from array import array
 from functools import lru_cache
+from itertools import repeat
+from operator import mod
 from typing import Iterable, Iterator, Mapping
 
 from ..common.errors import (
@@ -82,7 +84,7 @@ _memo_leaf_hash = lru_cache(maxsize=4096)(leaf_hash)
 
 
 class ColumnarSnapshot(Mapping):
-    """Lazy ``id -> (owner, balance)`` view of a store at checkpoint ``seq``.
+    """Lazy ``id -> balance`` view of a store at checkpoint ``seq``.
 
     Materialises (and caches) the full mapping on first access; until
     then it holds no per-account state.  Safe to ship in state-transfer
@@ -94,19 +96,19 @@ class ColumnarSnapshot(Mapping):
     def __init__(self, store: "StateStore", seq: int) -> None:
         self._store = store
         self.seq = seq
-        self._data: dict[AccountId, tuple[ClientId, int]] | None = None
+        self._data: dict[AccountId, int] | None = None
 
     @property
     def materialized(self) -> bool:
         """Whether the snapshot has been expanded to an eager dict yet."""
         return self._data is not None
 
-    def _ensure(self) -> dict[AccountId, tuple[ClientId, int]]:
+    def _ensure(self) -> dict[AccountId, int]:
         if self._data is None:
             self._data = self._store._materialize_at(self.seq)
         return self._data
 
-    def __getitem__(self, account_id: AccountId) -> tuple[ClientId, int]:
+    def __getitem__(self, account_id: AccountId) -> int:
         return self._ensure()[account_id]
 
     def __iter__(self) -> Iterator[AccountId]:
@@ -124,30 +126,30 @@ class ColumnarSnapshot(Mapping):
 
 
 class StateStore:
-    """Mutable balance table of one shard: flat columns over its id range."""
+    """Mutable balance table of one shard: one flat column over its id range."""
 
     def __init__(
-        self, shard: ShardId, first_id: int, owners: array, balances: array, total: int
+        self, shard: ShardId, first_id: int, num_clients: int, balances: array, total: int
     ) -> None:
         self.shard = shard
         self.version = 0
         self._first = first_id
         self._capacity = len(balances)
-        self._owners = owners
+        self._num_clients = num_clients
         self._balances = balances
         self._total = total  # sum(balances), known to the caller without summing
         #: memoised digest accumulator; ``None`` until first computed.
         self._digest_acc: int | None = None
         #: pre-images of accounts written since the last digest:
-        #: ``account_id -> (owner, balance)``.
-        self._pending: dict[AccountId, tuple[ClientId, int]] = {}
+        #: ``account_id -> balance``.
+        self._pending: dict[AccountId, int] = {}
         #: ``(prototype, its version)`` of a clone taken from a store that
         #: had no digest yet (:meth:`clone`); gone after one digest.
         self._cloned_from: tuple[StateStore, int] | None = None
         # -- lazy checkpoint snapshot machinery --------------------------
         #: pre-images of writes since the last checkpoint (None = no
         #: checkpoint snapshot is live, undo tracking is off).
-        self._epoch_undo: dict[AccountId, tuple[ClientId, int]] | None = None
+        self._epoch_undo: dict[AccountId, int] | None = None
         #: checkpoint seq at which the open epoch started.
         self._epoch_seq = 0
         #: closed epochs, oldest first: ``(epoch_start_seq, undo dict)``.
@@ -159,32 +161,22 @@ class StateStore:
     # ------------------------------------------------------------------
     @classmethod
     def bootstrap(
-        cls, shard: ShardId, mapper, initial_balance: int, num_clients: int | None = None
+        cls, shard: ShardId, mapper, initial_balance: int, num_clients: int
     ) -> "StateStore":
         """A store holding every account of ``shard`` at ``initial_balance``.
 
         ``mapper.accounts_in_shard`` returns a contiguous ``range``; its
         start becomes the store's dense-id offset.  :func:`owner_of` over
-        ``num_clients`` assigns owners (``None``: client ``i`` owns account
-        ``i``); the owner column is one period of the rule (at most ``n``
-        entries), rotated to the first id and tiled, so no Python call is
-        made per account.
+        ``num_clients`` names each account's owner.
         """
         if initial_balance < 0:
             raise ValidationError("accounts cannot start with negative balance")
-        if num_clients is not None and num_clients < 1:
+        if num_clients < 1:
             raise ValidationError(f"num_clients must be positive, got {num_clients}")
         ids = mapper.accounts_in_shard(shard)
         n = len(ids)
-        if num_clients is None:
-            owners = array("q", ids)
-        else:
-            shift = owner_of(ids.start, num_clients)
-            head = array("q", range(shift, min(num_clients, shift + n)))
-            period = head + array("q", range(min(shift, n - len(head))))
-            owners = (period * (n // num_clients + 1))[:n]
         balances = array("q", [initial_balance]) * n
-        return cls(shard, ids.start, owners, balances, n * initial_balance)
+        return cls(shard, ids.start, num_clients, balances, n * initial_balance)
 
     def clone(self) -> "StateStore":
         """An independent deep copy (bootstrap sharing across replicas).
@@ -195,7 +187,9 @@ class StateStore:
         undigested one (a bootstrap prototype) is remembered,
         version-stamped, so its table is scanned once, not once per clone.
         """
-        copy = StateStore(self.shard, self._first, self._owners[:], self._balances[:], self._total)
+        copy = StateStore(
+            self.shard, self._first, self._num_clients, self._balances[:], self._total
+        )
         copy.version = self.version
         if self._digest_acc is None:
             copy._cloned_from = (self, self.version)
@@ -210,31 +204,38 @@ class StateStore:
     def __len__(self) -> int:
         return self._capacity
 
-    def entry(self, account_id: AccountId) -> tuple[ClientId, int]:
-        """Current ``(owner, balance)`` of ``account_id``."""
+    def balance(self, account_id: AccountId) -> int:
+        """Current balance of ``account_id``."""
         index = account_id - self._first
         if not 0 <= index < self._capacity:
             raise UnknownAccountError(f"unknown account {account_id}")
-        return (self._owners[index], self._balances[index])
+        return self._balances[index]
 
-    def balance(self, account_id: AccountId) -> int:
-        """Current balance of ``account_id``."""
-        return self.entry(account_id)[1]
+    def owner(self, account_id: AccountId) -> ClientId:
+        """The client owning ``account_id``: :func:`owner_of` under this shard's rule."""
+        if not 0 <= account_id - self._first < self._capacity:
+            raise UnknownAccountError(f"unknown account {account_id}")
+        return owner_of(account_id, self._num_clients)
 
     def total_balance(self) -> int:
         """Sum of all balances (maintained incrementally, O(1))."""
         return self._total
 
     def _entries(self) -> Iterator[tuple[AccountId, ClientId, int]]:
-        """``(account_id, owner, balance)`` over the whole table, in id order."""
+        """``(account_id, owner, balance)`` over the whole table, in id order.
+
+        The owner is :func:`owner_of`, inlined as ``map(mod, ...)`` so the
+        scan makes no Python call per account.
+        """
         first = self._first
-        return zip(range(first, first + self._capacity), self._owners, self._balances)
+        ids = range(first, first + self._capacity)
+        return zip(ids, map(mod, ids, repeat(self._num_clients)), self._balances)
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def _note_write(self, account_id: AccountId, before: tuple[ClientId, int]) -> None:
-        """Record an account's pre-image the first time it is written.
+    def _note_write(self, account_id: AccountId, before: int) -> None:
+        """Record an account's pre-image balance the first time it is written.
 
         Once for the digest (since the last :meth:`state_digest`) and once
         for the open undo epoch (since the last checkpoint); repeat writes
@@ -255,31 +256,22 @@ class StateStore:
         if not 0 <= index < self._capacity:
             raise UnknownAccountError(f"unknown account {account_id}")
         balances = self._balances
-        self._note_write(account_id, (self._owners[index], balances[index]))
+        self._note_write(account_id, balances[index])
         balances[index] += amount
         self._total += amount
         self.version += 1
 
-    def withdraw(
-        self, account_id: AccountId, amount: int, requester: ClientId | None = None
-    ) -> None:
-        """Debit ``amount``; ``requester`` (when given) must own the account.
-
-        The ownership check implements the paper's "valid signature of its
-        owner" rule.
-        """
+    def withdraw(self, account_id: AccountId, amount: int) -> None:
+        """Debit ``amount``, which the account must hold (who may is the executor's check)."""
         if amount < 0:
             raise ValidationError("withdrawal amount must be non-negative")
         index = account_id - self._first
         if not 0 <= index < self._capacity:
             raise UnknownAccountError(f"unknown account {account_id}")
-        owner = self._owners[index]
         balance = self._balances[index]
-        if requester is not None and owner != requester:
-            raise ValidationError(f"client {requester} does not own account {account_id}")
         if balance < amount:
             raise InsufficientBalanceError(f"account {account_id} holds {balance} < {amount}")
-        self._note_write(account_id, (owner, balance))
+        self._note_write(account_id, balance)
         self._balances[index] = balance - amount
         self._total -= amount
         self.version += 1
@@ -310,12 +302,12 @@ class StateStore:
         if acc is None:
             acc = _leaf_sum(self._entries())
         else:
-            leaf = _memo_leaf_hash
-            first, owners, balances = self._first, self._owners, self._balances
-            for account_id, (owner, balance) in self._pending.items():
+            leaf, num_clients = _memo_leaf_hash, self._num_clients
+            first, balances = self._first, self._balances
+            for account_id, balance in self._pending.items():
+                owner = account_id % num_clients
                 acc -= leaf(account_id, owner, balance)
-                index = account_id - first
-                acc += leaf(account_id, owners[index], balances[index])
+                acc += leaf(account_id, owner, balances[account_id - first])
         acc &= DIGEST_MASK
         self._digest_acc = acc
         self._pending.clear()
@@ -329,18 +321,23 @@ class StateStore:
         """
         return format(_leaf_sum(self._entries()) & DIGEST_MASK, "064x")
 
-    @staticmethod
-    def snapshot_digest(snapshot: "Mapping[AccountId, tuple[ClientId, int]]") -> str:
-        """:meth:`naive_state_digest`'s scan over a :meth:`snapshot` mapping."""
-        entries = ((account, owner, balance) for account, (owner, balance) in snapshot.items())
+    def snapshot_digest(self, snapshot: Mapping[AccountId, int]) -> str:
+        """:meth:`naive_state_digest`'s scan over a :meth:`snapshot` mapping.
+
+        Owners come from this shard's rule, so a peer's snapshot is hashed
+        as this store would hash the same balances.
+        """
+        n = self._num_clients
+        entries = ((account, account % n, balance) for account, balance in snapshot.items())
         return format(_leaf_sum(entries) & DIGEST_MASK, "064x")
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict[AccountId, tuple[ClientId, int]]:
-        """Eager copy of the full state (``id -> (owner, balance)``)."""
-        return {account_id: (owner, balance) for account_id, owner, balance in self._entries()}
+    def snapshot(self) -> dict[AccountId, int]:
+        """Eager copy of the full state (``id -> balance``)."""
+        first = self._first
+        return dict(zip(range(first, first + self._capacity), self._balances))
 
     def checkpoint_snapshot(self, seq: int) -> ColumnarSnapshot:
         """Open a new undo epoch and return a lazy snapshot at ``seq``.
@@ -362,7 +359,7 @@ class StateStore:
         self._snapshots.add(snapshot)
         return snapshot
 
-    def _materialize_at(self, seq: int) -> dict[AccountId, tuple[ClientId, int]]:
+    def _materialize_at(self, seq: int) -> dict[AccountId, int]:
         """Current state rolled back to checkpoint ``seq`` via undo frames.
 
         Pre-image layers are applied newest-to-oldest with unconditional
@@ -381,7 +378,7 @@ class StateStore:
             data.update(undo)
         return data
 
-    def restore(self, snapshot: Mapping[AccountId, tuple[ClientId, int]]) -> None:
+    def restore(self, snapshot: Mapping[AccountId, int]) -> None:
         """Replace the store contents with ``snapshot``.
 
         The snapshot (a peer's, in a state transfer) must name every
@@ -389,11 +386,11 @@ class StateStore:
         balance; otherwise :class:`ValidationError` names the first
         offending id and the store is left unchanged.  Live lazy
         snapshots are materialised first: their undo frames are expressed
-        against the *current* columns, which this call overwrites.
+        against the *current* column, which this call overwrites.
         """
         first, capacity = self._first, self._capacity
         rows: list = [None] * capacity
-        for account_id, entry in snapshot.items():
+        for account_id, balance in snapshot.items():
             index = account_id - first if type(account_id) is int else -1
             if not 0 <= index < capacity:
                 raise ValidationError(
@@ -402,21 +399,19 @@ class StateStore:
                 )
             if rows[index] is not None:
                 raise ValidationError(f"snapshot names account {account_id} twice")
-            if entry[1] < 0:
+            if balance < 0:
                 raise ValidationError(
-                    f"snapshot account {account_id} has negative balance {entry[1]}"
+                    f"snapshot account {account_id} has negative balance {balance}"
                 )
-            rows[index] = entry
+            rows[index] = balance
         if None in rows:
             raise ValidationError(f"snapshot is missing account {first + rows.index(None)}")
-        owners = array("q", (owner for owner, _ in rows))
-        balances = array("q", (balance for _, balance in rows))
+        balances = array("q", rows)
         for snap in list(self._snapshots):
             snap._ensure()
         self._frames = []
         self._epoch_undo = None
         self._epoch_seq = 0
-        self._owners = owners
         self._balances = balances
         self._total = sum(balances)
         self._digest_acc = None

@@ -38,17 +38,10 @@ class ExecutionResult(NamedTuple):
 class TransactionExecutor:
     """Validates and applies transactions to a single shard's state."""
 
-    def __init__(
-        self,
-        store: StateStore,
-        mapper: ShardMapper,
-        shard: ShardId,
-        enforce_ownership: bool = True,
-    ) -> None:
+    def __init__(self, store: StateStore, mapper: ShardMapper, shard: ShardId) -> None:
         self.store = store
         self.mapper = mapper
         self.shard = shard
-        self.enforce_ownership = enforce_ownership
         self.executed = 0
         self.failed = 0
 
@@ -80,10 +73,12 @@ class TransactionExecutor:
         """Raise :class:`ValidationError` if the local part is invalid.
 
         ``classified`` is :meth:`_classify_local` of ``transaction``.
-        Checks ownership of source accounts stored locally and that each
-        locally-stored source holds sufficient balance for the sum of its
-        outgoing transfers in this transaction.  Each local source is
-        read once; ``remaining`` is what its transfers so far leave of it.
+        Checks ownership of source accounts stored locally (the paper's
+        "valid signature of its owner" rule: the signer must be the
+        account's owner) and that each locally-stored source holds
+        sufficient balance for the sum of its outgoing transfers in this
+        transaction.  Each local source is read once; ``remaining`` is
+        what its transfers so far leave of it.
         """
         remaining: dict[int, int] = {}
         for transfer, source_local, _ in classified:
@@ -92,8 +87,8 @@ class TransactionExecutor:
             source = transfer.source
             left = remaining.get(source)
             if left is None:
-                owner, left = self.store.entry(source)
-                if self.enforce_ownership and owner != transaction.client:
+                left = self.store.balance(source)
+                if self.store.owner(source) != transaction.client:
                     raise ValidationError(
                         f"client {transaction.client} does not own account {source}"
                     )
@@ -122,10 +117,9 @@ class TransactionExecutor:
             self.failed += 1
             return ExecutionResult(transaction.tx_id, False, 0, str(exc))
         applied = 0
-        requester = transaction.client if self.enforce_ownership else None
         for transfer, source_local, destination_local in classified:
             if source_local:
-                self.store.withdraw(transfer.source, transfer.amount, requester=requester)
+                self.store.withdraw(transfer.source, transfer.amount)
                 applied += 1
             if destination_local:
                 self.store.deposit(transfer.destination, transfer.amount)

@@ -1,8 +1,8 @@
 """What building a system costs: a Python-call count flat in accounts, one prototype per shard.
 
-A shard's store is bootstrapped by tiling one period of the ownership
-rule (``StateStore.bootstrap``), and every replica of the shard receives
-a clone of that one prototype.  So the Python work of
+A shard's store is one balance column bootstrapped by ``array``
+multiplication (``StateStore.bootstrap``), and every replica of the
+shard receives a clone of that one prototype.  So the Python work of
 ``Scenario.build_system()`` is counted here, not timed: the number of
 Python-level calls (``call`` plus ``c_call`` profile events) must not
 depend on the shard size.  The prototypes themselves are held weakly

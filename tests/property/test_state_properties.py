@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.common.errors import InsufficientBalanceError, ValidationError
+from repro.common.errors import InsufficientBalanceError
 from repro.storage import StateStore
-from repro.storage.base import owner_of
+from repro.storage.base import DIGEST_MASK, leaf_hash, owner_of
 from repro.txn.accounts import ShardMapper
 from repro.txn.execution import TransactionExecutor
 from repro.txn.transaction import Transaction, Transfer
@@ -71,7 +71,7 @@ def test_balances_never_go_negative(raw_transfers):
         for shard in sorted(tx.involved_shards(mapper)):
             executors[shard].execute(tx)
     for store in stores.values():
-        for _, balance in store.snapshot().values():
+        for balance in store.snapshot().values():
             assert balance >= 0
 
 
@@ -138,10 +138,7 @@ MODEL_IDS = ShardMapper(NUM_SHARDS, ACCOUNTS_PER_SHARD).accounts_in_shard(MODEL_
 account_ids = st.one_of(st.sampled_from(MODEL_IDS[:2]), st.sampled_from(MODEL_IDS))
 write_ops = st.one_of(
     st.tuples(st.just("deposit"), account_ids, st.integers(1, 30)),
-    st.tuples(
-        st.just("withdraw"), account_ids, st.integers(0, 40),
-        st.one_of(st.none(), st.integers(0, 3)),
-    ),
+    st.tuples(st.just("withdraw"), account_ids, st.integers(0, 40)),
 )
 writes = st.lists(write_ops, min_size=1, max_size=6)
 store_ops = st.one_of(
@@ -157,42 +154,34 @@ store_ops = st.one_of(
     st.tuples(st.just("restore_live"), st.integers(0, 7)),
     st.tuples(
         st.just("restore_table"),
-        st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 60)),
-            min_size=ACCOUNTS_PER_SHARD, max_size=ACCOUNTS_PER_SHARD,
-        ),
+        st.lists(st.integers(0, 60), min_size=ACCOUNTS_PER_SHARD, max_size=ACCOUNTS_PER_SHARD),
     ),
 )
 
 
 def _apply_write(store, model, op):
     """One deposit / withdraw on both; a refused one must change neither."""
-    kind, account, amount = op[:3]
-    owner, balance = model[account]
+    kind, account, amount = op
+    balance = model[account]
     if kind == "deposit":
         store.deposit(account, amount)
-        model[account] = (owner, balance + amount)
-        return
-    requester = op[3]
-    if requester is not None and requester != owner:
-        with pytest.raises(ValidationError, match="does not own"):
-            store.withdraw(account, amount, requester=requester)
+        model[account] = balance + amount
     elif balance < amount:
         with pytest.raises(InsufficientBalanceError):
-            store.withdraw(account, amount, requester=requester)
+            store.withdraw(account, amount)
     else:
-        store.withdraw(account, amount, requester=requester)
-        model[account] = (owner, balance - amount)
+        store.withdraw(account, amount)
+        model[account] = balance - amount
 
 
 def _assert_matches(store, model):
     assert store.snapshot() == model
     assert [store.balance(account) for account in MODEL_IDS] == [
-        model[account][1] for account in MODEL_IDS
+        model[account] for account in MODEL_IDS
     ]
-    assert store.total_balance() == sum(balance for _, balance in model.values())
+    assert store.total_balance() == sum(model.values())
     assert store.state_digest() == store.naive_state_digest() == (
-        StateStore.snapshot_digest(store.snapshot())
+        store.snapshot_digest(store.snapshot())
     )
 
 
@@ -211,7 +200,7 @@ def test_store_tracks_a_plain_dict_model(ops):
     store = StateStore.bootstrap(
         MODEL_SHARD, ShardMapper(NUM_SHARDS, ACCOUNTS_PER_SHARD), 20, num_clients=4,
     )
-    model = {account: (account % 4, 20) for account in MODEL_IDS}
+    model = dict.fromkeys(MODEL_IDS, 20)
     #: live checkpoint snapshots: (seq, lazy snapshot, the model's copy at seq)
     live = []
     seq = 0
@@ -242,16 +231,16 @@ def test_store_tracks_a_plain_dict_model(ops):
             store.restore(snapshot)
             model = dict(copy)
         elif kind == "restore_table":
-            model = {
-                account: entry for account, entry in zip(MODEL_IDS, op[1])
-            }
+            model = dict(zip(MODEL_IDS, op[1]))
             store.restore(dict(model))
         _assert_matches(store, model)
     _assert_live(live)
 
 
-def _total_is_the_column_sum(store):
-    assert store.total_balance() == sum(balance for _, balance in store.snapshot().values())
+def _expected_digest(model, num_clients):
+    """The store digest summed here, leaf by leaf, from an ``id -> balance`` model."""
+    leaves = sum(leaf_hash(account, account % num_clients, b) for account, b in model.items())
+    return format(leaves & DIGEST_MASK, "064x")
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,21 +257,46 @@ def _total_is_the_column_sum(store):
 @example(num_shards=2, accounts=5, num_clients=8, balance=1, data=None)  # < clients, wraps
 @example(num_shards=3, accounts=1024, num_clients=10**6, balance=1, data=None)  # clients >> length
 @example(num_shards=4, accounts=9, num_clients=1, balance=2, data=None)  # a single client
-def test_tiled_owner_column_is_the_rule_per_account(
+def test_owners_and_digests_follow_the_rule_per_account(
     num_shards, accounts, num_clients, balance, data
 ):
-    """The tiled owner column equals :func:`owner_of` applied account by account,
-    and ``total_balance()`` equals the column sum after bootstrap, clone and restore."""
+    """Every account's owner is :func:`owner_of` under the store's client count,
+    both digests equal a leaf sum over ``(a, a % n, balance)`` computed here, and
+    ``total_balance()`` is the column sum — after bootstrap, writes, clone and restore."""
     mapper = ShardMapper(num_shards, accounts)
     shard = num_shards - 1 if data is None else data.draw(st.integers(0, num_shards - 1))
-    store = StateStore.bootstrap(shard, mapper, balance, num_clients=num_clients)
     ids = mapper.accounts_in_shard(shard)
-    assert store.snapshot() == {account: (owner_of(account, num_clients), balance) for account in ids}
-    _total_is_the_column_sum(store)
-    copy = store.clone()
-    _total_is_the_column_sum(copy)
+    if data is None:
+        writes = [(ids[0], 7), (ids[-1], -1)]
+    else:
+        writes = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(-9, 9))))
+    store = StateStore.bootstrap(shard, mapper, balance, num_clients=num_clients)
+    model = dict.fromkeys(ids, balance)
+
+    def check(store, model):
+        assert [store.owner(account) for account in ids] == [
+            owner_of(account, num_clients) for account in ids
+        ]
+        assert store.snapshot() == model
+        assert store.total_balance() == sum(model.values())
+        expected = _expected_digest(model, num_clients)
+        assert store.state_digest() == store.naive_state_digest() == expected
+
+    check(store, model)
+    for account, amount in writes:
+        if amount >= 0:
+            store.deposit(account, amount)
+        elif model[account] + amount >= 0:
+            store.withdraw(account, -amount)
+        else:
+            continue
+        model[account] += amount
+    check(store, model)
+    copy, copied = store.clone(), dict(model)
+    check(copy, copied)
     copy.deposit(ids[-1], 3)
-    _total_is_the_column_sum(copy)
-    store.restore({account: (owner, account % 5) for account, (owner, _) in copy.snapshot().items()})
-    _total_is_the_column_sum(store)
-    assert store.state_digest() == store.naive_state_digest()
+    copied[ids[-1]] += 3
+    check(copy, copied)
+    model = {account: account % 5 for account in ids}
+    store.restore(model)
+    check(store, model)

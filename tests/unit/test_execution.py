@@ -46,12 +46,6 @@ class TestIntraShardExecution:
         assert store.balance(1) == 10
         assert store.balance(2) == 10
 
-    def test_ownership_can_be_disabled(self, mapper):
-        store = StateStore.bootstrap(0, mapper, initial_balance=50)
-        executor = TransactionExecutor(store, mapper, 0, enforce_ownership=False)
-        tx = Transaction.transfer(client=99, source=1, destination=2, amount=10)
-        assert executor.execute(tx).success
-
 
 class TestCrossShardExecution:
     def test_each_shard_applies_only_its_part(self, mapper):
@@ -135,8 +129,8 @@ class TestExecutionResultParity:
     def test_each_local_source_is_read_once(self, mapper):
         executor, store = make_executor(mapper, 0)
         reads = []
-        entry = store.entry
-        store.entry = lambda account_id: reads.append(account_id) or entry(account_id)
+        balance = store.balance
+        store.balance = lambda account_id: reads.append(account_id) or balance(account_id)
         tx = Transaction.multi_transfer(
             client=1, transfers=[Transfer(1, 2, 6), Transfer(1, 3, 6), Transfer(5, 15, 1)]
         )

@@ -18,6 +18,7 @@ from repro.core.system import SharPerSystem
 from repro.ledger.block import Block
 from repro.ledger.view import ClusterView
 from repro.recovery import checkpoint_digest
+from repro.recovery.messages import StateResponse
 from repro.storage import StateStore
 from repro.txn.accounts import ShardMapper
 from repro.txn.workload import WorkloadConfig
@@ -170,10 +171,10 @@ class TestClusterViewPruning:
 class TestCheckpointDigest:
     def test_store_digest_is_construction_independent(self):
         mapper = ShardMapper(num_shards=1, accounts_per_shard=8)
-        store = StateStore.bootstrap(shard=0, mapper=mapper, initial_balance=100)
+        store = StateStore.bootstrap(shard=0, mapper=mapper, initial_balance=100, num_clients=8)
         store.withdraw(AccountId(1), 30)
         store.deposit(AccountId(5), 30)
-        clone = StateStore.bootstrap(shard=0, mapper=mapper, initial_balance=7)
+        clone = StateStore.bootstrap(shard=0, mapper=mapper, initial_balance=7, num_clients=8)
         clone.restore(store.snapshot())
         assert store.state_digest() == clone.state_digest()
         clone.deposit(AccountId(2), 1)
@@ -185,6 +186,53 @@ class TestCheckpointDigest:
         assert digest != checkpoint_digest(10, "other", "store")
         assert digest != checkpoint_digest(10, "head", "other")
         assert digest == checkpoint_digest(10, "head", "store")
+
+
+class TestMalformedSnapshotsAreRefused:
+    """A helper's snapshot that is not ``int`` ids to ``int`` balances is counted, not raised on."""
+
+    @staticmethod
+    def _joiner():
+        config = DeploymentSpec(system="sharper", num_clusters=1).resolve(seed=1)
+        workload = WorkloadConfig(accounts_per_shard=16, num_clients=4)
+        joiner = SharPerSystem(config, workload, seed=1).replicas[1]
+        joiner.state_transfer._round_active = True
+        return joiner
+
+    @staticmethod
+    def _response(joiner, snapshot):
+        """Checkpoint 8 over the joiner's head, digested over its own store."""
+        anchor = joiner.chain.head
+        digest = checkpoint_digest(8, anchor.block_hash, joiner.store.state_digest())
+        return StateResponse(
+            checkpoint_seq=8, checkpoint_digest=digest, node=0, view=0,
+            anchor=anchor, snapshot=snapshot, tx_index=(), entries=(),
+        )
+
+    def test_the_well_formed_table_verifies(self):
+        joiner = self._joiner()
+        response = self._response(joiner, joiner.store.snapshot())
+        assert joiner.state_transfer._verify_snapshot(response)
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda table: {account: (account % 4, balance) for account, balance in table.items()},
+            lambda table: {str(account): balance for account, balance in table.items()},
+            lambda table: list(table.items()),
+            lambda table: dict.fromkeys(table, True),
+            lambda table: {account: float(balance) for account, balance in table.items()},
+        ],
+        ids=["owner-balance-tuples", "str-id", "list", "bool-balance", "float-balance"],
+    )
+    def test_rejected_counts_it_and_the_store_is_unchanged(self, malform):
+        joiner = self._joiner()
+        store, transfer = joiner.store, joiner.state_transfer
+        before = (store.snapshot(), store.total_balance(), store.version, store.state_digest())
+        transfer._on_response(self._response(joiner, malform(before[0])), 0)
+        assert (transfer.rejected, transfer.installed) == (1, 0)
+        assert (store.snapshot(), store.total_balance(), store.version,
+                store.state_digest()) == before
 
 
 class TestDecideConflictsStillRaise:

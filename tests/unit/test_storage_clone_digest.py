@@ -26,7 +26,7 @@ def _first(store):
 
 
 def _with_balance(store, balance):
-    return {account_id: (owner, balance) for account_id, (owner, _) in store.snapshot().items()}
+    return dict.fromkeys(store.snapshot(), balance)
 
 
 @pytest.fixture
@@ -95,7 +95,7 @@ class TestCloneDigest:
         snapshot = helper.checkpoint_snapshot(64)
         helper.deposit(account + 1, 9)
         joiner.deposit(account + 2, 1)  # stale local state, overwritten by the transfer
-        assert StateStore.snapshot_digest(snapshot) == checkpoint_digest
+        assert joiner.snapshot_digest(snapshot) == checkpoint_digest
         joiner.restore(snapshot)
         assert joiner.state_digest() == checkpoint_digest
         joiner.deposit(account + 1, 9)
@@ -148,7 +148,7 @@ def test_incremental_digest_hashes_two_leaves_per_write(accounts, leaf_calls):
     """
     writes = 100
     mapper = ShardMapper(1, accounts)
-    store = StateStore.bootstrap(0, mapper, 1000)
+    store = StateStore.bootstrap(0, mapper, 1000, num_clients=64)
     store.state_digest()  # the genesis scan
     leaf_calls[0] = 0
     for account_id in mapper.accounts_in_shard(0)[:: accounts // writes]:

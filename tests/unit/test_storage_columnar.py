@@ -15,8 +15,10 @@ from repro.txn.accounts import ShardMapper
 
 
 def _columnar(num_shards=2, accounts_per_shard=16, shard=0, balance=100):
+    """Client ``i`` owns account ``i``: there are more clients than ids."""
     mapper = ShardMapper(num_shards, accounts_per_shard)
-    return StateStore.bootstrap(shard, mapper, initial_balance=balance)
+    clients = num_shards * accounts_per_shard
+    return StateStore.bootstrap(shard, mapper, initial_balance=balance, num_clients=clients)
 
 
 class TestColumnarBasics:
@@ -25,13 +27,13 @@ class TestColumnarBasics:
         assert len(store) == 16
         assert store.total_balance() == 1600
         assert store.balance(16) == 100
-        assert store.entry(31) == (31, 100)
+        assert (store.owner(31), store.balance(31)) == (31, 100)
 
     @pytest.mark.parametrize("account", [15, 0, -1, 32])
     def test_ids_outside_the_range_are_unknown_on_both_sides(self, account):
         """Below the range the column index is negative: it must not wrap."""
         store = _columnar(shard=1)
-        for call in (store.entry, store.balance, lambda a: store.deposit(a, 1),
+        for call in (store.owner, store.balance, lambda a: store.deposit(a, 1),
                      lambda a: store.withdraw(a, 1)):
             with pytest.raises(UnknownAccountError, match=f"unknown account {account}"):
                 call(account)
@@ -45,12 +47,11 @@ class TestColumnarBasics:
         assert store.balance(3) == 120
         assert store.total_balance() == 1620
 
-    def test_owner_enforced_and_overdraft_rejected(self):
+    def test_owner_is_the_rule_and_overdraft_rejected(self):
         mapper = ShardMapper(1, 8)
         store = StateStore.bootstrap(0, mapper, 10, num_clients=4)
-        with pytest.raises(ValidationError):
-            store.withdraw(5, 1, requester=0)  # owner is 5 % 4 == 1
-        store.withdraw(5, 1, requester=1)
+        assert store.owner(5) == 1  # 5 % 4
+        store.withdraw(5, 1)
         with pytest.raises(InsufficientBalanceError):
             store.withdraw(5, 100)
         with pytest.raises(UnknownAccountError):
@@ -99,7 +100,10 @@ class TestColumnarDigestParity:
         assert store.state_digest() == (
             "b5584c240437c896b96765c3241d00f41d4d39ca870e44f153932ceda61db5b5"
         )
-        table = repr(sorted(store.snapshot().items())).encode()
+        # The table as the dict backend held it: (id, (owner, balance)) rows.
+        rows = [(account, (store.owner(account), balance))
+                for account, balance in sorted(store.snapshot().items())]
+        table = repr(rows).encode()
         assert hashlib.sha256(table).hexdigest() == (
             "e571b99a37c1eb6ba4160612938d8547f54fd3b75bee51a4e888788882a78f02"
         )
@@ -113,7 +117,7 @@ class TestColumnarCheckpointSnapshots:
         snapshot = store.checkpoint_snapshot(10)
         assert not snapshot.materialized
         store.deposit(0, 7)
-        assert snapshot[0] == (0, 100)  # pre-write value at seq 10
+        assert snapshot[0] == 100  # pre-write value at seq 10
         assert snapshot.materialized
         assert len(snapshot) == 16
 
@@ -123,8 +127,8 @@ class TestColumnarCheckpointSnapshots:
         store.deposit(3, 10)  # epoch [1, 2): 3 -> 110
         middle = store.checkpoint_snapshot(2)
         store.deposit(3, 10)  # epoch [2, now): 3 -> 120
-        assert early[3] == (3, 100)
-        assert middle[3] == (3, 110)
+        assert early[3] == 100
+        assert middle[3] == 110
         assert store.balance(3) == 120
 
     def test_snapshot_digest_matches_store_at_checkpoint(self):
@@ -134,7 +138,7 @@ class TestColumnarCheckpointSnapshots:
         snapshot = store.checkpoint_snapshot(4)
         store.deposit(5, 5)
         store.withdraw(6, 1)
-        assert StateStore.snapshot_digest(snapshot) == digest_then
+        assert store.snapshot_digest(snapshot) == digest_then
 
     def test_frames_trimmed_when_no_live_snapshot_needs_them(self):
         store = _columnar()
@@ -152,7 +156,7 @@ class TestColumnarCheckpointSnapshots:
             store.deposit(0, 1)
             store.checkpoint_snapshot(seq)
         assert len(store._frames) >= 4
-        assert held[0] == (0, 100)
+        assert held[0] == 100
 
     def test_restore_materialises_live_snapshots_first(self):
         store = _columnar()
@@ -161,7 +165,7 @@ class TestColumnarCheckpointSnapshots:
         store.deposit(0, 40)
         store.restore(baseline)
         assert snapshot.materialized
-        assert snapshot[0] == (0, 100)
+        assert snapshot[0] == 100
         assert store.balance(0) == 100
         assert store.state_digest() == store.naive_state_digest()
 
@@ -199,14 +203,14 @@ class TestRestoreRefusesWhatTheStoreCannotHold:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda rows: rows + [(32, (0, 1))],
+            (lambda rows: rows + [(32, 1)],
              "snapshot account 32 is outside shard 1's range 16..31"),
-            (lambda rows: [(15, (0, 100))] + rows[1:],
+            (lambda rows: [(15, 100)] + rows[1:],
              "snapshot account 15 is outside shard 1's range 16..31"),
-            (lambda rows: [("16", (0, 100))] + rows[1:], "snapshot account '16' is outside"),
+            (lambda rows: [("16", 100)] + rows[1:], "snapshot account '16' is outside"),
             (lambda rows: rows[:5] + rows[6:], "snapshot is missing account 21"),
-            (lambda rows: rows[:-1] + [(20, (0, 100))], "snapshot names account 20 twice"),
-            (lambda rows: rows[:3] + [(19, (3, -1))] + rows[4:],
+            (lambda rows: rows[:-1] + [(20, 100)], "snapshot names account 20 twice"),
+            (lambda rows: rows[:3] + [(19, -1)] + rows[4:],
              "snapshot account 19 has negative balance -1"),
         ],
         ids=["above", "below", "not-an-int", "missing", "duplicated", "negative"],
@@ -222,7 +226,7 @@ class TestRestoreRefusesWhatTheStoreCannotHold:
             store.restore(self._Pairs(tamper(rows)))
         assert self._state(store) == before
         assert not lazy.materialized  # its undo frames still stand
-        assert lazy[20] == (20, 105)
+        assert lazy[20] == 105
 
     def test_a_snapshot_of_the_range_in_any_order_is_accepted(self):
         store = _columnar(shard=1)
@@ -253,8 +257,8 @@ class TestPerfPinnedNames:
         assert pinned.__bases__ == (StateStore,)
         assert {name for name in vars(pinned) if not name.startswith("__")} == set()
         mapper = ShardMapper(2, 16)
-        store = pinned.bootstrap(1, mapper, initial_balance=100)
-        reference = StateStore.bootstrap(1, mapper, initial_balance=100)
+        store = pinned.bootstrap(1, mapper, initial_balance=100, num_clients=5)
+        reference = StateStore.bootstrap(1, mapper, initial_balance=100, num_clients=5)
         for each in (store, reference):
             each.deposit(17, 9)
             each.withdraw(30, 4)
