@@ -32,7 +32,7 @@ from .faults import (
     RecoverNode,
     RestoreNode,
 )
-from .registry import available_systems, get_system, register_system, unregister_system
+from .registry import available_systems, get_system, register_system
 from .result import ScenarioResult
 from .scenario import DeploymentSpec, Scenario, run_scenarios
 
@@ -56,5 +56,4 @@ __all__ = [
     "get_system",
     "register_system",
     "run_scenarios",
-    "unregister_system",
 ]

@@ -198,7 +198,7 @@ class PartitionClusters(FaultEvent):
 
 @dataclass(frozen=True)
 class Heal(FaultEvent):
-    """Remove every partition and severed link."""
+    """Remove the network partition."""
 
     def bind(self, system: "BaseSystem") -> Callable[[], None]:
         return system.network.heal
@@ -382,7 +382,7 @@ class FaultSchedule:
         return self.add(PartitionClusters(time=at, groups=frozen))
 
     def heal(self, at: float) -> "FaultSchedule":
-        """Heal all partitions and severed links at time ``at``."""
+        """Heal the network partition at time ``at``."""
         return self.add(Heal(time=at))
 
     def make_byzantine(

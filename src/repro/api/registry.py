@@ -29,7 +29,6 @@ __all__ = [
     "available_systems",
     "get_system",
     "register_system",
-    "unregister_system",
 ]
 
 SystemT = TypeVar("SystemT", bound="type")
@@ -57,28 +56,21 @@ def _ensure_builtins() -> None:
     _builtins_loaded = True
 
 
-def register_system(name: str, *, replace: bool = False) -> Callable[[SystemT], SystemT]:
+def register_system(name: str) -> Callable[[SystemT], SystemT]:
     """Class decorator registering a system under ``name``.
 
-    Re-registering the *same* class under the same name is a no-op, so
-    module reloads stay harmless; binding a name to a *different* class
-    raises :class:`~repro.common.errors.RegistrationError` unless
-    ``replace=True`` is passed explicitly.
+    Re-registering the *same* class under the same name is a no-op;
+    binding a taken name to a different class raises
+    :class:`~repro.common.errors.RegistrationError`.
     """
     key = _normalize(name)
 
-    def _same_class(a: type, b: type) -> bool:
-        # A module reload re-executes the class statement, producing a new
-        # class object with the same identity in source terms.
-        return a is b or (a.__module__, a.__qualname__) == (b.__module__, b.__qualname__)
-
     def decorator(cls: SystemT) -> SystemT:
         existing = _REGISTRY.get(key)
-        if existing is not None and not _same_class(existing, cls) and not replace:
+        if existing is not None and existing is not cls:
             raise RegistrationError(
                 f"system name {key!r} is already registered to "
-                f"{existing.__module__}.{existing.__qualname__}; "
-                "pass replace=True to override"
+                f"{existing.__module__}.{existing.__qualname__}"
             )
         _REGISTRY[key] = cls
         cls.registry_name = key
@@ -102,8 +94,3 @@ def available_systems() -> dict[str, Type["BaseSystem"]]:
     """A snapshot of the registry: sorted name -> system class."""
     _ensure_builtins()
     return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
-
-
-def unregister_system(name: str) -> None:
-    """Remove a system from the registry (a no-op for an unknown name)."""
-    _REGISTRY.pop(_normalize(name), None)

@@ -210,7 +210,7 @@ class ReferenceCommitteeReplica(ReplicaHost):
         self.register_handlers(self.intra.handlers())
 
     # ------------------------------------------------------------------
-    # message handling (table-driven; see Process.on_message)
+    # message handling (table-driven; see Process.register_handler)
     # ------------------------------------------------------------------
     def _on_client_request(self, request: ClientRequest, src: int) -> None:
         if request.reply_to < 0:
@@ -310,7 +310,7 @@ class AHLSystem(BaseSystem):
         # The reference committee is its own cluster in the latency topology:
         # RC-internal links are intra-cluster, RC-to-shard links are
         # cross-cluster (the RC is a separate set of nodes in AHL).
-        self.latency_model.cluster_of.update(
+        self.network.cluster_of.update(
             {int(node): int(self.committee.cluster_id) for node in self.committee.node_ids}
         )
         rc_primary_pid = int(self.committee.primary)

@@ -107,7 +107,7 @@ class SingleGroupReplica(ReplicaHost):
         self.register_handlers(self.intra.handlers())
 
     # ------------------------------------------------------------------
-    # message handling (table-driven; see Process.on_message)
+    # message handling (table-driven; see Process.register_handler)
     # ------------------------------------------------------------------
     def _on_client_request(self, request: ClientRequest, src: int) -> None:
         if request.reply_to < 0:

@@ -17,7 +17,7 @@ clusters.  :func:`plan_clusters` implements both the baseline formula
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .errors import ConfigurationError
@@ -64,6 +64,12 @@ class PerformanceModel:
     #: CPU time to append a block to the ledger view.
     append_cpu: float = 2e-6
 
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not value >= 0:  # also refuses NaN
+                raise ConfigurationError(f"{spec.name} must be a non-negative number, got {value}")
+
 
 @dataclass(frozen=True)
 class ProtocolTuning:
@@ -93,6 +99,12 @@ class ProtocolTuning:
     #: checkpointing and log/ledger garbage collection — the faultless
     #: benchmark default).  See :mod:`repro.recovery`.
     checkpoint_interval: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("view_change_timeout", "conflict_retry_delay"):
+            value = getattr(self, name)
+            if not value > 0:  # also refuses NaN
+                raise ConfigurationError(f"{name} must be a positive number, got {value}")
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ class ClosedLoopClient(Process):
         self._schedule_resend(state, tx_id)
 
     # ------------------------------------------------------------------
-    # handling replies (table-driven; see Process.on_message)
+    # handling replies (table-driven; see Process.register_handler)
     # ------------------------------------------------------------------
     def _on_reply(self, message: ClientReply, src: int) -> None:
         state = self._outstanding.get(message.tx_id)

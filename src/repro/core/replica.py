@@ -369,7 +369,7 @@ class SharPerReplica(ReplicaHost):
         self._remote_primaries[cluster_id] = int(remote.primary_for_view(message.view))
 
     # ------------------------------------------------------------------
-    # message dispatch (table-driven; see Process.on_message)
+    # message dispatch (table-driven; see Process.register_handler)
     # ------------------------------------------------------------------
     def _on_client_request(self, request: ClientRequest, src: int) -> None:
         if request.reply_to < 0:

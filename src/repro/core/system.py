@@ -27,7 +27,7 @@ from ..ledger.validation import AuditReport, audit_views
 from ..ledger.view import ClusterView
 from ..obs.recorder import INERT_RECORDER
 from ..sim.costs import CostModel
-from ..sim.network import ClusteredLatencyModel, Network
+from ..sim.network import Network
 from ..sim.process import Process
 from ..sim.simulator import Simulator
 from ..storage import SqliteArchive, StateStore
@@ -67,10 +67,7 @@ class BaseSystem:
             for cluster in config.clusters
             for node in cluster.node_ids
         }
-        self.latency_model = ClusteredLatencyModel(
-            config.performance, cluster_of, rng=self.sim.rng
-        )
-        self.network = Network(self.sim, self.latency_model)
+        self.network = Network(self.sim, config.performance, cluster_of)
         self.cost_model = CostModel(config.performance)
         #: the run's one shard mapper (one shard per cluster), shared by
         #: generators, router and replicas: a transaction is classified once.

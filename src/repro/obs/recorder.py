@@ -261,8 +261,8 @@ class FlightRecorder:
 
         The recv node's parent is the matching send node, found by
         payload identity on the (FIFO) link queue; earlier unmatched
-        entries were delivered to a crashed process (or the link is
-        non-FIFO) and are discarded — their chains clip cleanly.
+        entries were delivered to a crashed process and are discarded —
+        their chains clip cleanly.
         """
         queue = self._links.get((src << 21) | pid)
         parent = 0

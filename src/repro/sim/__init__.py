@@ -1,20 +1,8 @@
 """Discrete-event simulation substrate (clock, network, processes)."""
 
 from .costs import CostModel
-from .events import Event, EventQueue
-from .network import ClusteredLatencyModel, LatencyModel, Network, UniformLatencyModel
+from .network import Network
 from .process import Process
 from .simulator import Simulator, Timer
 
-__all__ = [
-    "ClusteredLatencyModel",
-    "CostModel",
-    "Event",
-    "EventQueue",
-    "LatencyModel",
-    "Network",
-    "Process",
-    "Simulator",
-    "Timer",
-    "UniformLatencyModel",
-]
+__all__ = ["CostModel", "Network", "Process", "Simulator", "Timer"]

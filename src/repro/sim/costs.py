@@ -15,10 +15,9 @@ Messages opt into signature costs by exposing two integer attributes:
 Crash-only protocols leave both out, which reads as zero (the paper notes
 that crash-only deployments do not sign messages); Byzantine protocols
 set them to 1.
-A message class may additionally declare ``extra_receive_cpu`` (seconds)
-to model heavier parsing.  All three attributes are class-level
-constants, so the per-type costs are cached on first use — cost lookup on
-the delivery hot path is a single dict probe.
+Both attributes are class-level constants, so the per-type costs are
+cached on first use — cost lookup on the delivery hot path is a single
+dict probe.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ class CostModel:
             perf = self.performance
             cost = perf.message_cpu
             cost += getattr(message_type, "verify_signatures", 0) * perf.signature_verify_cpu
-            cost += getattr(message_type, "extra_receive_cpu", 0.0)
             self._receive_cost[message_type] = cost
         return cost
 

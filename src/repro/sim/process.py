@@ -2,8 +2,8 @@
 
 A :class:`Process` owns a single CPU.  Incoming messages are served in
 arrival order; each message occupies the CPU for the time computed by the
-:class:`~repro.sim.costs.CostModel`, and the protocol handler
-(:meth:`Process.on_message`) runs when that service completes.  Outgoing
+:class:`~repro.sim.costs.CostModel`, and the handler registered for the
+message's type runs when that service completes.  Outgoing
 messages also charge the CPU and leave the node only once the CPU has
 produced them, which is what makes a primary that multicasts to many
 replicas an honest bottleneck — the effect behind every saturation knee
@@ -25,10 +25,10 @@ it pushes ``[completion, seq, handler, (message, src)]`` straight onto the
 heap, so the completion event is the protocol handler itself — no
 ``Process`` frame between the run loop and the engine.
 :meth:`Process._dispatch_message` is the *checked lane*, taken only when
-the process can see that it must be: a recorder is armed, the type
-has no table entry, the subclass overrides ``on_message``, or the message
-was pending when the process crashed.  Why the two events cannot be one is
-in docs/architecture.md, "The per-message fast lane".  Multicasts go through
+the process can see that it must be: a recorder is armed, the type has
+no table entry, or the message was pending when the process crashed.  Why
+the two events cannot be one is in docs/architecture.md, "The per-message
+fast lane".  Multicasts go through
 :meth:`Network.multicast`, which shares one immutable payload across all
 destinations and memoises the route per destination tuple — callers on
 the hot path pass the same precomputed tuple every time.
@@ -100,12 +100,8 @@ class Process:
         self.messages_missed = 0
         self.messages_sent = 0
         self.cpu_busy_time = 0.0
-        #: message-type → handler table driving :meth:`on_message`.
+        #: message-type → handler table; unregistered types are dropped.
         self._dispatch: dict[type, MessageHandler] = {}
-        #: what :meth:`deliver` resolves a handler from: the table itself,
-        #: or — for a subclass that overrides on_message, whose every
-        #: message must reach the override — a table that stays empty.
-        self._fast_lane = self._dispatch if type(self).on_message is Process.on_message else {}
         network.register(self)
 
     @property
@@ -129,11 +125,6 @@ class Process:
             start = free_at
         self._cpu_free_at = start + cpu_seconds
         self.cpu_busy_time += cpu_seconds
-        return self._cpu_free_at
-
-    @property
-    def cpu_free_at(self) -> float:
-        """Simulated time at which the CPU becomes idle."""
         return self._cpu_free_at
 
     def utilization(self, elapsed: float) -> float:
@@ -174,28 +165,29 @@ class Process:
         completion = start + cost
         self._cpu_free_at = completion
         self.cpu_busy_time += cost
-        handler = self._fast_lane.get(kind)
+        handler = self._dispatch.get(kind)
         if handler is None or self.recorder is not INERT_RECORDER:
             handler = self._dispatch_message
-        queue = sim._queue
-        heappush(queue._heap, [completion, next(queue._counter), handler, (message, src)])
+        heappush(sim._heap, [completion, next(sim._counter), handler, (message, src)])
 
     def _dispatch_message(self, message: Any, src: int) -> None:
         """The checked lane: completions that :meth:`deliver` or
         :meth:`crash` did not leave pointing at a handler.
 
-        ``crashed`` is tested when the event fires; a type without a table
-        entry falls to :meth:`on_message`; the handler runs in a recv
-        context (the inert recorder's does nothing), so every event it
-        records (phases, sends, quorum votes) parents to this arrival.
+        ``crashed`` is tested when the event fires; the handler runs in a
+        recv context (the inert recorder's does nothing), so every event it
+        records (phases, sends, quorum votes) parents to this arrival.  A
+        type without a table entry is dropped inside that context, so a
+        traced run records its arrival all the same.
         """
         if self.crashed:
             return
-        handler = self._fast_lane.get(message.__class__, self.on_message)
+        handler = self._dispatch.get(message.__class__)
         recorder = self.recorder
         recorder.begin_dispatch(self.sim._now, message, src, self.pid)
         try:
-            handler(message, src)
+            if handler is not None:
+                handler(message, src)
         finally:
             recorder.clear_context()
 
@@ -220,23 +212,6 @@ class Process:
     def register_handlers(self, handlers: dict[type, MessageHandler]) -> None:
         """Bulk variant of :meth:`register_handler`."""
         self._dispatch.update(handlers)
-
-    def on_message(self, message: Any, src: int) -> None:
-        """Protocol handler: one dict lookup on the concrete message type.
-
-        Messages of unregistered types are dropped.  Subclasses either
-        register handlers at construction time or override this method
-        entirely.  A process with an empty table raises, signalling a
-        subclass that forgot to do either.
-        """
-        handler = self._dispatch.get(type(message))
-        if handler is not None:
-            handler(message, src)
-        elif not self._dispatch:
-            raise NotImplementedError(
-                f"{type(self).__name__} registered no message handlers and "
-                "does not override on_message"
-            )
 
     # ------------------------------------------------------------------
     # send path
@@ -329,7 +304,7 @@ class Process:
             if not self.crashed:
                 callback(*args)
 
-        return self.sim.set_timer(delay, _guarded)
+        return self.sim.schedule(delay, _guarded)
 
     def crash(self) -> None:
         """Crash-stop the process: it stops receiving and sending.
@@ -342,9 +317,9 @@ class Process:
         crash pays for that test, not every message.
         """
         self.crashed = True
-        own = {id(handler) for handler in self._fast_lane.values()}
+        own = {id(handler) for handler in self._dispatch.values()}
         checked = self._dispatch_message
-        for entry in self.sim._queue._heap:
+        for entry in self.sim._heap:
             if id(entry[2]) in own:
                 entry[2] = checked
 

@@ -5,22 +5,30 @@ the testbed with a deterministic simulator (see docs/architecture.md,
 "Substitutions and interpretations").  The simulator provides:
 
 * a virtual clock (:attr:`Simulator.now`, in seconds);
-* event scheduling with cancellation (:meth:`Simulator.schedule`);
-* cancellable timers (used by the protocols' view-change and conflict
-  timers);
-* a seeded random number generator shared by the network jitter model and
+* event scheduling with cancellation (:meth:`Simulator.schedule` returns a
+  :class:`Timer`; the protocols' view-change and conflict timers are these);
+* a seeded random number generator shared by the network jitter draws and
   the workload generators, so that every run is reproducible.
 
 Performance model & parallel execution
 --------------------------------------
-:meth:`Simulator.run` is the single hottest loop of the repo, so it works
-directly on the queue's raw ``[time, sequence, callback, args]`` heap
-entries (see :mod:`repro.sim.events`) instead of allocating per-event
-handle objects, and it does one heap operation per event: pop, skip if
-cancelled, fire.  Only the entry that ends a run — the first one past
-``until`` or over ``max_events`` — is pushed back, as the same list, so a
-resumed run fires in the identical ``(time, sequence)`` order.  The
-kernel also keeps an events/sec counter
+The simulator owns one min-heap of plain four-element lists ``[time,
+sequence, callback, args]``.  Python compares lists element-wise in C and
+``sequence`` (drawn from :attr:`Simulator._counter`) is unique, so order is
+decided by the ``(time, sequence)`` prefix without user-level comparison
+code, and events of one instant fire in scheduling order.  Cancelling clears
+the callback slot in place (``entry[2] = None``); cancelled entries are
+skipped when popped.  The message paths never cancel, so
+``Network.send``/``multicast`` (arrival events) and ``Process.deliver``
+(CPU-completion events) push their entries onto :attr:`Simulator._heap`
+themselves, and ``Process.crash`` re-points callback slots in place: the
+entry layout is a contract between the ``repro.sim`` modules.
+
+:meth:`Simulator.run` is the single hottest loop of the repo and does one
+heap operation per event: pop, skip if cancelled, fire.  Only the entry that
+ends a run — the first one past ``until`` or over ``max_events`` — is pushed
+back, as the same list, so a resumed run fires in the identical ``(time,
+sequence)`` order.  The kernel also keeps an events/sec counter
 (:attr:`Simulator.events_per_second`) measured over wall-clock time spent
 inside ``run`` — the number ``perf/run.py`` reads as its host-drift probe
 (``repro.bench.perfbench``).  Whole runs are deterministic for a seed, which is
@@ -31,6 +39,7 @@ what lets the bench harness farm scenario runs out to a
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 from heapq import heappop, heappush
 from math import inf
@@ -38,9 +47,33 @@ from time import perf_counter
 from typing import Any, Callable
 
 from ..common.errors import SimulationError
-from .events import Event, EventQueue
 
 __all__ = ["Simulator", "Timer", "RecurringTimer"]
+
+
+class Timer:
+    """A cancellable handle to one scheduled callback: its heap entry."""
+
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
+
+    @property
+    def active(self) -> bool:
+        """Whether the callback is still pending.
+
+        A fired entry reports ``False`` too, so rolling-timer users re-arm
+        once the deadline passed, even when the guarded callback body was
+        skipped (e.g. the owning process was crashed at fire time).
+        """
+        return self._entry[2] is not None
+
+    def cancel(self) -> None:
+        """Cancel the timer; the callback will not run."""
+        entry = self._entry
+        entry[2] = None
+        entry[3] = ()
 
 
 class RecurringTimer:
@@ -53,65 +86,36 @@ class RecurringTimer:
     firing queued past the horizon.
     """
 
-    __slots__ = ("_sim", "_interval", "_callback", "_event", "_cancelled")
+    __slots__ = ("_sim", "_interval", "_callback", "_timer", "_cancelled")
 
     def __init__(self, sim: "Simulator", interval: float, callback: Callable[[], None]) -> None:
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(f"recurring interval must be positive, got {interval}")
         self._sim = sim
         self._interval = interval
         self._callback = callback
         self._cancelled = False
-        self._event = sim.schedule(interval, self._fire)
+        self._timer = sim.schedule(interval, self._fire)
 
     def _fire(self) -> None:
-        if self._cancelled:
-            return
         self._callback()
-        if not self._cancelled:
-            self._event = self._sim.schedule(self._interval, self._fire)
-
-    @property
-    def active(self) -> bool:
-        """Whether the timer will keep firing."""
-        return not self._cancelled
+        if not self._cancelled:  # the callback may cancel its own timer
+            self._timer = self._sim.schedule(self._interval, self._fire)
 
     def cancel(self) -> None:
         """Stop the timer; no further callbacks run."""
         self._cancelled = True
-        self._event.cancel()
-
-
-class Timer:
-    """A cancellable timer handle returned by :meth:`Simulator.set_timer`."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def active(self) -> bool:
-        """Whether the timer is still pending."""
-        return not self._event.cancelled
-
-    @property
-    def deadline(self) -> float:
-        """Simulated time at which the timer fires."""
-        return self._event.time
-
-    def cancel(self) -> None:
-        """Cancel the timer; the callback will not run."""
-        self._event.cancel()
+        self._timer.cancel()
 
 
 class Simulator:
     """Deterministic discrete-event simulation kernel."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue = EventQueue()
+        #: the one event heap of ``[time, sequence, callback, args]`` entries.
+        self._heap: list[list] = []
+        self._counter = itertools.count()
         self._now = 0.0
-        self._running = False
         self._processed_events = 0
         self._run_wall_time = 0.0
         self.rng = random.Random(seed)
@@ -129,7 +133,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued."""
-        return len(self._queue)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     @property
     def run_wall_time(self) -> float:
@@ -143,23 +147,24 @@ class Simulator:
             return 0.0
         return self._processed_events / self._run_wall_time
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay}s in the past")
-        return self._queue.push(self._now + delay, callback, *args)
+        if not delay >= 0:  # also refuses NaN
+            raise SimulationError(f"cannot schedule an event {delay}s from now")
+        return self._push(self._now + delay, callback, args)
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, current time is {self._now:.6f}"
             )
-        return self._queue.push(time, callback, *args)
+        return self._push(time, callback, args)
 
-    def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
-        """Arm a cancellable timer (protocol timeout helper)."""
-        return Timer(self.schedule(delay, callback, *args))
+    def _push(self, time: float, callback: Callable[..., None], args: tuple) -> Timer:
+        entry = [time, next(self._counter), callback, args]
+        heappush(self._heap, entry)
+        return Timer(entry)
 
     def every(self, interval: float, callback: Callable[[], None]) -> RecurringTimer:
         """Fire ``callback()`` every ``interval`` simulated seconds.
@@ -186,22 +191,20 @@ class Simulator:
         creates no reference cycles, so every automatic collection would
         re-walk that set to reclaim nothing.
         """
-        # Hot loop: operate on the queue's raw heap entries (layout
-        # [time, sequence, callback, args]) — no per-event allocations and
-        # one heap operation per event: pop first, push back only the entry
-        # that ends the run.  "No horizon"/"no budget" are values of the
-        # compared type (inf; -1, which ``fired`` never equals) so the loop
-        # tests neither options nor an int against a float.
-        heap = self._queue._heap
+        # Hot loop: no per-event allocations and one heap operation per
+        # event: pop first, push back only the entry that ends the run.
+        # "No horizon"/"no budget" are values of the compared type (inf;
+        # -1, which ``fired`` never equals) so the loop tests neither
+        # options nor an int against a float.
+        heap = self._heap
         horizon = inf if until is None else until
         budget = -1 if max_events is None else max(max_events, 0)
-        self._running = True
         fired = 0
         collecting = gc.isenabled()
         gc.disable()
         wall_start = perf_counter()
         try:
-            while self._running:
+            while True:
                 try:
                     entry = heappop(heap)
                 except IndexError:  # drained
@@ -217,9 +220,9 @@ class Simulator:
                     break
                 self._now = next_time
                 args = entry[3]
-                # Consume the entry before invoking so a Timer/Event handle
-                # sees the event as no longer pending even if the callback
-                # body is skipped (e.g. crash guards) or raises.
+                # Consume the entry before invoking so a Timer handle sees
+                # the event as no longer pending even if the callback body
+                # is skipped (e.g. crash guards) or raises.
                 entry[2] = None
                 entry[3] = ()
                 fired += 1
@@ -227,15 +230,13 @@ class Simulator:
         finally:
             self._processed_events += fired
             self._run_wall_time += perf_counter() - wall_start
-            self._running = False
             if collecting:
                 gc.enable()
-        if until is not None and self._queue.peek_time() is None:
-            # The system went idle before the horizon; advance the clock so
-            # throughput denominators stay meaningful.
-            self._now = max(self._now, until)
+        if until is not None:
+            while heap and heap[0][2] is None:
+                heappop(heap)
+            if not heap:
+                # The system went idle before the horizon; advance the clock
+                # so throughput denominators stay meaningful.
+                self._now = max(self._now, until)
         return self._now
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current event finishes."""
-        self._running = False

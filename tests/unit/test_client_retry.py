@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from repro.common.config import PerformanceModel
 from repro.common.metrics import MetricsCollector
+from repro.consensus.messages import ClientRequest
 from repro.core.client import CLIENT_PID_BASE, ClosedLoopClient
 from repro.sim.costs import CostModel
-from repro.sim.network import Network, UniformLatencyModel
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from repro.txn.workload import WorkloadConfig, WorkloadGenerator
@@ -25,14 +26,15 @@ class BlackHoleReplica(Process):
     def __init__(self, sim, network, cost_model):
         super().__init__(0, sim, network, cost_model)
         self.requests = 0
+        self.register_handler(ClientRequest, self._on_request)
 
-    def on_message(self, message, src):
+    def _on_request(self, message, src):
         self.requests += 1
 
 
 def build_client(retry_timeout=0.5):
     sim = Simulator(seed=3)
-    network = Network(sim, UniformLatencyModel(1e-3, rng=sim.rng))
+    network = Network(sim, PerformanceModel(client_latency=1e-3, latency_jitter=0.0), {})
     cost = CostModel(PerformanceModel(message_cpu=0.0, latency_jitter=0.0))
     replica = BlackHoleReplica(sim, network, cost)
     workload = WorkloadGenerator(WorkloadConfig(accounts_per_shard=16), num_shards=1, seed=5)

@@ -6,6 +6,7 @@ from repro.api import DeploymentSpec
 from repro.common.config import (
     ClusterConfig,
     NodeGroup,
+    PerformanceModel,
     ProtocolTuning,
     SystemConfig,
     plan_clusters,
@@ -109,3 +110,47 @@ class TestPerformanceModel:
         # once batching is armed.
         assert tuning.batch_size == 1
         assert tuning.pipeline_depth == 32
+
+
+NAN = float("nan")
+
+
+class TestTimingIsCheckedWhenBuilt:
+    """A NaN or negative timing field used to run: NaN delays or CPU costs
+    committed nothing with ``ok`` set, a negative delay delivered messages
+    before they left, and a NaN view-change timer forked a crash run."""
+
+    @pytest.mark.parametrize(
+        "field",
+        ["intra_cluster_latency", "cross_cluster_latency", "client_latency", "latency_jitter"],
+    )
+    @pytest.mark.parametrize("value", [NAN, -1e-3], ids=["nan", "negative"])
+    def test_link_delays_refuse_nan_and_negative(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PerformanceModel(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "message_cpu",
+            "signature_verify_cpu",
+            "signature_sign_cpu",
+            "execution_cpu",
+            "append_cpu",
+        ],
+    )
+    @pytest.mark.parametrize("value", [NAN, -1e-6], ids=["nan", "negative"])
+    def test_cpu_costs_refuse_nan_and_negative(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PerformanceModel(**{field: value})
+
+    @pytest.mark.parametrize("field", ["view_change_timeout", "conflict_retry_delay"])
+    @pytest.mark.parametrize("value", [NAN, 0.0, -0.5], ids=["nan", "zero", "negative"])
+    def test_protocol_timers_refuse_nan_and_non_positive(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ProtocolTuning(**{field: value})
+
+    def test_zero_costs_and_integer_knobs_are_accepted(self):
+        free = PerformanceModel(message_cpu=0.0, latency_jitter=0.0, intra_cluster_latency=0.0)
+        assert free.message_cpu == 0.0
+        assert ProtocolTuning(pipeline_depth=0).pipeline_depth == 0

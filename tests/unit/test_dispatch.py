@@ -20,7 +20,7 @@ from repro.consensus.messages import (
 from repro.consensus.paxos import PaxosEngine
 from repro.consensus.pbft import PBFTEngine
 from repro.sim.costs import CostModel
-from repro.sim.network import Network, UniformLatencyModel
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -82,7 +82,8 @@ class _TableProcess(Process):
 class TestProcessDispatch:
     def _build(self):
         sim = Simulator()
-        network = Network(sim, UniformLatencyModel(0.0))
+        performance = PerformanceModel(intra_cluster_latency=0.0, latency_jitter=0.0)
+        network = Network(sim, performance, {0: 0, 1: 0})
         cost = CostModel(PerformanceModel(message_cpu=0.0, latency_jitter=0.0))
         return sim, network, _TableProcess(0, sim, network, cost), _TableProcess(1, sim, network, cost)
 

@@ -5,7 +5,7 @@ import pytest
 from repro.adversary import MessageInterceptor, Outbound
 from repro.common.config import PerformanceModel
 from repro.sim.costs import CostModel
-from repro.sim.network import Network, UniformLatencyModel
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -14,14 +14,19 @@ class Echo(Process):
     def __init__(self, pid, sim, network, cost_model):
         super().__init__(pid, sim, network, cost_model)
         self.handled = []
+        self.register_handler(str, self._on_text)
 
-    def on_message(self, message, src):
+    def _on_text(self, message, src):
         self.handled.append((self.sim.now, message, src))
+
+
+ONE_CLUSTER = {0: 0, 1: 0, 2: 0}
 
 
 def build(latency=1e-3):
     sim = Simulator()
-    network = Network(sim, UniformLatencyModel(latency), fifo=True)
+    performance = PerformanceModel(intra_cluster_latency=latency, latency_jitter=0.0)
+    network = Network(sim, performance, ONE_CLUSTER)
     cost = CostModel(PerformanceModel(message_cpu=0.0, latency_jitter=0.0))
     a = Echo(0, sim, network, cost)
     b = Echo(1, sim, network, cost)
@@ -164,7 +169,8 @@ class TestHookMechanics:
 
     def test_interceptor_charges_send_cpu(self):
         sim = Simulator()
-        network = Network(sim, UniformLatencyModel(0.0), fifo=True)
+        performance = PerformanceModel(intra_cluster_latency=0.0, latency_jitter=0.0)
+        network = Network(sim, performance, ONE_CLUSTER)
         cost = CostModel(PerformanceModel(message_cpu=1e-3, latency_jitter=0.0))
         a = Echo(0, sim, network, cost)
         Echo(1, sim, network, cost)

@@ -1,11 +1,11 @@
-"""Unit tests for the simulated network (latency, FIFO, faults)."""
+"""Unit tests for the simulated network (latency, FIFO, partitions)."""
 
 import pytest
 
 from repro.common.config import PerformanceModel
 from repro.common.errors import NetworkError
 from repro.sim.costs import CostModel
-from repro.sim.network import ClusteredLatencyModel, Network, UniformLatencyModel
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -16,14 +16,21 @@ class Recorder(Process):
     def __init__(self, pid, sim, network):
         super().__init__(pid, sim, network, CostModel(PerformanceModel(message_cpu=0.0)))
         self.received = []
+        self.register_handlers({kind: self._note for kind in (str, int, tuple)})
 
-    def on_message(self, message, src):
+    def _note(self, message, src):
         self.received.append((self.sim.now, src, message))
 
 
-def make_net(latency=1e-3, jitter=0.0, drop_rate=0.0, fifo=True):
-    sim = Simulator(seed=3)
-    network = Network(sim, UniformLatencyModel(latency, jitter, rng=sim.rng), drop_rate, fifo=fifo)
+def one_cluster(latency=1e-3, jitter=0.0, seed=3, size=3):
+    """A simulator and a network whose ``size`` pids share one cluster."""
+    sim = Simulator(seed=seed)
+    performance = PerformanceModel(intra_cluster_latency=latency, latency_jitter=jitter)
+    return sim, Network(sim, performance, {pid: 0 for pid in range(size)})
+
+
+def make_net(latency=1e-3, jitter=0.0):
+    sim, network = one_cluster(latency, jitter)
     nodes = [Recorder(pid, sim, network) for pid in range(3)]
     return sim, network, nodes
 
@@ -39,7 +46,7 @@ class TestDelivery:
         sim, network, nodes = make_net(latency=5e-3)
         network.send(0, 1, "x")
         sim.run()
-        assert nodes[1].received[0][0] == pytest.approx(5e-3)
+        assert nodes[1].received[0][0] == 5e-3  # no jitter: exactly the base
 
     def test_unknown_destination_raises(self):
         sim, network, _ = make_net()
@@ -61,14 +68,6 @@ class TestDelivery:
         sim.run()
         payloads = [msg for _, _, msg in nodes[1].received]
         assert payloads == list(range(20))
-
-    def test_non_fifo_network_may_reorder(self):
-        sim, network, nodes = make_net(latency=1e-3, jitter=5.0, fifo=False)
-        for index in range(30):
-            network.send(0, 1, index)
-        sim.run()
-        payloads = [msg for _, _, msg in nodes[1].received]
-        assert sorted(payloads) == list(range(30))
 
 
 class TestMulticast:
@@ -95,8 +94,7 @@ class TestMulticast:
         """
 
         def arrivals(use_multicast):
-            sim = Simulator(seed=9)
-            network = Network(sim, UniformLatencyModel(1e-3, jitter=1.0, rng=sim.rng))
+            sim, network = one_cluster(jitter=1.0, seed=9, size=4)
             nodes = [Recorder(pid, sim, network) for pid in range(4)]
             for round_ in range(3):
                 if use_multicast:
@@ -130,23 +128,6 @@ class TestMulticast:
         assert [m for _, _, m in nodes[1].received] == ["after-heal"]
         assert [m for _, _, m in nodes[2].received] == ["after-heal"]
 
-    def test_severed_link_breaks_fast_path_per_destination(self):
-        sim, network, nodes = make_net()
-        network.disconnect(0, 2)
-        sent = network.multicast(0, [1, 2], "m")
-        sim.run()
-        assert sent == 1
-        assert nodes[1].received and not nodes[2].received
-
-    def test_multicast_drop_rate_applies_per_destination(self):
-        sim, network, nodes = make_net(drop_rate=0.5)
-        for _ in range(100):
-            network.multicast(0, [1, 2], "m")
-        sim.run()
-        delivered = len(nodes[1].received) + len(nodes[2].received)
-        assert 0 < delivered < 200
-        assert network.messages_dropped + network.messages_delivered == 200
-
     def test_multicast_unknown_destination_raises(self):
         sim, network, _ = make_net()
         with pytest.raises(NetworkError):
@@ -177,48 +158,49 @@ class TestRoutes:
         assert [m for _, _, m in nodes[2].received] == ["warm", "healed"]
         assert network.messages_dropped == 2
 
-    def test_severed_link_armed_after_memoisation_is_honoured(self):
+    def test_partition_armed_after_a_memoised_send_is_honoured(self):
         sim, network, nodes = make_net()
         network.multicast(0, (1, 2), "warm")
         network.send(0, 2, "warm")
-        network.disconnect(0, 2)
+        network.partition([[0, 1], [2]])
         assert network.multicast(0, (1, 2), "cut") == 1
         assert network.send(0, 2, "cut") is False
-        network.reconnect(0, 2)
+        network.heal()
         assert network.multicast(0, (1, 2), "back") == 2
         sim.run()
         assert [m for _, _, m in nodes[2].received] == ["warm", "warm", "back"]
 
-    def test_drop_rate_armed_after_memoisation_is_honoured(self):
+    def test_counters_stay_exact_across_a_partition(self):
         sim, network, nodes = make_net()
         network.multicast(0, (1, 2), "warm")
-        network.drop_rate = 0.5
+        network.partition([[0, 1], [2]])
         for _ in range(50):
-            network.multicast(0, (1, 2), "lossy")
-        dropped = network.messages_dropped
-        assert 0 < dropped < 100
-        network.drop_rate = 0.0
+            network.multicast(0, (1, 2), "split")
+        assert network.messages_dropped == 50
+        network.heal()
         assert network.multicast(0, (1, 2), "clean") == 2
         sim.run()
-        assert network.messages_dropped == dropped
+        assert network.messages_dropped == 50
         assert network.messages_sent == 104
         assert network.messages_sent == network.messages_dropped + network.messages_delivered
 
     def test_general_path_draws_like_sequential_sends(self):
-        """Drop and jitter draws interleave per destination, as in a send loop."""
+        """While partitioned, jitter is drawn per reached destination in
+        destination order, as in a send loop; a dropped copy draws nothing."""
 
         def arrivals(use_multicast):
-            sim = Simulator(seed=4)
-            network = Network(sim, UniformLatencyModel(1e-3, jitter=1.0, rng=sim.rng), 0.3)
+            sim, network = one_cluster(jitter=1.0, seed=4, size=4)
             nodes = [Recorder(pid, sim, network) for pid in range(4)]
+            network.partition([[0, 1, 3], [2]])
             for round_ in range(10):
                 if use_multicast:
-                    network.multicast(0, (1, 2, 3), round_)
+                    assert network.multicast(0, (1, 2, 3), round_) == 2
                 else:
                     for dst in (1, 2, 3):
                         network.send(0, dst, round_)
             sim.run()
-            return [node.received for node in nodes[1:]], network.messages_dropped
+            received = [node.received for node in nodes[1:]]
+            return received, network.messages_dropped, sim.rng.getstate()
 
         assert arrivals(True) == arrivals(False)
 
@@ -247,23 +229,6 @@ class TestRoutes:
 
 
 class TestFaults:
-    def test_drop_rate_loses_messages(self):
-        sim, network, nodes = make_net(drop_rate=0.5)
-        for _ in range(200):
-            network.send(0, 1, "x")
-        sim.run()
-        assert 0 < len(nodes[1].received) < 200
-        assert network.messages_dropped > 0
-
-    def test_disconnect_and_reconnect(self):
-        sim, network, nodes = make_net()
-        network.disconnect(0, 1)
-        network.send(0, 1, "lost")
-        network.reconnect(0, 1)
-        network.send(0, 1, "delivered")
-        sim.run()
-        assert [msg for _, _, msg in nodes[1].received] == ["delivered"]
-
     def test_partition_blocks_cross_group_traffic(self):
         sim, network, nodes = make_net()
         network.partition([[0], [1, 2]])
@@ -277,56 +242,60 @@ class TestFaults:
         sim.run()
         assert [msg for _, _, msg in nodes[1].received] == ["after-heal"]
 
-    def test_invalid_drop_rate(self):
-        sim = Simulator()
-        with pytest.raises(NetworkError):
-            Network(sim, UniformLatencyModel(1e-3), drop_rate=1.5)
+    def test_unlisted_processes_reach_every_group(self):
+        sim, network = one_cluster()
+        nodes = [Recorder(pid, sim, network) for pid in range(3)]
+        outsider = Recorder(1_000_000, sim, network)
+        network.partition([[0], [1, 2]])
+        assert network.send(outsider.pid, 0, "in") and network.send(2, outsider.pid, "out")
+        sim.run()
+        assert [m for _, _, m in nodes[0].received] == ["in"]
+        assert [m for _, _, m in outsider.received] == ["out"]
+        assert network.messages_dropped == 0
 
 
-class TestJitterSemantics:
-    """Jitter is a multiplicative fraction: base * (1 + U[0, jitter])."""
-
-    def test_uniform_jitter_is_multiplicative_and_bounded(self):
-        model = UniformLatencyModel(2e-3, jitter=0.5)
-        for _ in range(200):
-            delay = model.delay(0, 1)
-            assert 2e-3 <= delay <= 3e-3  # base * [1, 1.5]
-
-    def test_uniform_zero_jitter_is_exact(self):
-        model = UniformLatencyModel(2e-3)
-        assert model.delay(0, 1) == pytest.approx(2e-3)
-
-    def test_uniform_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            UniformLatencyModel(1e-3, jitter=-0.1)
-
-    def test_clustered_model_uses_same_convention(self):
-        perf = PerformanceModel(
-            intra_cluster_latency=1e-3,
-            cross_cluster_latency=4e-3,
-            latency_jitter=0.25,
-        )
-        model = ClusteredLatencyModel(perf, {0: 0, 1: 0, 2: 1})
-        for _ in range(200):
-            assert 1e-3 <= model.delay(0, 1) <= 1.25e-3
-            assert 4e-3 <= model.delay(0, 2) <= 5e-3
+def _delays(network, sim, src, dst, receiver, count):
+    """One-way delays of ``count`` sends, each after the previous arrived
+    (so the FIFO clamp never binds)."""
+    delays = []
+    for _ in range(count):
+        start = sim.now
+        network.send(src, dst, "x")
+        sim.run()
+        delays.append(receiver.received[-1][0] - start)
+    return delays
 
 
-class TestClusteredLatencyModel:
-    def test_intra_vs_cross_vs_client(self):
-        perf = PerformanceModel(
+class TestLinkDelays:
+    """A link's base comes from the topology; jitter is a multiplicative
+    fraction of it: base * (1 + U[0, jitter])."""
+
+    def _topology(self, jitter):
+        sim = Simulator(seed=5)
+        performance = PerformanceModel(
             intra_cluster_latency=1e-3,
             cross_cluster_latency=10e-3,
             client_latency=3e-3,
-            latency_jitter=0.0,
+            latency_jitter=jitter,
         )
-        model = ClusteredLatencyModel(perf, {0: 0, 1: 0, 2: 1})
-        assert model.delay(0, 1) == pytest.approx(1e-3)
-        assert model.delay(0, 2) == pytest.approx(10e-3)
-        assert model.delay(0, 999) == pytest.approx(3e-3)
+        network = Network(sim, performance, {0: 0, 1: 0, 2: 1})
+        nodes = {pid: Recorder(pid, sim, network) for pid in (0, 1, 2, 999)}
+        return sim, network, nodes
 
-    def test_jitter_bounded(self):
-        perf = PerformanceModel(intra_cluster_latency=1e-3, latency_jitter=0.5)
-        model = ClusteredLatencyModel(perf, {0: 0, 1: 0})
-        for _ in range(100):
-            assert 1e-3 <= model.delay(0, 1) <= 1.5e-3
+    def test_intra_vs_cross_vs_client(self):
+        sim, network, nodes = self._topology(jitter=0.0)
+        for dst, base in ((1, 1e-3), (2, 10e-3), (999, 3e-3)):
+            assert _delays(network, sim, 0, dst, nodes[dst], 1) == [pytest.approx(base)]
+        assert _delays(network, sim, 999, 2, nodes[2], 1) == [pytest.approx(3e-3)]
+
+    def test_jitter_is_multiplicative_and_bounded(self):
+        sim, network, nodes = self._topology(jitter=0.25)
+        for dst, base in ((1, 1e-3), (2, 10e-3), (999, 3e-3)):
+            delays = _delays(network, sim, 0, dst, nodes[dst], 100)
+            assert all(base <= delay <= base * 1.25 * (1 + 1e-12) for delay in delays)
+            assert len(set(delays)) > 1
+
+    def test_cluster_of_is_read_when_a_link_is_first_used(self):
+        sim, network, nodes = self._topology(jitter=0.0)
+        network.cluster_of[999] = 0  # a late member joins cluster 0
+        assert _delays(network, sim, 0, 999, nodes[999], 1) == [pytest.approx(1e-3)]

@@ -7,22 +7,13 @@ import pytest
 from repro.common.config import PerformanceModel
 from repro.obs import InertRecorder
 from repro.sim.costs import CostModel
-from repro.sim.network import Network, UniformLatencyModel
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
 
-class Echo(Process):
-    def __init__(self, pid, sim, network, cost_model):
-        super().__init__(pid, sim, network, cost_model)
-        self.handled = []
-
-    def on_message(self, message, src):
-        self.handled.append((self.sim.now, message))
-
-
 class Table(Process):
-    """Table-driven twin of :class:`Echo`; also notes which frame called the handler."""
+    """Handles ``str`` messages through its table; notes which frame called the handler."""
 
     def __init__(self, pid, sim, network, cost_model):
         super().__init__(pid, sim, network, cost_model)
@@ -37,19 +28,13 @@ class Table(Process):
         self.handled.append((self.sim.now, message))
 
 
-class Override(Table):
-    """Overrides ``on_message`` *and* fills the table: the override must win."""
-
-    def on_message(self, message, src):
-        self._on_text(message.upper() if message != "boom" else message, src)
-
-
-def build(message_cpu=1e-3, kind=Echo):
+def build(message_cpu=1e-3):
     sim = Simulator()
-    network = Network(sim, UniformLatencyModel(0.0), fifo=True)
+    performance = PerformanceModel(intra_cluster_latency=0.0, latency_jitter=0.0)
+    network = Network(sim, performance, {0: 0, 1: 0})
     cost = CostModel(PerformanceModel(message_cpu=message_cpu, latency_jitter=0.0))
-    a = kind(0, sim, network, cost)
-    b = kind(1, sim, network, cost)
+    a = Table(0, sim, network, cost)
+    b = Table(1, sim, network, cost)
     return sim, network, a, b
 
 
@@ -67,15 +52,14 @@ class TestCpuModel:
 
     def test_charge_accumulates_busy_time(self):
         sim, network, a, b = build()
-        a.charge(2e-3)
-        a.charge(1e-3)
-        assert a.cpu_free_at == pytest.approx(3e-3)
+        assert a.charge(2e-3) == pytest.approx(2e-3)
+        assert a.charge(1e-3) == pytest.approx(3e-3)  # queued behind the first
         assert a.utilization(10e-3) == pytest.approx(0.3)
 
     def test_send_costs_cpu(self):
         sim, network, a, b = build(message_cpu=1e-3)
         a.send(1, "x")
-        assert a.cpu_free_at > 0
+        assert a.cpu_busy_time == pytest.approx(0.5e-3)  # SEND_FRACTION of message_cpu
         assert a.messages_sent == 1
 
     def test_signature_costs_are_charged(self):
@@ -117,13 +101,6 @@ class TestFaultInjection:
         sim.run()
         assert fired == []
 
-    def test_on_message_must_be_overridden(self):
-        sim = Simulator()
-        network = Network(sim, UniformLatencyModel(0.0))
-        proc = Process(9, sim, network, CostModel(PerformanceModel()))
-        with pytest.raises(NotImplementedError):
-            proc.on_message("x", 0)
-
 
 class CausalStub(InertRecorder):
     """A recorder noting the two hooks ``Process`` calls around a handler;
@@ -137,8 +114,7 @@ class CausalStub(InertRecorder):
             self.calls.append(("handle", message))
             original(message, src)
 
-        process._on_text = noting  # Override calls it by name
-        process.register_handler(str, noting)  # Table calls it through the table
+        process.register_handler(str, noting)
 
     def begin_dispatch(self, time, message, src, pid):
         self.calls.append(("begin", time, message, src, pid))
@@ -147,24 +123,30 @@ class CausalStub(InertRecorder):
         self.calls.append(("clear",))
 
 
-@pytest.mark.parametrize("kind", [Table, Override], ids=["table-driven", "overrides-on_message"])
 class TestCompletionLanes:
     """A message is two events — NIC arrival, CPU completion — and a crash,
     a recovery or a recorder between the two decides what the second does."""
 
-    def _seen(self, kind, *messages):
-        return [m.upper() if kind is Override else m for m in messages]
-
-    def test_the_lane_is_chosen_from_what_the_process_is(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_a_registered_type_completes_straight_into_its_handler(self):
+        sim, network, a, b = build()
         network.send(0, 1, "m")
         sim.run()
-        assert [m for _, m in b.handled] == self._seen(kind, "m")
-        # No Process frame between the run loop and a table-driven handler.
-        assert b.callers == (["run"] if kind is Table else ["on_message"])
+        assert [m for _, m in b.handled] == ["m"]
+        # No Process frame between the run loop and the handler.
+        assert b.callers == ["run"]
 
-    def test_crash_before_completion_drops_the_message_but_fires_the_event(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_an_unregistered_type_is_dropped_in_a_recv_context(self):
+        """The checked lane opens the dispatch context before it drops the
+        message, so a traced run records the arrival all the same."""
+        sim, network, a, b = build()
+        b.recorder = stub = CausalStub(b)
+        network.send(0, 1, 7)
+        sim.run()
+        assert b.handled == [] and b.messages_received == 1
+        assert stub.calls == [("begin", pytest.approx(1e-3), 7, 0, 1), ("clear",)]
+
+    def test_crash_before_completion_drops_the_message_but_fires_the_event(self):
+        sim, network, a, b = build()
         network.send(0, 1, "m")  # arrives at 0, completes at 1 ms
         sim.schedule(0.5e-3, b.crash)
         sim.run()
@@ -173,20 +155,20 @@ class TestCompletionLanes:
         assert sim.processed_events == 3  # arrival, crash, completion
         assert sim.now == pytest.approx(1e-3)
 
-    def test_crash_and_recovery_before_completion_still_handles_it(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_crash_and_recovery_before_completion_still_handles_it(self):
+        sim, network, a, b = build()
         network.send(0, 1, "m1")
         network.send(0, 1, "m2")
         sim.schedule(0.2e-3, b.crash)
         sim.schedule(0.6e-3, b.recover)
         sim.run()
-        assert [m for _, m in b.handled] == self._seen(kind, "m1", "m2")
+        assert [m for _, m in b.handled] == ["m1", "m2"]
         assert [t for t, _ in b.handled] == pytest.approx([1e-3, 2e-3])  # original times
         assert (b.messages_received, b.messages_missed) == (2, 0)
         assert sim.processed_events == 6
 
-    def test_arrival_while_crashed_is_missed_and_queues_nothing(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_arrival_while_crashed_is_missed_and_queues_nothing(self):
+        sim, network, a, b = build()
         b.crash()
         network.send(0, 1, "lost")
         sim.run()
@@ -195,45 +177,44 @@ class TestCompletionLanes:
         assert sim.processed_events == 1 and sim.pending_events == 0
         assert b.cpu_busy_time == 0.0
 
-    def test_causal_recorder_brackets_each_handler_once(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_causal_recorder_brackets_each_handler_once(self):
+        sim, network, a, b = build()
         b.recorder = stub = CausalStub(b)
         network.send(0, 1, "m1")
         network.send(0, 1, "m2")
         sim.run()
-        m1, m2 = self._seen(kind, "m1", "m2")
         assert stub.calls == [
-            ("begin", pytest.approx(1e-3), "m1", 0, 1), ("handle", m1), ("clear",),
-            ("begin", pytest.approx(2e-3), "m2", 0, 1), ("handle", m2), ("clear",),
+            ("begin", pytest.approx(1e-3), "m1", 0, 1), ("handle", "m1"), ("clear",),
+            ("begin", pytest.approx(2e-3), "m2", 0, 1), ("handle", "m2"), ("clear",),
         ]  # fmt: skip
 
-    def test_causal_recorder_context_is_cleared_when_the_handler_raises(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_causal_recorder_context_is_cleared_when_the_handler_raises(self):
+        sim, network, a, b = build()
         b.recorder = stub = CausalStub(b)
         network.send(0, 1, "boom")
         with pytest.raises(RuntimeError):
             sim.run()
         assert [call[0] for call in stub.calls] == ["begin", "handle", "clear"]
 
-    def test_crashing_one_process_leaves_the_others_messages_alone(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_crashing_one_process_leaves_the_others_messages_alone(self):
+        sim, network, a, b = build()
         network.send(0, 1, "to-b")
         network.send(1, 0, "to-a")
         sim.schedule(0.5e-3, a.crash)
         sim.run()
         assert a.handled == []
-        assert [m for _, m in b.handled] == self._seen(kind, "to-b")
-        assert b.callers == (["run"] if kind is Table else ["on_message"])
+        assert [m for _, m in b.handled] == ["to-b"]
+        assert b.callers == ["run"]
         assert sim.processed_events == 5
 
-    def test_a_recovered_process_returns_to_its_lane(self, kind):
-        sim, network, a, b = build(kind=kind)
+    def test_a_recovered_process_returns_to_its_lane(self):
+        sim, network, a, b = build()
         network.send(0, 1, "pending")
         sim.schedule(0.2e-3, b.crash)
         sim.schedule(0.6e-3, b.recover)
         sim.run()
         network.send(0, 1, "fresh")
         sim.run()
-        assert [m for _, m in b.handled] == self._seen(kind, "pending", "fresh")
-        if kind is Table:  # diverted while it was pending; direct again afterwards
-            assert b.callers == ["_dispatch_message", "run"]
+        assert [m for _, m in b.handled] == ["pending", "fresh"]
+        # diverted while it was pending; direct again afterwards
+        assert b.callers == ["_dispatch_message", "run"]

@@ -5,46 +5,45 @@ import gc
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
 
 
-class TestEventQueue:
+class TestEventOrder:
     def test_orders_by_time(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(2.0, fired.append, "late")
-        queue.push(1.0, fired.append, "early")
-        queue.pop().fire()
-        queue.pop().fire()
+        sim, fired = Simulator(), []
+        sim.schedule(2.0, fired.append, "late")
+        sim.schedule(1.0, fired.append, "early")
+        sim.run()
         assert fired == ["early", "late"]
 
     def test_ties_resolved_in_scheduling_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(1.0, fired.append, "first")
-        queue.push(1.0, fired.append, "second")
-        queue.pop().fire()
-        queue.pop().fire()
-        assert fired == ["first", "second"]
+        sim, fired = Simulator(), []
+        sim.schedule(1.0, fired.append, "first")
+        sim.schedule_at(1.0, fired.append, "second")
+        sim.schedule(1.0, fired.append, "third")
+        sim.run()
+        assert fired == ["first", "second", "third"]
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.push(1.0, fired.append, "cancelled")
-        queue.push(2.0, fired.append, "kept")
-        event.cancel()
-        assert len(queue) == 1
-        queue.pop().fire()
+        sim, fired = Simulator(), []
+        timer = sim.schedule(1.0, fired.append, "cancelled")
+        sim.schedule(2.0, fired.append, "kept")
+        timer.cancel()
+        assert sim.pending_events == 1
+        sim.run()
         assert fired == ["kept"]
-        assert queue.pop() is None
+        assert sim.processed_events == 1 and sim.pending_events == 0
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 5.0
+    def test_a_cancelled_event_is_not_the_next_event(self):
+        """Only live events are weighed against the horizon: with the live
+        one past it, the clock moves to the horizon and no further."""
+        sim, fired = Simulator(), []
+        sim.schedule(1.0, fired.append, "cancelled").cancel()
+        sim.schedule(5.0, fired.append, "live")
+        assert sim.run(until=3.0) == 3.0
+        assert fired == [] and sim.pending_events == 1
+        assert sim.run() == 5.0
+        assert fired == ["live"]
 
 
 class TestSimulator:
@@ -82,12 +81,24 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_a_nan_time_is_rejected(self):
+        """NaN compares false both ways: accepted, it would fire between
+        live events and set the clock to NaN mid-run."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 1
+        assert sim.run() == 1.0
+
     def test_fired_timer_reports_inactive(self):
         """Rolling timers re-arm on ``not timer.active``; a deadline that
         already passed must not look pending — even when the callback
         body was skipped by a crash guard."""
         sim = Simulator()
-        timer = sim.set_timer(1.0, lambda: None)
+        timer = sim.schedule(1.0, lambda: None)
         assert timer.active
         sim.run()
         assert not timer.active
@@ -95,7 +106,7 @@ class TestSimulator:
     def test_timers_can_be_cancelled(self):
         sim = Simulator()
         fired = []
-        timer = sim.set_timer(1.0, fired.append, "x")
+        timer = sim.schedule(1.0, fired.append, "x")
         assert timer.active
         timer.cancel()
         sim.run()
@@ -130,6 +141,28 @@ class TestSimulator:
         sim.schedule(0.0, chain, 0)
         sim.run()
         assert fired == [0, 1, 2, 3]
+
+    def test_recurring_timer_fires_every_interval_until_cancelled(self):
+        sim, fired = Simulator(), []
+        recurring = sim.every(0.25, lambda: fired.append(sim.now))
+        sim.run(until=1.0)
+        assert fired == [0.25, 0.5, 0.75, 1.0]
+        recurring.cancel()
+        sim.run()
+        assert fired == [0.25, 0.5, 0.75, 1.0] and sim.pending_events == 0
+        with pytest.raises(SimulationError):
+            sim.every(float("nan"), lambda: None)
+
+    def test_a_recurring_callback_may_cancel_its_own_timer(self):
+        sim, fired = Simulator(), []
+
+        def once():
+            fired.append(sim.now)
+            recurring.cancel()
+
+        recurring = sim.every(0.5, once)
+        sim.run()
+        assert fired == [0.5] and sim.pending_events == 0
 
     def test_rng_is_seeded(self):
         assert Simulator(seed=42).rng.random() == Simulator(seed=42).rng.random()
@@ -217,22 +250,6 @@ class TestInterruptedRuns:
         assert sim.processed_events == 1
         assert sim.pending_events == 0
 
-    def test_stop_inside_a_callback_leaves_the_next_entry_queued(self):
-        sim, fired = Simulator(), []
-
-        def halt():
-            fired.append("halt")
-            sim.stop()
-
-        sim.schedule(1.0, halt)
-        sim.schedule(1.0, fired.append, "same-instant")
-        sim.schedule(2.0, fired.append, "later")
-        assert sim.run() == 1.0
-        assert fired == ["halt"]
-        assert sim.processed_events == 1 and sim.pending_events == 2
-        sim.run()
-        assert fired == ["halt", "same-instant", "later"]
-
 
 class TestEventsPerSecond:
     def test_counter_tracks_fired_events_and_wall_time(self):
@@ -257,11 +274,6 @@ def collector(request):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def _stops_itself(sim):
-    sim.schedule(0.1, sim.stop)
-    return {}
-
-
 def _raises(sim):
     def boom():
         raise RuntimeError("callback failed")
@@ -277,12 +289,11 @@ class TestCollectorQuietRun:
         "arrange",
         [
             lambda sim: {},
-            _stops_itself,
             lambda sim: {"max_events": 1},
             lambda sim: {"until": 0.05},
             _raises,
         ],
-        ids=["normal-return", "stop", "max-events", "until", "callback-raises"],
+        ids=["normal-return", "max-events", "until", "callback-raises"],
     )
     def test_run_leaves_the_collector_as_it_found_it(self, collector, arrange):
         sim = Simulator()
@@ -334,13 +345,13 @@ class TestCollectorQuietRun:
         with pytest.raises(RuntimeError):
             sim.run()
         # The epilogue ran: both events at t=0.1 are counted (the raising
-        # one fired too), wall time is accounted, the loop is not "running".
+        # one fired too) and wall time is accounted.
         assert sim.processed_events == 2
         assert sim.run_wall_time > 0.0
-        sim.schedule(0.0, sim.stop)  # stop() works again: the next event stays queued
-        assert sim.run() == pytest.approx(0.1)
-        assert fired == ["first"]
+        sim.schedule(0.0, fired.append, "again")
+        assert sim.run(max_events=1) == pytest.approx(0.1)  # budgets work again
+        assert fired == ["first", "again"]
         sim.run()
-        assert fired == ["first", "after"]
+        assert fired == ["first", "again", "after"]
         assert sim.processed_events == 4
         assert sim.pending_events == 0
