@@ -19,6 +19,7 @@ from ..common.metrics import RunStats
 from ..common.types import ClusterId
 from ..ledger.validation import AuditReport
 from ..obs import TraceReport
+from ..obs.journal import Anomalies
 from ..recovery.stats import RecoveryStats
 from ..storage.stats import StorageStats
 
@@ -66,6 +67,8 @@ class ScenarioResult:
     #: flight-recorder report (phase breakdown, spans, gauges); ``None``
     #: unless the scenario armed tracing via ``DeploymentSpec(trace=…)``.
     trace: TraceReport | None = None
+    #: every replica's anomaly journal merged in time order, traced or not.
+    anomalies: Anomalies = field(default_factory=Anomalies)
 
     # ------------------------------------------------------------------
     # detachment (multiprocessing support)
@@ -139,18 +142,14 @@ class ScenarioResult:
                 for cluster_id, height in sorted(self.chain_heights.items())
             )
             lines.append(f"chains     : {heights}")
-        if self.stats.late_commits:
-            lines.append(f"late cmts  : {self.stats.late_commits} cross-shard commits raced a view change")
+        lines.append(f"anomalies  : {self.anomalies.summary()}")
         if self.audit is not None:
             lines.append(f"audit      : {'OK' if self.audit.ok else self.audit.problems}")
             lines.append(f"balance    : {'conserved' if self.balance_conserved else 'VIOLATED'}")
         if self.safety is not None:
             lines.append(f"safety     : {'OK' if self.safety.ok else self.safety.problems}")
-        if self.recovery is not None and (
-            self.recovery.checkpoints_taken
-            or self.recovery.state_transfers_requested
-            or self.recovery.terminations_started
-        ):
+        recovery = self.recovery
+        if recovery and (recovery.checkpoints_taken or recovery.state_transfers_completed):
             lines.append(f"recovery   : {self.recovery.summary()}")
         if self.storage is not None:
             lines.append(f"storage    : {self.storage.summary()}")

@@ -39,6 +39,7 @@ from ..common.errors import ConfigurationError
 from ..common.metrics import MetricsCollector
 from ..common.types import FaultModel
 from ..obs import FlightRecorder, TraceSpec, normalize_trace
+from ..obs.journal import Anomalies
 from ..recovery.stats import collect_recovery_stats
 from ..storage.stats import collect_storage_stats
 from ..txn.workload import WorkloadConfig
@@ -166,8 +167,8 @@ class Scenario:
     audit_safety: bool | None = None
 
     def __post_init__(self) -> None:
-        # Each of these either hangs the run (a retry timer that never
-        # advances the clock, a drain that never ends) or measures nothing.
+        # Each of these either hangs the run (a retry timer that never advances
+        # the clock or beats every reply, a drain that never ends) or measures nothing.
         if not self.duration > 0:
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if not 0 <= self.warmup < self.duration:
@@ -176,9 +177,12 @@ class Scenario:
             )
         if self.clients < 0:
             raise ConfigurationError(f"clients must be non-negative, got {self.clients}")
-        if not self.retry_timeout > 0:
+        performance = (self.deployment.config or self.deployment).performance
+        round_trip = 2 * performance.client_latency * (1 - performance.latency_jitter)
+        if not (self.retry_timeout > 0 and self.retry_timeout >= round_trip):
             raise ConfigurationError(
-                f"retry_timeout must be positive, got {self.retry_timeout}"
+                f"retry_timeout must be positive and at least one client round trip "
+                f"({round_trip:.3g} s), got {self.retry_timeout}"
             )
         if not self.drain_grace >= 0:
             raise ConfigurationError(
@@ -258,17 +262,6 @@ class Scenario:
             )
             if run_safety:
                 safety = system.safety_audit()
-        # Surface the engines' late-commit counters (cross-shard commits
-        # that lost the race against a view-change fill) and the
-        # recovery subsystem's checkpoint/state-transfer/termination
-        # activity alongside the performance statistics.
-        late_commits = 0
-        for process in system.processes():
-            cross = getattr(process, "cross", None)
-            if cross is not None:
-                late_commits += getattr(cross, "late_commits", 0)
-        if late_commits:
-            stats = dataclasses.replace(stats, late_commits=late_commits)
         recovery = collect_recovery_stats(system)
         storage = collect_storage_stats(system)
         heights = {
@@ -289,6 +282,7 @@ class Scenario:
             recovery=recovery,
             storage=storage,
             trace=trace_report,
+            anomalies=Anomalies.merge([process.journal for process in system.processes()]),
         )
 
 

@@ -148,7 +148,6 @@ class AHLReplica(SharPerReplica):
             request = item.request
             self.charge(self.cost_model.execution_cost)
             ((_, success),) = self._commit(request, (request,), positions, proposer, parents)
-            self.committed_cross_count += 1
             if self._should_reply_cross():
                 self._send_reply(request, success=success, cross_shard=True)
             return
@@ -202,8 +201,6 @@ class ReferenceCommitteeReplica(ReplicaHost):
             self.intra = PBFTEngine(self)
         self._states: dict[str, _RC2PCState] = {}
         self._voters = {c.cluster_id: c.voter_bits for c in config.clusters}
-        #: votes refused: the sender is not a member of the cluster it speaks for.
-        self.foreign_votes = 0
         self.coordinated = 0
         self.register_handler(ClientRequest, self._on_client_request)
         self.register_handler(AHLVote, self._on_vote)
@@ -235,7 +232,7 @@ class ReferenceCommitteeReplica(ReplicaHost):
         if state is None or not self.intra.is_primary:
             return
         if src not in self._voters.get(message.cluster, ()):
-            self.foreign_votes += 1
+            self.journal.note("foreign_vote", None, message.digest, f"2PC vote from {src}")
             return
         if message.vote:
             state.votes.add(message.cluster)

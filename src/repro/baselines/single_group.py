@@ -43,6 +43,7 @@ from ..core.replica import ReplicaHost
 from ..core.system import BaseSystem
 from ..ledger.block import Block
 from ..ledger.view import ClusterView
+from ..obs.journal import Journal
 from ..sim.process import Process
 from ..storage import StateStore
 from ..txn.accounts import ShardMapper
@@ -101,8 +102,6 @@ class SingleGroupReplica(ReplicaHost):
         self.executor = TransactionExecutor(store, mapper, shard=0)
         self.passive_nodes = passive_nodes
         self.intra = ConsensusEngine(self, phases)
-        self.committed_count = 0
-        self.failed_executions = 0
         self.register_handler(ClientRequest, self._on_client_request)
         self.register_handlers(self.intra.handlers())
 
@@ -159,6 +158,7 @@ class PassiveReplica(Process):
         self.store = store
         self.executor = TransactionExecutor(store, mapper, shard=0)
         self.chain = ClusterView(ClusterId(0))
+        self.journal = Journal(self)  # stays empty: a passive replica decides nothing
         self.applied = 0
         self.register_handler(PassiveUpdate, self._on_passive_update)
 

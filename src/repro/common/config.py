@@ -105,6 +105,11 @@ class ProtocolTuning:
             value = getattr(self, name)
             if not value > 0:  # also refuses NaN
                 raise ConfigurationError(f"{name} must be a positive number, got {value}")
+        for name, least in (("checkpoint_interval", 0), ("max_conflict_retries", 0),
+                            ("batch_size", 1), ("pipeline_depth", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigurationError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,6 @@ class RunStats:
     avg_latency_intra: float
     avg_latency_cross: float
     committed_cross: int
-    #: cross-shard commits that arrived after their local slot was
-    #: otherwise resolved (view-change no-op fill won the race), summed
-    #: over every replica.  Filled in by :meth:`repro.api.Scenario.run`;
-    #: non-zero values flag the residual atomicity window the
-    #: termination protocol (:mod:`repro.recovery`) exists to close.
-    late_commits: int = 0
     #: transactions *submitted* over the whole run (offered load); unlike
     #: ``committed`` this is not windowed, so ``committed <= submitted``
     #: even in steady state.  0 for legacy collectors that never counted.
@@ -106,7 +100,6 @@ class RunStats:
             if committed_cross
             else 0.0,
             committed_cross=committed_cross,
-            late_commits=sum(run.late_commits for run in runs),
             submitted=sum(run.submitted for run in runs),
         )
 

@@ -61,9 +61,11 @@ class Host(Protocol):
     log: OrderingLog
     chain: ClusterView
     tuning: ProtocolTuning
-    #: simulated time at the node, and its flight recorder (``repro.obs.INERT_RECORDER`` untraced).
+    #: simulated time at the node, its flight recorder (``repro.obs.INERT_RECORDER`` untraced)
+    #: and its anomaly journal (``repro.obs.journal``).
     now: float
     recorder: Any
+    journal: Any
     #: the engines; the cross-shard one, termination rounds and the client screen are None
     #: where a replica kind runs no cross-shard part.
     intra: ConsensusEngine
@@ -106,22 +108,22 @@ class QuorumTracker:
     key fired are not recorded, so a key has fired exactly when it holds
     ``threshold`` voters — one dict probe per vote, no second index.
     A key's voters are one int, the OR of their bits in ``members`` (the cluster's
-    ``voter_bits``); a voter outside ``members`` is refused and counted in ``foreign_votes``.
+    ``voter_bits``); a voter outside ``members`` is refused, a ``foreign_vote`` in ``journal``.
     """
 
-    def __init__(self, threshold: int, members: Mapping[int, int]) -> None:
+    def __init__(self, threshold: int, members: Mapping[int, int], journal: Any) -> None:
         if threshold <= 0:
             raise ValueError("quorum threshold must be positive")
         self.threshold = threshold
         self.members = members
-        self.foreign_votes = 0
+        self.journal = journal
         self._votes: dict[Hashable, int] = {}
 
     def vote(self, key: Hashable, voter: int) -> bool:
         """Record a vote; returns ``True`` the first time the key reaches quorum."""
         bit = self.members.get(voter)
         if bit is None:
-            self.foreign_votes += 1
+            self.journal.note("foreign_vote", detail=f"voter {voter} on {key!r}")
             return False
         votes = self._votes.get(key, 0)
         count = votes.bit_count()
@@ -241,10 +243,10 @@ class ConsensusEngine(HandlerTable):
         self.cluster_id: ClusterId = host.cluster_id
         self.view = 0
         quorum, members = phases.quorum(host.cluster), host.cluster.voter_bits
-        self._votes = QuorumTracker(quorum, members)
+        self._votes = QuorumTracker(quorum, members, host.journal)
         #: the commit round's votes; None where the primary announces its decision.
         voted_commit = phases.votes_to_all and phases.commit
-        self._commits = QuorumTracker(quorum, members) if voted_commit else None
+        self._commits = QuorumTracker(quorum, members, host.journal) if voted_commit else None
         #: proposed items by key, kept where every member tallies (its log may hold another digest).
         self._items: dict[tuple[int, int, str], object] = {}
         #: proposals for views this replica has not installed yet, keyed by view.

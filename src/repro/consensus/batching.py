@@ -109,8 +109,8 @@ class BatchPipeline:
     def __init__(self, host: Host) -> None:
         self.host = host
         tuning = host.tuning
-        self.batch_size: int = max(1, tuning.batch_size)
-        self.pipeline_depth: int = max(1, tuning.pipeline_depth)
+        self.batch_size: int = tuning.batch_size
+        self.pipeline_depth: int = tuning.pipeline_depth
         #: slots that may be in flight at once, per kind (intra / cross).
         #: A chunk of ``batch_size == 1`` can never fill, so queueing
         #: behind a window would only delay it: there the window is

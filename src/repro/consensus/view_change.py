@@ -118,7 +118,7 @@ class ViewChangeManager:
 
     def __init__(self, engine: "ConsensusEngine", quorum: int) -> None:
         self.engine = engine
-        self._tracker = QuorumTracker(quorum, engine.host.cluster.voter_bits)
+        self._tracker = QuorumTracker(quorum, engine.host.cluster.voter_bits, engine.host.journal)
         self._reports: dict[int, dict[int, ViewChange]] = defaultdict(dict)
         #: slots currently monitored (accepted but not yet decided).
         self._monitored: set[int] = set()
@@ -126,11 +126,9 @@ class ViewChangeManager:
         self._deadlines: deque[tuple[float, int]] = deque()
         self._timer: TimerHandle | None = None
         self.in_view_change = False
-        self.view_changes_completed = 0
-        #: view-change votes dropped for bad/missing signatures, and
-        #: NewView messages dropped for invalid certificates.
-        self.rejected_votes = 0
-        self.rejected_new_views = 0
+
+    #: views this replica installed: its journal's ``view_installed`` total.
+    view_changes_completed = property(lambda self: self.engine.host.journal.totals["view_installed"])
 
     # ------------------------------------------------------------------
     # timers
@@ -206,6 +204,7 @@ class ViewChangeManager:
         new_view = self.engine.view + 1
         host = self.engine.host
         host.recorder.vc_open(host.now, int(host.node_id), int(host.cluster_id), new_view)
+        host.journal.note("view_change_started", detail=f"view {new_view}")
         message = self._build_view_change(new_view)
         host.multicast(host.peers, message)
         self.handle_view_change(message, host.node_id)
@@ -246,7 +245,7 @@ class ViewChangeManager:
             return
         member = src in self._tracker.members
         if int(message.node) != src or not member or not verify_view_change_signature(message):
-            self.rejected_votes += 1
+            self.engine.host.journal.note("view_change_vote_rejected", detail=f"from {src}")
             return
         self._reports[message.new_view][src] = message
         if not self._tracker.vote(("vc", message.new_view), src):
@@ -272,7 +271,7 @@ class ViewChangeManager:
         if not verify_new_view_certificate(
             message.certificate, message.view, self.engine.host.cluster
         ):
-            self.rejected_new_views += 1
+            self.engine.host.journal.note("new_view_rejected", detail=f"from {src}")
             return
         self._enter_view(message.view)
 
@@ -282,9 +281,9 @@ class ViewChangeManager:
     def _enter_view(self, view: int) -> None:
         self.engine.view = view
         self.in_view_change = False
-        self.view_changes_completed += 1
         host = self.engine.host
         host.recorder.vc_close(host.now, int(host.node_id), view)
+        host.journal.note("view_installed", detail=f"view {view}")
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None

@@ -135,13 +135,12 @@ class _CrossShardEngine(HandlerTable):
         self._orphans: set[str] = set()
         #: per cluster: (vote quorum: f + 1 crash, 2f + 1 Byzantine; voter bits).
         self._voting = host.voting
-        #: votes refused: the sender is not a member of the cluster it speaks for.
-        self.foreign_votes = 0
-        #: votes refused: a slot or position vector that is not well formed.
-        self.malformed_votes = 0
-        self.initiated = self.committed = self.retries = self.aborted = 0
-        #: commits dropped because the local slot was resolved otherwise.
-        self.late_commits = 0
+        self.initiated = self.committed = 0
+
+    # Retries, aborts and late commits are rows of the host's journal; these are their totals.
+    retries = property(lambda self: self.host.journal.totals["cross_retry"])
+    aborted = property(lambda self: self.host.journal.totals["cross_abort"])
+    late_commits = property(lambda self: self.host.journal.totals["late_commit"])
 
     # --- admission, reservation and per-instance state ---
     def _rejects(self, request: object) -> bool:
@@ -230,11 +229,11 @@ class _CrossShardEngine(HandlerTable):
         if self._phases.retry_needs_primary and not driving:
             return  # every node holds state, and a primary may have lost its seat
         if state.attempt >= host.tuning.max_conflict_retries:
-            self.aborted += 1
+            host.journal.note("cross_abort", state.my_slot, digest, f"{state.attempt} retries")
             host.on_cross_shard_abort(state.request)
             return
         state.attempt += 1
-        self.retries += 1
+        host.journal.note("cross_retry", state.my_slot, digest, f"attempt {state.attempt}")
         self.start(state.request)
 
     # --- accept (handlers are table-driven; see HandlerTable.handle) ---
@@ -305,7 +304,7 @@ class _CrossShardEngine(HandlerTable):
                 self._register_accept(state, cluster, slot, src)
             return
         if type(slot) is not int or slot < 1:  # a bool is no slot either
-            self.malformed_votes += 1
+            self.host.journal.note("malformed_vote", None, message.digest, f"accept from {src}")
             return
         own = cluster == self.host.cluster_id
         state = self._states.get(message.digest) or self._state(message.digest, slot if own else None)
@@ -325,7 +324,7 @@ class _CrossShardEngine(HandlerTable):
             quorum, bits = self._voting.get(cluster, _NOBODY)
             bit = bits.get(voter)
             if bit is None:
-                self.foreign_votes += 1
+                self.host.journal.note("foreign_vote", slot, state.digest, f"accept from {voter}")
                 return
             positions, votes = state.positions, state.accept_votes
             matching = self._phases.matching_accepts
@@ -372,7 +371,7 @@ class _CrossShardEngine(HandlerTable):
                 self._decide_local(my_slot, digest, request, positions, message.proposer)
             return
         if not self._well_formed(message.positions):
-            self.malformed_votes += 1
+            self.host.journal.note("malformed_vote", None, message.digest, f"commit from {src}")
             return
         state = self._states.get(message.digest) or self._state(
             message.digest, dict(message.positions).get(mine)
@@ -381,7 +380,7 @@ class _CrossShardEngine(HandlerTable):
             return
         if not state.decided:
             if src not in self._voting.get(message.cluster, _NOBODY)[1]:
-                self.foreign_votes += 1
+                self.host.journal.note("foreign_vote", None, message.digest, f"commit from {src}")
                 return
             positions = state.positions
             for cluster, slot in message.positions:
@@ -440,14 +439,14 @@ class _CrossShardEngine(HandlerTable):
     def _decide_local(self, slot: int, digest: str, item, positions, proposer, forget=False) -> None:
         """This cluster's slot of the instance is decided here: log, stamp, apply.
 
-        A late commit onto a slot a view change no-op filled is dropped and
-        counted (:meth:`~repro.consensus.log.OrderingLog.decide_unless_noop`).
+        A late commit onto a slot a view change no-op filled is dropped, a
+        ``late_commit`` row (:meth:`~repro.consensus.log.OrderingLog.decide_unless_noop`).
         ``forget`` drops the state once the log, its only record, holds it.
         """
         host = self.host
         log = host.log
         if not log.decide_unless_noop(slot, digest, item, positions, proposer):
-            self.late_commits += 1
+            host.journal.note("late_commit", slot, digest)
             return
         if forget and slot > log.low_water_mark:
             del self._states[digest]

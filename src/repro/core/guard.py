@@ -49,6 +49,7 @@ from ..consensus.batching import member_requests
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..consensus.messages import ClientRequest
     from ..ledger.view import ClusterView
+    from ..obs.journal import Journal
 
 __all__ = ["ADMIT", "DROP", "REFUSE", "InertGuard", "RequestGuard"]
 
@@ -60,26 +61,14 @@ ADMIT, DROP, REFUSE = range(3)
 
 
 class RequestGuard:
-    """Screens client requests for one replica (see module docstring)."""
+    """Screens client requests for one replica; each refusal is a ``journal`` row."""
 
-    __slots__ = (
-        "chain",
-        "owner_of",
-        "_last_committed",
-        "_pending_tx",
-        "rejected_forged",
-        "rejected_ownership",
-        "rejected_replays",
-        "rejected_duplicates",
-        "deduped_applies",
-    )
+    __slots__ = ("chain", "journal", "owner_of", "_last_committed", "_pending_tx")
 
-    def __init__(
-        self,
-        chain: "ClusterView",
-        owner_of: Callable[[AccountId], ClientId] | None = None,
-    ) -> None:
+    def __init__(self, chain: "ClusterView", journal: "Journal",
+                 owner_of: Callable[[AccountId], ClientId] | None = None) -> None:
         self.chain = chain
+        self.journal = journal
         self.owner_of = owner_of
         #: client process id → timestamp of the latest request this
         #: replica committed for it (closed-loop clients submit with
@@ -87,12 +76,6 @@ class RequestGuard:
         self._last_committed: dict[int, float] = {}
         #: transaction id → request digest currently being ordered here.
         self._pending_tx: dict[str, str] = {}
-        self.rejected_forged = 0
-        self.rejected_ownership = 0
-        self.rejected_replays = 0
-        self.rejected_duplicates = 0
-        #: duplicates that reached the apply path and were no-op filled.
-        self.deduped_applies = 0
 
     # ------------------------------------------------------------------
     # the door
@@ -102,25 +85,25 @@ class RequestGuard:
         transaction = request.transaction
         signature = transaction.signature
         if signature is not None and not transaction.verify_signature():
-            self.rejected_forged += 1
+            self.journal.note("request_forged", detail=f"tx {transaction.tx_id}")
             return DROP
         owner_of = self.owner_of
         if owner_of is not None:
             client = transaction.client
             for transfer in transaction.transfers:
                 if owner_of(transfer.source) != client:
-                    self.rejected_ownership += 1
+                    self.journal.note("request_not_owner", detail=f"tx {transaction.tx_id}")
                     return REFUSE
         tx_id = transaction.tx_id
         already_committed = self.chain.contains_tx(tx_id)
         last = self._last_committed.get(request.reply_to)
         if last is not None and request.timestamp < last and not already_committed:
-            self.rejected_replays += 1
+            self.journal.note("request_replayed", detail=f"tx {tx_id}")
             return DROP
         digest = request.payload_digest()
         pending = self._pending_tx.get(tx_id)
         if pending is not None and pending != digest:
-            self.rejected_duplicates += 1
+            self.journal.note("request_duplicate", None, digest, f"tx {tx_id}")
             return DROP
         if pending is None and not already_committed:
             # Register only transactions actually heading for ordering:
@@ -180,20 +163,10 @@ class RequestGuard:
         cluster-wide and no fork arises.
         """
         if self.chain.contains_tx(tx_id):
-            self.deduped_applies += 1
+            self.journal.note("apply_deduped", detail=f"tx {tx_id}")
             self._pending_tx.pop(tx_id, None)
             return True
         return False
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<RequestGuard forged={self.rejected_forged} "
-            f"ownership={self.rejected_ownership} replays={self.rejected_replays} "
-            f"duplicates={self.rejected_duplicates} deduped={self.deduped_applies}>"
-        )
 
 
 class InertGuard:

@@ -32,6 +32,7 @@ from ..consensus.pbft import PBFTEngine
 from ..consensus.view_change import verify_new_view_certificate
 from ..ledger.block import Block
 from ..ledger.view import ClusterView
+from ..obs.journal import Journal
 from ..recovery import CheckpointManager, CrossShardTerminator, StateTransferManager
 from ..sim.costs import CostModel
 from ..sim.network import Network
@@ -116,8 +117,8 @@ class ReplicaHost(Process):
         self.tuning = config.tuning
         self.log = OrderingLog(cluster.cluster_id)
         self.chain = ClusterView(cluster.cluster_id)
-        #: client requests refused at intake: an account outside the keyspace.
-        self.rejected_requests = 0
+        self.journal = Journal(self)
+        self.committed_count = self.failed_executions = 0
         # Stable destination tuple: the network memoises a route per
         # (sender, destination tuple), so hand it the same tuple object
         # for the whole run instead of rebuilding a list per multicast.
@@ -221,7 +222,7 @@ class ReplicaHost(Process):
     def _reject_unclassifiable(self, request: ClientRequest) -> None:
         """Refuse a request naming an account no shard owns: nothing can
         order it, so answer with a failure (the submitter stops retrying)."""
-        self.rejected_requests += 1
+        self.journal.note("request_unclassifiable", detail=f"tx {request.transaction.tx_id}")
         self._send_reply(request, success=False)
 
     def _send_reply(
@@ -268,10 +269,6 @@ class SharPerReplica(ReplicaHost):
         else:
             self.intra = PBFTEngine(self)
             self.cross = ByzantineCrossShardEngine(self)
-        self.committed_count = 0
-        self.committed_cross_count = 0
-        self.failed_executions = 0
-        self.forwarded_requests = 0
         #: rolling withheld-sequence-number timer (see _monitor_gap).
         self._gap_timer = None
         # Recovery subsystem: checkpointing/compaction, state transfer,
@@ -429,13 +426,16 @@ class SharPerReplica(ReplicaHost):
         if not self.intra.is_primary:
             self.relay_to_primary(request)
             return
+        digest = item_digest(request)
+        slot = self.log.slot_of(digest)
+        if slot is not None:  # still submitted: the batcher re-drives a riding instance
+            self.journal.note("cross_retry_in_log", slot, digest, f"view {self.intra.view}")
         self.recorder.phase(self.sim.now, request.transaction.tx_id, "enqueue", self.pid)
         self.batcher.submit_cross(request, involved)
 
     def _forward(self, request: ClientRequest, destination: int) -> None:
         if destination == self.pid:
             return
-        self.forwarded_requests += 1
         self.send(destination, request)
 
     def relay_to_primary(self, request: ClientRequest) -> None:
@@ -538,6 +538,7 @@ class SharPerReplica(ReplicaHost):
             # The missing slot may simply have been decided while we
             # were unreachable — fetch it from peers before (also)
             # suspecting the primary of withholding it.
+            self.journal.note("gap_suspected", next_apply_at_arm, detail=f"view {view_at_arm}")
             self.state_transfer.request_catch_up()
             self.intra.view_change.suspect_primary()
         # Still blocked (progress, a view change in flight, or a fresh
@@ -604,8 +605,6 @@ class SharPerReplica(ReplicaHost):
             self.chain.append(Block.noop(positions, proposer=proposer, parents=parents))
             return
         executed = self._commit(item, admitted, positions, proposer, parents)
-        if cross:
-            self.committed_cross_count += len(executed)
         now = self.sim.now
         for request, _success in executed:
             recorder.phase(now, request.transaction.tx_id, "applied", self.pid)
@@ -638,6 +637,8 @@ class SharPerReplica(ReplicaHost):
         was_crashed = self.crashed
         super().recover()
         if was_crashed:
+            opened = "open" if self.intra.view_change.in_view_change else "closed"
+            self.journal.note("recovered", detail=f"view {self.intra.view}, view change {opened}")
             self.state_transfer.request_catch_up()
 
     # ------------------------------------------------------------------

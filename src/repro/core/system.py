@@ -208,7 +208,7 @@ class BaseSystem:
         """
         for process in self.processes():
             if isinstance(getattr(process, "request_guard", None), InertGuard):
-                process.request_guard = RequestGuard(process.chain, owner_of=self.owner_of)
+                process.request_guard = RequestGuard(process.chain, process.journal, self.owner_of)
 
     def arm_recorder(self, recorder) -> None:
         """Arm the :mod:`repro.obs` flight recorder on the whole deployment.
@@ -237,10 +237,10 @@ class BaseSystem:
         """
         report = audit_views(self.views())
         for process in self.processes():
-            checkpoints = getattr(process, "checkpoints", None)
-            if checkpoints is not None and checkpoints.divergent and not process.byzantine:
+            divergent = process.journal.totals["checkpoint_divergent"]
+            if divergent and not process.byzantine:
                 report.problems.append(
-                    f"replica {process.pid}: {checkpoints.divergent} checkpoint(s) "
+                    f"replica {process.pid}: {divergent} checkpoint(s) "
                     "diverged from its cluster's stable digest"
                 )
         return report
@@ -337,10 +337,6 @@ class SharPerSystem(BaseSystem):
             self.replicas[int(node)]
             for node in self.config.cluster(cluster_id).node_ids
         ]
-
-    def primary_of(self, cluster_id: ClusterId) -> SharPerReplica:
-        """The initial primary replica of a cluster."""
-        return self.replicas[int(self.config.cluster(cluster_id).primary)]
 
     def representative_of(self, cluster_id: ClusterId) -> SharPerReplica:
         """The replica whose chain and store the audits report for a cluster.

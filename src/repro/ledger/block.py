@@ -203,11 +203,6 @@ class Block(memo_slots("_block_hash")):
         return self.transactions[0]
 
     @property
-    def is_empty(self) -> bool:
-        """Whether the block carries no transaction (genesis or no-op)."""
-        return not self.transactions
-
-    @property
     def tx_ids(self) -> tuple[str, ...]:
         """Identifiers of the contained transactions."""
         return tuple(tx.tx_id for tx in self.transactions)

@@ -26,7 +26,7 @@ package supplies it for the reproduction, in three pillars:
   cross-shard instances instead of immediately no-op-filling their
   slots, so a commit quorum formed just before the view change is
   adopted rather than raced (closing the residual atomicity window the
-  engines previously papered over by counting ``late_commits``).
+  engines previously papered over, a ``late_commit`` journal row each).
 
 Checkpointing is off by default (``ProtocolTuning.checkpoint_interval
 = 0``), so faultless benchmark runs are byte-identical to previous

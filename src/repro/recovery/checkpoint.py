@@ -91,8 +91,6 @@ class CheckpointManager(HandlerTable):
         self.stabilized = 0
         self.entries_truncated = 0
         self.blocks_pruned = 0
-        #: quorum digests that contradicted this replica's own state.
-        self.divergent = 0
 
     # ------------------------------------------------------------------
     # producing checkpoints
@@ -147,10 +145,9 @@ class CheckpointManager(HandlerTable):
             # lag trigger (or gap monitoring) fetches it.
             return
         if record.digest != digest:
-            # Our state disagrees with a quorum of the cluster — with at
-            # most f faulty replicas this replica itself diverged; count
-            # it loudly and do not garbage-collect evidence.
-            self.divergent += 1
+            # Our state disagrees with a quorum of the cluster — with at most f
+            # faulty replicas this replica diverged; journal it, keep the evidence.
+            self.host.journal.note("checkpoint_divergent", seq, digest)
             return
         self.adopt(record)
         self.stabilized += 1

@@ -75,11 +75,6 @@ class StateTransferManager(HandlerTable):
         #: state-transfer variant of the forged-view attack) nor split
         #: the vote so the honest majority's view goes unadopted.
         self._view_claims: dict[int, int] = {}
-        self.requested = 0
-        self.completed = 0
-        self.installed = 0
-        #: responses whose snapshot or entry failed verification (dropped).
-        self.rejected = 0
 
     # ------------------------------------------------------------------
     # requester side
@@ -100,10 +95,9 @@ class StateTransferManager(HandlerTable):
         self._snapshot_votes.clear()
         self._entry_votes.clear()
         self._view_claims.clear()
-        self.requested += 1
-        host.multicast(
-            host.peers, StateRequest(node=host.node_id, have_seq=host.log.next_apply - 1)
-        )
+        have_seq = host.log.next_apply - 1
+        host.journal.note("state_transfer_requested", have_seq)
+        host.multicast(host.peers, StateRequest(node=host.node_id, have_seq=have_seq))
 
     # ------------------------------------------------------------------
     # helper side
@@ -155,7 +149,7 @@ class StateTransferManager(HandlerTable):
     # installing responses
     # ------------------------------------------------------------------
     def _on_response(self, message: StateResponse, src: int) -> None:
-        host = self.host
+        note = self.host.journal.note
         if not self._round_active:
             return
         progressed = False
@@ -163,12 +157,12 @@ class StateTransferManager(HandlerTable):
             if self._verify_snapshot(message):
                 progressed = self._maybe_install_snapshot(message, src) or progressed
             else:
-                self.rejected += 1
+                note("state_transfer_rejected", message.checkpoint_seq, None, f"snapshot from {src}")
                 return
         progressed = self._replay_entries(message, src) or progressed
         self._adopt_attested_view(message.view, src)
         if progressed:
-            self.completed += 1
+            note("state_transfer_completed", self.host.log.next_apply - 1, None, f"from {src}")
             self._round_active = False
 
     def _adopt_attested_view(self, view: int, src: int) -> None:
@@ -225,7 +219,7 @@ class StateTransferManager(HandlerTable):
                 snapshot=dict(message.snapshot),
             )
         )
-        self.installed += 1
+        host.journal.note("snapshot_installed", message.checkpoint_seq, message.checkpoint_digest)
         return True
 
     def _replay_entries(self, message: StateResponse, src: int) -> bool:
@@ -240,7 +234,7 @@ class StateTransferManager(HandlerTable):
             if entry is not None and entry.status is not EntryStatus.PENDING:
                 continue
             if item_digest(item) != digest:
-                self.rejected += 1
+                host.journal.note("state_transfer_rejected", slot, digest, f"entry from {src}")
                 continue
             key = (slot, digest, positions, proposer)
             voters = self._entry_votes.setdefault(key, set())

@@ -1,4 +1,4 @@
-"""Aggregated recovery counters reported by :class:`repro.api.ScenarioResult`."""
+"""Aggregated recovery activity reported by :class:`repro.api.ScenarioResult`."""
 
 from __future__ import annotations
 
@@ -26,15 +26,9 @@ class RecoveryStats:
     #: largest ordering-log entry count any replica ever held — the
     #: number the bounded-memory experiments assert on.
     peak_log_entries: int = 0
-    #: state-transfer rounds requested / rounds that made progress /
-    #: full snapshots installed.
-    state_transfers_requested: int = 0
+    #: state-transfer rounds that made progress / full snapshots installed.
     state_transfers_completed: int = 0
     snapshots_installed: int = 0
-    #: cross-shard termination rounds and their outcomes.
-    terminations_started: int = 0
-    terminations_adopted: int = 0
-    terminations_noop: int = 0
     #: safety red flags (should stay 0 with at most f faults per cluster).
     divergent_checkpoints: int = 0
 
@@ -45,18 +39,16 @@ class RecoveryStats:
             f"(max seq {self.max_stable_seq}), "
             f"log peak {self.peak_log_entries} entries "
             f"({self.entries_truncated} truncated, {self.blocks_pruned} blocks pruned), "
-            f"state transfers {self.state_transfers_completed}, "
-            f"terminations {self.terminations_adopted} adopted / "
-            f"{self.terminations_noop} no-op"
+            f"state transfers {self.state_transfers_completed}"
         )
 
 
 def collect_recovery_stats(system: "BaseSystem") -> RecoveryStats | None:
     """Sum the recovery counters over every replica that carries them.
 
-    Returns ``None`` for systems whose replicas have no recovery
-    managers (e.g. the single-group baselines), so reports can omit the
-    section entirely.
+    The rare-event fields are the replicas' journal totals.  Returns
+    ``None`` for systems whose replicas have no recovery managers (e.g.
+    the single-group baselines), so reports can omit the section entirely.
     """
     stats = RecoveryStats()
     found = False
@@ -69,16 +61,11 @@ def collect_recovery_stats(system: "BaseSystem") -> RecoveryStats | None:
         stats.checkpoints_stable += checkpoints.stabilized
         stats.entries_truncated += checkpoints.entries_truncated
         stats.blocks_pruned += checkpoints.blocks_pruned
-        stats.divergent_checkpoints += checkpoints.divergent
         if checkpoints.stable is not None:
             stats.max_stable_seq = max(stats.max_stable_seq, checkpoints.stable.seq)
         stats.peak_log_entries = max(stats.peak_log_entries, process.log.peak_entry_count)
-        transfer = process.state_transfer
-        stats.state_transfers_requested += transfer.requested
-        stats.state_transfers_completed += transfer.completed
-        stats.snapshots_installed += transfer.installed
-        terminator = process.terminator
-        stats.terminations_started += terminator.started
-        stats.terminations_adopted += terminator.adopted
-        stats.terminations_noop += terminator.noop_filled
+        totals = process.journal.totals
+        stats.divergent_checkpoints += totals["checkpoint_divergent"]
+        stats.state_transfers_completed += totals["state_transfer_completed"]
+        stats.snapshots_installed += totals["snapshot_installed"]
     return stats if found else None

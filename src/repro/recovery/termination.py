@@ -3,8 +3,8 @@
 The residual atomicity window the ROADMAP flags: a cross-shard commit
 quorum can form just before a view change, and the new primary — seeing
 only a *pending* local slot — used to fill it with a no-op immediately,
-racing the in-flight commit (the engines dropped the loser and counted
-it in ``late_commits``).  The termination round closes the window:
+racing the in-flight commit (the engines dropped the loser, a
+``late_commit`` journal row).  The termination round closes the window:
 
 1. the new primary defers the fill and multicasts a
    :class:`~repro.recovery.messages.TerminationRequest` to every node of
@@ -68,13 +68,6 @@ class CrossShardTerminator(HandlerTable):
         self._build_handlers()
         self.quorum = host.cluster.reply_quorum
         self._states: dict[str, _TerminationState] = {}
-        self.started = 0
-        self.adopted = 0
-        self.noop_filled = 0
-        #: rounds resolved by a commit that landed while the round ran.
-        self.resolved_in_flight = 0
-        #: adoptions that lost to a conflicting local resolution.
-        self.conflicted = 0
 
     # ------------------------------------------------------------------
     # asking side (the new primary)
@@ -93,7 +86,7 @@ class CrossShardTerminator(HandlerTable):
             digest=digest, slot=slot, view=view, item=item, involved=involved
         )
         self._states[digest] = state
-        self.started += 1
+        host.journal.note("termination_started", slot, digest, f"view {view}")
         host.multicast(
             host.nodes_of_clusters(involved),
             TerminationRequest(
@@ -118,11 +111,11 @@ class CrossShardTerminator(HandlerTable):
         ):
             # A late commit (or an adopted decision) landed during the
             # round; nothing to fill.
-            self.resolved_in_flight += 1
+            host.journal.note("termination_resolved", state.slot, digest)
             return
         # No decision evidence anywhere: the undecided instance dies and
         # the client's retry runs a fresh, fully-positioned one.
-        self.noop_filled += 1
+        host.journal.note("termination_noop", state.slot, digest)
         host.log.observe(state.slot)
         host.intra.propose_at(
             state.slot, Noop(reason=f"termination-v{state.view}-slot-{state.slot}")
@@ -208,9 +201,9 @@ class CrossShardTerminator(HandlerTable):
         proposer = evidence.proposer if evidence.proposer is not None else host.cluster_id
         item = evidence.item if evidence.item is not None else state.item
         if not host.log.decide_unless_noop(my_slot, state.digest, item, positions, proposer):
-            self.conflicted += 1
+            host.journal.note("termination_conflicted", my_slot, state.digest)
             return
-        self.adopted += 1
+        host.journal.note("termination_adopted", my_slot, state.digest)
         host.multicast(
             host.peers,
             TerminationDecision(
@@ -239,4 +232,4 @@ class CrossShardTerminator(HandlerTable):
         ):
             host.after_decide()
         else:
-            self.conflicted += 1
+            host.journal.note("termination_conflicted", my_slot, message.digest, f"from {src}")

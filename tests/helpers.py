@@ -8,6 +8,7 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.common.config import ClusterConfig, ProtocolTuning, SystemConfig
 from repro.common.types import ClusterId, FaultModel, NodeId
@@ -17,6 +18,7 @@ from repro.core.guard import InertGuard
 from repro.core.sharding import involved_clusters
 from repro.ledger.view import ClusterView
 from repro.obs import INERT_RECORDER
+from repro.obs.journal import Journal
 from repro.txn.transaction import Transaction
 
 
@@ -96,6 +98,7 @@ class BagHost:
     def __init__(self, node_id: int, cluster: ClusterConfig, bag: Bag | None = None) -> None:
         self.bag = bag = bag if bag is not None else Bag((cluster,))
         bag.hosts[int(node_id)] = self
+        self.pid = int(node_id)
         self.node_id = NodeId(node_id)
         self.cluster = cluster
         self.cluster_id = cluster.cluster_id
@@ -107,6 +110,7 @@ class BagHost:
         self.chain = ClusterView(cluster.cluster_id)
         self.tuning = ProtocolTuning()
         self.recorder = INERT_RECORDER
+        self.journal = Journal(self)
         self.request_guard = InertGuard(self.chain)
         self.intra = self.cross = self.terminator = None
         self.sent: list[SentMessage] = []
@@ -182,6 +186,11 @@ class BagHost:
 #: the engine unit tests' name for a BagHost whose messages nobody delivers:
 #: they read what it sent.
 FakeHost = BagHost
+
+
+def journal() -> Journal:
+    """An anomaly journal of no replica: its rows carry time 0 and pid 0."""
+    return Journal(SimpleNamespace(now=0.0, pid=0))
 
 
 def crash_cluster(cluster_id: int = 0, size: int = 3, f: int = 1) -> ClusterConfig:

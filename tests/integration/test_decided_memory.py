@@ -124,7 +124,7 @@ def test_a_late_byzantine_message_for_a_decided_digest_allocates_nothing(kind):
         engine.handle(message, src=src)
         assert entry.digest not in engine._states
     assert (system.network.messages_sent, _log_rows(replica), engine._states) == before
-    assert engine.malformed_votes == engine.foreign_votes == 0
+    assert engine.host.journal.totals["malformed_vote"] == engine.host.journal.totals["foreign_vote"] == 0
 
 
 def test_a_late_crash_accept_for_a_decided_digest_allocates_nothing():

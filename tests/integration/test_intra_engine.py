@@ -14,6 +14,8 @@ crash, and a Byzantine fork when the crashed primary recovers inside the
 view change.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api import DeploymentSpec, FaultSchedule, Scenario
@@ -131,6 +133,22 @@ def test_a_recovery_inside_the_view_change_does_not_fork(seed):
     """``byzantine_failover`` with the old primary back at 0.9 s, ~0.5 ms after
     view 1 installs: seeds 2 and 5 decide slot 168 / 184 twice (no fix yet)."""
     byzantine_failover(duration=1.2, seed=seed, recover_at=0.9).run()
+
+
+def test_the_journal_shows_the_recovery_inside_the_view_change():
+    """ROADMAP 2(f) from an untraced run: at seed 5 node 0 comes back in view 0
+    after two of its peers opened the view change to view 1 and before any
+    installs it.  The run forks at slot 184 soon after, so it stops at 0.901 s."""
+    scenario = byzantine_failover(duration=0.901, seed=5, recover_at=0.9)
+    anomalies = dataclasses.replace(scenario, verify=False).run().anomalies
+    (recovered,) = anomalies.of("recovered")
+    assert (recovered.pid, recovered.time) == (0, 0.9)
+    assert recovered.detail.startswith("view 0,")
+    started = anomalies.of("view_change_started")
+    installed = anomalies.of("view_installed")
+    assert {row.pid for row in started + installed} <= {1, 2, 3}  # cluster 0's peers
+    assert len([row for row in started if row.time < recovered.time]) == 2
+    assert recovered.time < min(row.time for row in installed)
 
 
 @pytest.mark.parametrize("system", ["sharper", "apr", "fast", "ahl"])

@@ -100,8 +100,9 @@ def assert_refused_and_counted(result):
     assert all(client.failed == 0 and client.completed > 5 for client in honest)
     for view in system.views().values():
         assert not view.contains_tx(system.garbler.tx_id)
-    rejected = sum(process.rejected_requests for process in system.processes()
-                   if hasattr(process, "rejected_requests"))
+    rejected = sum(
+        process.journal.totals["request_unclassifiable"] for process in system.processes()
+    )
     assert rejected >= system.required_replies
     return rejected
 
@@ -135,7 +136,7 @@ class TestBaselines:
         result = run_with_one_malformed_request("ahl", cross_shard=True)
         assert_refused_and_counted(result)
         committee = result.system.committee_replicas.values()
-        assert sum(member.rejected_requests for member in committee) == 1
+        assert sum(member.journal.totals["request_unclassifiable"] for member in committee) == 1
 
     @pytest.mark.parametrize("system", ["apr", "fast"])
     def test_single_group(self, system):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.api import DeploymentSpec, Scenario, run_scenarios
+from repro.api import DeploymentSpec, FaultSchedule, Scenario, run_scenarios
 from repro.bench.harness import run_curve
 from repro.common.metrics import RunStats
 from repro.common.types import FaultModel
@@ -40,7 +40,11 @@ class TestDeterminism:
 
     def test_serial_and_jobs2_results_are_identical(self):
         """The determinism regression test: serial vs --jobs 2."""
-        scenarios = [small_scenario(), small_scenario(clients=12)]
+        churn = FaultSchedule().crash_primary(at=0.03, cluster=0).recover_node(at=0.06, node_id=0)
+        scenarios = [
+            small_scenario(), small_scenario(clients=12),
+            dataclasses.replace(small_scenario(), faults=churn),  # journals a retry and a recovery
+        ]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=2)
         for serial_result, pooled_result in zip(serial, pooled):
@@ -50,6 +54,8 @@ class TestDeterminism:
             assert serial_result.audit.problems == pooled_result.audit.problems
             assert serial_result.total_balance == pooled_result.total_balance
             assert serial_result.expected_balance == pooled_result.expected_balance
+            assert serial_result.anomalies == pooled_result.anomalies
+        assert serial[2].anomalies.totals["recovered"] == 1
 
     def test_pooled_results_are_detached(self):
         scenarios = [small_scenario(), small_scenario(clients=12)]

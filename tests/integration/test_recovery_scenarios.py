@@ -253,8 +253,8 @@ class TestDeterminism:
 class TestLateCommitsSurfaced:
     def test_late_commits_flow_into_stats_and_reports(self):
         result = quick_longrun(0, duration=0.3).run()
-        assert result.stats.late_commits == 0  # faultless: no races
-        assert "late cmts" not in result.summary()
+        assert result.anomalies.totals.get("late_commit", 0) == 0  # faultless: no races
+        assert "anomalies  : none" in result.summary()
 
     def test_summary_mentions_recovery_when_active(self):
         result = quick_longrun(25, duration=0.4).run()

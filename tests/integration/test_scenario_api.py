@@ -15,7 +15,7 @@ from repro.api import (
     FaultSchedule,
     Scenario,
 )
-from repro.common.config import ProtocolTuning, SystemConfig
+from repro.common.config import PerformanceModel, ProtocolTuning, SystemConfig
 from repro.common.errors import ConfigurationError, UnknownSystemError
 from repro.common.types import FaultModel
 from repro.core.system import SharPerSystem
@@ -98,6 +98,24 @@ class TestScenarioRoundTrip:
     def test_timing_that_hangs_or_measures_nothing_is_refused(self, field, timing):
         with pytest.raises(ConfigurationError, match=field):
             Scenario(deployment=DeploymentSpec(system="sharper"), **timing)
+
+    @pytest.mark.parametrize("retry_timeout", [1e-9, 1e-4])
+    def test_a_retry_timeout_below_one_client_round_trip_is_refused(self, retry_timeout):
+        """Measured before the floor (2 clusters, 4 clients, 0.1 s): 1e-9 did not
+        finish in 60 s of CPU, 1e-4 committed 3 transactions where 0.5 s commits 176."""
+        with pytest.raises(ConfigurationError, match=rf"round trip \(0.0009 s\), got {retry_timeout}"):
+            Scenario(deployment=DeploymentSpec(system="sharper"), retry_timeout=retry_timeout)
+
+    def test_a_retry_timeout_of_one_client_round_trip_is_accepted(self):
+        model = PerformanceModel()
+        floor = 2 * model.client_latency * (1 - model.latency_jitter)
+        assert Scenario(retry_timeout=floor).retry_timeout == floor
+        # The floor is the deployment's own round trip, an explicit config's too.
+        slow = PerformanceModel(client_latency=0.05)
+        config = SystemConfig.build(2, FaultModel.CRASH, performance=slow)
+        for deployment in (DeploymentSpec(performance=slow), DeploymentSpec(config=config)):
+            with pytest.raises(ConfigurationError, match="retry_timeout"):
+                Scenario(deployment=deployment, retry_timeout=floor)
 
     @pytest.mark.parametrize("backend", ["dict", "", None])
     def test_a_store_backend_other_than_the_one_store_is_refused(self, backend):

@@ -7,6 +7,8 @@ from repro.common.types import FaultModel
 from repro.consensus.base import QuorumTracker
 from repro.sim.simulator import Simulator
 
+from helpers import journal
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=50))
@@ -31,7 +33,7 @@ def test_cluster_sizes_tolerate_f_failures(f):
     st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), max_size=60),
 )
 def test_quorum_tracker_fires_exactly_once_per_key(threshold, votes):
-    tracker = QuorumTracker(threshold, {pid: 1 << pid for pid in range(6)})
+    tracker = QuorumTracker(threshold, {pid: 1 << pid for pid in range(6)}, journal())
     fired = {}
     for key, voter in votes:
         if tracker.vote(key, voter):

@@ -9,6 +9,7 @@ against a minimal fake host, no simulator involved.
 import pytest
 
 from repro.common.config import ProtocolTuning
+from repro.common.errors import ConfigurationError
 from repro.common.types import AccountId, ClientId, ClusterId
 from repro.consensus.batching import BatchPipeline, member_requests
 from repro.consensus.log import item_digest
@@ -191,16 +192,19 @@ class TestPipelineMechanics:
         pipeline.submit_intra(make_request(0))
         assert host.intra.submitted == []
 
-    def test_batch_size_floor_is_one(self):
-        """Both fields floor at 1; the window binds only when chunks can fill."""
-        floored = BatchPipeline(FakeHost(batch_size=0, pipeline_depth=0))
-        assert floored.batch_size == 1
-        assert floored.pipeline_depth == 1
+    @pytest.mark.parametrize("field", ["batch_size", "pipeline_depth"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_a_batch_size_or_depth_below_one_is_refused(self, field, value):
+        """No silent floor: a pipeline is never built from a field below one."""
+        with pytest.raises(ConfigurationError, match=field):
+            BatchPipeline(FakeHost(**{field: value}))
+
+    def test_the_window_binds_only_when_chunks_can_fill(self):
         # batch_size == 1: a chunk of one never fills, so nothing queues
         # behind a window — whatever pipeline_depth says.
-        assert floored.window == float("inf")
+        assert BatchPipeline(FakeHost(batch_size=1, pipeline_depth=1)).window == float("inf")
         assert BatchPipeline(FakeHost(batch_size=1, pipeline_depth=4)).window == float("inf")
-        assert BatchPipeline(FakeHost(batch_size=2, pipeline_depth=0)).window == 1
+        assert BatchPipeline(FakeHost(batch_size=2, pipeline_depth=1)).window == 1
         assert BatchPipeline(FakeHost(batch_size=2, pipeline_depth=4)).window == 4
 
     def test_batch_one_proposes_every_request_on_arrival(self):

@@ -22,6 +22,8 @@ from repro.core.guard import ADMIT, DROP, REFUSE, InertGuard, RequestGuard
 from repro.txn.accounts import ShardMapper
 from repro.txn.transaction import Transaction
 
+from helpers import journal
+
 
 class FakeChain:
     def __init__(self):
@@ -51,20 +53,17 @@ def request(tx_id="tx-1", client=1, timestamp=1.0, reply_to=1_000_000, source=1,
 
 class TestRequestGuardUnit:
     def test_admits_and_registers_honest_requests(self):
-        guard = RequestGuard(FakeChain())
+        guard = RequestGuard(FakeChain(), journal())
         assert guard.screen(request()) == ADMIT
-        assert (
-            guard.rejected_forged + guard.rejected_ownership
-            + guard.rejected_replays + guard.rejected_duplicates
-        ) == 0
+        assert sum(guard.journal.totals.values()) == 0
 
     def test_valid_signature_is_accepted(self):
-        guard = RequestGuard(FakeChain())
+        guard = RequestGuard(FakeChain(), journal())
         signed = request(keypair=KeyPair(owner=1))
         assert guard.screen(signed) == ADMIT
 
     def test_forged_signature_is_dropped(self):
-        guard = RequestGuard(FakeChain())
+        guard = RequestGuard(FakeChain(), journal())
         honest = request()
         forged_tx = Transaction(
             tx_id="tx-f",
@@ -77,18 +76,18 @@ class TestRequestGuardUnit:
             transaction=forged_tx, client=forged_tx.client, timestamp=1.0, reply_to=1_000_000
         )
         assert guard.screen(forged) == DROP
-        assert guard.rejected_forged == 1
+        assert guard.journal.totals["request_forged"] == 1
 
     def test_ownership_violation_is_refused(self):
-        guard = RequestGuard(FakeChain(), owner_of=lambda account: ClientId(int(account) % 2))
+        guard = RequestGuard(FakeChain(), journal(), owner_of=lambda account: ClientId(int(account) % 2))
         # account 1 is owned by client 1 under the modulo map: admitted.
         assert guard.screen(request(client=1, source=1)) == ADMIT
         # account 2 is owned by client 0: refused (with a failure reply).
         assert guard.screen(request(tx_id="tx-2", client=1, source=2)) == REFUSE
-        assert guard.rejected_ownership == 1
+        assert guard.journal.totals["request_not_owner"] == 1
 
     def test_replay_below_the_committed_window_is_dropped(self):
-        guard = RequestGuard(FakeChain())
+        guard = RequestGuard(FakeChain(), journal())
         old = request(tx_id="tx-old", timestamp=1.0)
         assert guard.screen(old) == ADMIT
         guard.committed(old)
@@ -97,11 +96,11 @@ class TestRequestGuardUnit:
         guard.committed(newer)
         replay = request(tx_id="tx-replayed", timestamp=1.5)
         assert guard.screen(replay) == DROP
-        assert guard.rejected_replays == 1
+        assert guard.journal.totals["request_replayed"] == 1
 
     def test_retry_of_committed_request_passes_the_window(self):
         chain = FakeChain()
-        guard = RequestGuard(chain)
+        guard = RequestGuard(chain, journal())
         first = request(tx_id="tx-1", timestamp=1.0)
         assert guard.screen(first) == ADMIT
         chain.committed.add("tx-1")
@@ -111,25 +110,25 @@ class TestRequestGuardUnit:
         assert guard.screen(request(tx_id="tx-1", timestamp=1.0)) == ADMIT
 
     def test_mutated_timestamp_duplicate_is_dropped(self):
-        guard = RequestGuard(FakeChain())
+        guard = RequestGuard(FakeChain(), journal())
         original = request(tx_id="tx-1", timestamp=1.0)
         duplicate = request(tx_id="tx-1", timestamp=1.0000001)
         assert guard.screen(original) == ADMIT
         assert guard.screen(duplicate) == DROP
-        assert guard.rejected_duplicates == 1
+        assert guard.journal.totals["request_duplicate"] == 1
         # Identical retries of the in-flight original stay admitted.
         assert guard.screen(request(tx_id="tx-1", timestamp=1.0)) == ADMIT
 
     def test_apply_backstop_catches_committed_duplicates(self):
         chain = FakeChain()
-        guard = RequestGuard(chain)
+        guard = RequestGuard(chain, journal())
         chain.committed.add("tx-1")
         assert guard.is_duplicate_apply("tx-1")
         assert not guard.is_duplicate_apply("tx-2")
-        assert guard.deduped_applies == 1
+        assert guard.journal.totals["apply_deduped"] == 1
 
     def test_a_batch_with_one_refused_member_is_refused(self):
-        guard = RequestGuard(FakeChain(), owner_of=lambda account: ClientId(1))
+        guard = RequestGuard(FakeChain(), journal(), owner_of=lambda account: ClientId(1))
         honest, stolen = request(tx_id="tx-1"), request(tx_id="tx-2", client=2)
         assert guard.screen_item(RequestBatch(requests=(honest,))) == ADMIT
         assert guard.screen_item(RequestBatch(requests=(honest, stolen))) == REFUSE
@@ -141,7 +140,7 @@ class TestInertGuard:
     def test_admits_everything_and_keeps_no_books(self):
         guard = InertGuard(FakeChain())
         forged = request(keypair=KeyPair(owner=2))
-        assert RequestGuard(FakeChain()).screen(forged) == DROP
+        assert RequestGuard(FakeChain(), journal()).screen(forged) == DROP
         assert guard.screen(forged) == ADMIT
         assert guard.screen_item(RequestBatch(requests=(forged,))) == ADMIT
         assert guard.committed(forged) is None and guard.abandoned("tx-1") is None
@@ -176,12 +175,11 @@ def guard_totals(system):
         if isinstance(getattr(process, "request_guard", None), RequestGuard)
     ]
     assert guards, "adversary events must arm the request guards"
-    return {
-        "forged": sum(guard.rejected_forged for guard in guards),
-        "ownership": sum(guard.rejected_ownership for guard in guards),
-        "replays": sum(guard.rejected_replays for guard in guards),
-        "duplicates": sum(guard.rejected_duplicates for guard in guards),
+    kinds = {
+        "forged": "request_forged", "ownership": "request_not_owner",
+        "replays": "request_replayed", "duplicates": "request_duplicate",
     }
+    return {name: sum(guard.journal.totals[kind] for guard in guards) for name, kind in kinds.items()}
 
 
 class TestClientBehaviorsAreSafe:

@@ -150,7 +150,20 @@ class TestTimingIsCheckedWhenBuilt:
         with pytest.raises(ConfigurationError, match=field):
             ProtocolTuning(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("checkpoint_interval", -1), ("batch_size", 0), ("batch_size", -1),
+         ("pipeline_depth", 0), ("max_conflict_retries", -1)],
+    )
+    def test_integer_fields_below_their_least_value_are_refused(self, field, value):
+        """Each ran silently before: interval -1 checkpointed every slot, a
+        batch size or depth below one ran as one."""
+        with pytest.raises(ConfigurationError, match=field):
+            ProtocolTuning(**{field: value})
+
     def test_zero_costs_and_integer_knobs_are_accepted(self):
         free = PerformanceModel(message_cpu=0.0, latency_jitter=0.0, intra_cluster_latency=0.0)
         assert free.message_cpu == 0.0
-        assert ProtocolTuning(pipeline_depth=0).pipeline_depth == 0
+        least = ProtocolTuning(checkpoint_interval=0, batch_size=1, pipeline_depth=1,
+                               max_conflict_retries=0)
+        assert (least.checkpoint_interval, least.batch_size, least.pipeline_depth) == (0, 1, 1)

@@ -6,7 +6,7 @@ from repro.common.errors import ConsensusError
 from repro.consensus.base import QuorumTracker
 from repro.consensus.log import EntryStatus, Noop, OrderingLog, item_digest
 
-from helpers import simple_transfer
+from helpers import journal, simple_transfer
 
 #: voter pid -> tally bit for the bare trackers below.
 MEMBERS = {pid: 1 << pid for pid in range(4)}
@@ -14,7 +14,7 @@ MEMBERS = {pid: 1 << pid for pid in range(4)}
 
 class TestQuorumTracker:
     def test_fires_once_at_threshold(self):
-        tracker = QuorumTracker(2, MEMBERS)
+        tracker = QuorumTracker(2, MEMBERS, journal())
         assert not tracker.vote("k", 1)
         assert tracker.vote("k", 2)
         assert not tracker.vote("k", 3)
@@ -22,23 +22,23 @@ class TestQuorumTracker:
         assert tracker.count("k") == 2
 
     def test_duplicate_votes_ignored(self):
-        tracker = QuorumTracker(2, MEMBERS)
+        tracker = QuorumTracker(2, MEMBERS, journal())
         assert not tracker.vote("k", 1)
         assert not tracker.vote("k", 1)
         assert tracker.count("k") == 1
 
     def test_keys_are_independent(self):
-        tracker = QuorumTracker(1, MEMBERS)
+        tracker = QuorumTracker(1, MEMBERS, journal())
         assert tracker.vote("a", 1)
         assert tracker.vote("b", 1)
         assert tracker.voters("a") == frozenset({1})
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            QuorumTracker(0, MEMBERS)
+            QuorumTracker(0, MEMBERS, journal())
 
     def test_clear(self):
-        tracker = QuorumTracker(1, MEMBERS)
+        tracker = QuorumTracker(1, MEMBERS, journal())
         tracker.vote("a", 1)
         tracker.clear()
         assert not tracker.reached("a")

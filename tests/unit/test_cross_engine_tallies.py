@@ -15,6 +15,7 @@ way: the crash failover race (``RACE_PINNED``) and a batched Byzantine
 run (``BATCHED_BYZANTINE_PINNED``).
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -300,6 +301,20 @@ def test_crash_failover_race_keeps_its_recorded_fork():
     # Same schedule, seed 5: known wrong too (ROADMAP item 2(a)).
     with pytest.raises(ConsensusError, match="slot 1126 decided twice"):
         race_scenario(5).run()
+
+
+def test_the_journal_shows_the_retry_the_new_primary_already_logged():
+    """ROADMAP 2(a) from an untraced run: at seed 5 a client retry reaches
+    cluster 0's new primary (view 1) while its log holds the digest at the
+    slot its own termination round is resolving.  The run forks by 0.35 s,
+    so it stops at 0.3 s; the retry is still submitted as before."""
+    result = dataclasses.replace(race_scenario(5), duration=0.3, verify=False).run()
+    (retry,) = result.anomalies.of("cross_retry_in_log")
+    new_primary = int(result.system.config.cluster(ClusterId(0)).primary_for_view(1))
+    assert (retry.pid, retry.detail) == (new_primary, "view 1")
+    (opened,) = [row for row in result.anomalies.of("termination_started") if row.pid == new_primary]
+    assert (opened.slot, opened.digest) == (retry.slot, retry.digest)
+    assert opened.time < retry.time
 
 
 #: Byzantine, batch 8 / depth 4: ``RequestBatch`` items through Algorithm 2.

@@ -78,7 +78,7 @@ class TestBlock:
 
     def test_noop_block(self):
         block = Block.noop(positions={0: 4}, proposer=0)
-        assert block.is_noop and block.is_empty
+        assert block.is_noop and not block.transactions
         assert block.tx_ids == ()
 
     def test_transaction_accessor_requires_single_tx(self):

@@ -230,7 +230,8 @@ class TestMalformedSnapshotsAreRefused:
         store, transfer = joiner.store, joiner.state_transfer
         before = (store.snapshot(), store.total_balance(), store.version, store.state_digest())
         transfer._on_response(self._response(joiner, malform(before[0])), 0)
-        assert (transfer.rejected, transfer.installed) == (1, 0)
+        totals = transfer.host.journal.totals
+        assert (totals["state_transfer_rejected"], totals["snapshot_installed"]) == (1, 0)
         assert (store.snapshot(), store.total_balance(), store.version,
                 store.state_digest()) == before
 

@@ -50,7 +50,7 @@ class TestTerminationAdoption:
         for replica in system.replicas_of(ClusterId(0)):
             replica.log.record_pending(1, digest, request, proposer=ClusterId(0))
 
-        primary = system.primary_of(ClusterId(0))
+        primary = system.replicas_of(ClusterId(0))[0]
         primary.terminator.begin(1, request, view=0)
         system.sim.run(until=0.5)
 
@@ -59,11 +59,11 @@ class TestTerminationAdoption:
             assert entry is not None and entry.status is EntryStatus.APPLIED
             assert entry.positions == positions
             assert replica.chain.contains_tx(request.transaction.tx_id)
-        assert primary.terminator.adopted == 1
-        assert primary.terminator.noop_filled == 0
+        assert primary.journal.totals["termination_adopted"] == 1
+        assert primary.journal.totals["termination_noop"] == 0
         # The adopted decision is the same block cluster 1 committed.
-        block_0 = system.primary_of(ClusterId(0)).chain.block_at(1)
-        block_1 = system.primary_of(ClusterId(1)).chain.block_at(1)
+        block_0 = system.replicas_of(ClusterId(0))[0].chain.block_at(1)
+        block_1 = system.replicas_of(ClusterId(1))[0].chain.block_at(1)
         assert block_0.block_hash == block_1.block_hash
         report = system.safety_audit()
         assert report.ok, report.problems
@@ -78,11 +78,11 @@ class TestTerminationAdoption:
                 1, digest, request, positions=positions, proposer=ClusterId(0)
             )
             replica.after_decide()
-        primary = system.primary_of(ClusterId(0))
+        primary = system.replicas_of(ClusterId(0))[0]
         primary.log.record_pending(1, digest, request, proposer=ClusterId(0))
         primary.terminator.begin(1, request, view=0)
         system.sim.run(until=0.5)
-        assert primary.terminator.adopted == 1
+        assert primary.journal.totals["termination_adopted"] == 1
         entry = primary.log.entry(1)
         assert entry is not None and entry.positions == positions
 
@@ -108,12 +108,12 @@ class TestTerminationAfterCompaction:
             replica.after_decide()
             replica.log.truncate(1)
             assert replica.log.decided_slot_of(digest) is None
-        primary = system.primary_of(ClusterId(0))
+        primary = system.replicas_of(ClusterId(0))[0]
         primary.log.record_pending(1, digest, request, proposer=ClusterId(0))
         primary.terminator.begin(1, request, view=0)
         system.sim.run(until=0.5)
-        assert primary.terminator.adopted == 1
-        assert primary.terminator.noop_filled == 0
+        assert primary.journal.totals["termination_adopted"] == 1
+        assert primary.journal.totals["termination_noop"] == 0
         entry = primary.log.entry(1)
         assert entry is not None and entry.positions == positions
         assert primary.chain.contains_tx(request.transaction.tx_id)
@@ -137,8 +137,8 @@ class TestTerminationNoopFill:
         primary.terminator.begin(1, request, view=1)
         system.sim.run(until=0.5)
 
-        assert primary.terminator.adopted == 0
-        assert primary.terminator.noop_filled == 1
+        assert primary.journal.totals["termination_adopted"] == 0
+        assert primary.journal.totals["termination_noop"] == 1
         # The no-op went through ordinary intra-shard consensus, so the
         # whole cluster filled the slot identically.
         for replica in system.replicas_of(ClusterId(0)):
@@ -153,15 +153,15 @@ class TestTerminationNoopFill:
         request = cross_request(system)
         digest = item_digest(request)
         positions = {ClusterId(0): 1, ClusterId(1): 1}
-        primary = system.primary_of(ClusterId(0))
+        primary = system.replicas_of(ClusterId(0))[0]
         primary.log.record_pending(1, digest, request, proposer=ClusterId(0))
         primary.terminator.begin(1, request, view=0)
         # The late commit arrives before any reply can form a quorum.
         primary.log.decide(1, digest, request, positions=positions, proposer=ClusterId(0))
         primary.after_decide()
         system.sim.run(until=0.5)
-        assert primary.terminator.noop_filled == 0
-        assert primary.terminator.resolved_in_flight + primary.terminator.adopted >= 1
+        assert primary.journal.totals["termination_noop"] == 0
+        assert primary.journal.totals["termination_resolved"] + primary.journal.totals["termination_adopted"] >= 1
         entry = primary.log.entry(1)
         assert entry is not None and entry.status is EntryStatus.APPLIED
         assert not entry.is_noop

@@ -178,7 +178,7 @@ class TestForgedViewRejection:
             view = replica.intra.view
             assert int(replica.cluster.primary_for_view(view)) != attacker
             # The fabricated NewView was seen and rejected at least once.
-            assert replica.intra.view_change.rejected_new_views >= 1
+            assert replica.journal.totals["new_view_rejected"] >= 1
         # The honest fail-over still happened (liveness restored).
         assert any(r.intra.view >= 1 for r in correct)
         assert all(height > 0 for height in result.chain_heights.values())
@@ -291,7 +291,7 @@ class TestHonestViewChangesStillComplete:
         assert all(
             r.intra.view_change.view_changes_completed >= 1 for r in survivors
         )
-        assert all(r.intra.view_change.rejected_new_views == 0 for r in survivors)
+        assert all(r.journal.totals["new_view_rejected"] == 0 for r in survivors)
         assert all(height > 0 for height in result.chain_heights.values())
 
     def test_certificate_accepts_honest_view_change_under_byzantine_silence(self):
@@ -301,7 +301,7 @@ class TestHonestViewChangesStillComplete:
             r for r in result.system.replicas_of(ClusterId(0)) if not r.byzantine
         ]
         assert any(r.intra.view >= 1 for r in correct)
-        assert all(r.intra.view_change.rejected_new_views == 0 for r in correct)
+        assert all(r.journal.totals["new_view_rejected"] == 0 for r in correct)
 
     def test_announcement_updates_remote_primary_tables(self):
         """A real view change propagates to other clusters, verified."""

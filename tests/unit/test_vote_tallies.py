@@ -9,7 +9,7 @@ cluster it speaks for.  Each refusal below is a vote that counted before
 membership was checked (cross-shard accepts and commits, PBFT prepares,
 Paxos accepted, view-change votes, AHL's committee votes).  A Byzantine
 cross-shard vote whose slot or position vector is not well formed is
-refused and counted before it touches any state.  The last test records a
+refused, a journal row, before it touches any state.  The last test records a
 hole that is still open: a forged position vector in one early commit.
 """
 
@@ -40,7 +40,7 @@ from repro.core.system import SharPerSystem
 from repro.txn.transaction import Transaction, Transfer
 from repro.txn.workload import WorkloadConfig
 
-from helpers import FakeHost, byzantine_cluster, crash_cluster
+from helpers import FakeHost, byzantine_cluster, crash_cluster, journal
 
 ACCOUNTS = 64
 C0, C1 = ClusterId(0), ClusterId(1)
@@ -53,13 +53,13 @@ def members(*pids):
 
 class TestQuorumTrackerContract:
     def test_duplicate_voter_counts_once(self):
-        tracker = QuorumTracker(3, members(4, 5, 6, 7))
+        tracker = QuorumTracker(3, members(4, 5, 6, 7), journal())
         assert not tracker.vote("k", 5)
         assert not tracker.vote("k", 5)
         assert tracker.count("k") == 1 and tracker.voters("k") == frozenset({5})
 
     def test_fires_exactly_once_and_late_votes_leave_the_count(self):
-        tracker = QuorumTracker(2, members(1, 2, 3, 4))
+        tracker = QuorumTracker(2, members(1, 2, 3, 4), journal())
         fired = [tracker.vote("k", voter) for voter in (1, 2, 3, 4, 2)]
         assert fired == [False, True, False, False, False]
         assert tracker.count("k") == 2 and tracker.reached("k")
@@ -67,7 +67,7 @@ class TestQuorumTrackerContract:
 
     @pytest.mark.parametrize("pids", [(63, 64), (64, 300), (0, 63, 300)])
     def test_large_pids_are_distinct_bits(self, pids):
-        tracker = QuorumTracker(len(pids), members(*pids))
+        tracker = QuorumTracker(len(pids), members(*pids), journal())
         fired = [tracker.vote("k", pid) for pid in pids]
         assert fired[-1] and not any(fired[:-1])
         assert tracker.voters("k") == frozenset(pids)
@@ -76,14 +76,14 @@ class TestQuorumTrackerContract:
     def test_cluster_member_bits_are_small(self):
         # A cluster of pids 300-303 tallies in four bits, not 304.
         cluster = byzantine_cluster(75)
-        tracker = QuorumTracker(3, cluster.voter_bits)
+        tracker = QuorumTracker(3, cluster.voter_bits, journal())
         for pid in cluster.node_ids:
             tracker.vote("k", int(pid))
         assert tracker._votes["k"] == 0b111
         assert tracker.voters("k") == frozenset(int(pid) for pid in cluster.node_ids[:3])
 
     def test_drop_and_unknown_keys(self):
-        tracker = QuorumTracker(2, members(7))
+        tracker = QuorumTracker(2, members(7), journal())
         for slot in (1, 2, 3):
             tracker.vote((0, slot, "d"), 7)
         tracker.drop(lambda key: key[1] <= 2)
@@ -91,9 +91,9 @@ class TestQuorumTrackerContract:
         assert tracker.voters("never") == frozenset() and not tracker.reached("never")
 
     def test_non_members_are_refused_and_counted(self):
-        tracker = QuorumTracker(2, members={0: 1, 1: 2, 2: 4})
+        tracker = QuorumTracker(2, {0: 1, 1: 2, 2: 4}, journal())
         assert not tracker.vote("k", 3) and not tracker.vote("k", 64)
-        assert tracker.count("k") == 0 and tracker.foreign_votes == 2
+        assert tracker.count("k") == 0 and tracker.journal.totals["foreign_vote"] == 2
         assert not tracker.vote("k", 0) and tracker.vote("k", 2)
 
 
@@ -107,7 +107,7 @@ def test_pbft_refuses_prepares_from_another_cluster():
     for outsider in byzantine_cluster(1).node_ids[:2]:  # pids 4 and 5
         engine.handle(Prepare(view=0, slot=1, digest="d", node=outsider), src=int(outsider))
     assert engine._votes.count(key) == 0  # 2 before membership was checked
-    assert engine._votes.foreign_votes == 2
+    assert engine.host.journal.totals["foreign_vote"] == 2
 
 
 def test_paxos_primary_refuses_accepted_from_another_cluster():
@@ -118,7 +118,7 @@ def test_paxos_primary_refuses_accepted_from_another_cluster():
     engine.handle(PaxosAccepted(view=0, slot=1, digest=item_digest("item"), node=outsider),
                   src=int(outsider))
     assert host.log.decided_slot_of(item_digest("item")) is None
-    assert engine._votes.foreign_votes == 1
+    assert engine.host.journal.totals["foreign_vote"] == 1
 
 
 def test_view_change_refuses_a_validly_signed_vote_from_another_cluster():
@@ -129,7 +129,7 @@ def test_view_change_refuses_a_validly_signed_vote_from_another_cluster():
     unsigned = ViewChange(new_view=1, node=outsider, decided=(), accepted=(), checkpoint=0)
     vote = replace(unsigned, signature=sign_view_change(unsigned))
     manager.handle_view_change(vote, src=int(outsider))
-    assert manager.rejected_votes == 1
+    assert host.journal.totals["view_change_vote_rejected"] == 1
     assert manager._tracker.count(("vc", 1)) == 0 and not manager._reports
 
 
@@ -182,7 +182,7 @@ def test_byzantine_cross_votes_count_only_for_the_senders_cluster():
     state = engine._states[digest]
     assert not state.decided and not state.commit_sent
     assert system.replicas[1].log.decided_slot_of(digest) is None
-    assert engine.foreign_votes == 2
+    assert engine.host.journal.totals["foreign_vote"] == 2
     assert state.commit_votes[C1].bit_count() == 2
 
 
@@ -197,7 +197,7 @@ def test_crash_initiator_refuses_an_accept_from_outside_the_cluster():
     engine.handle(CrossAccept(digest, C0, NodeId(1), 1), src=1)
     engine.handle(CrossAccept(digest, C1, NodeId(3), 1), src=3)
     engine.handle(CrossAccept(digest, C1, NodeId(2), 1), src=2)
-    assert not engine._states[digest].decided and engine.foreign_votes == 1
+    assert not engine._states[digest].decided and engine.host.journal.totals["foreign_vote"] == 1
     assert system.replicas[0].log.decided_slot_of(digest) is None
 
 
@@ -210,13 +210,13 @@ def test_ahl_committee_refuses_a_vote_from_outside_the_cluster():
     state = committee._states[digest]
     # pid 3 is cluster 1's primary; pid 0 (cluster 0) claims to be it.
     committee._on_vote(AHLVote(digest=digest, cluster=C1, vote=True), src=0)
-    assert state.votes == set() and committee.foreign_votes == 1
+    assert state.votes == set() and committee.journal.totals["foreign_vote"] == 1
     committee._on_vote(AHLVote(digest=digest, cluster=C1, vote=True), src=3)
     assert state.votes == {C1}
 
 
 # ----------------------------------------------------------------------
-# a malformed vote is refused and counted, never raised or adopted
+# a malformed vote is refused and journaled, never raised or adopted
 # ----------------------------------------------------------------------
 MALFORMED = {
     "pair-too-short": CrossCommitB("d", C0, NodeId(2), ((C0,),)),
@@ -239,7 +239,7 @@ def test_a_malformed_byzantine_vote_is_refused_before_any_state(name):
     replica.multicast = lambda destinations, message: sent.append(message)
     replica.send = lambda dst, message: sent.append(message)
     engine.handle(MALFORMED[name], src=2)
-    assert engine.malformed_votes == 1 and engine.foreign_votes == 0
+    assert replica.journal.totals == {"malformed_vote": 1}
     assert engine._states == {} and sent == []
     assert list(replica.log.entries()) == [] and replica.log.next_slot == 1
 
