@@ -103,10 +103,17 @@ class DeploymentSpec:
 
     def __post_init__(self) -> None:
         normalize_trace(self.trace)
+        self._tuning()  # ProtocolTuning's checks refuse a bad override now, not at build
         if self.store_backend != "columnar":
             raise ConfigurationError(
                 f"unknown store backend {self.store_backend!r}; there is one store"
             )
+
+    def _tuning(self) -> ProtocolTuning:
+        """``tuning`` with the overrides that are set applied."""
+        names = ("checkpoint_interval", "batch_size", "pipeline_depth")
+        overrides = {name: value for name in names if (value := getattr(self, name)) is not None}
+        return dataclasses.replace(self.tuning, **overrides)
 
     def resolve(self, seed: int = 0) -> SystemConfig:
         """The concrete :class:`SystemConfig` this spec describes."""
@@ -114,22 +121,13 @@ class DeploymentSpec:
             if self.archive is not None:
                 return dataclasses.replace(self.config, archive_path=self.archive)
             return self.config
-        tuning = self.tuning
-        if self.checkpoint_interval is not None:
-            tuning = dataclasses.replace(
-                tuning, checkpoint_interval=self.checkpoint_interval
-            )
-        if self.batch_size is not None:
-            tuning = dataclasses.replace(tuning, batch_size=self.batch_size)
-        if self.pipeline_depth is not None:
-            tuning = dataclasses.replace(tuning, pipeline_depth=self.pipeline_depth)
         return SystemConfig.build(
             num_clusters=self.num_clusters,
             fault_model=self.fault_model,
             f=self.f,
             nodes_per_cluster=self.nodes_per_cluster,
             performance=self.performance,
-            tuning=tuning,
+            tuning=self._tuning(),
             archive_path=self.archive,
             seed=seed,
         )

@@ -50,27 +50,9 @@ from .recorder import (
 from .export import write_chrome_trace, write_jsonl, write_trace
 
 __all__ = [
-    "CritEdge",
-    "CriticalSummary",
-    "EdgeStats",
-    "FlightRecorder",
-    "INERT_RECORDER",
-    "InertRecorder",
-    "PhaseBreakdown",
-    "PhaseStats",
-    "StragglerStats",
-    "TraceReport",
-    "TraceSpec",
-    "TxCriticalPath",
-    "attribute_phases",
-    "critical_paths",
-    "normalize_trace",
-    "render_critical_table",
-    "render_phase_table",
-    "render_straggler_table",
-    "straggler_summary",
-    "summarize_paths",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_trace",
+    "CritEdge", "CriticalSummary", "EdgeStats", "FlightRecorder", "INERT_RECORDER",
+    "InertRecorder", "PhaseBreakdown", "PhaseStats", "StragglerStats", "TraceReport",
+    "TraceSpec", "TxCriticalPath", "attribute_phases", "critical_paths", "normalize_trace",
+    "render_critical_table", "render_phase_table", "render_straggler_table",
+    "straggler_summary", "summarize_paths", "write_chrome_trace", "write_jsonl", "write_trace",
 ]

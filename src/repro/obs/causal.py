@@ -51,22 +51,10 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .phases import PHASES_CROSS, PHASES_INTRA
 
 __all__ = [
-    "CritEdge",
-    "TxCriticalPath",
-    "EdgeStats",
-    "CriticalSummary",
-    "StragglerStats",
-    "Rows",
-    "NodeTable",
-    "RowView",
-    "iter_critical_paths",
-    "critical_paths",
-    "summarize_paths",
-    "summarize_edge_records",
-    "straggler_summary",
-    "render_critical_table",
-    "render_straggler_table",
-    "critpath_columns",
+    "CritEdge", "TxCriticalPath", "EdgeStats", "CriticalSummary", "StragglerStats", "Rows",
+    "NodeTable", "RowView", "iter_critical_paths", "critical_paths", "summarize_paths",
+    "summarize_edge_records", "straggler_summary", "render_critical_table",
+    "render_straggler_table", "critpath_columns",
 ]
 
 
@@ -162,7 +150,8 @@ class StragglerStats:
 #: eid 0 means "no event"); phase names take the codes after ``RECV``.
 ABSENT, SEND, RECV = 0, 1, 2
 #: a node row's numbers: time, parent eid, pid, kind code (the last byte).
-NODE_ROW = Struct("<dqiB")
+#: A parent packs to 32 bits: a parent eid past 2**31 - 1 raises ``struct.error``.
+NODE_ROW = Struct("<diiB")
 pack_node = NODE_ROW.pack
 
 
@@ -225,9 +214,9 @@ class NodeTable(Rows):
 
     def append(self, time: float, parent: int, pid: int, code: int, label: str) -> int:
         """Append one node; returns its eid."""
+        self.data += pack_node(time, parent, pid, code)
         labels = self.labels
         labels.append(label)
-        self.data += pack_node(time, parent, pid, code)
         return len(labels) - 1
 
     def new_phase(self, phase: str) -> int:

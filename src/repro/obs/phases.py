@@ -20,42 +20,22 @@ prepare round; the Byzantine cross protocol adds ``cross_prepared``).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "PHASES_INTRA",
-    "PHASES_CROSS",
-    "KNOWN_PHASES",
-    "PhaseStats",
-    "PhaseBreakdown",
-    "attribute_phases",
-    "render_phase_table",
-    "phase_columns",
+    "PHASES_INTRA", "PHASES_CROSS", "KNOWN_PHASES", "PhaseStats", "PhaseBreakdown",
+    "attribute_phases", "render_phase_table", "phase_columns",
 ]
 
 #: Canonical milestone order for intra-shard transactions.
-PHASES_INTRA = (
-    "submit",
-    "enqueue",
-    "seal",
-    "propose",
-    "prepared",
-    "decided",
-    "applied",
-    "reply",
-)
+PHASES_INTRA = ("submit", "enqueue", "seal", "propose", "prepared", "decided", "applied", "reply")
 
 #: Canonical milestone order for cross-shard transactions.
 PHASES_CROSS = (
-    "submit",
-    "enqueue",
-    "seal",
-    "cross_start",
-    "cross_prepared",
-    "decided",
-    "applied",
-    "reply",
+    "submit", "enqueue", "seal", "cross_start", "cross_prepared", "decided", "applied", "reply",
 )
 
 #: Every phase name the recorder may emit (exporters and the trace
@@ -97,7 +77,7 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
 
 
 def _stats_for(
-    gaps: Mapping[str, list[float]], order: Sequence[str], scope_e2e: float
+    gaps: Mapping[str, Sequence[float]], order: Sequence[str], scope_e2e: float
 ) -> tuple[PhaseStats, ...]:
     out = []
     for phase in order:
@@ -126,52 +106,59 @@ def attribute_phases(
 ) -> PhaseBreakdown:
     """Reduce raw phase events to a :class:`PhaseBreakdown`.
 
-    ``events`` are ``(time, tx_id, phase, pid)`` tuples; ``cross_txs``
-    is the set of tx ids the recorder saw submitted as cross-shard.
-    Transactions without both a ``submit`` and a ``reply`` (aborted or
-    still in flight at the horizon) are excluded.
+    ``events`` are ``(time, tx_id, phase, pid)`` tuples in time order (the
+    recorder's are; an event earlier than the one before it is refused);
+    ``cross_txs`` is the set of tx ids the recorder saw submitted as
+    cross-shard.  Transactions without both a ``submit`` and a ``reply``
+    (aborted or still in flight at the horizon) are excluded.  It streams:
+    a transaction's first times are reduced and released once time passes
+    its first reply (events at that instant still count).
     """
-    first_seen: dict[str, dict[str, float]] = {}
-    for time, tx, phase, _pid in events:
-        phases = first_seen.setdefault(tx, {})
-        if phase not in phases or time < phases[phase]:
-            phases[phase] = time
-
-    intra_gaps: dict[str, list[float]] = {}
-    cross_gaps: dict[str, list[float]] = {}
-    intra_e2e = cross_e2e = attributed = 0.0
-    txs = 0
-    for tx, first in first_seen.items():
-        if "submit" not in first or "reply" not in first:
-            continue
-        start, end = first["submit"], first["reply"]
-        if end < start:
-            continue
-        txs += 1
-        is_cross = tx in cross_txs
-        order = PHASES_CROSS if is_cross else PHASES_INTRA
-        gaps = cross_gaps if is_cross else intra_gaps
-        if is_cross:
-            cross_e2e += end - start
-        else:
-            intra_e2e += end - start
-        milestones = sorted(
-            (first[phase], phase)
-            for phase in order
-            if phase in first and start <= first[phase] <= end
-        )
-        previous = start
-        for time, phase in milestones:
-            if phase == "submit":
+    first_seen: dict[str, dict[str, float] | None] = {}  # None once reduced
+    replied: list[str] = []  # txs whose first reply is at ``now``
+    gaps: dict[bool, dict[str, array]] = {False: {}, True: {}}
+    e2e = {False: 0.0, True: 0.0}
+    attributed, txs, now = 0.0, 0, float("-inf")
+    # A last instant after every event reduces the transactions still due.
+    for time, tx, phase, _pid in chain(events, [(float("inf"), None, "", 0)]):
+        if time != now:
+            if time < now:
+                raise ValueError(f"phase events out of time order: {time} after {now}")
+            for done in replied:
+                first, first_seen[done] = first_seen[done], None
+                start, end = first.get("submit"), first["reply"]
+                if start is None or end < start:
+                    continue
+                txs += 1
+                is_cross = done in cross_txs
+                e2e[is_cross] += end - start
+                milestones = sorted(
+                    (first[name], name)
+                    for name in (PHASES_CROSS if is_cross else PHASES_INTRA)
+                    if name in first and start <= first[name] <= end
+                )
+                previous = start
+                for at, name in milestones:
+                    if name != "submit":
+                        gaps[is_cross].setdefault(name, array("d")).append(at - previous)
+                        attributed += at - previous
+                    previous = at
+            replied.clear()
+            now = time
+        first = first_seen.get(tx)
+        if first is None:
+            if tx in first_seen:
                 continue
-            gaps.setdefault(phase, []).append(time - previous)
-            attributed += time - previous
-            previous = time
+            first = first_seen[tx] = {}
+        if phase not in first:
+            first[phase] = time
+            if phase == "reply":
+                replied.append(tx)
 
-    total_e2e = intra_e2e + cross_e2e
+    total_e2e = e2e[False] + e2e[True]
     return PhaseBreakdown(
-        intra=_stats_for(intra_gaps, PHASES_INTRA, intra_e2e),
-        cross=_stats_for(cross_gaps, PHASES_CROSS, cross_e2e),
+        intra=_stats_for(gaps[False], PHASES_INTRA, e2e[False]),
+        cross=_stats_for(gaps[True], PHASES_CROSS, e2e[True]),
         txs=txs,
         attributed_fraction=(attributed / total_e2e) if total_e2e > 0 else 1.0,
     )

@@ -14,12 +14,12 @@ everywhere in one sweep; ``Scenario.run`` arms one when
 
 Recording is append-only on the hot path and packed: phase events and
 message nodes are rows of one :class:`~repro.obs.causal.NodeTable` (a
-node's eid is its row index), slot spans of a ``Rows`` — no tuple, eid
-int or float object per record.  All reduction happens once in
-:meth:`FlightRecorder.finalize`, which copies nothing (a recorder is
-finalized once): the report's rows are views over the same table, and
-the critical-path walk indexes it by eid and hands one path at a time
-to the summary.
+node's eid is its row index), slot spans and deciding votes of a
+``Rows`` — no tuple, eid int or float object per record.
+:meth:`FlightRecorder.finalize` (once per recorder) streams: the phase
+attribution releases each transaction at its reply, the report's rows
+are views over the same tables, and the critical-path walk hands one
+path at a time to the summary.
 Gauge sampling is the only part of the recorder that schedules
 simulator events (a repeating timer); it only *reads* replica and
 network state, so a gauge-sampled run produces identical protocol
@@ -39,9 +39,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
 from statistics import median
 from struct import Struct
-from typing import Any
+from typing import Any, Iterator
 
 from ..common.errors import ConfigurationError
 from ..consensus.batching import member_requests
@@ -65,10 +66,46 @@ from .phases import PhaseBreakdown, attribute_phases, phase_columns, render_phas
 #: a slot span row: pid, cluster, slot, t_open, t_close.
 SPAN_ROW = Struct("<iiqdd")
 _pack_span = SPAN_ROW.pack
+#: a deciding-vote row's numbers: voter, t, lag.
+DECIDING_ROW = Struct("<idd")
+_pack_deciding = DECIDING_ROW.pack
+#: what a decided quorum's votes become: later votes for it are dropped.
+DECIDED = ()
 
 __all__ = [
     "INERT_RECORDER", "InertRecorder", "TraceSpec", "FlightRecorder", "TraceReport", "normalize_trace"
 ]
+
+
+class DecidingRows(Rows):
+    """Deciding-vote rows ``(pid, kind, key, voter, t, lag)``: voter, t and
+    lag packed (:data:`DECIDING_ROW`), each row's ``(pid, kind, key)``
+    quorum kept by reference in ``quorums``, in the same order."""
+
+    __slots__ = ("quorums",)
+
+    def __init__(self) -> None:
+        super().__init__(DECIDING_ROW.format)
+        self.quorums: list[tuple] = []
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(tuple.__add__, self.quorums, super().__iter__())
+
+    def __eq__(self, other: Any) -> bool:
+        return Rows.__eq__(self, other) is True and self.quorums == other.quorums
+
+    def in_report_order(self) -> "DecidingRows":
+        """The rows ordered by ``(t, pid, kind, str(key))``; rows are
+        appended in time order, so only the rows of one instant are sorted."""
+        ordered, last = DecidingRows(), float("-inf")
+        for time, run in groupby(zip(self.quorums, super().__iter__()), key=lambda row: row[1][1]):
+            if time < last:
+                raise ValueError(f"deciding votes out of time order: {time} after {last}")
+            last = time
+            for quorum, numbers in sorted(run, key=lambda row: (*row[0][:2], str(row[0][2]))):
+                ordered.data += _pack_deciding(*numbers)
+                ordered.quorums.append(quorum)
+        return ordered
 
 
 @dataclass(frozen=True)
@@ -138,9 +175,9 @@ class FlightRecorder:
         self.gauge_ticks = 0
         self._system: Any = None
         self._gauge_timer: Any = None
-        #: current dispatch context: the recv/submit eid new events
-        #: parent to.  Set only by begin_dispatch/submit, cleared by
-        #: clear_context — timer callbacks always run with context 0.
+        #: current dispatch context: the recv/submit eid new events parent
+        #: to.  Set only by dispatch/submit, cleared when the dispatch ends
+        #: or by clear_context — timer callbacks always run with context 0.
         self._ctx = 0
         #: per-link send nodes awaiting their recv, keyed ``src<<21|dst``
         #: as ``(send_eid, payload)`` — multicast shares one payload
@@ -153,12 +190,11 @@ class FlightRecorder:
         self._submit_seq = 0
         #: tx ids whose chain is recorded (None: sampling off, keep all).
         self._sampled: set[str] | None = set() if self._sample > 1 else None
-        #: votes per undecided (observer pid, kind, key): (t, voter) rows.
-        self._quorum_votes: dict[tuple, list[tuple[float, int]]] = {}
-        #: quorum keys whose deciding vote already arrived.
-        self._quorum_done: set[tuple] = set()
-        #: ``(pid, kind, key, voter, t, lag)`` per decided quorum.
-        self._deciding: list[tuple[int, str, Any, int, float, float]] = []
+        #: votes per (observer pid, kind, key) quorum: (t, voter) rows
+        #: while it is undecided, :data:`DECIDED` once it is.
+        self._quorum_votes: dict[tuple, list[tuple[float, int]] | tuple] = {}
+        #: one row per decided quorum, in time order.
+        self._deciding = DecidingRows()
 
     # -- hot-path hooks (called unconditionally; see InertRecorder) --
 
@@ -169,9 +205,9 @@ class FlightRecorder:
             return
         nodes = self.nodes
         code = nodes.codes.get(phase) or nodes.new_phase(phase)  # no phase's code is 0
+        nodes.data += pack_node(time, self._ctx, pid, code)
         nodes.phases += 1
         nodes.labels.append(tx_id)
-        nodes.data += pack_node(time, self._ctx, pid, code)
 
     def milestone(self, host: Any, item: object, phase: str) -> None:
         """Record ``phase`` at ``host`` for each client request ``item`` carries.
@@ -231,15 +267,17 @@ class FlightRecorder:
 
     def count_send(self, type_name: str, count: int) -> None:
         """Bump the per-message-type outbound counter (Network hook)."""
-        counters = self.sent_by_type
-        counters[type_name] = counters.get(type_name, 0) + count
+        self.sent_by_type[type_name] = self.sent_by_type.get(type_name, 0) + count
 
     # -- causal hooks ---------------------------------------------------
 
     def wire_send(self, time: float, src: int, dst: int, message: Any) -> None:
-        """Record a unicast send node at its NIC departure time."""
-        eid = self.nodes.append(time, self._ctx, src, SEND, message.__class__.__name__)
-        self._links[(src << 21) | dst].append((eid, message))
+        """Count and record a unicast send node at its NIC departure time."""
+        name, nodes = message.__class__.__name__, self.nodes
+        self.sent_by_type[name] = self.sent_by_type.get(name, 0) + 1
+        nodes.data += pack_node(time, self._ctx, src, SEND)  # NodeTable.append, inlined
+        nodes.labels.append(name)
+        self._links[(src << 21) | dst].append((len(nodes.labels) - 1, message))
 
     def wire_multicast(
         self, time: float, src: int, routes: Any, message: Any, attempted: int
@@ -248,7 +286,7 @@ class FlightRecorder:
         reached ``routes`` (Network route rows; ``row[2]`` is the link key)."""
         name = message.__class__.__name__
         if attempted:
-            self.count_send(name, attempted)
+            self.sent_by_type[name] = self.sent_by_type.get(name, 0) + attempted
         if not routes:
             return
         links = self._links
@@ -256,10 +294,10 @@ class FlightRecorder:
         for row in routes:
             links[row[2]].append(entry)
 
-    def begin_dispatch(self, time: float, message: Any, src: int, pid: int) -> None:
-        """Open a recv context: events the handler records parent here.
-
-        The recv node's parent is the matching send node, found by
+    def dispatch(self, time: float, handler: Any, message: Any, src: int, pid: int) -> None:
+        """Run ``handler(message, src)`` (``None`` drops the message) in a
+        recv context, closed even if it raises: events it records parent to
+        the recv node, whose parent is the matching send node, found by
         payload identity on the (FIFO) link queue; earlier unmatched
         entries were delivered to a crashed process and are discarded —
         their chains clip cleanly.
@@ -272,10 +310,18 @@ class FlightRecorder:
                     parent = send_eid
                     del queue[: index + 1]
                     break
-        self._ctx = self.nodes.append(time, parent, pid, RECV, message.__class__.__name__)
+        nodes = self.nodes
+        nodes.data += pack_node(time, parent, pid, RECV)  # NodeTable.append, inlined
+        nodes.labels.append(message.__class__.__name__)
+        self._ctx = len(nodes.labels) - 1
+        try:
+            if handler is not None:
+                handler(message, src)
+        finally:
+            self._ctx = 0
 
     def clear_context(self) -> None:
-        """Close the current dispatch context (try/finally on dispatch)."""
+        """Close the current context (a client's, after its submit)."""
         self._ctx = 0
 
     def quorum_vote(self, host: Any, kind: str, key: Any, voter: int, decided: bool) -> None:
@@ -289,21 +335,23 @@ class FlightRecorder:
         """
         time, pid = host.now, int(host.node_id)
         track = (pid, kind, key)
-        if track in self._quorum_done:
-            return
-        votes = self._quorum_votes.get(track)
+        quorums = self._quorum_votes
+        votes = quorums.get(track)
         if votes is None:
-            votes = self._quorum_votes[track] = []
+            votes = quorums[track] = []
+        elif votes is DECIDED:
+            return
         else:
             for _, seen in votes:
                 if seen == voter:
                     return
         votes.append((time, voter))
         if decided:
-            self._quorum_done.add(track)
-            del self._quorum_votes[track]
-            lag = time - median(t for t, _ in votes)
-            self._deciding.append((pid, kind, key, voter, time, lag))
+            del quorums[track]  # re-keyed so the mark and the row share this tuple
+            quorums[track] = DECIDED
+            deciding = self._deciding
+            deciding.data += _pack_deciding(voter, time, time - median([t for t, _ in votes]))
+            deciding.quorums.append(track)
 
     # -- gauges ---------------------------------------------------------
 
@@ -324,10 +372,7 @@ class FlightRecorder:
             if log is None:
                 continue
             batcher = getattr(process, "batcher", None)
-            if batcher is not None:
-                window, queue = batcher.in_flight, batcher.queued
-            else:
-                window = queue = 0
+            window, queue = (0, 0) if batcher is None else (batcher.in_flight, batcher.queued)
             cross = getattr(process, "cross", None)
             states = () if cross is None else cross._states.values()
             pending_cross = sum(1 for state in states if not state.decided)
@@ -363,7 +408,7 @@ class FlightRecorder:
             if cluster is not None:
                 pid_clusters[int(process.pid)] = int(cluster.cluster_id)
         breakdown = attribute_phases(self.nodes.events(), self.cross_txs)
-        deciding = sorted(self._deciding, key=lambda row: (row[4], row[0], row[1], str(row[2])))
+        deciding = self._deciding.in_report_order()
         critical = summarize_paths(iter_critical_paths(self.nodes, self.cross_txs))
         return TraceReport(
             nodes=self.nodes,
@@ -386,20 +431,24 @@ class FlightRecorder:
             critical=critical,
             pid_clusters=pid_clusters,
             end_time=end_time,
-            deciding=tuple(deciding),
+            deciding=deciding,
         )
 
 
 class InertRecorder:
     """The recorder of an untraced run: every hook of
     :class:`FlightRecorder` by name, each doing nothing (``finalize``
-    reports ``None``)."""
+    reports ``None``) but ``dispatch``, which just calls the handler."""
 
     def _ignore(self, *args: Any) -> None:
         return None
 
+    def dispatch(self, time: float, handler: Any, message: Any, src: int, pid: int) -> None:
+        if handler is not None:
+            handler(message, src)
+
     phase = milestone = submit = slot_open = slot_close = vc_open = vc_close = _ignore
-    count_send = wire_send = wire_multicast = begin_dispatch = clear_context = _ignore
+    count_send = wire_send = wire_multicast = clear_context = _ignore
     quorum_vote = start_gauges = finalize = _ignore
 
 
@@ -436,7 +485,7 @@ class TraceReport:
     pid_clusters: dict[int, int] = field(default_factory=dict)
     end_time: float = 0.0
     #: deciding-vote rows ``(pid, kind, key, voter, t, lag)``.
-    deciding: tuple[tuple[int, str, Any, int, float, float], ...] = ()
+    deciding: DecidingRows = field(default_factory=DecidingRows)
 
     events = property(lambda self: self.nodes.events(), doc=NodeTable.events.__doc__)
     event_meta = property(lambda self: self.nodes.event_meta(), doc=NodeTable.event_meta.__doc__)

@@ -22,7 +22,9 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 from .causal import (
@@ -165,11 +167,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows = load_phase_events(args.trace)
-    phase_events = [
-        (row["t"], row["tx"], row["phase"], row.get("pid", 0))
-        for row in rows
-        if row.get("type") == "phase"
-    ]
+    phase_events = sorted(
+        ((row["t"], row["tx"], row["phase"], row.get("pid", 0))
+         for row in rows if row.get("type") == "phase"),
+        key=itemgetter(0),
+    )  # a file's rows need not be in time order; the attribution streams in it
     cross_txs = {
         row["tx"] for row in rows if row.get("type") == "phase" and row.get("cross")
     }
@@ -193,16 +195,11 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(render_straggler_table(stragglers))
 
-    slots = sum(1 for row in rows if row.get("type") == "slot")
-    slots += sum(1 for row in rows if row.get("type") == "span" and row.get("cat") == "slot")
-    vcs = sum(1 for row in rows if row.get("type") == "view_change")
-    vcs += sum(
-        1 for row in rows if row.get("type") == "span" and row.get("cat") == "view_change"
-    )
-    gauges = sum(1 for row in rows if row.get("type") == "gauge")
+    # JSONL rows are typed slot / view_change / gauge; Chrome spans carry it as their cat.
+    kinds = Counter(row.get("cat") if row.get("type") == "span" else row.get("type") for row in rows)
     print(
-        f"{len(phase_events)} phase events, {slots} slot spans, "
-        f"{vcs} view-change spans, {gauges} gauge samples"
+        f"{len(phase_events)} phase events, {kinds['slot']} slot spans, "
+        f"{kinds['view_change']} view-change spans, {kinds['gauge']} gauge samples"
     )
     return 0
 

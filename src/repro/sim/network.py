@@ -175,11 +175,10 @@ class Network:
         leaves the NIC.
         """
         self.messages_sent += 1
-        recorder = self.recorder
-        recorder.count_send(message.__class__.__name__, 1)
         link = (src << _PID_BITS) | dst
         row = self._links.get(link) or self._link(src, dst)
         if self._partition_of is not None and self._lost(src, dst):
+            self.recorder.count_send(message.__class__.__name__, 1)
             return False
         sim = self.sim
         now = sim._now
@@ -195,7 +194,7 @@ class Network:
         self._last_arrival[link] = arrival
         # arrival >= departure >= now, so push without the in-the-past check.
         heappush(sim._heap, [arrival, next(sim._counter), row[0], (message, src)])
-        recorder.wire_send(departure, src, dst, message)
+        self.recorder.wire_send(departure, src, dst, message)
         return True
 
     def multicast(

@@ -174,22 +174,17 @@ class Process:
         """The checked lane: completions that :meth:`deliver` or
         :meth:`crash` did not leave pointing at a handler.
 
-        ``crashed`` is tested when the event fires; the handler runs in a
-        recv context (the inert recorder's does nothing), so every event it
-        records (phases, sends, quorum votes) parents to this arrival.  A
+        ``crashed`` is tested when the event fires; the recorder runs the
+        handler in a recv context (the inert recorder just calls it), so
+        every event it records (phases, sends, quorum votes) parents to
+        this arrival.  A
         type without a table entry is dropped inside that context, so a
         traced run records its arrival all the same.
         """
         if self.crashed:
             return
-        handler = self._dispatch.get(message.__class__)
-        recorder = self.recorder
-        recorder.begin_dispatch(self.sim._now, message, src, self.pid)
-        try:
-            if handler is not None:
-                handler(message, src)
-        finally:
-            recorder.clear_context()
+        handler = self._dispatch.get(message.__class__)  # None: dropped in the recv context
+        self.recorder.dispatch(self.sim._now, handler, message, src, self.pid)
 
     def register_handler(self, message_type: type, handler: MessageHandler) -> None:
         """Route messages of exactly ``message_type`` to ``handler``.

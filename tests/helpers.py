@@ -307,5 +307,5 @@ def trace_fingerprint(report) -> str:
 
 def report_fingerprint(report) -> str:
     """sha256 over what finalize reduced the trace to."""
-    blob = repr((report.deciding, report.critical))
+    blob = repr((tuple(report.deciding), report.critical))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

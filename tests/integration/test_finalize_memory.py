@@ -8,9 +8,10 @@ not a tuple, an eid int and a float object each.  Quorum votes reduce to their d
 when the deciding vote arrives, so a finished run holds vote lists for
 undecided quorums only.
 
-``FlightRecorder.finalize`` copies nothing: the report's rows are views
-over the recorder's table, and the critical-path walk resolves an eid
-by indexing the table and hands one path at a time to the summary.
+``FlightRecorder.finalize`` streams: phase attribution releases each
+transaction once time passes its reply, the report's rows are views over
+the recorder's tables, and the critical-path walk resolves an eid by
+indexing the table and hands one path at a time to the summary.
 """
 
 import tracemalloc
@@ -20,7 +21,7 @@ import pytest
 from repro import FaultModel, WorkloadConfig
 from repro.api import DeploymentSpec, Scenario
 from repro.common.metrics import MetricsCollector
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import DECIDED, FlightRecorder
 
 #: the recorder's storage: its hooks (recorder.py) and the node table
 #: and span tables they append to (causal.py).
@@ -86,30 +87,34 @@ def traced_intra():
     return result, seen["recorder"], seen["held"] / seen["commits"], seen["transient"]
 
 
-def test_the_recorder_holds_under_1_25_kib_per_commit_when_the_run_ends(traced_intra):
+def test_the_recorder_holds_under_1040_bytes_per_commit_when_the_run_ends(traced_intra):
     # 4,190 B per commit on this run (2,883 commits by the end of the
     # run phase) when every phase event, (eid, parent) pair, message node
-    # and slot span was a tuple; ~1,140 B as packed rows, of which ~230 B
-    # are deciding-vote rows and the decided-quorum set.
+    # and slot span was a tuple; ~1,140 B as packed rows with 64-bit
+    # parents and a tuple per deciding vote.  949 B (954 on 3.10) with
+    # 32-bit parents and deciding votes as rows: ~66 B of it are the
+    # decided quorums' keys, which the deciding rows point at.
     _, _, held_per_commit, _ = traced_intra
-    assert held_per_commit <= 1280, f"{held_per_commit:.0f} bytes per commit"
+    assert held_per_commit <= 1040, f"{held_per_commit:.0f} bytes per commit"
 
 
-def test_finalize_allocates_under_a_kilobyte_per_commit_above_its_report(traced_intra):
+def test_finalize_allocates_under_200_bytes_per_commit_above_its_report(traced_intra):
     # 4,048 B per commit on this run (3,003 commits) when finalize copied
     # every recorded row into a dict node, built every path and edge
-    # object at once, then a list of every edge again.  ~590 B now: the
-    # walk needs ~150 B (a sort key per transaction); the peak is phase
-    # attribution's first-seen times per transaction.  The bound leaves
-    # room for 3.10-3.12 size drift.
+    # object at once, then a list of every edge again; ~590 B when phase
+    # attribution held every transaction's first-seen times to the end.
+    # 154 B (180 on 3.10) now that it streams: the peak is the walk's
+    # sort key per transaction.
     result, _, _, transient = traced_intra
     commits = result.trace.critical.txs
     assert commits > 2000
-    assert transient / commits <= 768, f"{transient / commits:.0f} bytes per commit"
+    assert transient / commits <= 196, f"{transient / commits:.0f} bytes per commit"
 
 
 def test_a_finished_run_holds_votes_of_undecided_quorums_only(traced_intra):
     result, recorder, _, _ = traced_intra
-    assert recorder._quorum_done
-    assert not recorder._quorum_done & recorder._quorum_votes.keys()
-    assert len(result.trace.deciding) == len(recorder._quorum_done)
+    decided = [track for track, votes in recorder._quorum_votes.items() if votes is DECIDED]
+    assert decided
+    assert all(votes for votes in recorder._quorum_votes.values() if votes is not DECIDED)
+    assert len(result.trace.deciding) == len(decided)
+    assert {row[:3] for row in result.trace.deciding} == set(decided)

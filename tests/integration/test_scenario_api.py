@@ -99,6 +99,23 @@ class TestScenarioRoundTrip:
         with pytest.raises(ConfigurationError, match=field):
             Scenario(deployment=DeploymentSpec(system="sharper"), **timing)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("checkpoint_interval", -1), ("batch_size", 0), ("batch_size", -1),
+         ("pipeline_depth", 0)],
+    )
+    def test_a_bad_tuning_override_is_refused_when_the_spec_is_built(self, field, value):
+        """Refused only by ``build_system()`` / ``run()`` before."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be at least"):
+            DeploymentSpec(system="sharper", **{field: value})
+
+    def test_tuning_overrides_reach_the_built_config(self):
+        spec = DeploymentSpec(system="sharper", batch_size=8, pipeline_depth=2,
+                              checkpoint_interval=16)
+        tuning = spec.resolve().tuning
+        assert (tuning.batch_size, tuning.pipeline_depth, tuning.checkpoint_interval) == (8, 2, 16)
+        assert DeploymentSpec(system="sharper").resolve().tuning == ProtocolTuning()
+
     @pytest.mark.parametrize("retry_timeout", [1e-9, 1e-4])
     def test_a_retry_timeout_below_one_client_round_trip_is_refused(self, retry_timeout):
         """Measured before the floor (2 clusters, 4 clients, 0.1 s): 1e-9 did not

@@ -2,12 +2,15 @@
 
 import json
 import pickle
+import struct
 import sys
 from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.causal import (
+    NODE_ROW,
+    SEND,
     NodeTable,
     critical_paths,
     critpath_columns,
@@ -26,6 +29,11 @@ def at(now, node_id):
     return SimpleNamespace(now=now, node_id=node_id)
 
 
+def running(*steps):
+    """A message handler that makes each zero-argument call in ``steps``."""
+    return lambda _message, _src: [step() for step in steps]
+
+
 # ----------------------------------------------------------------------
 # synthetic graph fixtures
 # ----------------------------------------------------------------------
@@ -38,13 +46,13 @@ def recorded_chain():
     recorder.submit(0.0, "t1", 100, cross=False)          # eid 1, opens ctx
     recorder.wire_send(0.001, 100, 0, request)            # eid 2 <- 1
     recorder.clear_context()
-    recorder.begin_dispatch(0.003, request, 100, 0)       # eid 3 <- 2
-    recorder.phase(0.003, "t1", "decided", 0)             # eid 4 <- 3 (leaf)
-    recorder.wire_send(0.004, 0, 100, reply)              # eid 5 <- 3
-    recorder.clear_context()
-    recorder.begin_dispatch(0.006, reply, 0, 100)         # eid 6 <- 5
-    recorder.phase(0.006, "t1", "reply", 100)             # eid 7 <- 6
-    recorder.clear_context()
+    recorder.dispatch(0.003, running(                     # eid 3 <- 2
+        lambda: recorder.phase(0.003, "t1", "decided", 0),  # eid 4 <- 3 (leaf)
+        lambda: recorder.wire_send(0.004, 0, 100, reply),   # eid 5 <- 3
+    ), request, 100, 0)
+    recorder.dispatch(0.006, running(                     # eid 6 <- 5
+        lambda: recorder.phase(0.006, "t1", "reply", 100),  # eid 7 <- 6
+    ), reply, 0, 100)
     return recorder
 
 
@@ -72,9 +80,9 @@ class TestCriticalPaths:
         # The reply chain starts from a contextless dispatch (e.g. a
         # timer-driven resend): its send has parent 0.
         recorder.wire_send(0.004, 0, 100, reply)
-        recorder.begin_dispatch(0.006, reply, 0, 100)
-        recorder.phase(0.006, "t1", "reply", 100)
-        recorder.clear_context()
+        recorder.dispatch(
+            0.006, running(lambda: recorder.phase(0.006, "t1", "reply", 100)), reply, 0, 100
+        )
         del request
         paths = critical_paths(recorder.nodes, {"t1"})
         assert len(paths) == 1
@@ -105,9 +113,9 @@ class TestCriticalPaths:
             recorder.submit(0.0, tx, client, cross=False)
             recorder.wire_send(0.001, client, 0, request)
             recorder.clear_context()
-            recorder.begin_dispatch(0.002, request, client, 0)
-            recorder.phase(0.002, tx, "reply", 0)
-            recorder.clear_context()
+            recorder.dispatch(
+                0.002, running(lambda: recorder.phase(0.002, tx, "reply", 0)), request, client, 0
+            )
         paths = critical_paths(recorder.nodes, set())
         assert [path.tx for path in paths] == ["t1", "t2"]
         assert all(path.complete for path in paths)
@@ -122,18 +130,19 @@ class TestCriticalPaths:
             recorder.submit(t, tx, 100, cross=False)
             recorder.wire_send(t + 0.001, 100, 0, request)
             recorder.clear_context()
-            recorder.begin_dispatch(t + 0.002, request, 100, 0)
-            recorder.phase(t + 0.002, tx, "reply", 0)
-            recorder.clear_context()
+            recorder.dispatch(
+                t + 0.002, running(lambda: recorder.phase(t + 0.002, tx, "reply", 0)),
+                request, 100, 0,
+            )
 
         complete("a", 0.0)
         recorder.submit(0.01, "b", 100, cross=True)
         recorder.clear_context()
         resend = object()
         recorder.wire_send(0.013, 100, 0, resend)  # timer-driven: no context
-        recorder.begin_dispatch(0.015, resend, 100, 0)
-        recorder.phase(0.015, "b", "reply", 0)
-        recorder.clear_context()
+        recorder.dispatch(
+            0.015, running(lambda: recorder.phase(0.015, "b", "reply", 0)), resend, 100, 0
+        )
         complete("c", 0.02)
 
         paths = critical_paths(recorder.nodes, {"b"})
@@ -177,6 +186,28 @@ class TestNodeTableViews:
         other = recorded_chain()
         other.phase(0.007, "t1", "applied", 1)
         assert other.finalize(_FakeSystem(), end_time=0.01) != report
+
+    def test_deciding_rows_compare_and_pickle_with_their_keys(self):
+        recorder = recorded_chain()
+        recorder.quorum_vote(at(0.003, 0), "accept", (0, 1, "d"), 2, True)
+        report = recorder.finalize(_FakeSystem(), end_time=0.01)
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and tuple(copy.deciding) == tuple(report.deciding)
+        other = recorded_chain()
+        other.quorum_vote(at(0.003, 0), "accept", (0, 2, "d"), 2, True)  # another key
+        assert other.finalize(_FakeSystem(), end_time=0.01) != report
+
+    def test_a_parent_eid_past_2_31_is_refused_not_wrapped(self):
+        nodes = NodeTable()
+        assert nodes.append(0.0, 2**31 - 1, 0, SEND, "m") == 1
+        with pytest.raises(struct.error):
+            nodes.append(0.0, 2**31, 0, SEND, "m")
+        assert len(nodes) == 2 and len(nodes.data) == 2 * NODE_ROW.size  # nothing half-appended
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
+        recorder._ctx = 2**31  # the context a 2**31-th row would open
+        with pytest.raises(struct.error):
+            recorder.phase(0.0, "t1", "enqueue", 0)
+        assert len(recorder.nodes) == 1 and recorder.nodes.phases == 0
 
     def test_an_exported_graph_with_a_gap_leaves_the_eid_absent(self):
         nodes = NodeTable.from_rows([
@@ -263,8 +294,7 @@ class TestMessageMatching:
         del missed
         later = Payload()
         recorder.wire_send(0.002, 1, 2, later)        # eid 2
-        recorder.begin_dispatch(0.003, later, 1, 2)   # eid 3 <- 2
-        recorder.clear_context()
+        recorder.dispatch(0.003, None, later, 1, 2)   # eid 3 <- 2
         report = recorder.finalize(_FakeSystem(), end_time=0.01)
         assert list(report.causal)[-1] == (3, 2, 0.003, "recv", 2, "Payload")
 
@@ -282,7 +312,7 @@ class TestQuorumVotes:
         recorder.quorum_vote(at(0.4, 0), "accept", ("k",), 3, True)   # late: dropped
         report = recorder.finalize(_FakeSystem(), end_time=1.0)
         assert len(report.deciding) == 1
-        pid, kind, key, voter, t, lag = report.deciding[0]
+        [(pid, kind, key, voter, t, lag)] = report.deciding
         assert (pid, kind, key, voter, t) == (0, "accept", ("k",), 2, 0.3)
         assert lag == pytest.approx(0.3 - 0.2)  # median of 0.1/0.2/0.3
 
@@ -290,7 +320,7 @@ class TestQuorumVotes:
         recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         recorder.quorum_vote(at(0.1, 0), "accept", ("k",), 0, False)
         report = recorder.finalize(_FakeSystem(), end_time=1.0)
-        assert report.deciding == ()
+        assert tuple(report.deciding) == ()
 
 
 class _FakeSystem:

@@ -66,13 +66,19 @@ class TestAttributePhases:
     def test_first_occurrence_wins_across_replicas(self):
         events = [
             (0.0, "t1", "submit", 100),
-            (0.002, "t1", "decided", 1),
-            (0.001, "t1", "decided", 0),  # an earlier replica decided first
+            (0.001, "t1", "decided", 1),  # a higher pid decided first
+            (0.002, "t1", "decided", 0),
             (0.003, "t1", "reply", 100),
         ]
         breakdown = attribute_phases(events, set())
         decided = next(s for s in breakdown.intra if s.phase == "decided")
         assert decided.avg_ms == pytest.approx(1.0)
+
+    def test_events_out_of_time_order_are_refused(self):
+        events = [(0.0, "t1", "submit", 100), (0.002, "t1", "decided", 1),
+                  (0.001, "t1", "decided", 0), (0.003, "t1", "reply", 100)]
+        with pytest.raises(ValueError, match="out of time order"):
+            attribute_phases(events, set())
 
     def test_unknown_phase_time_folds_into_next_gap(self):
         # A milestone outside the canonical order must not lose latency:
@@ -150,6 +156,10 @@ class TestFlightRecorder:
         assert isinstance(INERT_RECORDER, InertRecorder)
         assert INERT_RECORDER.finalize(None, 1.0) is None
         assert INERT_RECORDER.quorum_vote(0.0, 0, "accept", ("k",), 1, True) is None
+        handled = []
+        INERT_RECORDER.dispatch(0.0, lambda message, src: handled.append((message, src)), "m", 1, 2)
+        INERT_RECORDER.dispatch(0.0, None, "dropped", 1, 2)  # no handler: nothing runs
+        assert handled == [("m", 1)]
 
     def test_slot_spans_first_open_wins(self):
         recorder = FlightRecorder()

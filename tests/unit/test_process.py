@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from repro.common.config import PerformanceModel
-from repro.obs import InertRecorder
+from repro.obs import FlightRecorder, InertRecorder, TraceSpec
 from repro.sim.costs import CostModel
 from repro.sim.network import Network
 from repro.sim.process import Process
@@ -103,7 +103,7 @@ class TestFaultInjection:
 
 
 class CausalStub(InertRecorder):
-    """A recorder noting the two hooks ``Process`` calls around a handler;
+    """A recorder noting the one hook ``Process`` calls to run a handler;
     every other hook stays inert.  Swapping it in arms the process."""
 
     def __init__(self, process):
@@ -116,11 +116,9 @@ class CausalStub(InertRecorder):
 
         process.register_handler(str, noting)
 
-    def begin_dispatch(self, time, message, src, pid):
-        self.calls.append(("begin", time, message, src, pid))
-
-    def clear_context(self):
-        self.calls.append(("clear",))
+    def dispatch(self, time, handler, message, src, pid):
+        self.calls.append(("dispatch", time, message, src, pid))
+        super().dispatch(time, handler, message, src, pid)
 
 
 class TestCompletionLanes:
@@ -143,7 +141,7 @@ class TestCompletionLanes:
         network.send(0, 1, 7)
         sim.run()
         assert b.handled == [] and b.messages_received == 1
-        assert stub.calls == [("begin", pytest.approx(1e-3), 7, 0, 1), ("clear",)]
+        assert stub.calls == [("dispatch", pytest.approx(1e-3), 7, 0, 1)]
 
     def test_crash_before_completion_drops_the_message_but_fires_the_event(self):
         sim, network, a, b = build()
@@ -177,24 +175,25 @@ class TestCompletionLanes:
         assert sim.processed_events == 1 and sim.pending_events == 0
         assert b.cpu_busy_time == 0.0
 
-    def test_causal_recorder_brackets_each_handler_once(self):
+    def test_causal_recorder_runs_each_handler_once(self):
         sim, network, a, b = build()
         b.recorder = stub = CausalStub(b)
         network.send(0, 1, "m1")
         network.send(0, 1, "m2")
         sim.run()
         assert stub.calls == [
-            ("begin", pytest.approx(1e-3), "m1", 0, 1), ("handle", "m1"), ("clear",),
-            ("begin", pytest.approx(2e-3), "m2", 0, 1), ("handle", "m2"), ("clear",),
+            ("dispatch", pytest.approx(1e-3), "m1", 0, 1), ("handle", "m1"),
+            ("dispatch", pytest.approx(2e-3), "m2", 0, 1), ("handle", "m2"),
         ]  # fmt: skip
 
     def test_causal_recorder_context_is_cleared_when_the_handler_raises(self):
         sim, network, a, b = build()
-        b.recorder = stub = CausalStub(b)
+        b.recorder = recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         network.send(0, 1, "boom")
         with pytest.raises(RuntimeError):
             sim.run()
-        assert [call[0] for call in stub.calls] == ["begin", "handle", "clear"]
+        assert recorder._ctx == 0
+        assert [row[3] for row in recorder.nodes.messages()] == ["recv"]
 
     def test_crashing_one_process_leaves_the_others_messages_alone(self):
         sim, network, a, b = build()
@@ -216,5 +215,6 @@ class TestCompletionLanes:
         network.send(0, 1, "fresh")
         sim.run()
         assert [m for _, m in b.handled] == ["pending", "fresh"]
-        # diverted while it was pending; direct again afterwards
-        assert b.callers == ["_dispatch_message", "run"]
+        # diverted while it was pending (the checked lane hands the handler
+        # to the inert recorder's dispatch); direct again afterwards
+        assert b.callers == ["dispatch", "run"]
