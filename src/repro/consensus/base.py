@@ -13,7 +13,7 @@ baselines are four :class:`_Phases` rows of one :class:`ConsensusEngine`.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Callable, ClassVar, Hashable, Mapping, NamedTuple, Protocol,
+    TYPE_CHECKING, Any, Callable, ClassVar, Hashable, Iterable, Mapping, NamedTuple, Protocol,
     runtime_checkable,
 )
 
@@ -25,7 +25,7 @@ from .messages import NewView, ViewChange
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ledger.view import ClusterView
 
-__all__ = ["Host", "TimerHandle", "QuorumTracker", "ConsensusEngine", "HandlerTable"]
+__all__ = ["Host", "TimerHandle", "QuorumTracker", "attested", "ConsensusEngine", "HandlerTable"]
 
 
 @runtime_checkable
@@ -157,6 +157,13 @@ class QuorumTracker:
         """
         for key in [key for key in self._votes if predicate(key)]:
             del self._votes[key]
+
+
+def attested(claims: Iterable[int], k: int) -> int:
+    """The ``k``-th largest claim (0 with fewer than ``k``): the highest value ``k`` claimants
+    attest at least, since a claim of ``v`` vouches for every value below it."""
+    ranked = sorted(claims, reverse=True)
+    return ranked[k - 1] if len(ranked) >= k else 0
 
 
 class HandlerTable:

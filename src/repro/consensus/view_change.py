@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..common.config import ClusterConfig
 from ..common.crypto import Signature
-from .base import QuorumTracker, TimerHandle
+from .base import QuorumTracker, TimerHandle, attested
 from .log import EntryStatus, Noop, item_digest
 from .messages import NewView, ViewChange
 
@@ -89,17 +89,13 @@ def verify_new_view_certificate(
     ``forged-view`` adversary) can therefore never reach quorum, because
     the forger cannot sign on behalf of correct nodes.
     """
-    members = {int(node) for node in cluster.node_ids}
-    signers: set[int] = set()
+    members = cluster.voter_bits
+    signers = 0
     for vote in certificate:
-        if vote.new_view != view:
-            continue
-        if int(vote.node) not in members:
-            continue
-        if not verify_view_change_signature(vote):
-            continue
-        signers.add(int(vote.node))
-    return len(signers) >= cluster.intra_quorum
+        bit = members.get(int(vote.node))
+        if bit is not None and vote.new_view == view and verify_view_change_signature(vote):
+            signers |= bit
+    return signers.bit_count() >= cluster.intra_quorum
 
 
 class ViewChangeManager:
@@ -329,9 +325,7 @@ class ViewChangeManager:
         decided_digest: dict[int, str] = {}
         candidates: dict[int, Counter] = defaultdict(Counter)
         items_by_digest: dict[str, object] = {}
-        reported_checkpoints: list[int] = []
         for report in reports.values():
-            reported_checkpoints.append(report.checkpoint)
             for slot, digest in report.decided:
                 highest = max(highest, slot)
                 decided_digest[slot] = digest
@@ -341,16 +335,12 @@ class ViewChangeManager:
                 items_by_digest[digest] = item
 
         # A reported checkpoint is only trusted once f + 1 replicas
-        # attest at least that mark (the f+1-th largest value) — one
-        # Byzantine replica inflating its ViewChange.checkpoint must not
-        # be able to suppress re-proposal of live slots.  The local
-        # low-water mark is always trusted: it was quorum-certified.
-        reported_checkpoints.sort(reverse=True)
-        faults = host.cluster.f
-        attested = (
-            reported_checkpoints[faults] if len(reported_checkpoints) > faults else 0
-        )
-        stable_floor = max(host.log.low_water_mark, attested)
+        # attest at least that mark — one Byzantine replica inflating its
+        # ViewChange.checkpoint must not be able to suppress re-proposal
+        # of live slots.  The local low-water mark is always trusted: it
+        # was quorum-certified.
+        reported = [report.checkpoint for report in reports.values()]
+        stable_floor = max(host.log.low_water_mark, attested(reported, host.cluster.f + 1))
         if stable_floor > host.log.next_apply - 1:
             host.request_catch_up()
 

@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..consensus.base import HandlerTable
+from ..consensus.base import HandlerTable, QuorumTracker
 from .messages import Checkpoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -67,9 +67,8 @@ class CheckpointManager(HandlerTable):
     """Drives checkpointing and compaction for one replica.
 
     ``interval == 0`` disables checkpoint *production* (the faultless
-    default — benchmark runs pay nothing), but votes from peers are
-    still tallied so a replica that re-enables the feature mid-run, or
-    merely lags, keeps a coherent picture.
+    default — benchmark runs pay nothing); members' votes are still
+    tallied, so a replica that merely lags keeps a coherent picture.
     """
 
     HANDLERS = {Checkpoint: "_on_checkpoint"}
@@ -81,9 +80,9 @@ class CheckpointManager(HandlerTable):
         self.host = host
         self.interval = interval
         self._build_handlers()
-        self.quorum = host.cluster.intra_quorum
-        #: (seq, digest) → voter pids (own vote included).
-        self._votes: dict[tuple[int, str], set[int]] = {}
+        cluster = host.cluster
+        #: (seq, digest) → the cluster members voting for it (own vote included).
+        self._votes = QuorumTracker(cluster.intra_quorum, cluster.voter_bits, host.journal)
         #: own snapshots by seq, awaiting stabilisation.
         self._records: dict[int, StableCheckpoint] = {}
         self.stable: StableCheckpoint | None = None
@@ -123,19 +122,21 @@ class CheckpointManager(HandlerTable):
     # ------------------------------------------------------------------
     def _on_checkpoint(self, message: Checkpoint, src: int) -> None:
         self._vote(message.seq, message.digest, src)
-        # Lag detection: a peer checkpointing a full interval beyond our
+        # Lag detection: a member checkpointing a full interval beyond our
         # applied height means we missed decided slots (e.g. while
         # crashed or partitioned) — fetch them instead of waiting for a
         # gap timeout.
-        if self.interval and message.seq > self.host.log.next_apply - 1 + self.interval:
+        ahead = message.seq - self.host.log.next_apply + 1
+        if self.interval and ahead > self.interval and src in self._votes.members:
             self.host.state_transfer.request_catch_up()
 
     def _vote(self, seq: int, digest: str, voter: int) -> None:
         if self.stable is not None and seq <= self.stable.seq:
             return
-        voters = self._votes.setdefault((seq, digest), set())
-        voters.add(voter)
-        if len(voters) >= self.quorum:
+        # reached(), not vote()'s one-time signal: a lagging replica's own
+        # vote, cast after its peers' quorum, is what stabilises its checkpoint.
+        self._votes.vote((seq, digest), voter)
+        if self._votes.reached((seq, digest)):
             self._stabilize(seq, digest)
 
     def _stabilize(self, seq: int, digest: str) -> None:
@@ -173,6 +174,4 @@ class CheckpointManager(HandlerTable):
         host.cross.compact_below(seq)
         for stale in [recorded for recorded in self._records if recorded <= seq]:
             del self._records[stale]
-        self._votes = {
-            key: voters for key, voters in self._votes.items() if key[0] > seq
-        }
+        self._votes.drop(lambda key: key[0] <= seq)

@@ -9,7 +9,7 @@ the requester's applied height — plus the suffix of decided slots above
 it.  The joiner:
 
 1. verifies the checkpoint digest by recomputing it from the shipped
-   snapshot and anchor block, and waits for ``f + 1`` matching
+   snapshot and anchor block, and waits for ``f + 1`` matching members'
    responses in the Byzantine model (one suffices for crash-only
    clusters, where nodes fail but do not lie);
 2. installs the snapshot: account store, chain anchor, at-most-once
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
-from ..consensus.base import HandlerTable
+from ..consensus.base import HandlerTable, QuorumTracker, attested
 from ..consensus.log import EntryStatus, item_digest
 from .checkpoint import StableCheckpoint, checkpoint_digest
 from .messages import StateRequest, StateResponse
@@ -56,18 +56,18 @@ class StateTransferManager(HandlerTable):
         self.quorum = host.cluster.reply_quorum
         self._cooldown_until = 0.0
         self._round_active = False
-        #: (checkpoint_seq, digest, tx_index) → verified helper pids.
+        #: This round's tallies.  Snapshots: (checkpoint_seq, digest, tx_index) → helpers.
         #: The tx_index rides in the key because the checkpoint digest
         #: covers only anchor + snapshot: ``f + 1`` matching responses
         #: must match on the at-most-once index too, or one faulty
         #: helper could blind the joiner's duplicate detection.
-        self._snapshot_votes: dict[tuple, set[int]] = {}
-        #: (slot, digest, positions, proposer) → helper pids.  The full
+        self._snapshot_votes: QuorumTracker | None = None
+        #: Entries: (slot, digest, positions, proposer) → helpers.  The full
         #: payload is the key — a quorum on (slot, digest) alone would
         #: let the first (possibly faulty) responder supply positions
         #: the honest matchers never vouched for.
-        self._entry_votes: dict[tuple, set[int]] = {}
-        #: helper pid → highest view it claimed this round.  The joiner
+        self._entry_votes: QuorumTracker | None = None
+        #: member pid → highest view it claimed this round.  The joiner
         #: adopts the highest view a quorum of distinct helpers attests
         #: *at least* (a claim of view ``v`` vouches for every view
         #: below it) — one Byzantine helper inflating its claim can
@@ -92,8 +92,9 @@ class StateTransferManager(HandlerTable):
             return
         self._cooldown_until = now + host.tuning.view_change_timeout
         self._round_active = True
-        self._snapshot_votes.clear()
-        self._entry_votes.clear()
+        members = host.cluster.voter_bits
+        self._snapshot_votes = QuorumTracker(self.quorum, members, host.journal)
+        self._entry_votes = QuorumTracker(self.quorum, members, host.journal)
         self._view_claims.clear()
         have_seq = host.log.next_apply - 1
         host.journal.note("state_transfer_requested", have_seq)
@@ -104,6 +105,9 @@ class StateTransferManager(HandlerTable):
     # ------------------------------------------------------------------
     def _on_request(self, message: StateRequest, src: int) -> None:
         host = self.host
+        if src not in host.peers:  # one small request must not draw the decided suffix
+            host.journal.note("state_request_refused", detail=f"from {src}")
+            return
         stable = host.checkpoints.stable
         if stable is not None and stable.seq > message.have_seq:
             base = stable.seq
@@ -152,6 +156,9 @@ class StateTransferManager(HandlerTable):
         note = self.host.journal.note
         if not self._round_active:
             return
+        if src not in self.host.peers:
+            note("foreign_vote", detail=f"state response from {src}")
+            return
         progressed = False
         if message.snapshot is not None and message.anchor is not None:
             if self._verify_snapshot(message):
@@ -177,14 +184,11 @@ class StateTransferManager(HandlerTable):
         previous = claims.get(src)
         if previous is None or view > previous:
             claims[src] = view
-        if len(claims) < self.quorum:
-            return
-        ranked = sorted(claims.values(), reverse=True)
-        attested = ranked[self.quorum - 1]
+        floor = attested(claims.values(), self.quorum)
         host = self.host
-        if attested > host.intra.view:
-            host.intra.view = attested
-            host.intra.on_view_installed(attested)
+        if floor > host.intra.view:
+            host.intra.view = floor
+            host.intra.on_view_installed(floor)
 
     def _verify_snapshot(self, message: StateResponse) -> bool:
         """Whether the snapshot is ``int`` ids to ``int`` balances that hash to its digest."""
@@ -204,9 +208,7 @@ class StateTransferManager(HandlerTable):
         if message.checkpoint_seq <= host.log.next_apply - 1:
             return False
         key = (message.checkpoint_seq, message.checkpoint_digest, message.tx_index)
-        voters = self._snapshot_votes.setdefault(key, set())
-        voters.add(src)
-        if len(voters) < self.quorum:
+        if not self._snapshot_votes.vote(key, src):
             return False
         host.store.restore(message.snapshot)
         host.chain.install_anchor(message.anchor, dict(message.tx_index))
@@ -236,10 +238,7 @@ class StateTransferManager(HandlerTable):
             if item_digest(item) != digest:
                 host.journal.note("state_transfer_rejected", slot, digest, f"entry from {src}")
                 continue
-            key = (slot, digest, positions, proposer)
-            voters = self._entry_votes.setdefault(key, set())
-            voters.add(src)
-            if len(voters) < self.quorum:
+            if not self._entry_votes.vote((slot, digest, positions, proposer), src):
                 continue
             log.decide(
                 slot, digest, item,

@@ -11,11 +11,11 @@ racing the in-flight commit (the engines dropped the loser, a
    every involved cluster;
 2. nodes that decided the instance reply with the full position vector,
    proposer, and item; undecided nodes reply ``decided=False``;
-3. on ``f + 1`` matching decided replies (one in the crash model) the
-   primary *adopts* the decision — deciding its local slot with the full
-   position vector, so the transaction executes atomically — and shares
-   a :class:`~repro.recovery.messages.TerminationDecision` with its
-   backups;
+3. on ``f + 1`` matching decided replies from the involved clusters'
+   nodes (one in the crash model) the primary *adopts* the decision —
+   deciding its local slot with the full position vector, so the
+   transaction executes atomically — and shares a
+   :class:`~repro.recovery.messages.TerminationDecision` with its backups;
 4. if the termination timer expires with no decision evidence (and the
    slot is still undecided locally), the primary no-op-fills the slot
    through ordinary intra-shard consensus, exactly as before.
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..common.types import ClusterId
-from ..consensus.base import HandlerTable, Host, TimerHandle
+from ..consensus.base import HandlerTable, Host, QuorumTracker, TimerHandle
 from ..consensus.log import EntryStatus, Noop, item_digest
 from .messages import TerminationDecision, TerminationReply, TerminationRequest
 
@@ -45,10 +44,9 @@ class _TerminationState:
     slot: int
     view: int
     item: object
-    involved: tuple[ClusterId, ...]
-    #: positions-vector key → voter pids reporting that decision.
-    votes: dict[tuple, set[int]] = field(default_factory=dict)
-    #: one representative decided reply per positions-vector key.
+    #: positions-vector key → the involved clusters' nodes reporting that decision.
+    votes: QuorumTracker
+    #: one representative decided reply per positions-vector key, from a node that counted.
     evidence: dict[tuple, TerminationReply] = field(default_factory=dict)
     resolved: bool = False
     timer: TimerHandle | None = None
@@ -81,14 +79,13 @@ class CrossShardTerminator(HandlerTable):
         state = self._states.get(digest)
         if state is not None and not state.resolved:
             return
-        involved = host.involved_clusters_of(item.transaction)
-        state = _TerminationState(
-            digest=digest, slot=slot, view=view, item=item, involved=involved
-        )
-        self._states[digest] = state
+        nodes = host.nodes_of_clusters(host.involved_clusters_of(item.transaction))
+        bits = {pid: 1 << index for index, pid in enumerate(nodes)}
+        votes = QuorumTracker(self.quorum, bits, host.journal)
+        state = self._states[digest] = _TerminationState(digest, slot, view, item, votes)
         host.journal.note("termination_started", slot, digest, f"view {view}")
         host.multicast(
-            host.nodes_of_clusters(involved),
+            nodes,
             TerminationRequest(
                 digest=digest, tx_id=item.transaction.tx_id, slot=slot, view=view,
                 cluster=host.cluster_id, node=host.node_id,
@@ -183,10 +180,9 @@ class CrossShardTerminator(HandlerTable):
             # cross-shard instance atomically; ignore it.
             return
         key = message.positions
-        state.evidence.setdefault(key, message)
-        voters = state.votes.setdefault(key, set())
-        voters.add(src)
-        if len(voters) >= self.quorum:
+        if src in state.votes.members:
+            state.evidence.setdefault(key, message)
+        if state.votes.vote(key, src):
             self._adopt(state, state.evidence[key])
 
     def _adopt(self, state: _TerminationState, evidence: TerminationReply) -> None:

@@ -7,7 +7,9 @@ contract on that representation, then check the rule every tally now
 applies first: a vote counts only if its sender is a member of the
 cluster it speaks for.  Each refusal below is a vote that counted before
 membership was checked (cross-shard accepts and commits, PBFT prepares,
-Paxos accepted, view-change votes, AHL's committee votes).  A Byzantine
+Paxos accepted, view-change votes, AHL's committee votes, checkpoint
+votes, state-transfer snapshots, entries and view claims, termination
+replies from outside the involved clusters).  A Byzantine
 cross-shard vote whose slot or position vector is not well formed is
 refused, a journal row, before it touches any state.  The last test records a
 hole that is still open: a forged position vector in one early commit.
@@ -21,7 +23,7 @@ from repro.api import DeploymentSpec
 from repro.baselines.ahl import AHLSystem, AHLVote
 from repro.common.config import ProtocolTuning
 from repro.common.types import ClusterId, FaultModel, NodeId
-from repro.consensus.base import QuorumTracker
+from repro.consensus.base import QuorumTracker, attested
 from repro.consensus.log import item_digest
 from repro.consensus.messages import (
     ClientRequest,
@@ -36,7 +38,10 @@ from repro.consensus.messages import (
 from repro.consensus.paxos import PaxosEngine
 from repro.consensus.pbft import PBFTEngine
 from repro.consensus.view_change import sign_view_change
+from repro.core.client import CLIENT_PID_BASE
 from repro.core.system import SharPerSystem
+from repro.recovery import checkpoint_digest
+from repro.recovery.messages import Checkpoint, StateRequest, StateResponse, TerminationReply
 from repro.txn.transaction import Transaction, Transfer
 from repro.txn.workload import WorkloadConfig
 
@@ -95,6 +100,23 @@ class TestQuorumTrackerContract:
         assert not tracker.vote("k", 3) and not tracker.vote("k", 64)
         assert tracker.count("k") == 0 and tracker.journal.totals["foreign_vote"] == 2
         assert not tracker.vote("k", 0) and tracker.vote("k", 2)
+
+
+@pytest.mark.parametrize(
+    "claims, k, expected",
+    [
+        ((), 1, 0),
+        ((5,), 1, 5),
+        ((5,), 2, 0),        # fewer claims than k attest nothing
+        ((99, 2), 2, 2),     # one inflated claim cannot raise the floor
+        ((3, 3, 1), 2, 3),
+        ((1, 7, 4, 9), 3, 4),
+        ((0, 0, 0), 3, 0),
+    ],
+)
+def test_attested_is_the_kth_largest_claim(claims, k, expected):
+    assert attested(claims, k) == expected
+    assert attested(iter(claims), k) == expected
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +235,107 @@ def test_ahl_committee_refuses_a_vote_from_outside_the_cluster():
     assert state.votes == set() and committee.journal.totals["foreign_vote"] == 1
     committee._on_vote(AHLVote(digest=digest, cluster=C1, vote=True), src=3)
     assert state.votes == {C1}
+
+
+# ----------------------------------------------------------------------
+# recovery: checkpoints, state transfer and termination rounds
+# ----------------------------------------------------------------------
+def four_clusters(checkpoint_interval=0):
+    """A Byzantine deployment of clusters 0-3 (pids 0-3, 4-7, 8-11, 12-15)."""
+    config = DeploymentSpec(
+        system="sharper", fault_model=FaultModel.BYZANTINE, num_clusters=4,
+        checkpoint_interval=checkpoint_interval,
+    ).resolve(seed=11)
+    workload = WorkloadConfig(cross_shard_fraction=0.5, accounts_per_shard=ACCOUNTS)
+    return SharPerSystem(config, workload, seed=11)
+
+
+def test_foreign_checkpoint_votes_neither_stabilise_nor_trigger_catch_up():
+    # Node 0 took checkpoint 8; nodes 4, 8 and 12 (no member of cluster 0)
+    # match it.  With node 0's own vote that was a 2f + 1 = 3 quorum.
+    replica = four_clusters(checkpoint_interval=8).replicas[0]
+    checkpoints = replica.checkpoints
+    checkpoints.take(8)
+    digest = checkpoints._records[8].digest
+    for src in (4, 8, 12):
+        checkpoints.handle(Checkpoint(seq=8, digest=digest, node=NodeId(src)), src=src)
+    assert checkpoints.stable is None and checkpoints.stabilized == 0
+    assert checkpoints._votes.count((8, digest)) == 1
+    # A foreign checkpoint a full interval ahead starts no state transfer.
+    checkpoints.handle(Checkpoint(seq=40, digest="d", node=NodeId(4)), src=4)
+    totals = replica.journal.totals
+    assert totals["state_transfer_requested"] == 0 and totals["foreign_vote"] == 4
+
+
+def test_a_foreign_forged_snapshot_is_not_installed():
+    # Nodes 4 and 8 answer node 0's round with the same self-consistent
+    # forged snapshot: its digest is recomputed over a +1,000,000 balance.
+    replica = four_clusters().replicas[0]
+    transfer, store = replica.state_transfer, replica.store
+    transfer.request_catch_up()
+    forged = dict(store.snapshot())
+    forged[0] += 1_000_000
+    anchor = replica.chain.head
+    digest = checkpoint_digest(8, anchor.block_hash, store.snapshot_digest(forged))
+    before = store.total_balance()
+    for src in (4, 8):
+        transfer.handle(StateResponse(
+            checkpoint_seq=8, checkpoint_digest=digest, node=NodeId(src), view=0,
+            anchor=anchor, snapshot=forged, tx_index=(), entries=(),
+        ), src=src)
+    totals = replica.journal.totals
+    assert (totals["snapshot_installed"], totals["foreign_vote"]) == (0, 2)
+    assert store.total_balance() == before and replica.log.next_apply == 1
+
+
+def test_a_foreign_view_claim_does_not_move_a_joiner():
+    # Quorum f + 1 = 2: one member's claim of view 3 plus node 4's is one short.
+    replica = four_clusters().replicas[1]
+    transfer = replica.state_transfer
+    transfer.request_catch_up()
+    for src in (2, 4):
+        transfer.handle(StateResponse(
+            checkpoint_seq=0, checkpoint_digest="", node=NodeId(src), view=3,
+            anchor=None, snapshot=None, tx_index=(), entries=(),
+        ), src=src)
+    assert replica.intra.view == 0 and transfer._view_claims == {2: 3}
+    assert replica.journal.totals["foreign_vote"] == 1
+
+
+@pytest.mark.parametrize("src", [4, CLIENT_PID_BASE])
+def test_state_requests_are_answered_for_members_only(src):
+    # Any pid used to draw every decided entry above the have_seq it named.
+    replica = four_clusters().replicas[1]
+    sent = []
+    replica.send = lambda dst, message: sent.append((dst, message))
+    replica.state_transfer.handle(StateRequest(node=NodeId(src), have_seq=0), src=src)
+    assert sent == [] and replica.journal.totals["state_request_refused"] == 1
+    replica.state_transfer.handle(StateRequest(node=NodeId(0), have_seq=0), src=0)
+    assert [(dst, type(message)) for dst, message in sent] == [(0, StateResponse)]
+
+
+def test_termination_counts_only_the_involved_clusters():
+    # Node 0 terminates a 0<->1 instance; nodes 8 and 12 (clusters 2 and 3)
+    # report it decided with a forged vector.  f + 1 = 2 replies used to decide slot 5.
+    system = four_clusters()
+    replica = system.replicas[0]
+    request = cross_request(system)
+    digest = item_digest(request)
+    replica.terminator.begin(5, request, view=1)
+    reply = TerminationReply(
+        digest=digest, decided=True, slot=5, positions=((C0, 5), (C1, 77)),
+        proposer=C0, item=request, node=NodeId(8),
+    )
+    for src in (8, 12):
+        replica.terminator.handle(replace(reply, node=NodeId(src)), src=src)
+    state = replica.terminator._states[digest]
+    assert not state.resolved and state.evidence == {}
+    assert replica.log.decided_slot_of(digest) is None
+    assert replica.journal.totals["foreign_vote"] == 2
+    # One node of each involved cluster is f + 1 over their union (a recorded residue).
+    for src in (1, 4):
+        replica.terminator.handle(replace(reply, node=NodeId(src)), src=src)
+    assert replica.log.decided_slot_of(digest) == 5 and state.evidence[reply.positions].node == 1
 
 
 # ----------------------------------------------------------------------
