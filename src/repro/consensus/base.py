@@ -119,16 +119,18 @@ class QuorumTracker:
         self.journal = journal
         self._votes: dict[Hashable, int] = {}
 
-    def vote(self, key: Hashable, voter: int) -> bool:
-        """Record a vote; returns ``True`` the first time the key reaches quorum."""
+    def vote(self, key: Hashable, voter: int) -> bool | None:
+        """Record a vote: ``True`` for the vote that fires the key, ``False``
+        for one counted below the threshold, ``None`` for one refused (a
+        repeat, a vote after the key fired, a voter outside ``members``)."""
         bit = self.members.get(voter)
         if bit is None:
             self.journal.note("foreign_vote", detail=f"voter {voter} on {key!r}")
-            return False
+            return None
         votes = self._votes.get(key, 0)
         count = votes.bit_count()
         if votes & bit or count >= self.threshold:
-            return False
+            return None
         self._votes[key] = votes | bit
         return count + 1 >= self.threshold
 
@@ -349,7 +351,7 @@ class ConsensusEngine(HandlerTable):
     # the tallies and the decide step
     # ------------------------------------------------------------------
     def _vote(self, key: tuple[int, int, str], voter: int) -> None:
-        """Count one vote of the proposal round (every vote is recorded)."""
+        """Count one vote of the proposal round; the recorder hears the tally's verdict."""
         host = self.host
         fired = self._votes.vote(key, voter)
         host.recorder.quorum_vote(host, self.phases.vote_kind, key, voter, fired)

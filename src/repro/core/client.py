@@ -58,6 +58,7 @@ class ClosedLoopClient(Process):
         workload: WorkloadGenerator,
         router: Callable[[Transaction], int],
         metrics: MetricsCollector,
+        replicas: frozenset[int],
         required_replies: int = 1,
         retry_timeout: float = 1.0,
         fallback_targets: Callable[[Transaction, int], int] | None = None,
@@ -66,6 +67,7 @@ class ClosedLoopClient(Process):
         self.workload = workload
         self.router = router
         self.metrics = metrics
+        self.replicas = replicas  # a reply from a pid outside the deployment's replicas is ignored
         self.required_replies = required_replies
         self.retry_timeout = retry_timeout
         self.fallback_targets = fallback_targets
@@ -187,7 +189,7 @@ class ClosedLoopClient(Process):
     # ------------------------------------------------------------------
     def _on_reply(self, message: ClientReply, src: int) -> None:
         state = self._outstanding.get(message.tx_id)
-        if state is None:
+        if state is None or src not in self.replicas:
             return
         state.repliers.add(src)
         if message.success:

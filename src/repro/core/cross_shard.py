@@ -339,8 +339,7 @@ class _CrossShardEngine(HandlerTable):
                     state.unconfirmed.discard(cluster)
             if state.involved and not state.unconfirmed and state.request is not None:
                 self._send_commit(state)
-        host = self.host
-        host.recorder.quorum_vote(host, "cross_accept", state.digest, voter, state.commit_sent)
+            self.host.recorder.quorum_vote(self.host, "cross_accept", state.digest, voter, state.commit_sent)
 
     # --- commit and decide ---
     def _send_commit(self, state: _Instance) -> None:
@@ -376,19 +375,18 @@ class _CrossShardEngine(HandlerTable):
         state = self._states.get(message.digest) or self._state(
             message.digest, dict(message.positions).get(mine)
         )
-        if state is None:
+        if state is None or state.decided:
             return
-        if not state.decided:
-            if src not in self._voting.get(message.cluster, _NOBODY)[1]:
-                self.host.journal.note("foreign_vote", None, message.digest, f"commit from {src}")
-                return
-            positions = state.positions
-            for cluster, slot in message.positions:
-                _first_vote_position(positions, cluster, slot)
-            if not state.involved:
-                self._set_involved(state, tuple(cluster for cluster, _ in message.positions))
-            elif state.unconfirmed:
-                state.unconfirmed.difference_update(positions)
+        if src not in self._voting.get(message.cluster, _NOBODY)[1]:
+            self.host.journal.note("foreign_vote", None, message.digest, f"commit from {src}")
+            return
+        positions = state.positions
+        for cluster, slot in message.positions:
+            _first_vote_position(positions, cluster, slot)
+        if not state.involved:
+            self._set_involved(state, tuple(cluster for cluster, _ in message.positions))
+        elif state.unconfirmed:
+            state.unconfirmed.difference_update(positions)
         self._register_commit(state, message.cluster, src)
 
     def _well_formed(self, positions: object) -> bool:
@@ -408,17 +406,16 @@ class _CrossShardEngine(HandlerTable):
         return True
 
     def _register_commit(self, state: _Instance, cluster: ClusterId, voter: int) -> None:
-        """The commit tally (Algorithm 2): decide once every cluster has its quorum."""
-        if not state.decided:
-            quorum, bits = self._voting[cluster]
-            voters = state.commit_votes[cluster] = state.commit_votes.get(cluster, 0) | bits[voter]
-            if voters.bit_count() >= quorum and state.uncommitted:
-                state.uncommitted.discard(cluster)
-            proposed = state.involved and state.request is not None
-            if proposed and not state.uncommitted and not state.unconfirmed:
-                self._decide(state)
-        host = self.host
-        host.recorder.quorum_vote(host, "cross_commit", state.digest, voter, state.decided)
+        """The commit tally (Algorithm 2) of an undecided instance: decide once
+        every cluster has its quorum."""
+        quorum, bits = self._voting[cluster]
+        voters = state.commit_votes[cluster] = state.commit_votes.get(cluster, 0) | bits[voter]
+        if voters.bit_count() >= quorum and state.uncommitted:
+            state.uncommitted.discard(cluster)
+        proposed = state.involved and state.request is not None
+        if proposed and not state.uncommitted and not state.unconfirmed:
+            self._decide(state)
+        self.host.recorder.quorum_vote(self.host, "cross_commit", state.digest, voter, state.decided)
 
     def _decide(self, state: _Instance) -> None:
         """The instance gathered its quorums: stop retrying it and decide the local slot."""

@@ -159,7 +159,7 @@ class BaseSystem:
         retry_timeout: float = 2.0,
     ) -> list[ClosedLoopClient]:
         """Create ``count`` closed-loop clients attached to this system."""
-        clients = []
+        clients, replicas = [], frozenset(int(process.pid) for process in self.processes())
         for index in range(count):
             client = ClosedLoopClient(
                 pid=CLIENT_PID_BASE + len(self.clients),
@@ -169,6 +169,7 @@ class BaseSystem:
                 workload=self.make_workload(seed_offset=index),
                 router=self.route,
                 metrics=metrics,
+                replicas=replicas,
                 required_replies=self.required_replies,
                 retry_timeout=retry_timeout,
                 fallback_targets=self.fallback_route,

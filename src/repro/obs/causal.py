@@ -2,7 +2,8 @@
 
 Every trace is causal: the recorder stores each phase event and each
 message ``send``/``recv`` node as one row of a :class:`NodeTable`, whose
-row index is the node's event id, next to its *causal parent*:
+row index is the node's event id (a message row names its direction and
+type by its kind code alone), next to its *causal parent*:
 
 * a ``send`` node's parent is the context in which the send happened —
   the ``recv`` node of the message being dispatched, or the ``submit``
@@ -33,12 +34,12 @@ contiguous and exact even then.  Parent ids are strictly smaller than
 child ids, so the walk terminates and the graph is acyclic by
 construction (the trace validator re-checks both on exported files).
 
-Quorum stragglers: engines report every quorum vote arrival
-(:meth:`~repro.obs.recorder.FlightRecorder.quorum_vote`); the vote that
-flips ``decided`` is the *deciding vote*, and its lag behind the median
-vote arrival says how far behind the pack the quorum-completing replica
-ran.  :func:`straggler_summary` aggregates that per (voter, quorum
-kind).
+Quorum stragglers: engines report each vote their tally counted
+(:meth:`~repro.obs.recorder.FlightRecorder.quorum_vote`; a repeated,
+late or foreign vote never counts), and the vote that fires the tally is
+the *deciding vote*: its lag behind the median counted vote says how far
+behind the pack the quorum-completing replica ran.
+:func:`straggler_summary` aggregates that per (voter, quorum kind).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
     "CritEdge", "TxCriticalPath", "EdgeStats", "CriticalSummary", "StragglerStats", "Rows",
     "NodeTable", "RowView", "iter_critical_paths", "critical_paths", "summarize_paths",
     "summarize_edge_records", "straggler_summary", "render_critical_table",
-    "render_straggler_table", "critpath_columns",
+    "render_straggler_table", "critpath_columns", "CodeLimitError",
 ]
 
 
@@ -146,13 +147,21 @@ class StragglerStats:
     max_lag_ms: float
 
 
-#: Node kind codes.  ``ABSENT`` marks a row without a node (row 0, so
-#: eid 0 means "no event"); phase names take the codes after ``RECV``.
-ABSENT, SEND, RECV = 0, 1, 2
+#: What a row's kind code stands for (``NodeTable.roles``): ``ABSENT`` is no
+#: node (code 0, the code of row 0, so eid 0 means "no event"), ``SEND`` and
+#: ``RECV`` are message nodes, ``PHASE`` a lifecycle milestone.
+ABSENT, SEND, RECV, PHASE = 0, 1, 2, 3
+#: each role's ``kind`` in views, exports and path edges.
+ROLE_NAMES = ("", "send", "recv", "phase")
 #: a node row's numbers: time, parent eid, pid, kind code (the last byte).
 #: A parent packs to 32 bits: a parent eid past 2**31 - 1 raises ``struct.error``.
 NODE_ROW = Struct("<diiB")
+ROW_SIZE = NODE_ROW.size
 pack_node = NODE_ROW.pack
+
+
+class CodeLimitError(ValueError):
+    """A node table needs more kind codes than its one byte holds."""
 
 
 class Rows:
@@ -180,7 +189,7 @@ class Rows:
 
 class RowView:
     """A read-only view of some of a table's rows, as tuples: ``len``
-    without a scan, rows built one at a time when iterated."""
+    without building a row, rows built one at a time when iterated."""
 
     __slots__ = ("_rows", "_len")
 
@@ -198,32 +207,40 @@ class NodeTable(Rows):
     """Phase events and message ``send``/``recv`` nodes in record order,
     one row each; a row's index is its node's eid, so the next node's
     eid is always ``len(table)``.  A row packs (:data:`NODE_ROW`) time,
-    parent eid, pid and kind code (an index into ``names``); ``labels``
-    holds the run's own strings: a phase's tx id, a message's type name.
+    parent eid, pid and kind code.  A code names one phase, or one message
+    type in one direction, and is given on first use: ``names[code]`` is
+    the name, ``roles[code]`` its role, so a message row is its code alone.
+    ``labels`` holds only the phase rows' tx ids, in row order.  A code
+    past one byte raises :class:`CodeLimitError` before anything changes.
     """
 
-    __slots__ = ("labels", "names", "codes", "phases", "holes")
+    __slots__ = ("labels", "names", "roles", "codes")
 
     def __init__(self) -> None:
         super().__init__(NODE_ROW.format)
-        self.labels: list[str] = []
-        self.names = ["", "send", "recv", *dict.fromkeys(PHASES_INTRA + PHASES_CROSS)]
-        self.codes = {name: code for code, name in enumerate(self.names)}
-        self.phases, self.holes = 0, 1  # phase rows; ABSENT rows
-        self.append(0.0, 0, 0, ABSENT, "")
+        self.labels, self.names, self.roles, self.codes = [], [""], bytearray(256), {(ABSENT, ""): 0}
+        for phase in dict.fromkeys(PHASES_INTRA + PHASES_CROSS):
+            self.code(PHASE, phase)
+        self.data += pack_node(0.0, 0, 0, ABSENT)
 
-    def append(self, time: float, parent: int, pid: int, code: int, label: str) -> int:
-        """Append one node; returns its eid."""
-        self.data += pack_node(time, parent, pid, code)
-        labels = self.labels
-        labels.append(label)
-        return len(labels) - 1
-
-    def new_phase(self, phase: str) -> int:
-        """Register a phase name outside the canonical ones; its code."""
-        code = self.codes[phase] = len(self.names)
-        self.names.append(phase)
+    def code(self, role: int, name: str) -> int:
+        """The code of ``name`` in ``role``, given on first use."""
+        code = self.codes.get((role, name))
+        if code is None:
+            code = len(self.names)
+            if code == len(self.roles):
+                raise CodeLimitError(f"no kind code left for {ROLE_NAMES[role]} {name!r}")
+            self.codes[role, name], self.roles[code] = code, role
+            self.names.append(name)
         return code
+
+    def append(self, time: float, parent: int, pid: int, role: int, name: str, tx: str = "") -> int:
+        """Append one node, ``name`` its message type or phase and ``tx`` a
+        phase's tx id; returns its eid."""
+        self.data += pack_node(time, parent, pid, self.code(role, name))
+        if role == PHASE:
+            self.labels.append(tx)
+        return len(self) - 1
 
     @classmethod
     def from_rows(cls, nodes: Iterable[tuple[int, int, float, str, int, str]]) -> "NodeTable":
@@ -233,53 +250,51 @@ class NodeTable(Rows):
         table, rows = cls(), {row[0]: row for row in nodes}
         for eid in range(1, max(rows, default=0) + 1):
             _, parent, time, kind, pid, label = rows.get(eid, (eid, 0, 0.0, "", 0, ""))
-            code = table.codes.get(kind)
-            table.append(time, parent, pid, table.new_phase(kind) if code is None else code, label)
-        kinds = table.kinds()
-        table.holes = kinds.count(ABSENT)
-        table.phases = len(kinds) - table.holes - kinds.count(SEND) - kinds.count(RECV)
+            role = ROLE_NAMES.index(kind) if kind in ROLE_NAMES[:PHASE] else PHASE
+            table.append(time, parent, pid, role, kind if role == PHASE else label, label)
         return table
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
     def __getitem__(self, eid: int) -> tuple[float, int, int, int]:
         """``(time, parent, pid, code)`` of node ``eid``."""
-        return NODE_ROW.unpack_from(self.data, eid * NODE_ROW.size)
+        return NODE_ROW.unpack_from(self.data, eid * ROW_SIZE)
 
     def kinds(self) -> bytes:
         """Every row's kind code, one byte each (a copy)."""
-        return self.data[NODE_ROW.size - 1 :: NODE_ROW.size]
+        return self.data[ROW_SIZE - 1 :: ROW_SIZE]
+
+    def _phase_flags(self) -> Iterator[bool]:
+        return map(PHASE.__eq__, self.kinds().translate(self.roles))
+
+    phases = property(lambda self: len(self.labels), doc="Phase rows: one label each.")
 
     def events(self) -> RowView:
         """``(time, tx_id, phase, pid)`` per phase event, in record order."""
         names = self.names
         return RowView(lambda: (
             (time, label, names[code], pid)
-            for (time, _, pid, code), label in zip(iter(self), self.labels)
-            if code > RECV
+            for (time, _, pid, code), label in zip(compress(self, self._phase_flags()), self.labels)
         ), self.phases)
 
     def event_meta(self) -> RowView:
         """``(eid, parent)`` per phase event, aligned with :meth:`events`."""
         return RowView(lambda: (
-            (eid, parent) for eid, (_, parent, _, code) in enumerate(self) if code > RECV
+            (eid, parent) for eid, (_, parent, _, _) in compress(enumerate(self), self._phase_flags())
         ), self.phases)
 
     def messages(self) -> RowView:
-        """``(eid, parent, t, kind, pid, label)`` per message node; kind is
-        ``"send"`` (NIC departure) or ``"recv"`` (dispatch time)."""
-        names = self.names
+        """``(eid, parent, t, kind, pid, label)`` per message node: kind ``"send"``
+        (NIC departure) or ``"recv"`` (dispatch time), label the message type."""
+        names, roles = self.names, self.roles
         return RowView(lambda: (
-            (eid, parent, time, names[code], pid, label)
-            for eid, ((time, parent, pid, code), label) in enumerate(zip(iter(self), self.labels))
-            if code == SEND or code == RECV
-        ), len(self.labels) - self.phases - self.holes)
+            (eid, parent, time, ROLE_NAMES[role], pid, names[code])
+            for eid, (time, parent, pid, code) in enumerate(self)
+            if (role := roles[code]) == SEND or role == RECV
+        ), len(self) - self.phases - self.kinds().count(ABSENT))
 
     def __eq__(self, other: Any) -> bool:
-        if type(other) is not NodeTable:
-            return NotImplemented
-        return self.data == other.data and self.labels == other.labels and self.names == other.names
+        return Rows.__eq__(self, other) is True and all(
+            getattr(self, name) == getattr(other, name) for name in ("labels", "names", "roles")
+        )
 
 
 def iter_critical_paths(
@@ -291,19 +306,20 @@ def iter_critical_paths(
     horizon, or cut by a crash) are excluded — their chains simply
     terminate at the last recorded event and are never walked.
 
-    Paths come in ``(submitted, tx)`` order.  Only the rows' kind bytes
-    are copied: an eid is a row index of ``nodes``, so only the path
-    being yielded is alive at any time.
+    Paths come in ``(submitted, tx)`` order.  Only the kind bytes (of all
+    rows, and of the phase rows) are copied: an eid is a row index of
+    ``nodes``, so only the path being yielded is alive at any time.
     """
-    labels, names = nodes.labels, nodes.names
+    labels, names, roles = nodes.labels, nodes.names, nodes.roles
     kinds = nodes.kinds()
-    submits: dict[str, int] = {}
-    for eid in compress(count(), map(nodes.codes["submit"].__eq__, kinds)):
-        submits.setdefault(labels[eid], eid)
-    replies: dict[str, int] = {}
-    for eid in compress(count(), map(nodes.codes["reply"].__eq__, kinds)):
-        replies.setdefault(labels[eid], eid)
-    del kinds
+    phase_kinds = kinds.translate(None, bytes(code for code in range(256) if roles[code] != PHASE))
+    submits, replies = {}, {}  # each tx's first submit and reply eid
+    for firsts, phase in ((submits, "submit"), (replies, "reply")):
+        code = nodes.codes[PHASE, phase]
+        eids = compress(count(), map(code.__eq__, kinds))  # their tx ids: the phase rows' labels
+        for eid, tx in zip(eids, compress(labels, map(code.__eq__, phase_kinds))):
+            firsts.setdefault(tx, eid)
+    del kinds, phase_kinds
     order = sorted(
         (nodes[submit][0], tx, submit, reply)
         for tx, reply in replies.items()
@@ -317,9 +333,7 @@ def iter_critical_paths(
         """``eid``'s ``(eid, parent, t, kind, pid, label)``; a phase
         event's kind is ``"phase"`` and its label the phase name."""
         time, parent, pid, code = nodes[eid]
-        if code > RECV:
-            return eid, parent, time, "phase", pid, names[code]
-        return eid, parent, time, names[code], pid, labels[eid]
+        return eid, parent, time, ROLE_NAMES[roles[code]], pid, names[code]
 
     for submitted, tx, submit, reply in order:
         submit_node = node(submit)

@@ -70,10 +70,7 @@ def chrome_trace_events(report: "TraceReport") -> list[dict[str, Any]]:
     for pid, _cluster, view, t0, t1 in report.vc_spans:
         span("view_change", f"view-change v{view}", f"v{pid}:{view}", pid, t0, t1, False)
     for pid, _cluster, view, t0 in report.open_vcs:
-        span(
-            "view_change", f"view-change v{view}", f"v{pid}:{view}",
-            pid, t0, report.end_time, True,
-        )
+        span("view_change", f"view-change v{view}", f"v{pid}:{view}", pid, t0, report.end_time, True)
 
     cross = report.cross_txs
     for time, tx, phase, pid in report.events:

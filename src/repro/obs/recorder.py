@@ -1,38 +1,35 @@
 """The flight recorder: armed by swapping a value, zero cost when off.
 
-Arming model (the same seam as the ``RequestGuard``): every
-``Process``, client, and the ``Network`` hold a ``recorder`` from the
-start — the shared :data:`INERT_RECORDER`, whose hooks (the names of
+Every ``Process``, client and the ``Network`` hold a ``recorder`` from
+the start: the shared :data:`INERT_RECORDER`, whose hooks (the names of
 :class:`FlightRecorder`'s, ``start_gauges`` and ``finalize`` included)
-do nothing.  Protocol code calls its hooks unconditionally; only
-:meth:`~repro.sim.process.Process.deliver` looks at which recorder it
-holds, to send traffic through the checked lane that opens a dispatch
-context.  Untraced runs stay bit-identical to the pre-observability
-tree.  ``BaseSystem.arm_recorder`` swaps a :class:`FlightRecorder` in
-everywhere in one sweep; ``Scenario.run`` arms one when
-``DeploymentSpec.trace`` is set.
+do nothing, so untraced runs stay bit-identical.  Protocol code calls
+the hooks unconditionally; only :meth:`~repro.sim.process.Process.deliver`
+looks at which recorder it holds, to open a dispatch context.
+``BaseSystem.arm_recorder`` swaps a :class:`FlightRecorder` in everywhere
+in one sweep; ``Scenario.run`` arms one when ``DeploymentSpec.trace`` is set.
 
-Recording is append-only on the hot path and packed: phase events and
-message nodes are rows of one :class:`~repro.obs.causal.NodeTable` (a
-node's eid is its row index), slot spans and deciding votes of a
-``Rows`` — no tuple, eid int or float object per record.
+Recording is append-only and packed: phase events and message nodes are
+rows of one :class:`~repro.obs.causal.NodeTable` (a node's eid is its row
+index, a message row names its type by its kind code), slot spans and
+deciding votes rows of a ``Rows`` — no tuple, eid int or float object
+per record.  Engines report only the votes a tally counted, and
+:meth:`FlightRecorder.quorum_vote` reduces a quorum's votes to its
+deciding row when the deciding vote arrives, keeping nothing else of it.
 :meth:`FlightRecorder.finalize` (once per recorder) streams: the phase
 attribution releases each transaction at its reply, the report's rows
 are views over the same tables, and the critical-path walk hands one
 path at a time to the summary.
-Gauge sampling is the only part of the recorder that schedules
-simulator events (a repeating timer); it only *reads* replica and
-network state, so a gauge-sampled run produces identical protocol
-behaviour and its event count exceeds the untraced run by exactly
-``gauge_ticks``.  With ``gauge_interval=0`` (spans-only) even the event
-count is bit-identical.
 
-The causal layer (always on when tracing) additionally tags every
-message with a parent event id at send, matches it back at dispatch,
-and reduces each quorum's votes to its deciding row when that vote
-arrives — no simulator events, no RNG draws — reduced by
-:mod:`repro.obs.causal` into per-transaction critical paths whose span
-equals measured end-to-end latency exactly.
+Gauge sampling is the only part that schedules simulator events (a
+repeating timer); it only *reads* replica and network state, so a
+gauge-sampled run behaves identically and its event count exceeds the
+untraced run's by exactly ``gauge_ticks`` (with ``gauge_interval=0``
+even the event count is bit-identical).  The causal layer tags every
+message with a parent event id at send and matches it back at dispatch
+— no simulator events, no RNG draws — and :mod:`repro.obs.causal` walks
+that into per-transaction critical paths whose span equals measured
+end-to-end latency exactly.
 """
 
 from __future__ import annotations
@@ -47,7 +44,9 @@ from typing import Any, Iterator
 from ..common.errors import ConfigurationError
 from ..consensus.batching import member_requests
 from .causal import (
+    PHASE,
     RECV,
+    ROW_SIZE,
     SEND,
     CriticalSummary,
     NodeTable,
@@ -66,11 +65,9 @@ from .phases import PhaseBreakdown, attribute_phases, phase_columns, render_phas
 #: a slot span row: pid, cluster, slot, t_open, t_close.
 SPAN_ROW = Struct("<iiqdd")
 _pack_span = SPAN_ROW.pack
-#: a deciding-vote row's numbers: voter, t, lag.
-DECIDING_ROW = Struct("<idd")
+#: a deciding-vote row's numbers: observer pid, quorum kind code, voter, t, lag.
+DECIDING_ROW = Struct("<iBidd")
 _pack_deciding = DECIDING_ROW.pack
-#: what a decided quorum's votes become: later votes for it are dropped.
-DECIDED = ()
 
 __all__ = [
     "INERT_RECORDER", "InertRecorder", "TraceSpec", "FlightRecorder", "TraceReport", "normalize_trace"
@@ -78,33 +75,37 @@ __all__ = [
 
 
 class DecidingRows(Rows):
-    """Deciding-vote rows ``(pid, kind, key, voter, t, lag)``: voter, t and
-    lag packed (:data:`DECIDING_ROW`), each row's ``(pid, kind, key)``
-    quorum kept by reference in ``quorums``, in the same order."""
+    """Deciding-vote rows ``(pid, kind, key, voter, t, lag)``: all but the
+    key packed (:data:`DECIDING_ROW`, the kind as an index into ``kinds``),
+    each row's quorum key kept by reference in ``keys``, in the same order."""
 
-    __slots__ = ("quorums",)
+    __slots__ = ("keys", "kinds")
 
     def __init__(self) -> None:
         super().__init__(DECIDING_ROW.format)
-        self.quorums: list[tuple] = []
+        self.keys: list[Any] = []
+        self.kinds: list[str] = []
 
     def __iter__(self) -> Iterator[tuple]:
-        return map(tuple.__add__, self.quorums, super().__iter__())
+        kinds = self.kinds
+        for (pid, code, voter, time, lag), key in zip(super().__iter__(), self.keys):
+            yield pid, kinds[code], key, voter, time, lag
 
     def __eq__(self, other: Any) -> bool:
-        return Rows.__eq__(self, other) is True and self.quorums == other.quorums
+        return Rows.__eq__(self, other) is True and (self.keys, self.kinds) == (other.keys, other.kinds)
 
     def in_report_order(self) -> "DecidingRows":
         """The rows ordered by ``(t, pid, kind, str(key))``; rows are
         appended in time order, so only the rows of one instant are sorted."""
-        ordered, last = DecidingRows(), float("-inf")
-        for time, run in groupby(zip(self.quorums, super().__iter__()), key=lambda row: row[1][1]):
+        ordered, last, kinds = DecidingRows(), float("-inf"), self.kinds
+        ordered.kinds = list(kinds)
+        for time, run in groupby(zip(super().__iter__(), self.keys), key=lambda row: row[0][3]):
             if time < last:
                 raise ValueError(f"deciding votes out of time order: {time} after {last}")
             last = time
-            for quorum, numbers in sorted(run, key=lambda row: (*row[0][:2], str(row[0][2]))):
+            for numbers, key in sorted(run, key=lambda row: (row[0][0], kinds[row[0][1]], str(row[1]))):
                 ordered.data += _pack_deciding(*numbers)
-                ordered.quorums.append(quorum)
+                ordered.keys.append(key)
         return ordered
 
 
@@ -190,9 +191,10 @@ class FlightRecorder:
         self._submit_seq = 0
         #: tx ids whose chain is recorded (None: sampling off, keep all).
         self._sampled: set[str] | None = set() if self._sample > 1 else None
-        #: votes per (observer pid, kind, key) quorum: (t, voter) rows
-        #: while it is undecided, :data:`DECIDED` once it is.
-        self._quorum_votes: dict[tuple, list[tuple[float, int]] | tuple] = {}
+        #: the table's kind codes by phase name and, per direction, by message class.
+        self._phase_codes, self._send_codes, self._recv_codes = {}, {}, {}
+        #: counted votes per undecided (observer pid, kind, key) quorum, as (t, voter) rows.
+        self._quorum_votes: dict[tuple, list[tuple[float, int]]] = {}
         #: one row per decided quorum, in time order.
         self._deciding = DecidingRows()
 
@@ -203,10 +205,9 @@ class FlightRecorder:
         sampled = self._sampled
         if sampled is not None and tx_id not in sampled:
             return
-        nodes = self.nodes
-        code = nodes.codes.get(phase) or nodes.new_phase(phase)  # no phase's code is 0
+        nodes, codes = self.nodes, self._phase_codes
+        code = codes.get(phase) or codes.setdefault(phase, nodes.code(PHASE, phase))
         nodes.data += pack_node(time, self._ctx, pid, code)
-        nodes.phases += 1
         nodes.labels.append(tx_id)
 
     def milestone(self, host: Any, item: object, phase: str) -> None:
@@ -240,13 +241,11 @@ class FlightRecorder:
         if cross:
             self.cross_txs.add(tx_id)
         self.phase(time, tx_id, "submit", pid)
-        self._ctx = len(self.nodes.labels) - 1
+        self._ctx = len(self.nodes.data) // ROW_SIZE - 1
 
     def slot_open(self, time: float, pid: int, cluster: int, slot: int) -> None:
         """Open a consensus-slot span (first open per replica wins)."""
-        key = (pid, slot)
-        if key not in self._slot_open:
-            self._slot_open[key] = (time, cluster)
+        self._slot_open.setdefault((pid, slot), (time, cluster))
 
     def slot_close(self, time: float, pid: int, slot: int) -> None:
         """Close a slot span at apply time (no-op if never opened here)."""
@@ -256,8 +255,7 @@ class FlightRecorder:
 
     def vc_open(self, time: float, pid: int, cluster: int, view: int) -> None:
         """Open a view-change span when a replica starts suspecting."""
-        if pid not in self._vc_open:
-            self._vc_open[pid] = (time, cluster, view)
+        self._vc_open.setdefault(pid, (time, cluster, view))
 
     def vc_close(self, time: float, pid: int, view: int) -> None:
         """Close the replica's open view-change span on view install."""
@@ -273,24 +271,28 @@ class FlightRecorder:
 
     def wire_send(self, time: float, src: int, dst: int, message: Any) -> None:
         """Count and record a unicast send node at its NIC departure time."""
-        name, nodes = message.__class__.__name__, self.nodes
+        kind, nodes, codes = message.__class__, self.nodes, self._send_codes
+        name = kind.__name__
         self.sent_by_type[name] = self.sent_by_type.get(name, 0) + 1
-        nodes.data += pack_node(time, self._ctx, src, SEND)  # NodeTable.append, inlined
-        nodes.labels.append(name)
-        self._links[(src << 21) | dst].append((len(nodes.labels) - 1, message))
+        code = codes.get(kind) or codes.setdefault(kind, nodes.code(SEND, name))
+        eid = len(nodes.data) // ROW_SIZE
+        nodes.data += pack_node(time, self._ctx, src, code)  # NodeTable.append, inlined
+        self._links[(src << 21) | dst].append((eid, message))
 
     def wire_multicast(
         self, time: float, src: int, routes: Any, message: Any, attempted: int
     ) -> None:
         """Count ``attempted`` sends; record one send node, fanned out to the
         reached ``routes`` (Network route rows; ``row[2]`` is the link key)."""
-        name = message.__class__.__name__
+        kind, nodes, codes = message.__class__, self.nodes, self._send_codes
+        name = kind.__name__
         if attempted:
             self.sent_by_type[name] = self.sent_by_type.get(name, 0) + attempted
         if not routes:
             return
-        links = self._links
-        entry = (self.nodes.append(time, self._ctx, src, SEND, name), message)
+        code = codes.get(kind) or codes.setdefault(kind, nodes.code(SEND, name))
+        links, entry = self._links, (len(nodes.data) // ROW_SIZE, message)
+        nodes.data += pack_node(time, self._ctx, src, code)  # NodeTable.append, inlined
         for row in routes:
             links[row[2]].append(entry)
 
@@ -310,10 +312,10 @@ class FlightRecorder:
                     parent = send_eid
                     del queue[: index + 1]
                     break
-        nodes = self.nodes
-        nodes.data += pack_node(time, parent, pid, RECV)  # NodeTable.append, inlined
-        nodes.labels.append(message.__class__.__name__)
-        self._ctx = len(nodes.labels) - 1
+        kind, nodes, codes = message.__class__, self.nodes, self._recv_codes
+        code = codes.get(kind) or codes.setdefault(kind, nodes.code(RECV, kind.__name__))
+        self._ctx = len(nodes.data) // ROW_SIZE
+        nodes.data += pack_node(time, parent, pid, code)  # NodeTable.append, inlined
         try:
             if handler is not None:
                 handler(message, src)
@@ -324,34 +326,32 @@ class FlightRecorder:
         """Close the current context (a client's, after its submit)."""
         self._ctx = 0
 
-    def quorum_vote(self, host: Any, kind: str, key: Any, voter: int, decided: bool) -> None:
-        """Record one quorum vote arrival at observer ``host``.
-
-        The vote that flips ``decided`` is the *deciding vote* and
-        closes the key — later votes are dropped, so engines may pass
-        their current (post-flip) decided state; duplicate voters are
-        dropped too, keeping the median over distinct voters.  The key's
-        votes reduce to its deciding row right there and are released.
-        """
+    def quorum_vote(self, host: Any, kind: str, key: Any, voter: int, fired: bool | None) -> None:
+        """Record one vote arriving at observer ``host``, ``fired`` the tally's
+        verdict (``QuorumTracker.vote``): a refused vote (``None``: a repeat, a
+        late or a foreign vote) is ignored, as is a voter already seen on the
+        key, so the median is over the votes the tally counted.  The vote that
+        fires the key is the *deciding vote*: the key's votes reduce to its
+        deciding row and are released, leaving no mark (no later vote comes)."""
+        if fired is None:
+            return
         time, pid = host.now, int(host.node_id)
-        track = (pid, kind, key)
-        quorums = self._quorum_votes
+        quorums, track = self._quorum_votes, (pid, kind, key)
         votes = quorums.get(track)
         if votes is None:
             votes = quorums[track] = []
-        elif votes is DECIDED:
-            return
         else:
             for _, seen in votes:
                 if seen == voter:
                     return
         votes.append((time, voter))
-        if decided:
-            del quorums[track]  # re-keyed so the mark and the row share this tuple
-            quorums[track] = DECIDED
-            deciding = self._deciding
-            deciding.data += _pack_deciding(voter, time, time - median([t for t, _ in votes]))
-            deciding.quorums.append(track)
+        if fired:
+            del quorums[track]
+            deciding, lag = self._deciding, time - median([t for t, _ in votes])
+            if kind not in deciding.kinds:
+                deciding.kinds.append(kind)
+            deciding.data += _pack_deciding(pid, deciding.kinds.index(kind), voter, time, lag)
+            deciding.keys.append(key)
 
     # -- gauges ---------------------------------------------------------
 
@@ -375,24 +375,15 @@ class FlightRecorder:
             window, queue = (0, 0) if batcher is None else (batcher.in_flight, batcher.queued)
             cross = getattr(process, "cross", None)
             states = () if cross is None else cross._states.values()
-            pending_cross = sum(1 for state in states if not state.decided)
             replicas[int(process.pid)] = {
-                "window": window,
-                "queue": queue,
-                "log": log.entry_count,
-                "cross_pending": pending_cross,
+                "window": window, "queue": queue, "log": log.entry_count,
+                "cross_pending": sum(not state.decided for state in states),
             }
-        self.gauge_samples.append(
-            {
-                "t": system.sim.now,
-                "in_transit": network.messages_sent
-                - network.messages_delivered
-                - network.messages_dropped,
-                "sent_total": network.messages_sent,
-                "replicas": replicas,
-                "sent_by_type": dict(self.sent_by_type),
-            }
-        )
+        in_transit = network.messages_sent - network.messages_delivered - network.messages_dropped
+        self.gauge_samples.append({
+            "t": system.sim.now, "in_transit": in_transit, "sent_total": network.messages_sent,
+            "replicas": replicas, "sent_by_type": dict(self.sent_by_type),
+        })
         self.gauge_ticks += 1
 
     # -- reduction ------------------------------------------------------
@@ -402,14 +393,6 @@ class FlightRecorder:
         if self._gauge_timer is not None:
             self._gauge_timer.cancel()
             self._gauge_timer = None
-        pid_clusters: dict[int, int] = {}
-        for process in system.processes():
-            cluster = getattr(process, "cluster", None)
-            if cluster is not None:
-                pid_clusters[int(process.pid)] = int(cluster.cluster_id)
-        breakdown = attribute_phases(self.nodes.events(), self.cross_txs)
-        deciding = self._deciding.in_report_order()
-        critical = summarize_paths(iter_critical_paths(self.nodes, self.cross_txs))
         return TraceReport(
             nodes=self.nodes,
             cross_txs=frozenset(self.cross_txs),
@@ -427,11 +410,14 @@ class FlightRecorder:
             sent_by_type=dict(self.sent_by_type),
             gauge_ticks=self.gauge_ticks,
             gauge_interval=self.spec.gauge_interval,
-            breakdown=breakdown,
-            critical=critical,
-            pid_clusters=pid_clusters,
+            breakdown=attribute_phases(self.nodes.events(), self.cross_txs),
+            critical=summarize_paths(iter_critical_paths(self.nodes, self.cross_txs)),
+            pid_clusters={
+                int(process.pid): int(process.cluster.cluster_id)
+                for process in system.processes() if getattr(process, "cluster", None) is not None
+            },
             end_time=end_time,
-            deciding=deciding,
+            deciding=self._deciding.in_report_order(),
         )
 
 
@@ -464,7 +450,7 @@ class TraceReport:
     so it survives ``ScenarioResult.detach()`` and the pooled-runner
     process boundary unchanged (serial-vs-pooled bit-identity is
     asserted with tracing enabled).  :attr:`events`, :attr:`event_meta`
-    and :attr:`causal` are views over :attr:`nodes` with O(1) ``len``.
+    and :attr:`causal` are views over :attr:`nodes`; ``len`` builds no row.
     """
 
     #: phase events and message nodes, one row per eid.

@@ -9,8 +9,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.causal import (
+    ABSENT,
     NODE_ROW,
+    PHASE,
+    RECV,
     SEND,
+    CodeLimitError,
     NodeTable,
     critical_paths,
     critpath_columns,
@@ -209,6 +213,57 @@ class TestNodeTableViews:
             recorder.phase(0.0, "t1", "enqueue", 0)
         assert len(recorder.nodes) == 1 and recorder.nodes.phases == 0
 
+    def test_a_message_rows_type_and_direction_round_trip(self):
+        recorder = recorded_chain()
+        recorder.wire_send(0.007, 0, 1, Payload())            # a second type, same direction
+        recorder.dispatch(0.008, None, Payload(), 0, 1)       # its recv: no send matched
+        nodes = recorder.nodes
+        messages = list(nodes.messages())
+        assert [(kind, label) for _, _, _, kind, _, label in messages] == [
+            ("send", "object"), ("recv", "object"), ("send", "object"), ("recv", "object"),
+            ("send", "Payload"), ("recv", "Payload"),
+        ]
+        # one code per (direction, type), given on first use
+        codes = [nodes[eid][3] for eid, *_ in messages]
+        assert codes[0] == codes[2] and codes[1] == codes[3] and len(set(codes)) == 4
+        assert [nodes.names[code] for code in codes[-2:]] == ["Payload", "Payload"]
+        assert [nodes.roles[code] for code in codes[-2:]] == [SEND, RECV]
+        assert nodes.labels == ["t1", "t1", "t1"]  # only the phase rows' tx ids
+        rebuilt = NodeTable.from_rows([*nodes.messages(), *(
+            (eid, parent, time, phase, pid, tx)
+            for (time, tx, phase, pid), (eid, parent) in zip(nodes.events(), nodes.event_meta())
+        )])
+        assert rebuilt == nodes and list(rebuilt.messages()) == messages
+
+    def test_the_code_limit_is_refused_with_the_table_unchanged(self):
+        nodes = NodeTable()
+        while len(nodes.names) < 256:
+            nodes.append(0.0, 0, 0, SEND, f"M{len(nodes.names)}")
+        assert nodes.append(0.0, 0, 0, SEND, "M255") == len(nodes) - 1  # a known code still fits
+        before = (bytes(nodes.data), list(nodes.labels), list(nodes.names), bytes(nodes.roles))
+        for role, name in ((RECV, "M255"), (PHASE, "late_phase")):
+            with pytest.raises(CodeLimitError):
+                nodes.append(0.0, 0, 0, role, name, "t1")
+        assert (bytes(nodes.data), nodes.labels, nodes.names, bytes(nodes.roles)) == before
+        recorder = FlightRecorder(TraceSpec(gauge_interval=0))
+        recorder.nodes = nodes
+        with pytest.raises(CodeLimitError):
+            recorder.wire_send(0.0, 0, 1, Payload())
+        assert bytes(nodes.data) == before[0] and not recorder._links
+
+    def test_view_lengths_match_a_scan_of_the_rows(self):
+        recorder = recorded_chain()
+        recorder.wire_multicast(0.007, 0, [(None, 0.0, 1), (None, 0.0, 2)], Payload(), 2)
+        recorder.phase(0.008, "t1", "custom_phase", 0)
+        for nodes in (recorder.nodes, NodeTable.from_rows([(2, 0, 0.0, "send", 1, "M"),
+                                                          (5, 0, 0.1, "submit", 1, "t2")])):
+            roles = [nodes.roles[code] for *_, code in nodes]
+            assert len(nodes.events()) == len(list(nodes.events())) == roles.count(PHASE)
+            assert len(nodes.event_meta()) == len(list(nodes.event_meta())) == roles.count(PHASE)
+            messages = roles.count(SEND) + roles.count(RECV)
+            assert len(nodes.messages()) == len(list(nodes.messages())) == messages
+            assert messages + roles.count(PHASE) + roles.count(ABSENT) == len(nodes)
+
     def test_an_exported_graph_with_a_gap_leaves_the_eid_absent(self):
         nodes = NodeTable.from_rows([
             (1, 0, 0.0, "submit", 100, "t1"),
@@ -307,14 +362,17 @@ class TestQuorumVotes:
         recorder = FlightRecorder(TraceSpec(gauge_interval=0))
         recorder.quorum_vote(at(0.1, 0), "accept", ("k",), 0, False)
         recorder.quorum_vote(at(0.1, 0), "accept", ("k",), 0, False)  # dup voter
+        recorder.quorum_vote(at(0.15, 0), "accept", ("k",), 9, None)  # refused: ignored
         recorder.quorum_vote(at(0.2, 0), "accept", ("k",), 1, False)
         recorder.quorum_vote(at(0.3, 0), "accept", ("k",), 2, True)   # deciding
-        recorder.quorum_vote(at(0.4, 0), "accept", ("k",), 3, True)   # late: dropped
+        assert recorder._quorum_votes == {}  # a decided key leaves no entry
+        recorder.quorum_vote(at(0.4, 0), "accept", ("k",), 3, None)   # late: refused
+        assert recorder._quorum_votes == {}
         report = recorder.finalize(_FakeSystem(), end_time=1.0)
         assert len(report.deciding) == 1
         [(pid, kind, key, voter, t, lag)] = report.deciding
         assert (pid, kind, key, voter, t) == (0, "accept", ("k",), 2, 0.3)
-        assert lag == pytest.approx(0.3 - 0.2)  # median of 0.1/0.2/0.3
+        assert lag == pytest.approx(0.3 - 0.2)  # median of 0.1/0.2/0.3, not of 0.15 too
 
     def test_undecided_quorums_are_not_reported(self):
         recorder = FlightRecorder(TraceSpec(gauge_interval=0))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from repro.common.config import PerformanceModel
 from repro.common.metrics import MetricsCollector
-from repro.consensus.messages import ClientRequest
+from repro.common.types import ClusterId, NodeId
+from repro.consensus.messages import ClientReply, ClientRequest
 from repro.core.client import CLIENT_PID_BASE, ClosedLoopClient
 from repro.sim.costs import CostModel
 from repro.sim.network import Network
@@ -32,7 +33,12 @@ class BlackHoleReplica(Process):
         self.requests += 1
 
 
-def build_client(retry_timeout=0.5):
+def reply(sender, client, tx_id):
+    """``sender`` sends ``client`` a successful reply for ``tx_id``."""
+    sender.send(client.pid, ClientReply(tx_id, NodeId(sender.pid), ClusterId(0), 0, True))
+
+
+def build_client(retry_timeout=0.5, replicas=frozenset({0})):
     sim = Simulator(seed=3)
     network = Network(sim, PerformanceModel(client_latency=1e-3, latency_jitter=0.0), {})
     cost = CostModel(PerformanceModel(message_cpu=0.0, latency_jitter=0.0))
@@ -46,6 +52,7 @@ def build_client(retry_timeout=0.5):
         workload=workload,
         router=lambda transaction: 0,
         metrics=MetricsCollector(),
+        replicas=replicas,
         retry_timeout=retry_timeout,
     )
     return sim, replica, client
@@ -86,3 +93,25 @@ class TestRollingRetryTimer:
         sim.run(until=3.0)
         # Both the stalled request and the new one are being resent again.
         assert client.resubmissions > 0
+
+
+class TestReplies:
+    def test_replies_from_pids_outside_the_deployment_do_not_complete(self):
+        # Byzantine f = 1: two replies complete a transaction, but only
+        # from replicas of the deployment (here pids 0 and 1).
+        sim, replica, client = build_client(replicas=frozenset({0, 1}))
+        client.required_replies = 2
+        client.start()
+        sim.run(until=0.1)
+        (tx_id,) = client._outstanding
+        network, cost = client.network, client.cost_model
+        for pid in (900, 901):
+            reply(Process(pid, sim, network, cost), client, tx_id)
+        sim.run(until=0.2)
+        assert client.outstanding == 1 and client.completed == 0
+        reply(Process(1, sim, network, cost), client, tx_id)
+        sim.run(until=0.3)
+        assert client.outstanding == 1  # one replica's reply is not two
+        reply(replica, client, tx_id)
+        sim.run(until=0.4)
+        assert client.completed == 1 and tx_id not in client._outstanding

@@ -64,11 +64,19 @@ class TestQuorumTrackerContract:
         assert tracker.count("k") == 1 and tracker.voters("k") == frozenset({5})
 
     def test_fires_exactly_once_and_late_votes_leave_the_count(self):
+        # True fires the key, False counted below the threshold, None refused.
         tracker = QuorumTracker(2, members(1, 2, 3, 4), journal())
         fired = [tracker.vote("k", voter) for voter in (1, 2, 3, 4, 2)]
-        assert fired == [False, True, False, False, False]
+        assert fired == [False, True, None, None, None]
         assert tracker.count("k") == 2 and tracker.reached("k")
         assert tracker.voters("k") == frozenset({1, 2})
+
+    def test_a_repeat_and_a_foreign_vote_below_the_threshold_are_refused(self):
+        tracker = QuorumTracker(3, members(1, 2, 3, 4), journal())
+        assert [tracker.vote("k", voter) for voter in (1, 1, 9, 2)] == [False, None, None, False]
+        assert tracker.voters("k") == frozenset({1, 2}) and not tracker.reached("k")
+        assert tracker.journal.totals["foreign_vote"] == 1
+        assert tracker.vote("k", 3) is True
 
     @pytest.mark.parametrize("pids", [(63, 64), (64, 300), (0, 63, 300)])
     def test_large_pids_are_distinct_bits(self, pids):
